@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash, load_config
+from .config import ConfigError, ExperimentConfig, _fmt_real, config_hash, load_config
 from .dirichlet import (
     ComplexArgument,
     ConvergenceError,
@@ -49,10 +49,6 @@ _CACHE_VERSION = 1
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
 _SERIES_NAMES = ("zeta", "F", "H", "Fmu2", "G_sum", "U", "G_product")
-
-
-def _fmt_real(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------

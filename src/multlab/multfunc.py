@@ -2,8 +2,8 @@
 
 A :class:`PrimeFunctionSpec` pins down f: it is a base rule (constant -1,
 a constant c, or a power-decay family) plus a finite map of per-prime
-exceptions.  Everything else is derived from f by closed forms on prime
-powers -- never by explicit divisor-sum convolution:
+exceptions.  Everything else is derived from f one prime power at a time
+-- never by explicit divisor-sum convolution:
 
 * ``F_plain``  -- f itself, f(p^a) = f(p)^a;
 * ``H_conv``   -- the divisor-sum transform 1*f, with
@@ -12,11 +12,14 @@ powers -- never by explicit divisor-sum convolution:
   g(p^a) = 1 + f(p) for every a >= 1;
 * ``F_mu2``    -- f restricted to squarefree integers.
 
-Bulk evaluation (``coefficient_stream``) walks the smallest-prime-factor
-table once, peeling one prime power per pass over the surviving indices,
-so a full stream to 10^7 costs a few seconds and no Python-level per-n
-loop.  Streams whose values are provably integers (all f(p) in {-1,0,1})
-also have an exact int64 path used by the partial-sum machinery.
+Bulk evaluation (``coefficient_stream``) fills the stream in doubling
+blocks [L, 2L) of the smallest-prime-factor table, the linear-sieve
+evaluation of multiplicative functions (Gries & Misra, CACM 1978): each n
+is a product of two smaller finished entries, or one step from n / spf(n)
+when n is a prime power.  That is log2(N) vector passes and O(N) work, with
+no Python-level per-n loop.  Streams whose values are provably integers (all
+f(p) in {-1,0,1}) run the same recurrence in int64, the exact path used by
+the partial-sum machinery.
 """
 
 from __future__ import annotations
@@ -92,7 +95,9 @@ class PrimeFunctionSpec:
             if self.c is None or not -1.0 <= self.c <= 1.0:
                 raise ValueError(f"constant base needs c in [-1, 1], got {self.c}")
         if self.base == BASE_POWER_DECAY:
-            if self.c is None or self.a is None or not self.a > 0:
+            if self.c is None or self.a is None or not (
+                math.isfinite(self.c) and math.isfinite(self.a) and self.a > 0
+            ):
                 raise ValueError(
                     f"power_decay base needs finite c and a > 0, got c={self.c} a={self.a}"
                 )
@@ -284,77 +289,54 @@ def eval_f_mu2(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bulk evaluation: one pass of strip-mining over the spf table
+# bulk evaluation: one block recurrence over the spf table
 # ---------------------------------------------------------------------------
 
 
-def _strip_factors(spf: np.ndarray, limit: int):
-    """Yield (indices, primes, exponents, none_left) layer by layer.
+def _stream(
+    spec: PrimeFunctionSpec,
+    kind: DerivedFunctionKind,
+    limit: int,
+    sieve: FactorSieve,
+    dtype: type,
+) -> np.ndarray:
+    """a(1..limit) for one derived function, filled in doubling blocks.
 
-    Every composite index surrenders one full prime power per iteration:
-    ``indices`` is the slice of 2..limit still carrying factors, ``primes``
-    and ``exponents`` describe the smallest prime power of each survivor.
+    For n in a block [L, 2L) with p = spf(n), both m = n/p and rest(n) (n
+    with the full power of p removed) are below L, so every read hits a
+    finished entry.  A non prime power splits as a(rest) * a(n / rest); a
+    prime power p^e takes one step from a(p^(e-1)).  The h step is Horner's
+    1 + f(p) * h(p^(e-1)), which has no cancellation near f(p) = 1.
     """
-    rest = np.arange(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        rest[0] = 1
-    idx = np.nonzero(rest > 1)[0]
-    while idx.size:
-        r = rest[idx]
-        p = spf[r].astype(np.int64)
-        r = r // p
-        a = np.ones(idx.size, dtype=np.int64)
-        cur = np.nonzero(r % p == 0)[0]
-        while cur.size:
-            r[cur] //= p[cur]
-            a[cur] += 1
-            cur = cur[r[cur] % p[cur] == 0]
-        yield idx, p, a
-        rest[idx] = r
-        idx = idx[r > 1]
-
-
-def _weights_float(
-    spec: PrimeFunctionSpec, kind: DerivedFunctionKind, p: np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """Vectorized w(p, a) for one strip layer (float path)."""
-    fp = f_at_primes(spec, p)
-    if kind is DerivedFunctionKind.F_PLAIN:
-        return fp ** a
-    if kind is DerivedFunctionKind.G_CONV:
-        return 1.0 + fp
-    if kind is DerivedFunctionKind.F_MU2:
-        return np.where(a == 1, fp, 0.0)
-    # H_CONV: geometric closed form, with the near-1 rescue branch
-    near = np.abs(1.0 - fp) < _NEAR_ONE
-    denom = np.where(near, 1.0, 1.0 - fp)
-    w = (1.0 - fp ** (a + 1)) / denom
-    if np.any(near):
-        sub = np.nonzero(near)[0]
-        fps, exps = fp[sub], a[sub]
-        total = np.ones(sub.size)
-        term = np.ones(sub.size)
-        for j in range(1, int(exps.max()) + 1):
-            term *= fps
-            total += term * (exps >= j)
-        w[sub] = total
-    return w
-
-
-def _weights_int(
-    spec: PrimeFunctionSpec, kind: DerivedFunctionKind, p: np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """Vectorized w(p, a) on the exact integer path (f(p) in {-1, 0, 1})."""
-    fp = f_at_primes(spec, p).astype(np.int64)
-    if kind is DerivedFunctionKind.F_PLAIN:
-        odd = (a & 1).astype(np.int64)
-        return np.where(fp == 0, 0, np.where(fp == 1, 1, 1 - 2 * odd))
-    if kind is DerivedFunctionKind.G_CONV:
-        return 1 + fp
-    if kind is DerivedFunctionKind.F_MU2:
-        return np.where(a == 1, fp, 0)
-    even = 1 - (a & 1).astype(np.int64)
-    return np.where(fp == 0, 1, np.where(fp == 1, a + 1, even))  # H_CONV
+    if not 1 <= limit <= sieve.limit:
+        raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
+    spf = sieve.spf
+    vals = np.zeros(limit + 1, dtype=dtype)
+    vals[1] = 1
+    rest = np.ones(limit + 1, dtype=np.int64)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, limit + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi].astype(np.int64)
+        m = n // p
+        r = np.where(spf[m] == p, rest[m], m)
+        rest[lo:hi] = r
+        block = vals[lo:hi]
+        split = np.nonzero(r > 1)[0]
+        block[split] = vals[r[split]] * vals[n[split] // r[split]]
+        pp = np.nonzero(r == 1)[0]
+        fp = f_at_primes(spec, p[pp]).astype(dtype)
+        if kind is DerivedFunctionKind.F_PLAIN:
+            block[pp] = fp * vals[m[pp]]
+        elif kind is DerivedFunctionKind.H_CONV:
+            block[pp] = 1 + fp * vals[m[pp]]
+        elif kind is DerivedFunctionKind.G_CONV:
+            block[pp] = 1 + fp
+        else:  # F_MU2
+            block[pp] = np.where(m[pp] == 1, fp, 0)
+        lo = hi
+    return vals[1:]
 
 
 def coefficient_stream(
@@ -365,16 +347,11 @@ def coefficient_stream(
 ) -> np.ndarray:
     """Array of the selected function at n = 1..limit (index i holds a(i+1)).
 
-    Identical to pointwise evaluation; computed in bulk by strip-mining the
-    spf table (one prime power per layer, ~log log scaling of layer count).
+    Agrees with pointwise evaluation to rounding; computed in bulk by one
+    recurrence over doubling blocks of the spf table (log2(limit) vector
+    passes, O(limit) work).
     """
-    if not 1 <= limit <= sieve.limit:
-        raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
-    vals = np.ones(limit + 1, dtype=np.float64)
-    vals[0] = 0.0
-    for idx, p, a in _strip_factors(sieve.spf, limit):
-        vals[idx] *= _weights_float(spec, kind, p, a)
-    return vals[1:]
+    return _stream(spec, kind, limit, sieve, np.float64)
 
 
 def integer_coefficient_stream(
@@ -390,13 +367,7 @@ def integer_coefficient_stream(
     """
     if not spec_is_pm1(spec):
         raise ValueError("integer stream requires f(p) in {-1, 0, 1} everywhere")
-    if not 1 <= limit <= sieve.limit:
-        raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
-    vals = np.ones(limit + 1, dtype=np.int64)
-    vals[0] = 0
-    for idx, p, a in _strip_factors(sieve.spf, limit):
-        vals[idx] *= _weights_int(spec, kind, p, a)
-    return vals[1:]
+    return _stream(spec, kind, limit, sieve, np.int64)
 
 
 LIOUVILLE = liouville_spec()

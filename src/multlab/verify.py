@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, _fmt_real, config_hash
 from .dirichlet import (
     ComplexArgument,
     IdentityKind,
@@ -86,10 +86,6 @@ class VerificationReport:
     @property
     def failed(self) -> tuple[CheckLine, ...]:
         return tuple(line for line in self.lines if line.status == STATUS_FAIL)
-
-
-def _fmt_real(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def report_to_csv(report: VerificationReport) -> str:

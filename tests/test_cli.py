@@ -203,19 +203,19 @@ def test_verify_passes_and_writes_report(cfg_file, tmp_path, capsys):
 
 
 def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, capsys):
-    # poison the h-stream weights by 1%: the H = zeta * F identity must
+    # poison the h-stream by 1%: the H = zeta * F identity must
     # blow its budget and the command must exit 1
-    import multlab.multfunc as mf
+    import multlab.dirichlet as dl
 
-    original = mf._weights_float
+    original = dl.coefficient_stream
 
-    def poisoned(spec, kind, p, a):
-        w = original(spec, kind, p, a)
-        if kind is mf.DerivedFunctionKind.H_CONV:
-            return w * 1.01
-        return w
+    def poisoned(spec, kind, limit, sieve):
+        coeffs = original(spec, kind, limit, sieve)
+        if kind is dl.DerivedFunctionKind.H_CONV:
+            return coeffs * 1.01
+        return coeffs
 
-    monkeypatch.setattr(mf, "_weights_float", poisoned)
+    monkeypatch.setattr(dl, "coefficient_stream", poisoned)
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(cfg_file), "--out", str(out)])
     assert rc == 1

@@ -112,6 +112,8 @@ def test_spec_value_constraints_surface_as_config_errors():
         parse_config("spec.exception.2 = 1.5\n")  # outside [-1, 1]
     with pytest.raises(ConfigError):
         parse_config("spec.base = constant\nspec.c = 2.0\n")
+    with pytest.raises(ConfigError):
+        parse_config("spec.base = power_decay\nspec.c = nan\nspec.a = 0.5\n")
 
 
 def test_structural_constraints():

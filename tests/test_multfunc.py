@@ -1,13 +1,14 @@
 """Prime-spec functions against brute-force divisor-sum oracles.
 
 The library *never* computes h = 1*f or g = 1*(f mu^2) by enumerating
-divisors -- it uses closed forms on prime powers.  These tests therefore
+divisors -- it works one prime power at a time.  These tests therefore
 rebuild both transforms the slow literal way (factorize, enumerate divisor
 grids, fsum) and demand agreement, for fixed specs and for randomly drawn
 ones.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,9 @@ def test_spec_validation_errors():
         constant_spec(1.5)
     with pytest.raises(ValueError):
         PrimeFunctionSpec(base="power_decay", c=1.0, a=0.0)  # a must be > 0
+    for c, a in ((math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            power_decay_spec(c, a)  # c and a must be finite
     with pytest.raises(ValueError):
         liouville_spec({4: 0.5})  # 4 is not prime
     with pytest.raises(ValueError):
@@ -322,6 +326,15 @@ def test_h_near_one_rescue(sieve_1e4):
     assert eval_h(close, 1024, sieve_1e4) == pytest.approx(11.0, abs=1e-9)
     stream = coefficient_stream(close, DerivedFunctionKind.H_CONV, 1024, sieve_1e4)
     assert stream[1023] == pytest.approx(11.0, abs=1e-9)
+    # just outside the pointwise rescue window the closed form loses ~5
+    # digits; the stream must still match the exact sum at every 2^e
+    for fp in (1.0 - 1e-6, 1.0 - 1e-4):
+        stream = coefficient_stream(
+            constant_spec(fp), DerivedFunctionKind.H_CONV, 2**13, sieve_1e4
+        )
+        for e in range(1, 14):
+            exact = sum(Fraction(fp) ** j for j in range(e + 1))
+            assert stream[2**e - 1] == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_g_depends_only_on_prime_support(sieve_1e4):
