@@ -73,19 +73,21 @@ class ExperimentConfig:
         for sigma, t in self.s_grid:
             if not (math.isfinite(sigma) and math.isfinite(t)):
                 raise ConfigError(f"non-finite s_grid point ({sigma}, {t})")
-        if not self.checkpoint_ratio > 1.0:
-            raise ConfigError(f"checkpoint_ratio must be > 1, got {self.checkpoint_ratio}")
+        if not (math.isfinite(self.checkpoint_ratio) and self.checkpoint_ratio > 1.0):
+            raise ConfigError(
+                f"checkpoint_ratio must be finite and > 1, got {self.checkpoint_ratio}"
+            )
         if self.checkpoint_x0 < 1:
             raise ConfigError(f"checkpoint_x0 must be >= 1, got {self.checkpoint_x0}")
         for name, tol in self.tolerances:
             if not tol > 0:
                 raise ConfigError(f"tolerance {name} must be positive, got {tol}")
-        if not self.weighted_tail_sigma > 0:
-            raise ConfigError("weighted_tail_sigma must be positive")
+        if not (math.isfinite(self.weighted_tail_sigma) and self.weighted_tail_sigma > 0):
+            raise ConfigError("weighted_tail_sigma must be finite and positive")
         if not 0 < self.epsilon_slack < 1:
             raise ConfigError("epsilon_slack must lie in (0, 1)")
-        if not self.zeta_tol > 0:
-            raise ConfigError("zeta_tol must be positive")
+        if not (math.isfinite(self.zeta_tol) and self.zeta_tol > 0):
+            raise ConfigError("zeta_tol must be finite and positive")
         if not self.f_one_h_grid or any(h <= 0 for h in self.f_one_h_grid):
             raise ConfigError("f_one_h_grid needs positive entries")
 

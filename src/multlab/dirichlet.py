@@ -270,10 +270,6 @@ def dirichlet_sum(
 # ---------------------------------------------------------------------------
 
 
-def _sum_log_factors(log_terms_re: np.ndarray, log_terms_im: np.ndarray) -> complex:
-    return complex(fsum_array(log_terms_re), fsum_array(log_terms_im))
-
-
 def _base_one_plus_f_tail(spec: PrimeFunctionSpec, P: int):
     """(coefficient, effective exponent) with |1 + f(p)| <= coef * p^(-extra)
     for every prime p > P under the base rule alone (exceptions handled
@@ -327,7 +323,7 @@ def euler_product_G(
             if np.any(np.abs(factors) < 1e-300):
                 raise ArithmeticError("degenerate Euler factor encountered")
             logs = np.log(factors)
-            log_value = _sum_log_factors(logs.real, logs.imag)
+            log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
             abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
         value = np.exp(log_value)
         # each factor sits near 1 and carries ~eps absolute representation
@@ -387,7 +383,7 @@ def euler_product_U(
             if np.any(np.abs(factors) < 1e-300):
                 raise ArithmeticError("degenerate Euler factor encountered")
             logs = np.log(factors)
-            log_value = _sum_log_factors(logs.real, logs.imag)
+            log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
             abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
         value = np.exp(log_value)
         # each factor sits near 1 and carries ~eps absolute representation

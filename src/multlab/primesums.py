@@ -20,7 +20,7 @@ import numpy as np
 
 from .multfunc import PrimeFunctionSpec, f_at_primes
 from .sieve import FactorSieve, primes_up_to
-from .summation import checkpoint_schedule, prefix_sums_at
+from .summation import checkpoint_schedule, fsum_array, prefix_sums_at
 
 WEIGHT_LOG_P = "log_p"
 WEIGHT_INV_P_SIGMA = "inv_p_sigma"
@@ -120,7 +120,7 @@ def pretentious_distance_sq(
         return 0.0
     pf = primes.astype(np.float64)
     terms = (1.0 - f_at_primes(spec_f, primes) * f_at_primes(spec_g, primes)) / pf
-    return float(math.fsum(terms.tolist()))
+    return fsum_array(terms)
 
 
 def _dyadic_verdict(totals: np.ndarray) -> str:

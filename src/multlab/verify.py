@@ -32,7 +32,10 @@ import numpy as np
 from .config import ExperimentConfig, _fmt_real, config_hash
 from .dirichlet import (
     ComplexArgument,
+    ConvergenceError,
+    DomainError,
     IdentityKind,
+    PoleError,
     dirichlet_sum,
     identity_residual,
     zeta,
@@ -128,16 +131,22 @@ def _identity_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine
     for sigma, t in cfg.s_grid:
         point = ComplexArgument(sigma, t)
         for identity in IdentityKind:
-            result = identity_residual(
-                identity,
-                cfg.spec,
-                point,
-                cfg.truncation_N,
-                cfg.euler_P,
-                sieve,
-                zeta_tol=cfg.zeta_tol,
-            )
             name = f"{identity.value}:s={point}"
+            try:
+                result = identity_residual(
+                    identity,
+                    cfg.spec,
+                    point,
+                    cfg.truncation_N,
+                    cfg.euler_P,
+                    sieve,
+                    zeta_tol=cfg.zeta_tol,
+                )
+            except (PoleError, DomainError, ConvergenceError):
+                # no evaluation exists at this point (sigma <= 0, the pole
+                # s = 1, an unreachable zeta tolerance): nothing to judge
+                lines.append(CheckLine(name, STATUS_INCONCLUSIVE, math.nan, math.inf))
+                continue
             if result.heuristic:
                 tol = tolerance_map.get(identity.value)
                 if tol is None:

@@ -224,6 +224,24 @@ def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, cap
     assert any(name.startswith("H_eq_zetaF") for name in failed)
 
 
+def test_verify_reports_unevaluable_points_as_inconclusive(tmp_path, capsys):
+    # sigma <= 0 (DomainError) and the pole s = 1 (PoleError) become report
+    # lines, not a traceback out of main
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "s_grid = -0.5:0, 1:0, 2:0\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out / "verify_report.csv")
+    by_name = {r[0]: r[1:] for r in rows}
+    for point in ("-0.5+0i", "1+0i"):
+        at_point = [r for r in rows if r[0].endswith(f":s={point}")]
+        assert len(at_point) == 4
+        assert all(r[1] == "inconclusive" for r in at_point)
+        assert by_name[f"H_eq_zetaF:s={point}"] == ["inconclusive", "nan", "inf"]
+    assert by_name["H_eq_zetaF:s=2+0i"][0] == "pass"
+
+
 # --------------------------------------------------------------- exponent
 
 

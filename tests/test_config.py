@@ -1,5 +1,7 @@
 """Config parsing, canonical serialization, and hashing."""
 
+import math
+
 import pytest
 
 from multlab.config import (
@@ -127,8 +129,12 @@ def test_structural_constraints():
         )
     with pytest.raises(ConfigError, match="s_grid"):
         parse_config("s_grid = ,\n")
-    with pytest.raises(ConfigError, match="checkpoint_ratio"):
-        parse_config("checkpoint_ratio = 1.0\n")
+    for text in ("checkpoint_ratio = 1.0\n", "checkpoint_ratio = inf\n"):
+        with pytest.raises(ConfigError, match="checkpoint_ratio"):
+            parse_config(text)
+    for key in ("zeta_tol", "weighted_tail_sigma"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = inf\n")
     with pytest.raises(ConfigError, match="tolerance"):
         parse_config("tolerance.X = -1\n")
     with pytest.raises(ConfigError, match="epsilon_slack"):
@@ -158,6 +164,9 @@ def test_constructed_config_validation():
         ExperimentConfig(s_grid=())
     with pytest.raises(ConfigError):
         ExperimentConfig(zeta_tol=0.0)
+    for key in ("checkpoint_ratio", "zeta_tol", "weighted_tail_sigma"):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: math.inf})
     with pytest.raises(ConfigError):
         ExperimentConfig(f_one_h_grid=())
     # a perfectly legal non-default spec passes through

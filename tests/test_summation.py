@@ -1,0 +1,134 @@
+"""Exactly rounded sums: ``fsum_array`` and ``prefix_sums_at`` against ``math.fsum``.
+
+The error-free extraction must give the very float ``math.fsum`` gives, so
+every comparison is on the bit pattern (``struct.pack('<d', ...)``), which
+also tells signed zeros apart.  Non-finite and overflowing input must give
+the same value or the same exception.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multlab.summation import fsum_array, prefix_sums_at
+
+#: slice length of the extraction (multlab.summation._BLOCK)
+BLOCK = 1 << 15
+
+#: subnormals, signed zeros, the smallest normal, ulp-scale and halfway
+#: terms (1 + 2^-53 ties to even), and terms that cancel exactly
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1.0, -1.0, 2.0 ** -53, -(2.0 ** -53), 2.0 ** -54, 2.0 ** -105, 3.0 * 2.0 ** -53,
+    1e16, -1e16, 1e300, -1e300, 1e-300, 0.1, -0.1,
+]
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+terms = st.one_of(finite, st.sampled_from(SPECIAL))
+term_lists = st.lists(terms, max_size=60)
+
+
+def outcome(fn, *args):
+    """Bit patterns of the result(s), or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return b"".join(struct.pack("<d", v) for v in np.atleast_1d(value))
+
+
+def assert_same_as_fsum(values):
+    assert outcome(fsum_array, values) == outcome(math.fsum, values.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists)
+def test_fsum_array_is_math_fsum(xs):
+    assert_same_as_fsum(np.array(xs, dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists, terms)
+def test_exact_cancellation_leaves_the_extra_term(xs, extra):
+    values = np.array(xs + [extra] + [-x for x in reversed(xs)], dtype=np.float64)
+    got = outcome(fsum_array, values)
+    assert got == outcome(math.fsum, values.tolist())
+    if isinstance(got, bytes):  # no intermediate overflow
+        assert struct.unpack("<d", got)[0] == extra
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(terms, min_size=1, max_size=40),
+    st.integers(BLOCK - 3, 2 * BLOCK + 5),
+    st.booleans(),
+)
+def test_tiled_samples_cross_the_block_boundary(xs, length, flip):
+    values = np.resize(np.array(xs, dtype=np.float64), length)
+    if flip:
+        values[length // 2 :] *= -1.0
+    assert_same_as_fsum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists, term_lists)
+def test_strided_views(re, im):
+    size = min(len(re), len(im))
+    logs = np.array(re[:size]) + 1j * np.array(im[:size])
+    assert_same_as_fsum(logs.real)
+    assert_same_as_fsum(logs.imag)
+    values = np.array(re, dtype=np.float64)
+    assert_same_as_fsum(values[::2])
+    assert_same_as_fsum(values[1::3])
+    assert_same_as_fsum(values[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(terms, st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308]))))
+def test_non_finite_and_overflowing_input_behaves_as_fsum(xs):
+    assert_same_as_fsum(np.array(xs, dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1.7e308, 1.7e308, -1.7e308],
+        [math.inf, -math.inf],
+        [math.inf, 1.0, math.inf],
+        [math.nan, 1.0],
+        [1e16, 1.0, -1e16, 1.0, 1e16, 1.0, -1e16],
+        [1.0, 2.0 ** -53],
+        [1.0, 2.0 ** -53, 2.0 ** -105],
+        [-0.0, -0.0],
+        [],
+    ],
+)
+def test_fixed_cases_match_fsum(xs):
+    assert_same_as_fsum(np.array(xs, dtype=np.float64))
+
+
+def prefix_sums_oracle(values, boundaries):
+    """The per-segment ``math.fsum`` loop ``prefix_sums_at`` was written as."""
+    segment_sums = []
+    prev = 0
+    for b in boundaries:
+        segment_sums.append(math.fsum(values[prev:b].tolist()))
+        prev = int(b)
+    return [math.fsum(segment_sums[: i + 1]) for i in range(len(segment_sums))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists, st.lists(st.integers(0, 60), max_size=12), st.integers(0, 2 * BLOCK))
+def test_prefix_sums_at_is_the_fsum_loop(xs, cuts, pad):
+    values = np.array(xs, dtype=np.float64)
+    if pad and xs:
+        # a long last segment crosses the block boundary
+        values = np.resize(values, len(xs) + pad)
+    boundaries = np.array(sorted(min(c, values.size) for c in cuts + [values.size]))
+    assert outcome(prefix_sums_at, values, boundaries) == outcome(
+        prefix_sums_oracle, values, boundaries
+    )
