@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _fmt_real, config_hash, load_config
+from .config import ConfigError, ExperimentConfig, _fmt_real, load_config
 from .dirichlet import (
     ComplexArgument,
     ConvergenceError,
@@ -40,15 +40,22 @@ from .exponent import (
 )
 from .primesums import prime_sum_S
 from .sieve import FactorSieve, build_sieve, primes_up_to
-from .summation import checkpoint_schedule
-from .verify import STATUS_FAIL, report_to_csv, run_verify
+from .verify import report_to_csv, run_verify
 
 _CACHE_MAGIC = b"MLSPF"
 _CACHE_VERSION = 1
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
-_SERIES_NAMES = ("zeta", "F", "H", "Fmu2", "G_sum", "U", "G_product")
+#: the ``series`` targets that are truncated Dirichlet sums of one stream
+_SERIES_KINDS = {
+    "F": DerivedFunctionKind.F_PLAIN,
+    "H": DerivedFunctionKind.H_CONV,
+    "Fmu2": DerivedFunctionKind.F_MU2,
+    "G_sum": DerivedFunctionKind.G_CONV,
+}
+
+_SERIES_NAMES = ("zeta", *_SERIES_KINDS, "U", "G_product")
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +101,14 @@ def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
     return FactorSieve(limit=limit, spf=data.astype(np.uint32))
 
 
-def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, threads: int, use_cache: bool = True):
+def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, threads: int):
     """(sieve, source, seconds): load from cache when possible, else build."""
     t0 = time.perf_counter()
-    if use_cache:
-        cached = load_sieve_cache(out_dir, cfg.sieve_limit)
-        if cached is not None:
-            return cached, "cache", time.perf_counter() - t0
+    cached = load_sieve_cache(out_dir, cfg.sieve_limit)
+    if cached is not None:
+        return cached, "cache", time.perf_counter() - t0
     sieve = build_sieve(cfg.sieve_limit, threads=threads)
-    if use_cache:
-        save_sieve_cache(sieve, out_dir)
+    save_sieve_cache(sieve, out_dir)
     return sieve, "built", time.perf_counter() - t0
 
 
@@ -133,11 +138,8 @@ def cmd_partial_sums(
 ) -> int:
     kind = _KIND_NAMES[kind_name]
     sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
-    schedule = checkpoint_schedule(
-        cfg.effective_x_max, cfg.checkpoint_x0, cfg.checkpoint_ratio
-    )
     series = checkpoint_partial_sums(
-        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=schedule
+        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
     path = out_dir / f"partial_sums_{kind.value}.csv"
     _write_csv(path, "x,sum", _trace_rows(series.x, series.sums))
@@ -147,10 +149,7 @@ def cmd_partial_sums(
 
 def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
-    schedule = checkpoint_schedule(
-        cfg.effective_x_max, cfg.checkpoint_x0, cfg.checkpoint_ratio
-    )
-    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=schedule)
+    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=cfg.checkpoints)
     path = out_dir / "prime_sum_S.csv"
     _write_csv(path, "x,sum", _trace_rows(trace.x_values, trace.values))
     print(f"wrote {path} ({len(trace.checkpoints)} checkpoints)")
@@ -160,17 +159,11 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def _series_eval(which: str, cfg: ExperimentConfig, point: ComplexArgument, sieve) -> SeriesEval:
     if which == "zeta":
         return zeta(point, tol=cfg.zeta_tol)
-    if which == "F":
-        return dirichlet_sum(DerivedFunctionKind.F_PLAIN, cfg.spec, point, cfg.truncation_N, sieve)
-    if which == "H":
-        return dirichlet_sum(DerivedFunctionKind.H_CONV, cfg.spec, point, cfg.truncation_N, sieve)
-    if which == "Fmu2":
-        return dirichlet_sum(DerivedFunctionKind.F_MU2, cfg.spec, point, cfg.truncation_N, sieve)
-    if which == "G_sum":
-        return dirichlet_sum(DerivedFunctionKind.G_CONV, cfg.spec, point, cfg.truncation_N, sieve)
     if which == "U":
         return euler_product_U(cfg.spec, point, cfg.euler_P, sieve)
-    return euler_product_G(cfg.spec, point, cfg.euler_P, sieve)
+    if which == "G_product":
+        return euler_product_G(cfg.spec, point, cfg.euler_P, sieve)
+    return dirichlet_sum(_SERIES_KINDS[which], cfg.spec, point, cfg.truncation_N, sieve)
 
 
 def cmd_series(cfg: ExperimentConfig, out_dir: Path, threads: int, which: str) -> int:
@@ -208,7 +201,7 @@ def cmd_series(cfg: ExperimentConfig, out_dir: Path, threads: int, which: str) -
 
 def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
-    report = run_verify(cfg, sieve=sieve, threads=threads)
+    report = run_verify(cfg, sieve=sieve)
     path = out_dir / "verify_report.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report_to_csv(report))
@@ -232,11 +225,8 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, threads: int, kind_name: str) -> int:
     kind = _KIND_NAMES[kind_name]
     sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
-    schedule = checkpoint_schedule(
-        cfg.effective_x_max, cfg.checkpoint_x0, cfg.checkpoint_ratio
-    )
     series = checkpoint_partial_sums(
-        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=schedule
+        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
     try:
         fit = fit_exponent(series, epsilon_slack=cfg.epsilon_slack)

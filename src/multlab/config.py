@@ -15,11 +15,17 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .multfunc import (
     BASE_CONSTANT,
     BASE_LIOUVILLE,
-    BASE_POWER_DECAY,
     PrimeFunctionSpec,
+)
+from .summation import (
+    DEFAULT_CHECKPOINT_RATIO,
+    DEFAULT_CHECKPOINT_X0,
+    checkpoint_schedule,
 )
 
 
@@ -44,8 +50,8 @@ class ExperimentConfig:
     truncation_N: int = 10 ** 5
     euler_P: int = 10 ** 5
     x_max: int = 0  # 0 means "use sieve_limit"
-    checkpoint_x0: int = 10
-    checkpoint_ratio: float = 2.0 ** 0.25
+    checkpoint_x0: int = DEFAULT_CHECKPOINT_X0
+    checkpoint_ratio: float = DEFAULT_CHECKPOINT_RATIO
     tolerances: tuple[tuple[str, float], ...] = ()
     output_dir: str = "out"
     weighted_tail_sigma: float = 1.0
@@ -94,6 +100,13 @@ class ExperimentConfig:
     @property
     def effective_x_max(self) -> int:
         return self.x_max if self.x_max else self.sieve_limit
+
+    @property
+    def checkpoints(self) -> np.ndarray:
+        """The checkpoint grid of every trace: x0, x0*ratio, ... up to effective_x_max."""
+        return checkpoint_schedule(
+            self.effective_x_max, self.checkpoint_x0, self.checkpoint_ratio
+        )
 
     @property
     def tolerance_map(self) -> dict[str, float]:

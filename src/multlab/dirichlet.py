@@ -31,7 +31,6 @@ import numpy as np
 from .multfunc import (
     BASE_CONSTANT,
     BASE_LIOUVILLE,
-    BASE_POWER_DECAY,
     DerivedFunctionKind,
     PrimeFunctionSpec,
     coefficient_stream,
@@ -99,6 +98,14 @@ class SeriesEval:
     tail_bound: float
     heuristic: bool
     method: str
+
+
+def _twisted_sum(mod: np.ndarray, n: np.ndarray, t: float) -> complex:
+    """sum mod * n^(-i t), exactly rounded per part; real sums skip the twist."""
+    if t == 0.0:
+        return complex(fsum_array(mod), 0.0)
+    phase = -t * np.log(n)
+    return complex(fsum_array(mod * np.cos(phase)), fsum_array(mod * np.sin(phase)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +187,10 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     k_arr = np.arange(1, n + 1, dtype=np.float64)
     e_arr = np.asarray(e, dtype=np.float64)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    moduli = np.abs(e_arr) * k_arr ** (-point.sigma)
-    if point.t == 0.0:
-        terms_re = signs * e_arr * k_arr ** (-point.sigma)
-        acc = complex(fsum_array(terms_re), 0.0)
-    else:
-        phase = -point.t * np.log(k_arr)
-        base = signs * e_arr * k_arr ** (-point.sigma)
-        acc = complex(fsum_array(base * np.cos(phase)), fsum_array(base * np.sin(phase)))
-    value = -acc / prefactor_den
+    base = signs * e_arr * k_arr ** (-point.sigma)
+    value = -_twisted_sum(base, k_arr, point.t) / prefactor_den
     truncation = 3.0 * kappa / _ACCEL_RATE ** n
-    abs_sum = fsum_array(moduli)
+    abs_sum = fsum_array(np.abs(base))
     rounding = _EPS * (4.0 * abs_sum / abs(prefactor_den) + 4.0 * abs(value))
     return SeriesEval(
         value=value,
@@ -247,13 +247,8 @@ def dirichlet_sum(
         raise ValueError(f"N={N} outside [1, sieve limit {sieve.limit}]")
     coeffs = coefficient_stream(spec, kind, N, sieve)
     n_arr = np.arange(1, N + 1, dtype=np.float64)
-    scale = n_arr ** (-point.sigma)
-    mod = coeffs * scale
-    if point.t == 0.0:
-        value = complex(fsum_array(mod), 0.0)
-    else:
-        phase = -point.t * np.log(n_arr)
-        value = complex(fsum_array(mod * np.cos(phase)), fsum_array(mod * np.sin(phase)))
+    mod = coeffs * n_arr ** (-point.sigma)
+    value = _twisted_sum(mod, n_arr, point.t)
     abs_sum = fsum_array(np.abs(mod))
     rounding = 4.0 * _EPS * abs_sum
     if point.sigma > 1.0:
@@ -270,10 +265,10 @@ def dirichlet_sum(
 # ---------------------------------------------------------------------------
 
 
-def _base_one_plus_f_tail(spec: PrimeFunctionSpec, P: int):
+def _base_one_plus_f_tail(spec: PrimeFunctionSpec):
     """(coefficient, effective exponent) with |1 + f(p)| <= coef * p^(-extra)
-    for every prime p > P under the base rule alone (exceptions handled
-    separately by the caller).  Returns None when no finite bound applies.
+    for every prime p under the base rule alone (exceptions handled
+    separately by the caller).
     """
     if spec.base == BASE_LIOUVILLE:
         return 0.0, 0.0
@@ -289,6 +284,42 @@ def _log_tail_over_primes(coef: float, exponent: float, P: int) -> float:
     return coef * Pe ** (1.0 - exponent) / (exponent - 1.0)
 
 
+def _euler_primes(point: ComplexArgument, P: int, sieve: FactorSieve) -> np.ndarray:
+    """The primes p <= P of an Euler product at ``point`` (needs sigma > 0)."""
+    if point.sigma <= 0:
+        raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
+    if P > sieve.limit:
+        raise ValueError(f"P={P} exceeds sieve limit {sieve.limit}")
+    return primes_up_to(P, sieve)
+
+
+def _prime_powers(primes: np.ndarray, point: ComplexArgument, scale: float) -> np.ndarray:
+    """p^(scale * s) for each prime p."""
+    pf = primes.astype(np.float64)
+    if point.t == 0.0:
+        # real path, a real power: a/a == 1 exactly, so e.g. the constant
+        # -1 base yields the empty-product value with zero rounding
+        return pf ** (scale * point.sigma)
+    return np.exp(scale * point.as_complex * np.log(pf))
+
+
+def _log_product(factors: np.ndarray) -> tuple[np.complex128, float]:
+    """(prod factors, rounding allowance), the product accumulated in log space."""
+    if np.any(np.abs(factors) < 1e-300):
+        raise ArithmeticError("degenerate Euler factor encountered")
+    logs = np.log(factors)
+    if np.iscomplexobj(logs):
+        log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
+        abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
+    else:
+        log_value = complex(fsum_array(logs), 0.0)
+        abs_log_sum = fsum_array(np.abs(logs))
+    value = np.exp(log_value)
+    # each factor sits near 1 and carries ~eps absolute representation
+    # error, so the honest rounding allowance scales with the factor count
+    return value, _EPS * abs(value) * (2.0 * factors.size + 8.0 * abs_log_sum + 4.0)
+
+
 def euler_product_G(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
@@ -300,41 +331,15 @@ def euler_product_G(
     all for a generic constant base (rigorous only for sigma > 1 there).
     """
     point = ComplexArgument.of(s)
-    if point.sigma <= 0:
-        raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
-    if P > sieve.limit:
-        raise ValueError(f"P={P} exceeds sieve limit {sieve.limit}")
-    primes = primes_up_to(max(P, 0), sieve) if P >= 2 else np.empty(0, dtype=np.int64)
+    primes = _euler_primes(point, P, sieve)
+    value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         fp = f_at_primes(spec, primes)
-        if point.t == 0.0:
-            # real path: a/a == 1 exactly, so e.g. the constant -1 base
-            # yields the empty-product value with zero rounding
-            ps = primes.astype(np.float64) ** point.sigma
-            factors = (ps + fp) / (ps - 1.0)
-            if np.any(np.abs(factors) < 1e-300):
-                raise ArithmeticError("degenerate Euler factor encountered")
-            logs = np.log(factors)
-            log_value = complex(fsum_array(logs), 0.0)
-            abs_log_sum = fsum_array(np.abs(logs))
-        else:
-            ps = np.exp(point.as_complex * np.log(primes.astype(np.float64)))
-            factors = (ps + fp) / (ps - 1.0)
-            if np.any(np.abs(factors) < 1e-300):
-                raise ArithmeticError("degenerate Euler factor encountered")
-            logs = np.log(factors)
-            log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
-            abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
-        value = np.exp(log_value)
-        # each factor sits near 1 and carries ~eps absolute representation
-        # error, so the honest rounding allowance scales with the factor count
-        rounding = _EPS * abs(value) * (2.0 * primes.size + 8.0 * abs_log_sum + 4.0)
-    else:
-        value = 1.0 + 0.0j
-        rounding = 0.0
+        ps = _prime_powers(primes, point, 1.0)
+        value, rounding = _log_product((ps + fp) / (ps - 1.0))
 
     # tail over p > P: factor - 1 = (1 + f(p)) / (p^s - 1)
-    coef, extra = _base_one_plus_f_tail(spec, P)
+    coef, extra = _base_one_plus_f_tail(spec)
     Pe = max(P, 1)
     kappa1 = 1.0 / (1.0 - (Pe + 1.0) ** (-point.sigma))
     log_tail = 0.0
@@ -362,36 +367,17 @@ def euler_product_G(
 def euler_product_U(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
-    """prod_{p<=P} (1 - f(p)^2 p^(-2s)); absolutely convergent for sigma > 1/2."""
+    """prod_{p<=P} (1 - f(p)^2 p^(-2s)); absolutely convergent for sigma > 1/2.
+
+    Evaluated only for sigma > 0, like G (DomainError otherwise): at
+    sigma <= 0 a factor can turn negative and has no logarithm.
+    """
     point = ComplexArgument.of(s)
-    if P > sieve.limit:
-        raise ValueError(f"P={P} exceeds sieve limit {sieve.limit}")
-    primes = primes_up_to(max(P, 0), sieve) if P >= 2 else np.empty(0, dtype=np.int64)
+    primes = _euler_primes(point, P, sieve)
+    value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         fp = f_at_primes(spec, primes)
-        if point.t == 0.0:
-            pminus2s = primes.astype(np.float64) ** (-2.0 * point.sigma)
-            factors = 1.0 - fp ** 2 * pminus2s
-            if np.any(np.abs(factors) < 1e-300):
-                raise ArithmeticError("degenerate Euler factor encountered")
-            logs = np.log(factors)
-            log_value = complex(fsum_array(logs), 0.0)
-            abs_log_sum = fsum_array(np.abs(logs))
-        else:
-            pminus2s = np.exp(-2.0 * point.as_complex * np.log(primes.astype(np.float64)))
-            factors = 1.0 - fp ** 2 * pminus2s
-            if np.any(np.abs(factors) < 1e-300):
-                raise ArithmeticError("degenerate Euler factor encountered")
-            logs = np.log(factors)
-            log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
-            abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
-        value = np.exp(log_value)
-        # each factor sits near 1 and carries ~eps absolute representation
-        # error, so the honest rounding allowance scales with the factor count
-        rounding = _EPS * abs(value) * (2.0 * primes.size + 8.0 * abs_log_sum + 4.0)
-    else:
-        value = 1.0 + 0.0j
-        rounding = 0.0
+        value, rounding = _log_product(1.0 - fp ** 2 * _prime_powers(primes, point, -2.0))
     if point.sigma > 0.5:
         zmax = (max(P, 1) + 1.0) ** (-2.0 * point.sigma)
         log_tail = _log_tail_over_primes(1.0, 2.0 * point.sigma, P) / (1.0 - zmax)

@@ -11,7 +11,6 @@ asymptotic claim, and the reports say only what the trace shows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,11 @@ from .multfunc import (
     spec_is_pm1,
 )
 from .primesums import (
-    DECAY_FACTOR,
-    FLAT_FACTOR,
     FLOOR,
+    VERDICT_CONVERGENT,
+    VERDICT_DIVERGENT,
     VERDICT_WINDOW,
+    _step_verdict,
 )
 from .sieve import FactorSieve
 from .summation import (
@@ -213,15 +213,8 @@ def kronecker_check(
         return series, normalized, VERDICT_INCONCLUSIVE
     if all(m <= floor for m in window_maxima):
         return series, normalized, VERDICT_PASS
-    steps = list(zip(window_maxima[:-1], window_maxima[1:]))
-    decaying = sum(
-        1 for before, after in steps if after <= max(DECAY_FACTOR * before, floor)
-    )
-    flat = sum(
-        1 for before, after in steps if after > floor and after >= FLAT_FACTOR * before
-    )
-    if decaying == len(steps):
-        return series, normalized, VERDICT_PASS
-    if flat == len(steps):
-        return series, normalized, VERDICT_FAIL
-    return series, normalized, VERDICT_INCONCLUSIVE
+    verdict = {
+        VERDICT_CONVERGENT: VERDICT_PASS,
+        VERDICT_DIVERGENT: VERDICT_FAIL,
+    }.get(_step_verdict(window_maxima, floor), VERDICT_INCONCLUSIVE)
+    return series, normalized, verdict

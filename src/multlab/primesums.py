@@ -115,7 +115,7 @@ def pretentious_distance_sq(
     """
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-    primes = primes_up_to(max(x, 0), sieve) if x >= 2 else np.empty(0, dtype=np.int64)
+    primes = primes_up_to(x, sieve)
     if primes.size == 0:
         return 0.0
     pf = primes.astype(np.float64)
@@ -123,15 +123,29 @@ def pretentious_distance_sq(
     return fsum_array(terms)
 
 
+def _step_verdict(values, floor: float) -> str:
+    """Verdict on the steps between consecutive ``values`` (at least one step).
+
+    Apparently convergent when every step decays below DECAY_FACTOR x the
+    previous value (or to the floor); apparently divergent when every step
+    stays above the floor and above FLAT_FACTOR x the previous value;
+    inconclusive otherwise.
+    """
+    steps = list(zip(values[:-1], values[1:]))
+    if all(after <= max(DECAY_FACTOR * before, floor) for before, after in steps):
+        return VERDICT_CONVERGENT
+    if all(after > floor and after >= FLAT_FACTOR * before for before, after in steps):
+        return VERDICT_DIVERGENT
+    return VERDICT_INCONCLUSIVE
+
+
 def _dyadic_verdict(totals: np.ndarray) -> str:
     """Three-valued verdict from the trailing dyadic increments of a trace.
 
-    Increments I_j between consecutive dyadic points: apparently convergent
-    when each of the last VERDICT_WINDOW steps decays below DECAY_FACTOR x
-    the previous (or is at the floor); apparently divergent when every one
-    of those steps stays above FLAT_FACTOR x the previous; inconclusive
-    otherwise.  The window shrinks for short traces but needs at least two
-    increments to say anything.
+    Increments I_j between consecutive dyadic points are judged by
+    ``_step_verdict`` over the last VERDICT_WINDOW steps.  The window
+    shrinks for short traces but needs at least two increments to say
+    anything.
     """
     increments = np.diff(totals)
     scale = max(1.0, float(np.max(np.abs(totals))) if totals.size else 1.0)
@@ -141,20 +155,7 @@ def _dyadic_verdict(totals: np.ndarray) -> str:
     window = min(VERDICT_WINDOW, increments.size - 1)
     if window < 1:
         return VERDICT_INCONCLUSIVE
-    tail = increments[-window:]
-    prev = increments[-window - 1 : -1]
-    decaying = 0
-    flat = 0
-    for before, after in zip(prev, tail):
-        if after <= max(DECAY_FACTOR * before, floor):
-            decaying += 1
-        if after > floor and after >= FLAT_FACTOR * before:
-            flat += 1
-    if decaying == tail.size:
-        return VERDICT_CONVERGENT
-    if flat == tail.size:
-        return VERDICT_DIVERGENT
-    return VERDICT_INCONCLUSIVE
+    return _step_verdict(increments[-window - 1 :], floor)
 
 
 def weighted_tail_diagnostic(

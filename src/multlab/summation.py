@@ -139,6 +139,16 @@ def fsum_array(values: np.ndarray) -> float:
     return _exact_sum(values)
 
 
+def _checked_bounds(boundaries, length: int) -> np.ndarray:
+    """``boundaries`` as int64 counts, checked to lie in [0, length] and not decrease."""
+    bounds = np.asarray(boundaries, dtype=np.int64)
+    if np.any(bounds < 0) or np.any(bounds > length):
+        raise ValueError("boundaries out of range for values array")
+    if np.any(np.diff(bounds) < 0):
+        raise ValueError("boundaries must be nondecreasing")
+    return bounds
+
+
 def prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Prefix sums of ``values`` at index boundaries, from exactly rounded segments.
 
@@ -152,13 +162,9 @@ def prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
     For nonnegative inputs the outputs are nondecreasing.
     """
-    bounds = np.asarray(boundaries, dtype=np.int64)
+    bounds = _checked_bounds(boundaries, len(values))
     if bounds.size == 0:
         return np.empty(0, dtype=np.float64)
-    if np.any(bounds < 0) or np.any(bounds > len(values)):
-        raise ValueError("boundaries out of range for values array")
-    if np.any(np.diff(bounds) < 0):
-        raise ValueError("boundaries must be nondecreasing")
     data = np.asarray(values, dtype=np.float64)
     segment_sums = []
     prev = 0
@@ -178,16 +184,12 @@ def exact_prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarr
     in int64 (no segment exceeds 2^63 terms at desk scale) and are combined
     with Python integers, so the result is exact for any realistic length.
     """
-    bounds = np.asarray(boundaries, dtype=np.int64)
     data = np.asarray(values)
     if data.dtype.kind not in "iu":
         raise TypeError("exact_prefix_sums_at requires an integer array")
+    bounds = _checked_bounds(boundaries, len(data))
     if bounds.size == 0:
         return np.empty(0, dtype=np.int64)
-    if np.any(bounds < 0) or np.any(bounds > len(data)):
-        raise ValueError("boundaries out of range for values array")
-    if np.any(np.diff(bounds) < 0):
-        raise ValueError("boundaries must be nondecreasing")
     out = np.empty(bounds.size, dtype=np.int64)
     total = 0
     prev = 0

@@ -42,8 +42,6 @@ from .dirichlet import (
 )
 from .exponent import (
     InsufficientDataError,
-    VERDICT_FAIL,
-    VERDICT_PASS,
     checkpoint_partial_sums,
     fit_exponent,
 )
@@ -59,7 +57,6 @@ from .primesums import (
     weighted_tail_diagnostic,
 )
 from .sieve import FactorSieve, build_sieve, primes_up_to
-from .summation import checkpoint_schedule
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -105,7 +102,7 @@ def report_to_csv(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_closed_form_lines(cfg: ExperimentConfig) -> list[CheckLine]:
+def _zeta_closed_form_lines() -> list[CheckLine]:
     targets = [
         ("zeta_at_2_vs_pi2_over_6", 2.0, math.pi ** 2 / 6.0),
         ("zeta_at_4_vs_pi4_over_90", 4.0, math.pi ** 4 / 90.0),
@@ -207,10 +204,7 @@ def _nonneg_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
 
 
 def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
-    schedule = checkpoint_schedule(
-        cfg.effective_x_max, cfg.checkpoint_x0, cfg.checkpoint_ratio
-    )
-    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=schedule)
+    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=cfg.checkpoints)
     values = trace.values
     increments = np.diff(values)
     min_increment = float(np.min(increments)) if increments.size else 0.0
@@ -257,15 +251,12 @@ def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
 
 
 def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
-    schedule = checkpoint_schedule(
-        cfg.effective_x_max, cfg.checkpoint_x0, cfg.checkpoint_ratio
-    )
     series = checkpoint_partial_sums(
         cfg.spec,
         DerivedFunctionKind.F_PLAIN,
         cfg.effective_x_max,
         sieve,
-        schedule=schedule,
+        schedule=cfg.checkpoints,
     )
     threshold = 1.0 - cfg.epsilon_slack
     try:
@@ -321,7 +312,7 @@ def run_verify(
     if sieve is None:
         sieve = build_sieve(cfg.sieve_limit, threads=threads)
     lines: list[CheckLine] = []
-    lines.extend(_zeta_closed_form_lines(cfg))
+    lines.extend(_zeta_closed_form_lines())
     lines.extend(_identity_lines(cfg, sieve))
     lines.extend(_nonneg_lines(cfg, sieve))
     lines.extend(_prime_sum_lines(cfg, sieve))

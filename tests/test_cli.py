@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 
 from multlab.cli import load_sieve_cache, main, save_sieve_cache
+from multlab.config import load_config
+from multlab.dirichlet import (
+    ComplexArgument,
+    dirichlet_sum,
+    euler_product_G,
+    euler_product_U,
+    zeta,
+)
+from multlab.multfunc import DerivedFunctionKind
 from multlab.sieve import build_sieve
 
 SMALL_CFG = """
@@ -167,7 +176,7 @@ def test_series_zeta_with_pole_in_grid(tmp_path, capsys):
     assert float(rows[1][2]) == pytest.approx(math.pi**2 / 6, abs=1e-10)
 
 
-@pytest.mark.parametrize("which", ["F", "H", "Fmu2", "G_sum", "U", "G_product"])
+@pytest.mark.parametrize("which", ["zeta", "F", "H", "Fmu2", "G_sum", "U", "G_product"])
 def test_series_all_targets_produce_files(cfg_file, tmp_path, which):
     out = tmp_path / "out"
     rc = main(["series", "--config", str(cfg_file), "--out", str(out), "--which", which])
@@ -175,6 +184,37 @@ def test_series_all_targets_produce_files(cfg_file, tmp_path, which):
     header, rows = read_csv(out / f"series_{which}.csv")
     assert len(rows) == 4  # default s-grid
     assert all(r[7] != "error" for r in rows)
+    # each row is the library value for that name (17 digits round-trip)
+    cfg = load_config(cfg_file)
+    sieve = build_sieve(cfg.sieve_limit)
+    N, P = cfg.truncation_N, cfg.euler_P
+    direct = {
+        "zeta": lambda s: zeta(s, tol=cfg.zeta_tol),
+        "F": lambda s: dirichlet_sum(DerivedFunctionKind.F_PLAIN, cfg.spec, s, N, sieve),
+        "H": lambda s: dirichlet_sum(DerivedFunctionKind.H_CONV, cfg.spec, s, N, sieve),
+        "Fmu2": lambda s: dirichlet_sum(DerivedFunctionKind.F_MU2, cfg.spec, s, N, sieve),
+        "G_sum": lambda s: dirichlet_sum(DerivedFunctionKind.G_CONV, cfg.spec, s, N, sieve),
+        "U": lambda s: euler_product_U(cfg.spec, s, P, sieve),
+        "G_product": lambda s: euler_product_G(cfg.spec, s, P, sieve),
+    }[which]
+    for row, (sigma, t) in zip(rows, cfg.s_grid):
+        ev = direct(ComplexArgument(sigma, t))
+        assert (float(row[2]), float(row[3]), float(row[5])) == (
+            ev.value.real,
+            ev.value.imag,
+            ev.tail_bound,
+        )
+
+
+def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "s_grid = 0:0, 2:0\n")
+    out = tmp_path / "out"
+    rc = main(["series", "--config", str(cfg), "--out", str(out), "--which", "U"])
+    assert rc == 0
+    _, rows = read_csv(out / "series_U.csv")
+    assert rows[0][2:] == ["nan", "nan", "0", "inf", "1", "error"]
+    assert rows[1][7] == "euler_product"
 
 
 def test_series_G_product_collapses_for_default_spec(cfg_file, tmp_path):
@@ -228,18 +268,32 @@ def test_verify_reports_unevaluable_points_as_inconclusive(tmp_path, capsys):
     # sigma <= 0 (DomainError) and the pole s = 1 (PoleError) become report
     # lines, not a traceback out of main
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_CFG + "s_grid = -0.5:0, 1:0, 2:0\n")
+    cfg.write_text(SMALL_CFG + "s_grid = -0.5:0, 0:0, 1:0, 2:0\n")
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     _, rows = read_csv(out / "verify_report.csv")
     by_name = {r[0]: r[1:] for r in rows}
-    for point in ("-0.5+0i", "1+0i"):
+    for point in ("-0.5+0i", "0+0i", "1+0i"):
         at_point = [r for r in rows if r[0].endswith(f":s={point}")]
         assert len(at_point) == 4
         assert all(r[1] == "inconclusive" for r in at_point)
         assert by_name[f"H_eq_zetaF:s={point}"] == ["inconclusive", "nan", "inf"]
     assert by_name["H_eq_zetaF:s=2+0i"][0] == "pass"
+
+
+def test_verify_tolerance_does_not_judge_points_outside_the_domain(tmp_path, capsys):
+    # a configured tolerance decides heuristic points only; at sigma < 0
+    # U is not evaluated at all, so the line stays inconclusive
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "s_grid = -0.5:0, 2:0\ntolerance.Fmu2_eq_FU = 1e-3\n")
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out / "verify_report.csv")
+    by_name = {r[0]: r[1:] for r in rows}
+    assert by_name["Fmu2_eq_FU:s=-0.5+0i"] == ["inconclusive", "nan", "inf"]
+    assert by_name["Fmu2_eq_FU:s=2+0i"][0] == "pass"
 
 
 # --------------------------------------------------------------- exponent

@@ -248,6 +248,12 @@ def test_euler_product_validates_P(sieve_1e4):
         euler_product_G(LIOUVILLE, 2.0, 10**5, sieve_1e4)
     with pytest.raises(DomainError):
         euler_product_G(LIOUVILLE, 0.0, 10**3, sieve_1e4)
+    with pytest.raises(ValueError):
+        euler_product_U(LIOUVILLE, 2.0, 10**5, sieve_1e4)
+    # sigma <= 0: a factor 1 - f(p)^2 p^(-2s) can be negative (no logarithm)
+    for s in (0.0, -0.5, complex(-0.5, 3.0)):
+        with pytest.raises(DomainError):
+            euler_product_U(LIOUVILLE, s, 10**3, sieve_1e4)
 
 
 # ------------------------------------------------------ identity residuals
