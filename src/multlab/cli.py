@@ -13,8 +13,10 @@ Exit codes: 0 success (verify: all checks passed or inconclusive),
 from __future__ import annotations
 
 import argparse
+import os
 import struct
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -26,11 +28,7 @@ from .dirichlet import (
     ConvergenceError,
     DomainError,
     PoleError,
-    SeriesEval,
-    dirichlet_sum,
-    euler_product_G,
-    euler_product_U,
-    zeta,
+    _SeriesStore,
 )
 from .exponent import (
     DerivedFunctionKind,
@@ -47,15 +45,16 @@ _CACHE_VERSION = 1
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
-#: the ``series`` targets that are truncated Dirichlet sums of one stream
-_SERIES_KINDS = {
+#: each ``series`` target and the series-store name it reads
+_SERIES = {
+    "zeta": "zeta",
     "F": DerivedFunctionKind.F_PLAIN,
     "H": DerivedFunctionKind.H_CONV,
     "Fmu2": DerivedFunctionKind.F_MU2,
     "G_sum": DerivedFunctionKind.G_CONV,
+    "U": "U",
+    "G_product": "G",
 }
-
-_SERIES_NAMES = ("zeta", *_SERIES_KINDS, "U", "G_product")
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +67,23 @@ def _cache_path(out_dir: Path, limit: int) -> Path:
 
 
 def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
+    """Write the cache file atomically: a temp file beside it, then ``os.replace``.
+
+    A reader or a concurrent writer never sees a partly written file.
+    """
     path = _cache_path(out_dir, sieve.limit)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(bytes([_CACHE_VERSION]))
-        fh.write(struct.pack("<Q", sieve.limit))
-        fh.write(sieve.spf.astype("<u4", copy=False).tobytes())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(bytes([_CACHE_VERSION]))
+            fh.write(struct.pack("<Q", sieve.limit))
+            fh.write(sieve.spf.astype("<u4", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -156,23 +165,14 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def _series_eval(which: str, cfg: ExperimentConfig, point: ComplexArgument, sieve) -> SeriesEval:
-    if which == "zeta":
-        return zeta(point, tol=cfg.zeta_tol)
-    if which == "U":
-        return euler_product_U(cfg.spec, point, cfg.euler_P, sieve)
-    if which == "G_product":
-        return euler_product_G(cfg.spec, point, cfg.euler_P, sieve)
-    return dirichlet_sum(_SERIES_KINDS[which], cfg.spec, point, cfg.truncation_N, sieve)
-
-
 def cmd_series(cfg: ExperimentConfig, out_dir: Path, threads: int, which: str) -> int:
     sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
     rows = []
     for sigma, t in cfg.s_grid:
         point = ComplexArgument(sigma, t)
         try:
-            ev = _series_eval(which, cfg, point, sieve)
+            ev = store.get(_SERIES[which], point)
         except (PoleError, DomainError, ConvergenceError) as exc:
             print(f"s={point}: error: {exc}")
             rows.append(f"{_fmt_real(sigma)},{_fmt_real(t)},nan,nan,0,inf,1,error")
@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("prime-sum", help="S(x) trace"))
     p = sub.add_parser("series", help="evaluate a series/product over the s-grid")
     add_common(p)
-    p.add_argument("--which", choices=_SERIES_NAMES, default="zeta")
+    p.add_argument("--which", choices=tuple(_SERIES), default="zeta")
     add_common(sub.add_parser("verify", help="run the full verification suite"))
     p = sub.add_parser("exponent", help="fit the growth exponent of partial sums")
     add_common(p)

@@ -94,8 +94,10 @@ class ExperimentConfig:
             raise ConfigError("epsilon_slack must lie in (0, 1)")
         if not (math.isfinite(self.zeta_tol) and self.zeta_tol > 0):
             raise ConfigError("zeta_tol must be finite and positive")
-        if not self.f_one_h_grid or any(h <= 0 for h in self.f_one_h_grid):
-            raise ConfigError("f_one_h_grid needs positive entries")
+        if not self.f_one_h_grid or not all(
+            math.isfinite(h) and h > 0 for h in self.f_one_h_grid
+        ):
+            raise ConfigError("f_one_h_grid needs finite positive entries")
 
     @property
     def effective_x_max(self) -> int:

@@ -100,12 +100,20 @@ class SeriesEval:
     method: str
 
 
-def _twisted_sum(mod: np.ndarray, n: np.ndarray, t: float) -> complex:
-    """sum mod * n^(-i t), exactly rounded per part; real sums skip the twist."""
+def _twist(n: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """(cos, sin) of -t log n, the parts of n^(-i t); None at a real point."""
     if t == 0.0:
-        return complex(fsum_array(mod), 0.0)
+        return None
     phase = -t * np.log(n)
-    return complex(fsum_array(mod * np.cos(phase)), fsum_array(mod * np.sin(phase)))
+    return np.cos(phase), np.sin(phase)
+
+
+def _twisted_sum(mod: np.ndarray, twist) -> complex:
+    """sum mod * n^(-i t) from ``_twist(n, t)``, exactly rounded per part."""
+    if twist is None:
+        return complex(fsum_array(mod), 0.0)
+    cos, sin = twist
+    return complex(fsum_array(mod * cos), fsum_array(mod * sin))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +196,7 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     e_arr = np.asarray(e, dtype=np.float64)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     base = signs * e_arr * k_arr ** (-point.sigma)
-    value = -_twisted_sum(base, k_arr, point.t) / prefactor_den
+    value = -_twisted_sum(base, _twist(k_arr, point.t)) / prefactor_den
     truncation = 3.0 * kappa / _ACCEL_RATE ** n
     abs_sum = fsum_array(np.abs(base))
     rounding = _EPS * (4.0 * abs_sum / abs(prefactor_den) + 4.0 * abs(value))
@@ -242,22 +250,8 @@ def dirichlet_sum(
     bounds are rigorous only for sigma > 1, so evaluations at sigma <= 1
     come back flagged heuristic (value still computed).
     """
-    point = ComplexArgument.of(s)
-    if not 1 <= N <= sieve.limit:
-        raise ValueError(f"N={N} outside [1, sieve limit {sieve.limit}]")
-    coeffs = coefficient_stream(spec, kind, N, sieve)
-    n_arr = np.arange(1, N + 1, dtype=np.float64)
-    mod = coeffs * n_arr ** (-point.sigma)
-    value = _twisted_sum(mod, n_arr, point.t)
-    abs_sum = fsum_array(np.abs(mod))
-    rounding = 4.0 * _EPS * abs_sum
-    if point.sigma > 1.0:
-        if kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV):
-            tail = _divisor_tail(N, point.sigma)
-        else:
-            tail = _power_tail(N, point.sigma)
-        return SeriesEval(value, N, tail + rounding, False, METHOD_DIRECT_SUM)
-    return SeriesEval(value, N, math.inf, True, METHOD_DIRECT_SUM)
+    # P is never read: only the sum at N is evaluated
+    return _SeriesStore(spec, N, N, sieve).get(kind, s)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +425,108 @@ def _product_budget(A: SeriesEval, B: SeriesEval) -> float:
     )
 
 
+class _SeriesStore:
+    """Every series of one run at fixed (spec, N, P, sieve, zeta_tol), computed once.
+
+    ``get(name, s)`` memoises by (name, point) the sum at N of the stream
+    ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
+    "U" over p <= P.  Each stream is built once; the weights n^(-sigma) and
+    the twist are kept for the latest point, all one point's identities need.
+    Exceptions are not memoised: they raise again for every caller.
+    """
+
+    def __init__(
+        self,
+        spec: PrimeFunctionSpec,
+        N: int,
+        P: int,
+        sieve: FactorSieve,
+        zeta_tol: float = 1e-14,
+    ):
+        self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
+        self._streams: dict[DerivedFunctionKind, np.ndarray] = {}
+        self._weights: tuple = (None, None, None)  # (point, n^-sigma, twist)
+        self._evals: dict[tuple, SeriesEval] = {}
+
+    def get(self, name, s) -> SeriesEval:
+        point = ComplexArgument.of(s)
+        key = (name, point)
+        if key not in self._evals:
+            if name == "zeta":
+                ev = zeta(point, self.zeta_tol)
+            elif name == "G":
+                ev = euler_product_G(self.spec, point, self.P, self.sieve)
+            elif name == "U":
+                ev = euler_product_U(self.spec, point, self.P, self.sieve)
+            else:
+                ev = self._dirichlet(name, point)
+            self._evals[key] = ev
+        return self._evals[key]
+
+    def _dirichlet(self, kind: DerivedFunctionKind, point: ComplexArgument) -> SeriesEval:
+        N = self.N
+        if not 1 <= N <= self.sieve.limit:
+            raise ValueError(f"N={N} outside [1, sieve limit {self.sieve.limit}]")
+        if kind not in self._streams:
+            self._streams[kind] = coefficient_stream(self.spec, kind, N, self.sieve)
+        if self._weights[0] != point:
+            n_arr = np.arange(1, N + 1, dtype=np.float64)
+            self._weights = (point, n_arr ** (-point.sigma), _twist(n_arr, point.t))
+        _, weights, twist = self._weights
+        mod = self._streams[kind] * weights
+        value = _twisted_sum(mod, twist)
+        rounding = 4.0 * _EPS * fsum_array(np.abs(mod))
+        if point.sigma > 1.0:
+            if kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV):
+                tail = _divisor_tail(N, point.sigma)
+            else:
+                tail = _power_tail(N, point.sigma)
+            return SeriesEval(value, N, tail + rounding, False, METHOD_DIRECT_SUM)
+        return SeriesEval(value, N, math.inf, True, METHOD_DIRECT_SUM)
+
+    def residual(self, identity: IdentityKind, s) -> IdentityResidual:
+        """|LHS - RHS| of one identity at s, read from the store (see identity_residual)."""
+        point = ComplexArgument.of(s)
+        if identity is IdentityKind.H_EQ_ZETA_F:
+            lhs = self.get(DerivedFunctionKind.H_CONV, point)
+            zeta_eval = self.get("zeta", point)
+            f_eval = self.get(DerivedFunctionKind.F_PLAIN, point)
+            residual = abs(lhs.value - zeta_eval.value * f_eval.value)
+            budget = lhs.tail_bound + _product_budget(zeta_eval, f_eval)
+            heuristic = lhs.heuristic or zeta_eval.heuristic or f_eval.heuristic
+        elif identity is IdentityKind.FMU2_EQ_F_U:
+            lhs = self.get(DerivedFunctionKind.F_MU2, point)
+            f_eval = self.get(DerivedFunctionKind.F_PLAIN, point)
+            u_eval = self.get("U", point)
+            residual = abs(lhs.value - f_eval.value * u_eval.value)
+            budget = lhs.tail_bound + _product_budget(f_eval, u_eval)
+            heuristic = lhs.heuristic or f_eval.heuristic or u_eval.heuristic
+        elif identity is IdentityKind.RECIP_ZETA_EQ_FMU2_OVER_G:
+            # stated as 1/zeta = F_mu2 / G; checked multiplied out:
+            # |zeta * F_mu2 - G|, avoiding division by small products
+            fmu2 = self.get(DerivedFunctionKind.F_MU2, point)
+            zeta_eval = self.get("zeta", point)
+            g_eval = self.get("G", point)
+            residual = abs(zeta_eval.value * fmu2.value - g_eval.value)
+            budget = _product_budget(zeta_eval, fmu2) + g_eval.tail_bound
+            heuristic = fmu2.heuristic or zeta_eval.heuristic or g_eval.heuristic
+        elif identity is IdentityKind.G_PRODUCT_VS_SUM:
+            prod = self.get("G", point)
+            summ = self.get(DerivedFunctionKind.G_CONV, point)
+            residual = abs(prod.value - summ.value)
+            budget = prod.tail_bound + summ.tail_bound
+            heuristic = prod.heuristic or summ.heuristic
+        else:  # pragma: no cover - exhaustive enum
+            raise ValueError(f"unknown identity {identity}")
+        return IdentityResidual(
+            identity=identity,
+            point=point,
+            residual=float(residual),
+            budget=float(budget),
+            heuristic=heuristic,
+        )
+
+
 def identity_residual(
     identity: IdentityKind,
     spec: PrimeFunctionSpec,
@@ -447,42 +543,4 @@ def identity_residual(
     guaranteed for a correct implementation, so a violation localizes a
     genuine bug (or a heuristic evaluation, which is flagged).
     """
-    point = ComplexArgument.of(s)
-    if identity is IdentityKind.H_EQ_ZETA_F:
-        lhs = dirichlet_sum(DerivedFunctionKind.H_CONV, spec, point, N, sieve)
-        zeta_eval = zeta(point, zeta_tol)
-        f_eval = dirichlet_sum(DerivedFunctionKind.F_PLAIN, spec, point, N, sieve)
-        residual = abs(lhs.value - zeta_eval.value * f_eval.value)
-        budget = lhs.tail_bound + _product_budget(zeta_eval, f_eval)
-        heuristic = lhs.heuristic or zeta_eval.heuristic or f_eval.heuristic
-    elif identity is IdentityKind.FMU2_EQ_F_U:
-        lhs = dirichlet_sum(DerivedFunctionKind.F_MU2, spec, point, N, sieve)
-        f_eval = dirichlet_sum(DerivedFunctionKind.F_PLAIN, spec, point, N, sieve)
-        u_eval = euler_product_U(spec, point, P, sieve)
-        residual = abs(lhs.value - f_eval.value * u_eval.value)
-        budget = lhs.tail_bound + _product_budget(f_eval, u_eval)
-        heuristic = lhs.heuristic or f_eval.heuristic or u_eval.heuristic
-    elif identity is IdentityKind.RECIP_ZETA_EQ_FMU2_OVER_G:
-        # stated as 1/zeta = F_mu2 / G; checked multiplied out:
-        # |zeta * F_mu2 - G|, avoiding division by small products
-        fmu2 = dirichlet_sum(DerivedFunctionKind.F_MU2, spec, point, N, sieve)
-        zeta_eval = zeta(point, zeta_tol)
-        g_eval = euler_product_G(spec, point, P, sieve)
-        residual = abs(zeta_eval.value * fmu2.value - g_eval.value)
-        budget = _product_budget(zeta_eval, fmu2) + g_eval.tail_bound
-        heuristic = fmu2.heuristic or zeta_eval.heuristic or g_eval.heuristic
-    elif identity is IdentityKind.G_PRODUCT_VS_SUM:
-        prod = euler_product_G(spec, point, P, sieve)
-        summ = dirichlet_sum(DerivedFunctionKind.G_CONV, spec, point, N, sieve)
-        residual = abs(prod.value - summ.value)
-        budget = prod.tail_bound + summ.tail_bound
-        heuristic = prod.heuristic or summ.heuristic
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown identity {identity}")
-    return IdentityResidual(
-        identity=identity,
-        point=point,
-        residual=float(residual),
-        budget=float(budget),
-        heuristic=heuristic,
-    )
+    return _SeriesStore(spec, N, P, sieve, zeta_tol).residual(identity, s)

@@ -12,6 +12,7 @@ result is byte-identical regardless of thread count or scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,18 @@ class FactorSieve:
     def __post_init__(self) -> None:
         if self.spf.shape != (self.limit + 1,):
             raise ValueError("spf length must equal limit + 1")
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        """Ascending, read-only int64 array of the primes <= limit.
+
+        Scanned from ``spf`` on first use and kept for the sieve's life.
+        """
+        mask = self.spf == np.arange(self.limit + 1, dtype=np.uint32)
+        mask[:2] = False
+        primes = np.nonzero(mask)[0].astype(np.int64)
+        primes.flags.writeable = False
+        return primes
 
 
 def _check_range(n: int, sieve: FactorSieve, lo: int = 1) -> None:
@@ -181,12 +194,11 @@ def is_squarefree(n: int, sieve: FactorSieve) -> bool:
 
 
 def primes_up_to(x: int, sieve: FactorSieve) -> np.ndarray:
-    """Ascending int64 array of the primes in [2, x]."""
+    """Ascending int64 array of the primes in [2, x].
+
+    The result is a read-only view of ``sieve.primes``: copy it before
+    writing to it.
+    """
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-    if x < 2:
-        return np.empty(0, dtype=np.int64)
-    n = np.arange(x + 1, dtype=np.uint32)
-    mask = sieve.spf[: x + 1] == n
-    mask[:2] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return sieve.primes[: np.searchsorted(sieve.primes, x, side="right")]

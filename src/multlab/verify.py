@@ -36,8 +36,7 @@ from .dirichlet import (
     DomainError,
     IdentityKind,
     PoleError,
-    dirichlet_sum,
-    identity_residual,
+    _SeriesStore,
     zeta,
 )
 from .exponent import (
@@ -122,7 +121,7 @@ def _zeta_closed_form_lines() -> list[CheckLine]:
     return lines
 
 
-def _identity_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
+def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLine]:
     lines = []
     tolerance_map = cfg.tolerance_map
     for sigma, t in cfg.s_grid:
@@ -130,15 +129,7 @@ def _identity_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine
         for identity in IdentityKind:
             name = f"{identity.value}:s={point}"
             try:
-                result = identity_residual(
-                    identity,
-                    cfg.spec,
-                    point,
-                    cfg.truncation_N,
-                    cfg.euler_P,
-                    sieve,
-                    zeta_tol=cfg.zeta_tol,
-                )
+                result = store.residual(identity, point)
             except (PoleError, DomainError, ConvergenceError):
                 # no evaluation exists at this point (sigma <= 0, the pole
                 # s = 1, an unreachable zeta tolerance): nothing to judge
@@ -267,7 +258,7 @@ def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     return CheckLine("exponent_fit:F_plain", status, fit.alpha_hat, threshold)
 
 
-def _f_one_trend_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
+def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
     """|F(1+h)| along the configured h-grid, largest h first.
 
     pass when the magnitudes strictly decrease and the final one has at
@@ -277,13 +268,7 @@ def _f_one_trend_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     h_grid = sorted(cfg.f_one_h_grid, reverse=True)
     magnitudes = []
     for h in h_grid:
-        ev = dirichlet_sum(
-            DerivedFunctionKind.F_PLAIN,
-            cfg.spec,
-            ComplexArgument(1.0 + h),
-            cfg.truncation_N,
-            sieve,
-        )
+        ev = store.get(DerivedFunctionKind.F_PLAIN, ComplexArgument(1.0 + h))
         magnitudes.append(abs(ev.value))
     decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
     first = magnitudes[0]
@@ -307,16 +292,22 @@ def run_verify(
     """Run every registered check once, in fixed order.
 
     ``threads`` only affects sieve construction; every reported number is
-    independent of it.
+    independent of it.  The identity and F(1+h) checks share one series
+    store, so each stream at truncation_N is built once per run; they run
+    first, and the store is freed before the checks that work at x_max.
     """
     if sieve is None:
         sieve = build_sieve(cfg.sieve_limit, threads=threads)
+    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
+    identity_lines = _identity_lines(cfg, store)
+    f_one_trend_line = _f_one_trend_line(cfg, store)
+    del store
     lines: list[CheckLine] = []
     lines.extend(_zeta_closed_form_lines())
-    lines.extend(_identity_lines(cfg, sieve))
+    lines.extend(identity_lines)
     lines.extend(_nonneg_lines(cfg, sieve))
     lines.extend(_prime_sum_lines(cfg, sieve))
     lines.append(_weighted_tail_line(cfg, sieve))
     lines.append(_exponent_line(cfg, sieve))
-    lines.append(_f_one_trend_line(cfg, sieve))
+    lines.append(f_one_trend_line)
     return VerificationReport(lines=tuple(lines), config_hash=config_hash(cfg))

@@ -1,7 +1,11 @@
 """End-to-end command tests: run main() in-process, inspect files and codes."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +86,27 @@ def test_cache_round_trip_and_rejection(tmp_path):
     path = tmp_path / "cache" / "spf_5000.bin"
     path.write_bytes(path.read_bytes()[:-8])
     assert load_sieve_cache(tmp_path, 5000) is None
+
+
+def test_cache_write_is_atomic(tmp_path):
+    sieve = build_sieve(5000)
+    path = tmp_path / "cache" / "spf_5000.bin"
+    path.parent.mkdir()
+    path.write_bytes(b"MLSPF\x01")  # a torn earlier write
+    assert save_sieve_cache(sieve, tmp_path) == path
+    back = load_sieve_cache(tmp_path, 5000)
+    assert back is not None and np.array_equal(back.spf, sieve.spf)
+    assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
+
+    class FailingTable:
+        def astype(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    # a write that fails part way leaves the good file in place
+    with pytest.raises(OSError, match="disk full"):
+        save_sieve_cache(SimpleNamespace(limit=5000, spf=FailingTable()), tmp_path)
+    assert np.array_equal(load_sieve_cache(tmp_path, 5000).spf, sieve.spf)
+    assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
 
 
 # ----------------------------------------------------------- partial sums
@@ -357,4 +382,18 @@ def test_installed_entry_point_smoke(cfg_file, tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+    assert "primes=1229" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(cfg_file, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "multlab", "sieve", "--config", str(cfg_file), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "primes=1229" in proc.stdout

@@ -135,6 +135,9 @@ def test_structural_constraints():
     for key in ("zeta_tol", "weighted_tail_sigma"):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = inf\n")
+    for grid in ("nan", "inf", "0.1,nan", "0.1,inf"):
+        with pytest.raises(ConfigError, match="f_one_h_grid"):
+            parse_config(f"f_one_h_grid = {grid}\n")
     with pytest.raises(ConfigError, match="tolerance"):
         parse_config("tolerance.X = -1\n")
     with pytest.raises(ConfigError, match="epsilon_slack"):
@@ -169,6 +172,9 @@ def test_constructed_config_validation():
             ExperimentConfig(**{key: math.inf})
     with pytest.raises(ConfigError):
         ExperimentConfig(f_one_h_grid=())
+    for grid in ((math.nan,), (math.inf,), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ConfigError, match="f_one_h_grid"):
+            ExperimentConfig(f_one_h_grid=grid)
     # a perfectly legal non-default spec passes through
     cfg = ExperimentConfig(spec=constant_spec(0.5), x_max=500)
     assert cfg.effective_x_max == 500

@@ -7,6 +7,7 @@ accounting, so these assertions are exact, not order-of-magnitude.
 """
 
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +26,7 @@ from multlab.dirichlet import (
     identity_residual,
     zeta,
 )
+from multlab.config import ExperimentConfig
 from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
@@ -32,6 +34,7 @@ from multlab.multfunc import (
     liouville_spec,
     power_decay_spec,
 )
+from multlab.verify import run_verify
 
 mp.mp.dps = 30
 
@@ -302,6 +305,58 @@ def test_identity_budgets_are_not_vacuous(sieve_1e6):
     res = identity_residual(IdentityKind.H_EQ_ZETA_F, LIOUVILLE, 3.0, 10**4, 10**4, sieve_1e6)
     assert res.budget < 1e-6
     assert math.isfinite(res.budget)
+
+
+# ------------------------------------------------------------ series store
+
+
+def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
+    import multlab.dirichlet as dl
+
+    builds = []
+    original = dl.coefficient_stream
+
+    def counting(spec, kind, limit, sieve):
+        builds.append(kind)
+        return original(spec, kind, limit, sieve)
+
+    monkeypatch.setattr(dl, "coefficient_stream", counting)
+    run_verify(ExperimentConfig(), sieve=sieve_1e6)
+    assert sorted(builds, key=lambda k: k.value) == sorted(
+        DerivedFunctionKind, key=lambda k: k.value
+    )
+
+
+def test_verify_identity_lines_equal_direct_residuals(sieve_1e4):
+    # a duplicated point (2+0i beside 2-0i), a complex point, sigma <= 0,
+    # the pole and a heuristic point: every line matches a fresh evaluation
+    grid = ((2.0, 0.0), (2.0, -0.0), (2.0, 3.0), (-0.5, 0.0), (1.0, 0.0), (0.8, 0.0))
+    cfg = ExperimentConfig(
+        sieve_limit=10**4,
+        spec=power_decay_spec(0.5, 0.5, {3: 0.25}),
+        s_grid=grid,
+        truncation_N=10**3,
+        euler_P=500,
+        tolerances=(("H_eq_zetaF", 1e-2),),
+    )
+    lines = run_verify(cfg, sieve=sieve_1e4).lines[2 : 2 + 4 * len(grid)]
+    expected = [(identity, sigma, t) for sigma, t in grid for identity in IdentityKind]
+    assert len(lines) == len(expected)
+    for line, (identity, sigma, t) in zip(lines, expected):
+        assert line.check_name == f"{identity.value}:s={ComplexArgument(sigma, t)}"
+        try:
+            res = identity_residual(
+                identity, cfg.spec, complex(sigma, t), cfg.truncation_N, cfg.euler_P,
+                sieve_1e4, zeta_tol=cfg.zeta_tol,
+            )
+        except (PoleError, DomainError, ConvergenceError):
+            assert (line.status, math.isnan(line.measured), line.budget) == (
+                "inconclusive", True, math.inf
+            )
+            continue
+        assert struct.pack("<d", line.measured) == struct.pack("<d", res.residual)
+        if not res.heuristic:
+            assert struct.pack("<d", line.budget) == struct.pack("<d", res.budget)
 
 
 # ------------------------------------------------------- ComplexArgument

@@ -94,6 +94,21 @@ def test_primes_up_to_edge_cases(sieve_1e4):
         primes_up_to(10**4 + 1, sieve_1e4)
 
 
+def test_primes_up_to_slices_the_prime_table(sieve_1e4):
+    expected = boolean_eratosthenes(10**4)
+    p = 9973  # largest prime < 10^4
+    for x in (0, 1, 2, 3, 4, p - 1, p, 10**4):
+        assert np.array_equal(primes_up_to(x, sieve_1e4), expected[expected <= x]), x
+    # one table per sieve, handed out as read-only views
+    a, b = primes_up_to(100, sieve_1e4), primes_up_to(10**4, sieve_1e4)
+    assert not a.flags.writeable and not b.flags.writeable
+    assert np.shares_memory(a, b)
+    with pytest.raises(ValueError):
+        a[0] = 3
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        primes_up_to(10**4 + 1, sieve_1e4)
+
+
 def test_liouville_small_values(sieve_1e4):
     # lambda(1..10) = 1,-1,-1,1,-1,1,-1,-1,1,1
     got = [liouville(n, sieve_1e4) for n in range(1, 11)]
