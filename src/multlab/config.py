@@ -86,8 +86,8 @@ class ExperimentConfig:
         if self.checkpoint_x0 < 1:
             raise ConfigError(f"checkpoint_x0 must be >= 1, got {self.checkpoint_x0}")
         for name, tol in self.tolerances:
-            if not tol > 0:
-                raise ConfigError(f"tolerance {name} must be positive, got {tol}")
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
         if not (math.isfinite(self.weighted_tail_sigma) and self.weighted_tail_sigma > 0):
             raise ConfigError("weighted_tail_sigma must be finite and positive")
         if not 0 < self.epsilon_slack < 1:

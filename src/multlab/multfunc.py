@@ -12,14 +12,21 @@ exceptions.  Everything else is derived from f one prime power at a time
   g(p^a) = 1 + f(p) for every a >= 1;
 * ``F_mu2``    -- f restricted to squarefree integers.
 
-Bulk evaluation (``coefficient_stream``) fills the stream in doubling
-blocks [L, 2L) of the smallest-prime-factor table, the linear-sieve
-evaluation of multiplicative functions (Gries & Misra, CACM 1978): each n
-is a product of two smaller finished entries, or one step from n / spf(n)
-when n is a prime power.  That is log2(N) vector passes and O(N) work, with
-no Python-level per-n loop.  Streams whose values are provably integers (all
-f(p) in {-1,0,1}) run the same recurrence in int64, the exact path used by
-the partial-sum machinery.
+Bulk evaluation (``coefficient_stream``) is the linear-sieve evaluation of
+multiplicative functions over the smallest-prime-factor table (Gries &
+Misra, CACM 1978): with p = spf(n) and m = n / p, each kind takes one step
+from the finished entry a(m) --
+
+* F_plain: a(n) = f(p) a(m);
+* G_conv:  a(n) = a(m) when p | m, else (1 + f(p)) a(m);
+* F_mu2:   a(n) = 0 when p | m, else f(p) a(m);
+* H_conv:  a(n) = a(rest) h(p^e), where rest is n with its full power p^e
+  removed and h(p^e) = 1 + f(p) h(p^(e-1)).
+
+The steps run as vector passes over chunks of about 2^16 entries, so the
+work is O(N) with no Python-level per-n loop.  Streams whose values are
+provably integers (all f(p) in {-1,0,1}) run the same steps in int64, the
+exact path used by the partial-sum machinery.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .sieve import FactorSieve, _check_range
+from .sieve import FactorSieve, _check_range, primes_up_to
 
 BASE_LIOUVILLE = "liouville"
 BASE_CONSTANT = "constant"
@@ -196,7 +203,11 @@ def f_at_prime(spec: PrimeFunctionSpec, p: int) -> float:
 
 
 def f_at_primes(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
-    """Vectorized f(p) over an array of primes (assumed prime, not checked)."""
+    """Vectorized f(p) over an array of primes (assumed prime, not checked).
+
+    Exceptions are located by one ``np.searchsorted`` over the sorted
+    exception keys, so the primes may come in any order.
+    """
     p = np.asarray(primes, dtype=np.float64)
     if spec.base == BASE_LIOUVILLE:
         out = np.full(p.shape, -1.0)
@@ -204,8 +215,16 @@ def f_at_primes(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
         out = np.full(p.shape, float(spec.c))
     else:
         out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
-    for q, v in spec.exceptions:
-        out[np.asarray(primes) == q] = v
+    if spec.exceptions:
+        keys = np.array([q for q, _ in spec.exceptions], dtype=np.int64)
+        values = np.array([v for _, v in spec.exceptions])
+        ints = np.asarray(primes).reshape(-1)
+        # only primes <= the largest key can hit one, and each of those
+        # finds its key at index < len(keys)
+        cand = np.flatnonzero(ints <= keys[-1])
+        idx = np.searchsorted(keys, ints[cand])
+        hit = keys[idx] == ints[cand]
+        out.reshape(-1)[cand[hit]] = values[idx[hit]]
     return out
 
 
@@ -289,8 +308,13 @@ def eval_f_mu2(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bulk evaluation: one block recurrence over the spf table
+# bulk evaluation: one step per n over the spf table
 # ---------------------------------------------------------------------------
+
+
+#: entries per vector pass of :func:`_stream`; each pass's temporaries
+#: (a few arrays of this length) then stay in cache
+_CHUNK = 1 << 16
 
 
 def _stream(
@@ -300,41 +324,69 @@ def _stream(
     sieve: FactorSieve,
     dtype: type,
 ) -> np.ndarray:
-    """a(1..limit) for one derived function, filled in doubling blocks.
+    """a(1..limit) for one derived function, one step from a(n / spf(n)).
 
-    For n in a block [L, 2L) with p = spf(n), both m = n/p and rest(n) (n
-    with the full power of p removed) are below L, so every read hits a
-    finished entry.  A non prime power splits as a(rest) * a(n / rest); a
-    prime power p^e takes one step from a(p^(e-1)).  The h step is Horner's
-    1 + f(p) * h(p^(e-1)), which has no cancellation near f(p) = 1.
+    For n with p = spf(n), m = n // p is at most n / 2, and p | m exactly
+    when spf(m) == p.  A chunk [lo, hi) with hi <= 2 lo therefore reads only
+    finished entries below lo, and fills in a few vector passes.  The steps,
+    with f = f(p):
+
+    * F_plain: a(n) = f * a(m), complete multiplicativity;
+    * G_conv: a(n) = a(m) when p | m, else (1 + f) * a(m), since
+      g(p^e) = 1 + f for every e >= 1;
+    * F_mu2: a(n) = 0 when p | m, else f * a(m);
+    * H_conv: h(p^e) is no fixed multiple of h(p^(e-1)), so H alone keeps
+      two in-call tables: rest(n), n with its full power p^e removed, and
+      w(n) = h(p^e) by Horner's step 1 + f * w(m) (w(m) read as 1 when
+      p does not divide m), which has no cancellation near f = 1.  Then
+      a(n) = a(rest(n)) * w(n).
+
+    Only H reads ``rest``, so it is built in the call and dropped with it.
+    f(p) comes from one dense table indexed by n, filled by one
+    :func:`f_at_primes` call: int8 for exact streams (values in {-1, 0, 1}),
+    float64 otherwise.  H's w table takes the same dtype, since in int8
+    h(p^e) <= e + 1 <= 32 below 2^32.
+
+    int64 streams are exact.  In float, G, H and F_mu2 round once per prime
+    power, as the product a(rest) * a(p^e) does; a zero F_mu2 entry may be
+    -0.0 (f < 0 times a zero), which no nonzero sum can see.  Float F rounds
+    once per prime factor, so it is within about Omega(n) ulp of the exact
+    product; against the per-prime-power product it moves by at most 1e-15
+    relative (about 4 ulp) up to 10^7.
     """
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
     spf = sieve.spf
+    table = np.int8 if dtype is np.int64 else np.float64
+    primes = primes_up_to(limit, sieve)
+    fp = np.zeros(limit + 1, dtype=table)
+    fp[primes] = f_at_primes(spec, primes)
     vals = np.zeros(limit + 1, dtype=dtype)
     vals[1] = 1
-    rest = np.ones(limit + 1, dtype=np.int64)
+    if kind is DerivedFunctionKind.H_CONV:
+        rest = np.ones(limit + 1, dtype=np.uint32)
+        w = np.ones(limit + 1, dtype=table)
     lo = 2
     while lo <= limit:
-        hi = min(2 * lo, limit + 1)
-        n = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi].astype(np.int64)
-        m = n // p
-        r = np.where(spf[m] == p, rest[m], m)
-        rest[lo:hi] = r
-        block = vals[lo:hi]
-        split = np.nonzero(r > 1)[0]
-        block[split] = vals[r[split]] * vals[n[split] // r[split]]
-        pp = np.nonzero(r == 1)[0]
-        fp = f_at_primes(spec, p[pp]).astype(dtype)
+        hi = min(lo + min(lo, _CHUNK), limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.uint32) // p
+        f = fp[p]
+        a = vals[m]
         if kind is DerivedFunctionKind.F_PLAIN:
-            block[pp] = fp * vals[m[pp]]
-        elif kind is DerivedFunctionKind.H_CONV:
-            block[pp] = 1 + fp * vals[m[pp]]
-        elif kind is DerivedFunctionKind.G_CONV:
-            block[pp] = 1 + fp
-        else:  # F_MU2
-            block[pp] = np.where(m[pp] == 1, fp, 0)
+            vals[lo:hi] = f * a
+        else:
+            again = spf[m] == p
+            if kind is DerivedFunctionKind.G_CONV:
+                vals[lo:hi] = np.where(again, a, (1 + f) * a)
+            elif kind is DerivedFunctionKind.F_MU2:
+                vals[lo:hi] = np.where(again, 0, f * a)
+            else:  # H_CONV
+                r = np.where(again, rest[m], m)
+                rest[lo:hi] = r
+                wn = 1 + f * np.where(again, w[m], 1)
+                w[lo:hi] = wn
+                vals[lo:hi] = vals[r] * wn
         lo = hi
     return vals[1:]
 
@@ -348,8 +400,8 @@ def coefficient_stream(
     """Array of the selected function at n = 1..limit (index i holds a(i+1)).
 
     Agrees with pointwise evaluation to rounding; computed in bulk by one
-    recurrence over doubling blocks of the spf table (log2(limit) vector
-    passes, O(limit) work).
+    step per n from a(n / spf(n)), in chunks of at most 2^16 entries (about
+    limit / 2^16 + 16 vector passes, O(limit) work).
     """
     return _stream(spec, kind, limit, sieve, np.float64)
 

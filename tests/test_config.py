@@ -138,8 +138,9 @@ def test_structural_constraints():
     for grid in ("nan", "inf", "0.1,nan", "0.1,inf"):
         with pytest.raises(ConfigError, match="f_one_h_grid"):
             parse_config(f"f_one_h_grid = {grid}\n")
-    with pytest.raises(ConfigError, match="tolerance"):
-        parse_config("tolerance.X = -1\n")
+    for tol in ("-1", "0", "nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="tolerance"):
+            parse_config(f"tolerance.X = {tol}\n")
     with pytest.raises(ConfigError, match="epsilon_slack"):
         parse_config("epsilon_slack = 1.5\n")
 
@@ -175,6 +176,9 @@ def test_constructed_config_validation():
     for grid in ((math.nan,), (math.inf,), (0.1, math.nan), (0.1, math.inf)):
         with pytest.raises(ConfigError, match="f_one_h_grid"):
             ExperimentConfig(f_one_h_grid=grid)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="tolerance"):
+            ExperimentConfig(tolerances=(("H_eq_zetaF", tol),))
     # a perfectly legal non-default spec passes through
     cfg = ExperimentConfig(spec=constant_spec(0.5), x_max=500)
     assert cfg.effective_x_max == 500

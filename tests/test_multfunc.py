@@ -238,6 +238,71 @@ def test_integer_stream_equals_float_stream(kind, sieve_1e4):
         assert np.array_equal(fs, zs.astype(np.float64))
 
 
+#: a stream limit past several 2^16-entry chunks, neither a power of two
+#: nor the sieve limit
+_WIDE = 290_001
+
+
+def _wide_samples():
+    """n at chunk edges k 2^16 +- 1, at 2^e and 3^e, at the limit, and random."""
+    rng = np.random.default_rng(65537)
+    picks = {1, 2, 3, _WIDE - 1, _WIDE}
+    picks.update(k * 2**16 + d for k in range(1, 5) for d in (-1, 0, 1))
+    picks.update(2**e for e in range(1, 19))
+    picks.update(3**e for e in range(1, 12))
+    picks.update(int(n) for n in rng.integers(1, _WIDE + 1, size=200))
+    return sorted(picks)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LIOUVILLE, liouville_spec({2: 0.0}), liouville_spec({3: 1.0}), constant_spec(1.0)],
+    ids=lambda s: s.spec_id(),
+)
+def test_exact_streams_across_chunks_equal_oracles(spec, sieve_1e6):
+    from multlab.multfunc import _eval_pointwise
+
+    oracles = {
+        DerivedFunctionKind.F_PLAIN: f_oracle,
+        DerivedFunctionKind.H_CONV: h_oracle,
+        DerivedFunctionKind.G_CONV: g_oracle,
+        DerivedFunctionKind.F_MU2: lambda spec, n, sieve: (
+            f_oracle(spec, n, sieve) if moebius(n, sieve) else 0.0
+        ),
+    }
+    samples = _wide_samples()
+    for kind, oracle in oracles.items():
+        stream = integer_coefficient_stream(spec, kind, _WIDE, sieve_1e6)
+        assert stream.shape == (_WIDE,) and stream.dtype == np.int64
+        for n in samples:
+            value = int(stream[n - 1])
+            assert value == _eval_pointwise(spec, kind, n, sieve_1e6), (kind, n)
+            assert value == oracle(spec, n, sieve_1e6), (kind, n)
+
+
+def test_liouville_h_is_square_indicator_across_chunks(sieve_1e6):
+    stream = integer_coefficient_stream(
+        LIOUVILLE, DerivedFunctionKind.H_CONV, _WIDE, sieve_1e6
+    )
+    n = np.arange(1, _WIDE + 1)
+    roots = np.sqrt(n).round().astype(np.int64)
+    assert np.array_equal(stream, (roots * roots == n).astype(np.int64))
+
+
+@pytest.mark.parametrize("kind", list(DerivedFunctionKind))
+def test_float_streams_across_chunks_match_pointwise(kind, sieve_1e6):
+    from multlab.multfunc import _eval_pointwise
+
+    samples = _wide_samples()
+    for spec in (power_decay_spec(1.5, 0.5, {3: 0.8}), constant_spec(-0.37, {2: 0.2})):
+        stream = coefficient_stream(spec, kind, _WIDE, sieve_1e6)
+        assert stream.shape == (_WIDE,)
+        for n in samples:
+            assert stream[n - 1] == pytest.approx(
+                _eval_pointwise(spec, kind, n, sieve_1e6), rel=1e-14, abs=1e-300
+            ), (spec.spec_id(), n)
+
+
 def test_integer_stream_rejects_float_specs(sieve_1e4):
     with pytest.raises(ValueError):
         integer_coefficient_stream(
@@ -313,6 +378,27 @@ def test_f_at_prime_exceptions_and_clamping(sieve_1e4):
     # vectorized values agree with the scalar rule
     for i in (0, 1, 10, 100, 1000):
         assert vec[i] == pytest.approx(f_at_prime(loud, int(primes[i])), rel=1e-15)
+
+
+def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):
+    rng = np.random.default_rng(9973)
+    primes = primes_up_to(10**4, sieve_1e4)
+    first, last = int(primes[0]), int(primes[-1])
+    for spec in (
+        power_decay_spec(1.5, 0.5, {first: 0.25, 101: 0.0, last: -0.5}),
+        liouville_spec({first: 1.0, last: 0.5}),
+        constant_spec(0.3, {last: -1.0, 10007: 0.9}),  # 10007 is not in the table
+        liouville_spec(),
+    ):
+        shuffled = rng.permutation(primes)
+        vec = f_at_primes(spec, shuffled)
+        assert np.array_equal(vec[np.argsort(shuffled)], f_at_primes(spec, primes))
+        exceptions = spec.exception_map
+        for p, v in zip(shuffled.tolist(), vec.tolist()):
+            if p in exceptions:
+                assert v == exceptions[p], (spec.spec_id(), p)
+            else:
+                assert v == pytest.approx(f_at_prime(spec, p), rel=1e-15), (spec.spec_id(), p)
 
 
 def test_h_near_one_rescue(sieve_1e4):
