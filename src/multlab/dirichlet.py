@@ -12,6 +12,10 @@ bounds first-order:
 so a reported residual <= budget is a genuine end-to-end verification, not
 a tolerance pulled out of the air.
 
+The Euler products G and U sum log(1 + x_p) in real arithmetic, chunk by
+chunk over the primes, with log p read from the sieve's table; their
+rounding allowance is derived term by term in ``_log1p_product``.
+
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
 geometric convergence at rate 1/(3+sqrt(8)) per term, with an explicit
@@ -249,7 +253,15 @@ def dirichlet_sum(
     streams and |a(n)| <= d(n) for the two divisor-sum transforms; both
     bounds are rigorous only for sigma > 1, so evaluations at sigma <= 1
     come back flagged heuristic (value still computed).
+
+    Raises TypeError when ``kind`` and ``spec`` are not a DerivedFunctionKind
+    and a PrimeFunctionSpec, in that order.
     """
+    if not isinstance(kind, DerivedFunctionKind) or not isinstance(spec, PrimeFunctionSpec):
+        raise TypeError(
+            "dirichlet_sum takes (kind, spec, s, N, sieve), kind first; got "
+            f"({type(kind).__name__}, {type(spec).__name__}, ...)"
+        )
     # P is never read: only the sum at N is evaluated
     return _SeriesStore(spec, N, N, sieve).get(kind, s)
 
@@ -287,39 +299,142 @@ def _euler_primes(point: ComplexArgument, P: int, sieve: FactorSieve) -> np.ndar
     return primes_up_to(P, sieve)
 
 
-def _prime_powers(primes: np.ndarray, point: ComplexArgument, scale: float) -> np.ndarray:
-    """p^(scale * s) for each prime p."""
-    pf = primes.astype(np.float64)
-    if point.t == 0.0:
-        # real path, a real power: a/a == 1 exactly, so e.g. the constant
-        # -1 base yields the empty-product value with zero rounding
-        return pf ** (scale * point.sigma)
-    return np.exp(scale * point.as_complex * np.log(pf))
+#: primes per chunk of an Euler product: each chunk's float64 temporaries
+#: (256 KiB apiece) stay in cache
+_CHUNK = 1 << 15
+
+#: accuracy assumed of numpy's exp, log, log1p, cos, sin and arctan2 on
+#: float64 arrays, and of its complex exp on one value: at most this many
+#: ulps of the exact result (``test_libm_ulp_assumption`` checks it)
+_LIBM_ULPS = 4.0
+
+_KAPPA = _LIBM_ULPS * _EPS  # relative error of one elementary function
+_UNIT = _EPS / 2.0  # unit roundoff of + - * /
+_TERM_CONST = 17.0 * _KAPPA + 32.0 * _UNIT  # c0 of the per-term bound
+_EXP_REL = 4.0 * _KAPPA + 2.0 * _UNIT  # relative error of the final exp
+_FIRST_ORDER_MAX = 2.0 ** -12  # largest per-term bound the slack covers
+_SLACK = 1.0 + 2.0 ** -6  # second-order terms and the bound's own rounding
+_UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal range
+_LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
 
 
-def _log_product(factors: np.ndarray) -> tuple[np.complex128, float]:
-    """(prod factors, rounding allowance), the product accumulated in log space."""
-    if np.any(np.abs(factors) < 1e-300):
-        raise ArithmeticError("degenerate Euler factor encountered")
-    logs = np.log(factors)
-    if np.iscomplexobj(logs):
-        log_value = complex(fsum_array(logs.real), fsum_array(logs.imag))
-        abs_log_sum = fsum_array(np.abs(logs.real)) + fsum_array(np.abs(logs.imag))
-    else:
-        log_value = complex(fsum_array(logs), 0.0)
-        abs_log_sum = fsum_array(np.abs(logs))
-    value = np.exp(log_value)
-    # each factor sits near 1 and carries ~eps absolute representation
-    # error, so the honest rounding allowance scales with the factor count
-    return value, _EPS * abs(value) * (2.0 * factors.size + 8.0 * abs_log_sum + 4.0)
+def _log1p_product(
+    g: np.ndarray,
+    log_p: np.ndarray,
+    point: ComplexArgument,
+    power: int,
+    ratio: bool,
+) -> tuple[complex, float]:
+    """(prod_p (1 + x_p), rounding allowance), summed as log(1 + x_p).
+
+    With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) when ``ratio`` (G:
+    power 1, g = 1 + f(p)) and x_p = g_p v_p otherwise (U: power 2,
+    g = -f(p)^2).  ``log_p`` holds log p.  Per chunk of _CHUNK primes,
+    r = exp(-power sigma log p) and phase = -power t log p give
+    v = r (cos phase + i sin phase) and x = a + i b; no complex array is
+    built.  log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary
+    part arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  Each part
+    gets one exactly rounded ``fsum_array``, and the value is exp of the
+    complex total, so at real s its imaginary part is exactly 0.0.
+
+    Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN).
+
+    Rounding allowance (first order, in the standard model of Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
+    The product is that of the float values f(p), and x^ is the computed
+    x; u = eps/2 bounds each + - * / (forming g included), and
+    kappa = _LIBM_ULPS eps bounds the relative error of each elementary
+    function (absolute for cos and sin).  Write eta = kappa + u,
+    y = power sigma log p, phi = power t log p and A = 1 / (1 - r), with
+    r = p^(-power sigma) < 1.
+
+    1. log p carries relative error kappa, so y and phi carry eta, r has
+       relative error rho <= y eta + kappa, and cos and sin have absolute
+       error <= |phi| eta + kappa (the phase error).
+    2. U: |x^ - x| <= |x| (2 (y + |phi|) eta + 4 kappa + 6u).
+       G: x = g r / (e^(-i phase) - r) with |e^(-i phase) - r| >= 1 - r,
+       so the denominator's absolute error 2 (|phi| eta + kappa) + r rho + 2u
+       is amplified by A = R / (R - 1), R = p^sigma:
+       |x^ - x| <= |x| A (2 (y + |phi|) eta + 4 kappa + 9u).
+    3. Moving x to x^ moves log(1 + x) by at most |x^ - x| L with
+       L = 1 / min(1, |1 + x|); L <= (1 + r) / (1 - r) <= 2A for G and
+       L <= A for U.  At x^ the real part loses 3u (2|x| + |x|^2) in its
+       log1p argument, which is amplified by L^2 / 2 with 2 + |x| <= 2A,
+       plus kappa |log|1 + x||, with |log|1 + x|| <= L |x|; the imaginary
+       part loses u L |x| to rounding 1 + a and kappa |arg(1 + x)|, with
+       |arg(1 + x)| <= pi L |x|.
+    4. Summing, with A >= 1 and |x| <= |a| + |b|, every case has
+
+           |computed log - log(1 + x_p)| <= (|a| + |b|) A^3 (c0 + c1 log p),
+           c0 = 17 kappa + 32u,  c1 = 4 (sigma + |t|) eta,
+
+       which each chunk sums with one dot product.  A term whose r or x
+       leaves the normal range errs by less than 2^-990 in absolute value;
+       n such amounts are added.
+    5. fsum rounds each exact part sum once: add u (|Re L| + |Im L|).
+       The final exp of L (numpy's complex exp) has relative error
+       e = 4 kappa + 2u, so with E the total log error,
+       |prod - value| <= |value| (expm1(E) + e) / (1 - e).
+    6. Second-order terms and the rounding of this bound's own evaluation
+       stay below 2^-6 of it while every per-term bound is below 2^-12 of
+       |x_p|; that holds unless A(2)^3 (c0 + c1 log P) > 2^-12 (sigma near
+       0, or (sigma + |t|) log P above about 6 10^10), where the allowance
+       is infinite.
+    """
+    sigma, t = point.sigma, point.t
+    n = g.size
+    c1 = 4.0 * (_KAPPA + _UNIT) * (sigma + abs(t))
+    amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
+    re = np.empty(n)
+    im = np.empty(n) if t != 0.0 else None
+    log_err = n * _UNDERFLOW
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        lp, gc, re_c = log_p[lo:hi], g[lo:hi], re[lo:hi]
+        r = np.exp((-power * sigma) * lp)
+        amp = 1.0 / (1.0 - r)
+        if im is None:
+            a = gc * r
+            if ratio:
+                a *= amp
+            np.log1p(a, out=re_c)
+            mag = np.abs(a)
+        else:
+            phase = (-power * t) * lp
+            cos, sin = np.cos(phase), np.sin(phase)
+            if ratio:
+                dr = cos - r
+                w = gc * r / (dr * dr + sin * sin)
+                a, b = w * dr, w * sin
+            else:
+                w = gc * r
+                a, b = w * cos, w * sin
+            np.log1p(a * (2.0 + a) + b * b, out=re_c)
+            re_c *= 0.5
+            np.arctan2(b, 1.0 + a, out=im[lo:hi])
+            mag = np.abs(a) + np.abs(b)
+        if not re_c.min() >= _LOG_DEGENERATE:
+            raise ArithmeticError("degenerate Euler factor encountered")
+        log_err += float(np.dot(mag * (amp * amp * amp), _TERM_CONST + c1 * lp))
+    log_re = fsum_array(re)
+    log_im = 0.0 if im is None else fsum_array(im)
+    value = complex(np.exp(complex(log_re, log_im)))
+    if amp_max ** 3 * (_TERM_CONST + c1 * float(log_p[-1])) > _FIRST_ORDER_MAX:
+        return value, math.inf
+    log_err += _UNIT * (abs(log_re) + abs(log_im))
+    rounding = abs(value) * (math.expm1(log_err) + _EXP_REL) / (1.0 - _EXP_REL)
+    return value, _SLACK * rounding
 
 
 def euler_product_G(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
-    """prod_{p<=P} (p^s + f(p)) / (p^s - 1), accumulated in log space.
+    """prod_{p<=P} (p^s + f(p)) / (p^s - 1), summed as log(1 + x_p).
 
-    Each factor equals 1 + (1 + f(p))/(p^s - 1), so the tail beyond P is
+    Each factor equals 1 + x_p with x_p = (1 + f(p))/(p^s - 1); the logs
+    are summed in real arithmetic with a per-term rounding allowance (see
+    ``_log1p_product``), so at real s the value's imaginary part is exactly
+    0.0.  The tail beyond P is
     controlled by how fast 1 + f(p) dies: identically for the constant -1
     base (tail exactly 0), like p^(-a) for the power-decay family, not at
     all for a generic constant base (rigorous only for sigma > 1 there).
@@ -329,8 +444,8 @@ def euler_product_G(
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         fp = f_at_primes(spec, primes)
-        ps = _prime_powers(primes, point, 1.0)
-        value, rounding = _log_product((ps + fp) / (ps - 1.0))
+        log_p = sieve.log_primes[: primes.size]
+        value, rounding = _log1p_product(1.0 + fp, log_p, point, 1, True)
 
     # tail over p > P: factor - 1 = (1 + f(p)) / (p^s - 1)
     coef, extra = _base_one_plus_f_tail(spec)
@@ -351,7 +466,7 @@ def euler_product_G(
             zp = abs(1.0 + v) / (p ** point.sigma - 1.0)
             zmax = max(zmax, zp)
             log_tail += zp
-    if not heuristic and zmax < 0.5:
+    if not heuristic and zmax < 0.5 and rounding < math.inf:
         log_tail = log_tail / (1.0 - zmax)
         tail = abs(value) * math.expm1(log_tail) + rounding
         return SeriesEval(complex(value), int(primes.size), tail, False, METHOD_EULER_PRODUCT)
@@ -363,16 +478,19 @@ def euler_product_U(
 ) -> SeriesEval:
     """prod_{p<=P} (1 - f(p)^2 p^(-2s)); absolutely convergent for sigma > 1/2.
 
-    Evaluated only for sigma > 0, like G (DomainError otherwise): at
-    sigma <= 0 a factor can turn negative and has no logarithm.
+    Each factor is 1 + x_p with x_p = -f(p)^2 p^(-2s), summed as
+    log(1 + x_p) like G (see ``_log1p_product``).  Evaluated only for
+    sigma > 0 (DomainError otherwise): at sigma <= 0 a factor can turn
+    negative and has no logarithm.
     """
     point = ComplexArgument.of(s)
     primes = _euler_primes(point, P, sieve)
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         fp = f_at_primes(spec, primes)
-        value, rounding = _log_product(1.0 - fp ** 2 * _prime_powers(primes, point, -2.0))
-    if point.sigma > 0.5:
+        log_p = sieve.log_primes[: primes.size]
+        value, rounding = _log1p_product(-(fp * fp), log_p, point, 2, False)
+    if point.sigma > 0.5 and rounding < math.inf:
         zmax = (max(P, 1) + 1.0) ** (-2.0 * point.sigma)
         log_tail = _log_tail_over_primes(1.0, 2.0 * point.sigma, P) / (1.0 - zmax)
         tail = abs(value) * math.expm1(log_tail) + rounding

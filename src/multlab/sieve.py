@@ -57,6 +57,17 @@ class FactorSieve:
         primes.flags.writeable = False
         return primes
 
+    @functools.cached_property
+    def log_primes(self) -> np.ndarray:
+        """Read-only float64 array of log p, aligned with ``primes``.
+
+        Computed by ``np.log`` on first use and kept for the sieve's life,
+        so the Euler products and the prime sums share one table.
+        """
+        log_primes = np.log(self.primes.astype(np.float64))
+        log_primes.flags.writeable = False
+        return log_primes
+
 
 def _check_range(n: int, sieve: FactorSieve, lo: int = 1) -> None:
     if not lo <= n <= sieve.limit:

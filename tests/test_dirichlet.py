@@ -6,7 +6,9 @@ its reported tail_bound -- that is the whole contract of the error
 accounting, so these assertions are exact, not order-of-magnitude.
 """
 
+import cmath
 import math
+import random
 import struct
 
 import mpmath as mp
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 
 from multlab.dirichlet import (
+    _EXP_REL,
+    _LIBM_ULPS,
     ComplexArgument,
     ConvergenceError,
     DomainError,
@@ -23,6 +27,7 @@ from multlab.dirichlet import (
     dirichlet_sum,
     euler_product_G,
     euler_product_U,
+    _log1p_product,
     identity_residual,
     zeta,
 )
@@ -31,9 +36,11 @@ from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
     constant_spec,
+    f_at_primes,
     liouville_spec,
     power_decay_spec,
 )
+from multlab.sieve import primes_up_to
 from multlab.verify import run_verify
 
 mp.mp.dps = 30
@@ -257,6 +264,170 @@ def test_euler_product_validates_P(sieve_1e4):
     for s in (0.0, -0.5, complex(-0.5, 3.0)):
         with pytest.raises(DomainError):
             euler_product_U(LIOUVILLE, s, 10**3, sieve_1e4)
+
+
+def _mp_euler(which, spec, s, primes):
+    """30-digit product over ``primes`` of the G or U factor at the float f(p)."""
+    z = mp.mpc(s.real, s.imag)
+    out = mp.mpf(1)
+    for p, f in zip(primes.tolist(), f_at_primes(spec, primes).tolist()):
+        if which == "G":
+            ps = mp.power(p, z)
+            out *= (ps + f) / (ps - 1)
+        else:
+            out *= 1 - mp.mpf(f) ** 2 * mp.power(p, -2 * z)
+    return out
+
+
+def _rounding_only(which, spec, s, P, sieve):
+    """(value, rounding allowance) of G or U without the truncation tail."""
+    primes = primes_up_to(P, sieve)
+    fp = f_at_primes(spec, primes)
+    log_p = sieve.log_primes[: primes.size]
+    point = ComplexArgument.of(s)
+    if which == "G":
+        return _log1p_product(1.0 + fp, log_p, point, 1, True)
+    return _log1p_product(-(fp * fp), log_p, point, 2, False)
+
+
+_ALLOWANCE_CASES = [
+    # sigma = 0.3: rigorous for G only, because 1 + f(p) = 1/p
+    ("G", power_decay_spec(1.0, 1.0), 0.3, 10**4),
+    ("G", power_decay_spec(1.0, 1.0), complex(0.3, 7.5), 10**4),
+    # f(2) = 1: the largest x_p, 2 / (2^0.3 - 1) = 8.7
+    ("G", power_decay_spec(1.0, 1.0, {2: 1.0}), 0.3, 10**4),
+    ("G", power_decay_spec(1.0, 1.0, {2: 1.0}), complex(0.3, 20.0), 10**4),
+]
+for _which in ("G", "U"):
+    _ALLOWANCE_CASES += [
+        (_which, constant_spec(0.5), 0.75, 10**4),
+        (_which, constant_spec(0.5, {2: 1.0}), complex(0.75, 13.0), 10**4),
+        (_which, power_decay_spec(0.5, 0.5), 1.1, 10**5),
+        (_which, power_decay_spec(0.5, 0.5), complex(1.1, 20.0), 10**4),
+        (_which, constant_spec(-0.3, {2: 1.0, 3: 0.25}), 2.0, 10**4),
+        (_which, constant_spec(-0.3, {2: 1.0, 3: 0.25}), complex(2.0, 3.0), 10**4),
+        (_which, constant_spec(0.9), 3.0, 10**4),
+        (_which, constant_spec(0.9), complex(3.0, 17.0), 10**4),
+        # f(p) near -1 at small primes, and 1 + f(p) = 1e-6 p^(-1/2) elsewhere
+        (_which, power_decay_spec(1e-6, 0.5, {2: -0.999999, 3: -0.99}), 1.1, 10**4),
+        (_which, power_decay_spec(1e-6, 0.5, {2: -0.999999, 3: -0.99}), complex(2.0, 9.0), 10**4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "which,spec,s,P",
+    _ALLOWANCE_CASES,
+    ids=[f"{w}-{sp.spec_id()}-{s}-{P}" for w, sp, s, P in _ALLOWANCE_CASES],
+)
+def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
+    # truncated at the same P, so |value - oracle| is rounding alone
+    value, allowance = _rounding_only(which, spec, s, P, sieve_1e5)
+    public = (euler_product_G if which == "G" else euler_product_U)(spec, s, P, sieve_1e5)
+    assert public.value == value
+    assert 0.0 < allowance < 1e-10 * abs(value)
+    oracle = _mp_euler(which, spec, complex(s), primes_up_to(P, sieve_1e5))
+    assert abs(mp.mpc(value) - oracle) <= allowance
+    if complex(s).imag == 0.0:
+        assert value.imag == 0.0
+
+
+@pytest.mark.parametrize("s", [0.3, 2.0, complex(1.5, 20.0)])
+def test_euler_products_with_every_factor_one_are_exactly_one(s, sieve_1e5):
+    # G with the constant -1 base has 1 + f(p) = 0; U with the constant 0
+    # base has f(p)^2 = 0: every factor is exactly 1
+    g = euler_product_G(constant_spec(-1.0), s, 10**5, sieve_1e5)
+    assert g.value == 1.0 and not g.heuristic and g.tail_bound < 1e-14
+    if complex(s).real > 0.5:
+        u = euler_product_U(constant_spec(0.0), s, 10**5, sieve_1e5)
+        assert u.value == 1.0 and not u.heuristic
+
+
+def test_euler_product_without_a_rounding_bound_is_heuristic(sieve_1e4):
+    # 1 + f(p) = p^(-2) gives G a rigorous tail at any sigma > 0, but at
+    # sigma = 1e-4 the factor 1/(1 - 2^-sigma) = 1.4e4 puts the per-term
+    # rounding bound past first order: no rigorous bound is claimed
+    spec = power_decay_spec(1.0, 2.0)
+    assert not euler_product_G(spec, 0.05, 10**4, sieve_1e4).heuristic
+    ev = euler_product_G(spec, 1e-4, 10**4, sieve_1e4)
+    assert ev.heuristic and math.isinf(ev.tail_bound) and math.isfinite(ev.value.real)
+
+
+def test_liouville_euler_products_over_the_benchmark_input_range(sieve_1e4):
+    # the prime-side benchmark's inputs: Liouville with exceptions at small
+    # primes, sigma in [1.1, 3], t = 0 or t in [1, 20].  G is then the finite
+    # product over the exceptions, so its bound is the rounding allowance alone
+    rng = random.Random(7301)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    P = 10**4
+    for _ in range(600):
+        chosen = rng.sample(small, rng.randint(0, 3))
+        exceptions = {p: rng.choice((-1.0, 0.0, 0.5, 1.0)) for p in chosen}
+        spec = liouville_spec(exceptions)
+        sigma = round(rng.uniform(1.1, 3.0), 3)
+        t = 0.0 if rng.random() < 0.5 else round(rng.uniform(1.0, 20.0), 3)
+        s = complex(sigma, t) if t else sigma
+        g = euler_product_G(spec, s, P, sieve_1e4)
+        u = euler_product_U(spec, s, P, sieve_1e4)
+        assert not g.heuristic and not u.heuristic
+        z = mp.mpc(sigma, t)
+        oracle = mp.mpf(1)
+        closed = 1.0 + 0.0j  # the benchmark's own check, in cmath
+        for p, v in exceptions.items():
+            ps = mp.power(p, z)
+            oracle *= (ps + v) / (ps - 1)
+            p_s = cmath.exp(complex(s) * math.log(p))
+            closed *= (p_s + v) / (p_s - 1.0)
+        assert abs(mp.mpc(g.value) - oracle) <= g.tail_bound, (exceptions, s)
+        assert abs(g.value - closed) <= g.tail_bound, (exceptions, s)
+        if t == 0.0:
+            assert g.value.imag == 0.0 and u.value.imag == 0.0
+            assert g.value.real >= 1.0 - g.tail_bound
+            assert 0.0 < u.value.real <= 1.0 + u.tail_bound
+
+
+def _ulps(got, exact) -> float:
+    """Largest |got - exact| in ulps of the float nearest each exact value."""
+    worst = 0.0
+    for g, e in zip(got.tolist(), exact):
+        ulp = math.ulp(float(e)) if float(e) != 0.0 else math.ulp(0.0)
+        worst = max(worst, float(abs(mp.mpf(g) - e)) / ulp)
+    return worst
+
+
+def test_libm_ulp_assumption():
+    # the Euler-product allowance assumes each elementary function is within
+    # _LIBM_ULPS ulps over the ranges the products use; a numpy build with
+    # less accurate kernels must fail here rather than break the allowance
+    rng = np.random.default_rng(7302)
+    n = 1500
+    log_max = math.log(10**7)
+    p = rng.integers(2, 10**7, n).astype(np.float64)
+    y = -rng.uniform(0.0, 2 * 3.0 * log_max, n)  # -power sigma log p
+    theta = rng.uniform(-2 * 20.0 * log_max, 2 * 20.0 * log_max, n)
+    z = np.concatenate([rng.uniform(-0.99, 10.0, n), rng.uniform(-1e-8, 1e-8, n)])
+    b = rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.uniform(-12, 0, n)
+    a1 = rng.uniform(-9.0, 11.0, n)
+    checks = {
+        "exp": (np.exp(y), [mp.exp(v) for v in y.tolist()]),
+        "log": (np.log(p), [mp.log(v) for v in p.tolist()]),
+        "log1p": (np.log1p(z), [mp.log1p(v) for v in z.tolist()]),
+        "cos": (np.cos(theta), [mp.cos(v) for v in theta.tolist()]),
+        "sin": (np.sin(theta), [mp.sin(v) for v in theta.tolist()]),
+        "arctan2": (np.arctan2(b, a1), [mp.atan2(v, w) for v, w in zip(b.tolist(), a1.tolist())]),
+    }
+    for name, (got, exact) in checks.items():
+        assert _ulps(got, exact) <= _LIBM_ULPS, name
+    # the final exp of a complex log sum, one value at a time
+    for re, im in zip(rng.uniform(-50.0, 50.0, 300).tolist(), rng.uniform(-700.0, 700.0, 300).tolist()):
+        exact = mp.exp(mp.mpc(re, im))
+        assert abs(mp.mpc(complex(np.exp(complex(re, im)))) - exact) <= _EXP_REL * abs(exact)
+
+
+def test_dirichlet_sum_rejects_swapped_arguments(sieve_1e4):
+    with pytest.raises(TypeError, match="kind first"):
+        dirichlet_sum(LIOUVILLE, DerivedFunctionKind.F_PLAIN, 2.0, 10**3, sieve_1e4)
+    with pytest.raises(TypeError, match="kind first"):
+        dirichlet_sum("F_plain", LIOUVILLE, 2.0, 10**3, sieve_1e4)
 
 
 # ------------------------------------------------------ identity residuals

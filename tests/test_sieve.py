@@ -6,6 +6,8 @@ Boolean Eratosthenes sieve, so a bug in the segmented construction cannot
 hide behind the same code path that produced it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ def test_primes_up_to_slices_the_prime_table(sieve_1e4):
         a[0] = 3
     with pytest.raises(ValueError, match="exceeds sieve limit"):
         primes_up_to(10**4 + 1, sieve_1e4)
+
+
+def test_log_primes_is_one_read_only_table_aligned_with_primes():
+    sieve = build_sieve(10**4)  # fresh: the table must not exist before first use
+    assert "log_primes" not in vars(sieve)
+    logs = sieve.log_primes
+    assert sieve.log_primes is logs
+    assert logs.dtype == np.float64 and logs.shape == sieve.primes.shape
+    assert not logs.flags.writeable
+    assert all(abs(v - math.log(int(p))) <= math.ulp(v) for p, v in zip(sieve.primes, logs))
+    assert np.array_equal(logs, np.log(sieve.primes.astype(np.float64)))
 
 
 def test_liouville_small_values(sieve_1e4):
