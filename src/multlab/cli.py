@@ -18,6 +18,7 @@ import struct
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,11 @@ from .sieve import FactorSieve, build_sieve, primes_up_to
 from .verify import report_to_csv, run_verify
 
 _CACHE_MAGIC = b"MLSPF"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+#: magic, version, limit, prime count, CRC-32 of the spf and prime payloads.
+#: The CRC detects accidental corruption (a flipped bit, a torn copy); it is
+#: no guard against a file crafted to match it.
+_CACHE_HEADER = struct.Struct("<5sBQQI")
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
@@ -69,17 +74,25 @@ def _cache_path(out_dir: Path, limit: int) -> Path:
 def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     """Write the cache file atomically: a temp file beside it, then ``os.replace``.
 
-    A reader or a concurrent writer never sees a partly written file.
+    A reader or a concurrent writer never sees a partly written file.  The
+    file is the header, then spf, then the ascending primes, both tables as
+    ``<u4`` written straight from their array buffers.
     """
     path = _cache_path(out_dir, sieve.limit)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(bytes([_CACHE_VERSION]))
-            fh.write(struct.pack("<Q", sieve.limit))
-            fh.write(sieve.spf.astype("<u4", copy=False).tobytes())
+            spf = np.ascontiguousarray(sieve.spf, dtype="<u4")
+            primes = sieve.primes.astype("<u4")
+            crc = zlib.crc32(primes, zlib.crc32(spf))
+            fh.write(
+                _CACHE_HEADER.pack(
+                    _CACHE_MAGIC, _CACHE_VERSION, sieve.limit, primes.size, crc
+                )
+            )
+            fh.write(spf)
+            fh.write(primes)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -88,26 +101,38 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
 
 
 def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
-    """Load a cached sieve; None on miss or on any format mismatch."""
+    """Load a cached sieve and its prime table; None on miss or on any mismatch.
+
+    The header must carry this format's magic and version, ``limit`` and a
+    prime count <= limit; the file must be exactly as long as they say; and
+    the CRC-32 of both tables must match.  Each table is read in place into
+    its own preallocated array.
+    """
     path = _cache_path(out_dir, limit)
-    if not path.exists():
-        return None
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
+            header = fh.read(_CACHE_HEADER.size)
+            if len(header) != _CACHE_HEADER.size:
                 return None
-            version = fh.read(1)
-            if version != bytes([_CACHE_VERSION]):
+            magic, version, stored_limit, count, crc = _CACHE_HEADER.unpack(header)
+            if (
+                (magic, version, stored_limit) != (_CACHE_MAGIC, _CACHE_VERSION, limit)
+                or count > limit
+                or os.fstat(fh.fileno()).st_size
+                != _CACHE_HEADER.size + 4 * (limit + 1 + count)
+            ):
                 return None
-            (stored_limit,) = struct.unpack("<Q", fh.read(8))
-            if stored_limit != limit:
+            spf = np.empty(limit + 1, dtype="<u4")
+            primes = np.empty(count, dtype="<u4")
+            if fh.readinto(spf) != spf.nbytes or fh.readinto(primes) != primes.nbytes:
                 return None
-            data = np.frombuffer(fh.read(), dtype="<u4")
-    except (OSError, struct.error):
+    except OSError:
         return None
-    if data.size != limit + 1:
+    if zlib.crc32(primes, zlib.crc32(spf)) != crc:
         return None
-    return FactorSieve(limit=limit, spf=data.astype(np.uint32))
+    return FactorSieve(
+        limit=limit, spf=spf.astype(np.uint32, copy=False), prime_table=primes
+    )
 
 
 def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, threads: int):

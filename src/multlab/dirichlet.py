@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -316,6 +317,7 @@ _FIRST_ORDER_MAX = 2.0 ** -12  # largest per-term bound the slack covers
 _SLACK = 1.0 + 2.0 ** -6  # second-order terms and the bound's own rounding
 _UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal range
 _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
 
 
 def _log1p_product(
@@ -337,7 +339,9 @@ def _log1p_product(
     gets one exactly rounded ``fsum_array``, and the value is exp of the
     complex total, so at real s its imaginary part is exactly 0.0.
 
-    Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN).
+    Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN), and
+    DomainError when 2^(-power sigma) rounds to 1 (tiny sigma: the factor
+    at p = 2 is a float64 pole) or when the product overflows float64.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -392,6 +396,11 @@ def _log1p_product(
         hi = min(lo + _CHUNK, n)
         lp, gc, re_c = log_p[lo:hi], g[lo:hi], re[lo:hi]
         r = np.exp((-power * sigma) * lp)
+        if not r[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
+            raise DomainError(
+                f"Euler product needs 2^(-{power}*sigma) < 1 in float64, "
+                f"got sigma={sigma}"
+            )
         amp = 1.0 / (1.0 - r)
         if im is None:
             a = gc * r
@@ -418,6 +427,11 @@ def _log1p_product(
         log_err += float(np.dot(mag * (amp * amp * amp), _TERM_CONST + c1 * lp))
     log_re = fsum_array(re)
     log_im = 0.0 if im is None else fsum_array(im)
+    if log_re > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"Euler product overflows float64 at sigma={sigma} "
+            f"(log |value| = {log_re:.6g})"
+        )
     value = complex(np.exp(complex(log_re, log_im)))
     if amp_max ** 3 * (_TERM_CONST + c1 * float(log_p[-1])) > _FIRST_ORDER_MAX:
         return value, math.inf

@@ -16,7 +16,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +36,16 @@ class FactorSieve:
         uint32 array of length N+1; ``spf[n]`` is the smallest prime factor
         of n for 2 <= n <= N.  ``spf[1] = 1`` is a sentinel so factorization
         loops need no special case; ``spf[0] = 0`` is unused.
+    prime_table : np.ndarray or None
+        Optional precomputed primes <= limit, ascending, in any integer
+        dtype (the sieve cache stores them beside ``spf``).  The caller
+        vouches that they are exactly the primes of ``spf``; when None,
+        ``primes`` scans ``spf`` instead.
     """
 
     limit: int
     spf: np.ndarray
+    prime_table: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.spf.shape != (self.limit + 1,):
@@ -49,11 +55,15 @@ class FactorSieve:
     def primes(self) -> np.ndarray:
         """Ascending, read-only int64 array of the primes <= limit.
 
-        Scanned from ``spf`` on first use and kept for the sieve's life.
+        Taken from ``prime_table`` when one was given, else scanned from
+        ``spf``; either way on first use, and kept for the sieve's life.
         """
-        mask = self.spf == np.arange(self.limit + 1, dtype=np.uint32)
-        mask[:2] = False
-        primes = np.nonzero(mask)[0].astype(np.int64)
+        if self.prime_table is not None:
+            primes = self.prime_table.astype(np.int64)
+        else:
+            mask = self.spf == np.arange(self.limit + 1, dtype=np.uint32)
+            mask[:2] = False
+            primes = np.nonzero(mask)[0].astype(np.int64)
         primes.flags.writeable = False
         return primes
 

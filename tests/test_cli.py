@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -80,19 +81,57 @@ def test_cache_round_trip_and_rejection(tmp_path):
     back = load_sieve_cache(tmp_path, 5000)
     assert back is not None
     assert np.array_equal(back.spf, sieve.spf)
+    # the prime table comes from the file, not from a rescan of spf
+    assert back.prime_table is not None
+    assert np.array_equal(back.primes, sieve.primes)
+    assert back.primes.dtype == np.int64 and not back.primes.flags.writeable
     # wrong limit is a miss, not an error
     assert load_sieve_cache(tmp_path, 6000) is None
-    # truncated payload is rejected
     path = tmp_path / "cache" / "spf_5000.bin"
-    path.write_bytes(path.read_bytes()[:-8])
+    good = path.read_bytes()
+    # trailing bytes are rejected
+    path.write_bytes(good + bytes(4))
     assert load_sieve_cache(tmp_path, 5000) is None
+    # truncated payload is rejected
+    path.write_bytes(good[:-8])
+    assert load_sieve_cache(tmp_path, 5000) is None
+
+
+@pytest.mark.parametrize("from_end", [22473, 2], ids=["spf", "primes"])
+def test_flipped_byte_at_same_size_is_rebuilt(cfg_file, tmp_path, capsys, from_end):
+    # 26-byte header, then 10001 spf cells and 1229 primes of 4 bytes each:
+    # the middle byte lies in spf, the second last in the prime table
+    out = tmp_path / "out"
+    main(["sieve", "--config", str(cfg_file), "--out", str(out)])
+    capsys.readouterr()
+    cache = out / "cache" / "spf_10000.bin"
+    data = bytearray(cache.read_bytes())
+    data[-from_end] ^= 0x10
+    cache.write_bytes(bytes(data))
+    assert load_sieve_cache(out, 10000) is None
+    assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert "primes=1229 source=built" in capsys.readouterr().out
+
+
+def test_version_1_cache_is_rebuilt_once_as_version_2(cfg_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    cache = out / "cache" / "spf_10000.bin"
+    cache.parent.mkdir(parents=True)
+    spf = build_sieve(10000).spf
+    # the version-1 layout: magic, version byte, <Q limit, spf as <u4
+    cache.write_bytes(b"MLSPF\x01" + struct.pack("<Q", 10000) + spf.astype("<u4").tobytes())
+    assert load_sieve_cache(out, 10000) is None
+    for source in ("built", "cache"):
+        assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert f"source={source}" in capsys.readouterr().out
+    assert cache.read_bytes()[:6] == b"MLSPF\x02"
 
 
 def test_cache_write_is_atomic(tmp_path):
     sieve = build_sieve(5000)
     path = tmp_path / "cache" / "spf_5000.bin"
     path.parent.mkdir()
-    path.write_bytes(b"MLSPF\x01")  # a torn earlier write
+    path.write_bytes(b"MLSPF\x02")  # a torn earlier write
     assert save_sieve_cache(sieve, tmp_path) == path
     back = load_sieve_cache(tmp_path, 5000)
     assert back is not None and np.array_equal(back.spf, sieve.spf)
@@ -102,9 +141,11 @@ def test_cache_write_is_atomic(tmp_path):
         def astype(self, *args, **kwargs):
             raise OSError("disk full")
 
-    # a write that fails part way leaves the good file in place
+    # a write that fails part way, once spf is in hand and the temp file
+    # exists, leaves the good file in place
+    failing = SimpleNamespace(limit=5000, spf=sieve.spf, primes=FailingTable())
     with pytest.raises(OSError, match="disk full"):
-        save_sieve_cache(SimpleNamespace(limit=5000, spf=FailingTable()), tmp_path)
+        save_sieve_cache(failing, tmp_path)
     assert np.array_equal(load_sieve_cache(tmp_path, 5000).spf, sieve.spf)
     assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
 

@@ -1,8 +1,11 @@
 """Config parsing, canonical serialization, and hashing."""
 
 import math
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multlab.config import (
     ConfigError,
@@ -12,8 +15,19 @@ from multlab.config import (
     parse_config,
     serialize_config,
 )
-from multlab.multfunc import BASE_POWER_DECAY, constant_spec
+from multlab.multfunc import (
+    BASE_POWER_DECAY,
+    PrimeFunctionSpec,
+    constant_spec,
+    power_decay_spec,
+)
 
+#: the scalar keys parse_config knows (spec.* and tolerance.* aside)
+_KNOWN_KEYS = {
+    "sieve_limit", "s_grid", "truncation_N", "euler_P", "x_max", "checkpoint_x0",
+    "checkpoint_ratio", "output_dir", "weighted_tail_sigma", "epsilon_slack",
+    "zeta_tol", "f_one_h_grid",
+}
 
 SAMPLE = """
 # perturbed run
@@ -182,3 +196,127 @@ def test_constructed_config_validation():
     # a perfectly legal non-default spec passes through
     cfg = ExperimentConfig(spec=constant_spec(0.5), x_max=500)
     assert cfg.effective_x_max == 500
+
+
+# ------------------------------------------------------- property tests
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_unit = st.floats(min_value=-1.0, max_value=1.0)
+_name = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=12)
+
+
+@st.composite
+def _specs(draw):
+    exceptions = draw(st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 97, 7919)), _unit))
+    base = draw(st.sampled_from(("liouville", "constant", "power_decay")))
+    if base == "liouville":
+        return PrimeFunctionSpec(base=base, exceptions=tuple(exceptions.items()))
+    if base == "constant":
+        return constant_spec(draw(_unit), exceptions)
+    return power_decay_spec(draw(_finite), draw(_positive), exceptions)
+
+
+@st.composite
+def _configs(draw):
+    limit = draw(st.integers(min_value=2, max_value=10**12))
+    return ExperimentConfig(
+        sieve_limit=limit,
+        spec=draw(_specs()),
+        s_grid=tuple(draw(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=4))),
+        truncation_N=draw(st.integers(min_value=1, max_value=limit)),
+        euler_P=draw(st.integers(min_value=0, max_value=limit)),
+        x_max=draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=limit))),
+        checkpoint_x0=draw(st.integers(min_value=1, max_value=10**9)),
+        checkpoint_ratio=draw(
+            st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+        ),
+        tolerances=tuple(sorted(draw(st.dictionaries(_name, _positive, max_size=3)).items())),
+        output_dir=draw(st.text(alphabet="abcxyz019_-./", min_size=1, max_size=16)),
+        weighted_tail_sigma=draw(_positive),
+        epsilon_slack=draw(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        ),
+        zeta_tol=draw(_positive),
+        f_one_h_grid=tuple(draw(st.lists(_positive, min_size=1, max_size=4))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_serialization_round_trips_any_valid_config(cfg):
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text
+    assert config_hash(again) == config_hash(cfg)
+
+
+_NON_FINITE = ("nan", "inf", "-inf", "NaN", "1e400", "-1e999")
+
+_bad_lines = st.one_of(
+    # unknown keys
+    _name.filter(lambda k: k not in _KNOWN_KEYS).map(lambda k: f"{k} = 1"),
+    _name.filter(lambda k: k not in ("base", "c", "a")).map(lambda k: f"spec.{k} = 1"),
+    # non-finite values where a finite one is required
+    st.tuples(
+        st.sampled_from(
+            (
+                "checkpoint_ratio",
+                "weighted_tail_sigma",
+                "zeta_tol",
+                "epsilon_slack",
+                "f_one_h_grid",
+                "s_grid",
+                "tolerance.H_eq_zetaF",
+                "spec.exception.2",
+            )
+        ),
+        st.sampled_from(_NON_FINITE),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(_NON_FINITE).map(
+        lambda v: f"spec.base = power_decay\nspec.c = {v}\nspec.a = 1"
+    ),
+    # exception keys that are not primes
+    st.one_of(
+        st.integers(max_value=1),
+        st.integers(min_value=2, max_value=10**6).map(lambda n: n * (n + 1)),
+    ).map(lambda p: f"spec.exception.{p} = 0.5"),
+    # values outside [-1, 1]
+    st.one_of(
+        st.floats(min_value=1.0, exclude_min=True),
+        st.floats(max_value=-1.0, exclude_max=True),
+    ).flatmap(
+        lambda v: st.sampled_from(
+            (f"spec.exception.3 = {v!r}", f"spec.base = constant\nspec.c = {v!r}")
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(("sieve_limit = 1000", "# note", "")), max_size=3), _bad_lines)
+def test_malformed_config_raises_only_config_error(good, bad):
+    with pytest.raises(ConfigError):
+        parse_config("\n".join([*good, bad]) + "\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                sorted(_KNOWN_KEYS)
+                + ["spec.base", "spec.c", "spec.a", "spec.exception.", "tolerance.", ""]
+            ),
+            st.text(max_size=8),
+            st.text(max_size=12),
+        ).map(lambda kxv: f"{kxv[0]}{kxv[1]}={kxv[2]}"),
+        max_size=6,
+    )
+)
+def test_arbitrary_lines_raise_only_config_error(lines):
+    try:
+        parse_config("\n".join(lines))
+    except ConfigError:
+        pass

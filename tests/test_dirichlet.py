@@ -352,6 +352,19 @@ def test_euler_product_without_a_rounding_bound_is_heuristic(sieve_1e4):
     assert ev.heuristic and math.isinf(ev.tail_bound) and math.isfinite(ev.value.real)
 
 
+def test_euler_products_at_tiny_sigma_raise_domain_error(sieve_1e4):
+    # at sigma = 1e-17, 2^(-sigma) rounds to 1: the factor at p = 2 is a
+    # float64 pole.  At sigma = 1e-15 G's log sum (about 3.6e3) is past
+    # log(float max), so its exp would overflow.
+    spec = power_decay_spec(1.0, 2.0)
+    for s in (1e-17, complex(1e-17, 1.0)):
+        for product in (euler_product_G, euler_product_U):
+            with pytest.raises(DomainError, match="2\\^"):
+                product(spec, s, 10**3, sieve_1e4)
+    with pytest.raises(DomainError, match="overflows"):
+        euler_product_G(spec, 1e-15, 10**3, sieve_1e4)
+
+
 def test_liouville_euler_products_over_the_benchmark_input_range(sieve_1e4):
     # the prime-side benchmark's inputs: Liouville with exceptions at small
     # primes, sigma in [1.1, 3], t = 0 or t in [1, 20].  G is then the finite

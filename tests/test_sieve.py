@@ -122,6 +122,17 @@ def test_log_primes_is_one_read_only_table_aligned_with_primes():
     assert np.array_equal(logs, np.log(sieve.primes.astype(np.float64)))
 
 
+def test_given_prime_table_is_served_as_read_only_int64():
+    built = build_sieve(10**4)
+    table = boolean_eratosthenes(10**4).astype(np.uint32)
+    sieve = FactorSieve(limit=10**4, spf=built.spf, prime_table=table)
+    primes = sieve.primes
+    assert primes.dtype == np.int64 and not primes.flags.writeable
+    assert np.array_equal(primes, built.primes)
+    assert table.flags.writeable  # the caller's array is left as it was
+    assert np.array_equal(primes_up_to(100, sieve), built.primes[:25])
+
+
 def test_liouville_small_values(sieve_1e4):
     # lambda(1..10) = 1,-1,-1,1,-1,1,-1,-1,1,1
     got = [liouville(n, sieve_1e4) for n in range(1, 11)]
