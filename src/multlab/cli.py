@@ -1,8 +1,7 @@
 """Command-line harness: sieve | partial-sums | prime-sum | series | verify | exponent.
 
-All commands share three flags: ``--config PATH`` (the flat key=value
-experiment file), ``--out DIR`` (overrides the config's output_dir), and
-``--threads K`` (0 = auto; results are byte-identical for every K).
+All commands share two flags: ``--config PATH`` (the flat key=value
+experiment file) and ``--out DIR`` (overrides the config's output_dir).
 Outputs are CSV files in the output directory plus a human-readable echo
 on stdout.
 
@@ -130,18 +129,16 @@ def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
         return None
     if zlib.crc32(primes, zlib.crc32(spf)) != crc:
         return None
-    return FactorSieve(
-        limit=limit, spf=spf.astype(np.uint32, copy=False), prime_table=primes
-    )
+    return FactorSieve(limit=limit, spf=spf.astype(np.uint32, copy=False), primes=primes)
 
 
-def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, threads: int):
+def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path):
     """(sieve, source, seconds): load from cache when possible, else build."""
     t0 = time.perf_counter()
     cached = load_sieve_cache(out_dir, cfg.sieve_limit)
     if cached is not None:
         return cached, "cache", time.perf_counter() - t0
-    sieve = build_sieve(cfg.sieve_limit, threads=threads)
+    sieve = build_sieve(cfg.sieve_limit)
     save_sieve_cache(sieve, out_dir)
     return sieve, "built", time.perf_counter() - t0
 
@@ -160,18 +157,16 @@ def _trace_rows(xs, values) -> list[str]:
     return [f"{int(x)},{_fmt_real(v)}" for x, v in zip(xs, values)]
 
 
-def cmd_sieve(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    sieve, source, seconds = _obtain_sieve(cfg, out_dir, threads)
+def cmd_sieve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    sieve, source, seconds = _obtain_sieve(cfg, out_dir)
     count = primes_up_to(cfg.sieve_limit, sieve).size
     print(f"limit={cfg.sieve_limit} primes={count} source={source} seconds={seconds:.3f}")
     return 0
 
 
-def cmd_partial_sums(
-    cfg: ExperimentConfig, out_dir: Path, threads: int, kind_name: str
-) -> int:
+def cmd_partial_sums(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
     kind = _KIND_NAMES[kind_name]
-    sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+    sieve, _, _ = _obtain_sieve(cfg, out_dir)
     series = checkpoint_partial_sums(
         cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
@@ -181,8 +176,8 @@ def cmd_partial_sums(
     return 0
 
 
-def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path) -> int:
+    sieve, _, _ = _obtain_sieve(cfg, out_dir)
     trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=cfg.checkpoints)
     path = out_dir / "prime_sum_S.csv"
     _write_csv(path, "x,sum", _trace_rows(trace.x_values, trace.values))
@@ -190,8 +185,8 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_series(cfg: ExperimentConfig, out_dir: Path, threads: int, which: str) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+def cmd_series(cfg: ExperimentConfig, out_dir: Path, which: str) -> int:
+    sieve, _, _ = _obtain_sieve(cfg, out_dir)
     store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
     rows = []
     for sigma, t in cfg.s_grid:
@@ -224,8 +219,8 @@ def cmd_series(cfg: ExperimentConfig, out_dir: Path, threads: int, which: str) -
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+    sieve, _, _ = _obtain_sieve(cfg, out_dir)
     report = run_verify(cfg, sieve=sieve)
     path = out_dir / "verify_report.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -247,9 +242,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 1 if failed else 0
 
 
-def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, threads: int, kind_name: str) -> int:
+def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
     kind = _KIND_NAMES[kind_name]
-    sieve, _, _ = _obtain_sieve(cfg, out_dir, threads)
+    sieve, _, _ = _obtain_sieve(cfg, out_dir)
     series = checkpoint_partial_sums(
         cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
@@ -290,12 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker threads for sieve construction (0 = auto; output identical)",
-        )
 
     add_common(sub.add_parser("sieve", help="build or load the factor sieve"))
     p = sub.add_parser("partial-sums", help="checkpointed partial sums of a stream")
@@ -326,23 +315,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         cfg = cfg.with_output_dir(args.out)
     out_dir = Path(cfg.output_dir)
-    threads = args.threads
-    if threads < 0:
-        print(f"--threads must be >= 0, got {threads}", file=sys.stderr)
-        return 2
     try:
         if args.command == "sieve":
-            return cmd_sieve(cfg, out_dir, threads)
+            return cmd_sieve(cfg, out_dir)
         if args.command == "partial-sums":
-            return cmd_partial_sums(cfg, out_dir, threads, args.kind)
+            return cmd_partial_sums(cfg, out_dir, args.kind)
         if args.command == "prime-sum":
-            return cmd_prime_sum(cfg, out_dir, threads)
+            return cmd_prime_sum(cfg, out_dir)
         if args.command == "series":
-            return cmd_series(cfg, out_dir, threads, args.which)
+            return cmd_series(cfg, out_dir, args.which)
         if args.command == "verify":
-            return cmd_verify(cfg, out_dir, threads)
+            return cmd_verify(cfg, out_dir)
         if args.command == "exponent":
-            return cmd_exponent(cfg, out_dir, threads, args.kind)
+            return cmd_exponent(cfg, out_dir, args.kind)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -549,12 +549,29 @@ class IdentityResidual:
         return self.residual <= self.budget
 
 
-def _product_budget(A: SeriesEval, B: SeriesEval) -> float:
-    return (
-        abs(A.value) * B.tail_bound
-        + abs(B.value) * A.tail_bound
-        + A.tail_bound * B.tail_bound
+#: each identity as (left side, right side), both products of one or two
+#: series, listed in evaluation order; the residual is |left - right|.
+#: 1/zeta = F_mu2 / G is checked multiplied out, |F_mu2 zeta - G|, so no
+#: small product is divided by.
+_IDENTITY_SIDES = {
+    IdentityKind.H_EQ_ZETA_F: ((DerivedFunctionKind.H_CONV,), ("zeta", DerivedFunctionKind.F_PLAIN)),
+    IdentityKind.FMU2_EQ_F_U: ((DerivedFunctionKind.F_MU2,), (DerivedFunctionKind.F_PLAIN, "U")),
+    IdentityKind.RECIP_ZETA_EQ_FMU2_OVER_G: ((DerivedFunctionKind.F_MU2, "zeta"), ("G",)),
+    IdentityKind.G_PRODUCT_VS_SUM: (("G",), (DerivedFunctionKind.G_CONV,)),
+}
+
+
+def _side(evals: list[SeriesEval]) -> tuple[complex, float]:
+    """Value of a product of one or two series, with its first-order budget."""
+    if len(evals) == 1:
+        return evals[0].value, evals[0].tail_bound
+    a, b = evals
+    budget = (
+        abs(a.value) * b.tail_bound
+        + abs(b.value) * a.tail_bound
+        + a.tail_bound * b.tail_bound
     )
+    return a.value * b.value, budget
 
 
 class _SeriesStore:
@@ -619,43 +636,16 @@ class _SeriesStore:
     def residual(self, identity: IdentityKind, s) -> IdentityResidual:
         """|LHS - RHS| of one identity at s, read from the store (see identity_residual)."""
         point = ComplexArgument.of(s)
-        if identity is IdentityKind.H_EQ_ZETA_F:
-            lhs = self.get(DerivedFunctionKind.H_CONV, point)
-            zeta_eval = self.get("zeta", point)
-            f_eval = self.get(DerivedFunctionKind.F_PLAIN, point)
-            residual = abs(lhs.value - zeta_eval.value * f_eval.value)
-            budget = lhs.tail_bound + _product_budget(zeta_eval, f_eval)
-            heuristic = lhs.heuristic or zeta_eval.heuristic or f_eval.heuristic
-        elif identity is IdentityKind.FMU2_EQ_F_U:
-            lhs = self.get(DerivedFunctionKind.F_MU2, point)
-            f_eval = self.get(DerivedFunctionKind.F_PLAIN, point)
-            u_eval = self.get("U", point)
-            residual = abs(lhs.value - f_eval.value * u_eval.value)
-            budget = lhs.tail_bound + _product_budget(f_eval, u_eval)
-            heuristic = lhs.heuristic or f_eval.heuristic or u_eval.heuristic
-        elif identity is IdentityKind.RECIP_ZETA_EQ_FMU2_OVER_G:
-            # stated as 1/zeta = F_mu2 / G; checked multiplied out:
-            # |zeta * F_mu2 - G|, avoiding division by small products
-            fmu2 = self.get(DerivedFunctionKind.F_MU2, point)
-            zeta_eval = self.get("zeta", point)
-            g_eval = self.get("G", point)
-            residual = abs(zeta_eval.value * fmu2.value - g_eval.value)
-            budget = _product_budget(zeta_eval, fmu2) + g_eval.tail_bound
-            heuristic = fmu2.heuristic or zeta_eval.heuristic or g_eval.heuristic
-        elif identity is IdentityKind.G_PRODUCT_VS_SUM:
-            prod = self.get("G", point)
-            summ = self.get(DerivedFunctionKind.G_CONV, point)
-            residual = abs(prod.value - summ.value)
-            budget = prod.tail_bound + summ.tail_bound
-            heuristic = prod.heuristic or summ.heuristic
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown identity {identity}")
+        sides = [
+            [self.get(name, point) for name in side] for side in _IDENTITY_SIDES[identity]
+        ]
+        (left, left_budget), (right, right_budget) = map(_side, sides)
         return IdentityResidual(
             identity=identity,
             point=point,
-            residual=float(residual),
-            budget=float(budget),
-            heuristic=heuristic,
+            residual=float(abs(left - right)),
+            budget=float(left_budget + right_budget),
+            heuristic=any(ev.heuristic for evals in sides for ev in evals),
         )
 
 

@@ -59,19 +59,37 @@ class DerivedFunctionKind(Enum):
     F_MU2 = "F_mu2"
 
 
+#: Miller-Rabin to the first twelve prime bases decides every n below this
+#: bound, which exceeds 2^64 (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime_int(n: int) -> bool:
-    """Deterministic trial-division primality check (fine for spec keys)."""
+    """Deterministic Miller-Rabin primality test for n < _MR_BOUND.
+
+    Raises ValueError for larger n, where these bases prove nothing.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large to test for primality (limit {_MR_BOUND})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

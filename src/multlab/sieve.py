@@ -6,8 +6,9 @@ repeated division by ``spf``, giving lambda(n), mu(n), mu^2(n) and Omega(n)
 in O(log n) per query with no per-call allocation beyond the result.
 
 Construction is segmented (fixed-size blocks) and may be internally
-thread-parallel: segments are disjoint slices of the output array, so the
-result is byte-identical regardless of thread count or scheduling.
+thread-parallel: segments are disjoint slices of the output array, and each
+returns the primes it found, joined in segment order, so the table and its
+primes are byte-identical regardless of thread count or scheduling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _SEGMENT = 1 << 20
 
 @dataclass(frozen=True)
 class FactorSieve:
-    """Smallest-prime-factor table for 1..limit.
+    """Smallest-prime-factor table for 1..limit, with its primes.
 
     Attributes
     ----------
@@ -36,36 +37,24 @@ class FactorSieve:
         uint32 array of length N+1; ``spf[n]`` is the smallest prime factor
         of n for 2 <= n <= N.  ``spf[1] = 1`` is a sentinel so factorization
         loops need no special case; ``spf[0] = 0`` is unused.
-    prime_table : np.ndarray or None
-        Optional precomputed primes <= limit, ascending, in any integer
-        dtype (the sieve cache stores them beside ``spf``).  The caller
-        vouches that they are exactly the primes of ``spf``; when None,
-        ``primes`` scans ``spf`` instead.
+    primes : np.ndarray
+        The primes <= limit, ascending: those ``build_sieve`` recorded while
+        sieving, or the table stored beside ``spf`` in the sieve cache.
+        Given in any integer dtype and copied into a read-only int64 array
+        the sieve owns: the caller's array stays writeable, and writes to
+        it do not reach the sieve.
     """
 
     limit: int
     spf: np.ndarray
-    prime_table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    primes: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.spf.shape != (self.limit + 1,):
             raise ValueError("spf length must equal limit + 1")
-
-    @functools.cached_property
-    def primes(self) -> np.ndarray:
-        """Ascending, read-only int64 array of the primes <= limit.
-
-        Taken from ``prime_table`` when one was given, else scanned from
-        ``spf``; either way on first use, and kept for the sieve's life.
-        """
-        if self.prime_table is not None:
-            primes = self.prime_table.astype(np.int64)
-        else:
-            mask = self.spf == np.arange(self.limit + 1, dtype=np.uint32)
-            mask[:2] = False
-            primes = np.nonzero(mask)[0].astype(np.int64)
+        primes = np.array(self.primes, dtype=np.int64)
         primes.flags.writeable = False
-        return primes
+        object.__setattr__(self, "primes", primes)
 
     @functools.cached_property
     def log_primes(self) -> np.ndarray:
@@ -84,8 +73,14 @@ def _check_range(n: int, sieve: FactorSieve, lo: int = 1) -> None:
         raise ValueError(f"argument {n} outside [{lo}, sieve limit {sieve.limit}]")
 
 
-def _sieve_segment(spf: np.ndarray, small_primes_desc: np.ndarray, lo: int, hi: int) -> None:
-    """Fill spf[lo:hi) -- writes touch only this slice, safe to run in parallel."""
+def _sieve_segment(
+    spf: np.ndarray, small_primes_desc: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Fill spf[lo:hi) and return the n in [lo, hi) it left unmarked, ascending.
+
+    Those are the primes of the segment (plus 0 and 1 when lo = 0).  Writes
+    touch only this slice, so segments are safe to run in parallel.
+    """
     view = spf[lo:hi]
     for p in small_primes_desc:
         p = int(p)
@@ -95,11 +90,13 @@ def _sieve_segment(spf: np.ndarray, small_primes_desc: np.ndarray, lo: int, hi: 
         # descending prime order: the last (smallest) write wins
         view[start - lo :: p] = p
     idx = np.nonzero(view == 0)[0]
-    view[idx] = (idx + lo).astype(np.uint32)
+    unmarked = idx + lo
+    view[idx] = unmarked
+    return unmarked
 
 
 def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
-    """Build the smallest-prime-factor table for 1..limit.
+    """Build the smallest-prime-factor table for 1..limit and record its primes.
 
     Parameters
     ----------
@@ -108,9 +105,11 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
         (4 bytes per integer: 4 GB at 10^9) and by the uint32 cell type
         (limit < 2^32); the segmented loop itself scales past 10^9.
     threads : int
-        0 = auto (cpu count), 1 = sequential, k > 1 = worker threads.
+        0 = auto (the CPUs this process may run on, so ``taskset`` or a
+        cpuset limits the pool), 1 = sequential, k > 1 = worker threads.
         Output is byte-identical for every setting: workers own disjoint
-        segments of the output array.
+        segments of the output array, and the primes are joined in
+        segment order.
 
     Returns
     -------
@@ -136,26 +135,26 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
             small[p * p :: p] = False
     small_primes_desc = np.nonzero(small)[0][::-1].astype(np.uint32)
 
-    starts = list(range(0, limit + 1, _SEGMENT))
+    def segment(lo: int) -> np.ndarray:
+        return _sieve_segment(spf, small_primes_desc, lo, min(lo + _SEGMENT, limit + 1))
+
+    starts = range(0, limit + 1, _SEGMENT)
     if threads == 0:
-        threads = min(len(starts), os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platforms without CPU affinity
+            cpus = os.cpu_count() or 1
+        threads = min(len(starts), cpus)
     if threads <= 1 or len(starts) <= 1:
-        for lo in starts:
-            _sieve_segment(spf, small_primes_desc, lo, min(lo + _SEGMENT, limit + 1))
+        parts = [segment(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda lo: _sieve_segment(
-                        spf, small_primes_desc, lo, min(lo + _SEGMENT, limit + 1)
-                    ),
-                    starts,
-                )
-            )
+            parts = list(pool.map(segment, starts))  # map keeps segment order
+    parts[0] = parts[0][2:]  # 0 and 1 are unmarked but not prime
 
     spf[0] = 0
     spf[1] = 1
-    return FactorSieve(limit=limit, spf=spf)
+    return FactorSieve(limit=limit, spf=spf, primes=np.concatenate(parts))
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:

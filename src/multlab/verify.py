@@ -226,6 +226,9 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
 
 
 def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
+    name = f"weighted_tail:sigma={cfg.weighted_tail_sigma:g}"
+    if cfg.effective_x_max < 2:  # no prime to sum over: nothing to judge
+        return CheckLine(name, STATUS_INCONCLUSIVE, math.nan, math.inf)
     trace, verdict = weighted_tail_diagnostic(
         cfg.spec, cfg.weighted_tail_sigma, cfg.effective_x_max, sieve
     )
@@ -234,7 +237,7 @@ def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
         VERDICT_DIVERGENT: STATUS_FAIL,
     }.get(verdict, STATUS_INCONCLUSIVE)
     return CheckLine(
-        check_name=f"weighted_tail:sigma={cfg.weighted_tail_sigma:g}",
+        check_name=name,
         status=status,
         measured=float(trace.values[-1]),
         budget=math.inf,
@@ -284,20 +287,16 @@ def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
 # ---------------------------------------------------------------------------
 
 
-def run_verify(
-    cfg: ExperimentConfig,
-    sieve: FactorSieve | None = None,
-    threads: int = 0,
-) -> VerificationReport:
+def run_verify(cfg: ExperimentConfig, sieve: FactorSieve | None = None) -> VerificationReport:
     """Run every registered check once, in fixed order.
 
-    ``threads`` only affects sieve construction; every reported number is
-    independent of it.  The identity and F(1+h) checks share one series
-    store, so each stream at truncation_N is built once per run; they run
-    first, and the store is freed before the checks that work at x_max.
+    Without ``sieve``, one is built to ``cfg.sieve_limit``.  The identity
+    and F(1+h) checks share one series store, so each stream at
+    truncation_N is built once per run; they run first, and the store is
+    freed before the checks that work at x_max.
     """
     if sieve is None:
-        sieve = build_sieve(cfg.sieve_limit, threads=threads)
+        sieve = build_sieve(cfg.sieve_limit)
     store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
     identity_lines = _identity_lines(cfg, store)
     f_one_trend_line = _f_one_trend_line(cfg, store)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from multlab.cli import main
+from multlab.cli import main, save_sieve_cache
 from multlab.dirichlet import (
     IdentityKind,
     dirichlet_sum,
@@ -298,13 +298,17 @@ def test_criterion_12_determinism_across_threads(tmp_path):
     cfg.write_text(
         "sieve_limit = 4000000\ntruncation_N = 100000\neuler_P = 100000\n"
     )
+    for threads, sub in ((1, "run1"), (8, "run8")):
+        save_sieve_cache(build_sieve(4000000, threads=threads), tmp_path / sub)
     reports = []
-    for threads, sub in (("1", "run1"), ("8", "run8")):
+    for sub in ("run1", "run8", "miss"):  # "miss" builds its own sieve
         out = tmp_path / sub
-        rc = main(
-            ["verify", "--config", str(cfg), "--out", str(out), "--threads", threads]
-        )
+        rc = main(["verify", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         reports.append((out / "verify_report.csv").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
     assert len(reports[0]) > 0
+    cache1, cache8 = (
+        (tmp_path / sub / "cache" / "spf_4000000.bin").read_bytes() for sub in ("run1", "run8")
+    )
+    assert cache1 == cache8

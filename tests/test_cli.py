@@ -21,7 +21,7 @@ from multlab.dirichlet import (
     zeta,
 )
 from multlab.multfunc import DerivedFunctionKind
-from multlab.sieve import build_sieve
+from multlab.sieve import FactorSieve, build_sieve
 
 SMALL_CFG = """
 sieve_limit = 10000
@@ -81,8 +81,6 @@ def test_cache_round_trip_and_rejection(tmp_path):
     back = load_sieve_cache(tmp_path, 5000)
     assert back is not None
     assert np.array_equal(back.spf, sieve.spf)
-    # the prime table comes from the file, not from a rescan of spf
-    assert back.prime_table is not None
     assert np.array_equal(back.primes, sieve.primes)
     assert back.primes.dtype == np.int64 and not back.primes.flags.writeable
     # wrong limit is a miss, not an error
@@ -95,6 +93,9 @@ def test_cache_round_trip_and_rejection(tmp_path):
     # truncated payload is rejected
     path.write_bytes(good[:-8])
     assert load_sieve_cache(tmp_path, 5000) is None
+    # the prime table comes from the file, not from a scan of spf
+    save_sieve_cache(FactorSieve(limit=5000, spf=sieve.spf, primes=sieve.primes[:10]), tmp_path)
+    assert load_sieve_cache(tmp_path, 5000).primes.tolist() == sieve.primes[:10].tolist()
 
 
 @pytest.mark.parametrize("from_end", [22473, 2], ids=["spf", "primes"])
@@ -180,18 +181,9 @@ def test_threads_do_not_change_output(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sieve_limit = 3000000\ntruncation_N = 1000\neuler_P = 1000\n")
     out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    for out, threads in ((out1, "1"), (out8, "8")):
-        rc = main(
-            [
-                "partial-sums",
-                "--config",
-                str(cfg),
-                "--out",
-                str(out),
-                "--threads",
-                threads,
-            ]
-        )
+    for out, threads in ((out1, 1), (out8, 8)):
+        save_sieve_cache(build_sieve(3000000, threads=threads), out)
+        rc = main(["partial-sums", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
     body1 = (out1 / "partial_sums_F_plain.csv").read_bytes()
     body8 = (out8 / "partial_sums_F_plain.csv").read_bytes()
@@ -362,6 +354,18 @@ def test_verify_tolerance_does_not_judge_points_outside_the_domain(tmp_path, cap
     assert by_name["Fmu2_eq_FU:s=2+0i"][0] == "pass"
 
 
+def test_x_max_1_is_inconclusive_not_a_traceback(tmp_path, capsys):
+    # no prime lies in [2, x_max]: the weighted tail has nothing to sum
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sieve_limit = 1000\ntruncation_N = 100\neuler_P = 100\nx_max = 1\n")
+    out = tmp_path / "out"
+    for command in ("sieve", "partial-sums", "prime-sum", "series", "verify"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+    _, rows = read_csv(out / "verify_report.csv")
+    by_name = {r[0]: r[1:] for r in rows}
+    assert by_name["weighted_tail:sigma=1"] == ["inconclusive", "nan", "inf"]
+
+
 # --------------------------------------------------------------- exponent
 
 
@@ -401,9 +405,10 @@ def test_missing_or_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_negative_threads_exits_2(cfg_file, capsys):
+    # the thread count is the sieve's own affair: --threads is no flag
     rc = main(["sieve", "--config", str(cfg_file), "--threads", "-1"])
     assert rc == 2
-    assert "--threads" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -87,6 +87,29 @@ def test_hash_stability_and_sensitivity():
     assert config_hash(moved) != config_hash(base)
 
 
+def test_canonical_bytes_and_hashes_are_pinned():
+    # every recorded config hash depends on these exact bytes: a renamed key
+    # or a changed float format would pass the round-trip tests
+    assert serialize_config(parse_config(SAMPLE)) == (
+        "sieve_limit=100000\nspec.base=liouville\nspec.exception.2=0.5\n"
+        "spec.exception.3=-0.25\ns_grid=1.5:0,2:0,2.5:1\ntruncation_N=10000\n"
+        "euler_P=10000\nx_max=0\ncheckpoint_x0=10\ncheckpoint_ratio=1.189207115002721\n"
+        "tolerance.H_eq_zetaF=9.9999999999999995e-07\noutput_dir=results\n"
+        "weighted_tail_sigma=1\nepsilon_slack=0.050000000000000003\n"
+        "zeta_tol=9.9999999999999998e-13\n"
+        "f_one_h_grid=0.10000000000000001,0.050000000000000003,0.02,0.01\n"
+    )
+    assert config_hash(parse_config(SAMPLE)) == "f96420b779dd35b2"
+    assert serialize_config(ExperimentConfig()) == (
+        "sieve_limit=1000000\nspec.base=liouville\ns_grid=1.5:0,2:0,2.5:0,3:0\n"
+        "truncation_N=100000\neuler_P=100000\nx_max=0\ncheckpoint_x0=10\n"
+        "checkpoint_ratio=1.189207115002721\noutput_dir=out\nweighted_tail_sigma=1\n"
+        "epsilon_slack=0.050000000000000003\nzeta_tol=9.9999999999999998e-13\n"
+        "f_one_h_grid=0.10000000000000001,0.050000000000000003,0.02,0.01\n"
+    )
+    assert config_hash(ExperimentConfig()) == "97188e0106304e34"
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown configuration key"):
         parse_config("sieve_limt = 100\n")
@@ -124,6 +147,8 @@ def test_base_parameter_consistency():
 def test_spec_value_constraints_surface_as_config_errors():
     with pytest.raises(ConfigError):
         parse_config("spec.exception.4 = 0.5\n")  # 4 is not prime
+    with pytest.raises(ConfigError, match="too large"):
+        parse_config(f"spec.exception.{10**30 + 57} = 0.5\n")  # past the primality test
     with pytest.raises(ConfigError):
         parse_config("spec.exception.2 = 1.5\n")  # outside [-1, 1]
     with pytest.raises(ConfigError):

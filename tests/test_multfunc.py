@@ -29,6 +29,7 @@ from multlab.multfunc import (
     liouville_spec,
     power_decay_spec,
     spec_is_pm1,
+    _is_prime_int,
 )
 from multlab.sieve import factorize, moebius, primes_up_to
 
@@ -349,6 +350,32 @@ def test_spec_validation_errors():
         liouville_spec({2: 1.5})  # value outside [-1, 1]
     with pytest.raises(ValueError):
         PrimeFunctionSpec(base="liouville", exceptions=((2, 0.5), (2, 0.6)))
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_int_is_deterministic_miller_rabin():
+    assert all(_is_prime_int(n) == trial_division_is_prime(n) for n in range(10**5))
+    # Carmichael 561 and strong pseudoprimes to the first 4 and the first 11 prime bases
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not _is_prime_int(n), n
+    for n in (10**18 + 3, 2**61 - 1):
+        assert _is_prime_int(n), n
+    # past the proven bound of the twelve bases the test refuses to answer
+    assert not _is_prime_int(318665857834031151167460)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime_int(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        liouville_spec({10**30 + 57: 0.5})
 
 
 def test_spec_id_format():

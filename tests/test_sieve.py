@@ -125,11 +125,13 @@ def test_log_primes_is_one_read_only_table_aligned_with_primes():
 def test_given_prime_table_is_served_as_read_only_int64():
     built = build_sieve(10**4)
     table = boolean_eratosthenes(10**4).astype(np.uint32)
-    sieve = FactorSieve(limit=10**4, spf=built.spf, prime_table=table)
+    sieve = FactorSieve(limit=10**4, spf=built.spf, primes=table)
     primes = sieve.primes
     assert primes.dtype == np.int64 and not primes.flags.writeable
     assert np.array_equal(primes, built.primes)
     assert table.flags.writeable  # the caller's array is left as it was
+    table[0] = 3  # and the sieve keeps its own copy
+    assert sieve.primes[0] == 2
     assert np.array_equal(primes_up_to(100, sieve), built.primes[:25])
 
 
@@ -230,6 +232,29 @@ def test_parallel_build_is_byte_identical():
     assert seq.spf.tobytes() == par.spf.tobytes()
 
 
+@pytest.mark.parametrize("threads", [1, 8, 0], ids=["t1", "t8", "auto"])
+def test_recorded_primes_equal_the_oracle_at_segment_boundaries(threads):
+    seg = 1 << 20  # the build's segment length
+    for limit in (2, 3, 10, 1000, seg - 1, seg, seg + 1, 3 * seg + 5):
+        primes = build_sieve(limit, threads=threads).primes
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert np.all(np.diff(primes) > 0)
+        assert np.array_equal(primes, boolean_eratosthenes(limit)), limit
+
+
+def test_auto_threads_follow_cpu_affinity(monkeypatch):
+    # one usable CPU: auto mode must sieve without a pool
+    import multlab.sieve as sieve_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(sieve_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", no_pool)
+    sieve = build_sieve(3 * (1 << 20))
+    assert np.array_equal(sieve.primes, boolean_eratosthenes(3 * (1 << 20)))
+
+
 def test_build_rejects_bad_limits():
     with pytest.raises(ValueError):
         build_sieve(1)
@@ -247,4 +272,4 @@ def test_sentinels_and_range_checks(sieve_1e4):
     with pytest.raises(ValueError):
         factorize(10**4 + 1, sieve_1e4)
     with pytest.raises(ValueError):
-        FactorSieve(limit=10, spf=np.zeros(5, dtype=np.uint32))
+        FactorSieve(limit=10, spf=np.zeros(5, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
