@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dirichlet import IdentityKind
 from .multfunc import (
     BASE_CONSTANT,
     BASE_LIOUVILLE,
@@ -31,6 +32,10 @@ from .summation import (
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+#: the identities a ``tolerance.NAME`` line may name
+_TOLERANCE_NAMES = tuple(kind.value for kind in IdentityKind)
 
 
 def _fmt_real(x: float) -> str:
@@ -88,6 +93,10 @@ class ExperimentConfig:
         for name, tol in self.tolerances:
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
+            if name not in _TOLERANCE_NAMES:
+                raise ConfigError(
+                    f"unknown tolerance {name!r}; known: {', '.join(_TOLERANCE_NAMES)}"
+                )
         if not (math.isfinite(self.weighted_tail_sigma) and self.weighted_tail_sigma > 0):
             raise ConfigError("weighted_tail_sigma must be finite and positive")
         if not 0 < self.epsilon_slack < 1:
@@ -137,7 +146,7 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: expected number, got {raw!r}") from exc
 
 
-def _parse_s_grid(raw: str) -> tuple[tuple[float, float], ...]:
+def _parse_s_grid(key: str, raw: str) -> tuple[tuple[float, float], ...]:
     points = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
@@ -147,18 +156,43 @@ def _parse_s_grid(raw: str) -> tuple[tuple[float, float], ...]:
             sig, _, t = chunk.partition(":")
         else:
             sig, t = chunk, "0"
-        points.append((_parse_float("s_grid", sig), _parse_float("s_grid", t)))
+        points.append((_parse_float(key, sig), _parse_float(key, t)))
     if not points:
         raise ConfigError("s_grid must contain at least one point")
     return tuple(points)
 
 
+def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, h) for h in raw.split(",") if h.strip())
+
+
+#: every plain ``key=value`` field of ExperimentConfig, in canonical order,
+#: as (parser of the raw text, canonical rendering of the value)
+_SCALARS = {
+    "sieve_limit": (_parse_int, str),
+    "s_grid": (
+        _parse_s_grid,
+        lambda grid: ",".join(f"{_fmt_real(sig)}:{_fmt_real(t)}" for sig, t in grid),
+    ),
+    "truncation_N": (_parse_int, str),
+    "euler_P": (_parse_int, str),
+    "x_max": (_parse_int, str),
+    "checkpoint_x0": (_parse_int, str),
+    "checkpoint_ratio": (_parse_float, _fmt_real),
+    "output_dir": (lambda key, raw: raw, str),
+    "weighted_tail_sigma": (_parse_float, _fmt_real),
+    "epsilon_slack": (_parse_float, _fmt_real),
+    "zeta_tol": (_parse_float, _fmt_real),
+    "f_one_h_grid": (_parse_floats, lambda grid: ",".join(map(_fmt_real, grid))),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value format into an ExperimentConfig.
 
-    Unknown keys are rejected rather than ignored: misspelling a knob and
-    silently running defaults is the failure mode this format exists to
-    avoid.
+    Unknown keys and tolerance names are rejected rather than ignored:
+    misspelling a knob and silently running defaults is the failure mode
+    this format exists to avoid.
     """
     scalars: dict[str, str] = {}
     spec_fields: dict[str, str] = {}
@@ -191,28 +225,12 @@ def parse_config(text: str) -> ExperimentConfig:
             if name in tolerances:
                 raise ConfigError(f"line {lineno}: duplicate tolerance {name}")
             tolerances[name] = _parse_float(key, raw)
+        elif key not in _SCALARS:
+            raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        elif key in scalars:
+            raise ConfigError(f"line {lineno}: duplicate key {key}")
         else:
-            if key in scalars:
-                raise ConfigError(f"line {lineno}: duplicate key {key}")
             scalars[key] = raw
-
-    known = {
-        "sieve_limit",
-        "s_grid",
-        "truncation_N",
-        "euler_P",
-        "x_max",
-        "checkpoint_x0",
-        "checkpoint_ratio",
-        "output_dir",
-        "weighted_tail_sigma",
-        "epsilon_slack",
-        "zeta_tol",
-        "f_one_h_grid",
-    }
-    for key in scalars:
-        if key not in known:
-            raise ConfigError(f"unknown configuration key {key!r}")
 
     base = spec_fields.get("base", BASE_LIOUVILLE)
     c = _parse_float("spec.c", spec_fields["c"]) if "c" in spec_fields else None
@@ -228,42 +246,11 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    kwargs: dict = {"spec": spec, "tolerances": tuple(sorted(tolerances.items()))}
-    if "sieve_limit" in scalars:
-        kwargs["sieve_limit"] = _parse_int("sieve_limit", scalars["sieve_limit"])
-    if "truncation_N" in scalars:
-        kwargs["truncation_N"] = _parse_int("truncation_N", scalars["truncation_N"])
-    if "euler_P" in scalars:
-        kwargs["euler_P"] = _parse_int("euler_P", scalars["euler_P"])
-    if "x_max" in scalars:
-        kwargs["x_max"] = _parse_int("x_max", scalars["x_max"])
-    if "checkpoint_x0" in scalars:
-        kwargs["checkpoint_x0"] = _parse_int("checkpoint_x0", scalars["checkpoint_x0"])
-    if "checkpoint_ratio" in scalars:
-        kwargs["checkpoint_ratio"] = _parse_float(
-            "checkpoint_ratio", scalars["checkpoint_ratio"]
-        )
-    if "s_grid" in scalars:
-        kwargs["s_grid"] = _parse_s_grid(scalars["s_grid"])
-    if "output_dir" in scalars:
-        kwargs["output_dir"] = scalars["output_dir"]
-    if "weighted_tail_sigma" in scalars:
-        kwargs["weighted_tail_sigma"] = _parse_float(
-            "weighted_tail_sigma", scalars["weighted_tail_sigma"]
-        )
-    if "epsilon_slack" in scalars:
-        kwargs["epsilon_slack"] = _parse_float("epsilon_slack", scalars["epsilon_slack"])
-    if "zeta_tol" in scalars:
-        kwargs["zeta_tol"] = _parse_float("zeta_tol", scalars["zeta_tol"])
-    if "f_one_h_grid" in scalars:
-        grid = tuple(
-            _parse_float("f_one_h_grid", h)
-            for h in scalars["f_one_h_grid"].split(",")
-            if h.strip()
-        )
-        kwargs["f_one_h_grid"] = grid
+    kwargs = {key: _SCALARS[key][0](key, raw) for key, raw in scalars.items()}
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(
+            spec=spec, tolerances=tuple(sorted(tolerances.items())), **kwargs
+        )
     except ConfigError:
         raise
     except ValueError as exc:
@@ -287,33 +274,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical key=value rendering: fixed key order, 17-digit reals.
 
-    parse_config(serialize_config(cfg)) reconstructs an equal config, and
-    equal configs serialize to identical bytes -- the hashing contract.
+    The spec lines follow sieve_limit and the tolerance lines (sorted by
+    name) follow checkpoint_ratio.  parse_config(serialize_config(cfg))
+    reconstructs an equal config, and equal configs serialize to identical
+    bytes -- the hashing contract.
     """
-    lines = [
-        f"sieve_limit={cfg.sieve_limit}",
-        f"spec.base={cfg.spec.base}",
-    ]
-    if cfg.spec.c is not None:
-        lines.append(f"spec.c={_fmt_real(cfg.spec.c)}")
-    if cfg.spec.a is not None:
-        lines.append(f"spec.a={_fmt_real(cfg.spec.a)}")
-    for p, v in cfg.spec.exceptions:
-        lines.append(f"spec.exception.{p}={_fmt_real(v)}")
-    grid = ",".join(f"{_fmt_real(sig)}:{_fmt_real(t)}" for sig, t in cfg.s_grid)
-    lines.append(f"s_grid={grid}")
-    lines.append(f"truncation_N={cfg.truncation_N}")
-    lines.append(f"euler_P={cfg.euler_P}")
-    lines.append(f"x_max={cfg.x_max}")
-    lines.append(f"checkpoint_x0={cfg.checkpoint_x0}")
-    lines.append(f"checkpoint_ratio={_fmt_real(cfg.checkpoint_ratio)}")
-    for name, tol in sorted(cfg.tolerances):
-        lines.append(f"tolerance.{name}={_fmt_real(tol)}")
-    lines.append(f"output_dir={cfg.output_dir}")
-    lines.append(f"weighted_tail_sigma={_fmt_real(cfg.weighted_tail_sigma)}")
-    lines.append(f"epsilon_slack={_fmt_real(cfg.epsilon_slack)}")
-    lines.append(f"zeta_tol={_fmt_real(cfg.zeta_tol)}")
-    lines.append("f_one_h_grid=" + ",".join(_fmt_real(h) for h in cfg.f_one_h_grid))
+    spec = cfg.spec
+    params = [("c", spec.c), ("a", spec.a)]
+    sections = {
+        "sieve_limit": [f"spec.base={spec.base}"]
+        + [f"spec.{name}={_fmt_real(v)}" for name, v in params if v is not None]
+        + [f"spec.exception.{p}={_fmt_real(v)}" for p, v in spec.exceptions],
+        "checkpoint_ratio": [
+            f"tolerance.{name}={_fmt_real(tol)}" for name, tol in sorted(cfg.tolerances)
+        ],
+    }
+    lines = []
+    for key, (_, render) in _SCALARS.items():
+        lines.append(f"{key}={render(getattr(cfg, key))}")
+        lines.extend(sections.get(key, ()))
     return "\n".join(lines) + "\n"
 
 

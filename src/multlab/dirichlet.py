@@ -45,6 +45,7 @@ from .sieve import FactorSieve, primes_up_to
 from .summation import fsum_array
 
 _EPS = float(np.finfo(np.float64).eps)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
 
 METHOD_DIRECT_SUM = "direct_sum"
 METHOD_EULER_PRODUCT = "euler_product"
@@ -163,7 +164,8 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     PoleError       at s = 1.
     DomainError     for sigma <= 0.
     ConvergenceError when tol is unreachable at the depth cap (carries the
-                    achieved bound).
+                    achieved bound, inf once the truncation constant
+                    overflows float64, from about |t| = 451).
     """
     point = ComplexArgument.of(s)
     if point.sigma <= 0:
@@ -180,14 +182,18 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
             "(1 - 2^(1-s) ~ 0); no reliable evaluation at this point",
             math.inf,
         )
+    # clamping at the largest finite exp leaves kappa = inf wherever the
+    # exact constant overflows, since (1 + 2|t|) / |prefactor_den| > 1 there
     kappa = (
         (1.0 + 2.0 * abs(point.t))
-        * math.exp(math.pi * abs(point.t) / 2.0)
+        * math.exp(min(math.pi * abs(point.t) / 2.0, _LOG_FLOAT_MAX))
         / abs(prefactor_den)
     )
-    # smallest depth with 3 * kappa / rate^n <= tol/2
+    # smallest depth with 3 * kappa / rate^n <= tol/2; past the cap (need
+    # may be inf) the exact depth does not matter
     need = 3.0 * kappa / (tol / 2.0)
-    n = max(8, int(math.ceil(math.log(max(need, 1.0)) / math.log(_ACCEL_RATE))) + 1)
+    depth = min(math.log(max(need, 1.0)) / math.log(_ACCEL_RATE), _ZETA_MAX_DEPTH)
+    n = max(8, int(math.ceil(depth)) + 1)
     if n > _ZETA_MAX_DEPTH:
         achieved = 3.0 * kappa / _ACCEL_RATE ** _ZETA_MAX_DEPTH
         raise ConvergenceError(
@@ -236,9 +242,16 @@ def _divisor_tail(N: int, sigma: float) -> float:
     Splitting d(n) = sum_{ab=n} 1 over a <= N and a > N gives
 
         N^(1-sigma)/(sigma-1) * ( 2^(sigma-1) (1 + ln N) + zeta(sigma) ).
+
+    Where 2^(sigma-1) (1 + ln N) overflows float64 (sigma above about
+    1019), the bound at sigma = 1000 is scaled by (N+1)^(1000-sigma): every
+    n > N has n^(-sigma) <= (N+1)^(1000-sigma) n^(-1000).
     """
-    c = 2.0 ** (sigma - 1.0) * (1.0 + math.log(N)) + _zeta_real(sigma)
-    return N ** (1.0 - sigma) * c / (sigma - 1.0)
+    if sigma - 1.0 < 1024.0:  # 2.0 ** 1024 raises
+        lead = 2.0 ** (sigma - 1.0) * (1.0 + math.log(N))
+        if lead < math.inf:
+            return N ** (1.0 - sigma) * (lead + _zeta_real(sigma)) / (sigma - 1.0)
+    return (N + 1.0) ** (1000.0 - sigma) * _divisor_tail(N, 1000.0)
 
 
 def dirichlet_sum(
@@ -317,7 +330,6 @@ _FIRST_ORDER_MAX = 2.0 ** -12  # largest per-term bound the slack covers
 _SLACK = 1.0 + 2.0 ** -6  # second-order terms and the bound's own rounding
 _UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal range
 _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
 
 
 def _log1p_product(
@@ -440,6 +452,22 @@ def _log1p_product(
     return value, _SLACK * rounding
 
 
+def _euler_eval(value: complex, count: int, rounding: float, log_tail: float) -> SeriesEval:
+    """SeriesEval of a product over ``count`` primes whose omitted factors
+    move its log by at most ``log_tail``, so the product by at most
+    |value| expm1(log_tail).  The bound is rigorous while it and the
+    rounding allowance are finite; otherwise (log_tail = inf where no tail
+    bound exists, or an overflowing expm1 near the edge of convergence) the
+    value is flagged heuristic.
+    """
+    tail = math.inf
+    if log_tail <= _LOG_FLOAT_MAX:
+        tail = abs(value) * math.expm1(log_tail) + rounding
+    if tail < math.inf:
+        return SeriesEval(complex(value), int(count), tail, False, METHOD_EULER_PRODUCT)
+    return SeriesEval(complex(value), int(count), math.inf, True, METHOD_EULER_PRODUCT)
+
+
 def euler_product_G(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
@@ -467,24 +495,20 @@ def euler_product_G(
     kappa1 = 1.0 / (1.0 - (Pe + 1.0) ** (-point.sigma))
     log_tail = 0.0
     zmax = 0.0
-    heuristic = False
     if coef != 0.0:
         exponent = point.sigma + extra
         if exponent > 1.0:
             log_tail += kappa1 * _log_tail_over_primes(coef, exponent, P)
             zmax = max(zmax, coef * kappa1 * (Pe + 1.0) ** (-exponent))
         else:
-            heuristic = True
+            log_tail = math.inf
     for p, v in spec.exceptions:
         if p > P:
             zp = abs(1.0 + v) / (p ** point.sigma - 1.0)
             zmax = max(zmax, zp)
             log_tail += zp
-    if not heuristic and zmax < 0.5 and rounding < math.inf:
-        log_tail = log_tail / (1.0 - zmax)
-        tail = abs(value) * math.expm1(log_tail) + rounding
-        return SeriesEval(complex(value), int(primes.size), tail, False, METHOD_EULER_PRODUCT)
-    return SeriesEval(complex(value), int(primes.size), math.inf, True, METHOD_EULER_PRODUCT)
+    log_tail = log_tail / (1.0 - zmax) if zmax < 0.5 else math.inf
+    return _euler_eval(value, primes.size, rounding, log_tail)
 
 
 def euler_product_U(
@@ -504,12 +528,11 @@ def euler_product_U(
         fp = f_at_primes(spec, primes)
         log_p = sieve.log_primes[: primes.size]
         value, rounding = _log1p_product(-(fp * fp), log_p, point, 2, False)
-    if point.sigma > 0.5 and rounding < math.inf:
+    log_tail = math.inf
+    if point.sigma > 0.5:
         zmax = (max(P, 1) + 1.0) ** (-2.0 * point.sigma)
         log_tail = _log_tail_over_primes(1.0, 2.0 * point.sigma, P) / (1.0 - zmax)
-        tail = abs(value) * math.expm1(log_tail) + rounding
-        return SeriesEval(complex(value), int(primes.size), tail, False, METHOD_EULER_PRODUCT)
-    return SeriesEval(complex(value), int(primes.size), math.inf, True, METHOD_EULER_PRODUCT)
+    return _euler_eval(value, primes.size, rounding, log_tail)
 
 
 # ---------------------------------------------------------------------------

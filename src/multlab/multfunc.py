@@ -20,8 +20,7 @@ from the finished entry a(m) --
 * F_plain: a(n) = f(p) a(m);
 * G_conv:  a(n) = a(m) when p | m, else (1 + f(p)) a(m);
 * F_mu2:   a(n) = 0 when p | m, else f(p) a(m);
-* H_conv:  a(n) = a(rest) h(p^e), where rest is n with its full power p^e
-  removed and h(p^e) = 1 + f(p) h(p^(e-1)).
+* H_conv:  a(n) = (1 + f(p)) a(m), minus f(p) a(m / p) when p | m.
 
 The steps run as vector passes over chunks of about 2^16 entries, so the
 work is O(N) with no Python-level per-n loop.  Streams whose values are
@@ -353,24 +352,26 @@ def _stream(
     * G_conv: a(n) = a(m) when p | m, else (1 + f) * a(m), since
       g(p^e) = 1 + f for every e >= 1;
     * F_mu2: a(n) = 0 when p | m, else f * a(m);
-    * H_conv: h(p^e) is no fixed multiple of h(p^(e-1)), so H alone keeps
-      two in-call tables: rest(n), n with its full power p^e removed, and
-      w(n) = h(p^e) by Horner's step 1 + f * w(m) (w(m) read as 1 when
-      p does not divide m), which has no cancellation near f = 1.  Then
-      a(n) = a(rest(n)) * w(n).
+    * H_conv: a(n) = (1 + f) * a(m) - [p | m] * f * a(m / p).  With n =
+      p^e r, p not dividing r, this is h(p^e) = (1 + f) h(p^(e-1))
+      - f h(p^(e-2)), the recurrence with characteristic roots 1 and f,
+      times h(r); m / p = n / p^2 is finished too.
 
-    Only H reads ``rest``, so it is built in the call and dropped with it.
     f(p) comes from one dense table indexed by n, filled by one
     :func:`f_at_primes` call: int8 for exact streams (values in {-1, 0, 1}),
-    float64 otherwise.  H's w table takes the same dtype, since in int8
-    h(p^e) <= e + 1 <= 32 below 2^32.
+    float64 otherwise.
 
-    int64 streams are exact.  In float, G, H and F_mu2 round once per prime
-    power, as the product a(rest) * a(p^e) does; a zero F_mu2 entry may be
-    -0.0 (f < 0 times a zero), which no nonzero sum can see.  Float F rounds
-    once per prime factor, so it is within about Omega(n) ulp of the exact
-    product; against the per-prime-power product it moves by at most 1e-15
-    relative (about 4 ulp) up to 10^7.
+    int64 streams are exact.  In float, G and F_mu2 round once per prime
+    power, F once per prime factor (within about Omega(n) ulp of the exact
+    product); a zero F_mu2 entry may be -0.0 (f < 0 times a zero), which no
+    nonzero sum can see.  H's step is a sum of two nonnegative terms when
+    f <= 0, so nothing cancels: h(p^e) stays within 10 units of 2^-53
+    relative (measured to e = 64).  For 0 < f < 1 the step subtracts, and
+    near f = 1 the roots 1 and f meet, so an error made at exponent k
+    reaches exponent e multiplied by about e - k + 1: the error of h(p^e)
+    grows like e^2, measured at most e (e + 4) / 4 units of 2^-53 relative
+    (1.7e-14 for e <= 23, that is n <= 10^7).  Errors of the prime powers
+    of n add.
     """
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
@@ -381,9 +382,6 @@ def _stream(
     fp[primes] = f_at_primes(spec, primes)
     vals = np.zeros(limit + 1, dtype=dtype)
     vals[1] = 1
-    if kind is DerivedFunctionKind.H_CONV:
-        rest = np.ones(limit + 1, dtype=np.uint32)
-        w = np.ones(limit + 1, dtype=table)
     lo = 2
     while lo <= limit:
         hi = min(lo + min(lo, _CHUNK), limit + 1)
@@ -400,11 +398,7 @@ def _stream(
             elif kind is DerivedFunctionKind.F_MU2:
                 vals[lo:hi] = np.where(again, 0, f * a)
             else:  # H_CONV
-                r = np.where(again, rest[m], m)
-                rest[lo:hi] = r
-                wn = 1 + f * np.where(again, w[m], 1)
-                w[lo:hi] = wn
-                vals[lo:hi] = vals[r] * wn
+                vals[lo:hi] = (1 + f) * a - np.where(again, f * vals[m // p], 0)
         lo = hi
     return vals[1:]
 

@@ -275,6 +275,44 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
     assert rows[1][7] == "euler_product"
 
 
+@pytest.mark.parametrize(
+    "extra, which, flag, point, verify_status",
+    [
+        # zeta's truncation constant overflows float64: an error row
+        ("s_grid = 2:460\n", "zeta", "error", "2+460i", {"H_eq_zetaF": "inconclusive"}),
+        # 2^(sigma-1) overflows in the divisor tail: a finite rigorous bound
+        ("s_grid = 1100\n", "H", "0", "1100+0i", {"H_eq_zetaF": "pass"}),
+        ("s_grid = 1100\n", "G_sum", "0", "1100+0i", {"G_product_vs_sum": "pass"}),
+        # the Euler tail factor expm1(log_tail) overflows: a heuristic row
+        ("s_grid = 0.5000001\n", "U", "1", "0.5+0i", {"Fmu2_eq_FU": "inconclusive"}),
+        (
+            "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\n",
+            "G_product",
+            "1",
+            "0.5+0i",
+            {"G_product_vs_sum": "inconclusive", "recip_zeta_eq_Fmu2_over_G": "inconclusive"},
+        ),
+    ],
+    ids=["zeta", "H", "G_sum", "U", "G_product"],
+)
+def test_overflowing_bounds_give_rows_not_tracebacks(
+    extra, which, flag, point, verify_status, tmp_path, capsys
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + extra)
+    out = tmp_path / "out"
+    assert main(["series", "--config", str(cfg), "--out", str(out), "--which", which]) == 0
+    _, rows = read_csv(out / f"series_{which}.csv")
+    assert rows[0][7 if flag == "error" else 6] == flag
+    if flag == "0":
+        assert 0.0 < float(rows[0][5]) < 1e-10
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "verify_report.csv")
+    by_name = {r[0]: r[1] for r in rows}
+    for identity, status in verify_status.items():
+        assert by_name[f"{identity}:s={point}"] == status
+
+
 def test_series_G_product_collapses_for_default_spec(cfg_file, tmp_path):
     out = tmp_path / "out"
     main(["series", "--config", str(cfg_file), "--out", str(out), "--which", "G_product"])

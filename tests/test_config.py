@@ -15,6 +15,7 @@ from multlab.config import (
     parse_config,
     serialize_config,
 )
+from multlab.dirichlet import IdentityKind
 from multlab.multfunc import (
     BASE_POWER_DECAY,
     PrimeFunctionSpec,
@@ -115,6 +116,8 @@ def test_unknown_keys_rejected():
         parse_config("sieve_limt = 100\n")
     with pytest.raises(ConfigError, match="unknown spec field"):
         parse_config("spec.beta = 1\n")
+    with pytest.raises(ConfigError, match="unknown tolerance 'H_eq_zetaFF'"):
+        parse_config("tolerance.H_eq_zetaFF = 1e-6\n")
 
 
 def test_duplicate_keys_rejected():
@@ -229,6 +232,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _unit = st.floats(min_value=-1.0, max_value=1.0)
 _name = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=12)
+_tolerance_name = st.sampled_from([kind.value for kind in IdentityKind])
 
 
 @st.composite
@@ -256,7 +260,9 @@ def _configs(draw):
         checkpoint_ratio=draw(
             st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
         ),
-        tolerances=tuple(sorted(draw(st.dictionaries(_name, _positive, max_size=3)).items())),
+        tolerances=tuple(
+            sorted(draw(st.dictionaries(_tolerance_name, _positive, max_size=3)).items())
+        ),
         output_dir=draw(st.text(alphabet="abcxyz019_-./", min_size=1, max_size=16)),
         weighted_tail_sigma=draw(_positive),
         epsilon_slack=draw(

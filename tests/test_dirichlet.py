@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 import struct
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -40,7 +41,7 @@ from multlab.multfunc import (
     liouville_spec,
     power_decay_spec,
 )
-from multlab.sieve import primes_up_to
+from multlab.sieve import factorize, primes_up_to
 from multlab.verify import run_verify
 
 mp.mp.dps = 30
@@ -100,6 +101,15 @@ def test_zeta_errors():
     with pytest.raises(ConvergenceError) as exc:
         zeta(complex(2.0, 400.0), tol=1e-12)
     assert exc.value.achieved_bound > 0
+
+
+def test_zeta_with_an_overflowing_truncation_constant_raises_convergence_error():
+    # from about |t| = 434 the depth estimate 6 kappa / tol overflows, from
+    # about |t| = 451 kappa itself: both are past the depth cap
+    for t, achieved in ((440.0, math.isfinite), (451.5, math.isinf), (460.0, math.isinf)):
+        with pytest.raises(ConvergenceError) as exc:
+            zeta(complex(2.0, t), tol=1e-12)
+        assert exc.value.achieved_bound > 0 and achieved(exc.value.achieved_bound)
 
 
 def test_zeta_conjugate_symmetry():
@@ -167,6 +177,36 @@ def test_dirichlet_sum_complex_point_vs_mpmath(sieve_1e6):
     assert abs(ev.value - oracle) < 1e-13
     # and the full zeta value is inside value +- tail_bound
     assert abs(ev.value - mp_zeta(s)) <= ev.tail_bound
+
+
+def test_dirichlet_sum_tail_stays_finite_where_2_to_sigma_overflows(sieve_1e4):
+    # the divisor tail's 2^(sigma-1) overflows from sigma = 1025 (and its
+    # product with 1 + ln N a little before); the bound stays finite and
+    # rigorous, and the value is a(1) = 1 to the last bit
+    for sigma in (1019.5, 1024.5, 1100.0, 1e6):
+        for kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV):
+            ev = dirichlet_sum(kind, LIOUVILLE, sigma, 1000, sieve_1e4)
+            assert not ev.heuristic and ev.value == 1.0
+            assert 0.0 < ev.tail_bound < 1e-15
+
+
+def test_float_h_sum_is_within_4_eps_of_the_exact_truncated_sum(sieve_1e4):
+    # f(p) next to +1 and next to -1: the H stream's rounding plus the sum's
+    # stays inside 4 eps sum |a(n)| n^-2 against exact rational arithmetic
+    N = 10**4
+    for c in (0.999, -1.0 + 1e-6):
+        f = Fraction(c)
+        exact = Fraction(0)
+        weight = 0.0
+        for n in range(1, N + 1):
+            h = Fraction(1)
+            for p, e in factorize(n, sieve_1e4):
+                h *= sum(f**j for j in range(e + 1))
+            exact += h / (n * n)
+            weight += float(h) / (n * n)
+        ev = dirichlet_sum(DerivedFunctionKind.H_CONV, constant_spec(c), 2.0, N, sieve_1e4)
+        assert ev.value.imag == 0.0
+        assert abs(Fraction(ev.value.real) - exact) <= 4 * np.finfo(float).eps * weight
 
 
 def test_dirichlet_sum_validates_N(sieve_1e4):
@@ -245,6 +285,20 @@ def test_euler_product_U_below_half_is_heuristic(sieve_1e4):
     ev = euler_product_U(LIOUVILLE, 0.4, 10**4, sieve_1e4)
     assert ev.heuristic
     assert math.isinf(ev.tail_bound)
+
+
+def test_euler_products_whose_tail_factor_overflows_are_heuristic(sieve_1e4):
+    # just right of their lines of convergence the tail bound expm1(log_tail)
+    # overflows float64: U at sigma = 1/2, G for 1 + f(p) = p^(-1/2) / 2 at
+    # sigma = 1/2
+    for product, spec in (
+        (euler_product_U, LIOUVILLE),
+        (euler_product_G, power_decay_spec(0.5, 0.5)),
+    ):
+        ev = product(spec, 0.5000001, 10**3, sieve_1e4)
+        assert ev.heuristic and math.isinf(ev.tail_bound)
+        assert math.isfinite(ev.value.real) and ev.value.imag == 0.0
+        assert not product(spec, 0.6, 10**3, sieve_1e4).heuristic
 
 
 def test_euler_product_empty_prime_range(sieve_1e4):

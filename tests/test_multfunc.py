@@ -440,14 +440,15 @@ def test_h_near_one_rescue(sieve_1e4):
     stream = coefficient_stream(close, DerivedFunctionKind.H_CONV, 1024, sieve_1e4)
     assert stream[1023] == pytest.approx(11.0, abs=1e-9)
     # just outside the pointwise rescue window the closed form loses ~5
-    # digits; the stream must still match the exact sum at every 2^e
-    for fp in (1.0 - 1e-6, 1.0 - 1e-4):
+    # digits, and next to f = -1 the sum 1 + f + ... + f^e cancels; the
+    # stream must still match the exact sum at every 2^e
+    for fp in (1.0 - 1e-6, 1.0 - 1e-4, -1.0 + 1e-6):
         stream = coefficient_stream(
             constant_spec(fp), DerivedFunctionKind.H_CONV, 2**13, sieve_1e4
         )
         for e in range(1, 14):
             exact = sum(Fraction(fp) ** j for j in range(e + 1))
-            assert stream[2**e - 1] == pytest.approx(float(exact), rel=1e-14)
+            assert stream[2**e - 1] == pytest.approx(float(exact), rel=1e-14, abs=0)
 
 
 def test_g_depends_only_on_prime_support(sieve_1e4):
