@@ -12,9 +12,13 @@ bounds first-order:
 so a reported residual <= budget is a genuine end-to-end verification, not
 a tolerance pulled out of the air.
 
-The Euler products G and U sum log(1 + x_p) in real arithmetic, chunk by
-chunk over the primes, with log p read from the sieve's table; their
-rounding allowance is derived term by term in ``_log1p_product``.
+The Euler products G and U sum log(1 + x_p) in real arithmetic, in one
+pass per chunk of primes, with log p read from the sieve's table; their
+rounding allowance is derived term by term in ``_log1p_product``.  Products
+with several chunks run them on the sieve's thread pool (``_ordered_map``);
+each chunk hands back exact pieces of its log sum and its share of the
+allowance, joined in chunk order, so G and U do not depend on the number
+of threads.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -38,11 +42,11 @@ from .multfunc import (
     BASE_LIOUVILLE,
     DerivedFunctionKind,
     PrimeFunctionSpec,
+    _f_values,
     coefficient_stream,
-    f_at_primes,
 )
-from .sieve import FactorSieve, primes_up_to
-from .summation import fsum_array
+from .sieve import FactorSieve, _ordered_map, primes_up_to
+from .summation import _ExactSum, fsum_array
 
 _EPS = float(np.finfo(np.float64).eps)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
@@ -333,27 +337,36 @@ _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-3
 
 
 def _log1p_product(
-    g: np.ndarray,
+    spec: PrimeFunctionSpec,
+    primes: np.ndarray,
     log_p: np.ndarray,
     point: ComplexArgument,
     power: int,
-    ratio: bool,
 ) -> tuple[complex, float]:
     """(prod_p (1 + x_p), rounding allowance), summed as log(1 + x_p).
 
-    With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) when ``ratio`` (G:
-    power 1, g = 1 + f(p)) and x_p = g_p v_p otherwise (U: power 2,
-    g = -f(p)^2).  ``log_p`` holds log p.  Per chunk of _CHUNK primes,
-    r = exp(-power sigma log p) and phase = -power t log p give
-    v = r (cos phase + i sin phase) and x = a + i b; no complex array is
-    built.  log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary
-    part arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  Each part
-    gets one exactly rounded ``fsum_array``, and the value is exp of the
-    complex total, so at real s its imaginary part is exactly 0.0.
+    With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
+    g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2), where
+    f(p) are the float values of ``spec`` at ``primes`` and ``log_p`` holds
+    log p.  Each chunk of _CHUNK primes is one pass: it forms f(p),
+    r = exp(-power sigma log p) and phase = -power t log p, so
+    v = r (cos phase + i sin phase) and x = a + i b with no complex array.
+    log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary part
+    arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  The chunk
+    splits each part into exact pieces (``summation._ExactSum``) and sums
+    its terms of the allowance (step 4); only those leave it, so no
+    whole-length array is built.  The chunks go through ``_ordered_map``,
+    which runs them on a thread pool when there are several chunks and
+    CPUs, and are joined in chunk order.  Each part is its pieces' exact
+    sum rounded once, and the value is exp of the complex total, so at real
+    s its imaginary part is exactly 0.0.  Value and allowance are
+    bit-identical for every worker count.
 
     Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN), and
     DomainError when 2^(-power sigma) rounds to 1 (tiny sigma: the factor
-    at p = 2 is a float64 pole) or when the product overflows float64.
+    at p = 2 is a float64 pole) or when the product overflows float64.  An
+    error raised in a chunk comes from the first chunk that raises, as in
+    a serial loop.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -384,10 +397,12 @@ def _log1p_product(
            |computed log - log(1 + x_p)| <= (|a| + |b|) A^3 (c0 + c1 log p),
            c0 = 17 kappa + 32u,  c1 = 4 (sigma + |t|) eta,
 
-       which each chunk sums with one dot product.  A term whose r or x
-       leaves the normal range errs by less than 2^-990 in absolute value;
-       n such amounts are added.
-    5. fsum rounds each exact part sum once: add u (|Re L| + |Im L|).
+       which each chunk sums with one dot product; the chunk sums are
+       added in chunk order.  A term whose r or x leaves the normal range
+       errs by less than 2^-990 in absolute value; n such amounts are
+       added.
+    5. ``math.fsum`` of the pieces rounds each part's exact sum once: add
+       u (|Re L| + |Im L|).
        The final exp of L (numpy's complex exp) has relative error
        e = 4 kappa + 2u, so with E the total log error,
        |prod - value| <= |value| (expm1(E) + e) / (1 - e).
@@ -398,15 +413,14 @@ def _log1p_product(
        is infinite.
     """
     sigma, t = point.sigma, point.t
-    n = g.size
+    n = primes.size
     c1 = 4.0 * (_KAPPA + _UNIT) * (sigma + abs(t))
     amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
-    re = np.empty(n)
-    im = np.empty(n) if t != 0.0 else None
-    log_err = n * _UNDERFLOW
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        lp, gc, re_c = log_p[lo:hi], g[lo:hi], re[lo:hi]
+
+    def chunk(lo: int) -> tuple[list[float], list[float], float]:
+        # runs on a pool thread: private helpers only (see _ordered_map)
+        lp = log_p[lo : lo + _CHUNK]
+        fp = _f_values(spec, primes[lo : lo + _CHUNK])
         r = np.exp((-power * sigma) * lp)
         if not r[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
             raise DomainError(
@@ -414,31 +428,41 @@ def _log1p_product(
                 f"got sigma={sigma}"
             )
         amp = 1.0 / (1.0 - r)
-        if im is None:
-            a = gc * r
-            if ratio:
+        g = 1.0 + fp if power == 1 else -(fp * fp)
+        log_re, log_im = _ExactSum(), _ExactSum()
+        if t == 0.0:
+            a = g * r
+            if power == 1:
                 a *= amp
-            np.log1p(a, out=re_c)
+            re = np.log1p(a)
             mag = np.abs(a)
         else:
             phase = (-power * t) * lp
             cos, sin = np.cos(phase), np.sin(phase)
-            if ratio:
+            if power == 1:
                 dr = cos - r
-                w = gc * r / (dr * dr + sin * sin)
+                w = g * r / (dr * dr + sin * sin)
                 a, b = w * dr, w * sin
             else:
-                w = gc * r
+                w = g * r
                 a, b = w * cos, w * sin
-            np.log1p(a * (2.0 + a) + b * b, out=re_c)
-            re_c *= 0.5
-            np.arctan2(b, 1.0 + a, out=im[lo:hi])
+            re = np.log1p(a * (2.0 + a) + b * b)
+            re *= 0.5
+            log_im.add(np.arctan2(b, 1.0 + a))
             mag = np.abs(a) + np.abs(b)
-        if not re_c.min() >= _LOG_DEGENERATE:
+        if not re.min() >= _LOG_DEGENERATE:
             raise ArithmeticError("degenerate Euler factor encountered")
-        log_err += float(np.dot(mag * (amp * amp * amp), _TERM_CONST + c1 * lp))
-    log_re = fsum_array(re)
-    log_im = 0.0 if im is None else fsum_array(im)
+        log_re.add(re)
+        err = float(np.dot(mag * (amp * amp * amp), _TERM_CONST + c1 * lp))
+        return log_re.pieces, log_im.pieces, err
+
+    log_re, log_im = _ExactSum(), _ExactSum()
+    log_err = n * _UNDERFLOW
+    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _CHUNK)):
+        log_re.pieces += re_pieces
+        log_im.pieces += im_pieces
+        log_err += err
+    log_re, log_im = log_re.value(), log_im.value()
     if log_re > _LOG_FLOAT_MAX:
         raise DomainError(
             f"Euler product overflows float64 at sigma={sigma} "
@@ -485,9 +509,8 @@ def euler_product_G(
     primes = _euler_primes(point, P, sieve)
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
-        fp = f_at_primes(spec, primes)
         log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(1.0 + fp, log_p, point, 1, True)
+        value, rounding = _log1p_product(spec, primes, log_p, point, 1)
 
     # tail over p > P: factor - 1 = (1 + f(p)) / (p^s - 1)
     coef, extra = _base_one_plus_f_tail(spec)
@@ -525,9 +548,8 @@ def euler_product_U(
     primes = _euler_primes(point, P, sieve)
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
-        fp = f_at_primes(spec, primes)
         log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(-(fp * fp), log_p, point, 2, False)
+        value, rounding = _log1p_product(spec, primes, log_p, point, 2)
     log_tail = math.inf
     if point.sigma > 0.5:
         zmax = (max(P, 1) + 1.0) ** (-2.0 * point.sigma)

@@ -11,10 +11,10 @@ asymptotic claim, and the reports say only what the trace shows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .multfunc import (
     DerivedFunctionKind,
@@ -119,6 +119,25 @@ def running_max_envelope(series: PartialSumSeries) -> np.ndarray:
     return np.maximum.accumulate(np.abs(series.sums))
 
 
+def _least_squares(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float]:
+    """(slope, its standard error) of the least-squares line through (lx, ly).
+
+    The formulas and the order of operations of ``scipy.stats.linregress``,
+    so both agree bit for bit: from the biased covariances,
+    slope = ssxy / ssx and stderr = sqrt((1 - r^2) ssy / ssx / (n - 2)),
+    with r clamped to [-1, 1]; r is nan when ssx ssy = 0 and ssxy = 0 (so
+    is the stderr), and 0 when only ssx ssy = 0.  Needs n >= 3 points and
+    ssx > 0.
+    """
+    ssx, ssxy, _, ssy = np.cov(lx, ly, bias=1).flat
+    if ssx == 0.0 or ssy == 0.0:
+        r = math.nan if ssxy == 0 else 0.0
+    else:
+        r = min(max(ssxy / np.sqrt(ssx * ssy), -1.0), 1.0)
+    stderr = np.sqrt((1 - r**2) * ssy / ssx / (lx.size - 2))
+    return float(ssxy / ssx), float(stderr)
+
+
 def fit_exponent(
     series: PartialSumSeries,
     window: tuple[int, int] | None = None,
@@ -148,10 +167,10 @@ def fit_exponent(
             f"only {used} usable checkpoints in window [{lo}, {hi}]; "
             "need >= 8 -- widen the window or extend x_max"
         )
-    result = stats.linregress(np.log(x[mask]), np.log(envelope[mask]))
+    slope, stderr = _least_squares(np.log(x[mask]), np.log(envelope[mask]))
     return ExponentFit(
-        alpha_hat=float(result.slope),
-        stderr=float(result.stderr),
+        alpha_hat=slope,
+        stderr=stderr,
         window=(int(lo), int(hi)),
         points_used=used,
         epsilon_slack=float(epsilon_slack),

@@ -225,6 +225,15 @@ def f_at_primes(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     Exceptions are located by one ``np.searchsorted`` over the sorted
     exception keys, so the primes may come in any order.
     """
+    return _f_values(spec, primes)
+
+
+def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
+    """``f_at_primes`` for internal use, one chunk at a time and on any thread.
+
+    Elementwise, so a chunk's values are bit-identical to the same entries
+    of a whole-array call.
+    """
     p = np.asarray(primes, dtype=np.float64)
     if spec.base == BASE_LIOUVILLE:
         out = np.full(p.shape, -1.0)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multfunc import PrimeFunctionSpec, f_at_primes
+from .multfunc import PrimeFunctionSpec, _f_values, f_at_primes
 from .sieve import FactorSieve, primes_up_to
-from .summation import checkpoint_schedule, fsum_array, prefix_sums_at
+from .summation import _BLOCK, _ExactSum, checkpoint_schedule, prefix_sums_at
 
 WEIGHT_LOG_P = "log_p"
 WEIGHT_INV_P_SIGMA = "inv_p_sigma"
@@ -110,16 +110,17 @@ def pretentious_distance_sq(
     nondecreasing in x.  Zero exactly when f(p) g(p) = 1 at every prime
     p <= x -- for specs confined to {-1, +1} that is the same as agreeing
     prime by prime, but a spec with |f(p)| < 1 keeps positive distance
-    even from itself.
+    even from itself.  Summed exactly in one pass per chunk of primes.
     """
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
     primes = primes_up_to(x, sieve)
-    if primes.size == 0:
-        return 0.0
-    pf = primes.astype(np.float64)
-    terms = (1.0 - f_at_primes(spec_f, primes) * f_at_primes(spec_g, primes)) / pf
-    return fsum_array(terms)
+    total = _ExactSum()
+    for lo in range(0, primes.size, _BLOCK):
+        chunk = primes[lo : lo + _BLOCK]
+        fg = _f_values(spec_f, chunk) * _f_values(spec_g, chunk)
+        total.add((1.0 - fg) / chunk.astype(np.float64))
+    return total.value()
 
 
 def _step_verdict(values, floor: float) -> str:

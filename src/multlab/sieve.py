@@ -95,6 +95,34 @@ def _sieve_segment(
     return unmarked
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, so ``taskset`` or a cpuset limits pools."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
+
+
+def _ordered_map(fn, items, threads: int = 0) -> list:
+    """``[fn(x) for x in items]``, on a thread pool when that can help.
+
+    ``threads``: 0 = auto (``_cpus()``), 1 = inline, k > 1 = at most k
+    workers.  A single item, or a single thread, runs inline and starts no
+    pool.  Results come back in item order, and an exception raised by
+    ``fn`` propagates from the first item that raised, as it would inline,
+    so the outcome does not depend on the thread count.  ``fn`` must not
+    call multlab's public functions: they may be wrapped by callers that
+    expect to run on one thread.
+    """
+    items = list(items)
+    if threads == 0:
+        threads = _cpus()
+    threads = min(threads, len(items))
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     """Build the smallest-prime-factor table for 1..limit and record its primes.
 
@@ -105,11 +133,10 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
         (4 bytes per integer: 4 GB at 10^9) and by the uint32 cell type
         (limit < 2^32); the segmented loop itself scales past 10^9.
     threads : int
-        0 = auto (the CPUs this process may run on, so ``taskset`` or a
-        cpuset limits the pool), 1 = sequential, k > 1 = worker threads.
-        Output is byte-identical for every setting: workers own disjoint
-        segments of the output array, and the primes are joined in
-        segment order.
+        0 = auto, 1 = sequential, k > 1 = worker threads (see
+        ``_ordered_map``).  Output is byte-identical for every setting:
+        workers own disjoint segments of the output array, and the primes
+        are joined in segment order.
 
     Returns
     -------
@@ -138,18 +165,7 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     def segment(lo: int) -> np.ndarray:
         return _sieve_segment(spf, small_primes_desc, lo, min(lo + _SEGMENT, limit + 1))
 
-    starts = range(0, limit + 1, _SEGMENT)
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:  # pragma: no cover - platforms without CPU affinity
-            cpus = os.cpu_count() or 1
-        threads = min(len(starts), cpus)
-    if threads <= 1 or len(starts) <= 1:
-        parts = [segment(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(segment, starts))  # map keeps segment order
+    parts = _ordered_map(segment, range(0, limit + 1, _SEGMENT), threads)
     parts[0] = parts[0][2:]  # 0 and 1 are unmarked but not prime
 
     spf[0] = 0

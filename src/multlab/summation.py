@@ -3,15 +3,17 @@
 Partial sums at desk scale run over up to ~10^8 terms; naive left-to-right
 float accumulation can drift by far more than the tolerances used in the
 verification suite.  Every float sum here is exactly rounded and equal bit
-for bit to ``math.fsum``: finite float64 input is split into error-free
-pieces by the vectorised extraction of Rump, Ogita & Oishi ("Accurate
-floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
-31(1), 2008), and ``math.fsum`` rounds the few exact pieces once; other
-input goes to ``math.fsum`` unchanged.  Because each sum is the exact sum
-rounded once, its value does not depend on traversal order, and
-checkpointed prefix sums carry at most a couple of ulps of error regardless
-of length -- deterministic no matter how the caller parallelises upstream
-work.
+for bit to ``math.fsum``.  One private accumulator, ``_ExactSum``, splits
+each chunk of finite float64 terms into a few error-free pieces by the
+vectorised extraction of Rump, Ogita & Oishi ("Accurate floating-point
+summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008),
+keeps them, and lets ``math.fsum`` round all pieces once at the end; other
+input reaches ``math.fsum`` unchanged.  Because each sum is the exact sum
+rounded once, its value depends neither on traversal order nor on the
+chunking: callers may split chunks on a thread pool and join the pieces in
+chunk order (as the Euler products do) and get the same bits for any
+number of threads.  Checkpointed prefix sums carry at most a couple of
+ulps of error regardless of length.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ DEFAULT_CHECKPOINT_X0 = 10
 #: elements per extraction slice: its two float64 buffers (512 KiB) stay in cache
 _BLOCK = 1 << 15
 
-#: n terms with max |x| >= 2^(_EXP_LIMIT - bit_length(n + 2)) go to ``math.fsum``;
-#: below that neither the extraction constant nor any partial sum can overflow
+#: a chunk of m terms with max |x| >= 2^(_EXP_LIMIT - bit_length(m + 2)) is kept
+#: raw; below that neither the extraction constant nor any partial sum can
+#: overflow, nor can the pieces of fewer than 2^20 chunks
 _EXP_LIMIT = 1000
 
 #: an extraction constant below 2^_MIN_SIGMA_EXP would leave the normal
@@ -81,51 +84,73 @@ def checkpoint_schedule(
     return np.asarray(points, dtype=np.int64)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum of ``values``, equal bit for bit to ``math.fsum``.
+class _ExactSum:
+    """Exact running sum of 1-D float64 chunks, rounded once by ``value``.
 
-    Finite 1-D float64 input is reduced slice by slice with ExtractVector
-    (Rump, Ogita & Oishi 2008).  For a slice r of m terms pick
-    sigma = 2^(M+e) with 2^M >= m + 2 and 2^e > max|r|; then
+    ``add`` splits a chunk into a few error-free pieces by ExtractVector
+    (Rump, Ogita & Oishi 2008) and keeps them.  For a chunk r of m terms
+    pick sigma = 2^(M+e) with 2^M >= m + 2 and 2^e > max|r|; then
     ``q = (r + sigma) - sigma`` and ``r - q`` are exact, every q is a
     multiple of 2^-53 sigma and the q's add up to less than sigma, so
     ``np.sum(q)`` is exact in any order.  Each pass shrinks max|r| by at
     least 2^(52-M), so the passes end once r is zero, or once sigma would
     leave the normal range, where the residual (all multiples of 2^-1074,
-    total below 2^-1021) also sums exactly.  ``math.fsum`` then rounds the
-    exact pass totals once, which rounds the exact sum of ``values``.
+    total below 2^-1021) also sums exactly.  The pieces add up exactly to
+    the sum of every term added, so ``value`` -- ``math.fsum`` of the
+    pieces -- is that sum rounded once, whatever the chunking.  Pieces are
+    plain floats: a chunk split on another thread may hand its ``pieces``
+    list over, to be joined in chunk order, with the same value.
 
-    Anything else -- another dtype or shape, inf or NaN, or magnitudes near
-    overflow -- goes to ``math.fsum(values.tolist())``, so its value or
-    exception is the one ``math.fsum`` gives.
+    A chunk with inf or NaN, or with magnitudes near overflow (where sigma
+    or a partial sum could overflow), is kept as its raw values, so
+    ``math.fsum`` meets them in order and gives its special value or
+    exception.
     """
-    if values.dtype != np.float64 or values.ndim != 1:
-        return math.fsum(values.tolist())
-    n = values.shape[0]
-    limit = math.ldexp(1.0, _EXP_LIMIT - (n + 2).bit_length())
-    r_buf = np.empty(min(n, _BLOCK))
-    q_buf = np.empty_like(r_buf)
-    parts = []
-    for start in range(0, n, _BLOCK):
-        r = r_buf[: min(_BLOCK, n - start)]
-        q = q_buf[: r.size]
-        np.copyto(r, values[start : start + _BLOCK])
-        width = (r.size + 1).bit_length()  # smallest M with 2^M >= m + 2
-        amax = float(np.abs(r, out=q).max())
-        if not amax < limit:  # also true for inf and NaN
-            return math.fsum(values.tolist())
+
+    def __init__(self) -> None:
+        self.pieces: list[float] = []
+        self._buf = np.empty((2, 0))  # r and q, reused while chunks fit
+
+    def add(self, chunk: np.ndarray) -> None:
+        m = chunk.shape[0]
+        if m > self._buf.shape[1]:
+            self._buf = np.empty((2, m))
+        r, q = self._buf[0, :m], self._buf[1, :m]
+        width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
+        amax = float(np.abs(chunk, out=q).max()) if m else 0.0
+        if not amax < math.ldexp(1.0, _EXP_LIMIT - width):  # also inf and NaN
+            self.pieces.extend(chunk.tolist())
+            return
+        np.copyto(r, chunk)
         while amax != 0.0:
             exp = width + math.frexp(amax)[1]
             if exp < _MIN_SIGMA_EXP:
-                parts.append(float(r.sum()))
+                self.pieces.append(float(r.sum()))
                 break
             sigma = math.ldexp(1.0, exp)
             np.add(r, sigma, out=q)
             np.subtract(q, sigma, out=q)
             np.subtract(r, q, out=r)
-            parts.append(float(q.sum()))
+            self.pieces.append(float(q.sum()))
             amax = float(np.abs(r, out=q).max())
-    return math.fsum(parts)
+
+    def value(self) -> float:
+        return math.fsum(self.pieces)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """Exactly rounded sum of ``values``, equal bit for bit to ``math.fsum``.
+
+    1-D float64 input goes to an ``_ExactSum`` in slices of _BLOCK terms;
+    anything else (another dtype or shape) goes to
+    ``math.fsum(values.tolist())``.
+    """
+    if values.dtype != np.float64 or values.ndim != 1:
+        return math.fsum(values.tolist())
+    total = _ExactSum()
+    for start in range(0, values.shape[0], _BLOCK):
+        total.add(values[start : start + _BLOCK])
+    return total.value()
 
 
 def fsum_array(values: np.ndarray) -> float:

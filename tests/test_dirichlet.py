@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 import struct
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,6 +33,11 @@ from multlab.dirichlet import (
     identity_residual,
     zeta,
 )
+import multlab.dirichlet
+import multlab.multfunc
+import multlab.primesums
+import multlab.sieve
+import multlab.summation
 from multlab.config import ExperimentConfig
 from multlab.multfunc import (
     LIOUVILLE,
@@ -41,6 +47,7 @@ from multlab.multfunc import (
     liouville_spec,
     power_decay_spec,
 )
+from multlab.primesums import prime_sum_S, pretentious_distance_sq, weighted_tail_diagnostic
 from multlab.sieve import factorize, primes_up_to
 from multlab.verify import run_verify
 
@@ -336,12 +343,9 @@ def _mp_euler(which, spec, s, primes):
 def _rounding_only(which, spec, s, P, sieve):
     """(value, rounding allowance) of G or U without the truncation tail."""
     primes = primes_up_to(P, sieve)
-    fp = f_at_primes(spec, primes)
     log_p = sieve.log_primes[: primes.size]
-    point = ComplexArgument.of(s)
-    if which == "G":
-        return _log1p_product(1.0 + fp, log_p, point, 1, True)
-    return _log1p_product(-(fp * fp), log_p, point, 2, False)
+    power = 1 if which == "G" else 2
+    return _log1p_product(spec, primes, log_p, ComplexArgument.of(s), power)
 
 
 _ALLOWANCE_CASES = [
@@ -383,6 +387,59 @@ def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
     assert abs(mp.mpc(value) - oracle) <= allowance
     if complex(s).imag == 0.0:
         assert value.imag == 0.0
+
+
+def _bits(ev):
+    return struct.pack("<ddd", ev.value.real, ev.value.imag, ev.tail_bound)
+
+
+#: 78,498 primes up to 10^6: three chunks of 2^15
+_POOLED_SPEC = power_decay_spec(0.5, 0.5, {2: 0.3, 7: -0.5})
+
+
+@pytest.mark.parametrize("product", [euler_product_G, euler_product_U])
+@pytest.mark.parametrize("s", [1.5, complex(1.2, 7.0)])
+def test_euler_products_do_not_depend_on_the_worker_count(product, s, sieve_1e6, monkeypatch):
+    auto = _bits(product(_POOLED_SPEC, s, 10**6, sieve_1e6))
+    for workers in (1, 3):
+        monkeypatch.setattr(multlab.sieve, "_cpus", lambda: workers)
+        assert _bits(product(_POOLED_SPEC, s, 10**6, sieve_1e6)) == auto
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_degenerate_factor_in_a_late_chunk_raises(workers, sieve_1e6, monkeypatch):
+    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: workers)
+    primes = primes_up_to(10**6, sieve_1e6)
+    log_p = sieve_1e6.log_primes[: primes.size].copy()
+    log_p[70000] = math.nan  # third chunk: its factor is NaN
+    for power in (1, 2):
+        with pytest.raises(ArithmeticError, match="degenerate"):
+            _log1p_product(_POOLED_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power)
+
+
+def test_pool_workers_call_no_public_function(sieve_1e6, monkeypatch):
+    # a wrapper around a public name (as a tracer installs) may assume one
+    # thread, so pool workers must keep to private helpers
+    main = threading.main_thread()
+
+    def on_main_thread(fn):
+        def wrapped(*args, **kwargs):
+            assert threading.current_thread() is main, f"{fn.__name__} called on a pool thread"
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (multlab.dirichlet, multlab.multfunc, multlab.primesums, multlab.summation):
+        for name in ("f_at_primes", "fsum_array"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, on_main_thread(getattr(module, name)))
+    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: 3)
+    for s in (1.5, complex(1.2, 7.0)):
+        euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
+        euler_product_U(_POOLED_SPEC, s, 10**6, sieve_1e6)
+    pretentious_distance_sq(_POOLED_SPEC, LIOUVILLE, 10**6, sieve_1e6)
+    prime_sum_S(_POOLED_SPEC, 10**6, sieve_1e6)
+    weighted_tail_diagnostic(_POOLED_SPEC, 1.0, 10**6, sieve_1e6)
 
 
 @pytest.mark.parametrize("s", [0.3, 2.0, complex(1.5, 20.0)])

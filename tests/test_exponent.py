@@ -1,9 +1,17 @@
 """Partial-sum checkpointing, envelope exponent fits, normalized-decay check."""
 
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from multlab.exponent import (
     ExponentFit,
@@ -270,3 +278,51 @@ def test_kronecker_validation():
         kronecker_check(np.ones(10), 0.0, 10)
     with pytest.raises(ValueError):
         kronecker_check(np.ones(10), 0.5, 100)  # array shorter than x_max
+
+
+# ------------------------------------------------ least squares without scipy
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 10**12), min_size=8, max_size=80, unique=True),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_fit_exponent_is_linregress_bit_for_bit(xs, slope, noise, seed, flat):
+    x = np.sort(np.array(xs, dtype=np.int64))
+    lx = np.log(x.astype(np.float64))
+    if flat:  # a constant envelope: r and the stderr are nan
+        envelope = np.full(x.size, 3.0)
+    else:
+        jitter = np.random.default_rng(seed).normal(scale=noise, size=x.size)
+        envelope = np.maximum.accumulate(np.exp(slope * lx + jitter))
+    fit = fit_exponent(synthetic_series(x, envelope), window=(1, int(x[-1])))
+    oracle = stats.linregress(lx, np.log(envelope))
+    assert struct.pack("<dd", fit.alpha_hat, fit.stderr) == struct.pack(
+        "<dd", oracle.slope, oracle.stderr
+    )
+
+
+def test_cli_and_verify_run_without_scipy():
+    code = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import multlab.cli
+from multlab.config import ExperimentConfig
+from multlab.exponent import checkpoint_partial_sums, fit_exponent
+from multlab.multfunc import LIOUVILLE, DerivedFunctionKind
+from multlab.sieve import build_sieve
+from multlab.verify import run_verify
+series = checkpoint_partial_sums(LIOUVILLE, DerivedFunctionKind.F_PLAIN, 10**5, build_sieve(10**5))
+print(fit_exponent(series).alpha_hat)
+print(len(run_verify(ExperimentConfig()).lines))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    alpha, lines = proc.stdout.split()
+    assert 0.0 < float(alpha) < 1.0 and int(lines) > 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multlab.summation import fsum_array, prefix_sums_at
+from multlab.summation import _ExactSum, fsum_array, prefix_sums_at
 
 #: slice length of the extraction (multlab.summation._BLOCK)
 BLOCK = 1 << 15
@@ -91,6 +91,31 @@ def test_strided_views(re, im):
 @given(st.lists(st.one_of(terms, st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308]))))
 def test_non_finite_and_overflowing_input_behaves_as_fsum(xs):
     assert_same_as_fsum(np.array(xs, dtype=np.float64))
+
+
+def chunked_sum(values, cuts):
+    """``_ExactSum`` fed ``values`` in the chunks that ``cuts`` mark off."""
+    bounds = sorted(min(c, values.size) for c in cuts)
+    total = _ExactSum()
+    for lo, hi in zip([0] + bounds, bounds + [values.size]):
+        total.add(values[lo:hi])
+    return total.value()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            terms,
+            st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 2.0 ** 1023]),
+        ),
+        max_size=60,
+    ),
+    st.lists(st.integers(0, 60), max_size=8),
+)
+def test_exact_sum_of_any_chunking_is_math_fsum(xs, cuts):
+    values = np.array(xs, dtype=np.float64)
+    assert outcome(chunked_sum, values, cuts) == outcome(math.fsum, xs)
 
 
 @pytest.mark.parametrize(
