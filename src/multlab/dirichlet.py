@@ -397,7 +397,7 @@ def _log1p_product(
            |computed log - log(1 + x_p)| <= (|a| + |b|) A^3 (c0 + c1 log p),
            c0 = 17 kappa + 32u,  c1 = 4 (sigma + |t|) eta,
 
-       which each chunk sums with one dot product; the chunk sums are
+       which each chunk sums with numpy's ``sum``; the chunk sums are
        added in chunk order.  A term whose r or x leaves the normal range
        errs by less than 2^-990 in absolute value; n such amounts are
        added.
@@ -410,7 +410,10 @@ def _log1p_product(
        stay below 2^-6 of it while every per-term bound is below 2^-12 of
        |x_p|; that holds unless A(2)^3 (c0 + c1 log P) > 2^-12 (sigma near
        0, or (sigma + |t|) log P above about 6 10^10), where the allowance
-       is infinite.
+       is infinite.  The bound's own rounding includes the chunk sums of
+       step 4: numpy's ``sum`` of at most _CHUNK nonnegative terms (never
+       BLAS, whose threads could change the bits) errs by less than
+       2^15 u = 2^-38 relative, and _SLACK covers that too.
     """
     sigma, t = point.sigma, point.t
     n = primes.size
@@ -453,8 +456,9 @@ def _log1p_product(
         if not re.min() >= _LOG_DEGENERATE:
             raise ArithmeticError("degenerate Euler factor encountered")
         log_re.add(re)
-        err = float(np.dot(mag * (amp * amp * amp), _TERM_CONST + c1 * lp))
-        return log_re.pieces, log_im.pieces, err
+        bound = mag * (amp * amp * amp)
+        bound *= _TERM_CONST + c1 * lp
+        return log_re.pieces, log_im.pieces, float(bound.sum())
 
     log_re, log_im = _ExactSum(), _ExactSum()
     log_err = n * _UNDERFLOW

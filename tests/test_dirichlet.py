@@ -8,9 +8,13 @@ accounting, so these assertions are exact, not order-of-magnitude.
 
 import cmath
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from fractions import Fraction
 
 import mpmath as mp
@@ -404,6 +408,30 @@ def test_euler_products_do_not_depend_on_the_worker_count(product, s, sieve_1e6,
     for workers in (1, 3):
         monkeypatch.setattr(multlab.sieve, "_cpus", lambda: workers)
         assert _bits(product(_POOLED_SPEC, s, 10**6, sieve_1e6)) == auto
+
+
+def test_euler_allowance_does_not_depend_on_blas_threads():
+    # numpy's dot would run through the BLAS library, whose own threads
+    # split a reduction in a count-dependent way
+    code = """
+from multlab.dirichlet import euler_product_G, euler_product_U
+from multlab.multfunc import constant_spec, power_decay_spec
+from multlab.sieve import build_sieve
+sieve = build_sieve(10**6)
+for spec in (power_decay_spec(0.5, 0.5, {2: 0.3}), constant_spec(-0.4, {3: 1.0})):
+    for s in (1.5, 2.7, complex(1.2, 7.0), complex(2.1, 13.0)):
+        for product in (euler_product_G, euler_product_U):
+            print(product(spec, s, 10**6, sieve).tail_bound.hex())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
