@@ -14,11 +14,11 @@ a tolerance pulled out of the air.
 
 The Euler products G and U sum log(1 + x_p) in real arithmetic, in one
 pass per chunk of primes, with log p read from the sieve's table; their
-rounding allowance is derived term by term in ``_log1p_product``.  Products
-with several chunks run them on the sieve's thread pool (``_ordered_map``);
-each chunk hands back exact pieces of its log sum and its share of the
-allowance, joined in chunk order, so G and U do not depend on the number
-of threads.
+rounding allowance is derived term by term in ``_log1p_product``.  At
+complex s, products with several chunks run them on the sieve's thread
+pool (``_ordered_map``); each chunk hands back exact pieces of its log sums
+and its share of the allowance, joined in chunk order, so G and U do not
+depend on the number of threads.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -357,7 +357,8 @@ def _log1p_product(
     its terms of the allowance (step 4); only those leave it, so no
     whole-length array is built.  The chunks go through ``_ordered_map``,
     which runs them on a thread pool when there are several chunks and
-    CPUs, and are joined in chunk order.  Each part is its pieces' exact
+    CPUs and s is complex (real-s chunks run inline), and are joined in
+    chunk order.  Each part is its pieces' exact
     sum rounded once, and the value is exp of the complex total, so at real
     s its imaginary part is exactly 0.0.  Value and allowance are
     bit-identical for every worker count.
@@ -462,7 +463,10 @@ def _log1p_product(
 
     log_re, log_im = _ExactSum(), _ExactSum()
     log_err = n * _UNDERFLOW
-    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _CHUNK)):
+    # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
+    # spend what they gain in handing the GIL back and forth
+    threads = 0 if t != 0.0 else 1
+    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _CHUNK), threads):
         log_re.pieces += re_pieces
         log_im.pieces += im_pieces
         log_err += err
