@@ -234,12 +234,12 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     Elementwise, so a chunk's values are bit-identical to the same entries
     of a whole-array call.
     """
-    p = np.asarray(primes, dtype=np.float64)
     if spec.base == BASE_LIOUVILLE:
-        out = np.full(p.shape, -1.0)
+        out = np.full(np.shape(primes), -1.0)
     elif spec.base == BASE_CONSTANT:
-        out = np.full(p.shape, float(spec.c))
+        out = np.full(np.shape(primes), float(spec.c))
     else:
+        p = np.asarray(primes, dtype=np.float64)
         out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
     if spec.exceptions:
         keys = np.array([q for q, _ in spec.exceptions], dtype=np.int64)
