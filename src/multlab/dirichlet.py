@@ -358,10 +358,10 @@ def _log1p_product(
     whole-length array is built.  The chunks go through ``_ordered_map``,
     which runs them on a thread pool when there are several chunks and
     CPUs and s is complex (real-s chunks run inline), and are joined in
-    chunk order.  Each part is its pieces' exact
-    sum rounded once, and the value is exp of the complex total, so at real
-    s its imaginary part is exactly 0.0.  Value and allowance are
-    bit-identical for every worker count.
+    chunk order.  Each part is its pieces' exact sum rounded once, and the
+    value is exp of the complex total, so at real s its imaginary part is
+    exactly 0.0.  Value and allowance are bit-identical for every worker
+    count.
 
     Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN), and
     DomainError when 2^(-power sigma) rounds to 1 (tiny sigma: the factor
@@ -461,16 +461,16 @@ def _log1p_product(
         bound *= _TERM_CONST + c1 * lp
         return log_re.pieces, log_im.pieces, float(bound.sum())
 
-    log_re, log_im = _ExactSum(), _ExactSum()
+    total_re, total_im = _ExactSum(), _ExactSum()
     log_err = n * _UNDERFLOW
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
     # spend what they gain in handing the GIL back and forth
     threads = 0 if t != 0.0 else 1
     for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _CHUNK), threads):
-        log_re.pieces += re_pieces
-        log_im.pieces += im_pieces
+        total_re.pieces += re_pieces
+        total_im.pieces += im_pieces
         log_err += err
-    log_re, log_im = log_re.value(), log_im.value()
+    log_re, log_im = total_re.value(), total_im.value()
     if log_re > _LOG_FLOAT_MAX:
         raise DomainError(
             f"Euler product overflows float64 at sigma={sigma} "
