@@ -23,6 +23,7 @@ from .multfunc import (
     BASE_LIOUVILLE,
     PrimeFunctionSpec,
 )
+from .sieve import _LIMIT_BOUND
 from .summation import (
     DEFAULT_CHECKPOINT_RATIO,
     DEFAULT_CHECKPOINT_X0,
@@ -65,8 +66,8 @@ class ExperimentConfig:
     f_one_h_grid: tuple[float, ...] = (0.1, 0.05, 0.02, 0.01)
 
     def __post_init__(self) -> None:
-        if self.sieve_limit < 2:
-            raise ConfigError(f"sieve_limit must be >= 2, got {self.sieve_limit}")
+        if not 2 <= self.sieve_limit < _LIMIT_BOUND:
+            raise ConfigError(f"sieve_limit={self.sieve_limit} outside [2, {_LIMIT_BOUND})")
         if not 1 <= self.truncation_N <= self.sieve_limit:
             raise ConfigError(
                 f"truncation_N={self.truncation_N} outside [1, sieve_limit={self.sieve_limit}]"

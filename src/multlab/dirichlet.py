@@ -46,7 +46,7 @@ from .multfunc import (
     coefficient_stream,
 )
 from .sieve import FactorSieve, _ordered_map, primes_up_to
-from .summation import _ExactSum, fsum_array
+from .summation import _BLOCK, _ExactSum, fsum_array
 
 _EPS = float(np.finfo(np.float64).eps)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
@@ -317,10 +317,6 @@ def _euler_primes(point: ComplexArgument, P: int, sieve: FactorSieve) -> np.ndar
     return primes_up_to(P, sieve)
 
 
-#: primes per chunk of an Euler product: each chunk's float64 temporaries
-#: (256 KiB apiece) stay in cache
-_CHUNK = 1 << 15
-
 #: accuracy assumed of numpy's exp, log, log1p, cos, sin and arctan2 on
 #: float64 arrays, and of its complex exp on one value: at most this many
 #: ulps of the exact result (``test_libm_ulp_assumption`` checks it)
@@ -348,7 +344,7 @@ def _log1p_product(
     With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
     g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2), where
     f(p) are the float values of ``spec`` at ``primes`` and ``log_p`` holds
-    log p.  Each chunk of _CHUNK primes is one pass: it forms f(p),
+    log p.  Each chunk of _BLOCK primes is one pass: it forms f(p),
     r = exp(-power sigma log p) and phase = -power t log p, so
     v = r (cos phase + i sin phase) and x = a + i b with no complex array.
     log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary part
@@ -412,7 +408,7 @@ def _log1p_product(
        |x_p|; that holds unless A(2)^3 (c0 + c1 log P) > 2^-12 (sigma near
        0, or (sigma + |t|) log P above about 6 10^10), where the allowance
        is infinite.  The bound's own rounding includes the chunk sums of
-       step 4: numpy's ``sum`` of at most _CHUNK nonnegative terms (never
+       step 4: numpy's ``sum`` of at most _BLOCK nonnegative terms (never
        BLAS, whose threads could change the bits) errs by less than
        2^15 u = 2^-38 relative, and _SLACK covers that too.
     """
@@ -423,8 +419,8 @@ def _log1p_product(
 
     def chunk(lo: int) -> tuple[list[float], list[float], float]:
         # runs on a pool thread: private helpers only (see _ordered_map)
-        lp = log_p[lo : lo + _CHUNK]
-        fp = _f_values(spec, primes[lo : lo + _CHUNK])
+        lp = log_p[lo : lo + _BLOCK]
+        fp = _f_values(spec, primes[lo : lo + _BLOCK])
         r = np.exp((-power * sigma) * lp)
         if not r[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
             raise DomainError(
@@ -466,7 +462,7 @@ def _log1p_product(
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
     # spend what they gain in handing the GIL back and forth
     threads = 0 if t != 0.0 else 1
-    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _CHUNK), threads):
+    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _BLOCK), threads):
         total_re.pieces += re_pieces
         total_im.pieces += im_pieces
         log_err += err

@@ -241,9 +241,12 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     else:
         p = np.asarray(primes, dtype=np.float64)
         out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
-    if spec.exceptions:
-        keys = np.array([q for q, _ in spec.exceptions], dtype=np.int64)
-        values = np.array([v for _, v in spec.exceptions])
+    # a key past int64 can equal no prime of an int64 array, so only keys
+    # that fit are placed
+    placed = [(q, v) for q, v in spec.exceptions if q < 2 ** 63]
+    if placed:
+        keys = np.array([q for q, _ in placed], dtype=np.int64)
+        values = np.array([v for _, v in placed])
         ints = np.asarray(primes).reshape(-1)
         # only primes <= the largest key can hit one, and each of those
         # finds its key at index < len(keys)

@@ -6,6 +6,11 @@ so traces are nondecreasing by construction.  The pretentious distance
 D(f,g;x)^2 = sum_{p<=x} (1 - f(p) g(p)) / p measures how far two
 multiplicative functions drift apart along primes (real-valued case).
 
+Every sum here forms its terms one slice of primes at a time and hands
+them to ``summation._prefix_sums``, so no whole-length f(p) or term array
+is built, and each checkpoint is the exact sum of its terms rounded once:
+bit for bit ``math.fsum`` of that prefix, whatever the checkpoint grid.
+
 Convergence verdicts emitted here are *diagnostics*: fixed, documented
 thresholds on dyadic increments, reproducible run to run, and never a
 substitute for a proof.
@@ -18,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multfunc import PrimeFunctionSpec, _f_values, f_at_primes
+from .multfunc import PrimeFunctionSpec, _f_values
 from .sieve import FactorSieve, primes_up_to
-from .summation import _BLOCK, _ExactSum, checkpoint_schedule, prefix_sums_at
+from .summation import _checked_bounds, _prefix_sums, checkpoint_schedule
 
 WEIGHT_LOG_P = "log_p"
-WEIGHT_INV_P_SIGMA = "inv_p_sigma"
 WEIGHT_LOG_OVER_P_SIGMA = "log_over_p_sigma"
 
 VERDICT_CONVERGENT = "apparently-convergent"
@@ -45,7 +49,7 @@ VERDICT_WINDOW = 8
 class PrimeSumTrace:
     """Checkpointed partial sums of a weighted prime series.
 
-    ``weight`` names the term shape (log p, p^-sigma, or log p / p^sigma);
+    ``weight`` names the term shape (log p, or log p / p^sigma);
     ``sigma`` is None for the pure log weight.
     """
 
@@ -62,17 +66,11 @@ class PrimeSumTrace:
         return np.asarray([v for _, v in self.checkpoints], dtype=np.float64)
 
 
-def _trace_over_primes(
-    terms: np.ndarray,
-    primes: np.ndarray,
-    schedule: np.ndarray,
-    weight: str,
-    sigma: float | None,
-) -> PrimeSumTrace:
-    counts = np.searchsorted(primes, schedule, side="right")
-    sums = prefix_sums_at(terms, counts)
-    checkpoints = tuple((int(x), float(v)) for x, v in zip(schedule, sums))
-    return PrimeSumTrace(checkpoints=checkpoints, weight=weight, sigma=sigma)
+def _checkpoints(primes: np.ndarray, xs, terms) -> tuple[tuple[int, float], ...]:
+    """(x, exactly rounded sum of ``terms(lo, hi)`` over the primes <= x) for each x."""
+    counts = _checked_bounds(np.searchsorted(primes, xs, side="right"), primes.size)
+    sums = _prefix_sums(terms, counts).tolist()
+    return tuple(zip(np.asarray(xs, dtype=np.int64).tolist(), sums))
 
 
 def prime_sum_S(
@@ -94,8 +92,12 @@ def prime_sum_S(
     if schedule is None:
         schedule = checkpoint_schedule(x_max)
     primes = primes_up_to(x_max, sieve)
-    terms = (1.0 + f_at_primes(spec, primes)) * sieve.log_primes[: primes.size]
-    return _trace_over_primes(terms, primes, schedule, WEIGHT_LOG_P, None)
+    log_p = sieve.log_primes
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        return (1.0 + _f_values(spec, primes[lo:hi])) * log_p[lo:hi]
+
+    return PrimeSumTrace(_checkpoints(primes, schedule, terms), WEIGHT_LOG_P)
 
 
 def pretentious_distance_sq(
@@ -110,17 +112,18 @@ def pretentious_distance_sq(
     nondecreasing in x.  Zero exactly when f(p) g(p) = 1 at every prime
     p <= x -- for specs confined to {-1, +1} that is the same as agreeing
     prime by prime, but a spec with |f(p)| < 1 keeps positive distance
-    even from itself.  Summed exactly in one pass per chunk of primes.
+    even from itself.  Exactly rounded, from one slice of primes at a time.
     """
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
     primes = primes_up_to(x, sieve)
-    total = _ExactSum()
-    for lo in range(0, primes.size, _BLOCK):
-        chunk = primes[lo : lo + _BLOCK]
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        chunk = primes[lo:hi]
         fg = _f_values(spec_f, chunk) * _f_values(spec_g, chunk)
-        total.add((1.0 - fg) / chunk.astype(np.float64))
-    return total.value()
+        return (1.0 - fg) / chunk.astype(np.float64)
+
+    return float(_prefix_sums(terms, [primes.size])[0])
 
 
 def _step_verdict(values, floor: float) -> str:
@@ -177,19 +180,21 @@ def weighted_tail_diagnostic(
     if x_max < 2:
         raise ValueError(f"x_max must be >= 2, got {x_max}")
     primes = primes_up_to(x_max, sieve)
-    log_p = sieve.log_primes[: primes.size]
-    terms = (1.0 + f_at_primes(spec, primes)) * log_p / primes.astype(np.float64) ** sigma
+    log_p = sieve.log_primes
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        chunk = primes[lo:hi]
+        numer = (1.0 + _f_values(spec, chunk)) * log_p[lo:hi]
+        return numer / chunk.astype(np.float64) ** sigma
 
     # The verdict grid uses pure powers of two: a partial last window
     # (x_max not a power of two) would shrink its increment and fake decay.
-    n_dyadic = int(math.floor(math.log2(x_max)))
-    dyadic = 2 ** np.arange(1, n_dyadic + 1, dtype=np.int64)
-    counts = np.searchsorted(primes, dyadic, side="right")
-    dyadic_sums = prefix_sums_at(terms, counts)
-    verdict = _dyadic_verdict(dyadic_sums)
-
-    schedule = checkpoint_schedule(x_max)
-    trace = _trace_over_primes(
-        terms, primes, schedule, WEIGHT_LOG_OVER_P_SIGMA, float(sigma)
-    )
-    return trace, verdict
+    # One pass over both grids gives the same bits as two: every prefix is
+    # exactly rounded on its own.  (The union is a sorted set: np.union1d
+    # would import numpy.ma on first use, about 30 ms and 1 MiB.)
+    dyadic = [2 ** k for k in range(1, int(math.log2(x_max)) + 1)]
+    schedule = checkpoint_schedule(x_max).tolist()
+    sums = dict(_checkpoints(primes, sorted({*dyadic, *schedule}), terms))
+    verdict = _dyadic_verdict(np.array([sums[x] for x in dyadic]))
+    checkpoints = tuple((x, sums[x]) for x in schedule)
+    return PrimeSumTrace(checkpoints, WEIGHT_LOG_OVER_P_SIGMA, float(sigma)), verdict

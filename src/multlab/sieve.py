@@ -24,6 +24,9 @@ import numpy as np
 #: segment length for the sieve construction loop (elements, ~4 MiB of u32)
 _SEGMENT = 1 << 20
 
+#: every sieve limit must lie below this: spf cells are uint32
+_LIMIT_BOUND = 2 ** 32
+
 
 @dataclass(frozen=True)
 class FactorSieve:
@@ -144,7 +147,7 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if limit >= 2 ** 32:
+    if limit >= _LIMIT_BOUND:
         raise ValueError(f"limit {limit} exceeds uint32 cell capacity")
     try:
         spf = np.zeros(limit + 1, dtype=np.uint32)

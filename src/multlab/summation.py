@@ -4,16 +4,18 @@ Partial sums at desk scale run over up to ~10^8 terms; naive left-to-right
 float accumulation can drift by far more than the tolerances used in the
 verification suite.  Every float sum here is exactly rounded and equal bit
 for bit to ``math.fsum``.  One private accumulator, ``_ExactSum``, splits
-each chunk of finite float64 terms into a few error-free pieces by the
+each slice of finite float64 terms into a few error-free pieces by the
 vectorised extraction of Rump, Ogita & Oishi ("Accurate floating-point
 summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008),
 keeps them, and lets ``math.fsum`` round all pieces once at the end; other
 input reaches ``math.fsum`` unchanged.  Because each sum is the exact sum
 rounded once, its value depends neither on traversal order nor on the
-chunking: callers may split chunks on a thread pool and join the pieces in
+slicing: callers may split chunks on a thread pool and join the pieces in
 chunk order (as the Euler products do) and get the same bits for any
-number of threads.  Checkpointed prefix sums carry at most a couple of
-ulps of error regardless of length.
+number of threads.  One loop, ``_prefix_sums``, feeds the accumulator from
+slices and reads it at checkpoint counts; ``fsum_array``,
+``prefix_sums_at`` and the prime-side sums all use it, so each prefix is
+exactly rounded, whatever other checkpoints are asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ DEFAULT_CHECKPOINT_RATIO = 2.0 ** 0.25
 #: default first checkpoint
 DEFAULT_CHECKPOINT_X0 = 10
 
-#: elements per extraction slice: its two float64 buffers (512 KiB) stay in cache
+#: terms per slice of every float sum and Euler-product chunk: a slice's
+#: float64 temporaries (256 KiB apiece) stay in cache
 _BLOCK = 1 << 15
 
 #: a chunk of m terms with max |x| >= 2^(_EXP_LIMIT - bit_length(m + 2)) is kept
@@ -138,30 +141,45 @@ class _ExactSum:
         return math.fsum(self.pieces)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum of ``values``, equal bit for bit to ``math.fsum``.
+def _prefix_sums(terms, counts) -> np.ndarray:
+    """Exactly rounded prefix sums of terms handed over in slices.
 
-    1-D float64 input goes to an ``_ExactSum`` in slices of _BLOCK terms;
-    anything else (another dtype or shape) goes to
-    ``math.fsum(values.tolist())``.
+    ``terms(lo, hi)`` returns the float64 terms lo, ..., hi - 1 as a 1-D
+    array; it is called in order, for slices of _BLOCK terms that end at
+    ``counts[-1]``.  One ``_ExactSum`` takes every slice, cut at the
+    counts inside it, so entry i is the exact sum of the first
+    ``counts[i]`` terms rounded once: bit for bit ``math.fsum`` of that
+    prefix (or its exception), whatever the slicing.  ``counts`` must not
+    decrease.
     """
-    if values.dtype != np.float64 or values.ndim != 1:
-        return math.fsum(values.tolist())
+    counts = np.asarray(counts, dtype=np.int64).tolist()
+    out = np.empty(len(counts), dtype=np.float64)
     total = _ExactSum()
-    for start in range(0, values.shape[0], _BLOCK):
-        total.add(values[start : start + _BLOCK])
-    return total.value()
+    i = 0
+    for lo in range(0, counts[-1] if counts else 0, _BLOCK):
+        chunk = terms(lo, min(lo + _BLOCK, counts[-1]))
+        cut = lo
+        while i < len(counts) and counts[i] <= lo + _BLOCK:
+            total.add(chunk[cut - lo : counts[i] - lo])
+            cut = counts[i]
+            out[i] = total.value()
+            i += 1
+        total.add(chunk[cut - lo :])
+    out[i:] = total.value()  # no slice was taken: every count is 0
+    return out
 
 
 def fsum_array(values: np.ndarray) -> float:
     """Exactly rounded sum of a float array, bit-identical to ``math.fsum``.
 
-    Finite float64 input is summed by vectorised error-free extraction
-    without building a Python list; inf, NaN, near-overflow magnitudes and
-    other dtypes fall back to ``math.fsum(values.tolist())`` (see
-    ``_exact_sum``).
+    1-D float64 input goes to ``_prefix_sums`` in slices, without building
+    a Python list (inf, NaN and near-overflow slices reach ``math.fsum``
+    raw; see ``_ExactSum``); other dtypes and shapes go to
+    ``math.fsum(values.tolist())``.
     """
-    return _exact_sum(values)
+    if values.dtype != np.float64 or values.ndim != 1:
+        return math.fsum(values.tolist())
+    return float(_prefix_sums(lambda lo, hi: values[lo:hi], [values.shape[0]])[0])
 
 
 def _checked_bounds(boundaries, length: int) -> np.ndarray:
@@ -175,31 +193,18 @@ def _checked_bounds(boundaries, length: int) -> np.ndarray:
 
 
 def prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``values`` at index boundaries, from exactly rounded segments.
+    """Exactly rounded prefix sums of ``values`` at index boundaries.
 
-    ``boundaries`` are *counts*: entry ``b`` yields ``sum(values[:b])``.
-    Each segment between consecutive boundaries is reduced to its exactly
-    rounded sum (error-free extraction, or ``math.fsum`` for non-finite or
-    near-overflow segments; see ``_exact_sum``); every prefix is then an
-    ``fsum`` over the exactly rounded segment sums, so each reported prefix
-    carries two correctly rounded reductions rather than one rounding per
-    term.
+    ``boundaries`` are *counts*: entry ``b`` yields ``sum(values[:b])``,
+    the exact sum of that prefix rounded once -- bit for bit
+    ``math.fsum(values[:b])``, or its exception (see ``_prefix_sums``).  A
+    prefix's value therefore depends on no other boundary.
 
     For nonnegative inputs the outputs are nondecreasing.
     """
     bounds = _checked_bounds(boundaries, len(values))
-    if bounds.size == 0:
-        return np.empty(0, dtype=np.float64)
     data = np.asarray(values, dtype=np.float64)
-    segment_sums = []
-    prev = 0
-    for b in bounds:
-        segment_sums.append(_exact_sum(data[prev:b]))
-        prev = int(b)
-    out = np.empty(len(segment_sums), dtype=np.float64)
-    for i in range(len(segment_sums)):
-        out[i] = math.fsum(segment_sums[: i + 1])
-    return out
+    return _prefix_sums(lambda lo, hi: data[lo:hi], bounds)
 
 
 def exact_prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:

@@ -442,6 +442,26 @@ def test_missing_or_bad_config_exits_2(tmp_path, capsys):
     assert main(["series", "--config", str(empty_grid)]) == 2
 
 
+def test_sieve_limit_past_uint32_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sieve_limit = 4294967296\n")
+    assert main(["sieve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "sieve_limit" in err and "Traceback" not in err
+
+
+def test_exception_key_past_int64_runs_prime_sum(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "sieve_limit = 1000\ntruncation_N = 1000\neuler_P = 1000\n"
+        "spec.exception.9223372036854775837 = 0.5\n"
+    )
+    out = tmp_path / "out"
+    assert main(["prime-sum", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "prime_sum_S.csv")
+    assert all(float(r[1]) == 0.0 for r in rows)
+
+
 def test_negative_threads_exits_2(cfg_file, capsys):
     # the thread count is the sieve's own affair: --threads is no flag
     rc = main(["sieve", "--config", str(cfg_file), "--threads", "-1"])

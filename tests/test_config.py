@@ -161,6 +161,10 @@ def test_spec_value_constraints_surface_as_config_errors():
 
 
 def test_structural_constraints():
+    for limit in (1, 2**32):  # the sieve's cells are uint32
+        with pytest.raises(ConfigError, match="sieve_limit"):
+            parse_config(f"sieve_limit = {limit}\ntruncation_N = 1\neuler_P = 1\n")
+    assert parse_config(f"sieve_limit = {2**32 - 1}\n").sieve_limit == 2**32 - 1
     with pytest.raises(ConfigError, match="truncation_N"):
         parse_config("sieve_limit = 100\ntruncation_N = 1000\neuler_P = 50\n")
     with pytest.raises(ConfigError, match="euler_P"):
@@ -185,6 +189,15 @@ def test_structural_constraints():
             parse_config(f"tolerance.X = {tol}\n")
     with pytest.raises(ConfigError, match="epsilon_slack"):
         parse_config("epsilon_slack = 1.5\n")
+
+
+def test_exception_key_past_int64_stays_in_spec_id_and_hash():
+    big = 9223372036854775837  # a prime above 2^63
+    cfg = parse_config(f"spec.exception.{big} = 0.5\n")
+    assert cfg.spec.exceptions == ((big, 0.5),)
+    assert f"{big}:0.5" in cfg.spec.spec_id()
+    assert f"spec.exception.{big}=0.5" in serialize_config(cfg)
+    assert config_hash(cfg) != config_hash(parse_config(""))
 
 
 def test_load_config_from_file(tmp_path):
@@ -237,7 +250,8 @@ _tolerance_name = st.sampled_from([kind.value for kind in IdentityKind])
 
 @st.composite
 def _specs(draw):
-    exceptions = draw(st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 97, 7919)), _unit))
+    primes = (2, 3, 5, 7, 11, 97, 7919, 9223372036854775837)  # the last is past int64
+    exceptions = draw(st.dictionaries(st.sampled_from(primes), _unit))
     base = draw(st.sampled_from(("liouville", "constant", "power_decay")))
     if base == "liouville":
         return PrimeFunctionSpec(base=base, exceptions=tuple(exceptions.items()))
@@ -248,7 +262,7 @@ def _specs(draw):
 
 @st.composite
 def _configs(draw):
-    limit = draw(st.integers(min_value=2, max_value=10**12))
+    limit = draw(st.integers(min_value=2, max_value=2**32 - 1))
     return ExperimentConfig(
         sieve_limit=limit,
         spec=draw(_specs()),

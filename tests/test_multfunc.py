@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from multlab.dirichlet import ComplexArgument, euler_product_G
 from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
@@ -426,6 +427,21 @@ def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):
                 assert v == exceptions[p], (spec.spec_id(), p)
             else:
                 assert v == pytest.approx(f_at_prime(spec, p), rel=1e-15), (spec.spec_id(), p)
+
+
+def test_exception_key_past_int64_is_kept_but_matches_no_prime(sieve_1e4):
+    big = 9223372036854775837  # a prime above 2^63
+    primes = primes_up_to(10**4, sieve_1e4)
+    for base in (liouville_spec({3: 0.5}), power_decay_spec(0.5, 0.5, {3: 0.5})):
+        spec = PrimeFunctionSpec(base.base, base.c, base.a, base.exceptions + ((big, 0.25),))
+        assert np.array_equal(f_at_primes(spec, primes), f_at_primes(base, primes))
+        assert spec.spec_id().endswith(f"+{big}:0.25")
+    # G's tail beyond P still counts the factor at p = big
+    s = ComplexArgument(0.1, 0.0)
+    with_key = euler_product_G(liouville_spec({3: 0.5, big: 0.25}), s, 1000, sieve_1e4)
+    without = euler_product_G(liouville_spec({3: 0.5}), s, 1000, sieve_1e4)
+    assert with_key.value == without.value
+    assert with_key.tail_bound > without.tail_bound + 0.01
 
 
 def test_h_near_one_rescue(sieve_1e4):

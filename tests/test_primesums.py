@@ -9,6 +9,7 @@ import pytest
 from multlab.multfunc import (
     LIOUVILLE,
     constant_spec,
+    f_at_primes,
     liouville_spec,
     power_decay_spec,
 )
@@ -217,6 +218,54 @@ def test_weighted_tail_validation(sieve_1e4):
         weighted_tail_diagnostic(LIOUVILLE, 1.0, 10**5, sieve_1e4)
     with pytest.raises(ValueError):
         weighted_tail_diagnostic(LIOUVILLE, 1.0, 1, sieve_1e4)
+
+
+# ------------------------------------------------- exactly rounded prefixes
+
+#: pi(386093) = 2^15, one full slice of primes: these x end just before,
+#: at and just past the first slice boundary
+_SLICE_EDGES = (386092, 386093, 386117)
+
+
+def fsum_at(terms, primes, xs):
+    """``math.fsum`` of the terms of the primes <= x, for each x."""
+    return [math.fsum(terms[:c].tolist()) for c in np.searchsorted(primes, xs, side="right")]
+
+
+@pytest.mark.parametrize("x", _SLICE_EDGES)
+def test_prime_side_sums_are_fsum_of_whole_length_terms(sieve_1e6, x):
+    primes = primes_up_to(x, sieve_1e6)
+    p = primes.astype(np.float64)
+    log_p = np.log(p)
+    f = power_decay_spec(0.7, 0.4, {3: 0.25, 386093: 1.0})
+    g = constant_spec(0.3, {2: -1.0})
+    fp, gp = f_at_primes(f, primes), f_at_primes(g, primes)
+
+    S = prime_sum_S(f, x, sieve_1e6)
+    assert S.values.tolist() == fsum_at((1.0 + fp) * log_p, primes, S.x_values)
+
+    trace, verdict = weighted_tail_diagnostic(f, 0.75, x, sieve_1e6)
+    terms = (1.0 + fp) * log_p / p ** 0.75
+    assert trace.values.tolist() == fsum_at(terms, primes, trace.x_values)
+    dyadic = 2 ** np.arange(1, int(math.log2(x)) + 1)
+    assert verdict == _dyadic_verdict(np.array(fsum_at(terms, primes, dyadic)))
+
+    d2 = math.fsum(((1.0 - fp * gp) / p).tolist())
+    assert pretentious_distance_sq(f, g, x, sieve_1e6) == d2
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        (power_decay_spec(0.5, 0.5), 10**6),
+        (constant_spec(0.1), 10**6),
+        (power_decay_spec(0.7, 0.4), 386093),
+    ],
+)
+def test_S_at_x_does_not_depend_on_the_grid(sieve_1e6, spec, x):
+    on_grid = prime_sum_S(spec, x, sieve_1e6).values[-1]
+    alone = prime_sum_S(spec, x, sieve_1e6, schedule=np.array([x])).values[-1]
+    assert alone.tobytes() == on_grid.tobytes()
 
 
 # ------------------------------------------------------- verdict mechanics

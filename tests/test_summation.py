@@ -1,4 +1,4 @@
-"""Exactly rounded sums: ``fsum_array`` and ``prefix_sums_at`` against ``math.fsum``.
+"""Exactly rounded sums: ``fsum_array`` and every prefix sum against ``math.fsum``.
 
 The error-free extraction must give the very float ``math.fsum`` gives, so
 every comparison is on the bit pattern (``struct.pack('<d', ...)``), which
@@ -8,13 +8,15 @@ the same value or the same exception.
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multlab.summation import _ExactSum, fsum_array, prefix_sums_at
+from multlab import summation
+from multlab.summation import _ExactSum, _prefix_sums, fsum_array, prefix_sums_at
 
 #: slice length of the extraction (multlab.summation._BLOCK)
 BLOCK = 1 << 15
@@ -30,6 +32,11 @@ SPECIAL = [
 finite = st.floats(allow_nan=False, allow_infinity=False)
 terms = st.one_of(finite, st.sampled_from(SPECIAL))
 term_lists = st.lists(terms, max_size=60)
+#: also non-finite and near-overflow terms, which ``math.fsum`` meets raw
+wild_terms = st.one_of(
+    terms,
+    st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 2.0 ** 1023]),
+)
 
 
 def outcome(fn, *args):
@@ -103,16 +110,7 @@ def chunked_sum(values, cuts):
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            terms,
-            st.sampled_from([math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 2.0 ** 1023]),
-        ),
-        max_size=60,
-    ),
-    st.lists(st.integers(0, 60), max_size=8),
-)
+@given(st.lists(wild_terms, max_size=60), st.lists(st.integers(0, 60), max_size=8))
 def test_exact_sum_of_any_chunking_is_math_fsum(xs, cuts):
     values = np.array(xs, dtype=np.float64)
     assert outcome(chunked_sum, values, cuts) == outcome(math.fsum, xs)
@@ -137,17 +135,16 @@ def test_fixed_cases_match_fsum(xs):
 
 
 def prefix_sums_oracle(values, boundaries):
-    """The per-segment ``math.fsum`` loop ``prefix_sums_at`` was written as."""
-    segment_sums = []
-    prev = 0
-    for b in boundaries:
-        segment_sums.append(math.fsum(values[prev:b].tolist()))
-        prev = int(b)
-    return [math.fsum(segment_sums[: i + 1]) for i in range(len(segment_sums))]
+    """The ``math.fsum`` of each prefix on its own: one rounding per prefix."""
+    return [math.fsum(values[:b].tolist()) for b in boundaries]
 
 
 @settings(max_examples=200, deadline=None)
-@given(term_lists, st.lists(st.integers(0, 60), max_size=12), st.integers(0, 2 * BLOCK))
+@given(
+    st.lists(wild_terms, max_size=60),
+    st.lists(st.integers(0, 60), max_size=12),
+    st.integers(0, 2 * BLOCK),
+)
 def test_prefix_sums_at_is_the_fsum_loop(xs, cuts, pad):
     values = np.array(xs, dtype=np.float64)
     if pad and xs:
@@ -157,3 +154,30 @@ def test_prefix_sums_at_is_the_fsum_loop(xs, cuts, pad):
     assert outcome(prefix_sums_at, values, boundaries) == outcome(
         prefix_sums_oracle, values, boundaries
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(wild_terms, max_size=60),
+    st.lists(st.integers(0, 60), max_size=12),
+    st.integers(1, 70),
+)
+def test_prefix_sums_of_any_slicing_are_fsum_of_each_prefix(xs, cuts, block):
+    values = np.array(xs, dtype=np.float64)
+    counts = sorted(min(c, values.size) for c in cuts)
+    calls = []
+
+    def terms(lo, hi):
+        calls.append((lo, hi))
+        return values[lo:hi].copy()
+
+    with mock.patch.object(summation, "_BLOCK", block):
+        got = outcome(_prefix_sums, terms, counts)
+    assert got == outcome(prefix_sums_oracle, values, counts)
+    # slices come in order, each of at most _BLOCK terms, none past the last count
+    assert [lo for lo, _ in calls] == [0, *(hi for _, hi in calls)][: len(calls)]
+    assert all(0 < hi - lo <= block for lo, hi in calls)
+    done = calls[-1][1] if calls else 0
+    assert done <= max(counts, default=0)
+    if isinstance(got, bytes):
+        assert done == max(counts, default=0)
