@@ -19,7 +19,6 @@ import numpy as np
 
 from .dirichlet import IdentityKind
 from .multfunc import (
-    BASE_CONSTANT,
     BASE_LIOUVILLE,
     PrimeFunctionSpec,
 )
@@ -27,6 +26,7 @@ from .sieve import _LIMIT_BOUND
 from .summation import (
     DEFAULT_CHECKPOINT_RATIO,
     DEFAULT_CHECKPOINT_X0,
+    _check_checkpoint_grid,
     checkpoint_schedule,
 )
 
@@ -91,6 +91,12 @@ class ExperimentConfig:
             )
         if self.checkpoint_x0 < 1:
             raise ConfigError(f"checkpoint_x0 must be >= 1, got {self.checkpoint_x0}")
+        try:
+            _check_checkpoint_grid(
+                self.effective_x_max, self.checkpoint_x0, self.checkpoint_ratio
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for name, tol in self.tolerances:
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"tolerance {name} must be finite and positive, got {tol}")
@@ -236,10 +242,6 @@ def parse_config(text: str) -> ExperimentConfig:
     base = spec_fields.get("base", BASE_LIOUVILLE)
     c = _parse_float("spec.c", spec_fields["c"]) if "c" in spec_fields else None
     a = _parse_float("spec.a", spec_fields["a"]) if "a" in spec_fields else None
-    if base == BASE_LIOUVILLE and (c is not None or a is not None):
-        raise ConfigError("liouville base takes no c/a parameters")
-    if base == BASE_CONSTANT and a is not None:
-        raise ConfigError("constant base takes no a parameter")
     try:
         spec = PrimeFunctionSpec(
             base=base, c=c, a=a, exceptions=tuple(sorted(exceptions.items()))

@@ -46,7 +46,7 @@ from .multfunc import (
     coefficient_stream,
 )
 from .sieve import FactorSieve, _ordered_map, primes_up_to
-from .summation import _BLOCK, _ExactSum, fsum_array
+from .summation import _BLOCK, _ExactSum
 
 _EPS = float(np.finfo(np.float64).eps)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
@@ -110,20 +110,48 @@ class SeriesEval:
     method: str
 
 
-def _twist(n: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(cos, sin) of -t log n, the parts of n^(-i t); None at a real point."""
-    if t == 0.0:
-        return None
-    phase = -t * np.log(n)
-    return np.cos(phase), np.sin(phase)
+def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
+    """(sum c(n) n^(-s), sum |c(n)| n^(-sigma)) over n <= ``length`` for each c.
 
+    Each array in ``coeffs`` holds c(1), c(2), ... .  One pass over slices
+    of _BLOCK n forms n^(-sigma) and, at complex s, cos and sin of -t log n
+    once per slice for every array, and feeds each part's terms to its own
+    ``_ExactSum``: every part is its exact sum rounded once, bit for bit
+    ``math.fsum`` of the whole-length terms, with no whole-length array.
+    At real s the imaginary part is exactly 0.0.
 
-def _twisted_sum(mod: np.ndarray, twist) -> complex:
-    """sum mod * n^(-i t) from ``_twist(n, t)``, exactly rounded per part."""
-    if twist is None:
-        return complex(fsum_array(mod), 0.0)
-    cos, sin = twist
-    return complex(fsum_array(mod * cos), fsum_array(mod * sin))
+    Raises DomainError when a term or a sum leaves float64 (n^(-sigma)
+    overflows from sigma of about -308 / log10 length).
+    """
+    buf = np.empty((2, min(length, _BLOCK)))  # scratch of every sum: each is fed in turn
+    sums = [(_ExactSum(buf), _ExactSum(buf), _ExactSum(buf)) for _ in coeffs]  # re, im, abs
+
+    def feed(lo: int, hi: int) -> None:  # its arrays die with each slice
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        weights = n ** (-point.sigma)
+        if point.t != 0.0:  # n turns into the phase -t log n, then its sine
+            np.log(n, out=n)
+            n *= -point.t
+            cos, sin = np.cos(n), np.sin(n, out=n)
+        for c, (re, im, size) in zip(coeffs, sums):
+            mod = c[lo:hi] * weights
+            size.add(np.abs(mod))
+            if point.t == 0.0:
+                re.add(mod)
+            else:
+                re.add(mod * cos)
+                im.add(mod * sin)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
+        for lo in range(0, length if coeffs else 0, _BLOCK):  # no arrays, no pass
+            feed(lo, min(lo + _BLOCK, length))
+    try:
+        out = [(complex(re.value(), im.value()), size.value()) for re, im, size in sums]
+    except (OverflowError, ValueError):  # math.fsum met +-inf or overflowed
+        out = [(0j, math.inf)]
+    if not all(math.isfinite(size) for _, size in out):
+        raise DomainError(f"Dirichlet sum leaves float64 at sigma={point.sigma}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +164,12 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 
 @functools.lru_cache(maxsize=64)
 def _accel_coefficients(n: int) -> tuple[float, ...]:
-    """e_k = (d_k - d_n) / d_n for the depth-n Chebyshev averaging scheme.
+    """(-1)^k e_k, k < n, with e_k = (d_k - d_n) / d_n for the depth-n
+    Chebyshev averaging scheme: the coefficient of (k + 1)^(-s) in the
+    accelerated eta sum, up to its overall sign.
 
     Computed exactly in integers and reduced with Fraction, so each float
-    is correctly rounded; every e_k lies in (-1, 0].
+    is correctly rounded; every e_k lies in (-1, 0).
     """
     d = []
     for k in range(n + 1):
@@ -152,7 +182,7 @@ def _accel_coefficients(n: int) -> tuple[float, ...]:
             )
         d.append(n * total)
     dn = d[n]
-    return tuple(float(Fraction(dk - dn, dn)) for dk in d[:n])
+    return tuple(float(Fraction((-1) ** k * (dk - dn), dn)) for k, dk in enumerate(d[:n]))
 
 
 def zeta(s, tol: float = 1e-12) -> SeriesEval:
@@ -206,14 +236,9 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
             achieved,
         )
 
-    e = _accel_coefficients(n)
-    k_arr = np.arange(1, n + 1, dtype=np.float64)
-    e_arr = np.asarray(e, dtype=np.float64)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    base = signs * e_arr * k_arr ** (-point.sigma)
-    value = -_twisted_sum(base, _twist(k_arr, point.t)) / prefactor_den
+    [(eta_sum, abs_sum)] = _dirichlet_sums([np.asarray(_accel_coefficients(n))], n, point)
+    value = -eta_sum / prefactor_den
     truncation = 3.0 * kappa / _ACCEL_RATE ** n
-    abs_sum = fsum_array(np.abs(base))
     rounding = _EPS * (4.0 * abs_sum / abs(prefactor_den) + 4.0 * abs(value))
     return SeriesEval(
         value=value,
@@ -421,7 +446,8 @@ def _log1p_product(
         # runs on a pool thread: private helpers only (see _ordered_map)
         lp = log_p[lo : lo + _BLOCK]
         fp = _f_values(spec, primes[lo : lo + _BLOCK])
-        r = np.exp((-power * sigma) * lp)
+        with np.errstate(over="ignore"):  # a product past -float max: r = exp(-inf) = 0
+            r = np.exp((-power * sigma) * lp)
         if not r[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
             raise DomainError(
                 f"Euler product needs 2^(-{power}*sigma) < 1 in float64, "
@@ -628,8 +654,9 @@ class _SeriesStore:
 
     ``get(name, s)`` memoises by (name, point) the sum at N of the stream
     ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
-    "U" over p <= P.  Each stream is built once; the weights n^(-sigma) and
-    the twist are kept for the latest point, all one point's identities need.
+    "U" over p <= P.  Each stream is built once; the sums at one point of
+    several streams share one slice pass (``_dirichlet_sums``), and
+    ``residual`` sums every stream not yet memoised at its point in one.
     Exceptions are not memoised: they raise again for every caller.
     """
 
@@ -643,7 +670,6 @@ class _SeriesStore:
     ):
         self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
         self._streams: dict[DerivedFunctionKind, np.ndarray] = {}
-        self._weights: tuple = (None, None, None)  # (point, n^-sigma, twist)
         self._evals: dict[tuple, SeriesEval] = {}
 
     def get(self, name, s) -> SeriesEval:
@@ -651,40 +677,37 @@ class _SeriesStore:
         key = (name, point)
         if key not in self._evals:
             if name == "zeta":
-                ev = zeta(point, self.zeta_tol)
+                self._evals[key] = zeta(point, self.zeta_tol)
             elif name == "G":
-                ev = euler_product_G(self.spec, point, self.P, self.sieve)
+                self._evals[key] = euler_product_G(self.spec, point, self.P, self.sieve)
             elif name == "U":
-                ev = euler_product_U(self.spec, point, self.P, self.sieve)
+                self._evals[key] = euler_product_U(self.spec, point, self.P, self.sieve)
             else:
-                ev = self._dirichlet(name, point)
-            self._evals[key] = ev
+                self._sum_streams([name], point)
         return self._evals[key]
 
-    def _dirichlet(self, kind: DerivedFunctionKind, point: ComplexArgument) -> SeriesEval:
-        N = self.N
-        if not 1 <= N <= self.sieve.limit:
-            raise ValueError(f"N={N} outside [1, sieve limit {self.sieve.limit}]")
-        if kind not in self._streams:
-            self._streams[kind] = coefficient_stream(self.spec, kind, N, self.sieve)
-        if self._weights[0] != point:
-            n_arr = np.arange(1, N + 1, dtype=np.float64)
-            self._weights = (point, n_arr ** (-point.sigma), _twist(n_arr, point.t))
-        _, weights, twist = self._weights
-        mod = self._streams[kind] * weights
-        value = _twisted_sum(mod, twist)
-        rounding = 4.0 * _EPS * fsum_array(np.abs(mod))
-        if point.sigma > 1.0:
-            if kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV):
-                tail = _divisor_tail(N, point.sigma)
-            else:
-                tail = _power_tail(N, point.sigma)
-            return SeriesEval(value, N, tail + rounding, False, METHOD_DIRECT_SUM)
-        return SeriesEval(value, N, math.inf, True, METHOD_DIRECT_SUM)
+    def _sum_streams(self, kinds: list[DerivedFunctionKind], point: ComplexArgument) -> None:
+        """Memoise the sums at ``point`` of the streams ``kinds``, in one slice pass."""
+        for kind in kinds:
+            if kind not in self._streams:
+                self._streams[kind] = coefficient_stream(self.spec, kind, self.N, self.sieve)
+        sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
+        for kind, (value, abs_sum) in zip(kinds, sums):
+            ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)
+            if point.sigma > 1.0:
+                divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
+                tail = (_divisor_tail if divisor else _power_tail)(self.N, point.sigma)
+                ev = SeriesEval(value, self.N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
+            self._evals[(kind, point)] = ev
 
     def residual(self, identity: IdentityKind, s) -> IdentityResidual:
-        """|LHS - RHS| of one identity at s, read from the store (see identity_residual)."""
+        """|LHS - RHS| of one identity at s, read from the store (see identity_residual).
+
+        Every stream not yet summed at s is summed first, in one pass: the
+        four identities at one point need all four.
+        """
         point = ComplexArgument.of(s)
+        self._sum_streams([k for k in DerivedFunctionKind if (k, point) not in self._evals], point)
         sides = [
             [self.get(name, point) for name in side] for side in _IDENTITY_SIDES[identity]
         ]
@@ -712,6 +735,7 @@ def identity_residual(
     The budget is the first-order propagation of constituent tail bounds;
     with rigorous constituents, residual <= budget is mathematically
     guaranteed for a correct implementation, so a violation localizes a
-    genuine bug (or a heuristic evaluation, which is flagged).
+    genuine bug (or a heuristic evaluation, which is flagged).  Like
+    ``_SeriesStore.residual`` it builds and sums all four streams at s.
     """
     return _SeriesStore(spec, N, P, sieve, zeta_tol).residual(identity, s)

@@ -88,8 +88,9 @@ def checkpoint_partial_sums(
     """Partial sums of the selected stream at a geometric checkpoint grid.
 
     Streams with all values in {-1, 0, 1} take the exact int64 path; other
-    streams are accumulated with compensated segment sums.  Both paths are
-    deterministic and independent of any upstream parallelism.
+    streams take ``prefix_sums_at``, whose every checkpoint is its exact
+    prefix sum rounded once.  Both paths are deterministic and independent
+    of any upstream parallelism.
     """
     if not 1 <= x_max <= sieve.limit:
         raise ValueError(f"x_max={x_max} outside [1, sieve limit {sieve.limit}]")

@@ -102,7 +102,8 @@ class PrimeFunctionSpec:
         One of ``liouville`` (f(p) = -1), ``constant`` (f(p) = c),
         ``power_decay`` (f(p) = clamp(-1 + c * p^(-a), -1, 1)).
     c, a : float or None
-        Parameters for the parametric bases; None where unused.
+        Parameters for the parametric bases; None where unused (a base
+        given a parameter it ignores is rejected).
     exceptions : tuple of (prime, value)
         Per-prime overrides, sorted by prime; values constrained to [-1, 1].
     """
@@ -115,6 +116,10 @@ class PrimeFunctionSpec:
     def __post_init__(self) -> None:
         if self.base not in (BASE_LIOUVILLE, BASE_CONSTANT, BASE_POWER_DECAY):
             raise ValueError(f"unknown base rule {self.base!r}")
+        if self.base == BASE_LIOUVILLE and (self.c is not None or self.a is not None):
+            raise ValueError("liouville base takes no c/a parameters")
+        if self.base == BASE_CONSTANT and self.a is not None:
+            raise ValueError("constant base takes no a parameter")
         if self.base == BASE_CONSTANT:
             if self.c is None or not -1.0 <= self.c <= 1.0:
                 raise ValueError(f"constant base needs c in [-1, 1], got {self.c}")

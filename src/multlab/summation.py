@@ -30,6 +30,10 @@ DEFAULT_CHECKPOINT_RATIO = 2.0 ** 0.25
 #: default first checkpoint
 DEFAULT_CHECKPOINT_X0 = 10
 
+#: most geometric steps a checkpoint grid may take from x0 to x_max, so a
+#: ratio next to 1 cannot stall a trace (the default grid to 2^32 takes 115)
+_MAX_CHECKPOINT_STEPS = 10 ** 6
+
 #: terms per slice of every float sum and Euler-product chunk: a slice's
 #: float64 temporaries (256 KiB apiece) stay in cache
 _BLOCK = 1 << 15
@@ -54,7 +58,7 @@ def checkpoint_schedule(
     The grid is strictly increasing, starts at ``min(x0, x_max)`` and always
     ends exactly at ``x_max``.  Dense enough for log-log exponent fitting,
     sparse enough (a few dozen points per decade at the default ratio) to
-    keep traces cheap.
+    keep traces cheap.  A ratio past x_max / x0 gives just [x0, x_max].
 
     Parameters
     ----------
@@ -63,28 +67,40 @@ def checkpoint_schedule(
     x0 : int
         First checkpoint (clipped to ``x_max``).
     ratio : float
-        Multiplicative step, must be > 1.
+        Multiplicative step, must be > 1, and large enough that
+        log(x_max / x0) / log(ratio) <= 10^6 (``_MAX_CHECKPOINT_STEPS``).
 
     Returns
     -------
     np.ndarray of int64, ascending, ending at ``x_max``.
     """
+    _check_checkpoint_grid(x_max, x0, ratio)
+    points = []
+    value = float(min(x0, x_max))
+    while value < x_max:  # an overflowing value (inf) ends the grid too
+        x = math.ceil(value)
+        if x >= x_max:
+            break
+        if not points or x > points[-1]:
+            points.append(x)
+        value *= ratio
+    points.append(int(x_max))
+    return np.asarray(points, dtype=np.int64)
+
+
+def _check_checkpoint_grid(x_max: int, x0: int, ratio: float) -> None:
+    """Raise ValueError unless ``checkpoint_schedule(x_max, x0, ratio)`` is valid."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if x0 < 1:
         raise ValueError(f"x0 must be >= 1, got {x0}")
     if not ratio > 1.0:
         raise ValueError(f"checkpoint ratio must be > 1, got {ratio}")
-    points = []
-    value = float(min(x0, x_max))
-    x = int(math.ceil(value))
-    while x < x_max:
-        if not points or x > points[-1]:
-            points.append(x)
-        value *= ratio
-        x = int(math.ceil(value))
-    points.append(int(x_max))
-    return np.asarray(points, dtype=np.int64)
+    if x0 < x_max and math.log(x_max / x0) / math.log(ratio) > _MAX_CHECKPOINT_STEPS:
+        raise ValueError(
+            f"checkpoint ratio {ratio} needs more than {_MAX_CHECKPOINT_STEPS} "
+            f"steps from {x0} to {x_max}"
+        )
 
 
 class _ExactSum:
@@ -110,9 +126,11 @@ class _ExactSum:
     exception.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, buf: np.ndarray | None = None) -> None:
         self.pieces: list[float] = []
-        self._buf = np.empty((2, 0))  # r and q, reused while chunks fit
+        # r and q, reused while chunks fit; accumulators fed one chunk at a
+        # time (as in one Dirichlet pass) may share one (2, m) array
+        self._buf = np.empty((2, 0)) if buf is None else buf
 
     def add(self, chunk: np.ndarray) -> None:
         m = chunk.shape[0]

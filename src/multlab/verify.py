@@ -151,7 +151,11 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
 
 
 def _prime_power_minima(cfg: ExperimentConfig, sieve: FactorSieve) -> dict[str, float]:
-    """Minimum of h and g over all prime powers p^m <= scan limit."""
+    """Minimum of h and g over all prime powers p^m <= scan limit.
+
+    The primes with p^m <= limit are a prefix of the ascending primes, so
+    each exponent m works on a prefix of the one before.
+    """
     limit = min(sieve.limit, _NONNEG_SCAN_LIMIT)
     primes = primes_up_to(limit, sieve)
     fp = f_at_primes(cfg.spec, primes)
@@ -162,16 +166,15 @@ def _prime_power_minima(cfg: ExperimentConfig, sieve: FactorSieve) -> dict[str, 
     current = fp.copy()  # f(p)^m
     h_val = 1.0 + fp  # h(p^1)
     while True:
-        cutoff = math.exp(ln_limit / m)
-        mask = primes <= cutoff
-        if not np.any(mask):
+        count = int(np.searchsorted(primes, math.floor(math.exp(ln_limit / m)), side="right"))
+        if count == 0:
             break
-        min_h = min(min_h, float(np.min(h_val[mask])))
+        min_h = min(min_h, float(np.min(h_val[:count])))
         m += 1
         if 2 ** m > limit:
             break
-        current = current * fp
-        h_val = h_val + current
+        current = current[:count] * fp[:count]
+        h_val = h_val[:count] + current
     return {"h": min_h, "g": min_g}
 
 

@@ -313,6 +313,29 @@ def test_overflowing_bounds_give_rows_not_tracebacks(
         assert by_name[f"{identity}:s={point}"] == status
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s_grid = -70:0\n",  # the default config: math.fsum's intermediate overflow
+        "sieve_limit = 1000\ntruncation_N = 1000\neuler_P = 1000\ns_grid = -300:0\n",  # -inf + inf
+    ],
+    ids=["s=-70", "s=-300"],
+)
+def test_dirichlet_sums_past_float64_give_lines_and_rows(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "verify_report.csv")
+    at_point = [r[1:] for r in rows if ":s=-" in r[0]]
+    assert at_point == [["inconclusive", "nan", "inf"]] * 4
+    for which in ("F", "H"):
+        assert main(["series", "--config", str(cfg), "--out", str(out), "--which", which]) == 0
+        _, rows = read_csv(out / f"series_{which}.csv")
+        assert rows[0][2:] == ["nan", "nan", "0", "inf", "1", "error"]
+    assert "leaves float64" in capsys.readouterr().out
+
+
 def test_series_G_product_collapses_for_default_spec(cfg_file, tmp_path):
     out = tmp_path / "out"
     main(["series", "--config", str(cfg_file), "--out", str(out), "--which", "G_product"])
@@ -405,6 +428,20 @@ def test_x_max_1_is_inconclusive_not_a_traceback(tmp_path, capsys):
 
 
 # --------------------------------------------------------------- exponent
+
+
+def test_checkpoint_ratio_next_to_1_exits_2_and_a_huge_one_runs(tmp_path, capsys):
+    # 1 + 1e-9 would take about 9e9 steps from 10 to 10^5; 1e308 overflows
+    # the grid's running value on its first step
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    cfg.write_text("sieve_limit = 100000\ncheckpoint_ratio = 1.000000001\n")
+    assert main(["prime-sum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "steps" in capsys.readouterr().err
+    cfg.write_text("sieve_limit = 100000\ncheckpoint_ratio = 1e308\n")
+    assert main(["prime-sum", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "prime_sum_S.csv")
+    assert [r[0] for r in rows] == ["10", "100000"]
 
 
 def test_exponent_command_fits_default_stream(cfg_file, tmp_path, capsys):

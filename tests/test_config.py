@@ -178,6 +178,9 @@ def test_structural_constraints():
     for text in ("checkpoint_ratio = 1.0\n", "checkpoint_ratio = inf\n"):
         with pytest.raises(ConfigError, match="checkpoint_ratio"):
             parse_config(text)
+    with pytest.raises(ConfigError, match="more than 1000000 steps"):
+        parse_config("sieve_limit = 100000\ncheckpoint_ratio = 1.000000001\n")
+    assert parse_config("checkpoint_ratio = 1e308\n").checkpoints.tolist() == [10, 10**6]
     for key in ("zeta_tol", "weighted_tail_sigma"):
         with pytest.raises(ConfigError, match=key):
             parse_config(f"{key} = inf\n")
@@ -272,7 +275,8 @@ def _configs(draw):
         x_max=draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=limit))),
         checkpoint_x0=draw(st.integers(min_value=1, max_value=10**9)),
         checkpoint_ratio=draw(
-            st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+            # nearer 1 a grid to 2^32 may take more than 10^6 steps (rejected)
+            st.floats(min_value=1.0001, allow_infinity=False)
         ),
         tolerances=tuple(
             sorted(draw(st.dictionaries(_tolerance_name, _positive, max_size=3)).items())

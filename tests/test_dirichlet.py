@@ -14,6 +14,8 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
+import warnings
 from pathlib import Path
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from multlab.dirichlet import (
+    _EPS,
     _EXP_REL,
     _LIBM_ULPS,
     ComplexArgument,
@@ -30,6 +33,9 @@ from multlab.dirichlet import (
     IdentityKind,
     PoleError,
     SeriesEval,
+    _divisor_tail,
+    _power_tail,
+    _SeriesStore,
     dirichlet_sum,
     euler_product_G,
     euler_product_U,
@@ -46,6 +52,7 @@ from multlab.config import ExperimentConfig
 from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
+    coefficient_stream,
     constant_spec,
     f_at_primes,
     liouville_spec,
@@ -225,6 +232,23 @@ def test_dirichlet_sum_validates_N(sieve_1e4):
         dirichlet_sum(DerivedFunctionKind.F_PLAIN, LIOUVILLE, 2.0, 0, sieve_1e4)
     with pytest.raises(ValueError):
         dirichlet_sum(DerivedFunctionKind.F_PLAIN, LIOUVILLE, 2.0, 10**5, sieve_1e4)
+
+
+def test_dirichlet_sum_that_leaves_float64_raises_domain_error(sieve_1e6):
+    # n^70 passes float max from n of about 2.5e4, and its partial sums
+    # overflowed math.fsum; at s = -300, +-inf terms met as -inf + inf
+    for kind, s, N in (
+        (DerivedFunctionKind.H_CONV, -70.0, 10**5),
+        (DerivedFunctionKind.F_PLAIN, -300.0, 1000),
+        (DerivedFunctionKind.F_MU2, complex(-300.0, 2.0), 1000),  # 0 * inf is NaN
+    ):
+        with pytest.raises(DomainError, match="leaves float64"):
+            dirichlet_sum(kind, LIOUVILLE, s, N, sieve_1e6)
+    # while every term and sum is finite, a point left of 0 sums as usual
+    n = np.arange(1, 1001, dtype=np.float64)
+    terms = coefficient_stream(LIOUVILLE, DerivedFunctionKind.F_PLAIN, 1000, sieve_1e6) * n**3
+    ev = dirichlet_sum(DerivedFunctionKind.F_PLAIN, LIOUVILLE, -3.0, 1000, sieve_1e6)
+    assert ev.value == complex(math.fsum(terms.tolist()), 0.0) and ev.heuristic
 
 
 # --------------------------------------------------------- Euler products
@@ -504,6 +528,15 @@ def test_euler_products_at_tiny_sigma_raise_domain_error(sieve_1e4):
         euler_product_G(spec, 1e-15, 10**3, sieve_1e4)
 
 
+def test_euler_products_at_huge_sigma_warn_nothing(sieve_1e4):
+    # -sigma log p passes -float max: p^(-s) is 0.0 and every factor is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (1e308, complex(1e308, 1.0)):
+            for product in (euler_product_G, euler_product_U):
+                assert product(constant_spec(0.5), s, 10**4, sieve_1e4).value == 1.0
+
+
 def test_liouville_euler_products_over_the_benchmark_input_range(sieve_1e4):
     # the prime-side benchmark's inputs: Liouville with exceptions at small
     # primes, sigma in [1.1, 3], t = 0 or t in [1, 20].  G is then the finite
@@ -648,6 +681,82 @@ def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
     assert sorted(builds, key=lambda k: k.value) == sorted(
         DerivedFunctionKind, key=lambda k: k.value
     )
+
+
+@pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8])
+def test_store_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
+    # N = 3 * 2^15 + 5: three full slices and a short one
+    N = 3 * 2**15 + 5
+    spec = power_decay_spec(0.5, 0.5, {3: 0.25})
+    point = ComplexArgument.of(s)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    weights = n ** (-point.sigma)
+    phase = -point.t * np.log(n)
+    store = _SeriesStore(spec, N, N, sieve_1e6)
+    for kind in DerivedFunctionKind:
+        mod = coefficient_stream(spec, kind, N, sieve_1e6) * weights
+        ev = store.get(kind, point)
+        expected = complex(
+            math.fsum((mod * np.cos(phase)).tolist()) if point.t else math.fsum(mod.tolist()),
+            math.fsum((mod * np.sin(phase)).tolist()) if point.t else 0.0,
+        )
+        assert (ev.value.real.hex(), ev.value.imag.hex()) == (
+            expected.real.hex(), expected.imag.hex()
+        ), kind
+        if point.sigma > 1.0:
+            divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
+            tail = (_divisor_tail if divisor else _power_tail)(N, point.sigma)
+            assert ev.tail_bound == tail + 4.0 * _EPS * math.fsum(np.abs(mod).tolist())
+        else:
+            assert ev.heuristic and ev.tail_bound == math.inf
+
+
+def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypatch):
+    import multlab.dirichlet as dl
+
+    passes, builds = [], []
+    original_sums, original_stream = dl._dirichlet_sums, dl.coefficient_stream
+
+    def counting_sums(coeffs, length, point):
+        if coeffs and length == 10**4:  # zeta sums its few acceleration terms here too
+            passes.append((len(coeffs), point))
+        return original_sums(coeffs, length, point)
+
+    def counting_stream(spec, kind, limit, sieve):
+        builds.append(kind)
+        return original_stream(spec, kind, limit, sieve)
+
+    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    monkeypatch.setattr(dl, "coefficient_stream", counting_stream)
+    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
+    point = ComplexArgument(2.0, 3.0)
+    store.get(DerivedFunctionKind.F_PLAIN, point)
+    store.residual(IdentityKind.G_PRODUCT_VS_SUM, point)  # sums the other three
+    assert passes == [(1, point), (3, point)]
+    for identity in IdentityKind:
+        store.residual(identity, point)
+    for kind in DerivedFunctionKind:
+        store.get(kind, point)
+    assert len(passes) == 2 and len(builds) == 4
+
+
+def test_identity_checks_build_no_whole_length_array(sieve_1e6):
+    # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB
+    N = 10**6
+    spec = power_decay_spec(0.5, 0.5, {3: 0.25})
+    store = _SeriesStore(spec, N, 10**3, sieve_1e6)
+    for kind in DerivedFunctionKind:
+        store._streams[kind] = coefficient_stream(spec, kind, N, sieve_1e6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for s in (2.0, 3.0, complex(2.5, 3.0)):
+            for identity in IdentityKind:
+                store.residual(identity, s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_verify_identity_lines_equal_direct_residuals(sieve_1e4):

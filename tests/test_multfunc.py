@@ -342,6 +342,12 @@ def test_spec_validation_errors():
         constant_spec(1.5)
     with pytest.raises(ValueError):
         PrimeFunctionSpec(base="power_decay", c=1.0, a=0.0)  # a must be > 0
+    # a parameter the base ignores would be serialized as a line parse_config rejects
+    for kwargs in ({"c": 0.5}, {"a": 1.0}):
+        with pytest.raises(ValueError, match="liouville base takes no"):
+            PrimeFunctionSpec(base="liouville", **kwargs)
+    with pytest.raises(ValueError, match="constant base takes no"):
+        PrimeFunctionSpec(base="constant", c=0.5, a=2.0)
     for c, a in ((math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.inf)):
         with pytest.raises(ValueError):
             power_decay_spec(c, a)  # c and a must be finite

@@ -1,6 +1,7 @@
 """S(x) traces, pretentious distance, and the weighted-tail diagnostic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,18 @@ def test_weighted_tail_convergent_cases(sieve_1e6):
         liouville_spec({2: 0.5}), 1.0, 10**6, sieve_1e6
     )
     assert verdict3 == VERDICT_CONVERGENT
+
+
+def test_weighted_tail_at_large_sigma_warns_nothing(sieve_1e6):
+    # p^60 passes float max from p of about 1.4e5: those terms are 0.0, where
+    # the true ones lie below 1e-306, far under an ulp of the sum
+    spec = power_decay_spec(0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace, verdict = weighted_tail_diagnostic(spec, 60.0, 10**6, sieve_1e6)
+    values = dict(trace.checkpoints)
+    assert verdict == VERDICT_CONVERGENT and 0.0 < values[10] < 1e-17
+    assert len({v for x, v in trace.checkpoints if x >= 10**5}) == 1
 
 
 def test_weighted_tail_deterministic(sieve_1e5):

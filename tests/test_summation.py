@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab import summation
-from multlab.summation import _ExactSum, _prefix_sums, fsum_array, prefix_sums_at
+from multlab.summation import (
+    _ExactSum,
+    _prefix_sums,
+    checkpoint_schedule,
+    fsum_array,
+    prefix_sums_at,
+)
 
 #: slice length of the extraction (multlab.summation._BLOCK)
 BLOCK = 1 << 15
@@ -181,3 +187,15 @@ def test_prefix_sums_of_any_slicing_are_fsum_of_each_prefix(xs, cuts, block):
     assert done <= max(counts, default=0)
     if isinstance(got, bytes):
         assert done == max(counts, default=0)
+
+
+def test_checkpoint_schedule_bounds_its_steps():
+    # about 9e9 steps from 10 to 10^5 would stall every trace: rejected at once
+    with pytest.raises(ValueError, match="more than 1000000 steps"):
+        checkpoint_schedule(10**5, 10, 1.000000001)
+    # a ratio whose first step overflows the running value ends the grid
+    for ratio in (1e308, math.inf, 10.0**5):
+        assert checkpoint_schedule(10**5, 10, ratio).tolist() == [10, 10**5]
+    # past x_max the first point is x_max; x0 = x_max takes no step
+    assert checkpoint_schedule(50, 10**9, 1.0 + 1e-12).tolist() == [50]
+    assert checkpoint_schedule(7, 7, 1.0 + 1e-12).tolist() == [7]
