@@ -249,7 +249,7 @@ def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
         cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
     try:
-        fit = fit_exponent(series, epsilon_slack=cfg.epsilon_slack)
+        fit = fit_exponent(series)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

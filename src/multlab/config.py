@@ -243,9 +243,7 @@ def parse_config(text: str) -> ExperimentConfig:
     c = _parse_float("spec.c", spec_fields["c"]) if "c" in spec_fields else None
     a = _parse_float("spec.a", spec_fields["a"]) if "a" in spec_fields else None
     try:
-        spec = PrimeFunctionSpec(
-            base=base, c=c, a=a, exceptions=tuple(sorted(exceptions.items()))
-        )
+        spec = PrimeFunctionSpec(base=base, c=c, a=a, exceptions=exceptions)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

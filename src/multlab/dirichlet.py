@@ -337,8 +337,6 @@ def _euler_primes(point: ComplexArgument, P: int, sieve: FactorSieve) -> np.ndar
     """The primes p <= P of an Euler product at ``point`` (needs sigma > 0)."""
     if point.sigma <= 0:
         raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
-    if P > sieve.limit:
-        raise ValueError(f"P={P} exceeds sieve limit {sieve.limit}")
     return primes_up_to(P, sieve)
 
 
@@ -545,7 +543,8 @@ def euler_product_G(
     # tail over p > P: factor - 1 = (1 + f(p)) / (p^s - 1)
     coef, extra = _base_one_plus_f_tail(spec)
     Pe = max(P, 1)
-    kappa1 = 1.0 / (1.0 - (Pe + 1.0) ** (-point.sigma))
+    r1 = (Pe + 1.0) ** (-point.sigma)
+    kappa1 = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no tail bound at tiny sigma
     log_tail = 0.0
     zmax = 0.0
     if coef != 0.0:
@@ -557,7 +556,8 @@ def euler_product_G(
             log_tail = math.inf
     for p, v in spec.exceptions:
         if p > P:
-            zp = abs(1.0 + v) / (p ** point.sigma - 1.0)
+            x = -point.sigma * math.log(p)  # zp = |1 + v| / (p^sigma - 1), 0 on underflow
+            zp = abs(1.0 + v) * math.exp(x) / -math.expm1(x)
             zmax = max(zmax, zp)
             log_tail += zp
     log_tail = log_tail / (1.0 - zmax) if zmax < 0.5 else math.inf
@@ -657,7 +657,10 @@ class _SeriesStore:
     "U" over p <= P.  Each stream is built once; the sums at one point of
     several streams share one slice pass (``_dirichlet_sums``), and
     ``residual`` sums every stream not yet memoised at its point in one.
-    Exceptions are not memoised: they raise again for every caller.
+    A failure (ValueError or ArithmeticError, such as DomainError) is
+    memoised too, as the exception's type and args, and raised again by
+    every ``get`` of that (name, point), so a failing pass runs once.
+    zeta's ConvergenceError, raised before any summing, is not memoised.
     """
 
     def __init__(
@@ -670,28 +673,40 @@ class _SeriesStore:
     ):
         self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
         self._streams: dict[DerivedFunctionKind, np.ndarray] = {}
-        self._evals: dict[tuple, SeriesEval] = {}
+        #: a SeriesEval, or a failure as (exception type, args)
+        self._evals: dict[tuple, SeriesEval | tuple[type, tuple]] = {}
 
     def get(self, name, s) -> SeriesEval:
         point = ComplexArgument.of(s)
         key = (name, point)
         if key not in self._evals:
-            if name == "zeta":
-                self._evals[key] = zeta(point, self.zeta_tol)
-            elif name == "G":
-                self._evals[key] = euler_product_G(self.spec, point, self.P, self.sieve)
-            elif name == "U":
-                self._evals[key] = euler_product_U(self.spec, point, self.P, self.sieve)
-            else:
+            if isinstance(name, DerivedFunctionKind):
                 self._sum_streams([name], point)
-        return self._evals[key]
+            else:
+                try:
+                    if name == "zeta":
+                        self._evals[key] = zeta(point, self.zeta_tol)
+                    else:
+                        product = euler_product_G if name == "G" else euler_product_U
+                        self._evals[key] = product(self.spec, point, self.P, self.sieve)
+                except (ValueError, ArithmeticError) as exc:
+                    self._evals[key] = (type(exc), exc.args)
+        ev = self._evals[key]
+        if isinstance(ev, tuple):
+            raise ev[0](*ev[1])
+        return ev
 
     def _sum_streams(self, kinds: list[DerivedFunctionKind], point: ComplexArgument) -> None:
         """Memoise the sums at ``point`` of the streams ``kinds``, in one slice pass."""
-        for kind in kinds:
-            if kind not in self._streams:
-                self._streams[kind] = coefficient_stream(self.spec, kind, self.N, self.sieve)
-        sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
+        try:
+            for kind in kinds:
+                if kind not in self._streams:
+                    self._streams[kind] = coefficient_stream(self.spec, kind, self.N, self.sieve)
+            sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
+        except (ValueError, ArithmeticError) as exc:
+            for kind in kinds:
+                self._evals[(kind, point)] = (type(exc), exc.args)
+            return
         for kind, (value, abs_sum) in zip(kinds, sums):
             ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)
             if point.sigma > 1.0:

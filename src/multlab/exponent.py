@@ -75,7 +75,6 @@ class ExponentFit:
     stderr: float
     window: tuple[int, int]
     points_used: int
-    epsilon_slack: float
 
 
 def checkpoint_partial_sums(
@@ -92,23 +91,18 @@ def checkpoint_partial_sums(
     prefix sum rounded once.  Both paths are deterministic and independent
     of any upstream parallelism.
     """
-    if not 1 <= x_max <= sieve.limit:
-        raise ValueError(f"x_max={x_max} outside [1, sieve limit {sieve.limit}]")
+    exact = spec_is_pm1(spec)
+    stream = integer_coefficient_stream if exact else coefficient_stream
+    coeffs = stream(spec, kind, x_max, sieve)  # ValueError outside [1, sieve limit]
     if schedule is None:
         schedule = checkpoint_schedule(x_max)
     schedule = np.asarray(schedule, dtype=np.int64)
     if schedule.size and (schedule[0] < 1 or schedule[-1] > x_max):
         raise ValueError("schedule must lie within [1, x_max]")
-    exact = spec_is_pm1(spec)
-    if exact:
-        coeffs = integer_coefficient_stream(spec, kind, x_max, sieve)
-        sums = exact_prefix_sums_at(coeffs, schedule).astype(np.float64)
-    else:
-        coeffs = coefficient_stream(spec, kind, x_max, sieve)
-        sums = prefix_sums_at(coeffs, schedule)
+    sums = (exact_prefix_sums_at if exact else prefix_sums_at)(coeffs, schedule)
     return PartialSumSeries(
         x=schedule.copy(),
-        sums=sums,
+        sums=sums.astype(np.float64),
         kind=kind,
         spec_id=spec.spec_id(),
         exact=exact,
@@ -142,7 +136,6 @@ def _least_squares(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float]:
 def fit_exponent(
     series: PartialSumSeries,
     window: tuple[int, int] | None = None,
-    epsilon_slack: float = 0.05,
 ) -> ExponentFit:
     """Fit alpha in M(x) ~ C x^alpha on the running-max envelope.
 
@@ -174,7 +167,6 @@ def fit_exponent(
         stderr=stderr,
         window=(int(lo), int(hi)),
         points_used=used,
-        epsilon_slack=float(epsilon_slack),
     )
 
 

@@ -31,22 +31,18 @@ exact path used by the partial-sum machinery.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .sieve import FactorSieve, _check_range, primes_up_to
+from .sieve import FactorSieve, factorize, primes_up_to
 
 BASE_LIOUVILLE = "liouville"
 BASE_CONSTANT = "constant"
 BASE_POWER_DECAY = "power_decay"
-
-#: switch h(p^a) from the geometric closed form to direct summation when
-#: f(p) is this close to 1, avoiding catastrophic cancellation in
-#: (1 - f^( a+1)) / (1 - f)
-_NEAR_ONE = 1e-8
 
 
 class DerivedFunctionKind(Enum):
@@ -105,7 +101,9 @@ class PrimeFunctionSpec:
         Parameters for the parametric bases; None where unused (a base
         given a parameter it ignores is rejected).
     exceptions : tuple of (prime, value)
-        Per-prime overrides, sorted by prime; values constrained to [-1, 1].
+        Per-prime overrides, given as a Mapping, (p, v) pairs or None and
+        stored as (int, float) pairs sorted by prime.  Keys must be integers
+        (``operator.index``: 2.0 is rejected) and values lie in [-1, 1].
     """
 
     base: str
@@ -130,8 +128,15 @@ class PrimeFunctionSpec:
                 raise ValueError(
                     f"power_decay base needs finite c and a > 0, got c={self.c} a={self.a}"
                 )
+        items = self.exceptions or ()
+        if isinstance(items, Mapping):
+            items = items.items()
+        try:
+            pairs = sorted((operator.index(p), float(v)) for p, v in items)
+        except TypeError as exc:
+            raise ValueError(f"exceptions need integer keys and real values: {exc}") from None
         seen = set()
-        for p, v in self.exceptions:
+        for p, v in pairs:
             if not _is_prime_int(p):
                 raise ValueError(f"exception key {p} is not prime")
             if p in seen:
@@ -139,18 +144,7 @@ class PrimeFunctionSpec:
             seen.add(p)
             if not -1.0 <= v <= 1.0:
                 raise ValueError(f"exception value for p={p} outside [-1, 1]: {v}")
-        object.__setattr__(self, "exceptions", tuple(sorted(self.exceptions)))
-
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def _normalize_exceptions(
-        exceptions: Mapping[int, float] | Iterable[tuple[int, float]] | None,
-    ) -> tuple[tuple[int, float], ...]:
-        if exceptions is None:
-            return ()
-        items = exceptions.items() if isinstance(exceptions, Mapping) else exceptions
-        return tuple(sorted((int(p), float(v)) for p, v in items))
+        object.__setattr__(self, "exceptions", tuple(pairs))
 
     @property
     def exception_map(self) -> dict[int, float]:
@@ -170,38 +164,38 @@ class PrimeFunctionSpec:
 
 
 def liouville_spec(
-    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] | None = None,
+    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] = (),
 ) -> PrimeFunctionSpec:
     """f(p) = -1 at every prime, modulo explicit exceptions."""
     return PrimeFunctionSpec(
         base=BASE_LIOUVILLE,
-        exceptions=PrimeFunctionSpec._normalize_exceptions(exceptions),
+        exceptions=exceptions,
     )
 
 
 def constant_spec(
     c: float,
-    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] | None = None,
+    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] = (),
 ) -> PrimeFunctionSpec:
     """f(p) = c at every prime, c in [-1, 1]."""
     return PrimeFunctionSpec(
         base=BASE_CONSTANT,
         c=float(c),
-        exceptions=PrimeFunctionSpec._normalize_exceptions(exceptions),
+        exceptions=exceptions,
     )
 
 
 def power_decay_spec(
     c: float,
     a: float,
-    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] | None = None,
+    exceptions: Mapping[int, float] | Iterable[tuple[int, float]] = (),
 ) -> PrimeFunctionSpec:
     """f(p) = clamp(-1 + c * p^(-a), -1, 1); drifts toward -1 as p grows."""
     return PrimeFunctionSpec(
         base=BASE_POWER_DECAY,
         c=float(c),
         a=float(a),
-        exceptions=PrimeFunctionSpec._normalize_exceptions(exceptions),
+        exceptions=exceptions,
     )
 
 
@@ -278,23 +272,24 @@ def spec_is_pm1(spec: PrimeFunctionSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation via closed forms on prime powers
+# pointwise evaluation, one prime power at a time
 # ---------------------------------------------------------------------------
 
 
-def _h_prime_power(fp: float, a: int) -> float:
-    """h(p^a) = 1 + fp + ... + fp^a, guarded against cancellation at fp ~ 1."""
-    if abs(1.0 - fp) < _NEAR_ONE:
-        total = 1.0
-        term = 1.0
-        for _ in range(a):
-            term *= fp
-            total += term
-        return total
-    return (1.0 - fp ** (a + 1)) / (1.0 - fp)
+def _h_prime_power(fp, a: int):
+    """h(p^a) = 1 + fp + ... + fp^a, summed term by term (fp a float or an array)."""
+    total, term = 1.0 + fp, fp
+    for _ in range(a - 1):
+        term = term * fp
+        total = total + term
+    return total
 
 
-def _weight(kind: DerivedFunctionKind, fp: float, a: int) -> float:
+def _weight(kind: DerivedFunctionKind, fp, a: int):
+    """a(p^a) of the derived function ``kind`` from fp = f(p), a float or an array.
+
+    The one rule behind pointwise evaluation and verify's prime-power scan.
+    """
     if kind is DerivedFunctionKind.F_PLAIN:
         return fp ** a
     if kind is DerivedFunctionKind.H_CONV:
@@ -307,16 +302,8 @@ def _weight(kind: DerivedFunctionKind, fp: float, a: int) -> float:
 def _eval_pointwise(
     spec: PrimeFunctionSpec, kind: DerivedFunctionKind, n: int, sieve: FactorSieve
 ) -> float:
-    _check_range(n, sieve)
-    spf = sieve.spf
     result = 1.0
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
+    for p, a in factorize(n, sieve):
         result *= _weight(kind, f_at_prime(spec, p), a)
     return result
 
@@ -327,7 +314,7 @@ def eval_f(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 
 
 def eval_h(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
-    """(1*f)(n) via the geometric closed form on each prime power; >= 0."""
+    """(1*f)(n), each h(p^a) = 1 + f(p) + ... + f(p)^a summed term by term; >= 0."""
     return _eval_pointwise(spec, DerivedFunctionKind.H_CONV, n, sieve)
 
 

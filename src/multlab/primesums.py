@@ -85,13 +85,11 @@ def prime_sum_S(
     is exactly zero; finite exceptions contribute a plateau reached at the
     largest exception prime.
     """
-    if x_max > sieve.limit:
-        raise ValueError(f"x_max={x_max} exceeds sieve limit {sieve.limit}")
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
+    primes = primes_up_to(x_max, sieve)
     if schedule is None:
         schedule = checkpoint_schedule(x_max)
-    primes = primes_up_to(x_max, sieve)
     log_p = sieve.log_primes
 
     def terms(lo: int, hi: int) -> np.ndarray:
@@ -114,8 +112,6 @@ def pretentious_distance_sq(
     prime by prime, but a spec with |f(p)| < 1 keeps positive distance
     even from itself.  Exactly rounded, from one slice of primes at a time.
     """
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
     primes = primes_up_to(x, sieve)
 
     def terms(lo: int, hi: int) -> np.ndarray:
@@ -175,8 +171,6 @@ def weighted_tail_diagnostic(
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if x_max > sieve.limit:
-        raise ValueError(f"x_max={x_max} exceeds sieve limit {sieve.limit}")
     if x_max < 2:
         raise ValueError(f"x_max must be >= 2, got {x_max}")
     primes = primes_up_to(x_max, sieve)

@@ -1,9 +1,9 @@
 """Smallest-prime-factor sieve and the classical arithmetic functions.
 
 The central object is :class:`FactorSieve`: a table ``spf[n]`` holding the
-smallest prime factor of every ``n`` up to a limit.  Factorization is then
-repeated division by ``spf``, giving lambda(n), mu(n), mu^2(n) and Omega(n)
-in O(log n) per query with no per-call allocation beyond the result.
+smallest prime factor of every ``n`` up to a limit.  ``factorize`` is then
+repeated division by ``spf`` in O(log n), and lambda(n), mu(n), mu^2(n) and
+Omega(n) are read from its result.
 
 Construction is segmented (fixed-size blocks) and may be internally
 thread-parallel: segments are disjoint slices of the output array, and each
@@ -69,11 +69,6 @@ class FactorSieve:
         log_primes = np.log(self.primes.astype(np.float64))
         log_primes.flags.writeable = False
         return log_primes
-
-
-def _check_range(n: int, sieve: FactorSieve, lo: int = 1) -> None:
-    if not lo <= n <= sieve.limit:
-        raise ValueError(f"argument {n} outside [{lo}, sieve limit {sieve.limit}]")
 
 
 def _sieve_segment(
@@ -179,9 +174,11 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
     """Canonical factorization of n as [(p, a), ...] with ascending primes.
 
-    ``factorize(1)`` is the empty list.
+    ``factorize(1)`` is the empty list.  The one division loop over ``spf``:
+    the arithmetic functions below and pointwise evaluation read it.
     """
-    _check_range(n, sieve)
+    if not 1 <= n <= sieve.limit:
+        raise ValueError(f"argument {n} outside [1, sieve limit {sieve.limit}]")
     spf = sieve.spf
     out: list[tuple[int, int]] = []
     m = n
@@ -197,14 +194,7 @@ def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
 
 def big_omega(n: int, sieve: FactorSieve) -> int:
     """Omega(n): number of prime factors counted with multiplicity."""
-    _check_range(n, sieve)
-    spf = sieve.spf
-    count = 0
-    m = n
-    while m > 1:
-        m //= int(spf[m])
-        count += 1
-    return count
+    return sum(a for _, a in factorize(n, sieve))
 
 
 def liouville(n: int, sieve: FactorSieve) -> int:
@@ -214,17 +204,10 @@ def liouville(n: int, sieve: FactorSieve) -> int:
 
 def moebius(n: int, sieve: FactorSieve) -> int:
     """mu(n): 0 unless n is squarefree, else (-1)^(number of prime factors)."""
-    _check_range(n, sieve)
-    spf = sieve.spf
-    m = n
-    sign = 1
-    while m > 1:
-        p = int(spf[m])
-        m //= p
-        if m % p == 0:
-            return 0
-        sign = -sign
-    return sign
+    factors = factorize(n, sieve)
+    if any(a > 1 for _, a in factors):
+        return 0
+    return -1 if len(factors) & 1 else 1
 
 
 def is_squarefree(n: int, sieve: FactorSieve) -> bool:
@@ -236,7 +219,8 @@ def primes_up_to(x: int, sieve: FactorSieve) -> np.ndarray:
     """Ascending int64 array of the primes in [2, x].
 
     The result is a read-only view of ``sieve.primes``: copy it before
-    writing to it.
+    writing to it.  Raises ValueError for x past the sieve limit, the range
+    check every prime-side function relies on.
     """
     if x > sieve.limit:
         raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")

@@ -47,6 +47,7 @@ from .exponent import (
 from .multfunc import (
     BASE_LIOUVILLE,
     DerivedFunctionKind,
+    _weight,
     f_at_primes,
 )
 from .primesums import (
@@ -153,29 +154,23 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
 def _prime_power_minima(cfg: ExperimentConfig, sieve: FactorSieve) -> dict[str, float]:
     """Minimum of h and g over all prime powers p^m <= scan limit.
 
-    The primes with p^m <= limit are a prefix of the ascending primes, so
-    each exponent m works on a prefix of the one before.
+    Values come from ``multfunc._weight``, the rule pointwise evaluation
+    uses.  The primes with p^m <= limit are a prefix of the ascending
+    primes; g(p^m) = g(p), so g needs only m = 1.
     """
     limit = min(sieve.limit, _NONNEG_SCAN_LIMIT)
     primes = primes_up_to(limit, sieve)
     fp = f_at_primes(cfg.spec, primes)
     min_h = math.inf
-    min_g = float(np.min(1.0 + fp))
-    m = 1
     ln_limit = math.log(limit)
-    current = fp.copy()  # f(p)^m
-    h_val = 1.0 + fp  # h(p^1)
-    while True:
+    for m in range(1, limit.bit_length()):
         count = int(np.searchsorted(primes, math.floor(math.exp(ln_limit / m)), side="right"))
         if count == 0:
             break
-        min_h = min(min_h, float(np.min(h_val[:count])))
-        m += 1
-        if 2 ** m > limit:
-            break
-        current = current[:count] * fp[:count]
-        h_val = h_val[:count] + current
-    return {"h": min_h, "g": min_g}
+        h = _weight(DerivedFunctionKind.H_CONV, fp[:count], m)
+        min_h = min(min_h, float(np.min(h)))
+    g = _weight(DerivedFunctionKind.G_CONV, fp, 1)
+    return {"h": min_h, "g": float(np.min(g))}
 
 
 def _nonneg_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
@@ -257,7 +252,7 @@ def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     )
     threshold = 1.0 - cfg.epsilon_slack
     try:
-        fit = fit_exponent(series, epsilon_slack=cfg.epsilon_slack)
+        fit = fit_exponent(series)
     except InsufficientDataError:
         return CheckLine("exponent_fit:F_plain", STATUS_INCONCLUSIVE, math.nan, threshold)
     status = STATUS_PASS if fit.alpha_hat <= threshold else STATUS_FAIL

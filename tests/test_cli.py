@@ -336,6 +336,44 @@ def test_dirichlet_sums_past_float64_give_lines_and_rows(text, tmp_path, capsys)
     assert "leaves float64" in capsys.readouterr().out
 
 
+#: configs at the edges of what a config admits; every command must end in
+#: an exit code, never in a traceback
+EDGE_CFGS = {
+    # an exception prime past P whose p^sigma overflows float64 in G's tail
+    "G-tail-overflow": "sieve_limit = 2000\ntruncation_N = 1000\neuler_P = 1000\n"
+    "spec.exception.1009 = 0.5\ns_grid = 400:0\n",
+    "x_max=10": SMALL_CFG + "x_max = 10\n",
+    "t=1e300": SMALL_CFG + "s_grid = 2:1e300\n",
+    "sigma=1e-300": SMALL_CFG + "s_grid = 1e-300:0\n",
+    # no prime below P: G is its tail alone, whose bound needs (P+1)^-sigma < 1
+    "P=0,sigma=1e-300": "sieve_limit = 10000\ntruncation_N = 1000\neuler_P = 0\n"
+    "s_grid = 1e-300:0\nspec.base = constant\nspec.c = 0.5\nspec.exception.2 = 0.5\n",
+    "power_decay-c=-5": SMALL_CFG + "spec.base = power_decay\nspec.c = -5\nspec.a = 0.5\n",
+    "h-grid=1e-300": SMALL_CFG + "f_one_h_grid = 1e-300\n",
+}
+
+EDGE_COMMANDS = [
+    ["verify"],
+    ["series", "--which", "G_product"],
+    ["series", "--which", "U"],
+    ["series", "--which", "H"],
+    ["prime-sum"],
+    ["exponent"],
+    ["partial-sums"],
+]
+
+
+@pytest.mark.parametrize("name", EDGE_CFGS)
+def test_edge_configs_end_in_exit_codes_not_tracebacks(name, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(EDGE_CFGS[name])
+    for command in EDGE_COMMANDS:
+        argv = [command[0], "--config", str(cfg), "--out", str(tmp_path / "out")] + command[1:]
+        assert main(argv) in (0, 1, 2), command
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err, command
+
+
 def test_series_G_product_collapses_for_default_spec(cfg_file, tmp_path):
     out = tmp_path / "out"
     main(["series", "--config", str(cfg_file), "--out", str(out), "--which", "G_product"])

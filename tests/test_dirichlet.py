@@ -740,6 +740,29 @@ def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypa
     assert len(passes) == 2 and len(builds) == 4
 
 
+def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatch):
+    import multlab.dirichlet as dl
+
+    passes = []
+    original_sums = dl._dirichlet_sums
+
+    def counting_sums(coeffs, length, point):
+        if coeffs and length == 10**4:
+            passes.append((len(coeffs), point))
+        return original_sums(coeffs, length, point)
+
+    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
+    point = ComplexArgument(-300.0)  # n^300 leaves float64 from n = 11
+    for identity in IdentityKind:
+        with pytest.raises(DomainError):
+            store.residual(identity, point)
+    for kind in DerivedFunctionKind:
+        with pytest.raises(DomainError, match="leaves float64"):
+            store.get(kind, point)
+    assert passes == [(4, point)]
+
+
 def test_identity_checks_build_no_whole_length_array(sieve_1e6):
     # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB
     N = 10**6

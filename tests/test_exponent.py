@@ -199,7 +199,6 @@ def test_fit_liouville_exponent_near_half(sieve_1e6):
     )
     fit = fit_exponent(series)
     assert 0.35 <= fit.alpha_hat <= 0.65
-    assert fit.epsilon_slack == 0.05
 
 
 # --------------------------------------------------------- kronecker_check

@@ -456,14 +456,14 @@ def test_h_near_one_rescue(sieve_1e4):
     spec = liouville_spec({2: 1.0})
     assert eval_h(spec, 1024, sieve_1e4) == 11.0
     # f(p) = 1 - 1e-12: naive (1 - fp^(a+1))/(1 - fp) loses ~4 digits;
-    # the rescue branch keeps full precision
+    # the term-by-term sum keeps full precision
     close = constant_spec(1.0 - 1e-12)
     assert eval_h(close, 1024, sieve_1e4) == pytest.approx(11.0, abs=1e-9)
     stream = coefficient_stream(close, DerivedFunctionKind.H_CONV, 1024, sieve_1e4)
     assert stream[1023] == pytest.approx(11.0, abs=1e-9)
-    # just outside the pointwise rescue window the closed form loses ~5
-    # digits, and next to f = -1 the sum 1 + f + ... + f^e cancels; the
-    # stream must still match the exact sum at every 2^e
+    # at f = 1 - 1e-6 the closed form would lose ~5 digits, and next to
+    # f = -1 the sum 1 + f + ... + f^e cancels; the stream must still match
+    # the exact sum at every 2^e
     for fp in (1.0 - 1e-6, 1.0 - 1e-4, -1.0 + 1e-6):
         stream = coefficient_stream(
             constant_spec(fp), DerivedFunctionKind.H_CONV, 2**13, sieve_1e4
@@ -479,3 +479,59 @@ def test_g_depends_only_on_prime_support(sieve_1e4):
     assert eval_g(spec, 36, sieve_1e4) == pytest.approx(
         eval_g(spec, 6, sieve_1e4), rel=1e-15
     )
+
+
+def test_eval_h_near_one_keeps_full_precision(sieve_1e4):
+    # a closed form (1 - f^(a+1)) / (1 - f) at f = 0.999 loses about three
+    # digits to cancellation; the term-by-term sum has nothing to cancel
+    spec = constant_spec(0.999)
+    f = Fraction(0.999)
+    for n in [2**e for e in range(1, 14)] + [3**e for e in range(1, 9)] + [720, 5040, 9240]:
+        exact = Fraction(1)
+        for _, a in factorize(n, sieve_1e4):
+            exact *= sum(f**k for k in range(a + 1))
+        assert abs(Fraction(eval_h(spec, n, sieve_1e4)) - exact) <= 1e-15 * exact, n
+
+
+def test_prime_power_minima_are_the_pointwise_minima(sieve_1e4):
+    from multlab.config import ExperimentConfig
+    from multlab.verify import _prime_power_minima
+
+    rng = np.random.default_rng(1009)
+    powers = [
+        p**m
+        for p in primes_up_to(10**4, sieve_1e4).tolist()
+        for m in range(1, 14)
+        if p**m <= 10**4
+    ]
+    for _ in range(20):
+        spec = random_spec(rng)
+        minima = _prime_power_minima(ExperimentConfig(spec=spec), sieve_1e4)
+        min_h = min(eval_h(spec, q, sieve_1e4) for q in powers)
+        min_g = min(eval_g(spec, q, sieve_1e4) for q in powers)
+        # f(p) is the vector rule in the scan and the scalar rule pointwise
+        assert minima["h"] == pytest.approx(min_h, rel=1e-15, abs=1e-15), spec.spec_id()
+        assert minima["g"] == pytest.approx(min_g, rel=1e-15, abs=1e-15), spec.spec_id()
+
+
+def test_spec_exceptions_are_normalised_in_the_spec():
+    from multlab.config import ExperimentConfig, config_hash, parse_config, serialize_config
+
+    pairs = PrimeFunctionSpec("liouville", exceptions=((3, -0.25), (2, 0.5)))
+    for spec in (
+        PrimeFunctionSpec("liouville", exceptions={2: 0.5, 3: -0.25}),
+        PrimeFunctionSpec("liouville", exceptions={np.int64(2): 0.5, 3: np.float64(-0.25)}),
+        liouville_spec({3: -0.25, 2: 0.5}),
+    ):
+        assert spec == pairs and hash(spec) == hash(pairs)
+        assert spec.exceptions == ((2, 0.5), (3, -0.25))
+        assert spec.spec_id() == pairs.spec_id() == "liouville+2:0.5+3:-0.25"
+        cfg = ExperimentConfig(spec=spec)
+        assert config_hash(cfg) == config_hash(ExperimentConfig(spec=pairs))
+        assert parse_config(serialize_config(cfg)) == cfg
+    # a float key is no prime: rejected like every other spec error
+    for exceptions in (((2.0, 0.5),), {2.0: 0.5}, ((2, 0.5, 1),), (2,)):
+        with pytest.raises(ValueError):
+            PrimeFunctionSpec("liouville", exceptions=exceptions)
+    with pytest.raises(ValueError):
+        liouville_spec({2.0: 0.5})
