@@ -121,8 +121,11 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
     At real s the imaginary part is exactly 0.0.
 
     Raises DomainError when a term or a sum leaves float64 (n^(-sigma)
-    overflows from sigma of about -308 / log10 length).
+    overflows from sigma of about -308 / log10 length): at the first slice
+    with an inf or NaN |c(n)| n^(-sigma), which no sum could survive, and
+    otherwise once an exactly rounded sum overflows.
     """
+    message = f"Dirichlet sum leaves float64 at sigma={point.sigma}"
     buf = np.empty((2, min(length, _BLOCK)))  # scratch of every sum: each is fed in turn
     sums = [(_ExactSum(buf), _ExactSum(buf), _ExactSum(buf)) for _ in coeffs]  # re, im, abs
 
@@ -135,7 +138,8 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
             cos, sin = np.cos(n), np.sin(n, out=n)
         for c, (re, im, size) in zip(coeffs, sums):
             mod = c[lo:hi] * weights
-            size.add(np.abs(mod))
+            if not math.isfinite(size.add(np.abs(mod))):
+                raise DomainError(message)
             if point.t == 0.0:
                 re.add(mod)
             else:
@@ -150,7 +154,7 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
     except (OverflowError, ValueError):  # math.fsum met +-inf or overflowed
         out = [(0j, math.inf)]
     if not all(math.isfinite(size) for _, size in out):
-        raise DomainError(f"Dirichlet sum leaves float64 at sigma={point.sigma}")
+        raise DomainError(message)
     return out
 
 

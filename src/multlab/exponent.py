@@ -86,10 +86,11 @@ def checkpoint_partial_sums(
 ) -> PartialSumSeries:
     """Partial sums of the selected stream at a geometric checkpoint grid.
 
-    Streams with all values in {-1, 0, 1} take the exact int64 path; other
-    streams take ``prefix_sums_at``, whose every checkpoint is its exact
-    prefix sum rounded once.  Both paths are deterministic and independent
-    of any upstream parallelism.
+    Specs with all f(p) in {-1, 0, 1} take the exact integer stream (int8
+    or int16), summed in int64 by ``exact_prefix_sums_at``; other streams
+    take ``prefix_sums_at``, whose every checkpoint is its exact prefix sum
+    rounded once.  Both paths are deterministic and independent of any
+    upstream parallelism.
     """
     exact = spec_is_pm1(spec)
     stream = integer_coefficient_stream if exact else coefficient_stream

@@ -24,8 +24,9 @@ from the finished entry a(m) --
 
 The steps run as vector passes over chunks of about 2^16 entries, so the
 work is O(N) with no Python-level per-n loop.  Streams whose values are
-provably integers (all f(p) in {-1,0,1}) run the same steps in int64, the
-exact path used by the partial-sum machinery.
+provably integers (all f(p) in {-1,0,1}) run the same steps in the
+narrowest integer dtype that holds them (int8 for F and F_mu2, int16 for
+H and G), the exact path used by the partial-sum machinery.
 """
 
 from __future__ import annotations
@@ -277,12 +278,19 @@ def spec_is_pm1(spec: PrimeFunctionSpec) -> bool:
 
 
 def _h_prime_power(fp, a: int):
-    """h(p^a) = 1 + fp + ... + fp^a, summed term by term (fp a float or an array)."""
-    total, term = 1.0 + fp, fp
-    for _ in range(a - 1):
-        term = term * fp
+    """h(p^a) = 1 + fp + ... + fp^a for a >= 1 (fp a float or an array).
+
+    Summed in pairs, as (1 + fp) (1 + fp^2 + ... + fp^(2 floor((a-1)/2)))
+    plus fp^a when a is even: for fp in [-1, 1] every term is nonnegative,
+    so nothing cancels next to fp = -1, and the result is at least 1 + fp.
+    """
+    square = fp * fp
+    total, term = 1.0, 1.0
+    for _ in range((a - 1) // 2):
+        term = term * square
         total = total + term
-    return total
+    total = (1.0 + fp) * total
+    return total + fp ** a if a % 2 == 0 else total
 
 
 def _weight(kind: DerivedFunctionKind, fp, a: int):
@@ -314,7 +322,7 @@ def eval_f(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 
 
 def eval_h(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
-    """(1*f)(n), each h(p^a) = 1 + f(p) + ... + f(p)^a summed term by term; >= 0."""
+    """(1*f)(n), each h(p^a) = 1 + f(p) + ... + f(p)^a summed in nonnegative pairs; >= 0."""
     return _eval_pointwise(spec, DerivedFunctionKind.H_CONV, n, sieve)
 
 
@@ -338,19 +346,30 @@ def eval_f_mu2(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 _CHUNK = 1 << 16
 
 
+#: result dtype of each exact stream: the narrowest integer type that holds
+#: every value and intermediate of its step below 2^32 (see :func:`_stream`)
+_EXACT_DTYPES = {
+    DerivedFunctionKind.F_PLAIN: np.int8,
+    DerivedFunctionKind.F_MU2: np.int8,
+    DerivedFunctionKind.H_CONV: np.int16,
+    DerivedFunctionKind.G_CONV: np.int16,
+}
+
+
 def _stream(
     spec: PrimeFunctionSpec,
     kind: DerivedFunctionKind,
     limit: int,
     sieve: FactorSieve,
-    dtype: type,
+    exact: bool,
 ) -> np.ndarray:
     """a(1..limit) for one derived function, one step from a(n / spf(n)).
 
     For n with p = spf(n), m = n // p is at most n / 2, and p | m exactly
     when spf(m) == p.  A chunk [lo, hi) with hi <= 2 lo therefore reads only
-    finished entries below lo, and fills in a few vector passes.  The steps,
-    with f = f(p):
+    finished entries below lo, and fills in a few vector passes.  m is
+    formed once per chunk as ``np.intp``, the index type of every gather
+    that reads it.  The steps, with f = f(p):
 
     * F_plain: a(n) = f * a(m), complete multiplicativity;
     * G_conv: a(n) = a(m) when p | m, else (1 + f) * a(m), since
@@ -363,46 +382,58 @@ def _stream(
 
     f(p) comes from one dense table indexed by n, filled by one
     :func:`f_at_primes` call: int8 for exact streams (values in {-1, 0, 1}),
-    float64 otherwise.
+    float64 otherwise.  The "when p | m" choices multiply by the 0/1 mask
+    ``again`` (np.where has no fast path for 1-byte items).  In float this
+    is bit for bit the choice for G (1 + f * 0 is 1) and for H, whose
+    values are never -0.0 (h(m) >= 0 and 1 + f >= 0), so subtracting a
+    signed zero changes nothing; F_mu2's float step keeps np.where.
 
-    int64 streams are exact.  In float, G and F_mu2 round once per prime
-    power, F once per prime factor (within about Omega(n) ulp of the exact
-    product); a zero F_mu2 entry may be -0.0 (f < 0 times a zero), which no
-    nonzero sum can see.  H's step is a sum of two nonnegative terms when
-    f <= 0, so nothing cancels: h(p^e) stays within 10 units of 2^-53
-    relative (measured to e = 64).  For 0 < f < 1 the step subtracts, and
-    near f = 1 the roots 1 and f meet, so an error made at exponent k
-    reaches exponent e multiplied by about e - k + 1: the error of h(p^e)
-    grows like e^2, measured at most e (e + 4) / 4 units of 2^-53 relative
-    (1.7e-14 for e <= 23, that is n <= 10^7).  Errors of the prime powers
-    of n add.
+    Exact streams (``exact``, every f(p) in {-1, 0, 1}) are integer and
+    stored in the narrowest dtype of ``_EXACT_DTYPES``.  F and F_mu2 take
+    values in {-1, 0, 1}: int8.  For n < 2^32 (every allowed sieve) H and
+    G fit int16: |h(p^e)| <= e + 1, so |h(n)| <= d(n) <= 1344, and the H
+    step's largest intermediate is (1 + f) a(m) <= 2 * 1344; g(n) <=
+    2^omega(n) <= 2^9, as the product of the first ten primes passes 2^32.
+
+    In float, G and F_mu2 round once per prime power, F once per prime
+    factor (within about Omega(n) ulp of the exact product); a zero F_mu2
+    entry may be -0.0 (f < 0 times a zero), which no nonzero sum can see.
+    H's step is a sum of two nonnegative terms when f <= 0, so nothing
+    cancels: h(p^e) stays within 10 units of 2^-53 relative (measured to
+    e = 64).  For 0 < f < 1 the step subtracts, and near f = 1 the roots 1
+    and f meet, so an error made at exponent k reaches exponent e
+    multiplied by about e - k + 1: the error of h(p^e) grows like e^2,
+    measured at most e (e + 4) / 4 units of 2^-53 relative (1.7e-14 for
+    e <= 23, that is n <= 10^7).  Errors of the prime powers of n add.
     """
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
     spf = sieve.spf
-    table = np.int8 if dtype is np.int64 else np.float64
     primes = primes_up_to(limit, sieve)
-    fp = np.zeros(limit + 1, dtype=table)
+    fp = np.zeros(limit + 1, dtype=np.int8 if exact else np.float64)
     fp[primes] = f_at_primes(spec, primes)
-    vals = np.zeros(limit + 1, dtype=dtype)
+    vals = np.zeros(limit + 1, dtype=_EXACT_DTYPES[kind] if exact else np.float64)
     vals[1] = 1
     lo = 2
     while lo <= limit:
         hi = min(lo + min(lo, _CHUNK), limit + 1)
         p = spf[lo:hi]
-        m = np.arange(lo, hi, dtype=np.uint32) // p
-        f = fp[p]
+        q = np.arange(lo, hi, dtype=np.uint32) // p  # n // p, divided in uint32
+        m = q.astype(np.intp)
+        f = np.take(fp, p)  # converts the uint32 index faster than fp[p]
         a = vals[m]
         if kind is DerivedFunctionKind.F_PLAIN:
             vals[lo:hi] = f * a
         else:
             again = spf[m] == p
             if kind is DerivedFunctionKind.G_CONV:
-                vals[lo:hi] = np.where(again, a, (1 + f) * a)
+                vals[lo:hi] = (1 + f * ~again) * a
             elif kind is DerivedFunctionKind.F_MU2:
-                vals[lo:hi] = np.where(again, 0, f * a)
+                # a float f * a < 0 times False is -0.0, where np.where
+                # gives 0.0, so only the exact path multiplies
+                vals[lo:hi] = f * a * ~again if exact else np.where(again, 0, f * a)
             else:  # H_CONV
-                vals[lo:hi] = (1 + f) * a - np.where(again, f * vals[m // p], 0)
+                vals[lo:hi] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
         lo = hi
     return vals[1:]
 
@@ -419,7 +450,7 @@ def coefficient_stream(
     step per n from a(n / spf(n)), in chunks of at most 2^16 entries (about
     limit / 2^16 + 16 vector passes, O(limit) work).
     """
-    return _stream(spec, kind, limit, sieve, np.float64)
+    return _stream(spec, kind, limit, sieve, exact=False)
 
 
 def integer_coefficient_stream(
@@ -428,14 +459,21 @@ def integer_coefficient_stream(
     limit: int,
     sieve: FactorSieve,
 ) -> np.ndarray:
-    """Exact int64 stream for specs with f(p) in {-1, 0, 1}.
+    """Exact integer stream for specs with f(p) in {-1, 0, 1}.
+
+    The dtype is the narrowest that holds every value of the kind below
+    2^32: int8 for F_plain and F_mu2 (values in {-1, 0, 1}), int16 for
+    H_conv (|h(n)| <= d(n) <= 1344) and G_conv (g(n) <= 2^9).  Sum it with
+    an int64 accumulator (``np.sum(..., dtype=np.int64)``, as
+    :func:`~multlab.summation.exact_prefix_sums_at` does), never in its own
+    dtype.
 
     Raises ValueError when the spec is not integer-valued; callers decide
     between this and the float stream via :func:`spec_is_pm1`.
     """
     if not spec_is_pm1(spec):
         raise ValueError("integer stream requires f(p) in {-1, 0, 1} everywhere")
-    return _stream(spec, kind, limit, sieve, np.int64)
+    return _stream(spec, kind, limit, sieve, exact=True)
 
 
 LIOUVILLE = liouville_spec()

@@ -132,16 +132,17 @@ class _ExactSum:
         # time (as in one Dirichlet pass) may share one (2, m) array
         self._buf = np.empty((2, 0)) if buf is None else buf
 
-    def add(self, chunk: np.ndarray) -> None:
+    def add(self, chunk: np.ndarray) -> float:
+        """Take one chunk; return max |chunk| (inf or NaN if the chunk has one)."""
         m = chunk.shape[0]
         if m > self._buf.shape[1]:
             self._buf = np.empty((2, m))
         r, q = self._buf[0, :m], self._buf[1, :m]
         width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
-        amax = float(np.abs(chunk, out=q).max()) if m else 0.0
+        largest = amax = float(np.abs(chunk, out=q).max()) if m else 0.0
         if not amax < math.ldexp(1.0, _EXP_LIMIT - width):  # also inf and NaN
             self.pieces.extend(chunk.tolist())
-            return
+            return largest
         np.copyto(r, chunk)
         while amax != 0.0:
             exp = width + math.frexp(amax)[1]
@@ -154,6 +155,7 @@ class _ExactSum:
             np.subtract(r, q, out=r)
             self.pieces.append(float(q.sum()))
             amax = float(np.abs(r, out=q).max())
+        return largest
 
     def value(self) -> float:
         return math.fsum(self.pieces)
@@ -228,9 +230,11 @@ def prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 def exact_prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Exact integer prefix sums (int64 values) at index boundaries.
 
-    Intended for +/-1/0-valued coefficient streams: segment sums are exact
-    in int64 (no segment exceeds 2^63 terms at desk scale) and are combined
-    with Python integers, so the result is exact for any realistic length.
+    Intended for the exact coefficient streams, whatever their integer
+    dtype (int8 or int16): each segment is summed with an int64 accumulator
+    (exact while a segment's sum stays below 2^63), and segments are
+    combined with Python integers, so the result is exact for any
+    realistic length.
     """
     data = np.asarray(values)
     if data.dtype.kind not in "iu":

@@ -576,3 +576,19 @@ def test_python_dash_m_runs_the_cli(cfg_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "primes=1229" in proc.stdout
+
+
+def test_import_loads_no_heavy_optional_modules():
+    # each CLI call and bench worker pays its imports in start-up time:
+    # scipy.stats alone once cost about 1 s per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, multlab, multlab.cli; "
+        "print(sorted(m for m in ('scipy', 'numpy.ma', 'mpmath') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

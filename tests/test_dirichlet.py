@@ -763,6 +763,45 @@ def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatc
     assert passes == [(4, point)]
 
 
+def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monkeypatch):
+    import multlab.dirichlet as dl
+
+    class Recorded(np.ndarray):  # a stream that records the slices read from it
+        def __getitem__(self, key):
+            read.append(key.start)
+            return np.asarray(self)[key]
+
+    # n^70 passes float max from n of about 2.57e4, inside the first slice
+    N, point = 4 * 2**15, ComplexArgument(-70.0)
+    message = "Dirichlet sum leaves float64 at sigma=-70.0"
+    stream = np.ones(N)
+    for s in (point, ComplexArgument(-70.0, 2.0)):
+        read = []
+        with pytest.raises(DomainError) as info:
+            dl._dirichlet_sums([stream.view(Recorded)], N, s)
+        assert str(info.value) == message and read == [0]
+    # every term finite, the sum not: the exact sum still overflows
+    with pytest.raises(DomainError) as info:
+        dl._dirichlet_sums([stream], 25_000, point)
+    assert str(info.value) == message
+    # the store memoises the failure: one pass, the same error every time
+    passes = []
+    original_sums = dl._dirichlet_sums
+
+    def counting_sums(coeffs, length, at):
+        passes.append(len(coeffs))
+        return original_sums(coeffs, length, at)
+
+    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    store = _SeriesStore(LIOUVILLE, N, 10**3, sieve_1e6)
+    for _ in range(3):
+        for kind in DerivedFunctionKind:
+            with pytest.raises(DomainError) as info:
+                store.get(kind, point)
+            assert str(info.value) == message
+    assert passes == [1, 1, 1, 1]
+
+
 def test_identity_checks_build_no_whole_length_array(sieve_1e6):
     # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB
     N = 10**6

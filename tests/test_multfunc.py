@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multlab.dirichlet import ComplexArgument, euler_product_G
 from multlab.multfunc import (
@@ -240,6 +242,36 @@ def test_integer_stream_equals_float_stream(kind, sieve_1e4):
         assert np.array_equal(fs, zs.astype(np.float64))
 
 
+#: the dtype of each exact stream: F and F_mu2 take values in {-1, 0, 1};
+#: |h(n)| <= d(n) <= 1344 and g(n) <= 2^9 below 2^32
+EXACT_DTYPES = {
+    DerivedFunctionKind.F_PLAIN: np.int8,
+    DerivedFunctionKind.F_MU2: np.int8,
+    DerivedFunctionKind.H_CONV: np.int16,
+    DerivedFunctionKind.G_CONV: np.int16,
+}
+
+_PM1 = st.sampled_from((-1.0, 0.0, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(("liouville", "constant")),
+    _PM1,
+    st.dictionaries(st.sampled_from((2, 3, 5, 7, 11, 13, 97, 317, 99991)), _PM1, max_size=4),
+)
+def test_exact_streams_equal_float_streams_cast_to_int(sieve_1e5, base, c, exceptions):
+    # f(p) in {-1, 0, 1} makes every float step exact, so the float stream
+    # holds the same integers
+    spec = liouville_spec(exceptions) if base == "liouville" else constant_spec(c, exceptions)
+    for kind, dtype in EXACT_DTYPES.items():
+        exact = integer_coefficient_stream(spec, kind, 10**5, sieve_1e5)
+        floats = coefficient_stream(spec, kind, 10**5, sieve_1e5)
+        assert exact.dtype == dtype
+        assert np.array_equal(floats, np.trunc(floats))
+        assert np.array_equal(floats.astype(np.int64), exact), (spec.spec_id(), kind)
+
+
 #: a stream limit past several 2^16-entry chunks, neither a power of two
 #: nor the sieve limit
 _WIDE = 290_001
@@ -275,7 +307,7 @@ def test_exact_streams_across_chunks_equal_oracles(spec, sieve_1e6):
     samples = _wide_samples()
     for kind, oracle in oracles.items():
         stream = integer_coefficient_stream(spec, kind, _WIDE, sieve_1e6)
-        assert stream.shape == (_WIDE,) and stream.dtype == np.int64
+        assert stream.shape == (_WIDE,) and stream.dtype == EXACT_DTYPES[kind]
         for n in samples:
             value = int(stream[n - 1])
             assert value == _eval_pointwise(spec, kind, n, sieve_1e6), (kind, n)
@@ -481,16 +513,26 @@ def test_g_depends_only_on_prime_support(sieve_1e4):
     )
 
 
-def test_eval_h_near_one_keeps_full_precision(sieve_1e4):
-    # a closed form (1 - f^(a+1)) / (1 - f) at f = 0.999 loses about three
-    # digits to cancellation; the term-by-term sum has nothing to cancel
-    spec = constant_spec(0.999)
-    f = Fraction(0.999)
+def _assert_eval_h_within_1e_15(c, sieve):
+    """eval_h of constant(c) within 1e-15 relative of the exact h at small n."""
+    spec, f = constant_spec(c), Fraction(c)
     for n in [2**e for e in range(1, 14)] + [3**e for e in range(1, 9)] + [720, 5040, 9240]:
         exact = Fraction(1)
-        for _, a in factorize(n, sieve_1e4):
+        for _, a in factorize(n, sieve):
             exact *= sum(f**k for k in range(a + 1))
-        assert abs(Fraction(eval_h(spec, n, sieve_1e4)) - exact) <= 1e-15 * exact, n
+        assert abs(Fraction(eval_h(spec, n, sieve)) - exact) <= 1e-15 * exact, n
+
+
+def test_eval_h_near_one_keeps_full_precision(sieve_1e4):
+    # a closed form (1 - f^(a+1)) / (1 - f) at f = 0.999 loses about three
+    # digits to cancellation; the pairwise sum has nothing to cancel
+    _assert_eval_h_within_1e_15(0.999, sieve_1e4)
+
+
+def test_eval_h_near_minus_one_keeps_full_precision(sieve_1e4):
+    # the running sum 1 + f + ... + f^a cancels at f = -0.999, at odd a where
+    # h(p^a) is small; summed in pairs every term is nonnegative
+    _assert_eval_h_within_1e_15(-0.999, sieve_1e4)
 
 
 def test_prime_power_minima_are_the_pointwise_minima(sieve_1e4):
