@@ -25,7 +25,6 @@ from .dirichlet import (
 from .exponent import (
     ExponentFit,
     InsufficientDataError,
-    PartialSumSeries,
     checkpoint_partial_sums,
     fit_exponent,
     kronecker_check,
@@ -49,7 +48,6 @@ from .multfunc import (
     spec_is_pm1,
 )
 from .primesums import (
-    PrimeSumTrace,
     pretentious_distance_sq,
     prime_sum_S,
     weighted_tail_diagnostic,
@@ -64,7 +62,7 @@ from .sieve import (
     moebius,
     primes_up_to,
 )
-from .summation import checkpoint_schedule
+from .summation import PartialSumSeries, checkpoint_schedule
 from .verify import CheckLine, VerificationReport, report_to_csv, run_verify
 
 __version__ = "0.1.0"
@@ -86,7 +84,6 @@ __all__ = [
     "PartialSumSeries",
     "PoleError",
     "PrimeFunctionSpec",
-    "PrimeSumTrace",
     "SeriesEval",
     "VerificationReport",
     "big_omega",

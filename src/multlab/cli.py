@@ -31,6 +31,8 @@ from .dirichlet import (
     _SeriesStore,
 )
 from .exponent import (
+    VERDICT_INCONCLUSIVE,
+    VERDICT_PASS,
     DerivedFunctionKind,
     InsufficientDataError,
     checkpoint_partial_sums,
@@ -171,8 +173,8 @@ def cmd_partial_sums(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> in
         cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
     )
     path = out_dir / f"partial_sums_{kind.value}.csv"
-    _write_csv(path, "x,sum", _trace_rows(series.x, series.sums))
-    print(f"wrote {path} ({len(series.x)} checkpoints, exact={series.exact})")
+    _write_csv(path, "x,sum", _trace_rows(series.x_values, series.values))
+    print(f"wrote {path} ({len(series.x_values)} checkpoints, exact={series.exact})")
     return 0
 
 
@@ -181,7 +183,7 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path) -> int:
     trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=cfg.checkpoints)
     path = out_dir / "prime_sum_S.csv"
     _write_csv(path, "x,sum", _trace_rows(trace.x_values, trace.values))
-    print(f"wrote {path} ({len(trace.checkpoints)} checkpoints)")
+    print(f"wrote {path} ({len(trace.x_values)} checkpoints)")
     return 0
 
 
@@ -234,9 +236,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     failed = report.failed
     print(
         f"{len(report.lines)} checks: "
-        f"{sum(1 for l in report.lines if l.status == 'pass')} pass, "
+        f"{sum(1 for l in report.lines if l.status == VERDICT_PASS)} pass, "
         f"{len(failed)} fail, "
-        f"{sum(1 for l in report.lines if l.status == 'inconclusive')} inconclusive"
+        f"{sum(1 for l in report.lines if l.status == VERDICT_INCONCLUSIVE)} inconclusive"
     )
     print(f"wrote {path}")
     return 1 if failed else 0
@@ -258,7 +260,7 @@ def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
         path,
         "spec_id,kind,alpha_hat,stderr,x_lo,x_hi,points_used",
         [
-            f"{series.spec_id},{kind.value},{_fmt_real(fit.alpha_hat)},"
+            f"{cfg.spec.spec_id()},{kind.value},{_fmt_real(fit.alpha_hat)},"
             f"{_fmt_real(fit.stderr)},{fit.window[0]},{fit.window[1]},{fit.points_used}"
         ],
     )

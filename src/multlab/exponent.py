@@ -27,44 +27,34 @@ from .primesums import (
     FLOOR,
     VERDICT_CONVERGENT,
     VERDICT_DIVERGENT,
+    VERDICT_INCONCLUSIVE,
     VERDICT_WINDOW,
     _step_verdict,
 )
 from .sieve import FactorSieve
 from .summation import (
-    checkpoint_schedule,
+    PartialSumSeries,
+    _schedule,
     exact_prefix_sums_at,
     prefix_sums_at,
 )
 
+#: the three statuses of every check line and decay verdict;
+#: VERDICT_INCONCLUSIVE ("inconclusive") comes from ``primesums``
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
-VERDICT_INCONCLUSIVE = "inconclusive"
+
+
+def _status(verdict: str) -> str:
+    """The pass/fail/inconclusive status of a three-valued decay verdict."""
+    return {
+        VERDICT_CONVERGENT: VERDICT_PASS,
+        VERDICT_DIVERGENT: VERDICT_FAIL,
+    }.get(verdict, VERDICT_INCONCLUSIVE)
 
 
 class InsufficientDataError(ValueError):
     """Too few usable checkpoints inside the fitting window."""
-
-
-@dataclass(frozen=True)
-class PartialSumSeries:
-    """Checkpointed partial sums sum_{n<=x} a(n) of one coefficient stream.
-
-    ``exact`` marks series accumulated on the integer path (coefficient
-    values all in {-1, 0, 1}), where every reported sum is exact.
-    """
-
-    x: np.ndarray
-    sums: np.ndarray
-    kind: DerivedFunctionKind
-    spec_id: str
-    exact: bool
-
-    def __post_init__(self) -> None:
-        if len(self.x) != len(self.sums):
-            raise ValueError("checkpoint and sum arrays must align")
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("checkpoints must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,10 @@ def checkpoint_partial_sums(
     sieve: FactorSieve,
     schedule: np.ndarray | None = None,
 ) -> PartialSumSeries:
-    """Partial sums of the selected stream at a geometric checkpoint grid.
+    """Partial sums of the selected stream at the checkpoints ``schedule``.
+
+    ``schedule`` defaults to ``checkpoint_schedule(x_max)``; a given one
+    must strictly ascend within [1, x_max] (ValueError otherwise).
 
     Specs with all f(p) in {-1, 0, 1} take the exact integer stream (int8
     or int16), summed in int64 by ``exact_prefix_sums_at``; other streams
@@ -95,24 +88,14 @@ def checkpoint_partial_sums(
     exact = spec_is_pm1(spec)
     stream = integer_coefficient_stream if exact else coefficient_stream
     coeffs = stream(spec, kind, x_max, sieve)  # ValueError outside [1, sieve limit]
-    if schedule is None:
-        schedule = checkpoint_schedule(x_max)
-    schedule = np.asarray(schedule, dtype=np.int64)
-    if schedule.size and (schedule[0] < 1 or schedule[-1] > x_max):
-        raise ValueError("schedule must lie within [1, x_max]")
+    schedule = _schedule(x_max, schedule)
     sums = (exact_prefix_sums_at if exact else prefix_sums_at)(coeffs, schedule)
-    return PartialSumSeries(
-        x=schedule.copy(),
-        sums=sums.astype(np.float64),
-        kind=kind,
-        spec_id=spec.spec_id(),
-        exact=exact,
-    )
+    return PartialSumSeries(schedule, sums, exact)
 
 
 def running_max_envelope(series: PartialSumSeries) -> np.ndarray:
     """M(x) = running maximum of |sum| over checkpoints up to x."""
-    return np.maximum.accumulate(np.abs(series.sums))
+    return np.maximum.accumulate(np.abs(series.values))
 
 
 def _least_squares(lx: np.ndarray, ly: np.ndarray) -> tuple[float, float]:
@@ -138,7 +121,10 @@ def fit_exponent(
     series: PartialSumSeries,
     window: tuple[int, int] | None = None,
 ) -> ExponentFit:
-    """Fit alpha in M(x) ~ C x^alpha on the running-max envelope.
+    """Fit alpha in M(x) ~ C x^alpha on the running-max envelope of any trace.
+
+    ``series`` may be a stream's partial sums (``checkpoint_partial_sums``)
+    or the S(x) trace of ``primesums.prime_sum_S``.
 
     The default window drops the first decade of checkpoints (small-x
     transients otherwise dominate the fit).  Checkpoints where the envelope
@@ -150,10 +136,10 @@ def fit_exponent(
         Fewer than 8 usable checkpoints in the window.
     """
     envelope = running_max_envelope(series)
-    x = series.x.astype(np.float64)
+    x = series.x_values.astype(np.float64)
     if window is None:
-        x_lo = float(series.x[0]) * 10.0
-        window = (int(x_lo), int(series.x[-1]))
+        x_lo = float(series.x_values[0]) * 10.0
+        window = (int(x_lo), int(series.x_values[-1]))
     lo, hi = window
     mask = (x >= lo) & (x <= hi) & (envelope > 0.0)
     used = int(np.count_nonzero(mask))
@@ -184,7 +170,8 @@ def kronecker_check(
     says whether the trace is consistent with that at desk scale: trailing
     dyadic-window maxima of |sum|/x^sigma must each drop below DECAY_FACTOR
     times the previous window's to pass, stay above FLAT_FACTOR to fail,
-    anything in between is inconclusive.
+    anything in between is inconclusive.  ``schedule`` follows the rule of
+    ``checkpoint_partial_sums``.
 
     Returns (series, normalized values, verdict).
     """
@@ -195,18 +182,10 @@ def kronecker_check(
         raise ValueError(
             f"coefficient array has {len(coeffs)} entries, needs >= x_max={x_max}"
         )
-    if schedule is None:
-        schedule = checkpoint_schedule(x_max)
-    schedule = np.asarray(schedule, dtype=np.int64)
-    sums = prefix_sums_at(coeffs[:x_max], schedule)
-    series = PartialSumSeries(
-        x=schedule.copy(),
-        sums=sums,
-        kind=DerivedFunctionKind.F_PLAIN,
-        spec_id="external-coefficients",
-        exact=False,
-    )
-    normalized = np.abs(sums) / schedule.astype(np.float64) ** sigma
+    schedule = _schedule(x_max, schedule)
+    series = PartialSumSeries(schedule, prefix_sums_at(coeffs[:x_max], schedule))
+    x = schedule.astype(np.float64)
+    normalized = np.abs(series.values) / x ** sigma
 
     # group checkpoints into trailing dyadic windows (x halving each step)
     scale = max(1.0, float(np.max(normalized))) if normalized.size else 1.0
@@ -215,9 +194,7 @@ def kronecker_check(
     hi = float(x_max)
     while hi >= schedule[0] and len(window_maxima) < VERDICT_WINDOW + 1:
         lo = hi / 2.0
-        in_window = (schedule.astype(np.float64) > lo) & (
-            schedule.astype(np.float64) <= hi
-        )
+        in_window = (x > lo) & (x <= hi)
         if np.any(in_window):
             window_maxima.append(float(np.max(normalized[in_window])))
         hi = lo
@@ -226,8 +203,4 @@ def kronecker_check(
         return series, normalized, VERDICT_INCONCLUSIVE
     if all(m <= floor for m in window_maxima):
         return series, normalized, VERDICT_PASS
-    verdict = {
-        VERDICT_CONVERGENT: VERDICT_PASS,
-        VERDICT_DIVERGENT: VERDICT_FAIL,
-    }.get(_step_verdict(window_maxima, floor), VERDICT_INCONCLUSIVE)
-    return series, normalized, verdict
+    return series, normalized, _status(_step_verdict(window_maxima, floor))

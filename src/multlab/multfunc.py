@@ -206,17 +206,10 @@ def power_decay_spec(
 
 
 def f_at_prime(spec: PrimeFunctionSpec, p: int) -> float:
-    """Value of f at the prime p (exceptions override the base rule)."""
-    if not _is_prime_int(p):
-        raise ValueError(f"{p} is not prime")
-    for q, v in spec.exceptions:
-        if q == p:
-            return v
-    if spec.base == BASE_LIOUVILLE:
-        return -1.0
-    if spec.base == BASE_CONSTANT:
-        return float(spec.c)
-    return float(min(1.0, max(-1.0, -1.0 + spec.c * p ** (-spec.a))))
+    """f(p) for a prime p < 2^63: bit for bit what ``f_at_primes`` gives at p."""
+    if not (p < 2 ** 63 and _is_prime_int(p)):
+        raise ValueError(f"{p} is not a prime below 2^63")
+    return float(_f_values(spec, np.array([p], dtype=np.int64))[0])
 
 
 def f_at_primes(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
@@ -310,9 +303,11 @@ def _weight(kind: DerivedFunctionKind, fp, a: int):
 def _eval_pointwise(
     spec: PrimeFunctionSpec, kind: DerivedFunctionKind, n: int, sieve: FactorSieve
 ) -> float:
+    factors = factorize(n, sieve)
+    fps = _f_values(spec, np.array([p for p, _ in factors], dtype=np.int64))
     result = 1.0
-    for p, a in factorize(n, sieve):
-        result *= _weight(kind, f_at_prime(spec, p), a)
+    for fp, (_, a) in zip(fps.tolist(), factors):
+        result *= _weight(kind, fp, a)
     return result
 
 

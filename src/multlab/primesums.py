@@ -18,17 +18,11 @@ substitute for a proof.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .multfunc import PrimeFunctionSpec, _f_values
 from .sieve import FactorSieve, primes_up_to
-from .summation import _checked_bounds, _prefix_sums, checkpoint_schedule
-
-WEIGHT_LOG_P = "log_p"
-WEIGHT_LOG_OVER_P_SIGMA = "log_over_p_sigma"
+from .summation import PartialSumSeries, _checked_bounds, _prefix_sums, _schedule
 
 VERDICT_CONVERGENT = "apparently-convergent"
 VERDICT_DIVERGENT = "apparently-divergent"
@@ -45,32 +39,10 @@ FLOOR = 1e-12
 VERDICT_WINDOW = 8
 
 
-@dataclass(frozen=True)
-class PrimeSumTrace:
-    """Checkpointed partial sums of a weighted prime series.
-
-    ``weight`` names the term shape (log p, or log p / p^sigma);
-    ``sigma`` is None for the pure log weight.
-    """
-
-    checkpoints: tuple[tuple[int, float], ...]
-    weight: str
-    sigma: float | None = None
-
-    @property
-    def x_values(self) -> np.ndarray:
-        return np.asarray([x for x, _ in self.checkpoints], dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray([v for _, v in self.checkpoints], dtype=np.float64)
-
-
-def _checkpoints(primes: np.ndarray, xs, terms) -> tuple[tuple[int, float], ...]:
-    """(x, exactly rounded sum of ``terms(lo, hi)`` over the primes <= x) for each x."""
+def _trace(primes: np.ndarray, xs: np.ndarray, terms) -> PartialSumSeries:
+    """At each x of ``xs``, the exactly rounded sum of ``terms(lo, hi)`` over the primes <= x."""
     counts = _checked_bounds(np.searchsorted(primes, xs, side="right"), primes.size)
-    sums = _prefix_sums(terms, counts).tolist()
-    return tuple(zip(np.asarray(xs, dtype=np.int64).tolist(), sums))
+    return PartialSumSeries(xs, _prefix_sums(terms, counts))
 
 
 def prime_sum_S(
@@ -78,24 +50,23 @@ def prime_sum_S(
     x_max: int,
     sieve: FactorSieve,
     schedule: np.ndarray | None = None,
-) -> PrimeSumTrace:
+) -> PartialSumSeries:
     """Checkpointed S(x) = sum_{p<=x} (1 + f(p)) log p (nondecreasing).
 
-    For the constant -1 base every term vanishes identically, so the trace
-    is exactly zero; finite exceptions contribute a plateau reached at the
+    ``schedule`` defaults to ``checkpoint_schedule(x_max)``; a given one
+    must strictly ascend within [1, x_max] (ValueError otherwise).  For the
+    constant -1 base every term vanishes identically, so the trace is
+    exactly zero; finite exceptions contribute a plateau reached at the
     largest exception prime.
     """
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    schedule = _schedule(x_max, schedule)
     primes = primes_up_to(x_max, sieve)
-    if schedule is None:
-        schedule = checkpoint_schedule(x_max)
     log_p = sieve.log_primes
 
     def terms(lo: int, hi: int) -> np.ndarray:
         return (1.0 + _f_values(spec, primes[lo:hi])) * log_p[lo:hi]
 
-    return PrimeSumTrace(_checkpoints(primes, schedule, terms), WEIGHT_LOG_P)
+    return _trace(primes, schedule, terms)
 
 
 def pretentious_distance_sq(
@@ -162,12 +133,13 @@ def weighted_tail_diagnostic(
     sigma: float,
     x_max: int,
     sieve: FactorSieve,
-) -> tuple[PrimeSumTrace, str]:
+) -> tuple[PartialSumSeries, str]:
     """Partial sums of sum_{p<=x} (1 + f(p)) log p / p^sigma plus a verdict.
 
-    The verdict compares dyadic increments (x doubling steps) against the
-    fixed documented thresholds; it reports apparent behaviour at desk
-    scale, nothing more.
+    The trace takes the default checkpoint grid to x_max.  The verdict
+    compares dyadic increments (x doubling steps) against the fixed
+    documented thresholds; it reports apparent behaviour at desk scale,
+    nothing more.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -184,12 +156,12 @@ def weighted_tail_diagnostic(
 
     # The verdict grid uses pure powers of two: a partial last window
     # (x_max not a power of two) would shrink its increment and fake decay.
-    # One pass over both grids gives the same bits as two: every prefix is
+    # One trace over both grids gives the same bits as two: every prefix is
     # exactly rounded on its own.  (The union is a sorted set: np.union1d
-    # would import numpy.ma on first use, about 30 ms and 1 MiB.)
-    dyadic = [2 ** k for k in range(1, int(math.log2(x_max)) + 1)]
-    schedule = checkpoint_schedule(x_max).tolist()
-    sums = dict(_checkpoints(primes, sorted({*dyadic, *schedule}), terms))
-    verdict = _dyadic_verdict(np.array([sums[x] for x in dyadic]))
-    checkpoints = tuple((x, sums[x]) for x in schedule)
-    return PrimeSumTrace(checkpoints, WEIGHT_LOG_OVER_P_SIGMA, float(sigma)), verdict
+    # and np.unique import numpy.ma on first use, about 30 ms and 1 MiB.)
+    dyadic = 2 ** np.arange(1, int(x_max).bit_length(), dtype=np.int64)
+    schedule = _schedule(x_max, None)
+    union = np.array(sorted({*dyadic.tolist(), *schedule.tolist()}), dtype=np.int64)
+    sums = _trace(primes, union, terms).values
+    verdict = _dyadic_verdict(sums[np.searchsorted(union, dyadic)])
+    return PartialSumSeries(schedule, sums[np.searchsorted(union, schedule)]), verdict

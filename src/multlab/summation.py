@@ -1,4 +1,4 @@
-"""Exactly rounded summation helpers and geometric checkpoint schedules.
+"""Exactly rounded summation helpers, checkpoint schedules and the trace type.
 
 Partial sums at desk scale run over up to ~10^8 terms; naive left-to-right
 float accumulation can drift by far more than the tolerances used in the
@@ -16,11 +16,16 @@ number of threads.  One loop, ``_prefix_sums``, feeds the accumulator from
 slices and reads it at checkpoint counts; ``fsum_array``,
 ``prefix_sums_at`` and the prime-side sums all use it, so each prefix is
 exactly rounded, whatever other checkpoints are asked for.
+
+Every checkpointed trace -- partial sums of a coefficient stream, S(x) and
+the weighted prime tails -- is one ``PartialSumSeries``, and every trace
+builder takes its checkpoints from ``_schedule``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +91,47 @@ def checkpoint_schedule(
         value *= ratio
     points.append(int(x_max))
     return np.asarray(points, dtype=np.int64)
+
+
+def _schedule(x_max: int, schedule) -> np.ndarray:
+    """The checkpoints of a trace to ``x_max``, as a fresh int64 array.
+
+    The default grid ``checkpoint_schedule(x_max)`` when ``schedule`` is
+    None; otherwise ``schedule`` itself, which must lie within [1, x_max]
+    (``PartialSumSeries`` checks that it strictly ascends).
+    """
+    if x_max < 1:
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    if schedule is None:
+        return checkpoint_schedule(x_max)
+    points = np.array(schedule, dtype=np.int64)
+    if points.size and (points.min() < 1 or points.max() > x_max):
+        raise ValueError(f"schedule must lie within [1, x_max={x_max}]")
+    return points
+
+
+@dataclass(frozen=True)
+class PartialSumSeries:
+    """A checkpointed trace: ``values[i]`` sums every term up to ``x_values[i]``.
+
+    ``x_values`` (int64) strictly ascends and ``values`` is float64.
+    ``exact`` marks sums accumulated on the integer path (coefficient
+    values all in {-1, 0, 1}), where every value is exact.  The arrays make
+    ``==`` between two series ambiguous: compare the fields with
+    ``np.array_equal``.
+    """
+
+    x_values: np.ndarray
+    values: np.ndarray
+    exact: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x_values", np.asarray(self.x_values, dtype=np.int64))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        if len(self.x_values) != len(self.values):
+            raise ValueError("checkpoint and sum arrays must align")
+        if np.any(np.diff(self.x_values) <= 0):
+            raise ValueError("checkpoints must be strictly ascending")
 
 
 def _check_checkpoint_grid(x_max: int, x0: int, ratio: float) -> None:

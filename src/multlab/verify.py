@@ -40,7 +40,11 @@ from .dirichlet import (
     zeta,
 )
 from .exponent import (
+    VERDICT_FAIL,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_PASS,
     InsufficientDataError,
+    _status,
     checkpoint_partial_sums,
     fit_exponent,
 )
@@ -50,17 +54,8 @@ from .multfunc import (
     _weight,
     f_at_primes,
 )
-from .primesums import (
-    VERDICT_CONVERGENT,
-    VERDICT_DIVERGENT,
-    prime_sum_S,
-    weighted_tail_diagnostic,
-)
+from .primesums import prime_sum_S, weighted_tail_diagnostic
 from .sieve import FactorSieve, build_sieve, primes_up_to
-
-STATUS_PASS = "pass"
-STATUS_FAIL = "fail"
-STATUS_INCONCLUSIVE = "inconclusive"
 
 #: scan bound for the prime-power nonnegativity checks
 _NONNEG_SCAN_LIMIT = 10 ** 6
@@ -85,7 +80,7 @@ class VerificationReport:
 
     @property
     def failed(self) -> tuple[CheckLine, ...]:
-        return tuple(line for line in self.lines if line.status == STATUS_FAIL)
+        return tuple(line for line in self.lines if line.status == VERDICT_FAIL)
 
 
 def report_to_csv(report: VerificationReport) -> str:
@@ -114,7 +109,7 @@ def _zeta_closed_form_lines() -> list[CheckLine]:
         lines.append(
             CheckLine(
                 check_name=name,
-                status=STATUS_PASS if measured <= 1e-10 else STATUS_FAIL,
+                status=VERDICT_PASS if measured <= 1e-10 else VERDICT_FAIL,
                 measured=measured,
                 budget=1e-10,
             )
@@ -134,19 +129,14 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
             except (PoleError, DomainError, ConvergenceError):
                 # no evaluation exists at this point (sigma <= 0, the pole
                 # s = 1, an unreachable zeta tolerance): nothing to judge
-                lines.append(CheckLine(name, STATUS_INCONCLUSIVE, math.nan, math.inf))
+                lines.append(CheckLine(name, VERDICT_INCONCLUSIVE, math.nan, math.inf))
                 continue
-            if result.heuristic:
-                tol = tolerance_map.get(identity.value)
-                if tol is None:
-                    status = STATUS_INCONCLUSIVE
-                    budget = math.inf
-                else:
-                    status = STATUS_PASS if result.residual <= tol else STATUS_FAIL
-                    budget = tol
+            # a heuristic point is judged against its configured tolerance
+            budget = tolerance_map.get(identity.value) if result.heuristic else result.budget
+            if budget is None:
+                status, budget = VERDICT_INCONCLUSIVE, math.inf
             else:
-                status = STATUS_PASS if result.residual <= result.budget else STATUS_FAIL
-                budget = result.budget
+                status = VERDICT_PASS if result.passes(budget) else VERDICT_FAIL
             lines.append(CheckLine(name, status, result.residual, budget))
     return lines
 
@@ -184,7 +174,7 @@ def _nonneg_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
         lines.append(
             CheckLine(
                 check_name=name,
-                status=STATUS_PASS if measured >= _SIGN_SLACK else STATUS_FAIL,
+                status=VERDICT_PASS if measured >= _SIGN_SLACK else VERDICT_FAIL,
                 measured=measured,
                 budget=_SIGN_SLACK,
             )
@@ -200,7 +190,7 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
     lines = [
         CheckLine(
             check_name="prime_sum_monotone",
-            status=STATUS_PASS if min_increment >= _SIGN_SLACK else STATUS_FAIL,
+            status=VERDICT_PASS if min_increment >= _SIGN_SLACK else VERDICT_FAIL,
             measured=min_increment,
             budget=_SIGN_SLACK,
         )
@@ -212,13 +202,13 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
             if p <= cfg.effective_x_max
         )
         measured = abs(float(values[-1]) - plateau)
-        status = STATUS_PASS if measured <= _PLATEAU_TOL else STATUS_FAIL
+        status = VERDICT_PASS if measured <= _PLATEAU_TOL else VERDICT_FAIL
         lines.append(
             CheckLine("prime_sum_plateau", status, measured, _PLATEAU_TOL)
         )
     else:
         lines.append(
-            CheckLine("prime_sum_plateau", STATUS_INCONCLUSIVE, float(values[-1]), math.inf)
+            CheckLine("prime_sum_plateau", VERDICT_INCONCLUSIVE, float(values[-1]), math.inf)
         )
     return lines
 
@@ -226,17 +216,13 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
 def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     name = f"weighted_tail:sigma={cfg.weighted_tail_sigma:g}"
     if cfg.effective_x_max < 2:  # no prime to sum over: nothing to judge
-        return CheckLine(name, STATUS_INCONCLUSIVE, math.nan, math.inf)
+        return CheckLine(name, VERDICT_INCONCLUSIVE, math.nan, math.inf)
     trace, verdict = weighted_tail_diagnostic(
         cfg.spec, cfg.weighted_tail_sigma, cfg.effective_x_max, sieve
     )
-    status = {
-        VERDICT_CONVERGENT: STATUS_PASS,
-        VERDICT_DIVERGENT: STATUS_FAIL,
-    }.get(verdict, STATUS_INCONCLUSIVE)
     return CheckLine(
         check_name=name,
-        status=status,
+        status=_status(verdict),
         measured=float(trace.values[-1]),
         budget=math.inf,
     )
@@ -254,8 +240,8 @@ def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     try:
         fit = fit_exponent(series)
     except InsufficientDataError:
-        return CheckLine("exponent_fit:F_plain", STATUS_INCONCLUSIVE, math.nan, threshold)
-    status = STATUS_PASS if fit.alpha_hat <= threshold else STATUS_FAIL
+        return CheckLine("exponent_fit:F_plain", VERDICT_INCONCLUSIVE, math.nan, threshold)
+    status = VERDICT_PASS if fit.alpha_hat <= threshold else VERDICT_FAIL
     return CheckLine("exponent_fit:F_plain", status, fit.alpha_hat, threshold)
 
 
@@ -275,7 +261,7 @@ def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
     first = magnitudes[0]
     ratio = magnitudes[-1] / first if first > 0 else math.inf
     status = (
-        STATUS_PASS if decreasing and ratio <= 0.5 else STATUS_INCONCLUSIVE
+        VERDICT_PASS if decreasing and ratio <= 0.5 else VERDICT_INCONCLUSIVE
     )
     return CheckLine("F_one_trend", status, ratio, 0.5)
 

@@ -82,8 +82,8 @@ def test_criterion_01_square_indicator_identity(sieve_1e6):
         LIOUVILLE, DerivedFunctionKind.H_CONV, limit, sieve_1e6
     )
     assert series.exact
-    expected = np.array([math.isqrt(int(x)) for x in series.x], dtype=np.float64)
-    assert np.array_equal(series.sums, expected)
+    expected = np.array([math.isqrt(int(x)) for x in series.x_values], dtype=np.float64)
+    assert np.array_equal(series.values, expected)
     assert time.perf_counter() - start < 10.0
 
 
@@ -266,20 +266,14 @@ def test_criterion_10_kronecker_fixtures():
     s2, n2, v2 = kronecker_check(coeffs, sigma, x_max)
     assert v1 == v2
     assert np.array_equal(n1, n2)
-    assert np.array_equal(s1.sums, s2.sums)
+    assert np.array_equal(s1.values, s2.values)
 
 
 def test_criterion_11_exponent_recovery():
     start = time.perf_counter()
     schedule = checkpoint_schedule(10**6)
     for alpha in (0.7, 0.0):
-        series = PartialSumSeries(
-            x=schedule,
-            sums=schedule.astype(np.float64) ** alpha,
-            kind=DerivedFunctionKind.F_PLAIN,
-            spec_id="synthetic",
-            exact=False,
-        )
+        series = PartialSumSeries(schedule, schedule.astype(np.float64) ** alpha)
         fit = fit_exponent(series)
         assert abs(fit.alpha_hat - alpha) <= 1e-6
 

@@ -35,13 +35,7 @@ from multlab.summation import checkpoint_schedule
 
 
 def synthetic_series(x, sums):
-    return PartialSumSeries(
-        x=np.asarray(x, dtype=np.int64),
-        sums=np.asarray(sums, dtype=np.float64),
-        kind=DerivedFunctionKind.F_PLAIN,
-        spec_id="synthetic",
-        exact=False,
-    )
+    return PartialSumSeries(x_values=x, values=sums)
 
 
 # ------------------------------------------------ checkpoint_partial_sums
@@ -56,7 +50,7 @@ def test_liouville_partial_sums_first_ten(sieve_1e4):
         schedule=np.arange(1, 11),
     )
     assert series.exact
-    assert series.sums.tolist() == [1, 0, -1, 0, -1, 0, -1, -2, -1, 0]
+    assert series.values.tolist() == [1, 0, -1, 0, -1, 0, -1, -2, -1, 0]
 
 
 def test_h_partial_sum_counts_squares(sieve_1e6):
@@ -64,8 +58,8 @@ def test_h_partial_sum_counts_squares(sieve_1e6):
         LIOUVILLE, DerivedFunctionKind.H_CONV, 10**6, sieve_1e6
     )
     assert series.exact
-    assert series.x[-1] == 10**6
-    assert series.sums[-1] == 1000.0
+    assert series.x_values[-1] == 10**6
+    assert series.values[-1] == 1000.0
 
 
 def test_constant_zero_stream_sums_to_one(sieve_1e4):
@@ -74,7 +68,7 @@ def test_constant_zero_stream_sums_to_one(sieve_1e4):
         constant_spec(0.0), DerivedFunctionKind.F_PLAIN, 10**4, sieve_1e4
     )
     assert series.exact
-    assert np.all(series.sums == 1.0)
+    assert np.all(series.values == 1.0)
 
 
 def test_compensated_path_matches_fsum_oracle(sieve_1e5):
@@ -86,10 +80,10 @@ def test_compensated_path_matches_fsum_oracle(sieve_1e5):
     )
     assert not series.exact
     coeffs = coefficient_stream(spec, DerivedFunctionKind.F_PLAIN, 10**5, sieve_1e5)
-    for i in (0, len(series.x) // 2, len(series.x) - 1):
-        k = int(series.x[i])
+    for i in (0, len(series.x_values) // 2, len(series.x_values) - 1):
+        k = int(series.x_values[i])
         oracle = math.fsum(coeffs[:k].tolist())
-        assert series.sums[i] == pytest.approx(oracle, rel=1e-13, abs=1e-13)
+        assert series.values[i] == pytest.approx(oracle, rel=1e-13, abs=1e-13)
 
 
 def test_exact_path_matches_cumsum(sieve_1e5):
@@ -102,8 +96,8 @@ def test_exact_path_matches_cumsum(sieve_1e5):
         LIOUVILLE, DerivedFunctionKind.F_PLAIN, 10**5, sieve_1e5
     )
     cums = np.cumsum(coeffs)
-    expect = cums[series.x - 1].astype(np.float64)
-    assert np.array_equal(series.sums, expect)
+    expect = cums[series.x_values - 1].astype(np.float64)
+    assert np.array_equal(series.values, expect)
 
 
 def test_default_schedule_shape(sieve_1e4):
@@ -111,10 +105,10 @@ def test_default_schedule_shape(sieve_1e4):
         LIOUVILLE, DerivedFunctionKind.F_PLAIN, 10**4, sieve_1e4
     )
     sched = checkpoint_schedule(10**4)
-    assert np.array_equal(series.x, sched)
-    assert series.x[0] >= 1
-    assert series.x[-1] == 10**4
-    assert np.all(np.diff(series.x) > 0)
+    assert np.array_equal(series.x_values, sched)
+    assert series.x_values[0] >= 1
+    assert series.x_values[-1] == 10**4
+    assert np.all(np.diff(series.x_values) > 0)
 
 
 def test_checkpoint_validation(sieve_1e4):
@@ -133,6 +127,9 @@ def test_checkpoint_validation(sieve_1e4):
 
 
 def test_series_container_validation():
+    series = synthetic_series([10, 100], [1, 2])
+    assert series.x_values.dtype == np.int64 and series.values.dtype == np.float64
+    assert series.x_values.tolist() == [10, 100] and series.values.tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
         synthetic_series([1, 2, 3], [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -256,10 +253,10 @@ def test_kronecker_returns_are_consistent():
     coeffs = rng.uniform(-1, 1, size=n)
     series, normalized, verdict = kronecker_check(coeffs, 0.6, n)
     cums = np.cumsum(coeffs)
-    expect = cums[series.x - 1]
-    assert np.allclose(series.sums, expect, rtol=1e-12, atol=1e-12)
+    expect = cums[series.x_values - 1]
+    assert np.allclose(series.values, expect, rtol=1e-12, atol=1e-12)
     assert np.allclose(
-        normalized, np.abs(series.sums) / series.x.astype(float) ** 0.6
+        normalized, np.abs(series.values) / series.x_values.astype(float) ** 0.6
     )
     # determinism
     again = kronecker_check(coeffs, 0.6, n)

@@ -446,6 +446,26 @@ def test_f_at_prime_exceptions_and_clamping(sieve_1e4):
         assert vec[i] == pytest.approx(f_at_prime(loud, int(primes[i])), rel=1e-15)
 
 
+def test_f_at_prime_is_f_at_primes_bit_for_bit(sieve_1e6):
+    # one rule for f(p): the scalar path once used Python's pow and its own
+    # clamp, and missed the vector path in the last bit, e.g. here
+    spec = power_decay_spec(1.092, 0.56)
+    p = 876229
+    assert f_at_prime(spec, p) == f_at_primes(spec, np.array([p]))[0] == -0.9994867171310998
+    rng = np.random.default_rng(876229)
+    primes = primes_up_to(10**6, sieve_1e6)
+    for _ in range(50):
+        c, a = round(rng.uniform(0.2, 2.0), 3), round(rng.uniform(0.2, 1.0), 3)
+        spec = power_decay_spec(c, a, {3: 0.25})
+        sample = rng.choice(primes, size=500)
+        vector = f_at_primes(spec, primes)[np.searchsorted(primes, sample)]
+        scalar = [f_at_prime(spec, int(q)) for q in sample]
+        assert np.array_equal(vector, scalar), (c, a)
+        assert eval_f(spec, int(sample[0]), sieve_1e6) == vector[0]
+    with pytest.raises(ValueError, match="not a prime below 2"):
+        f_at_prime(spec, 2**63 + 29)
+
+
 def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):
     rng = np.random.default_rng(9973)
     primes = primes_up_to(10**4, sieve_1e4)

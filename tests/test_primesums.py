@@ -7,8 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from multlab.exponent import (
+    PartialSumSeries,
+    checkpoint_partial_sums,
+    fit_exponent,
+    kronecker_check,
+)
 from multlab.multfunc import (
     LIOUVILLE,
+    DerivedFunctionKind,
     constant_spec,
     f_at_primes,
     liouville_spec,
@@ -20,15 +27,13 @@ from multlab.primesums import (
     VERDICT_CONVERGENT,
     VERDICT_DIVERGENT,
     VERDICT_INCONCLUSIVE,
-    WEIGHT_LOG_OVER_P_SIGMA,
-    WEIGHT_LOG_P,
-    PrimeSumTrace,
     _dyadic_verdict,
     pretentious_distance_sq,
     prime_sum_S,
     weighted_tail_diagnostic,
 )
 from multlab.sieve import primes_up_to
+from multlab.summation import checkpoint_schedule
 
 
 # ------------------------------------------------------------ prime_sum_S
@@ -37,7 +42,6 @@ from multlab.sieve import primes_up_to
 def test_S_vanishes_identically_for_pure_minus_one(sieve_1e6):
     trace = prime_sum_S(LIOUVILLE, 10**6, sieve_1e6)
     assert np.all(trace.values == 0.0)
-    assert trace.weight == WEIGHT_LOG_P
     assert trace.x_values[-1] == 10**6
 
 
@@ -84,6 +88,38 @@ def test_S_validation(sieve_1e4):
         prime_sum_S(LIOUVILLE, 10**5, sieve_1e4)
     with pytest.raises(ValueError):
         prime_sum_S(LIOUVILLE, 0, sieve_1e4)
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ([10, 50, 1000], r"schedule must lie within \[1, x_max=100\]"),
+        ([0, 50], r"schedule must lie within \[1, x_max=100\]"),
+        ([10, 10, 50], "checkpoints must be strictly ascending"),
+    ],
+)
+def test_every_trace_builder_takes_the_one_schedule_rule(sieve_1e4, schedule, message):
+    # prime_sum_S once labelled S(100) as S(1000) and took a repeated point;
+    # every builder that takes a schedule now raises the same ValueError
+    spec = power_decay_spec(1, 0.5)
+    kind = DerivedFunctionKind.F_PLAIN
+    builders = (
+        lambda: prime_sum_S(spec, 100, sieve_1e4, schedule=schedule),
+        lambda: checkpoint_partial_sums(LIOUVILLE, kind, 100, sieve_1e4, schedule=schedule),
+        lambda: kronecker_check(np.ones(100), 0.5, 100, schedule=schedule),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_fit_exponent_reads_the_S_trace(sieve_1e6):
+    # f(p) = 0 gives S(x) = theta(x) ~ x: the envelope exponent is near 1
+    trace = prime_sum_S(constant_spec(0.0), 10**6, sieve_1e6)
+    assert isinstance(trace, PartialSumSeries) and not trace.exact
+    fit = fit_exponent(trace)
+    assert abs(fit.alpha_hat - 1.0) < 0.02
+    assert fit.window == (100, 10**6)
 
 
 # ------------------------------------------------- pretentious_distance_sq
@@ -175,8 +211,7 @@ def test_weighted_tail_liouville_is_identically_zero(sieve_1e6):
     trace, verdict = weighted_tail_diagnostic(LIOUVILLE, 1.0, 10**6, sieve_1e6)
     assert verdict == VERDICT_CONVERGENT
     assert np.all(trace.values == 0.0)
-    assert trace.weight == WEIGHT_LOG_OVER_P_SIGMA
-    assert trace.sigma == 1.0
+    assert np.array_equal(trace.x_values, checkpoint_schedule(10**6))
 
 
 def test_weighted_tail_divergent_cases(sieve_1e6):
@@ -212,16 +247,17 @@ def test_weighted_tail_at_large_sigma_warns_nothing(sieve_1e6):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         trace, verdict = weighted_tail_diagnostic(spec, 60.0, 10**6, sieve_1e6)
-    values = dict(trace.checkpoints)
-    assert verdict == VERDICT_CONVERGENT and 0.0 < values[10] < 1e-17
-    assert len({v for x, v in trace.checkpoints if x >= 10**5}) == 1
+    assert trace.x_values[0] == 10
+    assert verdict == VERDICT_CONVERGENT and 0.0 < trace.values[0] < 1e-17
+    assert len(set(trace.values[trace.x_values >= 10**5].tolist())) == 1
 
 
 def test_weighted_tail_deterministic(sieve_1e5):
     r1 = weighted_tail_diagnostic(constant_spec(0.3), 1.0, 10**5, sieve_1e5)
     r2 = weighted_tail_diagnostic(constant_spec(0.3), 1.0, 10**5, sieve_1e5)
     assert r1[1] == r2[1]
-    assert r1[0] == r2[0]
+    assert np.array_equal(r1[0].x_values, r2[0].x_values)
+    assert np.array_equal(r1[0].values, r2[0].values)
 
 
 def test_weighted_tail_validation(sieve_1e4):
@@ -301,13 +337,3 @@ def test_dyadic_verdict_on_synthetic_histories():
     assert _dyadic_verdict(np.array([0.0, 1.0])) == VERDICT_INCONCLUSIVE
     # thresholds themselves are the documented constants
     assert DECAY_FACTOR < FLAT_FACTOR < 1.0
-
-
-def test_trace_container_round_trip():
-    trace = PrimeSumTrace(
-        checkpoints=((10, 1.5), (100, 2.5)), weight=WEIGHT_LOG_P, sigma=None
-    )
-    assert trace.x_values.dtype == np.int64
-    assert trace.values.dtype == np.float64
-    assert trace.x_values.tolist() == [10, 100]
-    assert trace.values.tolist() == [1.5, 2.5]
