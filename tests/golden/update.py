@@ -6,7 +6,8 @@ sieve 10^6.  ``tests/test_golden.py`` reruns every case and compares:
 
 * partial-sums CSVs of a +/-1 spec (exact integer sums): byte for byte;
 * every other CSV: the header and every text column exactly (check names,
-  statuses, x, spec_id, kind, window, point counts), and each float column
+  statuses, x, spec_id, kind, window, point counts, the s-point,
+  truncation_N, the heuristic flag, method), and each float column
   of ``FLOAT_COLUMNS`` within ``REL_TOL`` relative, or ``ABS_TOL`` absolute
   for values that are themselves rounding residuals (near zero, where a
   relative bound means nothing).
@@ -41,6 +42,9 @@ VERIFY = (("verify",),)
 TRACES = tuple(
     ("partial-sums", "--kind", kind) for kind in ("F_plain", "H_conv", "G_conv", "F_mu2")
 ) + (("prime-sum",), ("exponent",))
+SERIES = tuple(
+    ("series", "--which", which) for which in ("zeta", "F", "H", "Fmu2", "G_sum", "U", "G_product")
+)
 
 #: case directory -> the CLI commands run on its config.cfg
 CASES = {
@@ -52,9 +56,12 @@ CASES = {
     "traces-liouville": TRACES,
     "traces-liouville-exc": TRACES,
     "traces-power-decay": TRACES,
+    "series-power-decay": SERIES,
 }
 
-FLOAT_COLUMNS = frozenset({"measured", "budget", "sum", "alpha_hat", "stderr"})
+FLOAT_COLUMNS = frozenset(
+    {"measured", "budget", "sum", "alpha_hat", "stderr", "value_re", "value_im", "tail_bound"}
+)
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
