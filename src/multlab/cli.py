@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _fmt_real, load_config
-from .dirichlet import (
-    ComplexArgument,
-    ConvergenceError,
-    DomainError,
-    PoleError,
-    _SeriesStore,
-)
+from .dirichlet import _NO_VALUE, ComplexArgument, _SeriesStore
 from .exponent import (
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
@@ -195,7 +189,7 @@ def cmd_series(cfg: ExperimentConfig, out_dir: Path, which: str) -> int:
         point = ComplexArgument(sigma, t)
         try:
             ev = store.get(_SERIES[which], point)
-        except (PoleError, DomainError, ConvergenceError) as exc:
+        except _NO_VALUE as exc:
             print(f"s={point}: error: {exc}")
             rows.append(f"{_fmt_real(sigma)},{_fmt_real(t)},nan,nan,0,inf,1,error")
             continue

@@ -18,7 +18,8 @@ rounding allowance is derived term by term in ``_log1p_product``.  At
 complex s, products with several chunks run them on the sieve's thread
 pool (``_ordered_map``); each chunk hands back exact pieces of its log sums
 and its share of the allowance, joined in chunk order, so G and U do not
-depend on the number of threads.
+depend on the number of threads.  Both are one evaluator,
+``_euler_product``, with one rule for the primes past P, ``_prime_tail``.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -72,6 +73,11 @@ class ConvergenceError(RuntimeError):
         self.achieved_bound = achieved_bound
 
 
+#: the failures that mean "no value at this point": the series store
+#: memoises exactly these, and verify and the ``series`` command catch them
+_NO_VALUE = (PoleError, DomainError, ConvergenceError)
+
+
 @dataclass(frozen=True)
 class ComplexArgument:
     """A point s = sigma + i t, kept as a real pair for hashing/printing."""
@@ -98,9 +104,10 @@ class ComplexArgument:
 class SeriesEval:
     """Truncated series/product value plus truncation-error accounting.
 
-    ``tail_bound`` is a rigorous bound on |true - value| when
-    ``heuristic`` is False; otherwise it is math.inf and the caller must
-    supply an explicit tolerance to make decisions.
+    ``tail_bound`` is a rigorous bound on |true - value| when ``heuristic``
+    is False.  A heuristic value claims no bound: ``tail_bound`` is math.inf,
+    or for zeta at 0 < sigma < 1/2 an estimate proven only for sigma >= 1/2,
+    and decisions need an explicit tolerance.
     """
 
     value: complex
@@ -318,32 +325,6 @@ def dirichlet_sum(
 # ---------------------------------------------------------------------------
 
 
-def _base_one_plus_f_tail(spec: PrimeFunctionSpec):
-    """(coefficient, effective exponent) with |1 + f(p)| <= coef * p^(-extra)
-    for every prime p under the base rule alone (exceptions handled
-    separately by the caller).
-    """
-    if spec.base == BASE_LIOUVILLE:
-        return 0.0, 0.0
-    if spec.base == BASE_CONSTANT:
-        return abs(1.0 + spec.c), 0.0
-    # power decay: 1 + f(p) = clamp(c * p^(-a), 0 shifted) so |1+f| <= |c| p^(-a)
-    return abs(spec.c), float(spec.a)
-
-
-def _log_tail_over_primes(coef: float, exponent: float, P: int) -> float:
-    """Bound sum_{p>P} coef * p^(-exponent), exponent > 1, via the integral."""
-    Pe = max(P, 1)
-    return coef * Pe ** (1.0 - exponent) / (exponent - 1.0)
-
-
-def _euler_primes(point: ComplexArgument, P: int, sieve: FactorSieve) -> np.ndarray:
-    """The primes p <= P of an Euler product at ``point`` (needs sigma > 0)."""
-    if point.sigma <= 0:
-        raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
-    return primes_up_to(P, sieve)
-
-
 #: accuracy assumed of numpy's exp, log, log1p, cos, sin and arctan2 on
 #: float64 arrays, and of its complex exp on one value: at most this many
 #: ulps of the exact result (``test_libm_ulp_assumption`` checks it)
@@ -386,9 +367,9 @@ def _log1p_product(
     exactly 0.0.  Value and allowance are bit-identical for every worker
     count.
 
-    Raises ArithmeticError when some |1 + x_p| < 1e-300 (or is NaN), and
-    DomainError when 2^(-power sigma) rounds to 1 (tiny sigma: the factor
-    at p = 2 is a float64 pole) or when the product overflows float64.  An
+    Raises DomainError when some |1 + x_p| < 1e-300 (or is NaN), when
+    2^(-power sigma) rounds to 1 (tiny sigma: the factor at p = 2 is a
+    float64 pole) or when the product overflows float64.  An
     error raised in a chunk comes from the first chunk that raises, as in
     a serial loop.
 
@@ -474,12 +455,13 @@ def _log1p_product(
             else:
                 w = g * r
                 a, b = w * cos, w * sin
-            re = np.log1p(a * (2.0 + a) + b * b)
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf is caught below
+                re = np.log1p(a * (2.0 + a) + b * b)
             re *= 0.5
             log_im.add(np.arctan2(b, 1.0 + a))
             mag = np.abs(a) + np.abs(b)
         if not re.min() >= _LOG_DEGENERATE:
-            raise ArithmeticError("degenerate Euler factor encountered")
+            raise DomainError("degenerate Euler factor encountered")
         log_re.add(re)
         bound = mag * (amp * amp * amp)
         bound *= _TERM_CONST + c1 * lp
@@ -508,20 +490,56 @@ def _log1p_product(
     return value, _SLACK * rounding
 
 
-def _euler_eval(value: complex, count: int, rounding: float, log_tail: float) -> SeriesEval:
-    """SeriesEval of a product over ``count`` primes whose omitted factors
-    move its log by at most ``log_tail``, so the product by at most
-    |value| expm1(log_tail).  The bound is rigorous while it and the
-    rounding allowance are finite; otherwise (log_tail = inf where no tail
-    bound exists, or an overflowing expm1 near the edge of convergence) the
-    value is flagged heuristic.
+def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> float:
+    """Bound on |log prod_{p>P} (1 + x_p)|, the one prime-tail rule.
+
+    Every prime p > P has |x_p| <= kappa coef p^(-exponent), except the
+    exception primes, whose |x_p| bounds are ``terms``.  Bounding the sum
+    over primes by the integral over all integers, sum_{p>P} |x_p| <=
+    kappa coef P^(1-exponent) / (exponent - 1) + sum(terms) (P read as 1
+    when 0), which needs exponent > 1 unless coef = 0.  With zmax the
+    largest |x_p| bound, |log(1 + z)| <= |z| / (1 - zmax) for |z| <= zmax
+    turns it into a log bound while zmax < 1/2; otherwise it is inf.
     """
-    tail = math.inf
+    Pe = max(P, 1)
+    total = zmax = 0.0
+    if coef != 0.0:
+        if not exponent > 1.0:
+            return math.inf
+        total = kappa * (coef * Pe ** (1.0 - exponent) / (exponent - 1.0))
+        zmax = coef * kappa * (Pe + 1.0) ** (-exponent)
+    for z in terms:
+        zmax = max(zmax, z)
+        total += z
+    return total / (1.0 - zmax) if zmax < 0.5 else math.inf
+
+
+def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
+    """prod_{p<=P} (1 + x_p) of G (power 1) or U (power 2; see ``_log1p_product``).
+
+    ``tail(sigma)`` gives (coef, exponent, kappa, terms) of ``_prime_tail``
+    for the primes past P; the omitted factors then move the product by at
+    most |value| expm1(log tail).  The bound is rigorous while it and the
+    rounding allowance are finite; otherwise (no tail bound, or an
+    overflowing expm1 near the edge of convergence) the value is flagged
+    heuristic.  Raises DomainError for sigma <= 0.
+    """
+    point = ComplexArgument.of(s)
+    if point.sigma <= 0:
+        raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
+    primes = primes_up_to(P, sieve)
+    value, rounding = 1.0 + 0.0j, 0.0
+    if primes.size:
+        log_p = sieve.log_primes[: primes.size]
+        value, rounding = _log1p_product(spec, primes, log_p, point, power)
+    log_tail = _prime_tail(P, *tail(point.sigma))
+    bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
-        tail = abs(value) * math.expm1(log_tail) + rounding
-    if tail < math.inf:
-        return SeriesEval(complex(value), int(count), tail, False, METHOD_EULER_PRODUCT)
-    return SeriesEval(complex(value), int(count), math.inf, True, METHOD_EULER_PRODUCT)
+        bound = abs(value) * math.expm1(log_tail) + rounding
+    heuristic = not bound < math.inf
+    return SeriesEval(
+        value, primes.size, math.inf if heuristic else bound, heuristic, METHOD_EULER_PRODUCT
+    )
 
 
 def euler_product_G(
@@ -537,35 +555,27 @@ def euler_product_G(
     base (tail exactly 0), like p^(-a) for the power-decay family, not at
     all for a generic constant base (rigorous only for sigma > 1 there).
     """
-    point = ComplexArgument.of(s)
-    primes = _euler_primes(point, P, sieve)
-    value, rounding = 1.0 + 0.0j, 0.0
-    if primes.size:
-        log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(spec, primes, log_p, point, 1)
+    # |1 + f(p)| <= coef p^(-extra) under the base rule (power decay: 1 + f
+    # is c p^(-a) clamped towards 0), and |x_p| <= kappa |1 + f(p)| p^(-sigma)
+    # for p > P; an exception prime past P brings its own |x_p|
+    if spec.base == BASE_LIOUVILLE:
+        coef, extra = 0.0, 0.0
+    elif spec.base == BASE_CONSTANT:
+        coef, extra = abs(1.0 + spec.c), 0.0
+    else:
+        coef, extra = abs(spec.c), float(spec.a)
 
-    # tail over p > P: factor - 1 = (1 + f(p)) / (p^s - 1)
-    coef, extra = _base_one_plus_f_tail(spec)
-    Pe = max(P, 1)
-    r1 = (Pe + 1.0) ** (-point.sigma)
-    kappa1 = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no tail bound at tiny sigma
-    log_tail = 0.0
-    zmax = 0.0
-    if coef != 0.0:
-        exponent = point.sigma + extra
-        if exponent > 1.0:
-            log_tail += kappa1 * _log_tail_over_primes(coef, exponent, P)
-            zmax = max(zmax, coef * kappa1 * (Pe + 1.0) ** (-exponent))
-        else:
-            log_tail = math.inf
-    for p, v in spec.exceptions:
-        if p > P:
-            x = -point.sigma * math.log(p)  # zp = |1 + v| / (p^sigma - 1), 0 on underflow
-            zp = abs(1.0 + v) * math.exp(x) / -math.expm1(x)
-            zmax = max(zmax, zp)
-            log_tail += zp
-    log_tail = log_tail / (1.0 - zmax) if zmax < 0.5 else math.inf
-    return _euler_eval(value, primes.size, rounding, log_tail)
+    def tail(sigma: float):
+        r1 = (max(P, 1) + 1.0) ** (-sigma)
+        kappa = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no bound at tiny sigma
+        terms = []
+        for p, v in spec.exceptions:
+            if p > P:
+                x = -sigma * math.log(p)  # |1 + v| / (p^sigma - 1), 0 on underflow
+                terms.append(abs(1.0 + v) * math.exp(x) / -math.expm1(x))
+        return coef, sigma + extra, kappa, terms
+
+    return _euler_product(spec, s, P, sieve, 1, tail)
 
 
 def euler_product_U(
@@ -578,17 +588,8 @@ def euler_product_U(
     sigma > 0 (DomainError otherwise): at sigma <= 0 a factor can turn
     negative and has no logarithm.
     """
-    point = ComplexArgument.of(s)
-    primes = _euler_primes(point, P, sieve)
-    value, rounding = 1.0 + 0.0j, 0.0
-    if primes.size:
-        log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(spec, primes, log_p, point, 2)
-    log_tail = math.inf
-    if point.sigma > 0.5:
-        zmax = (max(P, 1) + 1.0) ** (-2.0 * point.sigma)
-        log_tail = _log_tail_over_primes(1.0, 2.0 * point.sigma, P) / (1.0 - zmax)
-    return _euler_eval(value, primes.size, rounding, log_tail)
+    # |x_p| <= p^(-2 sigma) for every prime, exceptions included
+    return _euler_product(spec, s, P, sieve, 2, lambda sigma: (1.0, 2.0 * sigma, 1.0, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +662,10 @@ class _SeriesStore:
     "U" over p <= P.  Each stream is built once; the sums at one point of
     several streams share one slice pass (``_dirichlet_sums``), and
     ``residual`` sums every stream not yet memoised at its point in one.
-    A failure (ValueError or ArithmeticError, such as DomainError) is
-    memoised too, as the exception's type and args, and raised again by
-    every ``get`` of that (name, point), so a failing pass runs once.
-    zeta's ConvergenceError, raised before any summing, is not memoised.
+    A failure of ``_NO_VALUE`` (no value at this point) is memoised too,
+    as the exception itself, and raised again by every ``get`` of that
+    (name, point), so a failing pass or product runs once.  Any other
+    error (a bad argument) propagates and is not memoised.
     """
 
     def __init__(
@@ -677,8 +678,8 @@ class _SeriesStore:
     ):
         self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
         self._streams: dict[DerivedFunctionKind, np.ndarray] = {}
-        #: a SeriesEval, or a failure as (exception type, args)
-        self._evals: dict[tuple, SeriesEval | tuple[type, tuple]] = {}
+        #: a SeriesEval, or the _NO_VALUE failure at that point
+        self._evals: dict[tuple, SeriesEval | Exception] = {}
 
     def get(self, name, s) -> SeriesEval:
         point = ComplexArgument.of(s)
@@ -693,11 +694,11 @@ class _SeriesStore:
                     else:
                         product = euler_product_G if name == "G" else euler_product_U
                         self._evals[key] = product(self.spec, point, self.P, self.sieve)
-                except (ValueError, ArithmeticError) as exc:
-                    self._evals[key] = (type(exc), exc.args)
+                except _NO_VALUE as exc:
+                    self._evals[key] = exc.with_traceback(None)
         ev = self._evals[key]
-        if isinstance(ev, tuple):
-            raise ev[0](*ev[1])
+        if isinstance(ev, Exception):
+            raise ev.with_traceback(None)
         return ev
 
     def _sum_streams(self, kinds: list[DerivedFunctionKind], point: ComplexArgument) -> None:
@@ -707,9 +708,9 @@ class _SeriesStore:
                 if kind not in self._streams:
                     self._streams[kind] = coefficient_stream(self.spec, kind, self.N, self.sieve)
             sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
-        except (ValueError, ArithmeticError) as exc:
+        except _NO_VALUE as exc:
             for kind in kinds:
-                self._evals[(kind, point)] = (type(exc), exc.args)
+                self._evals[(kind, point)] = exc.with_traceback(None)
             return
         for kind, (value, abs_sum) in zip(kinds, sums):
             ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)

@@ -133,8 +133,10 @@ def fit_exponent(
     Raises
     ------
     InsufficientDataError
-        Fewer than 8 usable checkpoints in the window.
+        Fewer than 8 usable checkpoints in the window (an empty trace has none).
     """
+    if not series.x_values.size:
+        raise InsufficientDataError("the trace has no checkpoints; need >= 8")
     envelope = running_max_envelope(series)
     x = series.x_values.astype(np.float64)
     if window is None:

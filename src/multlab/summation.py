@@ -97,15 +97,18 @@ def _schedule(x_max: int, schedule) -> np.ndarray:
     """The checkpoints of a trace to ``x_max``, as a fresh int64 array.
 
     The default grid ``checkpoint_schedule(x_max)`` when ``schedule`` is
-    None; otherwise ``schedule`` itself, which must lie within [1, x_max]
-    (``PartialSumSeries`` checks that it strictly ascends).
+    None; otherwise ``schedule`` itself, which must hold at least one point
+    and lie within [1, x_max] (``PartialSumSeries`` checks that it strictly
+    ascends).
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if schedule is None:
         return checkpoint_schedule(x_max)
     points = np.array(schedule, dtype=np.int64)
-    if points.size and (points.min() < 1 or points.max() > x_max):
+    if not points.size:
+        raise ValueError("schedule must hold at least one checkpoint")
+    if points.min() < 1 or points.max() > x_max:
         raise ValueError(f"schedule must lie within [1, x_max={x_max}]")
     return points
 
@@ -240,11 +243,11 @@ def fsum_array(values: np.ndarray) -> float:
 
     1-D float64 input goes to ``_prefix_sums`` in slices, without building
     a Python list (inf, NaN and near-overflow slices reach ``math.fsum``
-    raw; see ``_ExactSum``); other dtypes and shapes go to
-    ``math.fsum(values.tolist())``.
+    raw; see ``_ExactSum``); other dtypes and shapes go to ``math.fsum``
+    of their flattened values.
     """
     if values.dtype != np.float64 or values.ndim != 1:
-        return math.fsum(values.tolist())
+        return math.fsum(np.ravel(values).tolist())
     return float(_prefix_sums(lambda lo, hi: values[lo:hi], [values.shape[0]])[0])
 
 

@@ -30,15 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, _fmt_real, config_hash
-from .dirichlet import (
-    ComplexArgument,
-    ConvergenceError,
-    DomainError,
-    IdentityKind,
-    PoleError,
-    _SeriesStore,
-    zeta,
-)
+from .dirichlet import _NO_VALUE, ComplexArgument, IdentityKind, _SeriesStore, zeta
 from .exponent import (
     VERDICT_FAIL,
     VERDICT_INCONCLUSIVE,
@@ -126,9 +118,10 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
             name = f"{identity.value}:s={point}"
             try:
                 result = store.residual(identity, point)
-            except (PoleError, DomainError, ConvergenceError):
+            except _NO_VALUE:
                 # no evaluation exists at this point (sigma <= 0, the pole
-                # s = 1, an unreachable zeta tolerance): nothing to judge
+                # s = 1, an unreachable zeta tolerance, a degenerate Euler
+                # factor): nothing to judge
                 lines.append(CheckLine(name, VERDICT_INCONCLUSIVE, math.nan, math.inf))
                 continue
             # a heuristic point is judged against its configured tolerance

@@ -350,6 +350,8 @@ EDGE_CFGS = {
     "s_grid = 1e-300:0\nspec.base = constant\nspec.c = 0.5\nspec.exception.2 = 0.5\n",
     "power_decay-c=-5": SMALL_CFG + "spec.base = power_decay\nspec.c = -5\nspec.a = 0.5\n",
     "h-grid=1e-300": SMALL_CFG + "f_one_h_grid = 1e-300\n",
+    # U's factor at p = 2 cancels to log1p(-1): a degenerate factor, no value
+    "sigma=1e-9,t=1e-9": SMALL_CFG + "s_grid = 1e-9:1e-9\n",
 }
 
 EDGE_COMMANDS = [

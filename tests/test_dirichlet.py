@@ -465,7 +465,7 @@ def test_degenerate_factor_in_a_late_chunk_raises(workers, sieve_1e6, monkeypatc
     log_p = sieve_1e6.log_primes[: primes.size].copy()
     log_p[70000] = math.nan  # third chunk: its factor is NaN
     for power in (1, 2):
-        with pytest.raises(ArithmeticError, match="degenerate"):
+        with pytest.raises(DomainError, match="degenerate"):
             _log1p_product(_POOLED_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power)
 
 
@@ -761,6 +761,48 @@ def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatc
         with pytest.raises(DomainError, match="leaves float64"):
             store.get(kind, point)
     assert passes == [(4, point)]
+
+
+def test_the_store_memoises_exactly_the_no_value_failures(sieve_1e4, monkeypatch):
+    import multlab.dirichlet as dl
+
+    calls = []
+    original_zeta, original_U = dl.zeta, dl.euler_product_U
+
+    def counting_zeta(s, tol=1e-12):
+        calls.append(("zeta", tol))
+        return original_zeta(s, tol)
+
+    def counting_U(spec, s, P, sieve):
+        calls.append(("U", P))
+        return original_U(spec, s, P, sieve)
+
+    monkeypatch.setattr(dl, "zeta", counting_zeta)
+    monkeypatch.setattr(dl, "euler_product_U", counting_U)
+    store = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4)
+    # zeta's ConvergenceError keeps its achieved bound; U's factor at p = 2
+    # cancels to log1p(-1) at 1e-9 + 1e-9i, a degenerate factor
+    first = {}
+    for name, s, error in (
+        ("zeta", complex(2.0, 400.0), ConvergenceError),
+        ("zeta", 1.0, PoleError),
+        ("U", complex(1e-9, 1e-9), DomainError),
+    ):
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                store.get(name, s)
+            assert first.setdefault(error, info.value) is info.value
+            assert len(info.traceback) < 10  # re-raising grows no traceback
+    assert [name for name, _ in calls] == ["zeta", "zeta", "U"]
+    assert first[ConvergenceError].achieved_bound > 0
+    assert first[DomainError].args == ("degenerate Euler factor encountered",)
+    # any other error is a bad argument, raised afresh on every get
+    calls.clear()
+    bad = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4, zeta_tol=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bad.get("zeta", 2.0)
+    assert calls == [("zeta", 0.0), ("zeta", 0.0)]
 
 
 def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monkeypatch):

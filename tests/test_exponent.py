@@ -190,6 +190,12 @@ def test_fit_insufficient_data_paths():
         fit_exponent(synthetic_series(x, np.zeros(x.size)))
 
 
+def test_fit_of_an_empty_trace_is_insufficient_data():
+    # it used to raise IndexError reading the first checkpoint
+    with pytest.raises(InsufficientDataError, match="no checkpoints"):
+        fit_exponent(PartialSumSeries([], []))
+
+
 def test_fit_liouville_exponent_near_half(sieve_1e6):
     series = checkpoint_partial_sums(
         LIOUVILLE, DerivedFunctionKind.F_PLAIN, 10**6, sieve_1e6

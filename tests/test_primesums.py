@@ -96,6 +96,7 @@ def test_S_validation(sieve_1e4):
         ([10, 50, 1000], r"schedule must lie within \[1, x_max=100\]"),
         ([0, 50], r"schedule must lie within \[1, x_max=100\]"),
         ([10, 10, 50], "checkpoints must be strictly ascending"),
+        ([], "schedule must hold at least one checkpoint"),
     ],
 )
 def test_every_trace_builder_takes_the_one_schedule_rule(sieve_1e4, schedule, message):

@@ -64,6 +64,22 @@ def test_fsum_array_is_math_fsum(xs):
     assert_same_as_fsum(np.array(xs, dtype=np.float64))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.ones((2, 2)),
+        np.array([[0.1, 1e16], [-1e16, 0.2]]),
+        np.array(2.5),
+        np.array([[1, 2], [3, 4]], dtype=np.int64),
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+    ],
+    ids=["ones-2d", "cancel-2d", "0d", "int-2d", "float32-2d"],
+)
+def test_fsum_array_of_other_shapes_and_dtypes_sums_the_flat_values(values):
+    # a 2-D array used to reach math.fsum as a list of rows (TypeError)
+    assert outcome(fsum_array, values) == outcome(math.fsum, np.ravel(values).tolist())
+
+
 @settings(max_examples=200, deadline=None)
 @given(term_lists, terms)
 def test_exact_cancellation_leaves_the_extra_term(xs, extra):
