@@ -1,6 +1,7 @@
 """End-to-end command tests: run main() in-process, inspect files and codes."""
 
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -550,6 +551,79 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["sieve"]) == 2  # --config is required
     capsys.readouterr()
+
+
+#: each command on SMALL_CFG, in run order, and the form of every stdout
+#: line it prints (``seconds=`` masked); the bench reads ``primes=N
+#: source=cache`` from the last sieve line
+_FLOAT = r"-?(\d[\d.e+-]*|inf|nan)"
+_STDOUT_FORMS = [
+    (["sieve"], [r"limit=10000 primes=1229 source=built seconds=<s>"]),
+    (
+        ["partial-sums", "--kind", "H_conv"],
+        [r"wrote \S+partial_sums_H_conv\.csv \(41 checkpoints, exact=True\)"],
+    ),
+    (["prime-sum"], [r"wrote \S+prime_sum_S\.csv \(41 checkpoints\)"]),
+    (
+        ["series", "--which", "zeta"],
+        [rf"s=[\d.]+\+0i: zeta = {_FLOAT} \(\+/-{_FLOAT}, N=\d+, \w+\)"] * 4
+        + [r"wrote \S+series_zeta\.csv"],
+    ),
+    (
+        ["verify"],
+        [r"config_hash=[0-9a-f]{16}"]
+        + [rf"(PASS|FAIL|INCONCLUSIVE) +\S+  measured={_FLOAT} budget={_FLOAT}"] * 25
+        + [r"25 checks: 25 pass, 0 fail, 0 inconclusive", r"wrote \S+verify_report\.csv"],
+    ),
+    (
+        ["exponent"],
+        [
+            rf"alpha_hat={_FLOAT} stderr={_FLOAT} window=\[100,10000\] points=27",
+            r"wrote \S+exponent_F_plain\.csv",
+        ],
+    ),
+    (["sieve"], [r"limit=10000 primes=1229 source=cache seconds=<s>"]),
+]
+
+
+def test_every_command_prints_its_pinned_stdout_lines(cfg_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for command, forms in _STDOUT_FORMS:
+        assert main([command[0], "--config", str(cfg_file), "--out", out] + command[1:]) == 0
+        captured = capsys.readouterr()
+        lines = re.sub(r"seconds=\d+\.\d{3}$", "seconds=<s>", captured.out, flags=re.M)
+        lines = lines.splitlines()
+        assert len(lines) == len(forms), (command, lines)
+        for line, form in zip(lines, forms):
+            assert re.fullmatch(form, line), (command, line)
+        assert captured.err == ""
+
+
+def test_every_command_lists_its_help_and_flags(capsys):
+    assert main(["--help"]) == 0
+    assert re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, flags=re.M) == [
+        ("sieve", "build or load the factor sieve"),
+        ("partial-sums", "checkpointed partial sums of a stream"),
+        ("prime-sum", "S(x) trace"),
+        ("series", "evaluate a series/product over the s-grid"),
+        ("verify", "run the full verification suite"),
+        ("exponent", "fit the growth exponent of partial sums"),
+    ]
+    kinds = "--kind {F_mu2,F_plain,G_conv,H_conv}"
+    own_flag = {
+        "sieve": None,
+        "partial-sums": kinds,
+        "prime-sum": None,
+        "series": "--which {zeta,F,H,Fmu2,G_sum,U,G_product}",
+        "verify": None,
+        "exponent": kinds,
+    }
+    for command, flag in own_flag.items():
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--config CONFIG" in text and "--out OUT" in text, command
+        flags = re.findall(r"^  (--kind|--which) (\{\S+\})$", text, flags=re.M)
+        assert flags == ([tuple(flag.split(" "))] if flag else []), command
 
 
 def test_installed_entry_point_smoke(cfg_file, tmp_path):
