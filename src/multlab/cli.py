@@ -2,8 +2,10 @@
 
 All commands share two flags: ``--config PATH`` (the flat key=value
 experiment file) and ``--out DIR`` (overrides the config's output_dir).
-Outputs are CSV files in the output directory plus a human-readable echo
-on stdout.
+One table, ``_COMMANDS``, gives each command its function, help line and
+own flag; it drives both the parser and ``main``, which loads the config
+and obtains the sieve once before dispatching.  Outputs are CSV files in
+the output directory plus a human-readable echo on stdout.
 
 Exit codes: 0 success (verify: all checks passed or inconclusive),
 1 at least one verification check failed, 2 usage or configuration error.
@@ -19,12 +21,14 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _fmt_real, load_config
 from .dirichlet import _NO_VALUE, ComplexArgument, _SeriesStore
 from .exponent import (
+    VERDICT_FAIL,
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     DerivedFunctionKind,
@@ -128,19 +132,27 @@ def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
     return FactorSieve(limit=limit, spf=spf.astype(np.uint32, copy=False), primes=primes)
 
 
-def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path):
-    """(sieve, source, seconds): load from cache when possible, else build."""
+class _Obtained(NamedTuple):
+    """The sieve a command runs on, and how ``main`` obtained it."""
+
+    sieve: FactorSieve
+    source: str  # "cache" or "built"
+    seconds: float
+
+
+def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path) -> _Obtained:
+    """Load the sieve from the cache when possible, else build and save it."""
     t0 = time.perf_counter()
     cached = load_sieve_cache(out_dir, cfg.sieve_limit)
     if cached is not None:
-        return cached, "cache", time.perf_counter() - t0
+        return _Obtained(cached, "cache", time.perf_counter() - t0)
     sieve = build_sieve(cfg.sieve_limit)
     save_sieve_cache(sieve, out_dir)
-    return sieve, "built", time.perf_counter() - t0
+    return _Obtained(sieve, "built", time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (cfg, out_dir, obtained sieve, its own flag's value)
 # ---------------------------------------------------------------------------
 
 
@@ -153,37 +165,38 @@ def _trace_rows(xs, values) -> list[str]:
     return [f"{int(x)},{_fmt_real(v)}" for x, v in zip(xs, values)]
 
 
-def cmd_sieve(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sieve, source, seconds = _obtain_sieve(cfg, out_dir)
-    count = primes_up_to(cfg.sieve_limit, sieve).size
-    print(f"limit={cfg.sieve_limit} primes={count} source={source} seconds={seconds:.3f}")
+def _stream_series(cfg: ExperimentConfig, sieve: FactorSieve, kind_name: str):
+    """(kind, checkpointed partial sums) of the stream that ``--kind`` names."""
+    kind = _KIND_NAMES[kind_name]
+    return kind, checkpoint_partial_sums(
+        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
+    )
+
+
+def cmd_sieve(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, _: None) -> int:
+    count = primes_up_to(cfg.sieve_limit, got.sieve).size
+    print(f"limit={cfg.sieve_limit} primes={count} source={got.source} seconds={got.seconds:.3f}")
     return 0
 
 
-def cmd_partial_sums(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
-    kind = _KIND_NAMES[kind_name]
-    sieve, _, _ = _obtain_sieve(cfg, out_dir)
-    series = checkpoint_partial_sums(
-        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
-    )
+def cmd_partial_sums(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, kind_name: str) -> int:
+    kind, series = _stream_series(cfg, got.sieve, kind_name)
     path = out_dir / f"partial_sums_{kind.value}.csv"
     _write_csv(path, "x,sum", _trace_rows(series.x_values, series.values))
     print(f"wrote {path} ({len(series.x_values)} checkpoints, exact={series.exact})")
     return 0
 
 
-def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir)
-    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, sieve, schedule=cfg.checkpoints)
+def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, _: None) -> int:
+    trace = prime_sum_S(cfg.spec, cfg.effective_x_max, got.sieve, schedule=cfg.checkpoints)
     path = out_dir / "prime_sum_S.csv"
     _write_csv(path, "x,sum", _trace_rows(trace.x_values, trace.values))
     print(f"wrote {path} ({len(trace.x_values)} checkpoints)")
     return 0
 
 
-def cmd_series(cfg: ExperimentConfig, out_dir: Path, which: str) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir)
-    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
+def cmd_series(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, which: str) -> int:
+    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, got.sieve, cfg.zeta_tol)
     rows = []
     for sigma, t in cfg.s_grid:
         point = ComplexArgument(sigma, t)
@@ -215,9 +228,8 @@ def cmd_series(cfg: ExperimentConfig, out_dir: Path, which: str) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sieve, _, _ = _obtain_sieve(cfg, out_dir)
-    report = run_verify(cfg, sieve=sieve)
+def cmd_verify(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, _: None) -> int:
+    report = run_verify(cfg, sieve=got.sieve)
     path = out_dir / "verify_report.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(report_to_csv(report))
@@ -227,23 +239,17 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"{line.status.upper():12s} {line.check_name}  "
             f"measured={_fmt_real(line.measured)} budget={_fmt_real(line.budget)}"
         )
-    failed = report.failed
+    statuses = [line.status for line in report.lines]
     print(
-        f"{len(report.lines)} checks: "
-        f"{sum(1 for l in report.lines if l.status == VERDICT_PASS)} pass, "
-        f"{len(failed)} fail, "
-        f"{sum(1 for l in report.lines if l.status == VERDICT_INCONCLUSIVE)} inconclusive"
+        f"{len(statuses)} checks: {statuses.count(VERDICT_PASS)} pass, "
+        f"{statuses.count(VERDICT_FAIL)} fail, {statuses.count(VERDICT_INCONCLUSIVE)} inconclusive"
     )
     print(f"wrote {path}")
-    return 1 if failed else 0
+    return 1 if report.failed else 0
 
 
-def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
-    kind = _KIND_NAMES[kind_name]
-    sieve, _, _ = _obtain_sieve(cfg, out_dir)
-    series = checkpoint_partial_sums(
-        cfg.spec, kind, cfg.effective_x_max, sieve, schedule=cfg.checkpoints
-    )
+def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, kind_name: str) -> int:
+    kind, series = _stream_series(cfg, got.sieve, kind_name)
     try:
         fit = fit_exponent(series)
     except InsufficientDataError as exc:
@@ -267,8 +273,22 @@ def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, kind_name: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and argument parsing
 # ---------------------------------------------------------------------------
+
+#: the two own flags, as (name, choices, default)
+_KIND_FLAG = ("--kind", sorted(_KIND_NAMES), "F_plain")
+_WHICH_FLAG = ("--which", tuple(_SERIES), "zeta")
+
+#: each command: its function, help line and own flag
+_COMMANDS = {
+    "sieve": (cmd_sieve, "build or load the factor sieve", None),
+    "partial-sums": (cmd_partial_sums, "checkpointed partial sums of a stream", _KIND_FLAG),
+    "prime-sum": (cmd_prime_sum, "S(x) trace", None),
+    "series": (cmd_series, "evaluate a series/product over the s-grid", _WHICH_FLAG),
+    "verify": (cmd_verify, "run the full verification suite", None),
+    "exponent": (cmd_exponent, "fit the growth exponent of partial sums", _KIND_FLAG),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -277,23 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multiplicative-function lab: sieves, series, prime sums, exponents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_line, flag) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-
-    add_common(sub.add_parser("sieve", help="build or load the factor sieve"))
-    p = sub.add_parser("partial-sums", help="checkpointed partial sums of a stream")
-    add_common(p)
-    p.add_argument("--kind", choices=sorted(_KIND_NAMES), default="F_plain")
-    add_common(sub.add_parser("prime-sum", help="S(x) trace"))
-    p = sub.add_parser("series", help="evaluate a series/product over the s-grid")
-    add_common(p)
-    p.add_argument("--which", choices=tuple(_SERIES), default="zeta")
-    add_common(sub.add_parser("verify", help="run the full verification suite"))
-    p = sub.add_parser("exponent", help="fit the growth exponent of partial sums")
-    add_common(p)
-    p.add_argument("--kind", choices=sorted(_KIND_NAMES), default="F_plain")
+        if flag is None:
+            p.set_defaults(option=None)
+        else:
+            p.add_argument(flag[0], dest="option", choices=flag[1], default=flag[2])
     return parser
 
 
@@ -305,26 +316,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.out is not None:
-        cfg = cfg.with_output_dir(args.out)
-    out_dir = Path(cfg.output_dir)
-    try:
-        if args.command == "sieve":
-            return cmd_sieve(cfg, out_dir)
-        if args.command == "partial-sums":
-            return cmd_partial_sums(cfg, out_dir, args.kind)
-        if args.command == "prime-sum":
-            return cmd_prime_sum(cfg, out_dir)
-        if args.command == "series":
-            return cmd_series(cfg, out_dir, args.which)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir)
-        if args.command == "exponent":
-            return cmd_exponent(cfg, out_dir, args.kind)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.out is not None:
+            cfg = cfg.with_output_dir(args.out)
+        out_dir = Path(cfg.output_dir)
+        command = _COMMANDS[args.command][0]
+        return command(cfg, out_dir, _obtain_sieve(cfg, out_dir), args.option)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

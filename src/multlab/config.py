@@ -164,8 +164,6 @@ def _parse_s_grid(key: str, raw: str) -> tuple[tuple[float, float], ...]:
         else:
             sig, t = chunk, "0"
         points.append((_parse_float(key, sig), _parse_float(key, t)))
-    if not points:
-        raise ConfigError("s_grid must contain at least one point")
     return tuple(points)
 
 

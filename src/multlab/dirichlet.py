@@ -207,12 +207,14 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     Raises
     ------
     PoleError       at s = 1.
-    DomainError     for sigma <= 0.
+    DomainError     for sigma <= 0 and for a point with a NaN or infinite part.
     ConvergenceError when tol is unreachable at the depth cap (carries the
                     achieved bound, inf once the truncation constant
                     overflows float64, from about |t| = 451).
     """
     point = ComplexArgument.of(s)
+    if not (math.isfinite(point.sigma) and math.isfinite(point.t)):
+        raise DomainError(f"zeta evaluation needs a finite s, got s={point}")
     if point.sigma <= 0:
         raise DomainError(f"zeta evaluation needs Re(s) > 0, got sigma={point.sigma}")
     if point.as_complex == 1 + 0j:

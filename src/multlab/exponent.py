@@ -177,7 +177,7 @@ def kronecker_check(
 
     Returns (series, normalized values, verdict).
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError(f"sigma must be positive, got {sigma}")
     coeffs = np.asarray(coefficients, dtype=np.float64)
     if len(coeffs) < x_max:

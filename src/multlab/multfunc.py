@@ -400,7 +400,12 @@ def _stream(
     multiplied by about e - k + 1: the error of h(p^e) grows like e^2,
     measured at most e (e + 4) / 4 units of 2^-53 relative (1.7e-14 for
     e <= 23, that is n <= 10^7).  Errors of the prime powers of n add.
+
+    Raises TypeError when ``kind`` is not a DerivedFunctionKind (its last
+    step would otherwise take any other value for H_conv).
     """
+    if not isinstance(kind, DerivedFunctionKind):
+        raise TypeError(f"kind must be a DerivedFunctionKind, got {type(kind).__name__}")
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
     spf = sieve.spf

@@ -141,7 +141,7 @@ def weighted_tail_diagnostic(
     documented thresholds; it reports apparent behaviour at desk scale,
     nothing more.
     """
-    if sigma <= 0:
+    if not sigma > 0:  # NaN too
         raise ValueError(f"sigma must be positive, got {sigma}")
     if x_max < 2:
         raise ValueError(f"x_max must be >= 2, got {x_max}")

@@ -6,6 +6,10 @@ hence config hash) always yields byte-identical CSV output, regardless of
 thread count.  Exit-code policy lives in the CLI: any "fail" line is a
 nonzero exit.
 
+Every line is judged by one rule, ``_line``: a check supplies its measured
+value, its budget and a verdict (True, False, or None when there is
+nothing to judge), and ``_line`` alone picks pass, fail or inconclusive.
+
 Check families
 --------------
 * zeta spot checks against closed forms;
@@ -36,7 +40,6 @@ from .exponent import (
     VERDICT_INCONCLUSIVE,
     VERDICT_PASS,
     InsufficientDataError,
-    _status,
     checkpoint_partial_sums,
     fit_exponent,
 )
@@ -46,7 +49,12 @@ from .multfunc import (
     _weight,
     f_at_primes,
 )
-from .primesums import prime_sum_S, weighted_tail_diagnostic
+from .primesums import (
+    VERDICT_CONVERGENT,
+    VERDICT_DIVERGENT,
+    prime_sum_S,
+    weighted_tail_diagnostic,
+)
 from .sieve import FactorSieve, build_sieve, primes_up_to
 
 #: scan bound for the prime-power nonnegativity checks
@@ -89,6 +97,16 @@ def report_to_csv(report: VerificationReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _line(
+    name: str, measured: float, budget: float = math.inf, verdict: bool | None = None
+) -> CheckLine:
+    """The one judging rule: pass when ``verdict`` is True, fail when it is
+    False, inconclusive when it is None (nothing to judge)."""
+    if verdict is None:
+        return CheckLine(name, VERDICT_INCONCLUSIVE, measured, budget)
+    return CheckLine(name, VERDICT_PASS if verdict else VERDICT_FAIL, measured, budget)
+
+
 def _zeta_closed_form_lines() -> list[CheckLine]:
     targets = [
         ("zeta_at_2_vs_pi2_over_6", 2.0, math.pi ** 2 / 6.0),
@@ -98,14 +116,7 @@ def _zeta_closed_form_lines() -> list[CheckLine]:
     for name, sigma, closed in targets:
         value = zeta(ComplexArgument(sigma), tol=1e-13).value.real
         measured = abs(value - closed)
-        lines.append(
-            CheckLine(
-                check_name=name,
-                status=VERDICT_PASS if measured <= 1e-10 else VERDICT_FAIL,
-                measured=measured,
-                budget=1e-10,
-            )
-        )
+        lines.append(_line(name, measured, 1e-10, measured <= 1e-10))
     return lines
 
 
@@ -122,15 +133,15 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
                 # no evaluation exists at this point (sigma <= 0, the pole
                 # s = 1, an unreachable zeta tolerance, a degenerate Euler
                 # factor): nothing to judge
-                lines.append(CheckLine(name, VERDICT_INCONCLUSIVE, math.nan, math.inf))
+                lines.append(_line(name, math.nan))
                 continue
-            # a heuristic point is judged against its configured tolerance
+            # a heuristic point is judged against its configured tolerance,
+            # and without one there is nothing to judge
             budget = tolerance_map.get(identity.value) if result.heuristic else result.budget
             if budget is None:
-                status, budget = VERDICT_INCONCLUSIVE, math.inf
+                lines.append(_line(name, result.residual))
             else:
-                status = VERDICT_PASS if result.passes(budget) else VERDICT_FAIL
-            lines.append(CheckLine(name, status, result.residual, budget))
+                lines.append(_line(name, result.residual, budget, result.passes(budget)))
     return lines
 
 
@@ -158,21 +169,10 @@ def _prime_power_minima(cfg: ExperimentConfig, sieve: FactorSieve) -> dict[str, 
 
 def _nonneg_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
     minima = _prime_power_minima(cfg, sieve)
-    lines = []
-    for name, key in (
-        ("nonneg_h_prime_powers", "h"),
-        ("nonneg_g_prime_powers", "g"),
-    ):
-        measured = minima[key]
-        lines.append(
-            CheckLine(
-                check_name=name,
-                status=VERDICT_PASS if measured >= _SIGN_SLACK else VERDICT_FAIL,
-                measured=measured,
-                budget=_SIGN_SLACK,
-            )
-        )
-    return lines
+    return [
+        _line(name, minima[key], _SIGN_SLACK, minima[key] >= _SIGN_SLACK)
+        for name, key in (("nonneg_h_prime_powers", "h"), ("nonneg_g_prime_powers", "g"))
+    ]
 
 
 def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLine]:
@@ -181,12 +181,7 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
     increments = np.diff(values)
     min_increment = float(np.min(increments)) if increments.size else 0.0
     lines = [
-        CheckLine(
-            check_name="prime_sum_monotone",
-            status=VERDICT_PASS if min_increment >= _SIGN_SLACK else VERDICT_FAIL,
-            measured=min_increment,
-            budget=_SIGN_SLACK,
-        )
+        _line("prime_sum_monotone", min_increment, _SIGN_SLACK, min_increment >= _SIGN_SLACK)
     ]
     if cfg.spec.base == BASE_LIOUVILLE:
         plateau = math.fsum(
@@ -195,30 +190,21 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
             if p <= cfg.effective_x_max
         )
         measured = abs(float(values[-1]) - plateau)
-        status = VERDICT_PASS if measured <= _PLATEAU_TOL else VERDICT_FAIL
-        lines.append(
-            CheckLine("prime_sum_plateau", status, measured, _PLATEAU_TOL)
-        )
-    else:
-        lines.append(
-            CheckLine("prime_sum_plateau", VERDICT_INCONCLUSIVE, float(values[-1]), math.inf)
-        )
+        lines.append(_line("prime_sum_plateau", measured, _PLATEAU_TOL, measured <= _PLATEAU_TOL))
+    else:  # no closed form to judge the plateau by
+        lines.append(_line("prime_sum_plateau", float(values[-1])))
     return lines
 
 
 def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     name = f"weighted_tail:sigma={cfg.weighted_tail_sigma:g}"
     if cfg.effective_x_max < 2:  # no prime to sum over: nothing to judge
-        return CheckLine(name, VERDICT_INCONCLUSIVE, math.nan, math.inf)
+        return _line(name, math.nan)
     trace, verdict = weighted_tail_diagnostic(
         cfg.spec, cfg.weighted_tail_sigma, cfg.effective_x_max, sieve
     )
-    return CheckLine(
-        check_name=name,
-        status=_status(verdict),
-        measured=float(trace.values[-1]),
-        budget=math.inf,
-    )
+    decided = {VERDICT_CONVERGENT: True, VERDICT_DIVERGENT: False}.get(verdict)
+    return _line(name, float(trace.values[-1]), math.inf, decided)
 
 
 def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
@@ -231,11 +217,10 @@ def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     )
     threshold = 1.0 - cfg.epsilon_slack
     try:
-        fit = fit_exponent(series)
+        alpha = fit_exponent(series).alpha_hat
     except InsufficientDataError:
-        return CheckLine("exponent_fit:F_plain", VERDICT_INCONCLUSIVE, math.nan, threshold)
-    status = VERDICT_PASS if fit.alpha_hat <= threshold else VERDICT_FAIL
-    return CheckLine("exponent_fit:F_plain", status, fit.alpha_hat, threshold)
+        return _line("exponent_fit:F_plain", math.nan, threshold)
+    return _line("exponent_fit:F_plain", alpha, threshold, alpha <= threshold)
 
 
 def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
@@ -253,10 +238,7 @@ def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
     decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
     first = magnitudes[0]
     ratio = magnitudes[-1] / first if first > 0 else math.inf
-    status = (
-        VERDICT_PASS if decreasing and ratio <= 0.5 else VERDICT_INCONCLUSIVE
-    )
-    return CheckLine("F_one_trend", status, ratio, 0.5)
+    return _line("F_one_trend", ratio, 0.5, (decreasing and ratio <= 0.5) or None)
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,32 @@ def test_the_store_memoises_exactly_the_no_value_failures(sieve_1e4, monkeypatch
     assert calls == [("zeta", 0.0), ("zeta", 0.0)]
 
 
+@pytest.mark.parametrize(
+    "sigma, t", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 0.0), (2.0, math.inf)]
+)
+def test_zeta_at_a_non_finite_point_is_a_domain_error_the_store_memoises(
+    sigma, t, sieve_1e4, monkeypatch
+):
+    # a NaN part would reach math.ceil's ValueError, which the store does
+    # not memoise
+    point = ComplexArgument(sigma, t)
+    with pytest.raises(DomainError, match="needs a finite s"):
+        zeta(point)
+    calls = []
+    original = multlab.dirichlet.zeta
+
+    def counting_zeta(s, tol=1e-12):
+        calls.append(s)
+        return original(s, tol)
+
+    monkeypatch.setattr(multlab.dirichlet, "zeta", counting_zeta)
+    store = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            store.get("zeta", point)
+    assert len(calls) == 1
+
+
 def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monkeypatch):
     import multlab.dirichlet as dl
 

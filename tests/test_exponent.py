@@ -112,6 +112,10 @@ def test_default_schedule_shape(sieve_1e4):
 
 
 def test_checkpoint_validation(sieve_1e4):
+    with pytest.raises(TypeError, match="DerivedFunctionKind"):
+        checkpoint_partial_sums(constant_spec(0.5), "G_conv", 100, sieve_1e4)
+    with pytest.raises(TypeError, match="DerivedFunctionKind"):
+        checkpoint_partial_sums(LIOUVILLE, "G_conv", 100, sieve_1e4)
     with pytest.raises(ValueError):
         checkpoint_partial_sums(
             LIOUVILLE, DerivedFunctionKind.F_PLAIN, 10**5, sieve_1e4
@@ -280,6 +284,9 @@ def test_kronecker_validation():
         kronecker_check(np.ones(10), 0.0, 10)
     with pytest.raises(ValueError):
         kronecker_check(np.ones(10), 0.5, 100)  # array shorter than x_max
+    # NaN is not <= 0 either: it is rejected, not traced as inconclusive
+    with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+        kronecker_check(np.ones(100), math.nan, 100)
 
 
 # ------------------------------------------------ least squares without scipy

@@ -362,6 +362,15 @@ def test_stream_limit_validation(sieve_1e4):
         coefficient_stream(LIOUVILLE, DerivedFunctionKind.F_PLAIN, 0, sieve_1e4)
 
 
+@pytest.mark.parametrize("kind", ["F_plain", "H_conv", None], ids=repr)
+@pytest.mark.parametrize("stream", [coefficient_stream, integer_coefficient_stream])
+def test_a_kind_that_is_not_a_derived_function_kind_is_a_type_error(stream, kind, sieve_1e4):
+    # H's step is the stream's fall-through: no other value may reach it
+    for limit in (1, 100):
+        with pytest.raises(TypeError, match="DerivedFunctionKind, got"):
+            stream(LIOUVILLE, kind, limit, sieve_1e4)
+
+
 # --------------------------------------------------- spec construction API
 
 

@@ -264,6 +264,9 @@ def test_weighted_tail_deterministic(sieve_1e5):
 def test_weighted_tail_validation(sieve_1e4):
     with pytest.raises(ValueError):
         weighted_tail_diagnostic(LIOUVILLE, 0.0, 10**4, sieve_1e4)
+    # NaN is not <= 0 either: it is rejected, not traced as inconclusive
+    with pytest.raises(ValueError, match="sigma must be positive, got nan"):
+        weighted_tail_diagnostic(LIOUVILLE, math.nan, 10**4, sieve_1e4)
     with pytest.raises(ValueError):
         weighted_tail_diagnostic(LIOUVILLE, 1.0, 10**5, sieve_1e4)
     with pytest.raises(ValueError):
