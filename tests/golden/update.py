@@ -53,6 +53,7 @@ CASES = {
     "verify-constant-neg": VERIFY,
     "verify-power-decay": VERIFY,
     "verify-constant-pos": VERIFY,
+    "verify-short-trace": VERIFY,
     "traces-liouville": TRACES,
     "traces-liouville-exc": TRACES,
     "traces-power-decay": TRACES,
