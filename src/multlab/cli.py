@@ -28,15 +28,12 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, _fmt_real, load_config
 from .dirichlet import _NO_VALUE, ComplexArgument, _SeriesStore
 from .exponent import (
-    VERDICT_FAIL,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_PASS,
     DerivedFunctionKind,
     InsufficientDataError,
     checkpoint_partial_sums,
     fit_exponent,
 )
-from .primesums import prime_sum_S
+from .primesums import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS, prime_sum_S
 from .sieve import FactorSieve, build_sieve, primes_up_to
 from .verify import report_to_csv, run_verify
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -37,6 +38,9 @@ class ConfigError(ValueError):
 
 #: the identities a ``tolerance.NAME`` line may name
 _TOLERANCE_NAMES = tuple(kind.value for kind in IdentityKind)
+
+#: the fields that hold an integer (``operator.index``: 2.0 is rejected)
+_INTEGER_FIELDS = ("sieve_limit", "truncation_N", "euler_P", "x_max", "checkpoint_x0")
 
 
 def _fmt_real(x: float) -> str:
@@ -66,6 +70,12 @@ class ExperimentConfig:
     f_one_h_grid: tuple[float, ...] = (0.1, 0.05, 0.02, 0.01)
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name}: expected integer, got {value!r}") from None
         if not 2 <= self.sieve_limit < _LIMIT_BOUND:
             raise ConfigError(f"sieve_limit={self.sieve_limit} outside [2, {_LIMIT_BOUND})")
         if not 1 <= self.truncation_N <= self.sieve_limit:

@@ -4,9 +4,14 @@ and the normalized-partial-sum (Kronecker-style) decay check.
 The object of interest is the hypothesis "partial sums grow like x^alpha
 for some alpha < 1".  Raw partial sums oscillate through zero, so the
 exponent is fitted on the running-maximum envelope M(x) = max_{y<=x} |S(y)|
-in log-log coordinates; the slope estimates alpha.  Verdicts are
-three-valued with fixed thresholds -- finite data cannot decide an
-asymptotic claim, and the reports say only what the trace shows.
+in log-log coordinates; the slope estimates alpha.
+
+``kronecker_check`` judges its trace by the decay rule of the weighted
+prime tail (``primesums._decays``: fixed thresholds, at least three
+trailing values) and reports the status pass, fail or inconclusive --
+finite data cannot decide an asymptotic claim, and the reports say only
+what the trace shows.  The three statuses, defined in ``primesums``, are
+importable from here.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from .multfunc import (
     integer_coefficient_stream,
     spec_is_pm1,
 )
+# the statuses kronecker_check reports, importable from here
 from .primesums import (
-    FLOOR,
-    VERDICT_CONVERGENT,
-    VERDICT_DIVERGENT,
+    VERDICT_FAIL,
     VERDICT_INCONCLUSIVE,
-    VERDICT_WINDOW,
-    _step_verdict,
+    VERDICT_PASS,
+    _STATUS,
+    _decays,
 )
 from .sieve import FactorSieve
 from .summation import (
@@ -38,20 +43,6 @@ from .summation import (
     exact_prefix_sums_at,
     prefix_sums_at,
 )
-
-#: the three statuses of every check line and decay verdict;
-#: VERDICT_INCONCLUSIVE ("inconclusive") comes from ``primesums``
-VERDICT_PASS = "pass"
-VERDICT_FAIL = "fail"
-
-
-def _status(verdict: str) -> str:
-    """The pass/fail/inconclusive status of a three-valued decay verdict."""
-    return {
-        VERDICT_CONVERGENT: VERDICT_PASS,
-        VERDICT_DIVERGENT: VERDICT_FAIL,
-    }.get(verdict, VERDICT_INCONCLUSIVE)
-
 
 class InsufficientDataError(ValueError):
     """Too few usable checkpoints inside the fitting window."""
@@ -169,11 +160,13 @@ def kronecker_check(
 
     ``coefficients[i]`` is a(i+1).  If the weighted series sum a(n) n^-sigma
     converges, the normalized partial sums must tend to zero; the verdict
-    says whether the trace is consistent with that at desk scale: trailing
-    dyadic-window maxima of |sum|/x^sigma must each drop below DECAY_FACTOR
-    times the previous window's to pass, stay above FLAT_FACTOR to fail,
-    anything in between is inconclusive.  ``schedule`` follows the rule of
-    ``checkpoint_partial_sums``.
+    says whether the trace is consistent with that at desk scale.  The
+    maxima of |sum|/x^sigma over the dyadic windows (x_max/2, x_max],
+    (x_max/4, x_max/2], ... are judged by ``primesums._decays``: the
+    trailing maxima must each drop below DECAY_FACTOR times the previous
+    window's to pass, stay above FLAT_FACTOR times it to fail, anything in
+    between -- or fewer than three windows -- is inconclusive.
+    ``schedule`` follows the rule of ``checkpoint_partial_sums``.
 
     Returns (series, normalized values, verdict).
     """
@@ -189,20 +182,14 @@ def kronecker_check(
     x = schedule.astype(np.float64)
     normalized = np.abs(series.values) / x ** sigma
 
-    # group checkpoints into trailing dyadic windows (x halving each step)
-    scale = max(1.0, float(np.max(normalized))) if normalized.size else 1.0
-    floor = FLOOR * scale
+    # the window maxima, chronological: small x first
     window_maxima: list[float] = []
     hi = float(x_max)
-    while hi >= schedule[0] and len(window_maxima) < VERDICT_WINDOW + 1:
+    while hi >= schedule[0]:
         lo = hi / 2.0
         in_window = (x > lo) & (x <= hi)
         if np.any(in_window):
-            window_maxima.append(float(np.max(normalized[in_window])))
+            window_maxima.insert(0, float(np.max(normalized[in_window])))
         hi = lo
-    window_maxima.reverse()  # chronological: small x first
-    if len(window_maxima) < 3:
-        return series, normalized, VERDICT_INCONCLUSIVE
-    if all(m <= floor for m in window_maxima):
-        return series, normalized, VERDICT_PASS
-    return series, normalized, _status(_step_verdict(window_maxima, floor))
+    decays = _decays(window_maxima, float(np.max(normalized)))
+    return series, normalized, _STATUS[decays]

@@ -13,7 +13,10 @@ bit for bit ``math.fsum`` of that prefix, whatever the checkpoint grid.
 
 Convergence verdicts emitted here are *diagnostics*: fixed, documented
 thresholds on dyadic increments, reproducible run to run, and never a
-substitute for a proof.
+substitute for a proof.  The decay rule behind them, ``_decays``, is also
+the rule of ``exponent.kronecker_check``, and this module holds the words
+of both: the weighted-tail verdicts and the pass/fail/inconclusive
+statuses of every check.
 """
 
 from __future__ import annotations
@@ -24,18 +27,28 @@ from .multfunc import PrimeFunctionSpec, _f_values
 from .sieve import FactorSieve, primes_up_to
 from .summation import PartialSumSeries, _checked_bounds, _prefix_sums, _schedule
 
+#: the statuses of every check line, ``kronecker_check``'s among them
+VERDICT_PASS = "pass"
+VERDICT_FAIL = "fail"
+VERDICT_INCONCLUSIVE = "inconclusive"
+#: the verdicts of ``weighted_tail_diagnostic`` (with VERDICT_INCONCLUSIVE)
 VERDICT_CONVERGENT = "apparently-convergent"
 VERDICT_DIVERGENT = "apparently-divergent"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
-#: a dyadic increment counts as decaying when it drops below this multiple
-#: of its predecessor ...
+#: a judgment -- True, False, or None when there is nothing to judge -- as
+#: a check status ...
+_STATUS = {True: VERDICT_PASS, False: VERDICT_FAIL, None: VERDICT_INCONCLUSIVE}
+#: ... and as a weighted-tail verdict
+_TAIL_VERDICT = {True: VERDICT_CONVERGENT, False: VERDICT_DIVERGENT, None: VERDICT_INCONCLUSIVE}
+
+#: a step of ``_decays`` counts as decaying when the value drops below this
+#: multiple of its predecessor ...
 DECAY_FACTOR = 0.75
 #: ... and as non-decaying when it stays above this multiple
 FLAT_FACTOR = 0.95
-#: increments at or below floor * scale are treated as fully decayed
+#: values at or below FLOOR * max(1, scale) are treated as fully decayed
 FLOOR = 1e-12
-#: number of trailing dyadic steps a verdict is based on
+#: number of trailing steps a verdict is based on, at most
 VERDICT_WINDOW = 8
 
 
@@ -93,54 +106,44 @@ def pretentious_distance_sq(
     return float(_prefix_sums(terms, [primes.size])[0])
 
 
-def _step_verdict(values, floor: float) -> str:
-    """Verdict on the steps between consecutive ``values`` (at least one step).
+def _decays(values, scale: float) -> bool | None:
+    """The decay rule: does the sequence ``values`` decay?
 
-    Apparently convergent when every step decays below DECAY_FACTOR x the
-    previous value (or to the floor); apparently divergent when every step
-    stays above the floor and above FLAT_FACTOR x the previous value;
-    inconclusive otherwise.
+    Judges the steps between the last VERDICT_WINDOW + 1 values and needs
+    at least three of them (two steps); fewer give None.  With the floor
+    FLOOR x max(1, scale): True when every step drops below DECAY_FACTOR x
+    the previous value or to the floor; False when every step stays above
+    the floor and above FLAT_FACTOR x the previous value; None otherwise.
     """
+    values = values[-VERDICT_WINDOW - 1 :]
+    if len(values) < 3:
+        return None
+    floor = FLOOR * max(1.0, scale)
     steps = list(zip(values[:-1], values[1:]))
     if all(after <= max(DECAY_FACTOR * before, floor) for before, after in steps):
-        return VERDICT_CONVERGENT
+        return True
     if all(after > floor and after >= FLAT_FACTOR * before for before, after in steps):
-        return VERDICT_DIVERGENT
-    return VERDICT_INCONCLUSIVE
+        return False
+    return None
+
+
+def _dyadic_decays(totals: np.ndarray) -> bool | None:
+    """``_decays`` of the increments between consecutive dyadic totals of a
+    trace, scaled by the largest |total|: it needs three increments, so
+    four totals."""
+    return _decays(np.diff(totals), float(np.max(np.abs(totals), initial=0.0)))
 
 
 def _dyadic_verdict(totals: np.ndarray) -> str:
-    """Three-valued verdict from the trailing dyadic increments of a trace.
-
-    Increments I_j between consecutive dyadic points are judged by
-    ``_step_verdict`` over the last VERDICT_WINDOW steps.  The window
-    shrinks for short traces but needs at least two increments to say
-    anything.
-    """
-    increments = np.diff(totals)
-    scale = max(1.0, float(np.max(np.abs(totals))) if totals.size else 1.0)
-    floor = FLOOR * scale
-    if increments.size == 0 or np.all(np.abs(increments) <= floor):
-        return VERDICT_CONVERGENT
-    window = min(VERDICT_WINDOW, increments.size - 1)
-    if window < 1:
-        return VERDICT_INCONCLUSIVE
-    return _step_verdict(increments[-window - 1 :], floor)
+    """``_dyadic_decays`` as a weighted-tail verdict."""
+    return _TAIL_VERDICT[_dyadic_decays(totals)]
 
 
-def weighted_tail_diagnostic(
-    spec: PrimeFunctionSpec,
-    sigma: float,
-    x_max: int,
-    sieve: FactorSieve,
-) -> tuple[PartialSumSeries, str]:
-    """Partial sums of sum_{p<=x} (1 + f(p)) log p / p^sigma plus a verdict.
-
-    The trace takes the default checkpoint grid to x_max.  The verdict
-    compares dyadic increments (x doubling steps) against the fixed
-    documented thresholds; it reports apparent behaviour at desk scale,
-    nothing more.
-    """
+def _weighted_tail(
+    spec: PrimeFunctionSpec, sigma: float, x_max: int, sieve: FactorSieve
+) -> tuple[PartialSumSeries, np.ndarray]:
+    """The trace of ``weighted_tail_diagnostic`` and its values at the
+    dyadic points x = 2, 4, 8, ... <= x_max."""
     if not sigma > 0:  # NaN too
         raise ValueError(f"sigma must be positive, got {sigma}")
     if x_max < 2:
@@ -163,5 +166,23 @@ def weighted_tail_diagnostic(
     schedule = _schedule(x_max, None)
     union = np.array(sorted({*dyadic.tolist(), *schedule.tolist()}), dtype=np.int64)
     sums = _trace(primes, union, terms).values
-    verdict = _dyadic_verdict(sums[np.searchsorted(union, dyadic)])
-    return PartialSumSeries(schedule, sums[np.searchsorted(union, schedule)]), verdict
+    trace = PartialSumSeries(schedule, sums[np.searchsorted(union, schedule)])
+    return trace, sums[np.searchsorted(union, dyadic)]
+
+
+def weighted_tail_diagnostic(
+    spec: PrimeFunctionSpec,
+    sigma: float,
+    x_max: int,
+    sieve: FactorSieve,
+) -> tuple[PartialSumSeries, str]:
+    """Partial sums of sum_{p<=x} (1 + f(p)) log p / p^sigma plus a verdict.
+
+    The trace takes the default checkpoint grid to x_max.  The verdict
+    judges the increments between x = 2, 4, 8, ... <= x_max by the decay
+    rule ``_decays`` (fixed documented thresholds), so below x_max = 16,
+    with fewer than three increments, it is inconclusive; it reports
+    apparent behaviour at desk scale, nothing more.
+    """
+    trace, dyadic = _weighted_tail(spec, sigma, x_max, sieve)
+    return trace, _dyadic_verdict(dyadic)

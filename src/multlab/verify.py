@@ -35,26 +35,14 @@ import numpy as np
 
 from .config import ExperimentConfig, _fmt_real, config_hash
 from .dirichlet import _NO_VALUE, ComplexArgument, IdentityKind, _SeriesStore, zeta
-from .exponent import (
-    VERDICT_FAIL,
-    VERDICT_INCONCLUSIVE,
-    VERDICT_PASS,
-    InsufficientDataError,
-    checkpoint_partial_sums,
-    fit_exponent,
-)
+from .exponent import InsufficientDataError, checkpoint_partial_sums, fit_exponent
 from .multfunc import (
     BASE_LIOUVILLE,
     DerivedFunctionKind,
     _weight,
     f_at_primes,
 )
-from .primesums import (
-    VERDICT_CONVERGENT,
-    VERDICT_DIVERGENT,
-    prime_sum_S,
-    weighted_tail_diagnostic,
-)
+from .primesums import VERDICT_FAIL, _STATUS, _dyadic_decays, _weighted_tail, prime_sum_S
 from .sieve import FactorSieve, build_sieve, primes_up_to
 
 #: scan bound for the prime-power nonnegativity checks
@@ -100,11 +88,9 @@ def report_to_csv(report: VerificationReport) -> str:
 def _line(
     name: str, measured: float, budget: float = math.inf, verdict: bool | None = None
 ) -> CheckLine:
-    """The one judging rule: pass when ``verdict`` is True, fail when it is
-    False, inconclusive when it is None (nothing to judge)."""
-    if verdict is None:
-        return CheckLine(name, VERDICT_INCONCLUSIVE, measured, budget)
-    return CheckLine(name, VERDICT_PASS if verdict else VERDICT_FAIL, measured, budget)
+    """The one judging rule: the status of ``verdict`` -- pass when True,
+    fail when False, inconclusive when None (nothing to judge)."""
+    return CheckLine(name, _STATUS[verdict], measured, budget)
 
 
 def _zeta_closed_form_lines() -> list[CheckLine]:
@@ -197,14 +183,12 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
 
 
 def _weighted_tail_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
-    name = f"weighted_tail:sigma={cfg.weighted_tail_sigma:g}"
-    if cfg.effective_x_max < 2:  # no prime to sum over: nothing to judge
+    sigma, x_max = cfg.weighted_tail_sigma, cfg.effective_x_max
+    name = f"weighted_tail:sigma={sigma:g}"
+    if x_max < 2:  # no prime to sum over: nothing to judge
         return _line(name, math.nan)
-    trace, verdict = weighted_tail_diagnostic(
-        cfg.spec, cfg.weighted_tail_sigma, cfg.effective_x_max, sieve
-    )
-    decided = {VERDICT_CONVERGENT: True, VERDICT_DIVERGENT: False}.get(verdict)
-    return _line(name, float(trace.values[-1]), math.inf, decided)
+    trace, dyadic = _weighted_tail(cfg.spec, sigma, x_max, sieve)
+    return _line(name, float(trace.values[-1]), math.inf, _dyadic_decays(dyadic))
 
 
 def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:

@@ -1,8 +1,11 @@
 """Config parsing, canonical serialization, and hashing."""
 
 import math
+import re
 import string
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +243,26 @@ def test_constructed_config_validation():
     # a perfectly legal non-default spec passes through
     cfg = ExperimentConfig(spec=constant_spec(0.5), x_max=500)
     assert cfg.effective_x_max == 500
+    # the integer fields take integers only: a float or a string is
+    # rejected where it enters, and numpy ints and bools become int ...
+    for key in ("sieve_limit", "truncation_N", "euler_P", "x_max", "checkpoint_x0"):
+        for bad in (1000.0, 1e4, np.float64(100), "100"):
+            with pytest.raises(ConfigError, match=f"{key}: expected integer"):
+                ExperimentConfig(**{key: bad})
+    cfg = ExperimentConfig(truncation_N=np.int64(2000), euler_P=True, x_max=np.int32(500))
+    assert [type(getattr(cfg, key)) for key in ("truncation_N", "euler_P", "x_max")] == [int] * 3
+    assert (cfg.truncation_N, cfg.euler_P, cfg.x_max) == (2000, 1, 500)
+    # ... so the canonical text parses back to the same config
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = parse_config(example)
+    assert cfg.s_grid == ((1.5, 0.0), (2.0, 0.0), (2.5, 1.0))
+    assert cfg.spec.exception_map == {2: 0.5}
+    assert cfg.tolerance_map == {"H_eq_zetaF": 1e-6}
 
 
 # ------------------------------------------------------- property tests

@@ -241,6 +241,15 @@ def test_weighted_tail_convergent_cases(sieve_1e6):
     assert verdict3 == VERDICT_CONVERGENT
 
 
+@pytest.mark.parametrize("spec", [constant_spec(0.5), LIOUVILLE])
+def test_weighted_tail_below_three_increments_is_inconclusive(sieve_1e4, spec):
+    # x_max < 16 leaves at most three dyadic points (2, 4, 8): two
+    # increments or fewer, too few for the decay rule
+    for x_max in range(2, 16):
+        _, verdict = weighted_tail_diagnostic(spec, 1.0, x_max, sieve_1e4)
+        assert verdict == VERDICT_INCONCLUSIVE, x_max
+
+
 def test_weighted_tail_at_large_sigma_warns_nothing(sieve_1e6):
     # p^60 passes float max from p of about 1.4e5: those terms are 0.0, where
     # the true ones lie below 1e-306, far under an ulp of the sum
@@ -341,3 +350,13 @@ def test_dyadic_verdict_on_synthetic_histories():
     assert _dyadic_verdict(np.array([0.0, 1.0])) == VERDICT_INCONCLUSIVE
     # thresholds themselves are the documented constants
     assert DECAY_FACTOR < FLAT_FACTOR < 1.0
+
+
+def test_dyadic_verdict_needs_three_increments():
+    # three points give two increments: one step, decaying, flat or zero,
+    # is not enough to judge
+    for totals in ([1.0, 2.0, 2.1], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]):
+        assert _dyadic_verdict(np.array(totals)) == VERDICT_INCONCLUSIVE, totals
+    # a fourth point decides
+    assert _dyadic_verdict(np.array([1.0, 2.0, 2.1, 2.11])) == VERDICT_CONVERGENT
+    assert _dyadic_verdict(np.array([0.0, 1.0, 2.0, 3.0])) == VERDICT_DIVERGENT
