@@ -39,7 +39,8 @@ class ConfigError(ValueError):
 #: the identities a ``tolerance.NAME`` line may name
 _TOLERANCE_NAMES = tuple(kind.value for kind in IdentityKind)
 
-#: the fields that hold an integer (``operator.index``: 2.0 is rejected)
+#: the fields that hold an integer (``operator.index``: 2.0 is rejected, and
+#: so is a bool, Python's or numpy's, which ``operator.index`` reads as 0 or 1)
 _INTEGER_FIELDS = ("sieve_limit", "truncation_N", "euler_P", "x_max", "checkpoint_x0")
 
 
@@ -73,6 +74,8 @@ class ExperimentConfig:
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ConfigError(f"{name}: expected integer, got {value!r}") from None
@@ -207,7 +210,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Unknown keys and tolerance names are rejected rather than ignored:
     misspelling a knob and silently running defaults is the failure mode
-    this format exists to avoid.
+    this format exists to avoid.  For the same reason a value holding '#'
+    is rejected: a comment goes on its own line, and a trailing one would
+    otherwise become part of the value (an ``output_dir`` name, say).
     """
     scalars: dict[str, str] = {}
     spec_fields: dict[str, str] = {}
@@ -222,6 +227,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if "#" in raw:
+            raise ConfigError(
+                f"line {lineno}: value of {key} holds '#'; comments go on their own lines"
+            )
         if key.startswith("spec.exception."):
             p_raw = key[len("spec.exception.") :]
             p = _parse_int(key, p_raw)

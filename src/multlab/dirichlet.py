@@ -118,23 +118,41 @@ class SeriesEval:
 
 
 def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
-    """(sum c(n) n^(-s), sum |c(n)| n^(-sigma)) over n <= ``length`` for each c.
+    """(sum c(n) n^(-s), allowance sum) over n <= ``length`` for each c.
 
     Each array in ``coeffs`` holds c(1), c(2), ... .  One pass over slices
     of _BLOCK n forms n^(-sigma) and, at complex s, cos and sin of -t log n
-    once per slice for every array, and feeds each part's terms to its own
-    ``_ExactSum``: every part is its exact sum rounded once, bit for bit
-    ``math.fsum`` of the whole-length terms, with no whole-length array.
-    At real s the imaginary part is exactly 0.0.
+    once per slice for every array, and feeds the real and imaginary terms
+    to their own ``_ExactSum``: each part of the value is its exact sum
+    rounded once, bit for bit ``math.fsum`` of the whole-length terms, with
+    no whole-length array.  At real s the imaginary part is exactly 0.0.
+
+    The allowance sum is an upper bound on S, the exact sum of the computed
+    |c(n) n^(-sigma)|, so it is summed in float: each slice with numpy's
+    ``sum`` (never BLAS, whose threads could change the bits), the slice
+    sums in order into one float T, and then R = T (1 + N eps), with
+    N = ``length`` and eps = 2^-52 (exact as a float for N < 2^52).
+    Proof that S <= R, in the standard model of Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2.2 and 4.2: with
+    u = 2^-53, a rounded + or * of nonnegative x gives fl(x) >= x / (1 + u)
+    (a sum in the subnormal range is exact, and a subnormal T is S).
+    Whatever order numpy adds in, T comes from N terms by additions alone,
+    so each term meets at most N - 1 roundings there and one more in the
+    product: R >= S (1 + N eps) / (1 + u)^N.  For N u <= 1,
+    (1 + u)^N <= exp(N u) <= 1 + 2 N u = 1 + N eps, so R >= S.  For a
+    normal T the same count with fl(x) <= x (1 + u) gives
+    R <= S (1 + N eps)^2.
 
     Raises DomainError when a term or a sum leaves float64 (n^(-sigma)
     overflows from sigma of about -308 / log10 length): at the first slice
-    with an inf or NaN |c(n)| n^(-sigma), which no sum could survive, and
-    otherwise once an exactly rounded sum overflows.
+    whose |c(n)| n^(-sigma) hold an inf or NaN, which no sum could survive,
+    or whose allowance sum so far overflows, and when R overflows.  No
+    value can overflow while R is finite, since S bounds its parts.
     """
     message = f"Dirichlet sum leaves float64 at sigma={point.sigma}"
     buf = np.empty((2, min(length, _BLOCK)))  # scratch of every sum: each is fed in turn
-    sums = [(_ExactSum(buf), _ExactSum(buf), _ExactSum(buf)) for _ in coeffs]  # re, im, abs
+    sums = [(_ExactSum(buf), _ExactSum(buf)) for _ in coeffs]  # re, im
+    sizes = [0.0] * len(coeffs)
 
     def feed(lo: int, hi: int) -> None:  # its arrays die with each slice
         n = np.arange(lo + 1, hi + 1, dtype=np.float64)
@@ -143,9 +161,10 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
             np.log(n, out=n)
             n *= -point.t
             cos, sin = np.cos(n), np.sin(n, out=n)
-        for c, (re, im, size) in zip(coeffs, sums):
+        for i, (c, (re, im)) in enumerate(zip(coeffs, sums)):
             mod = c[lo:hi] * weights
-            if not math.isfinite(size.add(np.abs(mod))):
+            sizes[i] += float(np.abs(mod).sum())
+            if not math.isfinite(sizes[i]):
                 raise DomainError(message)
             if point.t == 0.0:
                 re.add(mod)
@@ -153,16 +172,14 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
                 re.add(mod * cos)
                 im.add(mod * sin)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the totals are checked
+    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked
         for lo in range(0, length if coeffs else 0, _BLOCK):  # no arrays, no pass
             feed(lo, min(lo + _BLOCK, length))
-    try:
-        out = [(complex(re.value(), im.value()), size.value()) for re, im, size in sums]
-    except (OverflowError, ValueError):  # math.fsum met +-inf or overflowed
-        out = [(0j, math.inf)]
-    if not all(math.isfinite(size) for _, size in out):
+    factor = 1.0 + length * _EPS
+    bounds = [size * factor for size in sizes]
+    if not all(math.isfinite(bound) for bound in bounds):
         raise DomainError(message)
-    return out
+    return [(complex(re.value(), im.value()), bound) for (re, im), bound in zip(sums, bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +220,10 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     accelerated alternating scheme; depth is chosen from tol via the
     geometric truncation constant (valid for sigma >= 1/2; points with
     0 < sigma < 1/2 are evaluated the same way but flagged heuristic).
+    The rounding allowance is 4 eps of the accelerated terms' absolute sum
+    over |1 - 2^(1-s)|, plus 4 eps |value|; that sum comes from
+    ``_dirichlet_sums``, summed in float and raised by its factor
+    1 + n eps (n <= 256 terms), so it is at least the exact one.
 
     Raises
     ------
@@ -664,6 +685,9 @@ class _SeriesStore:
     "U" over p <= P.  Each stream is built once; the sums at one point of
     several streams share one slice pass (``_dirichlet_sums``), and
     ``residual`` sums every stream not yet memoised at its point in one.
+    At sigma > 1 a sum's budget is its tail bound plus 4 eps times the
+    allowance sum of ``_dirichlet_sums``, a float upper bound on
+    sum |a(n)| n^(-sigma) within a factor (1 + N eps)^2 of it.
     A failure of ``_NO_VALUE`` (no value at this point) is memoised too,
     as the exception itself, and raised again by every ``get`` of that
     (name, point), so a failing pass or product runs once.  Any other

@@ -244,16 +244,33 @@ def test_constructed_config_validation():
     cfg = ExperimentConfig(spec=constant_spec(0.5), x_max=500)
     assert cfg.effective_x_max == 500
     # the integer fields take integers only: a float or a string is
-    # rejected where it enters, and numpy ints and bools become int ...
+    # rejected where it enters, and numpy ints become int ...
     for key in ("sieve_limit", "truncation_N", "euler_P", "x_max", "checkpoint_x0"):
         for bad in (1000.0, 1e4, np.float64(100), "100"):
             with pytest.raises(ConfigError, match=f"{key}: expected integer"):
                 ExperimentConfig(**{key: bad})
-    cfg = ExperimentConfig(truncation_N=np.int64(2000), euler_P=True, x_max=np.int32(500))
+    cfg = ExperimentConfig(truncation_N=np.int64(2000), euler_P=np.uint8(1), x_max=np.int32(500))
     assert [type(getattr(cfg, key)) for key in ("truncation_N", "euler_P", "x_max")] == [int] * 3
     assert (cfg.truncation_N, cfg.euler_P, cfg.x_max) == (2000, 1, 500)
     # ... so the canonical text parses back to the same config
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_a_bool_is_no_integer_field():
+    # operator.index reads True as 1 and False as 0: x_max=True would run
+    # a trace to 1, and euler_P=False an empty Euler product
+    for key in ("sieve_limit", "truncation_N", "euler_P", "x_max", "checkpoint_x0"):
+        for bad in (True, False, np.bool_(True), np.bool_(False)):
+            with pytest.raises(ConfigError, match=f"{key}: expected integer, got {bad!r}"):
+                ExperimentConfig(**{key: bad})
+
+
+def test_a_value_holding_a_hash_is_rejected():
+    # a trailing comment would become part of the value: here a directory name
+    for line in ("output_dir = out   # where CSVs go", "truncation_N = 1000 # small", "spec.c=#"):
+        with pytest.raises(ConfigError, match=r"line 2: value of \S+ holds '#'"):
+            parse_config(f"# a comment line is fine\n{line}\n")
+    assert parse_config("  # indented comment\noutput_dir = out\n").output_dir == "out"
 
 
 def test_readme_example_config_parses():

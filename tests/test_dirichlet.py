@@ -706,9 +706,36 @@ def test_store_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
         if point.sigma > 1.0:
             divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
             tail = (_divisor_tail if divisor else _power_tail)(N, point.sigma)
-            assert ev.tail_bound == tail + 4.0 * _EPS * math.fsum(np.abs(mod).tolist())
+            # the allowance sum lies between the exact sum and its
+            # (1 + N eps)^2 multiple (see test_allowance_sum_is_bounded_by_its_factor)
+            exact = math.fsum(np.abs(mod).tolist())
+            factor = 1.0 + N * _EPS
+            assert tail + 4.0 * _EPS * exact <= ev.tail_bound, kind
+            assert ev.tail_bound <= tail + 4.0 * _EPS * (exact * factor**2), kind
         else:
             assert ev.heuristic and ev.tail_bound == math.inf
+
+
+@pytest.mark.parametrize("N", [1, 2**15, 3 * 2**15 + 5])
+@pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8, 40.0])
+@pytest.mark.parametrize(
+    "spec", [power_decay_spec(0.5, 0.5, {3: 0.25}), constant_spec(-0.9)], ids=str
+)
+def test_allowance_sum_is_bounded_by_its_factor(spec, s, N, sieve_1e6):
+    # the float allowance sum R of _dirichlet_sums against S, the exact sum
+    # of the computed |terms|: S <= R <= S (1 + N eps)^2.  No float lies
+    # strictly between S and its rounding math.fsum, so S <= R gives
+    # fsum <= R.  Above, R's N roundings use about N u of the second
+    # factor's N eps (u = eps / 2), which leaves room for the roundings of
+    # fsum and of this product (N = 1: R is fl(fsum * factor))
+    point = ComplexArgument.of(s)
+    n = np.arange(1, N + 1, dtype=np.float64)
+    streams = [coefficient_stream(spec, kind, N, sieve_1e6) for kind in DerivedFunctionKind]
+    sums = multlab.dirichlet._dirichlet_sums(streams, N, point)
+    factor = 1.0 + N * _EPS
+    for kind, stream, (_, allowance) in zip(DerivedFunctionKind, streams, sums):
+        exact = math.fsum(np.abs(stream * n ** (-point.sigma)).tolist())
+        assert exact <= allowance <= exact * factor**2, kind
 
 
 def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypatch):
@@ -848,7 +875,7 @@ def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monke
         with pytest.raises(DomainError) as info:
             dl._dirichlet_sums([stream.view(Recorded)], N, s)
         assert str(info.value) == message and read == [0]
-    # every term finite, the sum not: the exact sum still overflows
+    # every term finite, the sum not: the allowance sum overflows
     with pytest.raises(DomainError) as info:
         dl._dirichlet_sums([stream], 25_000, point)
     assert str(info.value) == message
