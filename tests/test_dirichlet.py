@@ -719,7 +719,7 @@ def test_store_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
 @pytest.mark.parametrize("N", [1, 2**15, 3 * 2**15 + 5])
 @pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8, 40.0])
 @pytest.mark.parametrize(
-    "spec", [power_decay_spec(0.5, 0.5, {3: 0.25}), constant_spec(-0.9)], ids=str
+    "spec", [power_decay_spec(0.5, 0.5, {3: 0.25}), constant_spec(-0.9)], ids=["pd", "const"]
 )
 def test_allowance_sum_is_bounded_by_its_factor(spec, s, N, sieve_1e6):
     # the float allowance sum R of _dirichlet_sums against S, the exact sum
