@@ -124,15 +124,22 @@ def fit_exponent(
     Raises
     ------
     InsufficientDataError
-        Fewer than 8 usable checkpoints in the window (an empty trace has none).
+        Fewer than 8 usable checkpoints in the window (an empty trace has
+        none, and neither has a default window whose start 10 x0 lies past
+        the last checkpoint).
     """
     if not series.x_values.size:
         raise InsufficientDataError("the trace has no checkpoints; need >= 8")
     envelope = running_max_envelope(series)
     x = series.x_values.astype(np.float64)
     if window is None:
-        x_lo = float(series.x_values[0]) * 10.0
-        window = (int(x_lo), int(series.x_values[-1]))
+        x_lo, x_max = 10 * int(series.x_values[0]), int(series.x_values[-1])
+        if x_lo > x_max:
+            raise InsufficientDataError(
+                f"the default window starts at 10*x0 = {x_lo}, past x_max = {x_max}; "
+                "need >= 8 usable checkpoints -- widen the window or extend x_max"
+            )
+        window = (x_lo, x_max)
     lo, hi = window
     mask = (x >= lo) & (x <= hi) & (envelope > 0.0)
     used = int(np.count_nonzero(mask))

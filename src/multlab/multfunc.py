@@ -22,7 +22,8 @@ from the finished entry a(m) --
 * F_mu2:   a(n) = 0 when p | m, else f(p) a(m);
 * H_conv:  a(n) = (1 + f(p)) a(m), minus f(p) a(m / p) when p | m.
 
-The steps run as vector passes over chunks of about 2^16 entries, so the
+The steps run as vector passes over chunks of about 2^16 entries, each
+split by parity (even n have p = 2 and take their step by slices), so the
 work is O(N) with no Python-level per-n loop.  Streams whose values are
 provably integers (all f(p) in {-1,0,1}) run the same steps in the
 narrowest integer dtype that holds them (int8 for F and F_mu2, int16 for
@@ -351,6 +352,30 @@ _EXACT_DTYPES = {
 }
 
 
+def _prime_values(
+    spec: PrimeFunctionSpec, limit: int, sieve: FactorSieve, dtype
+) -> tuple[np.generic, np.generic | np.ndarray]:
+    """(f(2), f of the odd primes) for :func:`_stream`, in ``dtype``.
+
+    The second is one scalar, f(3), when the spec is flat: every odd prime
+    <= limit has the same f(p).  That holds for Liouville and constant
+    bases, and for power decay with c = 0 (-1 + 0 * p^-a is -1.0 at every
+    p), unless an exception sits on an odd prime <= limit; below 3 no odd
+    n > 1 takes a step, so f(3) is then never read.  Otherwise it is a
+    dense table indexed by p, filled by one :func:`f_at_primes` call.
+    Every value comes from ``_f_values``, elementwise, so a scalar is bit
+    for bit the table entry it stands for.
+    """
+    f2, f3 = _f_values(spec, np.array([2, 3])).astype(dtype)
+    varies = spec.base == BASE_POWER_DECAY and spec.c != 0.0
+    if not varies and not any(2 < q <= limit for q, _ in spec.exceptions):
+        return f2, f3
+    primes = primes_up_to(limit, sieve)
+    table = np.zeros(limit + 1, dtype=dtype)
+    table[primes] = f_at_primes(spec, primes)
+    return f2, table
+
+
 def _stream(
     spec: PrimeFunctionSpec,
     kind: DerivedFunctionKind,
@@ -362,9 +387,8 @@ def _stream(
 
     For n with p = spf(n), m = n // p is at most n / 2, and p | m exactly
     when spf(m) == p.  A chunk [lo, hi) with hi <= 2 lo therefore reads only
-    finished entries below lo, and fills in a few vector passes.  m is
-    formed once per chunk as ``np.intp``, the index type of every gather
-    that reads it.  The steps, with f = f(p):
+    finished entries below lo, and fills in a few vector passes.  The
+    steps, with f = f(p):
 
     * F_plain: a(n) = f * a(m), complete multiplicativity;
     * G_conv: a(n) = a(m) when p | m, else (1 + f) * a(m), since
@@ -375,13 +399,27 @@ def _stream(
       - f h(p^(e-2)), the recurrence with characteristic roots 1 and f,
       times h(r); m / p = n / p^2 is finished too.
 
-    f(p) comes from one dense table indexed by n, filled by one
-    :func:`f_at_primes` call: int8 for exact streams (values in {-1, 0, 1}),
-    float64 otherwise.  The "when p | m" choices multiply by the 0/1 mask
-    ``again`` (np.where has no fast path for 1-byte items).  In float this
-    is bit for bit the choice for G (1 + f * 0 is 1) and for H, whose
-    values are never -0.0 (h(m) >= 0 and 1 + f >= 0), so subtracting a
-    signed zero changes nothing; F_mu2's float step keeps np.where.
+    Each chunk is split by parity.  Even n have p = 2, m = n / 2, and
+    p | m exactly when 4 | n, so their half takes no division and no
+    gather: a(n / 2) is the block ``vals[lo/2 : hi/2]``, a(n / 4) the block
+    ``vals[lo/4 : hi/4]``, f = f(2) is one scalar, and stride-4 views
+    split the even n by their class mod 4.  Odd n take the step on
+    stride-2 views: m = n // p is divided in uint32 and formed once as
+    ``np.intp``, the index type of every gather that reads it, and the
+    "when p | m" choices multiply by the 0/1 mask ``again`` (np.where has
+    no fast path for 1-byte items); F_mu2's float step keeps np.where.
+    The odd half's f is one scalar too for a flat spec, else a gather from
+    the f(p) table (see :func:`_prime_values`): int8 for exact streams
+    (values in {-1, 0, 1}), float64 otherwise.
+
+    No bit depends on the split.  Each entry is the same operation on the
+    same operands, in the same association, as the masked step; the even
+    half only leaves out products with a mask whose value is known.  In
+    float that is exact: times 1 is the identity, G's 1 + f * 0 is 1, and
+    H's subtracted term f a(m / p) * 0 is a signed zero, which changes no
+    H value because H values are never -0.0 (h(m) >= 0 and 1 + f >= 0).
+    F_mu2 where 4 | n keeps the 0.0 that ``vals`` starts with, the value
+    np.where gave.  A scalar f is bit for bit the table entry it replaces.
 
     Exact streams (``exact``, every f(p) in {-1, 0, 1}) are integer and
     stored in the narrowest dtype of ``_EXACT_DTYPES``.  F and F_mu2 take
@@ -409,31 +447,46 @@ def _stream(
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
     spf = sieve.spf
-    primes = primes_up_to(limit, sieve)
-    fp = np.zeros(limit + 1, dtype=np.int8 if exact else np.float64)
-    fp[primes] = f_at_primes(spec, primes)
+    f2, f_odd = _prime_values(spec, limit, sieve, np.int8 if exact else np.float64)
     vals = np.zeros(limit + 1, dtype=_EXACT_DTYPES[kind] if exact else np.float64)
     vals[1] = 1
     lo = 2
     while lo <= limit:
         hi = min(lo + min(lo, _CHUNK), limit + 1)
-        p = spf[lo:hi]
-        q = np.arange(lo, hi, dtype=np.uint32) // p  # n // p, divided in uint32
-        m = q.astype(np.intp)
-        f = np.take(fp, p)  # converts the uint32 index faster than fp[p]
-        a = vals[m]
+        # even n = 2k: ``half`` holds a(k) for the n of ``even``; n4 picks
+        # those with 4 | n (k even), n2 the others
+        k = (lo + 1) // 2
+        even, half = vals[2 * k : hi : 2], vals[k : (hi + 1) // 2]
+        n4, n2 = slice(k & 1, None, 2), slice(1 - (k & 1), None, 2)
         if kind is DerivedFunctionKind.F_PLAIN:
-            vals[lo:hi] = f * a
+            np.multiply(f2, half, out=even)
+        elif kind is DerivedFunctionKind.G_CONV:
+            even[n4] = half[n4]
+            even[n2] = (1 + f2) * half[n2]
+        elif kind is DerivedFunctionKind.F_MU2:
+            even[n2] = f2 * half[n2]  # even[n4] keeps the 0 it starts with
+        else:  # H_CONV
+            even[n2] = (1 + f2) * half[n2]
+            even[n4] = (1 + f2) * half[n4] - f2 * vals[(lo + 3) // 4 : (hi + 3) // 4]
+        # odd n
+        p = spf[lo | 1 : hi : 2]
+        q = np.arange(lo | 1, hi, 2, dtype=np.uint32) // p  # n // p, divided in uint32
+        m = q.astype(np.intp)
+        f = np.take(f_odd, p) if f_odd.ndim else f_odd  # take converts uint32 fast
+        a = vals[m]
+        odd = vals[lo | 1 : hi : 2]
+        if kind is DerivedFunctionKind.F_PLAIN:
+            odd[...] = f * a
         else:
             again = spf[m] == p
             if kind is DerivedFunctionKind.G_CONV:
-                vals[lo:hi] = (1 + f * ~again) * a
+                odd[...] = (1 + f * ~again) * a
             elif kind is DerivedFunctionKind.F_MU2:
                 # a float f * a < 0 times False is -0.0, where np.where
                 # gives 0.0, so only the exact path multiplies
-                vals[lo:hi] = f * a * ~again if exact else np.where(again, 0, f * a)
+                odd[...] = f * a * ~again if exact else np.where(again, 0, f * a)
             else:  # H_CONV
-                vals[lo:hi] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
+                odd[...] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
         lo = hi
     return vals[1:]
 

@@ -181,17 +181,17 @@ class _ExactSum:
         # time (as in one Dirichlet pass) may share one (2, m) array
         self._buf = np.empty((2, 0)) if buf is None else buf
 
-    def add(self, chunk: np.ndarray) -> float:
-        """Take one chunk; return max |chunk| (inf or NaN if the chunk has one)."""
+    def add(self, chunk: np.ndarray) -> None:
+        """Take one chunk."""
         m = chunk.shape[0]
         if m > self._buf.shape[1]:
             self._buf = np.empty((2, m))
         r, q = self._buf[0, :m], self._buf[1, :m]
         width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
-        largest = amax = float(np.abs(chunk, out=q).max()) if m else 0.0
+        amax = float(np.abs(chunk, out=q).max()) if m else 0.0
         if not amax < math.ldexp(1.0, _EXP_LIMIT - width):  # also inf and NaN
             self.pieces.extend(chunk.tolist())
-            return largest
+            return
         np.copyto(r, chunk)
         while amax != 0.0:
             exp = width + math.frexp(amax)[1]
@@ -204,7 +204,6 @@ class _ExactSum:
             np.subtract(r, q, out=r)
             self.pieces.append(float(q.sum()))
             amax = float(np.abs(r, out=q).max())
-        return largest
 
     def value(self) -> float:
         return math.fsum(self.pieces)

@@ -505,6 +505,15 @@ def test_exponent_insufficient_data_exits_2(tmp_path, capsys):
     assert "widen the window" in capsys.readouterr().err
 
 
+def test_exponent_past_the_default_window_says_where_it_starts(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sieve_limit = 2\ntruncation_N = 2\neuler_P = 2\nx_max = 2\n")
+    rc = main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "the default window starts at 10*x0 = 20, past x_max = 2" in err
+
+
 # ----------------------------------------------------------- error handling
 
 

@@ -194,6 +194,12 @@ def test_fit_insufficient_data_paths():
         fit_exponent(synthetic_series(x, np.zeros(x.size)))
 
 
+def test_fit_whose_default_window_starts_past_the_trace_says_so():
+    # it used to report "only 0 usable checkpoints in window [20, 2]"
+    with pytest.raises(InsufficientDataError, match=r"starts at 10\*x0 = 20, past x_max = 2"):
+        fit_exponent(synthetic_series([2], [1.0]))
+
+
 def test_fit_of_an_empty_trace_is_insufficient_data():
     # it used to raise IndexError reading the first checkpoint
     with pytest.raises(InsufficientDataError, match="no checkpoints"):

@@ -337,6 +337,77 @@ def test_float_streams_across_chunks_match_pointwise(kind, sieve_1e6):
             ), (spec.spec_id(), n)
 
 
+def reference_stream(spec, kind, limit, sieve, exact):
+    """The masked linear-sieve step on every n, kept literally as the oracle.
+
+    n // spf(n) divided in uint32, f(p) gathered from a dense table filled
+    by f_at_primes, and "p | m" read as spf[m] == p, in 2^16-entry chunks.
+    """
+    spf = sieve.spf
+    primes = primes_up_to(limit, sieve)
+    fp = np.zeros(limit + 1, dtype=np.int8 if exact else np.float64)
+    fp[primes] = f_at_primes(spec, primes)
+    vals = np.zeros(limit + 1, dtype=EXACT_DTYPES[kind] if exact else np.float64)
+    vals[1] = 1
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + min(lo, 1 << 16), limit + 1)
+        p = spf[lo:hi]
+        q = np.arange(lo, hi, dtype=np.uint32) // p
+        m = q.astype(np.intp)
+        f = np.take(fp, p)
+        a = vals[m]
+        if kind is DerivedFunctionKind.F_PLAIN:
+            vals[lo:hi] = f * a
+        else:
+            again = spf[m] == p
+            if kind is DerivedFunctionKind.G_CONV:
+                vals[lo:hi] = (1 + f * ~again) * a
+            elif kind is DerivedFunctionKind.F_MU2:
+                vals[lo:hi] = f * a * ~again if exact else np.where(again, 0, f * a)
+            else:
+                vals[lo:hi] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
+        lo = hi
+    return vals[1:]
+
+
+def _oracle_specs():
+    """Flat and varying bases, each bare, with an exception at 2 and at 5."""
+    specs = []
+    for exc in ({}, {2: 1.0}, {5: 0.0}):
+        specs += [liouville_spec(exc), constant_spec(0.5, exc), constant_spec(-0.5, exc),
+                  power_decay_spec(0.5, 0.5, exc), power_decay_spec(0.0, 0.5, exc)]
+    return specs
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 2**16 - 1, 2**16 + 1, _WIDE])
+@pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: s.spec_id())
+def test_streams_equal_the_masked_step_bit_for_bit(spec, limit, sieve_1e6):
+    for kind in DerivedFunctionKind:
+        runs = [(coefficient_stream, False)]
+        if spec_is_pm1(spec):
+            runs.append((integer_coefficient_stream, True))
+        for stream, exact in runs:
+            got = stream(spec, kind, limit, sieve_1e6)
+            want = reference_stream(spec, kind, limit, sieve_1e6, exact)
+            assert got.dtype == want.dtype, (kind, exact)
+            assert got.tobytes() == want.tobytes(), (kind, exact)
+
+
+@pytest.mark.parametrize("length", [2**16 - 1, 2**16, 123_457])
+def test_stream_prefix_does_not_depend_on_its_length(length, sieve_1e6):
+    runs = [(coefficient_stream, power_decay_spec(0.5, 0.5, {3: 0.8})),
+            (coefficient_stream, constant_spec(-0.37, {2: 0.2})),
+            (integer_coefficient_stream, LIOUVILLE),
+            (integer_coefficient_stream, liouville_spec({7: 0.0}))]
+    for stream, spec in runs:
+        for kind in DerivedFunctionKind:
+            whole = stream(spec, kind, 10**6, sieve_1e6)
+            prefix = stream(spec, kind, length, sieve_1e6)
+            assert prefix.dtype == whole.dtype
+            assert prefix.tobytes() == whole[:length].tobytes(), (spec.spec_id(), kind)
+
+
 def test_integer_stream_rejects_float_specs(sieve_1e4):
     with pytest.raises(ValueError):
         integer_coefficient_stream(
