@@ -38,7 +38,7 @@ from .sieve import FactorSieve, build_sieve, primes_up_to
 from .verify import report_to_csv, run_verify
 
 _CACHE_MAGIC = b"MLSPF"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 #: magic, version, limit, prime count, CRC-32 of the spf and prime payloads.
 #: The CRC detects accidental corruption (a flipped bit, a torn copy); it is
 #: no guard against a file crafted to match it.
@@ -71,8 +71,9 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     """Write the cache file atomically: a temp file beside it, then ``os.replace``.
 
     A reader or a concurrent writer never sees a partly written file.  The
-    file is the header, then spf, then the ascending primes, both tables as
-    ``<u4`` written straight from their array buffers.
+    file is the header, then the odd-only spf table ((limit + 1) // 2
+    cells), then the ascending primes, both tables as ``<u4`` written
+    straight from their array buffers.
     """
     path = _cache_path(out_dir, sieve.limit)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -115,10 +116,10 @@ def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
                 (magic, version, stored_limit) != (_CACHE_MAGIC, _CACHE_VERSION, limit)
                 or count > limit
                 or os.fstat(fh.fileno()).st_size
-                != _CACHE_HEADER.size + 4 * (limit + 1 + count)
+                != _CACHE_HEADER.size + 4 * ((limit + 1) // 2 + count)
             ):
                 return None
-            spf = np.empty(limit + 1, dtype="<u4")
+            spf = np.empty((limit + 1) // 2, dtype="<u4")
             primes = np.empty(count, dtype="<u4")
             if fh.readinto(spf) != spf.nbytes or fh.readinto(primes) != primes.nbytes:
                 return None

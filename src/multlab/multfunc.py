@@ -23,11 +23,12 @@ from the finished entry a(m) --
 * H_conv:  a(n) = (1 + f(p)) a(m), minus f(p) a(m / p) when p | m.
 
 The steps run as vector passes over chunks of about 2^16 entries, each
-split by parity (even n have p = 2 and take their step by slices), so the
-work is O(N) with no Python-level per-n loop.  Streams whose values are
-provably integers (all f(p) in {-1,0,1}) run the same steps in the
-narrowest integer dtype that holds them (int8 for F and F_mu2, int16 for
-H and G), the exact path used by the partial-sum machinery.
+split by parity (even n have p = 2 and take their step by slices; odd n
+read p from the sieve's odd-only table), so the work is O(N) with no
+Python-level per-n loop.  Streams whose values are provably integers (all
+f(p) in {-1,0,1}) run the same steps in the narrowest integer dtype that
+holds them (int8 for F and F_mu2, int16 for H and G), the exact path used
+by the partial-sum machinery.
 """
 
 from __future__ import annotations
@@ -362,7 +363,8 @@ def _prime_values(
     bases, and for power decay with c = 0 (-1 + 0 * p^-a is -1.0 at every
     p), unless an exception sits on an odd prime <= limit; below 3 no odd
     n > 1 takes a step, so f(3) is then never read.  Otherwise it is a
-    dense table indexed by p, filled by one :func:`f_at_primes` call.
+    dense table over the odd n <= limit, indexed like the sieve's spf
+    table by ``p >> 1``, filled by one :func:`f_at_primes` call.
     Every value comes from ``_f_values``, elementwise, so a scalar is bit
     for bit the table entry it stands for.
     """
@@ -370,9 +372,9 @@ def _prime_values(
     varies = spec.base == BASE_POWER_DECAY and spec.c != 0.0
     if not varies and not any(2 < q <= limit for q, _ in spec.exceptions):
         return f2, f3
-    primes = primes_up_to(limit, sieve)
-    table = np.zeros(limit + 1, dtype=dtype)
-    table[primes] = f_at_primes(spec, primes)
+    odd_primes = primes_up_to(limit, sieve)[1:]
+    table = np.zeros((limit + 1) // 2, dtype=dtype)
+    table[odd_primes >> 1] = f_at_primes(spec, odd_primes)
     return f2, table
 
 
@@ -403,14 +405,17 @@ def _stream(
     p | m exactly when 4 | n, so their half takes no division and no
     gather: a(n / 2) is the block ``vals[lo/2 : hi/2]``, a(n / 4) the block
     ``vals[lo/4 : hi/4]``, f = f(2) is one scalar, and stride-4 views
-    split the even n by their class mod 4.  Odd n take the step on
-    stride-2 views: m = n // p is divided in uint32 and formed once as
-    ``np.intp``, the index type of every gather that reads it, and the
-    "when p | m" choices multiply by the 0/1 mask ``again`` (np.where has
-    no fast path for 1-byte items); F_mu2's float step keeps np.where.
-    The odd half's f is one scalar too for a flat spec, else a gather from
-    the f(p) table (see :func:`_prime_values`): int8 for exact streams
-    (values in {-1, 0, 1}), float64 otherwise.
+    split the even n by their class mod 4.  Odd n write a stride-2 view
+    of ``vals`` and read p from the contiguous block ``spf[lo/2 : hi/2]``
+    of the sieve's odd-only table: m = n // p is divided in uint32 and
+    formed once as ``np.intp``, the index type of every gather that reads
+    it.  m is odd, so p | m exactly when ``spf[m >> 1] == p`` (m = 1 reads
+    the sentinel 1), and the "when p | m" choices multiply by the 0/1 mask
+    ``again`` (np.where has no fast path for 1-byte items); F_mu2's float
+    step keeps np.where.  The odd half's f is one scalar too for a flat
+    spec, else a gather at ``p >> 1`` from the f(p) table (see
+    :func:`_prime_values`): int8 for exact streams (values in {-1, 0, 1}),
+    float64 otherwise.
 
     No bit depends on the split.  Each entry is the same operation on the
     same operands, in the same association, as the masked step; the even
@@ -469,16 +474,16 @@ def _stream(
             even[n2] = (1 + f2) * half[n2]
             even[n4] = (1 + f2) * half[n4] - f2 * vals[(lo + 3) // 4 : (hi + 3) // 4]
         # odd n
-        p = spf[lo | 1 : hi : 2]
+        p = spf[lo >> 1 : hi >> 1]
         q = np.arange(lo | 1, hi, 2, dtype=np.uint32) // p  # n // p, divided in uint32
         m = q.astype(np.intp)
-        f = np.take(f_odd, p) if f_odd.ndim else f_odd  # take converts uint32 fast
+        f = np.take(f_odd, p >> 1) if f_odd.ndim else f_odd  # take converts uint32 fast
         a = vals[m]
         odd = vals[lo | 1 : hi : 2]
         if kind is DerivedFunctionKind.F_PLAIN:
             odd[...] = f * a
         else:
-            again = spf[m] == p
+            again = spf[m >> 1] == p
             if kind is DerivedFunctionKind.G_CONV:
                 odd[...] = (1 + f * ~again) * a
             elif kind is DerivedFunctionKind.F_MU2:

@@ -1,14 +1,16 @@
 """Smallest-prime-factor sieve and the classical arithmetic functions.
 
-The central object is :class:`FactorSieve`: a table ``spf[n]`` holding the
-smallest prime factor of every ``n`` up to a limit.  ``factorize`` is then
-repeated division by ``spf`` in O(log n), and lambda(n), mu(n), mu^2(n) and
-Omega(n) are read from its result.
+The central object is :class:`FactorSieve`: a table holding the smallest
+prime factor of every odd ``n`` up to a limit, at index ``n >> 1`` (the
+mod-2 wheel: every even n has spf 2, so it is not stored).  ``factorize``
+is then repeated division by spf in O(log n), and lambda(n), mu(n), mu^2(n)
+and Omega(n) are read from its result.
 
-Construction is segmented (fixed-size blocks) and may be internally
-thread-parallel: segments are disjoint slices of the output array, and each
-returns the primes it found, joined in segment order, so the table and its
-primes are byte-identical regardless of thread count or scheduling.
+Construction is segmented (fixed-size blocks of odd n) and may be
+internally thread-parallel: segments are disjoint slices of the output
+array, and each returns the primes it found, joined in segment order after
+2, so the table and its primes are byte-identical regardless of thread
+count or scheduling.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: segment length for the sieve construction loop (elements, ~4 MiB of u32)
+#: segment length for the sieve construction loop (odd n, so 2^21 integers;
+#: ~4 MiB of u32)
 _SEGMENT = 1 << 20
 
 #: every sieve limit must lie below this: spf cells are uint32
@@ -37,9 +40,10 @@ class FactorSieve:
     limit : int
         Inclusive upper bound N.
     spf : np.ndarray
-        uint32 array of length N+1; ``spf[n]`` is the smallest prime factor
-        of n for 2 <= n <= N.  ``spf[1] = 1`` is a sentinel so factorization
-        loops need no special case; ``spf[0] = 0`` is unused.
+        uint32 array of length (N+1)//2 over the odd n <= N: ``spf[i]`` is
+        the smallest prime factor of n = 2i + 1, so spf(n) is ``spf[n >> 1]``
+        for odd n and 2 for even n.  ``spf[0] = 1`` (n = 1) is a sentinel so
+        factorization loops need no special case.
     primes : np.ndarray
         The primes <= limit, ascending: those ``build_sieve`` recorded while
         sieving, or the table stored beside ``spf`` in the sieve cache.
@@ -53,8 +57,8 @@ class FactorSieve:
     primes: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.spf.shape != (self.limit + 1,):
-            raise ValueError("spf length must equal limit + 1")
+        if self.spf.shape != ((self.limit + 1) // 2,):
+            raise ValueError("spf length must equal (limit + 1) // 2, one cell per odd n")
         primes = np.array(self.primes, dtype=np.int64)
         primes.flags.writeable = False
         object.__setattr__(self, "primes", primes)
@@ -72,23 +76,26 @@ class FactorSieve:
 
 
 def _sieve_segment(
-    spf: np.ndarray, small_primes_desc: np.ndarray, lo: int, hi: int
+    spf: np.ndarray, odd_primes_desc: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """Fill spf[lo:hi) and return the n in [lo, hi) it left unmarked, ascending.
+    """Fill spf[lo:hi), the cells of n = 2i + 1, and return the n it left unmarked.
 
-    Those are the primes of the segment (plus 0 and 1 when lo = 0).  Writes
-    touch only this slice, so segments are safe to run in parallel.
+    Those are the odd primes of the segment (plus 1 when lo = 0), ascending.
+    The odd multiples of p sit at every p-th index, and p^2 is the first
+    one whose smallest prime factor can be p.  Writes touch only this
+    slice, so segments are safe to run in parallel.
     """
     view = spf[lo:hi]
-    for p in small_primes_desc:
+    for p in odd_primes_desc:
         p = int(p)
-        start = max(2 * p, ((lo + p - 1) // p) * p)
-        if start >= hi:
+        first = (p * p) >> 1
+        if first >= hi:
             continue
+        start = first if first >= lo else lo + (first - lo) % p
         # descending prime order: the last (smallest) write wins
         view[start - lo :: p] = p
     idx = np.nonzero(view == 0)[0]
-    unmarked = idx + lo
+    unmarked = 2 * (idx + lo) + 1
     view[idx] = unmarked
     return unmarked
 
@@ -128,7 +135,7 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     ----------
     limit : int
         Inclusive bound, >= 2.  Practical maximum is set by memory
-        (4 bytes per integer: 4 GB at 10^9) and by the uint32 cell type
+        (4 bytes per odd integer: 2 GB at 10^9) and by the uint32 cell type
         (limit < 2^32); the segmented loop itself scales past 10^9.
     threads : int
         0 = auto, 1 = sequential, k > 1 = worker threads (see
@@ -144,11 +151,12 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= _LIMIT_BOUND:
         raise ValueError(f"limit {limit} exceeds uint32 cell capacity")
+    cells = (limit + 1) // 2
     try:
-        spf = np.zeros(limit + 1, dtype=np.uint32)
+        spf = np.zeros(cells, dtype=np.uint32)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise MemoryError(
-            f"cannot allocate {(limit + 1) * 4} bytes for spf table (limit={limit})"
+            f"cannot allocate {cells * 4} bytes for spf table (limit={limit})"
         ) from exc
 
     root = math.isqrt(limit)
@@ -158,24 +166,22 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p :: p] = False
-    small_primes_desc = np.nonzero(small)[0][::-1].astype(np.uint32)
+    odd_primes_desc = np.nonzero(small[3:])[0][::-1].astype(np.uint32) + 3
 
     def segment(lo: int) -> np.ndarray:
-        return _sieve_segment(spf, small_primes_desc, lo, min(lo + _SEGMENT, limit + 1))
+        return _sieve_segment(spf, odd_primes_desc, lo, min(lo + _SEGMENT, cells))
 
-    parts = _ordered_map(segment, range(0, limit + 1, _SEGMENT), threads)
-    parts[0] = parts[0][2:]  # 0 and 1 are unmarked but not prime
-
-    spf[0] = 0
-    spf[1] = 1
-    return FactorSieve(limit=limit, spf=spf, primes=np.concatenate(parts))
+    parts = _ordered_map(segment, range(0, cells, _SEGMENT), threads)
+    parts[0] = parts[0][1:]  # 1 is unmarked but not prime; spf[0] = 1 is its sentinel
+    return FactorSieve(limit=limit, spf=spf, primes=np.concatenate([[2], *parts]))
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
     """Canonical factorization of n as [(p, a), ...] with ascending primes.
 
-    ``factorize(1)`` is the empty list.  The one division loop over ``spf``:
-    the arithmetic functions below and pointwise evaluation read it.
+    ``factorize(1)`` is the empty list.  The one division loop over spf
+    (2 for even m, else ``spf[m >> 1]``): the arithmetic functions below
+    and pointwise evaluation read it.
     """
     if not 1 <= n <= sieve.limit:
         raise ValueError(f"argument {n} outside [1, sieve limit {sieve.limit}]")
@@ -183,7 +189,7 @@ def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     m = n
     while m > 1:
-        p = int(spf[m])
+        p = int(spf[m >> 1]) if m & 1 else 2
         a = 0
         while m % p == 0:
             m //= p

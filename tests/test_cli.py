@@ -6,13 +6,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from multlab.cli import load_sieve_cache, main, save_sieve_cache
+from multlab.cli import _CACHE_HEADER, load_sieve_cache, main, save_sieve_cache
 from multlab.config import load_config
 from multlab.dirichlet import (
     ComplexArgument,
@@ -88,21 +89,25 @@ def test_cache_round_trip_and_rejection(tmp_path):
     assert load_sieve_cache(tmp_path, 6000) is None
     path = tmp_path / "cache" / "spf_5000.bin"
     good = path.read_bytes()
+    # the header, one cell per odd n <= 5000, then pi(5000) = 669 primes
+    assert len(good) == _CACHE_HEADER.size + 4 * ((5000 + 1) // 2 + 669)
     # trailing bytes are rejected
     path.write_bytes(good + bytes(4))
     assert load_sieve_cache(tmp_path, 5000) is None
-    # truncated payload is rejected
-    path.write_bytes(good[:-8])
-    assert load_sieve_cache(tmp_path, 5000) is None
+    # truncated payload is rejected, down to one byte short
+    for short in (good[:-8], good[:-1]):
+        path.write_bytes(short)
+        assert load_sieve_cache(tmp_path, 5000) is None
     # the prime table comes from the file, not from a scan of spf
     save_sieve_cache(FactorSieve(limit=5000, spf=sieve.spf, primes=sieve.primes[:10]), tmp_path)
     assert load_sieve_cache(tmp_path, 5000).primes.tolist() == sieve.primes[:10].tolist()
 
 
-@pytest.mark.parametrize("from_end", [22473, 2], ids=["spf", "primes"])
+@pytest.mark.parametrize("from_end", [12471, 2], ids=["spf", "primes"])
 def test_flipped_byte_at_same_size_is_rebuilt(cfg_file, tmp_path, capsys, from_end):
-    # 26-byte header, then 10001 spf cells and 1229 primes of 4 bytes each:
-    # the middle byte lies in spf, the second last in the prime table
+    # 26-byte header, then 5000 spf cells (odd n) and 1229 primes of 4
+    # bytes each: the middle byte lies in spf, the second last in the
+    # prime table
     out = tmp_path / "out"
     main(["sieve", "--config", str(cfg_file), "--out", str(out)])
     capsys.readouterr()
@@ -115,25 +120,39 @@ def test_flipped_byte_at_same_size_is_rebuilt(cfg_file, tmp_path, capsys, from_e
     assert "primes=1229 source=built" in capsys.readouterr().out
 
 
-def test_version_1_cache_is_rebuilt_once_as_version_2(cfg_file, tmp_path, capsys):
+def _old_cache_file(version, limit, full_spf, primes):
+    """A well-formed cache file of format 1 or 2, both of which stored spf(n) for every n."""
+    spf = full_spf.astype("<u4").tobytes()
+    if version == 1:  # magic, version byte, <Q limit, spf
+        return b"MLSPF\x01" + struct.pack("<Q", limit) + spf
+    # the version-2 header (magic, version, limit, prime count, CRC-32), spf, primes
+    table = primes.astype("<u4").tobytes()
+    crc = zlib.crc32(table, zlib.crc32(spf))
+    return struct.pack("<5sBQQI", b"MLSPF", 2, limit, primes.size, crc) + spf + table
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_old_cache_version_is_rebuilt_once_as_version_3(
+    cfg_file, tmp_path, capsys, spf_oracle, version
+):
     out = tmp_path / "out"
     cache = out / "cache" / "spf_10000.bin"
     cache.parent.mkdir(parents=True)
-    spf = build_sieve(10000).spf
-    # the version-1 layout: magic, version byte, <Q limit, spf as <u4
-    cache.write_bytes(b"MLSPF\x01" + struct.pack("<Q", 10000) + spf.astype("<u4").tobytes())
+    full_spf = spf_oracle(10000)
+    primes = np.flatnonzero(full_spf[2:] == np.arange(2, 10001)) + 2
+    cache.write_bytes(_old_cache_file(version, 10000, full_spf, primes))
     assert load_sieve_cache(out, 10000) is None
     for source in ("built", "cache"):
         assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert f"source={source}" in capsys.readouterr().out
-    assert cache.read_bytes()[:6] == b"MLSPF\x02"
+    assert cache.read_bytes()[:6] == b"MLSPF\x03"
 
 
 def test_cache_write_is_atomic(tmp_path):
     sieve = build_sieve(5000)
     path = tmp_path / "cache" / "spf_5000.bin"
     path.parent.mkdir()
-    path.write_bytes(b"MLSPF\x02")  # a torn earlier write
+    path.write_bytes(b"MLSPF\x03")  # a torn earlier write
     assert save_sieve_cache(sieve, tmp_path) == path
     back = load_sieve_cache(tmp_path, 5000)
     assert back is not None and np.array_equal(back.spf, sieve.spf)

@@ -337,14 +337,16 @@ def test_float_streams_across_chunks_match_pointwise(kind, sieve_1e6):
             ), (spec.spec_id(), n)
 
 
-def reference_stream(spec, kind, limit, sieve, exact):
+def reference_stream(spec, kind, limit, full_spf, exact):
     """The masked linear-sieve step on every n, kept literally as the oracle.
 
     n // spf(n) divided in uint32, f(p) gathered from a dense table filled
     by f_at_primes, and "p | m" read as spf[m] == p, in 2^16-entry chunks.
+    ``full_spf`` is a table of spf(n) for every n <= limit, even n included,
+    built without the sieve (the ``spf_oracle`` fixture).
     """
-    spf = sieve.spf
-    primes = primes_up_to(limit, sieve)
+    spf = full_spf[: limit + 1].astype(np.uint32)
+    primes = np.flatnonzero(spf[2:] == np.arange(2, limit + 1)) + 2
     fp = np.zeros(limit + 1, dtype=np.int8 if exact else np.float64)
     fp[primes] = f_at_primes(spec, primes)
     vals = np.zeros(limit + 1, dtype=EXACT_DTYPES[kind] if exact else np.float64)
@@ -382,14 +384,14 @@ def _oracle_specs():
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 2**16 - 1, 2**16 + 1, _WIDE])
 @pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda s: s.spec_id())
-def test_streams_equal_the_masked_step_bit_for_bit(spec, limit, sieve_1e6):
+def test_streams_equal_the_masked_step_bit_for_bit(spec, limit, sieve_1e6, spf_oracle):
     for kind in DerivedFunctionKind:
         runs = [(coefficient_stream, False)]
         if spec_is_pm1(spec):
             runs.append((integer_coefficient_stream, True))
         for stream, exact in runs:
             got = stream(spec, kind, limit, sieve_1e6)
-            want = reference_stream(spec, kind, limit, sieve_1e6, exact)
+            want = reference_stream(spec, kind, limit, spf_oracle(_WIDE), exact)
             assert got.dtype == want.dtype, (kind, exact)
             assert got.tobytes() == want.tobytes(), (kind, exact)
 

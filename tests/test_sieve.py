@@ -1,9 +1,10 @@
 """Sieve construction and the classical arithmetic functions.
 
 The heavyweight checks reconstruct every integer up to 10^6 from its
-factorization and compare the prime set against an independently coded
-Boolean Eratosthenes sieve, so a bug in the segmented construction cannot
-hide behind the same code path that produced it.
+factorization and compare spf(n) and the prime set against independently
+coded Boolean Eratosthenes sieves that store every n (the ``spf_oracle``
+fixture), so a bug in the segmented odd-only construction cannot hide
+behind the same code path or layout that produced it.
 """
 
 import math
@@ -33,6 +34,15 @@ def boolean_eratosthenes(limit):
     return np.nonzero(flags)[0]
 
 
+def spf_of(sieve, n):
+    """spf(n) as the sieve's odd-only table gives it: 2 for even n, else spf[n >> 1]."""
+    n = np.asarray(n, dtype=np.int64)
+    out = np.full(n.shape, 2, dtype=np.int64)
+    odd = (n & 1) == 1
+    out[odd] = sieve.spf[n[odd] >> 1]
+    return out
+
+
 def test_factorize_small_examples(sieve_1e4):
     assert factorize(1, sieve_1e4) == []
     assert factorize(2, sieve_1e4) == [(2, 1)]
@@ -41,11 +51,12 @@ def test_factorize_small_examples(sieve_1e4):
     assert factorize(1024, sieve_1e4) == [(2, 10)]
 
 
-def test_factorize_reconstructs_every_n_up_to_1e6(sieve_1e6):
+def test_factorize_reconstructs_every_n_up_to_1e6(sieve_1e6, spf_oracle):
     # Vectorized full reconstruction: divide out spf repeatedly; the product
     # of extracted factors must give back n for every single n.
-    spf = sieve_1e6.spf.astype(np.int64)
     n = np.arange(sieve_1e6.limit + 1, dtype=np.int64)
+    spf = spf_of(sieve_1e6, n)
+    assert np.array_equal(spf[1:], spf_oracle(10**6)[1:])
     remaining = n.copy()
     remaining[0] = 1
     product = np.ones_like(n)
@@ -64,7 +75,7 @@ def test_spf_is_the_smallest_prime_factor(sieve_1e4):
     primes = boolean_eratosthenes(10**4)
     prime_set = set(primes.tolist())
     for n in range(2, 10**4 + 1):
-        p = int(sieve_1e4.spf[n])
+        p = int(spf_of(sieve_1e4, n))
         assert p in prime_set
         assert n % p == 0
         # nothing smaller divides n
@@ -232,9 +243,27 @@ def test_parallel_build_is_byte_identical():
     assert seq.spf.tobytes() == par.spf.tobytes()
 
 
+# a segment holds 2^20 odd n, so its edge falls at 2^21 integers
+_EDGE = 2 * (1 << 20)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7, _EDGE - 1, _EDGE, _EDGE + 1])
+def test_odd_table_equals_the_oracle_for_every_thread_count(limit, spf_oracle):
+    builds = [build_sieve(limit, threads=threads) for threads in (1, 2, 8)]
+    for sieve in builds:
+        assert sieve.spf.dtype == np.uint32
+        assert sieve.spf.nbytes == 4 * ((limit + 1) // 2)
+        assert sieve.spf.tobytes() == builds[0].spf.tobytes()
+        assert sieve.primes.tobytes() == builds[0].primes.tobytes()
+    sieve = builds[0]
+    n = np.arange(1, limit + 1)
+    assert np.array_equal(spf_of(sieve, n), spf_oracle(limit)[1:])
+    assert np.array_equal(sieve.primes, boolean_eratosthenes(limit))
+
+
 @pytest.mark.parametrize("threads", [1, 8, 0], ids=["t1", "t8", "auto"])
 def test_recorded_primes_equal_the_oracle_at_segment_boundaries(threads):
-    seg = 1 << 20  # the build's segment length
+    seg = 1 << 20  # the build's segment length in odd n; 2 seg integers
     for limit in (2, 3, 10, 1000, seg - 1, seg, seg + 1, 3 * seg + 5):
         primes = build_sieve(limit, threads=threads).primes
         assert primes.dtype == np.int64 and not primes.flags.writeable
@@ -264,12 +293,16 @@ def test_build_rejects_bad_limits():
         build_sieve(2**32)
 
 
-def test_sentinels_and_range_checks(sieve_1e4):
-    assert sieve_1e4.spf[0] == 0
-    assert sieve_1e4.spf[1] == 1
+def test_sentinels_and_range_checks(sieve_1e4, spf_oracle):
+    # one cell per odd n <= 10^4; cell 0 is n = 1, the sentinel 1
+    assert sieve_1e4.spf.shape == (5000,)
+    assert sieve_1e4.spf[0] == 1
+    assert np.array_equal(sieve_1e4.spf, spf_oracle(10**4)[1::2])
     with pytest.raises(ValueError):
         factorize(0, sieve_1e4)
     with pytest.raises(ValueError):
         factorize(10**4 + 1, sieve_1e4)
     with pytest.raises(ValueError):
-        FactorSieve(limit=10, spf=np.zeros(5, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
+        FactorSieve(limit=10, spf=np.zeros(11, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
+    with pytest.raises(ValueError):
+        FactorSieve(limit=10, spf=np.zeros(6, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
