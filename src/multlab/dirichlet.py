@@ -43,8 +43,8 @@ from .multfunc import (
     BASE_LIOUVILLE,
     DerivedFunctionKind,
     PrimeFunctionSpec,
+    _coefficients,
     _f_values,
-    coefficient_stream,
 )
 from .sieve import FactorSieve, _ordered_map, primes_up_to
 from .summation import _BLOCK, _ExactSum
@@ -120,12 +120,15 @@ class SeriesEval:
 def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
     """(sum c(n) n^(-s), allowance sum) over n <= ``length`` for each c.
 
-    Each array in ``coeffs`` holds c(1), c(2), ... .  One pass over slices
-    of _BLOCK n forms n^(-sigma) and, at complex s, cos and sin of -t log n
-    once per slice for every array, and feeds the real and imaginary terms
-    to their own ``_ExactSum``: each part of the value is its exact sum
-    rounded once, bit for bit ``math.fsum`` of the whole-length terms, with
-    no whole-length array.  At real s the imaginary part is exactly 0.0.
+    Each array in ``coeffs`` holds c(1), c(2), ..., as float64 or as
+    integers: an int8 or int16 slice times the float64 weights is promoted
+    exactly, so an exact stream gives the sums of the float stream with the
+    same values.  One pass over slices of _BLOCK n forms n^(-sigma) and, at
+    complex s, cos and sin of -t log n once per slice for every array, and
+    feeds the real and imaginary terms to their own ``_ExactSum``: each
+    part of the value is its exact sum rounded once, bit for bit
+    ``math.fsum`` of the whole-length terms, with no whole-length array.
+    At real s the imaginary part is exactly 0.0.
 
     The allowance sum is an upper bound on S, the exact sum of the computed
     |c(n) n^(-sigma)|, so it is summed in float: each slice with numpy's
@@ -682,7 +685,9 @@ class _SeriesStore:
 
     ``get(name, s)`` memoises by (name, point) the sum at N of the stream
     ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
-    "U" over p <= P.  Each stream is built once; the sums at one point of
+    "U" over p <= P.  Each stream is built once, as ``multfunc._coefficients``
+    gives it (exact integers for a spec with every f(p) in {-1, 0, 1}, the
+    stream its partial-sum traces read); the sums at one point of
     several streams share one slice pass (``_dirichlet_sums``), and
     ``residual`` sums every stream not yet memoised at its point in one.
     At sigma > 1 a sum's budget is its tail bound plus 4 eps times the
@@ -732,7 +737,7 @@ class _SeriesStore:
         try:
             for kind in kinds:
                 if kind not in self._streams:
-                    self._streams[kind] = coefficient_stream(self.spec, kind, self.N, self.sieve)
+                    self._streams[kind] = _coefficients(self.spec, kind, self.N, self.sieve)
             sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
         except _NO_VALUE as exc:
             for kind in kinds:

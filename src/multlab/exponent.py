@@ -24,9 +24,7 @@ import numpy as np
 from .multfunc import (
     DerivedFunctionKind,
     PrimeFunctionSpec,
-    coefficient_stream,
-    integer_coefficient_stream,
-    spec_is_pm1,
+    _coefficients,
 )
 # the statuses kronecker_check reports, importable from here
 from .primesums import (
@@ -70,15 +68,15 @@ def checkpoint_partial_sums(
     ``schedule`` defaults to ``checkpoint_schedule(x_max)``; a given one
     must strictly ascend within [1, x_max] (ValueError otherwise).
 
-    Specs with all f(p) in {-1, 0, 1} take the exact integer stream (int8
+    The stream is the one ``multfunc._coefficients`` gives every consumer:
+    specs with all f(p) in {-1, 0, 1} get the exact integer stream (int8
     or int16), summed in int64 by ``exact_prefix_sums_at``; other streams
     take ``prefix_sums_at``, whose every checkpoint is its exact prefix sum
     rounded once.  Both paths are deterministic and independent of any
     upstream parallelism.
     """
-    exact = spec_is_pm1(spec)
-    stream = integer_coefficient_stream if exact else coefficient_stream
-    coeffs = stream(spec, kind, x_max, sieve)  # ValueError outside [1, sieve limit]
+    coeffs = _coefficients(spec, kind, x_max, sieve)  # ValueError outside [1, sieve limit]
+    exact = np.issubdtype(coeffs.dtype, np.integer)
     schedule = _schedule(x_max, schedule)
     sums = (exact_prefix_sums_at if exact else prefix_sums_at)(coeffs, schedule)
     return PartialSumSeries(schedule, sums, exact)

@@ -27,8 +27,10 @@ split by parity (even n have p = 2 and take their step by slices; odd n
 read p from the sieve's odd-only table), so the work is O(N) with no
 Python-level per-n loop.  Streams whose values are provably integers (all
 f(p) in {-1,0,1}) run the same steps in the narrowest integer dtype that
-holds them (int8 for F and F_mu2, int16 for H and G), the exact path used
-by the partial-sum machinery.
+holds them (int8 for F and F_mu2, int16 for H and G).  Which of the two a
+spec gets is decided in one place, ``_coefficients``: the partial-sum
+traces and the Dirichlet series of an integer-valued spec both read its
+exact stream.
 """
 
 from __future__ import annotations
@@ -63,11 +65,29 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318665857834031151167461
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float, for the numbers of a spec: c, a and exception values.
+
+    A bool (Python's or numpy's) or a string is rejected, as is anything
+    ``float`` cannot read, with ValueError: the same rule ExperimentConfig
+    applies to its integer fields.
+    """
+    if not isinstance(value, (bool, np.bool_, str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _is_prime_int(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < _MR_BOUND.
 
-    Raises ValueError for larger n, where these bases prove nothing.
+    ``n`` is any integer (``operator.index``), numpy's too: three-argument
+    ``pow`` takes only Python ints.  Raises ValueError for larger n, where
+    these bases prove nothing.
     """
+    n = operator.index(n)
     if n >= _MR_BOUND:
         raise ValueError(f"{n} is too large to test for primality (limit {_MR_BOUND})")
     if n < 2:
@@ -102,11 +122,14 @@ class PrimeFunctionSpec:
         ``power_decay`` (f(p) = clamp(-1 + c * p^(-a), -1, 1)).
     c, a : float or None
         Parameters for the parametric bases; None where unused (a base
-        given a parameter it ignores is rejected).
+        given a parameter it ignores is rejected).  Stored as floats.
     exceptions : tuple of (prime, value)
         Per-prime overrides, given as a Mapping, (p, v) pairs or None and
         stored as (int, float) pairs sorted by prime.  Keys must be integers
         (``operator.index``: 2.0 is rejected) and values lie in [-1, 1].
+
+    c, a and exception values must be real numbers: a bool or a string
+    (``c=True``, ``c="0.5"``) raises ValueError, like every other spec error.
     """
 
     base: str
@@ -115,6 +138,9 @@ class PrimeFunctionSpec:
     exceptions: tuple[tuple[int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        for name in ("c", "a"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.base not in (BASE_LIOUVILLE, BASE_CONSTANT, BASE_POWER_DECAY):
             raise ValueError(f"unknown base rule {self.base!r}")
         if self.base == BASE_LIOUVILLE and (self.c is not None or self.a is not None):
@@ -135,7 +161,9 @@ class PrimeFunctionSpec:
         if isinstance(items, Mapping):
             items = items.items()
         try:
-            pairs = sorted((operator.index(p), float(v)) for p, v in items)
+            pairs = sorted(
+                (operator.index(p), _real(f"exception value for p={p}", v)) for p, v in items
+            )
         except TypeError as exc:
             raise ValueError(f"exceptions need integer keys and real values: {exc}") from None
         seen = set()
@@ -526,12 +554,29 @@ def integer_coefficient_stream(
     :func:`~multlab.summation.exact_prefix_sums_at` does), never in its own
     dtype.
 
-    Raises ValueError when the spec is not integer-valued; callers decide
-    between this and the float stream via :func:`spec_is_pm1`.
+    Raises ValueError when the spec is not integer-valued.  The library's
+    own callers never choose: :func:`_coefficients` hands them this stream
+    for every spec that has one.
     """
     if not spec_is_pm1(spec):
         raise ValueError("integer stream requires f(p) in {-1, 0, 1} everywhere")
     return _stream(spec, kind, limit, sieve, exact=True)
+
+
+def _coefficients(
+    spec: PrimeFunctionSpec,
+    kind: DerivedFunctionKind,
+    limit: int,
+    sieve: FactorSieve,
+) -> np.ndarray:
+    """The one stream of (spec, kind) that every consumer reads.
+
+    The exact integer stream when :func:`spec_is_pm1` holds, else the float
+    stream; the dtype says which (an integer dtype is exact).  Both come
+    through the public names, so a wrapper of either sees every build.
+    """
+    stream = integer_coefficient_stream if spec_is_pm1(spec) else coefficient_stream
+    return stream(spec, kind, limit, sieve)
 
 
 LIOUVILLE = liouville_spec()

@@ -426,7 +426,7 @@ def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, cap
     # blow its budget and the command must exit 1
     import multlab.dirichlet as dl
 
-    original = dl.coefficient_stream
+    original = dl._coefficients
 
     def poisoned(spec, kind, limit, sieve):
         coeffs = original(spec, kind, limit, sieve)
@@ -434,7 +434,7 @@ def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, cap
             return coeffs * 1.01
         return coeffs
 
-    monkeypatch.setattr(dl, "coefficient_stream", poisoned)
+    monkeypatch.setattr(dl, "_coefficients", poisoned)
     out = tmp_path / "out"
     rc = main(["verify", "--config", str(cfg_file), "--out", str(out)])
     assert rc == 1

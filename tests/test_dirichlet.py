@@ -670,13 +670,13 @@ def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
     import multlab.dirichlet as dl
 
     builds = []
-    original = dl.coefficient_stream
+    original = dl._coefficients
 
     def counting(spec, kind, limit, sieve):
         builds.append(kind)
         return original(spec, kind, limit, sieve)
 
-    monkeypatch.setattr(dl, "coefficient_stream", counting)
+    monkeypatch.setattr(dl, "_coefficients", counting)
     run_verify(ExperimentConfig(), sieve=sieve_1e6)
     assert sorted(builds, key=lambda k: k.value) == sorted(
         DerivedFunctionKind, key=lambda k: k.value
@@ -742,7 +742,7 @@ def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypa
     import multlab.dirichlet as dl
 
     passes, builds = [], []
-    original_sums, original_stream = dl._dirichlet_sums, dl.coefficient_stream
+    original_sums, original_stream = dl._dirichlet_sums, dl._coefficients
 
     def counting_sums(coeffs, length, point):
         if coeffs and length == 10**4:  # zeta sums its few acceleration terms here too
@@ -754,7 +754,7 @@ def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypa
         return original_stream(spec, kind, limit, sieve)
 
     monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
-    monkeypatch.setattr(dl, "coefficient_stream", counting_stream)
+    monkeypatch.setattr(dl, "_coefficients", counting_stream)
     store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
     point = ComplexArgument(2.0, 3.0)
     store.get(DerivedFunctionKind.F_PLAIN, point)
@@ -895,6 +895,45 @@ def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monke
                 store.get(kind, point)
             assert str(info.value) == message
     assert passes == [1, 1, 1, 1]
+
+
+#: specs with every f(p) in {-1, 0, 1}: the store sums their exact streams
+PM1_SPECS = [
+    LIOUVILLE,
+    liouville_spec({2: 0.0}),
+    liouville_spec({3: 1.0}),
+    liouville_spec({7: 0.0}),
+    constant_spec(-1.0),
+    constant_spec(0.0),
+    constant_spec(1.0),
+    power_decay_spec(0.0, 1.0),
+]
+
+
+def _bits(ev):
+    return ev.value.real.hex(), ev.value.imag.hex(), ev.tail_bound.hex(), ev.heuristic
+
+
+@pytest.mark.parametrize("N", [1, 2, 2**15 + 1])
+@pytest.mark.parametrize("spec", PM1_SPECS, ids=lambda spec: spec.spec_id())
+def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5):
+    # a +-1 spec's store holds the exact int8/int16 streams its partial-sum
+    # traces read, and every sum and budget is the one that _dirichlet_sums
+    # over the float streams gives
+    store = _SeriesStore(spec, N, N, sieve_1e5)
+    floats = _SeriesStore(spec, N, N, sieve_1e5)
+    for kind in DerivedFunctionKind:
+        floats._streams[kind] = coefficient_stream(spec, kind, N, sieve_1e5)
+    for s in (1.5, 2.0, complex(2.0, 3.0), 0.8):
+        for kind in DerivedFunctionKind:
+            assert _bits(store.get(kind, s)) == _bits(floats.get(kind, s)), (kind, s)
+    dtypes = {kind: store._streams[kind].dtype for kind in DerivedFunctionKind}
+    assert dtypes == {
+        DerivedFunctionKind.F_PLAIN: np.int8,
+        DerivedFunctionKind.F_MU2: np.int8,
+        DerivedFunctionKind.H_CONV: np.int16,
+        DerivedFunctionKind.G_CONV: np.int16,
+    }
 
 
 def test_identity_checks_build_no_whole_length_array(sieve_1e6):

@@ -473,6 +473,29 @@ def test_spec_validation_errors():
         PrimeFunctionSpec(base="liouville", exceptions=((2, 0.5), (2, 0.6)))
 
 
+def test_spec_numbers_are_real_and_stored_as_floats():
+    # c, a and exception values follow one rule: a bool or a string is no
+    # number (ValueError, like every other spec error), anything else float
+    # reads is stored as a float
+    for bad in ("0.5", b"0.5", True, False, np.bool_(True), 1j, None):
+        with pytest.raises(ValueError):
+            PrimeFunctionSpec(base="constant", c=bad)
+        with pytest.raises(ValueError):
+            PrimeFunctionSpec(base="power_decay", c=1.0, a=bad)
+        with pytest.raises(ValueError):
+            PrimeFunctionSpec(base="liouville", exceptions=[(2, bad)])
+        with pytest.raises(ValueError):
+            PrimeFunctionSpec(base="liouville", exceptions={3: bad})
+    spec = PrimeFunctionSpec(
+        base="power_decay", c=np.float32(0.5), a=2, exceptions={2: np.int8(0), 3: 1}
+    )
+    assert (spec.c, spec.a) == (0.5, 2.0)
+    assert spec.exceptions == ((2, 0.0), (3, 1.0))
+    for value in (spec.c, spec.a, *(v for _, v in spec.exceptions)):
+        assert type(value) is float
+    assert type(PrimeFunctionSpec(base="constant", c=1).c) is float
+
+
 def trial_division_is_prime(n):
     if n < 2:
         return False
@@ -546,6 +569,22 @@ def test_f_at_prime_is_f_at_primes_bit_for_bit(sieve_1e6):
         assert eval_f(spec, int(sample[0]), sieve_1e6) == vector[0]
     with pytest.raises(ValueError, match="not a prime below 2"):
         f_at_prime(spec, 2**63 + 29)
+
+
+def test_f_at_prime_takes_numpy_integer_primes(sieve_1e4):
+    # primes_up_to hands out numpy integers; three-argument pow takes only
+    # Python ints, so every prime past the Miller-Rabin bases (>= 41) once
+    # raised TypeError here
+    primes = primes_up_to(10**4, sieve_1e4)
+    assert isinstance(primes[-1], np.integer)
+    for spec in (
+        power_decay_spec(1.5, 0.5, {3: 0.25, 9973: 0.5}),
+        constant_spec(0.3, {41: -1.0}),
+        LIOUVILLE,
+    ):
+        scalar = np.array([f_at_prime(spec, q) for q in primes])
+        assert scalar.tobytes() == f_at_primes(spec, primes).tobytes(), spec.spec_id()
+    assert _is_prime_int(np.uint32(9973)) and not _is_prime_int(np.int64(9991))
 
 
 def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):
