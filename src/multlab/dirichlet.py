@@ -20,6 +20,9 @@ pool (``_ordered_map``); each chunk hands back exact pieces of its log sums
 and its share of the allowance, joined in chunk order, so G and U do not
 depend on the number of threads.  Both are one evaluator,
 ``_euler_product``, with one rule for the primes past P, ``_prime_tail``.
+Where every factor but the exception primes' is exactly 1 (G for a base
+value of -1, U for a base value of 0; ``multfunc._visited``), the product
+visits the exception primes alone, with the bits of the full walk.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -39,12 +42,12 @@ from fractions import Fraction
 import numpy as np
 
 from .multfunc import (
-    BASE_CONSTANT,
-    BASE_LIOUVILLE,
     DerivedFunctionKind,
     PrimeFunctionSpec,
+    _base_value,
     _coefficients,
     _f_values,
+    _visited,
 )
 from .sieve import FactorSieve, _ordered_map, primes_up_to
 from .summation import _BLOCK, _ExactSum
@@ -366,19 +369,30 @@ _UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal rang
 _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
 
 
+def _numerator(power: int, fp):
+    """g_p of the Euler factor 1 + x_p, from fp = f(p) (an array or one number):
+    1 + f(p) for G (power 1), -f(p)^2 for U (power 2)."""
+    return 1.0 + fp if power == 1 else -(fp * fp)
+
+
 def _log1p_product(
     spec: PrimeFunctionSpec,
     primes: np.ndarray,
     log_p: np.ndarray,
     point: ComplexArgument,
     power: int,
+    visited: np.ndarray | None = None,
 ) -> tuple[complex, float]:
     """(prod_p (1 + x_p), rounding allowance), summed as log(1 + x_p).
 
     With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
-    g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2), where
-    f(p) are the float values of ``spec`` at ``primes`` and ``log_p`` holds
-    log p.  Each chunk of _BLOCK primes is one pass: it forms f(p),
+    g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2; see
+    ``_numerator``), where f(p) are the float values of ``spec`` at
+    ``primes`` and ``log_p`` holds log p.  ``visited`` None takes every
+    prime; otherwise it holds the positions of the only primes whose g_p
+    can be nonzero (``multfunc._visited``), and the product skips the
+    others, whose factors are exactly 1 (see "Skipped primes" below).
+    Each chunk of _BLOCK primes is one pass: it forms f(p),
     r = exp(-power sigma log p) and phase = -power t log p, so
     v = r (cos phase + i sin phase) and x = a + i b with no complex array.
     log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary part
@@ -387,17 +401,31 @@ def _log1p_product(
     its terms of the allowance (step 4); only those leave it, so no
     whole-length array is built.  The chunks go through ``_ordered_map``,
     which runs them on a thread pool when there are several chunks and
-    CPUs and s is complex (real-s chunks run inline), and are joined in
-    chunk order.  Each part is its pieces' exact sum rounded once, and the
-    value is exp of the complex total, so at real s its imaginary part is
-    exactly 0.0.  Value and allowance are bit-identical for every worker
+    CPUs, s is complex and every prime is visited (other chunks run
+    inline), and are joined in chunk order.  Each part is its pieces' exact
+    sum rounded once, and the value is exp of the complex total, so at real
+    s its imaginary part is exactly 0.0.  Value and allowance are bit-identical for every worker
     count.
 
     Raises DomainError when some |1 + x_p| < 1e-300 (or is NaN), when
     2^(-power sigma) rounds to 1 (tiny sigma: the factor at p = 2 is a
-    float64 pole) or when the product overflows float64.  An
-    error raised in a chunk comes from the first chunk that raises, as in
-    a serial loop.
+    float64 pole; checked before any chunk, whether 2 is visited or not)
+    or when the product overflows float64.  An error raised in a chunk
+    comes from the first chunk that raises, as in a serial loop.
+
+    Skipped primes.  Where g_p = 0, x_p, its log terms and its step-4 bound
+    below are exact zeros, so leaving the prime out keeps every bit, as
+    long as the rest of the computation is the full walk's.  Each visited
+    prime stays in its own chunk of _BLOCK primes, formed from the visited
+    entries alone, and a chunk with none is not formed (the full walk adds
+    +0.0 for it).  The log parts are exact sums rounded once, so fewer
+    zero terms change nothing.  The allowance is not an exact sum: numpy
+    sums a chunk's bounds pairwise, in an order set by the array's length,
+    so a visited chunk scatters its bounds into a zero array of the
+    chunk's full length and sums that, in the full walk's order (the
+    visited bounds summed alone can differ in the last bit once a chunk
+    holds three of them).  The n of step 4 stays the number of primes, and
+    step 6 reads log p of the largest prime, as in the full walk.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -451,19 +479,23 @@ def _log1p_product(
     c1 = 4.0 * (_KAPPA + _UNIT) * (sigma + abs(t))
     amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
 
-    def chunk(lo: int) -> tuple[list[float], list[float], float]:
-        # runs on a pool thread: private helpers only (see _ordered_map)
-        lp = log_p[lo : lo + _BLOCK]
-        fp = _f_values(spec, primes[lo : lo + _BLOCK])
+    def factor_r(lp: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # a product past -float max: r = exp(-inf) = 0
-            r = np.exp((-power * sigma) * lp)
-        if not r[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
-            raise DomainError(
-                f"Euler product needs 2^(-{power}*sigma) < 1 in float64, "
-                f"got sigma={sigma}"
-            )
+            return np.exp((-power * sigma) * lp)
+
+    if not factor_r(log_p[:1])[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
+        raise DomainError(
+            f"Euler product needs 2^(-{power}*sigma) < 1 in float64, got sigma={sigma}"
+        )
+
+    def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
+        # runs on a pool thread: private helpers only (see _ordered_map)
+        lo, at = item
+        lp = log_p[at]
+        fp = _f_values(spec, primes[at])
+        r = factor_r(lp)
         amp = 1.0 / (1.0 - r)
-        g = 1.0 + fp if power == 1 else -(fp * fp)
+        g = _numerator(power, fp)
         log_re, log_im = _ExactSum(), _ExactSum()
         if t == 0.0:
             a = g * r
@@ -491,14 +523,26 @@ def _log1p_product(
         log_re.add(re)
         bound = mag * (amp * amp * amp)
         bound *= _TERM_CONST + c1 * lp
+        if not isinstance(at, slice):  # the full walk's pairwise order
+            full = np.zeros(min(_BLOCK, n - lo))
+            full[at - lo] = bound
+            bound = full
         return log_re.pieces, log_im.pieces, float(bound.sum())
 
+    if visited is None:
+        chunks = [(lo, slice(lo, lo + _BLOCK)) for lo in range(0, n, _BLOCK)]
+    else:
+        groups: dict[int, list[int]] = {}
+        for pos in visited.tolist():
+            groups.setdefault(pos - pos % _BLOCK, []).append(pos)
+        chunks = [(lo, np.array(at, dtype=np.intp)) for lo, at in groups.items()]
     total_re, total_im = _ExactSum(), _ExactSum()
     log_err = n * _UNDERFLOW
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
-    # spend what they gain in handing the GIL back and forth
-    threads = 0 if t != 0.0 else 1
-    for re_pieces, im_pieces, err in _ordered_map(chunk, range(0, n, _BLOCK), threads):
+    # spend what they gain in handing the GIL back and forth; so are the
+    # few primes of a visited chunk
+    threads = 0 if t != 0.0 and visited is None else 1
+    for re_pieces, im_pieces, err in _ordered_map(chunk, chunks, threads):
         total_re.pieces += re_pieces
         total_im.pieces += im_pieces
         log_err += err
@@ -545,10 +589,13 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
 
     ``tail(sigma)`` gives (coef, exponent, kappa, terms) of ``_prime_tail``
     for the primes past P; the omitted factors then move the product by at
-    most |value| expm1(log tail).  The bound is rigorous while it and the
-    rounding allowance are finite; otherwise (no tail bound, or an
-    overflowing expm1 near the edge of convergence) the value is flagged
-    heuristic.  Raises DomainError for sigma <= 0.
+    most |value| expm1(log tail).  A prime <= P whose g_p is zero by the
+    spec's base value is skipped (``multfunc._visited`` of ``_numerator``):
+    for Liouville with finite exceptions G is the finite product over its
+    exception primes, and so is U for the constant 0 base.  The bound is
+    rigorous while it and the rounding allowance are finite; otherwise (no
+    tail bound, or an overflowing expm1 near the edge of convergence) the
+    value is flagged heuristic.  Raises DomainError for sigma <= 0.
     """
     point = ComplexArgument.of(s)
     if point.sigma <= 0:
@@ -557,7 +604,8 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(spec, primes, log_p, point, power)
+        visited = _visited(primes, lambda f: _numerator(power, f), spec)
+        value, rounding = _log1p_product(spec, primes, log_p, point, power, visited)
     log_tail = _prime_tail(P, *tail(point.sigma))
     bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
@@ -577,17 +625,18 @@ def euler_product_G(
     are summed in real arithmetic with a per-term rounding allowance (see
     ``_log1p_product``), so at real s the value's imaginary part is exactly
     0.0.  The tail beyond P is
-    controlled by how fast 1 + f(p) dies: identically for the constant -1
-    base (tail exactly 0), like p^(-a) for the power-decay family, not at
-    all for a generic constant base (rigorous only for sigma > 1 there).
+    controlled by how fast 1 + f(p) dies: identically for a base value of
+    -1 (tail exactly 0, and only the exception primes <= P are visited),
+    like p^(-a) for the power-decay family, not at all for a generic
+    constant base (rigorous only for sigma > 1 there).
     """
-    # |1 + f(p)| <= coef p^(-extra) under the base rule (power decay: 1 + f
-    # is c p^(-a) clamped towards 0), and |x_p| <= kappa |1 + f(p)| p^(-sigma)
-    # for p > P; an exception prime past P brings its own |x_p|
-    if spec.base == BASE_LIOUVILLE:
-        coef, extra = 0.0, 0.0
-    elif spec.base == BASE_CONSTANT:
-        coef, extra = abs(1.0 + spec.c), 0.0
+    # |1 + f(p)| <= coef p^(-extra) under the base rule: |1 + b| for a base
+    # value b, and for power decay 1 + f is c p^(-a) clamped towards 0;
+    # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > P, and an exception
+    # prime past P brings its own |x_p|
+    base = _base_value(spec)
+    if base is not None:
+        coef, extra = abs(1.0 + base), 0.0
     else:
         coef, extra = abs(spec.c), float(spec.a)
 
@@ -734,6 +783,8 @@ class _SeriesStore:
 
     def _sum_streams(self, kinds: list[DerivedFunctionKind], point: ComplexArgument) -> None:
         """Memoise the sums at ``point`` of the streams ``kinds``, in one slice pass."""
+        if not kinds:
+            return
         try:
             for kind in kinds:
                 if kind not in self._streams:

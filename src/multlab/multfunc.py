@@ -280,6 +280,43 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _base_value(spec: PrimeFunctionSpec) -> float | None:
+    """f(p) at every prime that is no exception, when that is one number; else None.
+
+    -1.0 for Liouville, c for a constant base, and -1.0 for power decay
+    with c = 0, where -1 + 0 * p^-a is -1.0 at every p: bit for bit what
+    ``_f_values`` gives at each such prime.  The one flatness rule: the
+    streams' f(p) table (``_prime_values``), the primes a prime-side sum
+    visits (``_visited``) and G's prime tail read it.
+    """
+    if spec.base == BASE_LIOUVILLE:
+        return -1.0
+    if spec.base == BASE_CONSTANT:
+        return spec.c
+    return -1.0 if spec.c == 0.0 else None
+
+
+def _visited(primes: np.ndarray, factor, *specs: PrimeFunctionSpec) -> np.ndarray | None:
+    """Positions in ``primes`` of the primes whose term can be nonzero, or None for all.
+
+    A prime-side term is ``factor(f(p), ...)``, with one f(p) per spec,
+    times numbers that are finite at every prime.  When each spec has a
+    base value b (``_base_value``) and ``factor(b, ...)`` is zero, the term
+    is exactly zero at every prime that is no spec's exception, so only
+    the exception primes in ``primes`` need a visit: their positions come
+    back ascending (maybe none).  Otherwise None: every prime is visited.
+    Which primes are visited depends on the specs alone, never on s or on
+    how far the sum runs.
+    """
+    bases = [_base_value(spec) for spec in specs]
+    if None in bases or factor(*bases) != 0.0:
+        return None
+    # exception keys are prime, so each one up to the last prime is in the table
+    last = int(primes[-1]) if primes.size else 0
+    keys = sorted({q for spec in specs for q, _ in spec.exceptions if q <= last})
+    return np.searchsorted(primes, np.array(keys, dtype=np.int64))
+
+
 def spec_is_pm1(spec: PrimeFunctionSpec) -> bool:
     """True when every f(p) is provably in {-1, 0, +1}.
 
@@ -387,18 +424,17 @@ def _prime_values(
     """(f(2), f of the odd primes) for :func:`_stream`, in ``dtype``.
 
     The second is one scalar, f(3), when the spec is flat: every odd prime
-    <= limit has the same f(p).  That holds for Liouville and constant
-    bases, and for power decay with c = 0 (-1 + 0 * p^-a is -1.0 at every
-    p), unless an exception sits on an odd prime <= limit; below 3 no odd
-    n > 1 takes a step, so f(3) is then never read.  Otherwise it is a
-    dense table over the odd n <= limit, indexed like the sieve's spf
-    table by ``p >> 1``, filled by one :func:`f_at_primes` call.
+    <= limit has the same f(p).  That holds when the spec has a base value
+    (``_base_value``), unless an exception sits on an odd prime <= limit;
+    below 3 no odd n > 1 takes a step, so f(3) is then never read.
+    Otherwise it is a dense table over the odd n <= limit, indexed like the
+    sieve's spf table by ``p >> 1``, filled by one :func:`f_at_primes` call.
     Every value comes from ``_f_values``, elementwise, so a scalar is bit
     for bit the table entry it stands for.
     """
     f2, f3 = _f_values(spec, np.array([2, 3])).astype(dtype)
-    varies = spec.base == BASE_POWER_DECAY and spec.c != 0.0
-    if not varies and not any(2 < q <= limit for q, _ in spec.exceptions):
+    flat = _base_value(spec) is not None
+    if flat and not any(2 < q <= limit for q, _ in spec.exceptions):
         return f2, f3
     odd_primes = primes_up_to(limit, sieve)[1:]
     table = np.zeros((limit + 1) // 2, dtype=dtype)

@@ -10,6 +10,11 @@ Every sum here forms its terms one slice of primes at a time and hands
 them to ``summation._prefix_sums``, so no whole-length f(p) or term array
 is built, and each checkpoint is the exact sum of its terms rounded once:
 bit for bit ``math.fsum`` of that prefix, whatever the checkpoint grid.
+A sum visits only the primes whose term can be nonzero
+(``multfunc._visited``): for a spec with f(p) = -1 at every prime but its
+exceptions, S(x) and the weighted tail visit the exception primes alone,
+and so does D(f, g; x)^2 when f(p) g(p) = 1 at every other prime.  The
+terms it skips are exact zeros, so every sum keeps its bits.
 
 Convergence verdicts emitted here are *diagnostics*: fixed, documented
 thresholds on dyadic increments, reproducible run to run, and never a
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multfunc import PrimeFunctionSpec, _f_values
+from .multfunc import PrimeFunctionSpec, _f_values, _visited
 from .sieve import FactorSieve, primes_up_to
 from .summation import PartialSumSeries, _checked_bounds, _prefix_sums, _schedule
 
@@ -52,10 +57,27 @@ FLOOR = 1e-12
 VERDICT_WINDOW = 8
 
 
-def _trace(primes: np.ndarray, xs: np.ndarray, terms) -> PartialSumSeries:
-    """At each x of ``xs``, the exactly rounded sum of ``terms(lo, hi)`` over the primes <= x."""
+def _sums(terms, counts, visited: np.ndarray | None) -> np.ndarray:
+    """Exactly rounded sums of ``terms(at)`` over the first ``counts[i]`` primes.
+
+    ``terms(at)`` gives the terms of the primes at positions ``at`` of the
+    prime table, a slice or an index array.  With ``visited`` None it reads
+    slices of every prime; otherwise it reads only the positions in
+    ``visited`` (``multfunc._visited``), and each count becomes the number
+    of visited positions below it.  The skipped terms are exact zeros and
+    each sum is the exact sum of its terms rounded once, so both give the
+    same bits.
+    """
+    if visited is None:
+        return _prefix_sums(lambda lo, hi: terms(slice(lo, hi)), counts)
+    return _prefix_sums(lambda lo, hi: terms(visited[lo:hi]), np.searchsorted(visited, counts))
+
+
+def _trace(primes: np.ndarray, xs: np.ndarray, terms, visited) -> PartialSumSeries:
+    """At each x of ``xs``, the exactly rounded sum of ``terms(at)`` over the
+    primes <= x, visiting the positions ``visited`` only (see ``_sums``)."""
     counts = _checked_bounds(np.searchsorted(primes, xs, side="right"), primes.size)
-    return PartialSumSeries(xs, _prefix_sums(terms, counts))
+    return PartialSumSeries(xs, _sums(terms, counts, visited))
 
 
 def prime_sum_S(
@@ -70,16 +92,16 @@ def prime_sum_S(
     must strictly ascend within [1, x_max] (ValueError otherwise).  For the
     constant -1 base every term vanishes identically, so the trace is
     exactly zero; finite exceptions contribute a plateau reached at the
-    largest exception prime.
+    largest exception prime.  Such a spec visits its exception primes only.
     """
     schedule = _schedule(x_max, schedule)
     primes = primes_up_to(x_max, sieve)
     log_p = sieve.log_primes
 
-    def terms(lo: int, hi: int) -> np.ndarray:
-        return (1.0 + _f_values(spec, primes[lo:hi])) * log_p[lo:hi]
+    def terms(at) -> np.ndarray:
+        return (1.0 + _f_values(spec, primes[at])) * log_p[at]
 
-    return _trace(primes, schedule, terms)
+    return _trace(primes, schedule, terms, _visited(primes, lambda f: 1.0 + f, spec))
 
 
 def pretentious_distance_sq(
@@ -94,16 +116,19 @@ def pretentious_distance_sq(
     nondecreasing in x.  Zero exactly when f(p) g(p) = 1 at every prime
     p <= x -- for specs confined to {-1, +1} that is the same as agreeing
     prime by prime, but a spec with |f(p)| < 1 keeps positive distance
-    even from itself.  Exactly rounded, from one slice of primes at a time.
+    even from itself.  Exactly rounded, from one slice of primes at a time;
+    when f(p) g(p) = 1 at every prime that is no exception of either spec,
+    only the exception primes of both are visited.
     """
     primes = primes_up_to(x, sieve)
 
-    def terms(lo: int, hi: int) -> np.ndarray:
-        chunk = primes[lo:hi]
+    def terms(at) -> np.ndarray:
+        chunk = primes[at]
         fg = _f_values(spec_f, chunk) * _f_values(spec_g, chunk)
         return (1.0 - fg) / chunk.astype(np.float64)
 
-    return float(_prefix_sums(terms, [primes.size])[0])
+    visited = _visited(primes, lambda f, g: 1.0 - f * g, spec_f, spec_g)
+    return float(_sums(terms, [primes.size], visited)[0])
 
 
 def _decays(values, scale: float) -> bool | None:
@@ -151,9 +176,9 @@ def _weighted_tail(
     primes = primes_up_to(x_max, sieve)
     log_p = sieve.log_primes
 
-    def terms(lo: int, hi: int) -> np.ndarray:
-        chunk = primes[lo:hi]
-        numer = (1.0 + _f_values(spec, chunk)) * log_p[lo:hi]
+    def terms(at) -> np.ndarray:
+        chunk = primes[at]
+        numer = (1.0 + _f_values(spec, chunk)) * log_p[at]
         with np.errstate(over="ignore"):  # p^sigma = inf gives the term 0.0
             return numer / chunk.astype(np.float64) ** sigma
 
@@ -165,7 +190,8 @@ def _weighted_tail(
     dyadic = 2 ** np.arange(1, int(x_max).bit_length(), dtype=np.int64)
     schedule = _schedule(x_max, None)
     union = np.array(sorted({*dyadic.tolist(), *schedule.tolist()}), dtype=np.int64)
-    sums = _trace(primes, union, terms).values
+    visited = _visited(primes, lambda f: 1.0 + f, spec)
+    sums = _trace(primes, union, terms, visited).values
     trace = PartialSumSeries(schedule, sums[np.searchsorted(union, schedule)])
     return trace, sums[np.searchsorted(union, dyadic)]
 

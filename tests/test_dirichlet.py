@@ -494,6 +494,68 @@ def test_pool_workers_call_no_public_function(sieve_1e6, monkeypatch):
     weighted_tail_diagnostic(_POOLED_SPEC, 1.0, 10**6, sieve_1e6)
 
 
+#: specs whose G or U factor is 1 at every prime but the exceptions: bare,
+#: with three exceptions in one chunk of 2^15 primes and in three chunks,
+#: the constant 0 base (U visits the exceptions only) and power decay with
+#: c = 0 (f(p) = -1)
+_SKIPPING_SPECS = [
+    LIOUVILLE,
+    liouville_spec({2: 0.5, 5: 0.3, 7: -0.2}),
+    liouville_spec({3: 0.5, 386093: 1.0, 999983: -0.5}),
+    constant_spec(0.0, {3: 0.5, 7: -1.0}),
+    power_decay_spec(0.0, 0.5, {5: 0.3}),
+]
+
+
+@pytest.mark.parametrize("spec", _SKIPPING_SPECS, ids=lambda spec: spec.spec_id())
+@pytest.mark.parametrize("s", [1.5, complex(0.75, 5.0)])
+def test_euler_products_that_skip_primes_keep_the_bits_of_the_full_walk(
+    spec, s, sieve_1e6, monkeypatch
+):
+    for P in (0, 2, 386093, 10**6):
+        for product in (euler_product_G, euler_product_U):
+            skipping = _bits(product(spec, s, P, sieve_1e6))
+            with monkeypatch.context() as m:
+                # every prime <= P through _log1p_product, the same tail
+                m.setattr(multlab.dirichlet, "_visited", lambda *args: None)
+                full = _bits(product(spec, s, P, sieve_1e6))
+            assert skipping == full, (product.__name__, P)
+
+
+def test_a_skipping_euler_product_at_tiny_sigma_still_raises(sieve_1e6):
+    # G visits p = 3 alone, yet 2^(-sigma) still rounds to 1
+    for s in (1e-300, complex(1e-300, 1.0)):
+        for product in (euler_product_G, euler_product_U):
+            with pytest.raises(DomainError, match="2\\^"):
+                product(liouville_spec({3: 0.5}), s, 10**6, sieve_1e6)
+
+
+def test_prime_side_sums_of_a_flat_spec_read_f_at_few_primes(sieve_1e6, monkeypatch):
+    # Liouville with one exception: G, S, the weighted tail and D^2 are
+    # sums over that one prime, not over the 78,498 primes <= 10^6
+    original = multlab.multfunc._f_values
+    seen = []
+
+    def counting(spec, primes):
+        seen.append(np.size(primes))
+        return original(spec, primes)
+
+    for module in (multlab.dirichlet, multlab.primesums):
+        monkeypatch.setattr(module, "_f_values", counting)
+    spec = liouville_spec({3: 0.5})
+    calls = {
+        "G": lambda: euler_product_G(spec, 1.5, 10**6, sieve_1e6),
+        "G complex": lambda: euler_product_G(spec, complex(1.5, 3.0), 10**6, sieve_1e6),
+        "S": lambda: prime_sum_S(spec, 10**6, sieve_1e6),
+        "weighted tail": lambda: weighted_tail_diagnostic(spec, 1.0, 10**6, sieve_1e6),
+        "D^2": lambda: pretentious_distance_sq(spec, LIOUVILLE, 10**6, sieve_1e6),
+    }
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert sum(seen) <= 2**15, name
+
+
 @pytest.mark.parametrize("s", [0.3, 2.0, complex(1.5, 20.0)])
 def test_euler_products_with_every_factor_one_are_exactly_one(s, sieve_1e5):
     # G with the constant -1 base has 1 + f(p) = 0; U with the constant 0
@@ -745,7 +807,7 @@ def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypa
     original_sums, original_stream = dl._dirichlet_sums, dl._coefficients
 
     def counting_sums(coeffs, length, point):
-        if coeffs and length == 10**4:  # zeta sums its few acceleration terms here too
+        if length == 10**4:  # zeta sums its few acceleration terms here too
             passes.append((len(coeffs), point))
         return original_sums(coeffs, length, point)
 
@@ -767,6 +829,24 @@ def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypa
     assert len(passes) == 2 and len(builds) == 4
 
 
+def test_four_identities_at_one_point_make_one_pass(sieve_1e4, monkeypatch):
+    import multlab.dirichlet as dl
+
+    lengths = []
+    original_sums = dl._dirichlet_sums
+
+    def counting_sums(coeffs, length, point):
+        if length == 10**4:  # every pass over n <= N, empty ones too; zeta's are shorter
+            lengths.append(len(coeffs))
+        return original_sums(coeffs, length, point)
+
+    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
+    for identity in IdentityKind:
+        store.residual(identity, ComplexArgument(2.0, 3.0))
+    assert lengths == [4]
+
+
 def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatch):
     import multlab.dirichlet as dl
 
@@ -774,7 +854,7 @@ def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatc
     original_sums = dl._dirichlet_sums
 
     def counting_sums(coeffs, length, point):
-        if coeffs and length == 10**4:
+        if length == 10**4:
             passes.append((len(coeffs), point))
         return original_sums(coeffs, length, point)
 

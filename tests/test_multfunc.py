@@ -32,7 +32,9 @@ from multlab.multfunc import (
     liouville_spec,
     power_decay_spec,
     spec_is_pm1,
+    _base_value,
     _is_prime_int,
+    _visited,
 )
 from multlab.sieve import factorize, moebius, primes_up_to
 
@@ -585,6 +587,52 @@ def test_f_at_prime_takes_numpy_integer_primes(sieve_1e4):
         scalar = np.array([f_at_prime(spec, q) for q in primes])
         assert scalar.tobytes() == f_at_primes(spec, primes).tobytes(), spec.spec_id()
     assert _is_prime_int(np.uint32(9973)) and not _is_prime_int(np.int64(9991))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LIOUVILLE,
+        liouville_spec({3: 0.5, 7: -1.0}),
+        constant_spec(0.3, {2: -1.0}),
+        constant_spec(-0.0),
+        power_decay_spec(0.0, 0.5, {5: 0.0}),
+        power_decay_spec(-0.0, 3.0),
+        power_decay_spec(0.5, 0.5),
+        power_decay_spec(2.0, 0.1),
+    ],
+    ids=lambda spec: spec.spec_id(),
+)
+def test_base_value_is_f_at_every_prime_but_the_exceptions(spec, sieve_1e4):
+    primes = primes_up_to(10**4, sieve_1e4)
+    keys = {q for q, _ in spec.exceptions}
+    plain = np.array([p not in keys for p in primes.tolist()])
+    values = f_at_primes(spec, primes)[plain]
+    base = _base_value(spec)
+    if base is None:
+        assert np.unique(values).size > 1
+    else:
+        assert values.tobytes() == np.full(values.size, base).tobytes()
+
+
+def test_visited_positions_are_the_exceptions_where_the_base_term_vanishes(sieve_1e4):
+    def one_plus(f):
+        return 1.0 + f
+
+    def distance(f, g):
+        return 1.0 - f * g
+
+    primes = primes_up_to(10**3, sieve_1e4)
+    spec = liouville_spec({3: 0.5, 7: -1.0, 1009: 0.2})  # 1009 lies past 10^3
+    assert primes[_visited(primes, one_plus, spec)].tolist() == [3, 7]
+    assert _visited(primes, one_plus, LIOUVILLE).size == 0
+    assert _visited(primes[:0], one_plus, spec).size == 0
+    assert _visited(primes, one_plus, constant_spec(0.5, {3: 0.5})) is None
+    assert _visited(primes, one_plus, power_decay_spec(0.5, 0.5)) is None
+    # a term of two specs visits the union of their exceptions
+    other = constant_spec(-1.0, {2: 0.0, 7: 1.0})
+    assert primes[_visited(primes, distance, spec, other)].tolist() == [2, 3, 7]
+    assert _visited(primes, distance, spec, constant_spec(1.0)) is None
 
 
 def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):

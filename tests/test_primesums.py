@@ -294,26 +294,37 @@ def fsum_at(terms, primes, xs):
     return [math.fsum(terms[:c].tolist()) for c in np.searchsorted(primes, xs, side="right")]
 
 
+#: (f, g) pairs: one walks every prime, the others take the specs with
+#: f(p) = -1 at every prime but the exceptions, where S, the weighted tail
+#: and D(f, g)^2 visit the exception primes only (an exception on the slice
+#: edge, and one equal to the base value, among them)
+_SUM_SPECS = [
+    (power_decay_spec(0.7, 0.4, {3: 0.25, 386093: 1.0}), constant_spec(0.3, {2: -1.0})),
+    (liouville_spec({3: 0.25, 386093: 1.0, 7: -1.0}), constant_spec(-1.0, {2: 0.5})),
+    (constant_spec(-1.0, {2: 0.5}), power_decay_spec(0.0, 0.5, {5: 0.0})),
+    (power_decay_spec(0.0, 0.5, {5: 0.0}), liouville_spec({3: 0.25, 386093: 1.0, 7: -1.0})),
+]
+
+
 @pytest.mark.parametrize("x", _SLICE_EDGES)
 def test_prime_side_sums_are_fsum_of_whole_length_terms(sieve_1e6, x):
     primes = primes_up_to(x, sieve_1e6)
     p = primes.astype(np.float64)
     log_p = np.log(p)
-    f = power_decay_spec(0.7, 0.4, {3: 0.25, 386093: 1.0})
-    g = constant_spec(0.3, {2: -1.0})
-    fp, gp = f_at_primes(f, primes), f_at_primes(g, primes)
+    for f, g in _SUM_SPECS:
+        fp, gp = f_at_primes(f, primes), f_at_primes(g, primes)
 
-    S = prime_sum_S(f, x, sieve_1e6)
-    assert S.values.tolist() == fsum_at((1.0 + fp) * log_p, primes, S.x_values)
+        S = prime_sum_S(f, x, sieve_1e6)
+        assert S.values.tolist() == fsum_at((1.0 + fp) * log_p, primes, S.x_values), f
 
-    trace, verdict = weighted_tail_diagnostic(f, 0.75, x, sieve_1e6)
-    terms = (1.0 + fp) * log_p / p ** 0.75
-    assert trace.values.tolist() == fsum_at(terms, primes, trace.x_values)
-    dyadic = 2 ** np.arange(1, int(math.log2(x)) + 1)
-    assert verdict == _dyadic_verdict(np.array(fsum_at(terms, primes, dyadic)))
+        trace, verdict = weighted_tail_diagnostic(f, 0.75, x, sieve_1e6)
+        terms = (1.0 + fp) * log_p / p ** 0.75
+        assert trace.values.tolist() == fsum_at(terms, primes, trace.x_values), f
+        dyadic = 2 ** np.arange(1, int(math.log2(x)) + 1)
+        assert verdict == _dyadic_verdict(np.array(fsum_at(terms, primes, dyadic))), f
 
-    d2 = math.fsum(((1.0 - fp * gp) / p).tolist())
-    assert pretentious_distance_sq(f, g, x, sieve_1e6) == d2
+        d2 = math.fsum(((1.0 - fp * gp) / p).tolist())
+        assert pretentious_distance_sq(f, g, x, sieve_1e6) == d2, (f, g)
 
 
 @pytest.mark.parametrize(
