@@ -313,10 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = cfg.with_output_dir(args.out)
-        out_dir = Path(cfg.output_dir)
+        cfg = load_config(args.config)  # as loaded: --out moves files, not the hash
+        out_dir = Path(cfg.output_dir if args.out is None else args.out)
         command = _COMMANDS[args.command][0]
         return command(cfg, out_dir, _obtain_sieve(cfg, out_dir), args.option)
     except ConfigError as exc:

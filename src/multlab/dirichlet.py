@@ -44,9 +44,9 @@ import numpy as np
 from .multfunc import (
     DerivedFunctionKind,
     PrimeFunctionSpec,
-    _base_value,
     _coefficients,
     _f_values,
+    _one_plus_f_decay,
     _visited,
 )
 from .sieve import FactorSieve, _ordered_map, primes_up_to
@@ -179,7 +179,7 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
                 im.add(mod * sin)
 
     with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked
-        for lo in range(0, length if coeffs else 0, _BLOCK):  # no arrays, no pass
+        for lo in range(0, length, _BLOCK):
             feed(lo, min(lo + _BLOCK, length))
     factor = 1.0 + length * _EPS
     bounds = [size * factor for size in sizes]
@@ -630,15 +630,10 @@ def euler_product_G(
     like p^(-a) for the power-decay family, not at all for a generic
     constant base (rigorous only for sigma > 1 there).
     """
-    # |1 + f(p)| <= coef p^(-extra) under the base rule: |1 + b| for a base
-    # value b, and for power decay 1 + f is c p^(-a) clamped towards 0;
-    # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > P, and an exception
-    # prime past P brings its own |x_p|
-    base = _base_value(spec)
-    if base is not None:
-        coef, extra = abs(1.0 + base), 0.0
-    else:
-        coef, extra = abs(spec.c), float(spec.a)
+    # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > P, with |1 + f(p)| <=
+    # coef p^(-extra) under the base rule; an exception prime past P brings
+    # its own |x_p|
+    coef, extra = _one_plus_f_decay(spec)
 
     def tail(sigma: float):
         r1 = (max(P, 1) + 1.0) ** (-sigma)

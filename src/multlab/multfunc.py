@@ -255,12 +255,12 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     """``f_at_primes`` for internal use, one chunk at a time and on any thread.
 
     Elementwise, so a chunk's values are bit-identical to the same entries
-    of a whole-array call.
+    of a whole-array call.  A flat spec (``_base_value``) fills its base
+    value; only power decay with c != 0 evaluates its formula.
     """
-    if spec.base == BASE_LIOUVILLE:
-        out = np.full(np.shape(primes), -1.0)
-    elif spec.base == BASE_CONSTANT:
-        out = np.full(np.shape(primes), float(spec.c))
+    base = _base_value(spec)
+    if base is not None:
+        out = np.full(np.shape(primes), base)
     else:
         p = np.asarray(primes, dtype=np.float64)
         out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
@@ -284,16 +284,29 @@ def _base_value(spec: PrimeFunctionSpec) -> float | None:
     """f(p) at every prime that is no exception, when that is one number; else None.
 
     -1.0 for Liouville, c for a constant base, and -1.0 for power decay
-    with c = 0, where -1 + 0 * p^-a is -1.0 at every p: bit for bit what
-    ``_f_values`` gives at each such prime.  The one flatness rule: the
-    streams' f(p) table (``_prime_values``), the primes a prime-side sum
-    visits (``_visited``) and G's prime tail read it.
+    with c = 0, where -1 + 0 * p^-a is -1.0 at every p.  The one flatness
+    rule, and the only reader of the base rule besides the spec itself:
+    f(p) (``_f_values``), exactness (``spec_is_pm1``), the streams' f(p)
+    table (``_prime_values``), the primes a prime-side sum visits
+    (``_visited``), G's prime tail (``_one_plus_f_decay``) and verify's
+    plateau check all read it.
     """
     if spec.base == BASE_LIOUVILLE:
         return -1.0
     if spec.base == BASE_CONSTANT:
         return spec.c
     return -1.0 if spec.c == 0.0 else None
+
+
+def _one_plus_f_decay(spec: PrimeFunctionSpec) -> tuple[float, float]:
+    """(coef, extra) with |1 + f(p)| <= coef p^(-extra) at every prime that
+    is no exception: |1 + b| and 0 for a base value b (``_base_value``),
+    |c| and a for power decay, where 1 + f(p) is c p^(-a) clamped towards 0.
+    """
+    base = _base_value(spec)
+    if base is not None:
+        return abs(1.0 + base), 0.0
+    return abs(spec.c), spec.a
 
 
 def _visited(primes: np.ndarray, factor, *specs: PrimeFunctionSpec) -> np.ndarray | None:
@@ -318,18 +331,14 @@ def _visited(primes: np.ndarray, factor, *specs: PrimeFunctionSpec) -> np.ndarra
 
 
 def spec_is_pm1(spec: PrimeFunctionSpec) -> bool:
-    """True when every f(p) is provably in {-1, 0, +1}.
+    """True when every f(p) is provably in {-1, 0, +1}: the base value
+    (``_base_value``) and every exception value are.
 
     Such specs admit exact integer coefficient streams for all four derived
     functions (h(p^a) is then 0, 1 or a+1; g(p^a) is 0, 1 or 2).
     """
-    if any(v not in (-1.0, 0.0, 1.0) for _, v in spec.exceptions):
-        return False
-    if spec.base == BASE_LIOUVILLE:
-        return True
-    if spec.base == BASE_CONSTANT:
-        return spec.c in (-1.0, 0.0, 1.0)
-    return spec.c == 0.0  # power decay collapses to constant -1
+    values = [_base_value(spec), *(v for _, v in spec.exceptions)]
+    return all(v in (-1.0, 0.0, 1.0) for v in values)  # a None base is in no set
 
 
 # ---------------------------------------------------------------------------

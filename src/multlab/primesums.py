@@ -6,15 +6,15 @@ so traces are nondecreasing by construction.  The pretentious distance
 D(f,g;x)^2 = sum_{p<=x} (1 - f(p) g(p)) / p measures how far two
 multiplicative functions drift apart along primes (real-valued case).
 
-Every sum here forms its terms one slice of primes at a time and hands
-them to ``summation._prefix_sums``, so no whole-length f(p) or term array
-is built, and each checkpoint is the exact sum of its terms rounded once:
+Every sum here has one walk (``_walk``): the table of the primes whose
+term can be nonzero (``multfunc._visited``), read one slice at a time by
+``summation._prefix_sums``, so no whole-length f(p) or term array is
+built, and each checkpoint is the exact sum of its terms rounded once:
 bit for bit ``math.fsum`` of that prefix, whatever the checkpoint grid.
-A sum visits only the primes whose term can be nonzero
-(``multfunc._visited``): for a spec with f(p) = -1 at every prime but its
-exceptions, S(x) and the weighted tail visit the exception primes alone,
-and so does D(f, g; x)^2 when f(p) g(p) = 1 at every other prime.  The
-terms it skips are exact zeros, so every sum keeps its bits.
+For a spec with f(p) = -1 at every prime but its exceptions, S(x) and the
+weighted tail walk the exception primes alone, and so does
+D(f, g; x)^2 when f(p) g(p) = 1 at every other prime.  The terms it skips
+are exact zeros, so every sum keeps its bits.
 
 Convergence verdicts emitted here are *diagnostics*: fixed, documented
 thresholds on dyadic increments, reproducible run to run, and never a
@@ -30,7 +30,7 @@ import numpy as np
 
 from .multfunc import PrimeFunctionSpec, _f_values, _visited
 from .sieve import FactorSieve, primes_up_to
-from .summation import PartialSumSeries, _checked_bounds, _prefix_sums, _schedule
+from .summation import PartialSumSeries, _prefix_sums, _schedule
 
 #: the statuses of every check line, ``kronecker_check``'s among them
 VERDICT_PASS = "pass"
@@ -57,27 +57,29 @@ FLOOR = 1e-12
 VERDICT_WINDOW = 8
 
 
-def _sums(terms, counts, visited: np.ndarray | None) -> np.ndarray:
-    """Exactly rounded sums of ``terms(at)`` over the first ``counts[i]`` primes.
+def _walk(
+    x: int, sieve: FactorSieve, factor, *specs: PrimeFunctionSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, log p) of the primes <= x that a sum of ``factor`` terms visits.
 
-    ``terms(at)`` gives the terms of the primes at positions ``at`` of the
-    prime table, a slice or an index array.  With ``visited`` None it reads
-    slices of every prime; otherwise it reads only the positions in
-    ``visited`` (``multfunc._visited``), and each count becomes the number
-    of visited positions below it.  The skipped terms are exact zeros and
-    each sum is the exact sum of its terms rounded once, so both give the
-    same bits.
+    Every prime, or only those whose term can be nonzero
+    (``multfunc._visited``): the skipped terms are exact zeros.  A sum
+    reads this sub-table in slices through ``_prefix_sums``, and each of
+    its sums is the exact sum of its terms rounded once, so it has the
+    bits of the sum over every prime.
     """
+    primes = primes_up_to(x, sieve)
+    log_p = sieve.log_primes[: primes.size]
+    visited = _visited(primes, factor, *specs)
     if visited is None:
-        return _prefix_sums(lambda lo, hi: terms(slice(lo, hi)), counts)
-    return _prefix_sums(lambda lo, hi: terms(visited[lo:hi]), np.searchsorted(visited, counts))
+        return primes, log_p
+    return primes[visited], log_p[visited]
 
 
-def _trace(primes: np.ndarray, xs: np.ndarray, terms, visited) -> PartialSumSeries:
-    """At each x of ``xs``, the exactly rounded sum of ``terms(at)`` over the
-    primes <= x, visiting the positions ``visited`` only (see ``_sums``)."""
-    counts = _checked_bounds(np.searchsorted(primes, xs, side="right"), primes.size)
-    return PartialSumSeries(xs, _sums(terms, counts, visited))
+def _trace(primes: np.ndarray, xs: np.ndarray, terms) -> PartialSumSeries:
+    """At each x of the ascending ``xs``, the exactly rounded sum of
+    ``terms(lo, hi)`` over the primes <= x of the walked table ``primes``."""
+    return PartialSumSeries(xs, _prefix_sums(terms, np.searchsorted(primes, xs, side="right")))
 
 
 def prime_sum_S(
@@ -95,13 +97,12 @@ def prime_sum_S(
     largest exception prime.  Such a spec visits its exception primes only.
     """
     schedule = _schedule(x_max, schedule)
-    primes = primes_up_to(x_max, sieve)
-    log_p = sieve.log_primes
+    primes, log_p = _walk(x_max, sieve, lambda f: 1.0 + f, spec)
 
-    def terms(at) -> np.ndarray:
-        return (1.0 + _f_values(spec, primes[at])) * log_p[at]
+    def terms(lo: int, hi: int) -> np.ndarray:
+        return (1.0 + _f_values(spec, primes[lo:hi])) * log_p[lo:hi]
 
-    return _trace(primes, schedule, terms, _visited(primes, lambda f: 1.0 + f, spec))
+    return _trace(primes, schedule, terms)
 
 
 def pretentious_distance_sq(
@@ -120,15 +121,14 @@ def pretentious_distance_sq(
     when f(p) g(p) = 1 at every prime that is no exception of either spec,
     only the exception primes of both are visited.
     """
-    primes = primes_up_to(x, sieve)
+    primes, _ = _walk(x, sieve, lambda f, g: 1.0 - f * g, spec_f, spec_g)
 
-    def terms(at) -> np.ndarray:
-        chunk = primes[at]
+    def terms(lo: int, hi: int) -> np.ndarray:
+        chunk = primes[lo:hi]
         fg = _f_values(spec_f, chunk) * _f_values(spec_g, chunk)
         return (1.0 - fg) / chunk.astype(np.float64)
 
-    visited = _visited(primes, lambda f, g: 1.0 - f * g, spec_f, spec_g)
-    return float(_sums(terms, [primes.size], visited)[0])
+    return float(_prefix_sums(terms, [primes.size])[0])
 
 
 def _decays(values, scale: float) -> bool | None:
@@ -173,12 +173,11 @@ def _weighted_tail(
         raise ValueError(f"sigma must be positive, got {sigma}")
     if x_max < 2:
         raise ValueError(f"x_max must be >= 2, got {x_max}")
-    primes = primes_up_to(x_max, sieve)
-    log_p = sieve.log_primes
+    primes, log_p = _walk(x_max, sieve, lambda f: 1.0 + f, spec)
 
-    def terms(at) -> np.ndarray:
-        chunk = primes[at]
-        numer = (1.0 + _f_values(spec, chunk)) * log_p[at]
+    def terms(lo: int, hi: int) -> np.ndarray:
+        chunk = primes[lo:hi]
+        numer = (1.0 + _f_values(spec, chunk)) * log_p[lo:hi]
         with np.errstate(over="ignore"):  # p^sigma = inf gives the term 0.0
             return numer / chunk.astype(np.float64) ** sigma
 
@@ -190,8 +189,7 @@ def _weighted_tail(
     dyadic = 2 ** np.arange(1, int(x_max).bit_length(), dtype=np.int64)
     schedule = _schedule(x_max, None)
     union = np.array(sorted({*dyadic.tolist(), *schedule.tolist()}), dtype=np.int64)
-    visited = _visited(primes, lambda f: 1.0 + f, spec)
-    sums = _trace(primes, union, terms, visited).values
+    sums = _trace(primes, union, terms).values
     trace = PartialSumSeries(schedule, sums[np.searchsorted(union, schedule)])
     return trace, sums[np.searchsorted(union, dyadic)]
 

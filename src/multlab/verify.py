@@ -17,8 +17,9 @@ Check families
   residual <= propagated budget (rigorous points) or residual <= the
   configured tolerance (heuristic points, "tolerance.<identity>" keys);
 * nonnegativity scans of the two divisor-sum transforms over prime powers;
-* the prime-sum trace: monotonicity always, plateau value when the base
-  rule makes the closed form available;
+* the prime-sum trace: monotonicity always, plateau value against its
+  closed form when f(p) = -1 at every prime but the exceptions (any
+  spelling of that rule: ``multfunc._base_value``);
 * the weighted prime-tail diagnostic at a configured sigma;
 * growth-exponent fit of the plain partial sums (pass = power saving at
   the configured slack);
@@ -36,12 +37,7 @@ import numpy as np
 from .config import ExperimentConfig, _fmt_real, config_hash
 from .dirichlet import _NO_VALUE, ComplexArgument, IdentityKind, _SeriesStore, zeta
 from .exponent import InsufficientDataError, checkpoint_partial_sums, fit_exponent
-from .multfunc import (
-    BASE_LIOUVILLE,
-    DerivedFunctionKind,
-    _weight,
-    f_at_primes,
-)
+from .multfunc import DerivedFunctionKind, _base_value, _weight, f_at_primes
 from .primesums import VERDICT_FAIL, _STATUS, _dyadic_decays, _weighted_tail, prime_sum_S
 from .sieve import FactorSieve, build_sieve, primes_up_to
 
@@ -169,7 +165,7 @@ def _prime_sum_lines(cfg: ExperimentConfig, sieve: FactorSieve) -> list[CheckLin
     lines = [
         _line("prime_sum_monotone", min_increment, _SIGN_SLACK, min_increment >= _SIGN_SLACK)
     ]
-    if cfg.spec.base == BASE_LIOUVILLE:
+    if _base_value(cfg.spec) == -1.0:  # S(x) is the exceptions' terms alone
         plateau = math.fsum(
             (1.0 + v) * math.log(p)
             for p, v in cfg.spec.exceptions

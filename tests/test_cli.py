@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from multlab.cli import _CACHE_HEADER, load_sieve_cache, main, save_sieve_cache
-from multlab.config import load_config
+from multlab.config import ExperimentConfig, config_hash, load_config
 from multlab.dirichlet import (
     ComplexArgument,
     dirichlet_sum,
@@ -22,8 +22,14 @@ from multlab.dirichlet import (
     euler_product_U,
     zeta,
 )
-from multlab.multfunc import DerivedFunctionKind
+from multlab.multfunc import (
+    DerivedFunctionKind,
+    constant_spec,
+    liouville_spec,
+    power_decay_spec,
+)
 from multlab.sieve import FactorSieve, build_sieve
+from multlab.verify import report_to_csv, run_verify
 
 SMALL_CFG = """
 sieve_limit = 10000
@@ -419,6 +425,35 @@ def test_verify_passes_and_writes_report(cfg_file, tmp_path, capsys):
     statuses = {r[1] for r in rows}
     assert statuses <= {"pass", "fail", "inconclusive"}
     assert "fail" not in statuses
+
+
+def test_out_moves_the_files_but_not_the_config_hash(cfg_file, tmp_path, capsys):
+    # the hash is the config file's own, whichever directory --out names
+    hashes = []
+    for name in ("a", "b"):
+        out = tmp_path / name / "out"
+        assert main(["verify", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert (out / "verify_report.csv").exists()
+        hashes += re.findall(r"config_hash=([0-9a-f]{16})", capsys.readouterr().out)
+    assert hashes == [config_hash(load_config(cfg_file))] * 2
+
+
+@pytest.mark.parametrize("exceptions", [{}, {3: 0.5, 7: 1.0, 13: 0.0}], ids=["plain", "excepted"])
+def test_every_spelling_of_liouville_gets_the_same_report(exceptions, sieve_1e5):
+    # f(p) = -1 at every prime but the exceptions, spelt four ways: each
+    # check, the prime-sum plateau included, judges them alike
+    spellings = [
+        liouville_spec(exceptions),
+        constant_spec(-1.0, exceptions),
+        power_decay_spec(0.0, 0.7, exceptions),
+        power_decay_spec(-0.0, 3.0, exceptions),
+    ]
+    reports = [
+        report_to_csv(run_verify(ExperimentConfig(sieve_limit=10**5, spec=spec), sieve_1e5))
+        for spec in spellings
+    ]
+    assert "prime_sum_plateau,pass," in reports[0]
+    assert reports == [reports[0]] * 4
 
 
 def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, capsys):

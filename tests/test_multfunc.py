@@ -425,9 +425,13 @@ def test_spec_is_pm1_detection():
     assert spec_is_pm1(constant_spec(-1.0))
     assert spec_is_pm1(liouville_spec({7: 0.0}))
     assert spec_is_pm1(power_decay_spec(0.0, 1.0))
+    assert spec_is_pm1(constant_spec(-0.0))
+    assert spec_is_pm1(power_decay_spec(-0.0, 2.0))
+    assert spec_is_pm1(constant_spec(1.0, {5: -1.0}))
     assert not spec_is_pm1(constant_spec(0.5))
     assert not spec_is_pm1(liouville_spec({7: 0.5}))
     assert not spec_is_pm1(power_decay_spec(1.0, 1.0))
+    assert not spec_is_pm1(power_decay_spec(0.0, 1.0, {3: 0.5}))
 
 
 def test_stream_limit_validation(sieve_1e4):
@@ -589,30 +593,38 @@ def test_f_at_prime_takes_numpy_integer_primes(sieve_1e4):
     assert _is_prime_int(np.uint32(9973)) and not _is_prime_int(np.int64(9991))
 
 
+def _flat(value):
+    return lambda p: np.full(p.size, value)
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec, literal",
     [
-        LIOUVILLE,
-        liouville_spec({3: 0.5, 7: -1.0}),
-        constant_spec(0.3, {2: -1.0}),
-        constant_spec(-0.0),
-        power_decay_spec(0.0, 0.5, {5: 0.0}),
-        power_decay_spec(-0.0, 3.0),
-        power_decay_spec(0.5, 0.5),
-        power_decay_spec(2.0, 0.1),
+        (LIOUVILLE, _flat(-1.0)),
+        (liouville_spec({3: 0.5, 7: -1.0}), _flat(-1.0)),
+        (constant_spec(0.3, {2: -1.0}), _flat(0.3)),
+        (constant_spec(-0.0), _flat(-0.0)),
+        (power_decay_spec(0.0, 0.5, {5: 0.0}), lambda p: np.clip(-1.0 + 0.0 * p ** -0.5, -1.0, 1.0)),
+        (power_decay_spec(-0.0, 3.0), lambda p: np.clip(-1.0 + -0.0 * p ** -3.0, -1.0, 1.0)),
+        (power_decay_spec(0.5, 0.5), None),
+        (power_decay_spec(2.0, 0.1), None),
     ],
-    ids=lambda spec: spec.spec_id(),
+    ids=lambda arg: arg.spec_id() if isinstance(arg, PrimeFunctionSpec) else "",
 )
-def test_base_value_is_f_at_every_prime_but_the_exceptions(spec, sieve_1e4):
+def test_base_value_is_f_at_every_prime_but_the_exceptions(spec, literal, sieve_1e4):
+    # each flat spec's f(p) is written out by its base rule, independently
+    # of _base_value, which _f_values reads
     primes = primes_up_to(10**4, sieve_1e4)
     keys = {q for q, _ in spec.exceptions}
-    plain = np.array([p not in keys for p in primes.tolist()])
-    values = f_at_primes(spec, primes)[plain]
+    plain = primes[[p not in keys for p in primes.tolist()]]
+    values = f_at_primes(spec, plain)
     base = _base_value(spec)
-    if base is None:
-        assert np.unique(values).size > 1
+    if literal is None:
+        assert base is None and np.unique(values).size > 1
     else:
-        assert values.tobytes() == np.full(values.size, base).tobytes()
+        expected = literal(plain.astype(np.float64)).tobytes()
+        assert values.tobytes() == expected
+        assert np.full(values.size, base).tobytes() == expected
 
 
 def test_visited_positions_are_the_exceptions_where_the_base_term_vanishes(sieve_1e4):
