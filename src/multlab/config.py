@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +142,6 @@ class ExperimentConfig:
     @property
     def tolerance_map(self) -> dict[str, float]:
         return dict(self.tolerances)
-
-    def with_output_dir(self, out: str) -> "ExperimentConfig":
-        return replace(self, output_dir=out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ complex s, products with several chunks run them on the sieve's thread
 pool (``_ordered_map``); each chunk hands back exact pieces of its log sums
 and its share of the allowance, joined in chunk order, so G and U do not
 depend on the number of threads.  Both are one evaluator,
-``_euler_product``, with one rule for the primes past P, ``_prime_tail``.
+``_euler_product``, with one rule for the primes past a cutoff,
+``_prime_tail``.  P only caps the walk: it stops at the first prime Q <= P
+whose log tail bound is at most 2^-53, which adds at most
+|value| expm1(2^-53) to the bound, under 1/30 of the final exp's own
+rounding allowance |value| _EXP_REL = 34 |value| 2^-53; where the tail at
+P is larger, Q = P.
 Where every factor but the exception primes' is exactly 1 (G for a base
 value of -1, U for a base value of 0; ``multfunc._visited``), the product
 visits the exception primes alone, with the bits of the full walk.
@@ -32,6 +37,7 @@ truncation constant for Re(s) >= 1/2 (heuristic flag below that line).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -107,6 +113,9 @@ class ComplexArgument:
 class SeriesEval:
     """Truncated series/product value plus truncation-error accounting.
 
+    ``truncation_N`` is the number of terms summed: for a Dirichlet sum N,
+    for zeta the depth, and for an Euler product the number of primes
+    walked, pi(Q) <= pi(P) (see ``_euler_product``).
     ``tail_bound`` is a rigorous bound on |true - value| when ``heuristic``
     is False.  A heuristic value claims no bound: ``tail_bound`` is math.inf,
     or for zeta at 0 < sigma < 1/2 an estimate proven only for sigma >= 1/2,
@@ -585,12 +594,18 @@ def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> fl
 
 
 def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
-    """prod_{p<=P} (1 + x_p) of G (power 1) or U (power 2; see ``_log1p_product``).
+    """prod_{p<=Q} (1 + x_p) of G (power 1) or U (power 2; see ``_log1p_product``).
 
-    ``tail(sigma)`` gives (coef, exponent, kappa, terms) of ``_prime_tail``
-    for the primes past P; the omitted factors then move the product by at
-    most |value| expm1(log tail).  A prime <= P whose g_p is zero by the
-    spec's base value is skipped (``multfunc._visited`` of ``_numerator``):
+    ``tail(Q, sigma)`` gives (coef, exponent, kappa, terms) of ``_prime_tail``
+    for the primes past Q; the omitted factors then move the product by at
+    most |value| expm1(log tail).  P caps the walk: Q is the first prime
+    <= P whose log tail is at most _UNIT = 2^-53, found by bisection, since
+    the tail does not increase with Q; where the tail at P is larger (or
+    infinite), Q = P and every prime <= P is walked.  The stop costs at
+    most |value| expm1(2^-53) of bound, under 1/30 of the smallest
+    rounding allowance |value| _EXP_REL = 34u |value|, and the enclosure
+    is rigorous for any Q.  A prime <= Q whose g_p is zero by the spec's
+    base value is skipped (``multfunc._visited`` of ``_numerator``):
     for Liouville with finite exceptions G is the finite product over its
     exception primes, and so is U for the constant 0 base.  The bound is
     rigorous while it and the rounding allowance are finite; otherwise (no
@@ -600,13 +615,24 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     point = ComplexArgument.of(s)
     if point.sigma <= 0:
         raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
+
+    def tail_past(Q: int) -> float:
+        return _prime_tail(Q, *tail(Q, point.sigma))
+
     primes = primes_up_to(P, sieve)
+    log_tail = tail_past(P)
+    if log_tail <= _UNIT:  # the first prime whose tail is as small ends the walk
+        stop = bisect.bisect_left(
+            range(primes.size), True, key=lambda k: tail_past(int(primes[k])) <= _UNIT
+        )
+        if stop < primes.size:
+            primes = primes[: stop + 1]
+            log_tail = tail_past(int(primes[-1]))
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size:
         log_p = sieve.log_primes[: primes.size]
         visited = _visited(primes, lambda f: _numerator(power, f), spec)
         value, rounding = _log1p_product(spec, primes, log_p, point, power, visited)
-    log_tail = _prime_tail(P, *tail(point.sigma))
     bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
         bound = abs(value) * math.expm1(log_tail) + rounding
@@ -619,28 +645,29 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
 def euler_product_G(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
-    """prod_{p<=P} (p^s + f(p)) / (p^s - 1), summed as log(1 + x_p).
+    """prod_{p<=Q} (p^s + f(p)) / (p^s - 1), Q <= P, summed as log(1 + x_p).
 
     Each factor equals 1 + x_p with x_p = (1 + f(p))/(p^s - 1); the logs
     are summed in real arithmetic with a per-term rounding allowance (see
     ``_log1p_product``), so at real s the value's imaginary part is exactly
-    0.0.  The tail beyond P is
+    0.0.  P caps the walk, which stops where the tail is below 2^-53 (see
+    ``_euler_product``).  The tail is
     controlled by how fast 1 + f(p) dies: identically for a base value of
-    -1 (tail exactly 0, and only the exception primes <= P are visited),
+    -1 (tail exactly 0, and only the exception primes <= Q are visited),
     like p^(-a) for the power-decay family, not at all for a generic
     constant base (rigorous only for sigma > 1 there).
     """
-    # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > P, with |1 + f(p)| <=
-    # coef p^(-extra) under the base rule; an exception prime past P brings
+    # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > Q, with |1 + f(p)| <=
+    # coef p^(-extra) under the base rule; an exception prime past Q brings
     # its own |x_p|
     coef, extra = _one_plus_f_decay(spec)
 
-    def tail(sigma: float):
-        r1 = (max(P, 1) + 1.0) ** (-sigma)
+    def tail(Q: int, sigma: float):
+        r1 = (max(Q, 1) + 1.0) ** (-sigma)
         kappa = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no bound at tiny sigma
         terms = []
         for p, v in spec.exceptions:
-            if p > P:
+            if p > Q:
                 x = -sigma * math.log(p)  # |1 + v| / (p^sigma - 1), 0 on underflow
                 terms.append(abs(1.0 + v) * math.exp(x) / -math.expm1(x))
         return coef, sigma + extra, kappa, terms
@@ -651,7 +678,7 @@ def euler_product_G(
 def euler_product_U(
     spec: PrimeFunctionSpec, s, P: int, sieve: FactorSieve
 ) -> SeriesEval:
-    """prod_{p<=P} (1 - f(p)^2 p^(-2s)); absolutely convergent for sigma > 1/2.
+    """prod_{p<=Q} (1 - f(p)^2 p^(-2s)), Q <= P; absolutely convergent for sigma > 1/2.
 
     Each factor is 1 + x_p with x_p = -f(p)^2 p^(-2s), summed as
     log(1 + x_p) like G (see ``_log1p_product``).  Evaluated only for
@@ -659,7 +686,7 @@ def euler_product_U(
     negative and has no logarithm.
     """
     # |x_p| <= p^(-2 sigma) for every prime, exceptions included
-    return _euler_product(spec, s, P, sieve, 2, lambda sigma: (1.0, 2.0 * sigma, 1.0, ()))
+    return _euler_product(spec, s, P, sieve, 2, lambda Q, sigma: (1.0, 2.0 * sigma, 1.0, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +756,7 @@ class _SeriesStore:
 
     ``get(name, s)`` memoises by (name, point) the sum at N of the stream
     ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
-    "U" over p <= P.  Each stream is built once, as ``multfunc._coefficients``
+    "U" with P as its cap.  Each stream is built once, as ``multfunc._coefficients``
     gives it (exact integers for a spec with every f(p) in {-1, 0, 1}, the
     stream its partial-sum traces read); the sums at one point of
     several streams share one slice pass (``_dirichlet_sums``), and

@@ -214,14 +214,6 @@ def test_load_config_from_file(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_with_output_dir_replaces_only_that_field():
-    cfg = ExperimentConfig()
-    moved = cfg.with_output_dir("elsewhere")
-    assert moved.output_dir == "elsewhere"
-    assert moved.spec == cfg.spec
-    assert moved.sieve_limit == cfg.sieve_limit
-
-
 def test_constructed_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(sieve_limit=1)

@@ -27,6 +27,7 @@ from multlab.dirichlet import (
     _EPS,
     _EXP_REL,
     _LIBM_ULPS,
+    _UNIT,
     ComplexArgument,
     ConvergenceError,
     DomainError,
@@ -35,6 +36,7 @@ from multlab.dirichlet import (
     SeriesEval,
     _divisor_tail,
     _power_tail,
+    _prime_tail,
     _SeriesStore,
     dirichlet_sum,
     euler_product_G,
@@ -48,7 +50,7 @@ import multlab.multfunc
 import multlab.primesums
 import multlab.sieve
 import multlab.summation
-from multlab.config import ExperimentConfig
+from multlab.config import ExperimentConfig, load_config
 from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
@@ -409,7 +411,9 @@ def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
     # truncated at the same P, so |value - oracle| is rounding alone
     value, allowance = _rounding_only(which, spec, s, P, sieve_1e5)
     public = (euler_product_G if which == "G" else euler_product_U)(spec, s, P, sieve_1e5)
-    assert public.value == value
+    # the public walk ends at Q <= P, the first prime whose tail is below 2^-53
+    Q = int(primes_up_to(P, sieve_1e5)[public.truncation_N - 1])
+    assert public.value == _rounding_only(which, spec, s, Q, sieve_1e5)[0]
     assert 0.0 < allowance < 1e-10 * abs(value)
     oracle = _mp_euler(which, spec, complex(s), primes_up_to(P, sieve_1e5))
     assert abs(mp.mpc(value) - oracle) <= allowance
@@ -426,7 +430,8 @@ _POOLED_SPEC = power_decay_spec(0.5, 0.5, {2: 0.3, 7: -0.5})
 
 
 @pytest.mark.parametrize("product", [euler_product_G, euler_product_U])
-@pytest.mark.parametrize("s", [1.5, complex(1.2, 7.0)])
+# at 1.805+7i U stops after 71,134 primes, still three chunks
+@pytest.mark.parametrize("s", [1.5, complex(1.2, 7.0), complex(1.805, 7.0)])
 def test_euler_products_do_not_depend_on_the_worker_count(product, s, sieve_1e6, monkeypatch):
     auto = _bits(product(_POOLED_SPEC, s, 10**6, sieve_1e6))
     for workers in (1, 3):
@@ -630,6 +635,123 @@ def test_liouville_euler_products_over_the_benchmark_input_range(sieve_1e4):
             assert g.value.imag == 0.0 and u.value.imag == 0.0
             assert g.value.real >= 1.0 - g.tail_bound
             assert 0.0 < u.value.real <= 1.0 + u.tail_bound
+
+
+#: the spec of every golden case, each once
+_GOLDEN_SPECS = list(
+    {
+        load_config(path).spec: None
+        for path in sorted((Path(__file__).resolve().parent / "golden").glob("*/config.cfg"))
+    }
+)
+
+
+def _with_tail_rule(product, spec, s, P, sieve, monkeypatch):
+    """(the product's SeriesEval, its tail rule: Q -> log tail bound past Q)."""
+    seen = []
+    original = multlab.dirichlet._euler_product
+
+    def capturing(spec, s, P, sieve, power, tail):
+        seen.append(tail)
+        return original(spec, s, P, sieve, power, tail)
+
+    with monkeypatch.context() as m:
+        m.setattr(multlab.dirichlet, "_euler_product", capturing)
+        ev = product(spec, s, P, sieve)
+    [tail] = seen
+    return ev, lambda Q: _prime_tail(Q, *tail(Q, complex(s).real))
+
+
+def _full_walk(product, spec, s, P, sieve, log_tail):
+    """The walk over every prime <= P with the tail at P: (value, bound, heuristic)."""
+    primes = primes_up_to(P, sieve)
+    value, rounding = 1.0 + 0.0j, 0.0
+    if primes.size:
+        power = 1 if product is euler_product_G else 2
+        log_p = sieve.log_primes[: primes.size]
+        value, rounding = _log1p_product(spec, primes, log_p, ComplexArgument.of(s), power)
+    bound = math.inf
+    if log_tail <= math.log(sys.float_info.max):
+        bound = abs(value) * math.expm1(log_tail) + rounding
+    return value, bound, not bound < math.inf
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS, ids=lambda spec: spec.spec_id())
+def test_euler_products_stop_where_the_tail_is_below_one_rounding_unit(
+    spec, sieve_1e6, monkeypatch
+):
+    stopped = 0
+    for P in (2, 10**3, 10**6):
+        primes = primes_up_to(P, sieve_1e6)
+        for s in (1.5, 2.0, 3.0, complex(2.0, 3.0)):
+            for product in (euler_product_G, euler_product_U):
+                ev, log_tail = _with_tail_rule(product, spec, s, P, sieve_1e6, monkeypatch)
+                n = ev.truncation_N
+                assert 1 <= n <= primes.size
+                # the walk ends at Q, the first prime whose tail is at most 2^-53
+                if n < primes.size:
+                    stopped += 1
+                    assert log_tail(int(primes[n - 1])) <= _UNIT
+                if n > 1:
+                    assert log_tail(int(primes[n - 2])) > _UNIT
+                # the full walk's enclosure and the stopped one's overlap
+                value, bound, heuristic = _full_walk(
+                    product, spec, s, P, sieve_1e6, log_tail(P)
+                )
+                assert ev.heuristic == heuristic, (product.__name__, P, s)
+                assert abs(ev.value - value) <= ev.tail_bound + bound, (product.__name__, P, s)
+                if n < primes.size:  # the stop costs at most |value| expm1(2^-53)
+                    assert ev.tail_bound <= bound + abs(ev.value) * math.expm1(_UNIT)
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("exceptions", [{}, {3: 0.5, 7: 1.0}])
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, complex(2.0, 3.0)])
+def test_stopped_liouville_u_is_inverse_zeta_times_the_exception_factors(
+    exceptions, s, sieve_1e6
+):
+    ev = euler_product_U(liouville_spec(exceptions), s, 10**6, sieve_1e6)
+    assert not ev.heuristic
+    # from sigma = 2 on the walk stops well short of P
+    stops = ev.truncation_N < primes_up_to(10**6, sieve_1e6).size
+    assert stops == (complex(s).real >= 2.0)
+    z = mp.mpc(complex(s).real, complex(s).imag)
+    oracle = 1 / mp.zeta(2 * z)
+    for p, v in exceptions.items():
+        w = mp.power(p, -2 * z)
+        oracle *= (1 - mp.mpf(v) ** 2 * w) / (1 - w)
+    assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound
+
+
+@pytest.mark.parametrize(
+    "product,spec,s",
+    [
+        (euler_product_U, LIOUVILLE, 0.75),  # tail above 2^-53
+        (euler_product_U, LIOUVILLE, 0.4),  # no tail bound
+        (euler_product_G, constant_spec(0.7), 1.5),  # tail above 2^-53
+        (euler_product_G, constant_spec(0.7), 0.9),  # no tail bound
+    ],
+)
+def test_a_tail_above_one_rounding_unit_walks_every_prime(
+    product, spec, s, sieve_1e6, monkeypatch
+):
+    for P in (10**3, 10**6):
+        ev, log_tail = _with_tail_rule(product, spec, s, P, sieve_1e6, monkeypatch)
+        assert not log_tail(P) <= _UNIT
+        value, bound, heuristic = _full_walk(product, spec, s, P, sieve_1e6, log_tail(P))
+        full = SeriesEval(
+            value, primes_up_to(P, sieve_1e6).size, math.inf if heuristic else bound,
+            heuristic, ev.method,
+        )
+        assert _bits(ev) == _bits(full) and ev == full
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS, ids=lambda spec: spec.spec_id())
+def test_euler_products_at_tiny_sigma_still_raise_with_the_stop(spec, sieve_1e6):
+    for s in (1e-17, 1e-300, complex(1e-300, 1.0)):
+        for product in (euler_product_G, euler_product_U):
+            with pytest.raises(DomainError, match="2\\^"):
+                product(spec, s, 10**6, sieve_1e6)
 
 
 def _ulps(got, exact) -> float:
