@@ -25,9 +25,18 @@ whose log tail bound is at most 2^-53, which adds at most
 |value| expm1(2^-53) to the bound, under 1/30 of the final exp's own
 rounding allowance |value| _EXP_REL = 34 |value| 2^-53; where the tail at
 P is larger, Q = P.
+For a flat base value b the products are deflated by a power of zeta
+(``_deflation``): G = zeta(s)^(1+b) R_G and U = zeta(2s)^(-b^2) R_U, where
+R's log terms are O(p^(-2 sigma)) and O(p^(-4 sigma)), so R's tail has
+exponent 2 sigma for G and 4 sigma for U and the walk stops much earlier.
+The exponent e is 0, the plain walk bit for bit, for power decay with
+c != 0, for G at b = -1 and U at b = 0, for U at sigma <= 1/2, where zeta
+raises, and for a non-integer e off the region where zeta's principal log
+is proven (ks real and above 1, or Re(ks) >= 1.045).
 Where every factor but the exception primes' is exactly 1 (G for a base
-value of -1, U for a base value of 0; ``multfunc._visited``), the product
-visits the exception primes alone, with the bits of the full walk.
+value of -1, U for a base value of 0, and with deflation R for G at b = 0
+and U at b^2 = 1; ``multfunc._visited``), the product visits the
+exception primes alone, with the bits of the full walk where e = 0.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,6 +60,7 @@ import numpy as np
 from .multfunc import (
     DerivedFunctionKind,
     PrimeFunctionSpec,
+    _base_value,
     _coefficients,
     _f_values,
     _one_plus_f_decay,
@@ -212,18 +223,14 @@ def _accel_coefficients(n: int) -> tuple[float, ...]:
     accelerated eta sum, up to its overall sign.
 
     Computed exactly in integers and reduced with Fraction, so each float
-    is correctly rounded; every e_k lies in (-1, 0).
+    is correctly rounded; every e_k lies in (-1, 0).  d_k is n times the
+    prefix sum of the integer terms up to k, each term formed once.
     """
-    d = []
-    for k in range(n + 1):
-        total = 0
-        for i in range(k + 1):
-            total += (
-                math.factorial(n + i - 1)
-                * 4 ** i
-                // (math.factorial(n - i) * math.factorial(2 * i))
-            )
-        d.append(n * total)
+    terms = (
+        math.factorial(n + i - 1) * 4 ** i // (math.factorial(n - i) * math.factorial(2 * i))
+        for i in range(n + 1)
+    )
+    d = [n * total for total in itertools.accumulate(terms)]
     dn = d[n]
     return tuple(float(Fraction((-1) ** k * (dk - dn), dn)) for k, dk in enumerate(d[:n]))
 
@@ -384,6 +391,79 @@ def _numerator(power: int, fp):
     return 1.0 + fp if power == 1 else -(fp * fp)
 
 
+#: zeta's absolute tolerance where it deflates an Euler product (its
+#: relative bound is then about 2-5e-15 at the points the products use)
+_ZETA_TOL = 1e-15
+#: log zeta(1.0443) = pi, so from Re w >= 1.045 on |Im log zeta(w)| <=
+#: log zeta(Re w) < pi and the principal log is the branch continued from +inf
+_BRANCH_SIGMA = 1.045
+#: (e, e log zeta(w), its error bound, sign): no deflation
+_NO_DEFLATION = (0.0, 0j, 0.0, 1.0)
+
+
+def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument):
+    """The power of zeta divided out of G (power 1) or U (power 2) at s.
+
+    With b the base value (``multfunc._base_value``) and w = power s, the
+    product is zeta(w)^e R, R = prod_p (1 + x_p) (1 - p^(-w))^e, where
+    e = 1 + b for G and e = -b^2 for U: then R's log at every prime that
+    is no exception has no p^(-w) term.  Returns (e, e log zeta(w), a
+    bound on that log's error, sign), or ``_NO_DEFLATION`` (e = 0: the
+    plain walk) for power decay with c != 0, for G at b = -1 and U at
+    b = 0 (e = 0 already), for G at sigma <= 1/2 (R's tail needs
+    2 sigma > 1, and zeta is proven for sigma >= 1/2), for U at
+    sigma <= 1/2 (where U's own product does not converge and the walk
+    is kept, heuristic as before), for a non-integer e unless w is
+    real and above 1 or Re w >= _BRANCH_SIGMA (elsewhere the principal log
+    is not proven to be the branch of log zeta continued from +inf), where
+    ``zeta`` raises ConvergenceError or DomainError, and where zeta's bound
+    is not below |zeta|.  e is an integer exactly when b is -1, 0 or 1; an
+    integer e needs no branch, since only exp of the total log is used.
+    PoleError (w = 1: G of b = 0 or 1 at s = 1, a pole of the product)
+    propagates.
+
+    Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` and delta its tail bound
+    over |zeta^|: |log zeta - log zeta^| <= -log(1 - delta) <=
+    delta / (1 - delta).  log zeta^ is 0.5 log(re^2 + im^2) + i arctan2(im,
+    re): the squares and their sum lose 2u, which the log turns into u
+    after halving, and each numpy function adds kappa of its part.  e is
+    1 + b or -b^2 rounded (u |e|), and the product e log rounds once more.
+    To first order the shift's error is at most
+
+        |e| (delta / (1 - delta) + 2u + (kappa + 2u) (|Re L| + |Im L|)),
+
+    L = log zeta^; ``_log1p_product``'s _SLACK covers the second order.
+    At real w the log is of |zeta^|, and sign is -1 where zeta(w) < 0 and
+    e is odd (G of b = 0 at 1/2 < s < 1), so the value stays real.
+    """
+    base = _base_value(spec)
+    if base is None:
+        return _NO_DEFLATION
+    e = 1.0 + base if power == 1 else -(base * base)
+    w = ComplexArgument(power * point.sigma, power * point.t)
+    branch_free = base in (-1.0, 0.0, 1.0) or w.sigma >= _BRANCH_SIGMA or (
+        w.t == 0.0 and w.sigma > 1.0
+    )
+    if e == 0.0 or not w.sigma > (0.5 if power == 1 else 1.0) or not branch_free:
+        return _NO_DEFLATION
+    try:
+        z = zeta(w, _ZETA_TOL)
+    except (ConvergenceError, DomainError):
+        return _NO_DEFLATION
+    re, im = z.value.real, z.value.imag
+    size = re * re + im * im
+    delta = z.tail_bound / abs(z.value) if size > 0.0 else math.inf
+    if not delta < 1.0:
+        return _NO_DEFLATION
+    log_re = 0.5 * float(np.log(size))
+    log_im = float(np.arctan2(im, re)) if w.t != 0.0 else 0.0
+    sign = -1.0 if w.t == 0.0 and re < 0.0 and e % 2.0 == 1.0 else 1.0
+    err = abs(e) * (
+        delta / (1.0 - delta) + 2.0 * _UNIT + (_KAPPA + 2.0 * _UNIT) * (abs(log_re) + abs(log_im))
+    )
+    return e, complex(e * log_re, e * log_im), err, sign
+
+
 def _log1p_product(
     spec: PrimeFunctionSpec,
     primes: np.ndarray,
@@ -391,21 +471,27 @@ def _log1p_product(
     point: ComplexArgument,
     power: int,
     visited: np.ndarray | None = None,
+    deflation: tuple = _NO_DEFLATION,
 ) -> tuple[complex, float]:
-    """(prod_p (1 + x_p), rounding allowance), summed as log(1 + x_p).
+    """(zeta(power s)^e prod_p (1 + x_p) (1 - v_p)^e, rounding allowance), summed as logs.
 
     With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
     g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2; see
     ``_numerator``), where f(p) are the float values of ``spec`` at
-    ``primes`` and ``log_p`` holds log p.  ``visited`` None takes every
-    prime; otherwise it holds the positions of the only primes whose g_p
-    can be nonzero (``multfunc._visited``), and the product skips the
-    others, whose factors are exactly 1 (see "Skipped primes" below).
+    ``primes`` and ``log_p`` holds log p.  ``deflation`` is
+    ``_deflation``'s (e, e log zeta(power s), its error, sign); with
+    e = 0 (the default) the product is prod_p (1 + x_p), and no step
+    below that names e is taken.  ``visited`` None takes every
+    prime; otherwise it holds the positions of the only primes whose
+    term can be nonzero (``multfunc._visited``), and the product skips
+    the others, whose factors are exactly 1 (see "Skipped primes" below).
     Each chunk of _BLOCK primes is one pass: it forms f(p),
     r = exp(-power sigma log p) and phase = -power t log p, so
     v = r (cos phase + i sin phase) and x = a + i b with no complex array.
     log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary part
-    arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  The chunk
+    arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  log(1 - v)
+    is formed the same way from a' + i b' = -v (real s: log1p(-r)),
+    multiplied by e and added to log(1 + x) term by term.  The chunk
     splits each part into exact pieces (``summation._ExactSum``) and sums
     its terms of the allowance (step 4); only those leave it, so no
     whole-length array is built.  The chunks go through ``_ordered_map``,
@@ -434,7 +520,13 @@ def _log1p_product(
     chunk's full length and sums that, in the full walk's order (the
     visited bounds summed alone can differ in the last bit once a chunk
     holds three of them).  The n of step 4 stays the number of primes, and
-    step 6 reads log p of the largest prime, as in the full walk.
+    step 6 reads log p of the largest prime, as in the full walk.  With
+    e != 0 a prime is skipped where the remainder's factor
+    (1 + x_p) (1 - v_p)^e is exactly 1 at the base value (G at b = 0,
+    U at b^2 = 1), though g_p is not 0: leaving it out changes the exact
+    product not at all and skips rounding that the full walk would make
+    and allow for, so value and allowance are rigorous but are the full
+    walk's bits only for e = 0.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -469,11 +561,29 @@ def _log1p_product(
        added in chunk order.  A term whose r or x leaves the normal range
        errs by less than 2^-990 in absolute value; n such amounts are
        added.
+       The term e log(1 - v) (e != 0) is U's log at g = -1, x = -v,
+       a' + i b' = -v, with the same A, since |1 - v| >= 1 - r and
+       2 + r <= 2A.  By steps 2 and 3, U's log errs by at most
+       (|a| + |b|) A^3 ((5 + pi) kappa + 10u + c1 log p) (c1 covers
+       power 1 and 2).  Rounding e (u |e|), the product e log (u) and
+       the sum with log(1 + x) (u in each part, with |Re log(1 - v)|
+       <= A r and |arg(1 - v)| <= pi r / 2) add at most
+       (3 + pi / 2) u |e| A^3 (|a'| + |b'|), well inside c0.  That sum
+       also rounds log(1 + x)'s parts once more: u (|log|1 + x|| +
+       |arg(1 + x)|) <= u (L + pi) |x| <= (2 + pi) u A^3 (|a| + |b|),
+       with |arg(1 + x)| <= pi |x|, which fits in what c0 leaves over
+       G's 16.28 kappa + 32u of steps 2 and 3, 0.72 kappa = 5.76u (U's
+       log uses (5 + pi) kappa + 10u).  The prime's bound is then
+       (|a| + |b| + |e| (|a'| + |b'|)) A^3 (c0 + c1 log p), and n more
+       amounts of 2^-990 are added.  The shift e log zeta(power s) joins
+       the exact sums as two floats, and its error bound
+       (``_deflation``) joins E.
     5. ``math.fsum`` of the pieces rounds each part's exact sum once: add
        u (|Re L| + |Im L|).
        The final exp of L (numpy's complex exp) has relative error
        e = 4 kappa + 2u, so with E the total log error,
-       |prod - value| <= |value| (expm1(E) + e) / (1 - e).
+       |prod - value| <= |value| (expm1(E) + e) / (1 - e).  Negating the
+       value (``_deflation``'s sign) is exact.
     6. Second-order terms and the rounding of this bound's own evaluation
        stay below 2^-6 of it while every per-term bound is below 2^-12 of
        |x_p|; that holds unless A(2)^3 (c0 + c1 log P) > 2^-12 (sigma near
@@ -484,6 +594,7 @@ def _log1p_product(
        2^15 u = 2^-38 relative, and _SLACK covers that too.
     """
     sigma, t = point.sigma, point.t
+    e, shift, shift_err, sign = deflation
     n = primes.size
     c1 = 4.0 * (_KAPPA + _UNIT) * (sigma + abs(t))
     amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
@@ -492,7 +603,9 @@ def _log1p_product(
         with np.errstate(over="ignore"):  # a product past -float max: r = exp(-inf) = 0
             return np.exp((-power * sigma) * lp)
 
-    if not factor_r(log_p[:1])[0] < 1.0:  # r falls with p, so only p = 2 can round to 1
+    # r falls with p, so only p = 2 can round to 1 (a deflated product may
+    # have no prime: it is zeta's power alone)
+    if n and not factor_r(log_p[:1])[0] < 1.0:
         raise DomainError(
             f"Euler product needs 2^(-{power}*sigma) < 1 in float64, got sigma={sigma}"
         )
@@ -525,11 +638,22 @@ def _log1p_product(
             with np.errstate(divide="ignore"):  # log1p(-1) = -inf is caught below
                 re = np.log1p(a * (2.0 + a) + b * b)
             re *= 0.5
-            log_im.add(np.arctan2(b, 1.0 + a))
+            im = np.arctan2(b, 1.0 + a)
             mag = np.abs(a) + np.abs(b)
         if not re.min() >= _LOG_DEGENERATE:
             raise DomainError("degenerate Euler factor encountered")
+        if e:  # plus e log(1 - v), from a' + i b' = -v, term by term
+            if t == 0.0:
+                re += e * np.log1p(-r)
+                mag += abs(e) * r
+            else:
+                a, b = -(r * cos), -(r * sin)
+                re += (0.5 * e) * np.log1p(a * (2.0 + a) + b * b)
+                im += e * np.arctan2(b, 1.0 + a)
+                mag += abs(e) * (np.abs(a) + np.abs(b))
         log_re.add(re)
+        if t != 0.0:
+            log_im.add(im)
         bound = mag * (amp * amp * amp)
         bound *= _TERM_CONST + c1 * lp
         if not isinstance(at, slice):  # the full walk's pairwise order
@@ -546,7 +670,7 @@ def _log1p_product(
             groups.setdefault(pos - pos % _BLOCK, []).append(pos)
         chunks = [(lo, np.array(at, dtype=np.intp)) for lo, at in groups.items()]
     total_re, total_im = _ExactSum(), _ExactSum()
-    log_err = n * _UNDERFLOW
+    log_err = (2 if e else 1) * n * _UNDERFLOW
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
     # spend what they gain in handing the GIL back and forth; so are the
     # few primes of a visited chunk
@@ -555,6 +679,10 @@ def _log1p_product(
         total_re.pieces += re_pieces
         total_im.pieces += im_pieces
         log_err += err
+    if e:
+        total_re.pieces.append(shift.real)
+        total_im.pieces.append(shift.imag)
+        log_err += shift_err
     log_re, log_im = total_re.value(), total_im.value()
     if log_re > _LOG_FLOAT_MAX:
         raise DomainError(
@@ -562,7 +690,9 @@ def _log1p_product(
             f"(log |value| = {log_re:.6g})"
         )
     value = complex(np.exp(complex(log_re, log_im)))
-    if amp_max ** 3 * (_TERM_CONST + c1 * float(log_p[-1])) > _FIRST_ORDER_MAX:
+    if sign < 0.0:
+        value = -value
+    if n and amp_max ** 3 * (_TERM_CONST + c1 * float(log_p[-1])) > _FIRST_ORDER_MAX:
         return value, math.inf
     log_err += _UNIT * (abs(log_re) + abs(log_im))
     rounding = abs(value) * (math.expm1(log_err) + _EXP_REL) / (1.0 - _EXP_REL)
@@ -573,7 +703,9 @@ def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> fl
     """Bound on |log prod_{p>P} (1 + x_p)|, the one prime-tail rule.
 
     Every prime p > P has |x_p| <= kappa coef p^(-exponent), except the
-    exception primes, whose |x_p| bounds are ``terms``.  Bounding the sum
+    exception primes, whose |x_p| bounds are ``terms``.  A bound on
+    |log(1 + x_p)| itself (a deflated remainder's, see ``_euler_product``)
+    may stand in for |x_p|: the result then only errs high.  Bounding the sum
     over primes by the integral over all integers, sum_{p>P} |x_p| <=
     kappa coef P^(1-exponent) / (exponent - 1) + sum(terms) (P read as 1
     when 0), which needs exponent > 1 unless coef = 0.  With zmax the
@@ -594,45 +726,77 @@ def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> fl
 
 
 def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
-    """prod_{p<=Q} (1 + x_p) of G (power 1) or U (power 2; see ``_log1p_product``).
+    """zeta(power s)^e prod_{p<=Q} (1 + x_p) (1 - p^(-power s))^e of G
+    (power 1) or U (power 2; see ``_log1p_product``).
 
-    ``tail(Q, sigma)`` gives (coef, exponent, kappa, terms) of ``_prime_tail``
-    for the primes past Q; the omitted factors then move the product by at
-    most |value| expm1(log tail).  P caps the walk: Q is the first prime
-    <= P whose log tail is at most _UNIT = 2^-53, found by bisection, since
-    the tail does not increase with Q; where the tail at P is larger (or
-    infinite), Q = P and every prime <= P is walked.  The stop costs at
+    e comes from ``_deflation``: for a flat base value b it is 1 + b for G
+    and -b^2 for U where zeta's log is proven there, and 0 otherwise,
+    which is the plain walk prod_{p<=Q} (1 + x_p), bit for bit.  With
+    e != 0 the remainder R's log terms are O(p^(-2 power sigma)) at every
+    prime that is no exception, so its tail converges at twice the
+    exponent and the walk stops much earlier.
+    ``tail(Q, sigma, deflated)`` gives (coef, exponent, kappa, terms) of
+    ``_prime_tail`` for the primes past Q, of the plain product or of R;
+    the omitted factors then move the product by at most
+    |value| expm1(log tail).  P caps the walk: Q is the first prime <= P
+    whose log tail is at most _UNIT = 2^-53, since the tail does not
+    increase with Q; where the tail at P is larger (or infinite), Q = P
+    and every prime <= P is walked.  Q is found by bisection, or, where
+    coef = 0, among 2 and the exception primes <= P, the only primes at
+    which the tail (then a sum over the exceptions past Q) can fall; both
+    give the first prime whose tail is at most 2^-53.  The stop costs at
     most |value| expm1(2^-53) of bound, under 1/30 of the smallest
     rounding allowance |value| _EXP_REL = 34u |value|, and the enclosure
-    is rigorous for any Q.  A prime <= Q whose g_p is zero by the spec's
-    base value is skipped (``multfunc._visited`` of ``_numerator``):
-    for Liouville with finite exceptions G is the finite product over its
-    exception primes, and so is U for the constant 0 base.  The bound is
+    is rigorous for any Q.  A prime <= Q whose term is zero by the spec's
+    base value is skipped (``multfunc._visited``): the plain walk's term
+    at f = b is g_p (``_numerator``) and R's is its first coefficient
+    that e does not cancel, that of p^(-2 power s), -b (1 + b) / 2 for G
+    and b^2 (1 - b^2) / 2 for U, which vanishes only where every other
+    coefficient does.  So for Liouville with finite exceptions G is the
+    finite product over its exception primes and U is 1/zeta(2s) times
+    theirs, while the constant 0 base has U the exception factors and
+    G zeta(s) times theirs.  The bound is
     rigorous while it and the rounding allowance are finite; otherwise (no
     tail bound, or an overflowing expm1 near the edge of convergence) the
-    value is flagged heuristic.  Raises DomainError for sigma <= 0.
+    value is flagged heuristic.  Raises DomainError for sigma <= 0, and
+    PoleError where the deflated G has its pole at s = 1.
     """
     point = ComplexArgument.of(s)
     if point.sigma <= 0:
         raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
+    deflation = _deflation(power, spec, point)
+    e = deflation[0]
 
     def tail_past(Q: int) -> float:
-        return _prime_tail(Q, *tail(Q, point.sigma))
+        return _prime_tail(Q, *tail(Q, point.sigma, bool(e)))
+
+    def term(f):  # zero exactly where the walk's term at f(p) = f is
+        if not e:
+            return _numerator(power, f)
+        return f * (1.0 + f) if power == 1 else f * f * (1.0 - f * f)
 
     primes = primes_up_to(P, sieve)
     log_tail = tail_past(P)
-    if log_tail <= _UNIT:  # the first prime whose tail is as small ends the walk
-        stop = bisect.bisect_left(
-            range(primes.size), True, key=lambda k: tail_past(int(primes[k])) <= _UNIT
-        )
+    if log_tail <= _UNIT and primes.size:  # the first prime whose tail is as small ends the walk
+        if tail(P, point.sigma, bool(e))[0] == 0.0:
+            last = int(primes[-1])
+            exceptions = [q for q, _ in spec.exceptions if q <= last]
+            keys = [0, *np.searchsorted(primes, exceptions).tolist()]
+            stop = next((k for k in keys if tail_past(int(primes[k])) <= _UNIT), primes.size)
+        else:
+            stop = bisect.bisect_left(
+                range(primes.size), True, key=lambda k: tail_past(int(primes[k])) <= _UNIT
+            )
         if stop < primes.size:
             primes = primes[: stop + 1]
             log_tail = tail_past(int(primes[-1]))
     value, rounding = 1.0 + 0.0j, 0.0
-    if primes.size:
+    if primes.size or e:
         log_p = sieve.log_primes[: primes.size]
-        visited = _visited(primes, lambda f: _numerator(power, f), spec)
-        value, rounding = _log1p_product(spec, primes, log_p, point, power, visited)
+        visited = _visited(primes, term, spec)
+        value, rounding = _log1p_product(
+            spec, primes, log_p, point, power, visited, deflation
+        )
     bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
         bound = abs(value) * math.expm1(log_tail) + rounding
@@ -651,25 +815,42 @@ def euler_product_G(
     are summed in real arithmetic with a per-term rounding allowance (see
     ``_log1p_product``), so at real s the value's imaginary part is exactly
     0.0.  P caps the walk, which stops where the tail is below 2^-53 (see
-    ``_euler_product``).  The tail is
-    controlled by how fast 1 + f(p) dies: identically for a base value of
-    -1 (tail exactly 0, and only the exception primes <= Q are visited),
-    like p^(-a) for the power-decay family, not at all for a generic
-    constant base (rigorous only for sigma > 1 there).
+    ``_euler_product``).  For a flat base value b != -1 the product is
+    zeta(s)^(1 + b) R_G (``_deflation``; not for a non-integer 1 + b at
+    real s <= 1 or at complex s with sigma < 1.045), whose log terms are
+    at most |b| p^(-2 sigma) / (1 - p^(-sigma)), so its tail has exponent
+    2 sigma and is rigorous for sigma > 1/2; for sigma <= 1 (integer
+    1 + b) the value is zeta's continuation times R_G, and s = 1 raises
+    PoleError.
+    Otherwise the tail is controlled by how fast 1 + f(p) dies:
+    identically for a base value of -1 (tail exactly 0, and only the
+    exception primes <= Q are visited), like p^(-a) for the power-decay
+    family, and for a constant base left undeflated not at all (rigorous
+    only for sigma > 1 there).
     """
     # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > Q, with |1 + f(p)| <=
     # coef p^(-extra) under the base rule; an exception prime past Q brings
     # its own |x_p|
     coef, extra = _one_plus_f_decay(spec)
+    b = _base_value(spec)
 
-    def tail(Q: int, sigma: float):
+    def tail(Q: int, sigma: float, deflated: bool):
         r1 = (max(Q, 1) + 1.0) ** (-sigma)
         kappa = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no bound at tiny sigma
         terms = []
         for p, v in spec.exceptions:
             if p > Q:
-                x = -sigma * math.log(p)  # |1 + v| / (p^sigma - 1), 0 on underflow
-                terms.append(abs(1.0 + v) * math.exp(x) / -math.expm1(x))
+                x = -sigma * math.log(p)  # r = p^-sigma and 1 - r, r = 0 on underflow
+                r, den = math.exp(x), -math.expm1(x)
+                if deflated:  # R_G's log(1 + v p^-s) + b log(1 - p^-s)
+                    terms.append(abs(v - b) * r + 0.5 * (v * v + abs(b)) * r * r / den)
+                else:  # |1 + v| / (p^sigma - 1)
+                    terms.append(abs(1.0 + v) * r / den)
+        if deflated:
+            # R_G's log at f = b is sum_{k>=2} ((-1)^(k+1) b^k - b) p^(-ks) / k,
+            # each coefficient at most 2|b| / k <= |b|; at an exception
+            # v, (v - b) p^-s plus coefficients (|v|^k + |b|) / k <= (v^2 + |b|) / 2
+            return abs(b), 2.0 * sigma, kappa, terms
         return coef, sigma + extra, kappa, terms
 
     return _euler_product(spec, s, P, sieve, 1, tail)
@@ -683,10 +864,37 @@ def euler_product_U(
     Each factor is 1 + x_p with x_p = -f(p)^2 p^(-2s), summed as
     log(1 + x_p) like G (see ``_log1p_product``).  Evaluated only for
     sigma > 0 (DomainError otherwise): at sigma <= 0 a factor can turn
-    negative and has no logarithm.
+    negative and has no logarithm.  For a flat base value b != 0 and
+    sigma > 1/2 the product is zeta(2s)^(-b^2) R_U (``_deflation``; not
+    for a non-integer b^2 at complex s with sigma < 0.5225), whose log
+    terms are at most b^2 min(1 - b^2, 1/2) p^(-4 sigma) / (1 - p^(-2 sigma)),
+    so its tail has exponent 4 sigma; for the Liouville family that
+    coefficient is 0 and U is 1/zeta(2s) times the exception factors.
+    Otherwise the tail has exponent 2 sigma.
     """
-    # |x_p| <= p^(-2 sigma) for every prime, exceptions included
-    return _euler_product(spec, s, P, sieve, 2, lambda Q, sigma: (1.0, 2.0 * sigma, 1.0, ()))
+    b = _base_value(spec)
+
+    def tail(Q: int, sigma: float, deflated: bool):
+        if not deflated:  # |x_p| <= p^(-2 sigma) for every prime, exceptions included
+            return 1.0, 2.0 * sigma, 1.0, ()
+        # R_U's log at f = b is sum_{k>=2} (b^2 - b^(2k)) p^(-2ks) / k, with
+        # 0 <= b^2 - b^(2k) <= min((k - 1) b^2 (1 - b^2), b^2); at an
+        # exception v, (b^2 - v^2) p^(-2s) plus coefficients (v^(2k) + b^2) / k
+        # <= (v^4 + b^2) / 2; 1 - b^2 and |b^2 - v^2| are formed without
+        # cancellation
+        b2, mb = b * b, abs(b)
+        kappa = 1.0 / (1.0 - (max(Q, 1) + 1.0) ** (-2.0 * sigma))
+        terms = []
+        for p, v in spec.exceptions:
+            if p > Q:
+                x = -2.0 * sigma * math.log(p)  # rho = p^(-2 sigma) and 1 - rho
+                rho, den = math.exp(x), -math.expm1(x)
+                mv = abs(v)
+                first = abs(mb - mv) * (mb + mv)
+                terms.append(first * rho + 0.5 * (mv ** 4 + b2) * rho * rho / den)
+        return b2 * min((1.0 - mb) * (1.0 + mb), 0.5), 4.0 * sigma, kappa, terms
+
+    return _euler_product(spec, s, P, sieve, 2, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,14 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
         ("s_grid = 1100\n", "H", "0", "1100+0i", {"H_eq_zetaF": "pass"}),
         ("s_grid = 1100\n", "G_sum", "0", "1100+0i", {"G_product_vs_sum": "pass"}),
         # the Euler tail factor expm1(log_tail) overflows: a heuristic row
-        ("s_grid = 0.5000001\n", "U", "1", "0.5+0i", {"Fmu2_eq_FU": "inconclusive"}),
+        # (undeflated: a Liouville U there is 1/zeta(2s), with zeta's bound)
+        (
+            "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\n",
+            "U",
+            "1",
+            "0.5+0i",
+            {"Fmu2_eq_FU": "inconclusive"},
+        ),
         (
             "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\n",
             "G_product",

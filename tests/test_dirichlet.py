@@ -27,6 +27,7 @@ from multlab.dirichlet import (
     _EPS,
     _EXP_REL,
     _LIBM_ULPS,
+    _NO_DEFLATION,
     _UNIT,
     ComplexArgument,
     ConvergenceError,
@@ -38,6 +39,7 @@ from multlab.dirichlet import (
     _power_tail,
     _prime_tail,
     _SeriesStore,
+    _deflation,
     dirichlet_sum,
     euler_product_G,
     euler_product_U,
@@ -326,16 +328,19 @@ def test_euler_product_U_below_half_is_heuristic(sieve_1e4):
 
 def test_euler_products_whose_tail_factor_overflows_are_heuristic(sieve_1e4):
     # just right of their lines of convergence the tail bound expm1(log_tail)
-    # overflows float64: U at sigma = 1/2, G for 1 + f(p) = p^(-1/2) / 2 at
-    # sigma = 1/2
+    # overflows float64: U at sigma = 1/2 and G for 1 + f(p) = p^(-1/2) / 2
+    # at sigma = 1/2, both undeflated (power decay)
     for product, spec in (
-        (euler_product_U, LIOUVILLE),
+        (euler_product_U, power_decay_spec(0.5, 0.5)),
         (euler_product_G, power_decay_spec(0.5, 0.5)),
     ):
         ev = product(spec, 0.5000001, 10**3, sieve_1e4)
         assert ev.heuristic and math.isinf(ev.tail_bound)
         assert math.isfinite(ev.value.real) and ev.value.imag == 0.0
         assert not product(spec, 0.6, 10**3, sieve_1e4).heuristic
+    # deflated, Liouville's U is 1/zeta(2s) there, with zeta's bound
+    ev = euler_product_U(LIOUVILLE, 0.5000001, 10**3, sieve_1e4)
+    assert not ev.heuristic and ev.tail_bound < 1e-14
 
 
 def test_euler_product_empty_prime_range(sieve_1e4):
@@ -357,25 +362,41 @@ def test_euler_product_validates_P(sieve_1e4):
             euler_product_U(LIOUVILLE, s, 10**3, sieve_1e4)
 
 
+def _exact_e(which, spec, s) -> mp.mpf:
+    """The exact zeta exponent of G or U at s: 1 + b or -b^2, or 0 undeflated."""
+    power = 1 if which == "G" else 2
+    if _deflation(power, spec, ComplexArgument.of(s))[0] == 0.0:
+        return mp.mpf(0)
+    b = mp.mpf(multlab.multfunc._base_value(spec))
+    return 1 + b if which == "G" else -(b * b)
+
+
 def _mp_euler(which, spec, s, primes):
-    """30-digit product over ``primes`` of the G or U factor at the float f(p)."""
+    """30-digit zeta(w)^e prod over ``primes`` of the G or U factor at the
+    float f(p) times (1 - p^(-w))^e, w = s or 2s, with G's or U's own e."""
     z = mp.mpc(s.real, s.imag)
-    out = mp.mpf(1)
+    w = z if which == "G" else 2 * z
+    e = _exact_e(which, spec, s)
+    out = mp.zeta(w) ** e if e else mp.mpf(1)
     for p, f in zip(primes.tolist(), f_at_primes(spec, primes).tolist()):
         if which == "G":
             ps = mp.power(p, z)
             out *= (ps + f) / (ps - 1)
         else:
             out *= 1 - mp.mpf(f) ** 2 * mp.power(p, -2 * z)
+        if e:
+            out *= (1 - mp.power(p, -w)) ** e
     return out
 
 
 def _rounding_only(which, spec, s, P, sieve):
-    """(value, rounding allowance) of G or U without the truncation tail."""
+    """(value, rounding allowance) of G or U without the truncation tail,
+    deflated as the public product is."""
     primes = primes_up_to(P, sieve)
     log_p = sieve.log_primes[: primes.size]
     power = 1 if which == "G" else 2
-    return _log1p_product(spec, primes, log_p, ComplexArgument.of(s), power)
+    point = ComplexArgument.of(s)
+    return _log1p_product(spec, primes, log_p, point, power, None, _deflation(power, spec, point))
 
 
 _ALLOWANCE_CASES = [
@@ -400,6 +421,11 @@ for _which in ("G", "U"):
         (_which, power_decay_spec(1e-6, 0.5, {2: -0.999999, 3: -0.99}), 1.1, 10**4),
         (_which, power_decay_spec(1e-6, 0.5, {2: -0.999999, 3: -0.99}), complex(2.0, 9.0), 10**4),
     ]
+# deflated, with a non-integer e, at a larger |t| (G at sigma >= 1.045, U at 2 sigma)
+_ALLOWANCE_CASES += [
+    ("G", constant_spec(-0.3, {2: 1.0, 3: 0.25}), complex(1.1, 20.0), 10**4),
+    ("U", constant_spec(0.5, {2: 1.0}), complex(0.55, 20.0), 10**4),
+]
 
 
 @pytest.mark.parametrize(
@@ -408,7 +434,8 @@ for _which in ("G", "U"):
     ids=[f"{w}-{sp.spec_id()}-{s}-{P}" for w, sp, s, P in _ALLOWANCE_CASES],
 )
 def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
-    # truncated at the same P, so |value - oracle| is rounding alone
+    # truncated at the same P, so |value - oracle| is rounding alone; a
+    # deflated product's oracle carries the same zeta(w)^e and (1 - p^-w)^e
     value, allowance = _rounding_only(which, spec, s, P, sieve_1e5)
     public = (euler_product_G if which == "G" else euler_product_U)(spec, s, P, sieve_1e5)
     # the public walk ends at Q <= P, the first prime whose tail is below 2^-53
@@ -518,13 +545,22 @@ def test_euler_products_that_skip_primes_keep_the_bits_of_the_full_walk(
     spec, s, sieve_1e6, monkeypatch
 ):
     for P in (0, 2, 386093, 10**6):
-        for product in (euler_product_G, euler_product_U):
-            skipping = _bits(product(spec, s, P, sieve_1e6))
+        for product, power in ((euler_product_G, 1), (euler_product_U, 2)):
+            skipping = product(spec, s, P, sieve_1e6)
             with monkeypatch.context() as m:
                 # every prime <= P through _log1p_product, the same tail
                 m.setattr(multlab.dirichlet, "_visited", lambda *args: None)
-                full = _bits(product(spec, s, P, sieve_1e6))
-            assert skipping == full, (product.__name__, P)
+                full = product(spec, s, P, sieve_1e6)
+            if _deflation(power, spec, ComplexArgument.of(s))[0] == 0.0:
+                assert _bits(skipping) == _bits(full), (product.__name__, P)
+            else:
+                # U of the Liouville family and G of the constant 0 base,
+                # deflated: a skipped prime's remainder factor is exactly 1,
+                # so the skip drops only the rounding (and its allowance)
+                # that the full walk spends on it
+                assert abs(skipping.value - full.value) <= skipping.tail_bound + full.tail_bound
+                assert skipping.tail_bound <= full.tail_bound
+                assert skipping.truncation_N == full.truncation_N
 
 
 def test_a_skipping_euler_product_at_tiny_sigma_still_raises(sieve_1e6):
@@ -637,13 +673,12 @@ def test_liouville_euler_products_over_the_benchmark_input_range(sieve_1e4):
             assert 0.0 < u.value.real <= 1.0 + u.tail_bound
 
 
-#: the spec of every golden case, each once
-_GOLDEN_SPECS = list(
-    {
-        load_config(path).spec: None
-        for path in sorted((Path(__file__).resolve().parent / "golden").glob("*/config.cfg"))
-    }
-)
+#: each golden spec, once, with the s-points of its cases (the default grid where one sets none)
+_GOLDEN_POINTS: dict = {}
+for _path in sorted((Path(__file__).resolve().parent / "golden").glob("*/config.cfg")):
+    _cfg = load_config(_path)
+    _GOLDEN_POINTS.setdefault(_cfg.spec, set()).update(_cfg.s_grid)
+_GOLDEN_SPECS = list(_GOLDEN_POINTS)
 
 
 def _with_tail_rule(product, spec, s, P, sieve, monkeypatch):
@@ -652,24 +687,28 @@ def _with_tail_rule(product, spec, s, P, sieve, monkeypatch):
     original = multlab.dirichlet._euler_product
 
     def capturing(spec, s, P, sieve, power, tail):
-        seen.append(tail)
+        seen.append((power, tail))
         return original(spec, s, P, sieve, power, tail)
 
     with monkeypatch.context() as m:
         m.setattr(multlab.dirichlet, "_euler_product", capturing)
         ev = product(spec, s, P, sieve)
-    [tail] = seen
-    return ev, lambda Q: _prime_tail(Q, *tail(Q, complex(s).real))
+    [(power, tail)] = seen
+    deflated = _deflation(power, spec, ComplexArgument.of(s))[0] != 0.0
+    return ev, lambda Q: _prime_tail(Q, *tail(Q, complex(s).real, deflated))
 
 
-def _full_walk(product, spec, s, P, sieve, log_tail):
-    """The walk over every prime <= P with the tail at P: (value, bound, heuristic)."""
+def _full_walk(product, spec, s, P, sieve, log_tail, deflate=True):
+    """The walk over every prime <= P with the tail at P: (value, bound,
+    heuristic), deflated as the product is, or plain (``deflate`` False)."""
     primes = primes_up_to(P, sieve)
+    power = 1 if product is euler_product_G else 2
+    point = ComplexArgument.of(s)
+    deflation = _deflation(power, spec, point) if deflate else _NO_DEFLATION
     value, rounding = 1.0 + 0.0j, 0.0
-    if primes.size:
-        power = 1 if product is euler_product_G else 2
+    if primes.size or deflation[0]:
         log_p = sieve.log_primes[: primes.size]
-        value, rounding = _log1p_product(spec, primes, log_p, ComplexArgument.of(s), power)
+        value, rounding = _log1p_product(spec, primes, log_p, point, power, None, deflation)
     bound = math.inf
     if log_tail <= math.log(sys.float_info.max):
         bound = abs(value) * math.expm1(log_tail) + rounding
@@ -706,29 +745,36 @@ def test_euler_products_stop_where_the_tail_is_below_one_rounding_unit(
 
 
 @pytest.mark.parametrize("exceptions", [{}, {3: 0.5, 7: 1.0}])
-@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, complex(2.0, 3.0)])
+@pytest.mark.parametrize(
+    "s",
+    [2.0, complex(1.5, 3.0), 1.0, 0.75, complex(0.75, 5.0), complex(0.6, 14.0), 1.5, 3.0],
+)
 def test_stopped_liouville_u_is_inverse_zeta_times_the_exception_factors(
     exceptions, s, sieve_1e6
 ):
-    ev = euler_product_U(liouville_spec(exceptions), s, 10**6, sieve_1e6)
-    assert not ev.heuristic
-    # from sigma = 2 on the walk stops well short of P
-    stops = ev.truncation_N < primes_up_to(10**6, sieve_1e6).size
-    assert stops == (complex(s).real >= 2.0)
     z = mp.mpc(complex(s).real, complex(s).imag)
     oracle = 1 / mp.zeta(2 * z)
     for p, v in exceptions.items():
         w = mp.power(p, -2 * z)
         oracle *= (1 - mp.mpf(v) ** 2 * w) / (1 - w)
-    assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound
+    for P in (1, 10**6):
+        ev = euler_product_U(liouville_spec(exceptions), s, P, sieve_1e6)
+        assert not ev.heuristic
+        assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound
+        # deflated by zeta(2s), the remainder is the exception factors: the
+        # walk ends at the last exception (no prime at all below P = 2,
+        # where the exceptions are all in the tail)
+        assert ev.truncation_N == (0 if P < 2 else 4 if exceptions else 1)
+        if P >= 2 or not exceptions:
+            assert ev.tail_bound < 1e-12
 
 
 @pytest.mark.parametrize(
     "product,spec,s",
     [
-        (euler_product_U, LIOUVILLE, 0.75),  # tail above 2^-53
+        (euler_product_U, constant_spec(0.7), 0.6),  # deflated, tail above 2^-53
         (euler_product_U, LIOUVILLE, 0.4),  # no tail bound
-        (euler_product_G, constant_spec(0.7), 1.5),  # tail above 2^-53
+        (euler_product_G, constant_spec(0.7), 1.5),  # deflated, tail above 2^-53
         (euler_product_G, constant_spec(0.7), 0.9),  # no tail bound
     ],
 )
@@ -752,6 +798,133 @@ def test_euler_products_at_tiny_sigma_still_raise_with_the_stop(spec, sieve_1e6)
         for product in (euler_product_G, euler_product_U):
             with pytest.raises(DomainError, match="2\\^"):
                 product(spec, s, 10**6, sieve_1e6)
+
+
+def _outcome(product, spec, s, P, sieve):
+    """The product's SeriesEval, or the type of the _NO_VALUE failure it raises."""
+    try:
+        return product(spec, s, P, sieve)
+    except (DomainError, PoleError, ConvergenceError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS, ids=lambda spec: spec.spec_id())
+def test_deflated_products_overlap_the_plain_walk(spec, sieve_1e5, monkeypatch):
+    # both enclose the same product; the plain walk is the product with no
+    # power of zeta divided out, as before deflation
+    deflated = 0
+    for sigma, t in sorted(_GOLDEN_POINTS[spec]):
+        s = complex(sigma, t)
+        for P in (10**3, 10**5):
+            for product, power in ((euler_product_G, 1), (euler_product_U, 2)):
+                ev = _outcome(product, spec, s, P, sieve_1e5)
+                with monkeypatch.context() as m:
+                    m.setattr(multlab.dirichlet, "_deflation", lambda *args: _NO_DEFLATION)
+                    plain = _outcome(product, spec, s, P, sieve_1e5)
+                if isinstance(plain, type):  # sigma <= 0: no product either way
+                    assert ev is plain
+                    continue
+                assert ev.heuristic <= plain.heuristic
+                assert abs(ev.value - plain.value) <= ev.tail_bound + plain.tail_bound
+                if _deflation(power, spec, ComplexArgument.of(s))[0] != 0.0:
+                    deflated += 1
+                    # never wider than the plain walk's, but for zeta's own
+                    # relative bound where the plain walk was already short
+                    assert ev.tail_bound <= plain.tail_bound + 2e-14 * abs(ev.value)
+    flat = multlab.multfunc._base_value(spec) is not None
+    assert (deflated > 0) == flat
+
+
+@pytest.mark.parametrize("c", [-0.9, -0.4, 0.5, 0.7])
+def test_deflated_constant_base_products_match_mpmath(c, sieve_1e6):
+    # G = zeta(s)^(1 + c) R_G and U = zeta(2s)^(-c^2) R_U: R summed at 30
+    # digits over p <= 10^4, plus its proven tail past 10^4, from the log
+    # terms |c| p^(-2 sigma) / (1 - p^-sigma) of R_G and
+    # c^2 min(1 - c^2, 1/2) p^(-4 sigma) / (1 - p^(-2 sigma)) of R_U
+    R = 10**4
+    primes = primes_up_to(R, sieve_1e6).tolist()
+    spec, b = constant_spec(c), mp.mpf(c)
+    for s in (1.1, 1.5, 2.0, complex(2.0, 3.0)):
+        sigma = complex(s).real
+        z = mp.mpc(sigma, complex(s).imag)
+        rest_g = rest_u = mp.mpf(1)
+        for p in primes:
+            v = mp.power(p, -z)
+            rest_g *= (1 + b * v) * (1 - v) ** b
+            rest_u *= (1 - b * b * v * v) * (1 - v * v) ** (-b * b)
+        tail_g = abs(c) / (1 - R**-sigma) * R ** (1 - 2 * sigma) / (2 * sigma - 1)
+        tail_u = c * c * min(1 - c * c, 0.5) / (1 - R ** (-2 * sigma)) * R ** (1 - 4 * sigma) / (4 * sigma - 1)
+        for product, oracle, tail, tight in (
+            (euler_product_G, mp.zeta(z) ** (1 + b) * rest_g, tail_g, 1e-5),
+            (euler_product_U, mp.zeta(2 * z) ** (-b * b) * rest_u, tail_u, 1e-13),
+        ):
+            ev = product(spec, s, 10**6, sieve_1e6)
+            # the walk at 10^6 leaves bounds that the plain walk's tails
+            # (exponents sigma and 2 sigma) cannot reach
+            assert not ev.heuristic and ev.tail_bound < tight, (product.__name__, s)
+            slack = float(abs(oracle)) * math.expm1(tail)
+            assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound + slack, (product.__name__, s)
+            if complex(s).imag == 0.0:
+                assert ev.value.imag == 0.0
+
+
+@pytest.mark.parametrize(
+    "product,spec,s",
+    [
+        # power decay with c != 0: no base value
+        (euler_product_G, power_decay_spec(0.5, 0.5, {3: 0.25}), 1.5),
+        (euler_product_U, power_decay_spec(0.5, 0.5, {3: 0.25}), complex(2.0, 3.0)),
+        # a non-integer e where the principal log of zeta is not proven
+        (euler_product_G, constant_spec(0.7), complex(1.02, 30.0)),
+        (euler_product_U, constant_spec(0.5), complex(0.51, 3.0)),
+        # zeta(power s) raises: its truncation constant at |Im| = 300 is
+        # past the depth cap, and 1 - 2^(1-s) = 0 at s = 1 + 2 pi i / log 2
+        (euler_product_G, constant_spec(0.5), complex(2.0, 300.0)),
+        (euler_product_U, LIOUVILLE, complex(1.5, 150.0)),
+        (euler_product_G, constant_spec(0.0, {3: 0.5}), complex(1.0, 2.0 * math.pi / math.log(2.0))),
+    ],
+)
+def test_undeflated_products_are_the_plain_walk_bit_for_bit(
+    product, spec, s, sieve_1e4, monkeypatch
+):
+    power = 1 if product is euler_product_G else 2
+    assert _deflation(power, spec, ComplexArgument.of(s)) == _NO_DEFLATION
+    P = 10**3
+    ev, log_tail = _with_tail_rule(product, spec, s, P, sieve_1e4, monkeypatch)
+    assert not log_tail(P) <= _UNIT  # no stop: every prime <= P is walked
+    value, bound, heuristic = _full_walk(product, spec, s, P, sieve_1e4, log_tail(P), deflate=False)
+    full = SeriesEval(
+        value, primes_up_to(P, sieve_1e4).size, math.inf if heuristic else bound,
+        heuristic, ev.method,
+    )
+    assert _bits(ev) == _bits(full) and ev == full
+
+
+def test_deflated_g_raises_at_its_pole(sieve_1e4):
+    # an integer 1 + b >= 1 gives G the pole of zeta^(1 + b) at s = 1
+    for spec in (constant_spec(0.0), constant_spec(1.0, {3: 0.5})):
+        with pytest.raises(PoleError):
+            euler_product_G(spec, 1.0, 10**3, sieve_1e4)
+    # a non-integer 1 + b at s = 1 is left undeflated: no tail bound there
+    assert euler_product_G(constant_spec(0.5), 1.0, 10**3, sieve_1e4).heuristic
+
+
+@pytest.mark.parametrize("s", [0.75, 0.9, complex(0.75, 5.0)])
+def test_deflated_g_left_of_one_is_zetas_continuation(s, sieve_1e4):
+    # base 0: zeta(s) times the exception factors (negative at real
+    # 1/2 < s < 1); base 1: zeta(s)^2 / zeta(2s) times theirs
+    z = mp.mpc(complex(s).real, complex(s).imag)
+    for b, leading in ((0.0, mp.zeta(z)), (1.0, mp.zeta(z) ** 2 / mp.zeta(2 * z))):
+        spec = constant_spec(b, {3: 0.5, 7: -1.0})
+        oracle = leading
+        for p, v in spec.exceptions:  # each factor over the base's, (1 + v p^-s) / (1 + b p^-s)
+            ps = mp.power(p, z)
+            oracle *= (ps + v) / (ps + b)
+        ev = euler_product_G(spec, s, 10**4, sieve_1e4)
+        assert not ev.heuristic and ev.tail_bound < (1e-11 if b == 0.0 else 0.1)
+        assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound
+        if complex(s).imag == 0.0:
+            assert ev.value.imag == 0.0 and (ev.value.real < 0.0) == (b == 0.0)
 
 
 def _ulps(got, exact) -> float:
