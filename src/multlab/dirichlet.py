@@ -25,18 +25,31 @@ whose log tail bound is at most 2^-53, which adds at most
 |value| expm1(2^-53) to the bound, under 1/30 of the final exp's own
 rounding allowance |value| _EXP_REL = 34 |value| 2^-53; where the tail at
 P is larger, Q = P.
-For a flat base value b the products are deflated by a power of zeta
-(``_deflation``): G = zeta(s)^(1+b) R_G and U = zeta(2s)^(-b^2) R_U, where
-R's log terms are O(p^(-2 sigma)) and O(p^(-4 sigma)), so R's tail has
-exponent 2 sigma for G and 4 sigma for U and the walk stops much earlier.
-The exponent e is 0, the plain walk bit for bit, for power decay with
-c != 0, for G at b = -1 and U at b = 0, for U at sigma <= 1/2, where zeta
-raises, and for a non-integer e off the region where zeta's principal log
-is proven (ks real and above 1, or Re(ks) >= 1.045).
+Where the factors' logs start with fixed multiples of powers of p, the
+products are deflated by powers of zeta (``_deflation``; H. Cohen, *High
+precision computation of Hardy-Littlewood constants*, 1998): G or U is
+prod_j zeta(w_j)^(e_j) R, w_j = k_j s + m_j a, with the shifts (e_j, w_j)
+of this table, where b is a flat base value and 1 + f(p) = c p^(-a) that
+of power decay:
+
+    G, flat b != -1:        (1 + b, s), (-b (1 + b) / 2, 2s)
+    U, flat b != 0:         (-b^2, 2s)
+    G, power decay, 0 < c <= 2^(1 + a):
+                            (c, s + a), (c, 2s + a), (-c (1 + c) / 2, 2s + 2a)
+    U, the same:            (-1, 2s), (2c, 2s + a), (-c^2, 2s + 2a)
+
+R's log terms are then O(p^(-3 sigma)), O(p^(-4 sigma)),
+O(p^(-(3 sigma + a))) and O(p^(-(4 sigma + a))), so R's tail has that
+exponent and the walk stops much earlier.  A shift whose log zeta is not
+proven ends the list there (a prefix is kept), and R's tail then has the
+exponent of the first shift left out; an empty list, the plain walk bit
+for bit, is left for sigma <= 1/2 and for power decay that clamps some
+f(p) at +1.
 Where every factor but the exception primes' is exactly 1 (G for a base
-value of -1, U for a base value of 0, and with deflation R for G at b = 0
-and U at b^2 = 1; ``multfunc._visited``), the product visits the
-exception primes alone, with the bits of the full walk where e = 0.
+value of -1, U for a base value of 0, and with deflation R for G at
+b = 0 or 1 and U at b^2 = 1; ``multfunc._visited``), the product visits
+the exception primes alone, with the bits of the full walk where no
+shift is divided out.
 
 zeta itself is evaluated through the alternating (eta) series accelerated
 with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
@@ -53,6 +66,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from fractions import Fraction
 
 import numpy as np
@@ -397,71 +411,139 @@ _ZETA_TOL = 1e-15
 #: log zeta(1.0443) = pi, so from Re w >= 1.045 on |Im log zeta(w)| <=
 #: log zeta(Re w) < pi and the principal log is the branch continued from +inf
 _BRANCH_SIGMA = 1.045
-#: (e, e log zeta(w), its error bound, sign): no deflation
-_NO_DEFLATION = (0.0, 0j, 0.0, 1.0)
 
 
-def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument):
-    """The power of zeta divided out of G (power 1) or U (power 2) at s.
+class _Shift(NamedTuple):
+    """zeta(w)^e, one power of zeta divided out of an Euler product."""
 
-    With b the base value (``multfunc._base_value``) and w = power s, the
-    product is zeta(w)^e R, R = prod_p (1 + x_p) (1 - p^(-w))^e, where
-    e = 1 + b for G and e = -b^2 for U: then R's log at every prime that
-    is no exception has no p^(-w) term.  Returns (e, e log zeta(w), a
-    bound on that log's error, sign), or ``_NO_DEFLATION`` (e = 0: the
-    plain walk) for power decay with c != 0, for G at b = -1 and U at
-    b = 0 (e = 0 already), for G at sigma <= 1/2 (R's tail needs
-    2 sigma > 1, and zeta is proven for sigma >= 1/2), for U at
-    sigma <= 1/2 (where U's own product does not converge and the walk
-    is kept, heuristic as before), for a non-integer e unless w is
-    real and above 1 or Re w >= _BRANCH_SIGMA (elsewhere the principal log
-    is not proven to be the branch of log zeta continued from +inf), where
-    ``zeta`` raises ConvergenceError or DomainError, and where zeta's bound
-    is not below |zeta|.  e is an integer exactly when b is -1, 0 or 1; an
-    integer e needs no branch, since only exp of the total log is used.
-    PoleError (w = 1: G of b = 0 or 1 at s = 1, a pole of the product)
-    propagates.
+    e: float
+    #: k s + m a as floats: the point at which zeta and the walk both take it
+    w: ComplexArgument
+    #: whether m a != 0, so Re w carries the rounding of k sigma + m a
+    shifted: bool
+    #: e log zeta(w), and a bound on its error
+    log: complex
+    err: float
+    #: -1.0 where zeta(w) < 0 and e is odd, else 1.0
+    sign: float
+
+
+@functools.lru_cache(maxsize=256)
+def _shift_rows(power: int, spec: PrimeFunctionSpec) -> tuple[tuple[float, int, float, bool], ...]:
+    """(e, k, m a, whether e is an integer) of each shift of G (power 1) or
+    U (power 2), in ascending order of Re w, w = k s + m a.
+
+    For a base value b (``multfunc._base_value``) G's log at p is
+    sum_k ((-1)^(k+1) b^k + 1) p^(-ks) / k and U's is -sum_k b^(2k) p^(-2ks) / k:
+    G takes 1 + b at s and -b (1 + b) / 2 at 2s, U takes -b^2 at 2s.
+    For power decay, 1 + f(p) = c q with q = p^(-a) (``_one_plus_f_decay``),
+    G's log is log(1 + z), z = c q v / (1 - v), v = p^-s, whose terms of
+    order v and v^2 are c q v + c q v^2 - c^2 q^2 v^2 / 2; the shift
+    (c, s + a) also brings -c q^2 v^2 / 2, so the third shift has
+    e = -c (1 + c) / 2.  U's log is log(1 - f(p)^2 v^2) with
+    f(p)^2 = 1 - 2 c q + c^2 q^2, which the three shifts of U cancel term
+    by term at order v^2.  Power decay needs c <= 2^(1 + a), so that no
+    f(p) is clamped at +1 (c > 0 there, since c <= 0 is a base value), and
+    c <= 2^511, so that c^2 is finite; otherwise there is no row.  Each e
+    is formed exactly (``Fraction``) and rounded once, so it is within
+    u |e| of the exact one and is an integer, or zero, exactly when the
+    exact one is.  Shifts with e = 0
+    (G at b = -1 or 0, U at b = 0) divide nothing and are left out; a
+    nonzero e below the normal range (b within 2^-1021 of 0) leaves no
+    row at all, since its rounding is not relative.  Cached per
+    (power, spec): a product calls it twice, and a run many times.
+    """
+    base = _base_value(spec)
+    if base is not None:
+        b = Fraction(base)
+        rows = ((1 + b, 1, 0.0), (-b * (1 + b) / 2, 2, 0.0)) if power == 1 else ((-b * b, 2, 0.0),)
+    else:
+        c, a = _one_plus_f_decay(spec)
+        if not c <= 2.0 ** min(1.0 + a, 511.0):  # clamps no f(p), and c^2 is finite
+            return ()
+        c = Fraction(c)
+        if power == 1:
+            rows = ((c, 1, a), (c, 2, a), (-c * (1 + c) / 2, 2, 2.0 * a))
+        else:
+            rows = ((Fraction(-1), 2, 0.0), (2 * c, 2, a), (-c * c, 2, 2.0 * a))
+    rows = [(float(e), k, ma, e.denominator == 1) for e, k, ma in rows if e != 0]
+    if any(abs(e) < sys.float_info.min for e, *_ in rows):
+        return ()
+    return tuple(rows)
+
+
+def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> tuple[_Shift, ...]:
+    """The powers of zeta divided out of G (power 1) or U (power 2) at s.
+
+    The product is prod_j zeta(w_j)^(e_j) R, with R = prod_p (1 + x_p)
+    prod_j (1 - p^(-w_j))^(e_j), for the shifts (e_j, w_j) of
+    ``_shift_rows``: then R's log at every prime that is no exception has
+    none of the terms they cancel.  Returns the longest prefix of those
+    shifts whose log zeta is proven, as ``_Shift`` values, so () (the
+    plain walk) where the first is not.  Nothing is divided out for
+    sigma <= 1/2 (G's remainder needs 2 sigma > 1 there, and U's own
+    product does not converge; the walk is kept, heuristic as before);
+    past that every w_j has Re w_j >= sigma > 1/2, where zeta's bound is
+    proven.  The list ends at the first shift with a non-integer e unless
+    w is real and above 1 or Re w >= _BRANCH_SIGMA (elsewhere the
+    principal log is not proven to be the branch of log zeta continued from
+    +inf), with m a != 0 unless Re w > 1 (see below), where ``zeta``
+    raises ConvergenceError or DomainError, or where zeta's bound is not
+    below |zeta|.  An integer e needs no branch, since only exp of the
+    total log is used.  PoleError (w = 1: G of b = 0 or 1 at s = 1, a
+    pole of the product) propagates.
 
     Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` and delta its tail bound
     over |zeta^|: |log zeta - log zeta^| <= -log(1 - delta) <=
     delta / (1 - delta).  log zeta^ is 0.5 log(re^2 + im^2) + i arctan2(im,
     re): the squares and their sum lose 2u, which the log turns into u
     after halving, and each numpy function adds kappa of its part.  e is
-    1 + b or -b^2 rounded (u |e|), and the product e log rounds once more.
-    To first order the shift's error is at most
+    the exact one rounded (u |e|, ``_shift_rows``), and the product e log
+    rounds once more.  To first order the shift's error is at most
 
         |e| (delta / (1 - delta) + 2u + (kappa + 2u) (|Re L| + |Im L|)),
 
     L = log zeta^; ``_log1p_product``'s _SLACK covers the second order.
-    At real w the log is of |zeta^|, and sign is -1 where zeta(w) < 0 and
-    e is odd (G of b = 0 at 1/2 < s < 1), so the value stays real.
+    Where m a != 0, Re w = k sigma + m a is rounded: w is off the exact
+    point by d, read exactly off the rounding (TwoSum), and zeta is taken
+    at the float w, which the walk uses too.  For Re w > 1,
+    |zeta'/zeta(w)| <= -zeta'/zeta(Re w) <= 1/(Re w - 1) + 1/e_0
+    (e_0 = 2.718..., from zeta(x) >= 1/(x - 1) and -zeta'(x) <=
+    1/(x - 1)^2 + 1/(e_0 x), the sum of a unimodal function below its
+    integral plus its peak), so for Re w - |d| > 1 the shift's error
+    gains |e| |d| (1/(Re w - |d| - 1) + 1/e_0).  At real w the log is of
+    |zeta^|, and sign is -1 where zeta(w) < 0 and e is odd (G of b = 0 at
+    1/2 < s < 1), so the value stays real.
     """
-    base = _base_value(spec)
-    if base is None:
-        return _NO_DEFLATION
-    e = 1.0 + base if power == 1 else -(base * base)
-    w = ComplexArgument(power * point.sigma, power * point.t)
-    branch_free = base in (-1.0, 0.0, 1.0) or w.sigma >= _BRANCH_SIGMA or (
-        w.t == 0.0 and w.sigma > 1.0
-    )
-    if e == 0.0 or not w.sigma > (0.5 if power == 1 else 1.0) or not branch_free:
-        return _NO_DEFLATION
-    try:
-        z = zeta(w, _ZETA_TOL)
-    except (ConvergenceError, DomainError):
-        return _NO_DEFLATION
-    re, im = z.value.real, z.value.imag
-    size = re * re + im * im
-    delta = z.tail_bound / abs(z.value) if size > 0.0 else math.inf
-    if not delta < 1.0:
-        return _NO_DEFLATION
-    log_re = 0.5 * float(np.log(size))
-    log_im = float(np.arctan2(im, re)) if w.t != 0.0 else 0.0
-    sign = -1.0 if w.t == 0.0 and re < 0.0 and e % 2.0 == 1.0 else 1.0
-    err = abs(e) * (
-        delta / (1.0 - delta) + 2.0 * _UNIT + (_KAPPA + 2.0 * _UNIT) * (abs(log_re) + abs(log_im))
-    )
-    return e, complex(e * log_re, e * log_im), err, sign
+    if not point.sigma > 0.5:
+        return ()
+    shifts = []
+    for e, k, ma, integer in _shift_rows(power, spec):
+        x = k * point.sigma
+        re_w = x + ma
+        slip = (x - (re_w - (re_w - x))) + (ma - (re_w - x))  # re_w + slip = x + ma exactly
+        w = ComplexArgument(re_w, k * point.t)
+        branch_free = integer or re_w >= _BRANCH_SIGMA or (w.t == 0.0 and re_w > 1.0)
+        if not branch_free or (ma and not re_w - abs(slip) > 1.0):
+            break
+        try:
+            z = zeta(w, _ZETA_TOL)
+        except (ConvergenceError, DomainError):
+            break
+        re, im = z.value.real, z.value.imag
+        size = re * re + im * im
+        delta = z.tail_bound / abs(z.value) if size > 0.0 else math.inf
+        if not delta < 1.0:
+            break
+        log_re = 0.5 * float(np.log(size))
+        log_im = float(np.arctan2(im, re)) if w.t != 0.0 else 0.0
+        sign = -1.0 if w.t == 0.0 and re < 0.0 and e % 2.0 == 1.0 else 1.0
+        size_log = abs(log_re) + abs(log_im)
+        err = abs(e) * (delta / (1.0 - delta) + 2.0 * _UNIT + (_KAPPA + 2.0 * _UNIT) * size_log)
+        if slip:
+            err += abs(e) * abs(slip) * (1.0 / (re_w - abs(slip) - 1.0) + 1.0 / math.e)
+        shifts.append(_Shift(e, w, bool(ma), complex(e * log_re, e * log_im), err, sign))
+    return tuple(shifts)
 
 
 def _log1p_product(
@@ -471,27 +553,32 @@ def _log1p_product(
     point: ComplexArgument,
     power: int,
     visited: np.ndarray | None = None,
-    deflation: tuple = _NO_DEFLATION,
+    shifts: tuple[_Shift, ...] = (),
 ) -> tuple[complex, float]:
-    """(zeta(power s)^e prod_p (1 + x_p) (1 - v_p)^e, rounding allowance), summed as logs.
+    """(prod_j zeta(w_j)^(e_j) prod_p (1 + x_p) prod_j (1 - p^(-w_j))^(e_j),
+    rounding allowance), summed as logs.
 
     With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
     g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2; see
     ``_numerator``), where f(p) are the float values of ``spec`` at
-    ``primes`` and ``log_p`` holds log p.  ``deflation`` is
-    ``_deflation``'s (e, e log zeta(power s), its error, sign); with
-    e = 0 (the default) the product is prod_p (1 + x_p), and no step
-    below that names e is taken.  ``visited`` None takes every
-    prime; otherwise it holds the positions of the only primes whose
-    term can be nonzero (``multfunc._visited``), and the product skips
-    the others, whose factors are exactly 1 (see "Skipped primes" below).
+    ``primes`` and ``log_p`` holds log p.  ``shifts`` are ``_deflation``'s
+    (e_j, w_j, e_j log zeta(w_j), its error, sign); with none (the
+    default) the product is prod_p (1 + x_p), and no step below that names
+    a shift is taken.  ``visited`` None takes every prime; otherwise it
+    holds the positions of the only primes whose term can be nonzero
+    (``multfunc._visited``), and the product skips the others, whose
+    factors are exactly 1 (see "Skipped primes" below).
     Each chunk of _BLOCK primes is one pass: it forms f(p),
     r = exp(-power sigma log p) and phase = -power t log p, so
     v = r (cos phase + i sin phase) and x = a + i b with no complex array.
     log(1 + x) has real part 0.5 log1p(2a + a^2 + b^2) and imaginary part
-    arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  log(1 - v)
-    is formed the same way from a' + i b' = -v (real s: log1p(-r)),
-    multiplied by e and added to log(1 + x) term by term.  The chunk
+    arctan2(b, 1 + a) (real s: log1p(a), imaginary part 0).  Each
+    log(1 - v_j), v_j = p^(-w_j), is formed the same way from
+    a'_j + i b'_j = -v_j (real s: log1p(-r_j)), with r_j = exp(-Re w_j log p)
+    and phase -Im w_j log p, each formed once per chunk for each distinct
+    Re w_j and Im w_j (and read from r and the phase where those are
+    power sigma and power t); the terms e_j log(1 - v_j) are summed in shift
+    order and their sum is added to log(1 + x) term by term.  The chunk
     splits each part into exact pieces (``summation._ExactSum``) and sums
     its terms of the allowance (step 4); only those leave it, so no
     whole-length array is built.  The chunks go through ``_ordered_map``,
@@ -521,12 +608,12 @@ def _log1p_product(
     visited bounds summed alone can differ in the last bit once a chunk
     holds three of them).  The n of step 4 stays the number of primes, and
     step 6 reads log p of the largest prime, as in the full walk.  With
-    e != 0 a prime is skipped where the remainder's factor
-    (1 + x_p) (1 - v_p)^e is exactly 1 at the base value (G at b = 0,
-    U at b^2 = 1), though g_p is not 0: leaving it out changes the exact
-    product not at all and skips rounding that the full walk would make
-    and allow for, so value and allowance are rigorous but are the full
-    walk's bits only for e = 0.
+    shifts a prime is skipped where the remainder's factor
+    (1 + x_p) prod_j (1 - v_j)^(e_j) is exactly 1 at the base value (G at
+    b = 0 or 1 with every shift of its row, U at b^2 = 1), though g_p is
+    not 0: leaving it out changes the exact product not at all and skips
+    rounding that the full walk would make and allow for, so value and
+    allowance are rigorous but are the full walk's bits only with no shift.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -561,101 +648,149 @@ def _log1p_product(
        added in chunk order.  A term whose r or x leaves the normal range
        errs by less than 2^-990 in absolute value; n such amounts are
        added.
-       The term e log(1 - v) (e != 0) is U's log at g = -1, x = -v,
-       a' + i b' = -v, with the same A, since |1 - v| >= 1 - r and
-       2 + r <= 2A.  By steps 2 and 3, U's log errs by at most
-       (|a| + |b|) A^3 ((5 + pi) kappa + 10u + c1 log p) (c1 covers
-       power 1 and 2).  Rounding e (u |e|), the product e log (u) and
-       the sum with log(1 + x) (u in each part, with |Re log(1 - v)|
-       <= A r and |arg(1 - v)| <= pi r / 2) add at most
-       (3 + pi / 2) u |e| A^3 (|a'| + |b'|), well inside c0.  That sum
-       also rounds log(1 + x)'s parts once more: u (|log|1 + x|| +
-       |arg(1 + x)|) <= u (L + pi) |x| <= (2 + pi) u A^3 (|a| + |b|),
-       with |arg(1 + x)| <= pi |x|, which fits in what c0 leaves over
-       G's 16.28 kappa + 32u of steps 2 and 3, 0.72 kappa = 5.76u (U's
-       log uses (5 + pi) kappa + 10u).  The prime's bound is then
-       (|a| + |b| + |e| (|a'| + |b'|)) A^3 (c0 + c1 log p), and n more
-       amounts of 2^-990 are added.  The shift e log zeta(power s) joins
-       the exact sums as two floats, and its error bound
-       (``_deflation``) joins E.
+       The term e_j log(1 - v_j) is U's log at g = -1, x = -v_j,
+       a'_j + i b'_j = -v_j.  Every w_j has Re w_j >= power sigma, so
+       r_j <= r, 1 / (1 - r_j) <= A, |1 - v_j| >= 1 - r_j and
+       2 + r_j <= 2A.  By steps 2 and 3 its log errs by at most
+       (|a'_j| + |b'_j|) A^3 ((5 + pi) kappa + 10u + c1_j log p), where
+       c1_j log p covers the 2 (y_j + |phi_j|) eta of step 2 at
+       y_j = Re w_j log p, phi_j = Im w_j log p.  For m a = 0, Re w_j =
+       k sigma is exact with k <= 2 and |Im w_j| = k |t|, and c1 covers it
+       (exactly at k = 2).  For m a != 0, Re w_j = k sigma + m a is rounded
+       once, so y_j carries eta + u and r_j's relative error is at most
+       y_j (eta + u) + kappa; c1_a = 2 (Re w_j + |Im w_j|) eta + 2 Re w_j u,
+       its largest over those shifts, covers them.  Rounding e_j
+       (u |e_j|) and the product e_j log (u in each part) add at most
+       2u |e_j| (|Re log(1 - v_j)| + |arg(1 - v_j)|) <= 2u |e_j| (A r_j +
+       pi r_j / 2).  The shift terms are summed in order and their sum is
+       added to log(1 + x) once, so each passes through at most three
+       additions (a row has at most three shifts), each rounding by u
+       parts to which it adds at most |e_j| A r_j and |e_j| pi r_j / 2.
+       With r_j <= |a'_j| + |b'_j|, all of it is at most
+       5 (1 + pi / 2) u |e_j| A^3 (|a'_j| + |b'_j|), 12.9u, and with U's
+       log 8.14 kappa + 22.9u, well inside c0.  That last addition also
+       rounds log(1 + x)'s parts once more:
+       u (|log|1 + x|| + |arg(1 + x)|) <= u (L + pi) |x| <=
+       (2 + pi) u A^3 (|a| + |b|), with |arg(1 + x)| <= pi |x|, which fits
+       in what c0 leaves over G's 16.28 kappa + 32u of steps 2 and 3,
+       0.72 kappa = 5.76u.  The prime's bound is then
+       (|a| + |b| + sum_(m a = 0) |e_j| (|a'_j| + |b'_j|)) A^3 (c0 + c1 log p)
+       + sum_(m a != 0) |e_j| (|a'_j| + |b'_j|) A^3 (c0 + c1_a log p),
+       and n more amounts of 2^-990 are added for each shift.  Each shift's
+       e_j log zeta(w_j) joins the exact sums as two floats, and its error
+       bound (``_deflation``) joins E.
     5. ``math.fsum`` of the pieces rounds each part's exact sum once: add
        u (|Re L| + |Im L|).
        The final exp of L (numpy's complex exp) has relative error
        e = 4 kappa + 2u, so with E the total log error,
        |prod - value| <= |value| (expm1(E) + e) / (1 - e).  Negating the
-       value (``_deflation``'s sign) is exact.
+       value (the product of the shifts' signs) is exact.
     6. Second-order terms and the rounding of this bound's own evaluation
        stay below 2^-6 of it while every per-term bound is below 2^-12 of
-       |x_p|; that holds unless A(2)^3 (c0 + c1 log P) > 2^-12 (sigma near
-       0, or (sigma + |t|) log P above about 6 10^10), where the allowance
-       is infinite.  The bound's own rounding includes the chunk sums of
+       |x_p|; that holds unless A(2)^3 (c0 + c1' log P) > 2^-12, with c1'
+       the larger of c1 and c1_a (sigma near 0, or (sigma + |t| + a) log P
+       above about 6 10^10), where the allowance is infinite.  The bound's
+       own rounding includes the chunk sums of
        step 4: numpy's ``sum`` of at most _BLOCK nonnegative terms (never
        BLAS, whose threads could change the bits) errs by less than
        2^15 u = 2^-38 relative, and _SLACK covers that too.
     """
     sigma, t = point.sigma, point.t
-    e, shift, shift_err, sign = deflation
     n = primes.size
     c1 = 4.0 * (_KAPPA + _UNIT) * (sigma + abs(t))
+    c1_a = max(
+        (2.0 * (sh.w.sigma + abs(sh.w.t)) * (_KAPPA + _UNIT) + 2.0 * sh.w.sigma * _UNIT
+         for sh in shifts if sh.shifted),
+        default=None,
+    )
     amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
 
-    def factor_r(lp: np.ndarray) -> np.ndarray:
+    def factor_r(lp: np.ndarray, exponent: float = power * sigma) -> np.ndarray:
         with np.errstate(over="ignore"):  # a product past -float max: r = exp(-inf) = 0
-            return np.exp((-power * sigma) * lp)
+            return np.exp(-exponent * lp)
 
     # r falls with p, so only p = 2 can round to 1 (a deflated product may
-    # have no prime: it is zeta's power alone)
+    # have no prime: it is the powers of zeta alone)
     if n and not factor_r(log_p[:1])[0] < 1.0:
         raise DomainError(
             f"Euler product needs 2^(-{power}*sigma) < 1 in float64, got sigma={sigma}"
         )
 
-    def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
-        # runs on a pool thread: private helpers only (see _ordered_map)
-        lo, at = item
-        lp = log_p[at]
-        fp = _f_values(spec, primes[at])
-        r = factor_r(lp)
-        amp = 1.0 / (1.0 - r)
+    def phase_trig(lp: np.ndarray, w_t: float) -> tuple[np.ndarray, np.ndarray]:
+        phase = (-w_t) * lp
+        return np.cos(phase), np.sin(phase)
+
+    def own_log(fp: np.ndarray, r: np.ndarray, amp: np.ndarray, cos, sin) -> tuple:
+        """(Re, Im or None at real s, |a| + |b|) of each log(1 + x_p); its
+        temporaries die on return, so a chunk holds few arrays at once."""
         g = _numerator(power, fp)
-        log_re, log_im = _ExactSum(), _ExactSum()
         if t == 0.0:
             a = g * r
             if power == 1:
                 a *= amp
-            re = np.log1p(a)
-            mag = np.abs(a)
+            return np.log1p(a), None, np.abs(a)
+        if power == 1:
+            dr = cos - r
+            w = g * r / (dr * dr + sin * sin)
+            a, b = w * dr, w * sin
         else:
-            phase = (-power * t) * lp
-            cos, sin = np.cos(phase), np.sin(phase)
-            if power == 1:
-                dr = cos - r
-                w = g * r / (dr * dr + sin * sin)
-                a, b = w * dr, w * sin
-            else:
-                w = g * r
-                a, b = w * cos, w * sin
-            with np.errstate(divide="ignore"):  # log1p(-1) = -inf is caught below
-                re = np.log1p(a * (2.0 + a) + b * b)
-            re *= 0.5
-            im = np.arctan2(b, 1.0 + a)
-            mag = np.abs(a) + np.abs(b)
+            w = g * r
+            a, b = w * cos, w * sin
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf is caught in the chunk
+            re = np.log1p(a * (2.0 + a) + b * b)
+        re *= 0.5
+        return re, np.arctan2(b, 1.0 + a), np.abs(a) + np.abs(b)
+
+    def shift_log(e: float, r: np.ndarray, cos, sin) -> tuple:
+        """(Re, Im or None, |e| (|a'| + |b'|)) of each e log(1 - v), from a' + i b' = -v."""
+        if t == 0.0:
+            return e * np.log1p(-r), None, abs(e) * r
+        a, b = -(r * cos), -(r * sin)
+        re = (0.5 * e) * np.log1p(a * (2.0 + a) + b * b)
+        return re, e * np.arctan2(b, 1.0 + a), abs(e) * (np.abs(a) + np.abs(b))
+
+    def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
+        # runs on a pool thread: private helpers only (see _ordered_map)
+        lo, at = item
+        lp = log_p[at]
+        r = factor_r(lp)
+        amp = 1.0 / (1.0 - r)
+        # r and the phase's cos and sin by Re w and Im w, each formed once
+        rs = {power * sigma: r}
+        trigs = {} if t == 0.0 else {power * t: phase_trig(lp, power * t)}
+        re, im, mag = own_log(_f_values(spec, primes[at]), r, amp, *trigs.get(power * t, (None, None)))
         if not re.min() >= _LOG_DEGENERATE:
             raise DomainError("degenerate Euler factor encountered")
-        if e:  # plus e log(1 - v), from a' + i b' = -v, term by term
-            if t == 0.0:
-                re += e * np.log1p(-r)
-                mag += abs(e) * r
-            else:
-                a, b = -(r * cos), -(r * sin)
-                re += (0.5 * e) * np.log1p(a * (2.0 + a) + b * b)
-                im += e * np.arctan2(b, 1.0 + a)
-                mag += abs(e) * (np.abs(a) + np.abs(b))
+        mag_a = 0.0
+        if shifts:  # plus sum_j e_j log(1 - v_j), term by term
+            sum_re = sum_im = None
+            for sh in shifts:
+                if sh.w.sigma not in rs:
+                    rs[sh.w.sigma] = factor_r(lp, sh.w.sigma)
+                if t != 0.0 and sh.w.t not in trigs:
+                    trigs[sh.w.t] = phase_trig(lp, sh.w.t)
+                term_re, term_im, size = shift_log(
+                    sh.e, rs[sh.w.sigma], *trigs.get(sh.w.t, (None, None))
+                )
+                sum_re = term_re if sum_re is None else sum_re + term_re
+                if t != 0.0:
+                    sum_im = term_im if sum_im is None else sum_im + term_im
+                if sh.shifted:
+                    mag_a = mag_a + size
+                else:
+                    mag += size
+            re += sum_re
+            if t != 0.0:
+                im += sum_im
+        log_re, log_im = _ExactSum(), _ExactSum()
         log_re.add(re)
         if t != 0.0:
             log_im.add(im)
-        bound = mag * (amp * amp * amp)
+        cube = amp * amp * amp
+        bound = mag * cube
         bound *= _TERM_CONST + c1 * lp
+        if c1_a is not None:
+            bound += mag_a * cube * (_TERM_CONST + c1_a * lp)
         if not isinstance(at, slice):  # the full walk's pairwise order
             full = np.zeros(min(_BLOCK, n - lo))
             full[at - lo] = bound
@@ -670,7 +805,7 @@ def _log1p_product(
             groups.setdefault(pos - pos % _BLOCK, []).append(pos)
         chunks = [(lo, np.array(at, dtype=np.intp)) for lo, at in groups.items()]
     total_re, total_im = _ExactSum(), _ExactSum()
-    log_err = (2 if e else 1) * n * _UNDERFLOW
+    log_err = (1 + len(shifts)) * n * _UNDERFLOW
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
     # spend what they gain in handing the GIL back and forth; so are the
     # few primes of a visited chunk
@@ -679,10 +814,12 @@ def _log1p_product(
         total_re.pieces += re_pieces
         total_im.pieces += im_pieces
         log_err += err
-    if e:
-        total_re.pieces.append(shift.real)
-        total_im.pieces.append(shift.imag)
-        log_err += shift_err
+    sign = 1.0
+    for sh in shifts:
+        total_re.pieces.append(sh.log.real)
+        total_im.pieces.append(sh.log.imag)
+        log_err += sh.err
+        sign *= sh.sign
     log_re, log_im = total_re.value(), total_im.value()
     if log_re > _LOG_FLOAT_MAX:
         raise DomainError(
@@ -692,7 +829,8 @@ def _log1p_product(
     value = complex(np.exp(complex(log_re, log_im)))
     if sign < 0.0:
         value = -value
-    if n and amp_max ** 3 * (_TERM_CONST + c1 * float(log_p[-1])) > _FIRST_ORDER_MAX:
+    c1_max = c1 if c1_a is None else max(c1, c1_a)
+    if n and amp_max ** 3 * (_TERM_CONST + c1_max * float(log_p[-1])) > _FIRST_ORDER_MAX:
         return value, math.inf
     log_err += _UNIT * (abs(log_re) + abs(log_im))
     rounding = abs(value) * (math.expm1(log_err) + _EXP_REL) / (1.0 - _EXP_REL)
@@ -725,19 +863,53 @@ def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> fl
     return total / (1.0 - zmax) if zmax < 0.5 else math.inf
 
 
-def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
-    """zeta(power s)^e prod_{p<=Q} (1 + x_p) (1 - p^(-power s))^e of G
-    (power 1) or U (power 2; see ``_log1p_product``).
+def _omitted_tail(bound, Q: int, sigma: float, omitted) -> tuple:
+    """``_prime_tail``'s (coef, exponent, kappa, terms) past Q for a
+    remainder whose shifts ``omitted`` (rows of ``_shift_rows``) were not
+    divided out, from ``bound``, those of the remainder with every shift.
 
-    e comes from ``_deflation``: for a flat base value b it is 1 + b for G
-    and -b^2 for U where zeta's log is proven there, and 0 otherwise,
-    which is the plain walk prod_{p<=Q} (1 + x_p), bit for bit.  With
-    e != 0 the remainder R's log terms are O(p^(-2 power sigma)) at every
-    prime that is no exception, so its tail converges at twice the
-    exponent and the walk stops much earlier.
+    Each omitted shift (e, w) puts e log(1 - p^-w) back into every prime's
+    log, at most |e| p^(-x) / (1 - p^(-x)), x = Re w, at exception primes
+    too.  With low the smallest such x (the first one's, as the rows
+    ascend), p^(-y) <= p^(-low) (Q + 1)^(low - y) for p > Q and y >= low, so
+    every prime past Q has a log term of at most coef' p^(-low), coef' =
+    coef kappa (Q + 1)^(low - exponent) + sum |e| (Q + 1)^(low - x) /
+    (1 - (Q + 1)^(-x)); the exception terms keep their own bounds, and
+    ``_prime_tail`` sums coef' over every integer past Q, exceptions
+    included.  coef' falls as Q grows.  No omitted shift: ``bound`` itself.
+    """
+    if not omitted:
+        return bound
+    coef, exponent, kappa, terms = bound
+    q1 = max(Q, 1) + 1.0
+    exps = [k * sigma + ma for _, k, ma, _ in omitted]
+    low = min(exps)
+    def drop(y: float) -> float:  # (Q + 1)^(low - y), 1 at y = low (inf included)
+        return q1 ** (low - y) if y > low else 1.0
+
+    lead = coef * kappa * drop(exponent) if coef != 0.0 else 0.0
+    for (e, *_), x in zip(omitted, exps):
+        lead += abs(e) * drop(x) / -math.expm1(-x * math.log(q1))
+    return lead, low, 1.0, terms
+
+
+def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
+    """prod_j zeta(w_j)^(e_j) prod_{p<=Q} (1 + x_p) prod_j (1 - p^(-w_j))^(e_j)
+    of G (power 1) or U (power 2; see ``_log1p_product``).
+
+    The shifts (e_j, w_j) come from ``_deflation``: the longest prefix of
+    G's or U's row of ``_shift_rows`` whose log zeta is proven at s.  With
+    none, this is the plain walk prod_{p<=Q} (1 + x_p), bit for bit.  With
+    every shift of the row the remainder R's log terms at every prime that
+    is no exception are O(p^(-3 sigma)) (G, flat base), O(p^(-4 sigma))
+    (U, flat), O(p^(-(3 sigma + a))) (G, power decay) or
+    O(p^(-(4 sigma + a))) (U, power decay), so its tail converges at a
+    much larger exponent and the walk stops much earlier; with a shorter
+    prefix the tail has the exponent of the first shift left out
+    (``_omitted_tail``).
     ``tail(Q, sigma, deflated)`` gives (coef, exponent, kappa, terms) of
-    ``_prime_tail`` for the primes past Q, of the plain product or of R;
-    the omitted factors then move the product by at most
+    ``_prime_tail`` for the primes past Q, of the plain product or of R
+    with every shift; the omitted factors then move the product by at most
     |value| expm1(log tail).  P caps the walk: Q is the first prime <= P
     whose log tail is at most _UNIT = 2^-53, since the tail does not
     increase with Q; where the tail at P is larger (or infinite), Q = P
@@ -748,14 +920,17 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     most |value| expm1(2^-53) of bound, under 1/30 of the smallest
     rounding allowance |value| _EXP_REL = 34u |value|, and the enclosure
     is rigorous for any Q.  A prime <= Q whose term is zero by the spec's
-    base value is skipped (``multfunc._visited``): the plain walk's term
-    at f = b is g_p (``_numerator``) and R's is its first coefficient
-    that e does not cancel, that of p^(-2 power s), -b (1 + b) / 2 for G
-    and b^2 (1 - b^2) / 2 for U, which vanishes only where every other
-    coefficient does.  So for Liouville with finite exceptions G is the
-    finite product over its exception primes and U is 1/zeta(2s) times
-    theirs, while the constant 0 base has U the exception factors and
-    G zeta(s) times theirs.  The bound is
+    base value b is skipped (``multfunc._visited``): the plain walk's term
+    at f = b is g_p (``_numerator``), and R's vanishes exactly where its
+    every coefficient does: for G with every shift at b in {-1, 0, 1}
+    (its coefficients are (b^k - b) / k for odd k and (b^2 - b^k) / k for
+    even k, from k = 3 on), for G with (1 + b, s) alone where
+    -b (1 + b) / 2, that of p^(-2s), is 0, and for U at b^2 in {0, 1}
+    (coefficients (b^2 - b^(2k)) / k).  So for Liouville with finite
+    exceptions G is the finite product over its exception primes and U is
+    1/zeta(2s) times theirs, while the constant 0 base has U the exception
+    factors and G zeta(s) times theirs, and the constant 1 base has G
+    zeta(s)^2 / zeta(2s) times theirs.  The bound is
     rigorous while it and the rounding allowance are finite; otherwise (no
     tail bound, or an overflowing expm1 near the edge of convergence) the
     value is flagged heuristic.  Raises DomainError for sigma <= 0, and
@@ -764,21 +939,26 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     point = ComplexArgument.of(s)
     if point.sigma <= 0:
         raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
-    deflation = _deflation(power, spec, point)
-    e = deflation[0]
+    shifts = _deflation(power, spec, point)
+    omitted = _shift_rows(power, spec)[len(shifts):] if shifts else ()
+
+    def tail_at(Q: int) -> tuple:
+        return _omitted_tail(tail(Q, point.sigma, bool(shifts)), Q, point.sigma, omitted)
 
     def tail_past(Q: int) -> float:
-        return _prime_tail(Q, *tail(Q, point.sigma, bool(e)))
+        return _prime_tail(Q, *tail_at(Q))
 
     def term(f):  # zero exactly where the walk's term at f(p) = f is
-        if not e:
+        if not shifts:
             return _numerator(power, f)
-        return f * (1.0 + f) if power == 1 else f * f * (1.0 - f * f)
+        if power == 2:
+            return f * f * (1.0 - f * f)
+        return f * (1.0 + f) * (1.0 if omitted else 1.0 - f)
 
     primes = primes_up_to(P, sieve)
     log_tail = tail_past(P)
     if log_tail <= _UNIT and primes.size:  # the first prime whose tail is as small ends the walk
-        if tail(P, point.sigma, bool(e))[0] == 0.0:
+        if tail_at(P)[0] == 0.0:
             last = int(primes[-1])
             exceptions = [q for q, _ in spec.exceptions if q <= last]
             keys = [0, *np.searchsorted(primes, exceptions).tolist()]
@@ -791,12 +971,10 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
             primes = primes[: stop + 1]
             log_tail = tail_past(int(primes[-1]))
     value, rounding = 1.0 + 0.0j, 0.0
-    if primes.size or e:
+    if primes.size or shifts:
         log_p = sieve.log_primes[: primes.size]
         visited = _visited(primes, term, spec)
-        value, rounding = _log1p_product(
-            spec, primes, log_p, point, power, visited, deflation
-        )
+        value, rounding = _log1p_product(spec, primes, log_p, point, power, visited, shifts)
     bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
         bound = abs(value) * math.expm1(log_tail) + rounding
@@ -815,18 +993,47 @@ def euler_product_G(
     are summed in real arithmetic with a per-term rounding allowance (see
     ``_log1p_product``), so at real s the value's imaginary part is exactly
     0.0.  P caps the walk, which stops where the tail is below 2^-53 (see
-    ``_euler_product``).  For a flat base value b != -1 the product is
-    zeta(s)^(1 + b) R_G (``_deflation``; not for a non-integer 1 + b at
-    real s <= 1 or at complex s with sigma < 1.045), whose log terms are
-    at most |b| p^(-2 sigma) / (1 - p^(-sigma)), so its tail has exponent
-    2 sigma and is rigorous for sigma > 1/2; for sigma <= 1 (integer
-    1 + b) the value is zeta's continuation times R_G, and s = 1 raises
-    PoleError.
+    ``_euler_product``).  For sigma > 1/2 the product is deflated
+    (``_deflation``): for a flat base value b != -1 it is
+    zeta(s)^(1 + b) zeta(2s)^(-b (1 + b) / 2) R_G, and for power decay
+    with 1 + f(p) = c p^(-a), 0 < c <= 2^(1 + a), it is
+    zeta(s + a)^c zeta(2s + a)^c zeta(2s + 2a)^(-c (1 + c) / 2) R_G; a
+    non-integer power is taken only at real w > 1 or Re w >= 1.045, and a
+    power at s + a only for Re(s + a) > 1.  R_G's tail has exponent
+    3 sigma or 3 sigma + a (or that of the first power left out); for
+    sigma <= 1 (an integer 1 + b) the value is zeta's continuation times
+    R_G, and s = 1 raises PoleError.
     Otherwise the tail is controlled by how fast 1 + f(p) dies:
     identically for a base value of -1 (tail exactly 0, and only the
-    exception primes <= Q are visited), like p^(-a) for the power-decay
-    family, and for a constant base left undeflated not at all (rigorous
-    only for sigma > 1 there).
+    exception primes <= Q are visited), like p^(-a) for power decay,
+    and for a constant base left undeflated not at all (rigorous only for
+    sigma > 1 there).
+
+    R_G's tail (log terms past Q, v = p^-s, r = p^-sigma, Q1 = Q + 1).
+    Flat b: R_G's log at f = b is sum_{k>=3} c_k v^k with
+    c_k = (b^k - b) / k for odd k and (b^2 - b^k) / k for even k; for
+    b >= 0, |c_k| <= b min(1/k, (1 - b) (k - 1) / k) (from
+    1 - b^j <= j (1 - b)), and for b < 0, |c_k| <= |b| / k, so every
+    |c_k| <= M = |b| min(1/3, 1 - b), 0 at b = 0 and 1, and the log is
+    at most M r^3 / (1 - r).  At an exception v_e, R_G's log is
+    log(1 + v_e v) + b log(1 - v) - b (1 + b) / 2 log(1 - v^2):
+    (v_e - b) v plus at most (v_e^2 + |b| (2 + b)) r^2 / (2 (1 - r)).
+    Power decay, q = p^-a, z = c q v / (1 - v): R_G's log is
+    log(1 + z) + c log(1 - q v) + c log(1 - q v^2) - c (1 + c) / 2
+    log(1 - q^2 v^2), whose terms in v and v^2 cancel; with
+    log(1 + z) = z - z^2 / 2 + T, |T| <= |z|^3 / (3 (1 - |z|)),
+    v / (1 - v) = v + v^2 + v^3 / (1 - v) and
+    1 / (1 - v)^2 = 1 + v (2 - v) / (1 - v)^2, what is left is
+    T + c q v^3 / (1 - v) - c^2 q^2 v^3 (2 - v) / (2 (1 - v)^2)
+    - c sum_{m>=3} (q v)^m / m - c sum_{m>=2} (q v^2)^m / m
+    + c (1 + c) / 2 sum_{m>=2} (q^2 v^2)^m / m, at most
+    c q r^3 K with K = 1/(1 - r) + c q (2 + r) / (2 (1 - r)^2)
+    + c^2 q^2 / (3 (1 - r)^3 (1 - Z)) + q^2 / (3 (1 - r)) + q r / (2 (1 - r))
+    + (1 + c) q^3 r / (4 (1 - r)), Z = c q r / (1 - r) < 1, which falls
+    with p: coef c, exponent 3 sigma + a, kappa K at Q1.  At an exception
+    v_e: (v_e - f_b) v, f_b = -1 + c q, plus at most
+    ((1 + v_e^2) / 2 + c q + c (2 + c) q^2 / 2) r^2 / (1 - r), the five
+    logs' terms past their first bounded one by one.
     """
     # |x_p| <= kappa |1 + f(p)| p^(-sigma) for p > Q, with |1 + f(p)| <=
     # coef p^(-extra) under the base rule; an exception prime past Q brings
@@ -835,23 +1042,40 @@ def euler_product_G(
     b = _base_value(spec)
 
     def tail(Q: int, sigma: float, deflated: bool):
-        r1 = (max(Q, 1) + 1.0) ** (-sigma)
+        q1 = max(Q, 1) + 1.0
+        r1 = q1 ** (-sigma)
         kappa = 1.0 / (1.0 - r1) if r1 < 1.0 else math.inf  # no bound at tiny sigma
         terms = []
         for p, v in spec.exceptions:
             if p > Q:
                 x = -sigma * math.log(p)  # r = p^-sigma and 1 - r, r = 0 on underflow
                 r, den = math.exp(x), -math.expm1(x)
-                if deflated:  # R_G's log(1 + v p^-s) + b log(1 - p^-s)
-                    terms.append(abs(v - b) * r + 0.5 * (v * v + abs(b)) * r * r / den)
-                else:  # |1 + v| / (p^sigma - 1)
+                if not deflated:  # |1 + v| / (p^sigma - 1)
                     terms.append(abs(1.0 + v) * r / den)
-        if deflated:
-            # R_G's log at f = b is sum_{k>=2} ((-1)^(k+1) b^k - b) p^(-ks) / k,
-            # each coefficient at most 2|b| / k <= |b|; at an exception
-            # v, (v - b) p^-s plus coefficients (|v|^k + |b|) / k <= (v^2 + |b|) / 2
-            return abs(b), 2.0 * sigma, kappa, terms
-        return coef, sigma + extra, kappa, terms
+                elif b is not None:
+                    terms.append(abs(v - b) * r + 0.5 * (v * v + abs(b) * (2.0 + b)) * r * r / den)
+                else:  # v - f_b = (1 + v) - c q
+                    q = p ** -extra
+                    rest = 0.5 * (1.0 + v * v) + coef * q * (1.0 + 0.5 * (2.0 + coef) * q)
+                    terms.append(abs((1.0 + v) - coef * q) * r + rest * r * r / den)
+        if not deflated:
+            return coef, sigma + extra, kappa, terms
+        if b is not None:
+            return abs(b) * min(1.0 / 3.0, 1.0 - b), 3.0 * sigma, kappa, terms
+        q, c = q1 ** (-extra), coef
+        z = c * q * r1 * kappa
+        if z < 1.0:
+            kappa = (
+                kappa
+                + c * q * (2.0 + r1) * 0.5 * kappa * kappa
+                + c * c * q * q * kappa ** 3 / (3.0 * (1.0 - z))
+                + q * q * kappa / 3.0
+                + q * r1 * 0.5 * kappa
+                + (1.0 + c) * q ** 3 * r1 * 0.25 * kappa
+            )
+        else:
+            kappa = math.inf
+        return c, 3.0 * sigma + extra, kappa, terms
 
     return _euler_product(spec, s, P, sieve, 1, tail)
 
@@ -864,35 +1088,63 @@ def euler_product_U(
     Each factor is 1 + x_p with x_p = -f(p)^2 p^(-2s), summed as
     log(1 + x_p) like G (see ``_log1p_product``).  Evaluated only for
     sigma > 0 (DomainError otherwise): at sigma <= 0 a factor can turn
-    negative and has no logarithm.  For a flat base value b != 0 and
-    sigma > 1/2 the product is zeta(2s)^(-b^2) R_U (``_deflation``; not
-    for a non-integer b^2 at complex s with sigma < 0.5225), whose log
-    terms are at most b^2 min(1 - b^2, 1/2) p^(-4 sigma) / (1 - p^(-2 sigma)),
-    so its tail has exponent 4 sigma; for the Liouville family that
-    coefficient is 0 and U is 1/zeta(2s) times the exception factors.
-    Otherwise the tail has exponent 2 sigma.
+    negative and has no logarithm.  For sigma > 1/2 the product is
+    deflated (``_deflation``): for a flat base value b != 0 it is
+    zeta(2s)^(-b^2) R_U (not for a non-integer b^2 at complex s with
+    sigma < 0.5225), and for power decay with 1 + f(p) = c p^(-a),
+    0 < c <= 2^(1 + a), it is zeta(2s)^(-1) zeta(2s + a)^(2c)
+    zeta(2s + 2a)^(-c^2) R_U (the last two only where 2 sigma + a > 1 and,
+    for a non-integer 2c or c^2, at real s or 2 sigma + a >= 1.045).  R_U's
+    tail has exponent 4 sigma or 4 sigma + a (or that of the first power
+    left out); for the Liouville family its coefficient is 0 and U is
+    1/zeta(2s) times the exception factors.  Otherwise the tail has
+    exponent 2 sigma.
+
+    R_U's tail (log terms past Q, V = p^(-2s), rho = p^(-2 sigma),
+    Q1 = Q + 1).  Flat b: R_U's log at f = b is
+    sum_{k>=2} (b^2 - b^(2k)) V^k / k, with 0 <= b^2 - b^(2k) <=
+    min((k - 1) b^2 (1 - b^2), b^2), so at most
+    b^2 min(1 - b^2, 1/2) rho^2 / (1 - rho); at an exception v_e,
+    (b^2 - v_e^2) V plus coefficients (v_e^(2k) + b^2) / k <= (v_e^4 + b^2) / 2.
+    Power decay, q = p^-a, f^2 = (1 - c q)^2 in [0, 1] (c q <= 2): R_U's
+    log is sum_{m>=2} d_m V^m / m, d_m = 1 - f^(2m) - 2 c q^m + c^2 q^(2m);
+    0 <= 1 - f^(2m) <= m (1 - f^2) = m c q (2 - c q) <= 2 m c q, so
+    |d_m| / m <= c q (2 + q + c q^3 / 2) for m >= 2 and the log is at most
+    2c p^(-(4 sigma + a)) (1 + q / 2 + c q^3 / 4) / (1 - rho): coef 2c,
+    exponent 4 sigma + a, kappa that factor at Q1.  At an exception v_e,
+    the first coefficient is f_b^2 - v_e^2, f_b = -1 + c q, and every
+    later d_m lies in [-1, 1] (1 - v_e^(2m) in [0, 1], and
+    (c q^m - 1)^2 - 1 in [-1, 0]), so (f_b^2 - v_e^2) V plus at most
+    rho^2 / (2 (1 - rho)).
     """
     b = _base_value(spec)
+    c, a = _one_plus_f_decay(spec)
 
     def tail(Q: int, sigma: float, deflated: bool):
         if not deflated:  # |x_p| <= p^(-2 sigma) for every prime, exceptions included
             return 1.0, 2.0 * sigma, 1.0, ()
-        # R_U's log at f = b is sum_{k>=2} (b^2 - b^(2k)) p^(-2ks) / k, with
-        # 0 <= b^2 - b^(2k) <= min((k - 1) b^2 (1 - b^2), b^2); at an
-        # exception v, (b^2 - v^2) p^(-2s) plus coefficients (v^(2k) + b^2) / k
-        # <= (v^4 + b^2) / 2; 1 - b^2 and |b^2 - v^2| are formed without
-        # cancellation
-        b2, mb = b * b, abs(b)
-        kappa = 1.0 / (1.0 - (max(Q, 1) + 1.0) ** (-2.0 * sigma))
+        # 1 - b^2 and |b^2 - v^2| are formed without cancellation
+        q1 = max(Q, 1) + 1.0
+        kappa = 1.0 / (1.0 - q1 ** (-2.0 * sigma))
         terms = []
         for p, v in spec.exceptions:
             if p > Q:
                 x = -2.0 * sigma * math.log(p)  # rho = p^(-2 sigma) and 1 - rho
                 rho, den = math.exp(x), -math.expm1(x)
                 mv = abs(v)
-                first = abs(mb - mv) * (mb + mv)
-                terms.append(first * rho + 0.5 * (mv ** 4 + b2) * rho * rho / den)
-        return b2 * min((1.0 - mb) * (1.0 + mb), 0.5), 4.0 * sigma, kappa, terms
+                if b is not None:
+                    mb = abs(b)
+                    first = abs(mb - mv) * (mb + mv)
+                    terms.append(first * rho + 0.5 * (mv ** 4 + b * b) * rho * rho / den)
+                else:
+                    mf = abs(1.0 - c * p ** -a)
+                    first = abs(mf - mv) * (mf + mv)
+                    terms.append(first * rho + 0.5 * rho * rho / den)
+        if b is not None:
+            mb = abs(b)
+            return b * b * min((1.0 - mb) * (1.0 + mb), 0.5), 4.0 * sigma, kappa, terms
+        q = q1 ** (-a)
+        return 2.0 * c, 4.0 * sigma + a, kappa * (1.0 + 0.5 * q + 0.25 * c * q ** 3), terms
 
     return _euler_product(spec, s, P, sieve, 2, tail)
 

@@ -256,7 +256,7 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
 
     Elementwise, so a chunk's values are bit-identical to the same entries
     of a whole-array call.  A flat spec (``_base_value``) fills its base
-    value; only power decay with c != 0 evaluates its formula.
+    value; only power decay with c > 0 evaluates its formula.
     """
     base = _base_value(spec)
     if base is not None:
@@ -284,7 +284,8 @@ def _base_value(spec: PrimeFunctionSpec) -> float | None:
     """f(p) at every prime that is no exception, when that is one number; else None.
 
     -1.0 for Liouville, c for a constant base, and -1.0 for power decay
-    with c = 0, where -1 + 0 * p^-a is -1.0 at every p.  The one flatness
+    with c <= 0, where -1 + c p^-a is clamped to (or, at c = 0, is) -1.0 at
+    every p: such a spec is Liouville's lambda spelt otherwise.  The one flatness
     rule, and the only reader of the base rule besides the spec itself:
     f(p) (``_f_values``), exactness (``spec_is_pm1``), the streams' f(p)
     table (``_prime_values``), the primes a prime-side sum visits
@@ -295,18 +296,20 @@ def _base_value(spec: PrimeFunctionSpec) -> float | None:
         return -1.0
     if spec.base == BASE_CONSTANT:
         return spec.c
-    return -1.0 if spec.c == 0.0 else None
+    return -1.0 if spec.c <= 0.0 else None
 
 
 def _one_plus_f_decay(spec: PrimeFunctionSpec) -> tuple[float, float]:
     """(coef, extra) with |1 + f(p)| <= coef p^(-extra) at every prime that
     is no exception: |1 + b| and 0 for a base value b (``_base_value``),
-    |c| and a for power decay, where 1 + f(p) is c p^(-a) clamped towards 0.
+    c and a for power decay with no base value (c > 0), where
+    1 + f(p) = min(c p^(-a), 2): exactly c p^(-a) at every prime when
+    c <= 2^(1 + a), the largest c that clamps no f(p) at +1.
     """
     base = _base_value(spec)
     if base is not None:
         return abs(1.0 + base), 0.0
-    return abs(spec.c), spec.a
+    return spec.c, spec.a
 
 
 def _visited(primes: np.ndarray, factor, *specs: PrimeFunctionSpec) -> np.ndarray | None:

@@ -119,13 +119,16 @@ def pretentious_distance_sq(
     prime by prime, but a spec with |f(p)| < 1 keeps positive distance
     even from itself.  Exactly rounded, from one slice of primes at a time;
     when f(p) g(p) = 1 at every prime that is no exception of either spec,
-    only the exception primes of both are visited.
+    only the exception primes of both are visited.  When the two specs are
+    equal, f(p) is formed once per slice and squared, the same bits as
+    forming it twice.
     """
     primes, _ = _walk(x, sieve, lambda f, g: 1.0 - f * g, spec_f, spec_g)
 
     def terms(lo: int, hi: int) -> np.ndarray:
         chunk = primes[lo:hi]
-        fg = _f_values(spec_f, chunk) * _f_values(spec_g, chunk)
+        fp = _f_values(spec_f, chunk)
+        fg = fp * (fp if spec_g == spec_f else _f_values(spec_g, chunk))
         return (1.0 - fg) / chunk.astype(np.float64)
 
     return float(_prefix_sums(terms, [primes.size])[0])

@@ -309,17 +309,19 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
         # 2^(sigma-1) overflows in the divisor tail: a finite rigorous bound
         ("s_grid = 1100\n", "H", "0", "1100+0i", {"H_eq_zetaF": "pass"}),
         ("s_grid = 1100\n", "G_sum", "0", "1100+0i", {"G_product_vs_sum": "pass"}),
-        # the Euler tail factor expm1(log_tail) overflows: a heuristic row
-        # (undeflated: a Liouville U there is 1/zeta(2s), with zeta's bound)
+        # the Euler tail factor expm1(log_tail) overflows: a heuristic row,
+        # from products with no power of zeta to divide out (U of the constant
+        # 0 base; G at sigma = 1/2, with tail exponent sigma + a = 1 + 1e-7).
+        # A Liouville U or any power decay U there is deflated, with zeta's bound
         (
-            "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\n",
+            "s_grid = 0.5000001\nspec.base = constant\nspec.c = 0.0\n",
             "U",
             "1",
             "0.5+0i",
             {"Fmu2_eq_FU": "inconclusive"},
         ),
         (
-            "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\n",
+            "s_grid = 0.5\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5000001\n",
             "G_product",
             "1",
             "0.5+0i",
@@ -447,20 +449,23 @@ def test_out_moves_the_files_but_not_the_config_hash(cfg_file, tmp_path, capsys)
 
 @pytest.mark.parametrize("exceptions", [{}, {3: 0.5, 7: 1.0, 13: 0.0}], ids=["plain", "excepted"])
 def test_every_spelling_of_liouville_gets_the_same_report(exceptions, sieve_1e5):
-    # f(p) = -1 at every prime but the exceptions, spelt four ways: each
+    # f(p) = -1 at every prime but the exceptions, spelt six ways: each
     # check, the prime-sum plateau included, judges them alike
     spellings = [
         liouville_spec(exceptions),
         constant_spec(-1.0, exceptions),
         power_decay_spec(0.0, 0.7, exceptions),
         power_decay_spec(-0.0, 3.0, exceptions),
+        # c < 0: -1 + c p^-a is below -1 and clamped to it at every prime
+        power_decay_spec(-0.3, 0.7, exceptions),
+        power_decay_spec(-2.0, 5.0, exceptions),
     ]
     reports = [
         report_to_csv(run_verify(ExperimentConfig(sieve_limit=10**5, spec=spec), sieve_1e5))
         for spec in spellings
     ]
     assert "prime_sum_plateau,pass," in reports[0]
-    assert reports == [reports[0]] * 4
+    assert reports == [reports[0]] * len(spellings)
 
 
 def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, capsys):

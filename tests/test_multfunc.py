@@ -606,6 +606,8 @@ def _flat(value):
         (constant_spec(-0.0), _flat(-0.0)),
         (power_decay_spec(0.0, 0.5, {5: 0.0}), lambda p: np.clip(-1.0 + 0.0 * p ** -0.5, -1.0, 1.0)),
         (power_decay_spec(-0.0, 3.0), lambda p: np.clip(-1.0 + -0.0 * p ** -3.0, -1.0, 1.0)),
+        (power_decay_spec(-0.3, 0.7), lambda p: np.clip(-1.0 + -0.3 * p ** -0.7, -1.0, 1.0)),
+        (power_decay_spec(-2.0, 5.0, {3: 0.5}), lambda p: np.clip(-1.0 + -2.0 * p ** -5.0, -1.0, 1.0)),
         (power_decay_spec(0.5, 0.5), None),
         (power_decay_spec(2.0, 0.1), None),
     ],

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import multlab.summation
+
 from multlab.exponent import (
     PartialSumSeries,
     checkpoint_partial_sums,
@@ -179,6 +181,35 @@ def test_distance_positive_self_distance_off_unit_circle(sieve_1e4):
     expected = math.fsum(0.75 / int(p) for p in primes)
     assert d == pytest.approx(expected, rel=1e-13)
     assert d > 1.0  # far from pretending to be itself, in this metric
+
+
+def test_self_distance_forms_f_once_per_slice_with_the_two_call_bits(sieve_1e6, monkeypatch):
+    # D(f, f)^2 squares one f(p) array per slice; f * f has the bits that
+    # two calls of f_at_primes multiplied give, summed exactly and rounded once
+    import multlab.primesums
+
+    x = 10**6
+    primes = primes_up_to(x, sieve_1e6)
+    slices = -(-primes.size // multlab.summation._BLOCK)
+    original = multlab.primesums._f_values
+    calls = []
+
+    def counting(spec, chunk):
+        calls.append(spec)
+        return original(spec, chunk)
+
+    monkeypatch.setattr(multlab.primesums, "_f_values", counting)
+    for spec in (power_decay_spec(0.5, 0.5, {3: 0.25}), constant_spec(0.3, {2: 1.0})):
+        calls.clear()
+        d = pretentious_distance_sq(spec, spec, x, sieve_1e6)
+        assert len(calls) == slices
+        f, g = f_at_primes(spec, primes), f_at_primes(spec, primes)
+        expected = math.fsum(((1.0 - f * g) / primes.astype(np.float64)).tolist())
+        assert d.hex() == expected.hex()
+        # two specs that differ still form each one's values
+        calls.clear()
+        pretentious_distance_sq(spec, LIOUVILLE, x, sieve_1e6)
+        assert len(calls) == 2 * slices
 
 
 def test_distance_triangle_inequality(sieve_1e4, rng):
