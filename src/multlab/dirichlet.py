@@ -231,14 +231,15 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 
 
 @functools.lru_cache(maxsize=64)
-def _accel_coefficients(n: int) -> tuple[float, ...]:
+def _accel_coefficients(n: int) -> np.ndarray:
     """(-1)^k e_k, k < n, with e_k = (d_k - d_n) / d_n for the depth-n
     Chebyshev averaging scheme: the coefficient of (k + 1)^(-s) in the
     accelerated eta sum, up to its overall sign.
 
     Computed exactly in integers and reduced with Fraction, so each float
     is correctly rounded; every e_k lies in (-1, 0).  d_k is n times the
-    prefix sum of the integer terms up to k, each term formed once.
+    prefix sum of the integer terms up to k, each term formed once.  The
+    float64 array is cached, so it is read-only.
     """
     terms = (
         math.factorial(n + i - 1) * 4 ** i // (math.factorial(n - i) * math.factorial(2 * i))
@@ -246,7 +247,11 @@ def _accel_coefficients(n: int) -> tuple[float, ...]:
     )
     d = [n * total for total in itertools.accumulate(terms)]
     dn = d[n]
-    return tuple(float(Fraction((-1) ** k * (dk - dn), dn)) for k, dk in enumerate(d[:n]))
+    coefficients = np.array(
+        [float(Fraction((-1) ** k * (dk - dn), dn)) for k, dk in enumerate(d[:n])]
+    )
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def zeta(s, tol: float = 1e-12) -> SeriesEval:
@@ -306,7 +311,7 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
             achieved,
         )
 
-    [(eta_sum, abs_sum)] = _dirichlet_sums([np.asarray(_accel_coefficients(n))], n, point)
+    [(eta_sum, abs_sum)] = _dirichlet_sums([_accel_coefficients(n)], n, point)
     value = -eta_sum / prefactor_den
     truncation = 3.0 * kappa / _ACCEL_RATE ** n
     rounding = _EPS * (4.0 * abs_sum / abs(prefactor_den) + 4.0 * abs(value))
@@ -893,6 +898,31 @@ def _omitted_tail(bound, Q: int, sigma: float, omitted) -> tuple:
     return lead, low, 1.0, terms
 
 
+def _first_true(n: int, start: int, holds) -> int:
+    """The first k < n with ``holds(k)``, or n where none holds, for a
+    predicate that never turns from True back to False as k grows.
+
+    The search starts at ``start`` (clipped to [0, n - 1]), gallops outward
+    in doubling steps until the answer is bracketed and bisects the
+    bracket: the index ``bisect.bisect_left(range(n), True, key=holds)``
+    gives, after at most 2 ceil(log2 n) + 1 calls of ``holds``, and after
+    2 to 4 where ``start`` lies within a step or two of the answer.
+    """
+    k = min(max(start, 0), n - 1)
+    step = 1
+    if holds(k):  # the answer lies in (lo, k]
+        lo = k - 1
+        while lo >= 0 and holds(lo):
+            k, lo, step = lo, lo - 2 * step, 2 * step
+        lo, hi = max(lo, -1), k
+    else:  # the answer lies in (k, hi]
+        hi = k + 1
+        while hi < n and not holds(hi):
+            k, hi, step = hi, hi + 2 * step, 2 * step
+        lo, hi = k, min(hi, n)
+    return bisect.bisect_left(range(lo + 1, hi), True, key=holds) + lo + 1
+
+
 def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> SeriesEval:
     """prod_j zeta(w_j)^(e_j) prod_{p<=Q} (1 + x_p) prod_j (1 - p^(-w_j))^(e_j)
     of G (power 1) or U (power 2; see ``_log1p_product``).
@@ -913,10 +943,14 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     |value| expm1(log tail).  P caps the walk: Q is the first prime <= P
     whose log tail is at most _UNIT = 2^-53, since the tail does not
     increase with Q; where the tail at P is larger (or infinite), Q = P
-    and every prime <= P is walked.  Q is found by bisection, or, where
-    coef = 0, among 2 and the exception primes <= P, the only primes at
-    which the tail (then a sum over the exceptions past Q) can fall; both
-    give the first prime whose tail is at most 2^-53.  The stop costs at
+    and every prime <= P is walked.  Q is searched for from Q*, where the
+    leading tail term alone (with P's kappa) reaches 2^-53, by galloping
+    outward and bisecting the bracket (``_first_true``): about 4 tail
+    evaluations where Q* is close, at most 2 ceil(log2 pi(P)) + 3 in all.
+    Where coef = 0 it is sought among 2 and the exception primes <= P, the
+    only primes at which the tail (then a sum over the exceptions past Q)
+    can fall.  Both give the first prime whose tail is at most 2^-53, as a
+    bisection over every prime would.  The stop costs at
     most |value| expm1(2^-53) of bound, under 1/30 of the smallest
     rounding allowance |value| _EXP_REL = 34u |value|, and the enclosure
     is rigorous for any Q.  A prime <= Q whose term is zero by the spec's
@@ -956,16 +990,26 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
         return f * (1.0 + f) * (1.0 if omitted else 1.0 - f)
 
     primes = primes_up_to(P, sieve)
-    log_tail = tail_past(P)
+    at_P = tail_at(P)
+    log_tail = _prime_tail(P, *at_P)
     if log_tail <= _UNIT and primes.size:  # the first prime whose tail is as small ends the walk
-        if tail_at(P)[0] == 0.0:
+        coef, exponent, kappa, _ = at_P
+        if coef == 0.0:
             last = int(primes[-1])
             exceptions = [q for q, _ in spec.exceptions if q <= last]
             keys = [0, *np.searchsorted(primes, exceptions).tolist()]
             stop = next((k for k in keys if tail_past(int(primes[k])) <= _UNIT), primes.size)
         else:
-            stop = bisect.bisect_left(
-                range(primes.size), True, key=lambda k: tail_past(int(primes[k])) <= _UNIT
+            # Q*, where the leading term kappa coef Q^(1 - exponent) /
+            # (exponent - 1) with P's kappa reaches 2^-53, in logs so that
+            # nothing overflows; Q* <= P, as that term is at most 2^-53 at
+            # P, and an infinite exponent (a NaN log_q) starts at 2
+            rate = exponent - 1.0
+            log_q = math.log(kappa) + math.log(coef) - math.log(rate) - math.log(_UNIT)
+            log_q = min(math.log(P), max(0.0, log_q / rate))
+            start = int(np.searchsorted(primes, int(math.exp(log_q))))  # an int key: no cast
+            stop = _first_true(
+                primes.size, start, lambda k: tail_past(int(primes[k])) <= _UNIT
             )
         if stop < primes.size:
             primes = primes[: stop + 1]

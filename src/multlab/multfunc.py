@@ -256,21 +256,26 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
 
     Elementwise, so a chunk's values are bit-identical to the same entries
     of a whole-array call.  A flat spec (``_base_value``) fills its base
-    value; only power decay with c > 0 evaluates its formula.
+    value; only power decay with c > 0 evaluates its formula, and there
+    c p^(-a) >= 0 (0 on underflow), so -1 + c p^(-a) >= -1 in float and
+    only the clamp at +1 can bite.  Exceptions are placed only where the
+    chunk's smallest prime is at most the largest key, so a walk's later
+    chunks skip the scan.
     """
     base = _base_value(spec)
     if base is not None:
         out = np.full(np.shape(primes), base)
     else:
         p = np.asarray(primes, dtype=np.float64)
-        out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
+        out = -1.0 + spec.c * p ** (-spec.a)
+        np.minimum(out, 1.0, out=out)
     # a key past int64 can equal no prime of an int64 array, so only keys
     # that fit are placed
     placed = [(q, v) for q, v in spec.exceptions if q < 2 ** 63]
-    if placed:
+    ints = np.asarray(primes).reshape(-1)
+    if placed and ints.size and ints.min() <= placed[-1][0]:
         keys = np.array([q for q, _ in placed], dtype=np.int64)
         values = np.array([v for _, v in placed])
-        ints = np.asarray(primes).reshape(-1)
         # only primes <= the largest key can hit one, and each of those
         # finds its key at index < len(keys)
         cand = np.flatnonzero(ints <= keys[-1])

@@ -7,8 +7,9 @@ for bit to ``math.fsum``.  One private accumulator, ``_ExactSum``, splits
 each slice of finite float64 terms into a few error-free pieces by the
 vectorised extraction of Rump, Ogita & Oishi ("Accurate floating-point
 summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008),
-keeps them, and lets ``math.fsum`` round all pieces once at the end; other
-input reaches ``math.fsum`` unchanged.  Because each sum is the exact sum
+keeps them, and lets ``math.fsum`` round all pieces once at the end; short
+chunks, where the extraction's fixed cost outweighs its work, and other
+input reach ``math.fsum`` unchanged.  Because each sum is the exact sum
 rounded once, its value depends neither on traversal order nor on the
 slicing: callers may split chunks on a thread pool and join the pieces in
 chunk order (as the Euler products do) and get the same bits for any
@@ -42,6 +43,14 @@ _MAX_CHECKPOINT_STEPS = 10 ** 6
 #: terms per slice of every float sum and Euler-product chunk: a slice's
 #: float64 temporaries (256 KiB apiece) stay in cache
 _BLOCK = 1 << 15
+
+#: a chunk of at most this many terms is kept raw, as plain floats: one
+#: chunk and one ``value`` then cost 2-5 us against 13-27 us for the
+#: extraction at 8-64 terms, the two meeting near 400 terms (Python 3.11,
+#: numpy 2.4, 2-vCPU x86-64 VM); ``_prefix_sums`` rounds the pieces at
+#: every checkpoint and pays for raw ones each time, so the cut stays well
+#: below that crossover
+_RAW_MAX = 64
 
 #: a chunk of m terms with max |x| >= 2^(_EXP_LIMIT - bit_length(m + 2)) is kept
 #: raw; below that neither the extraction constant nor any partial sum can
@@ -169,10 +178,13 @@ class _ExactSum:
     plain floats: a chunk split on another thread may hand its ``pieces``
     list over, to be joined in chunk order, with the same value.
 
-    A chunk with inf or NaN, or with magnitudes near overflow (where sigma
-    or a partial sum could overflow), is kept as its raw values, so
-    ``math.fsum`` meets them in order and gives its special value or
-    exception.
+    A chunk of at most ``_RAW_MAX`` terms is kept as its raw values, which
+    add up to the same exact sum, so ``value`` keeps every bit (signed
+    zeros too: ``math.fsum`` of all -0.0 is 0.0, as with no piece) at a
+    fraction of the extraction's fixed cost.  So is a longer chunk with inf
+    or NaN, or with magnitudes near overflow (where sigma or a partial sum
+    could overflow), so ``math.fsum`` meets them in order and gives its
+    special value or exception.
     """
 
     def __init__(self, buf: np.ndarray | None = None) -> None:
@@ -184,11 +196,14 @@ class _ExactSum:
     def add(self, chunk: np.ndarray) -> None:
         """Take one chunk."""
         m = chunk.shape[0]
+        if m <= _RAW_MAX:
+            self.pieces.extend(chunk.tolist())
+            return
         if m > self._buf.shape[1]:
             self._buf = np.empty((2, m))
         r, q = self._buf[0, :m], self._buf[1, :m]
         width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
-        amax = float(np.abs(chunk, out=q).max()) if m else 0.0
+        amax = float(np.abs(chunk, out=q).max())
         if not amax < math.ldexp(1.0, _EXP_LIMIT - width):  # also inf and NaN
             self.pieces.extend(chunk.tolist())
             return
@@ -241,9 +256,9 @@ def fsum_array(values: np.ndarray) -> float:
     """Exactly rounded sum of a float array, bit-identical to ``math.fsum``.
 
     1-D float64 input goes to ``_prefix_sums`` in slices, without building
-    a Python list (inf, NaN and near-overflow slices reach ``math.fsum``
-    raw; see ``_ExactSum``); other dtypes and shapes go to ``math.fsum``
-    of their flattened values.
+    a Python list (short, inf, NaN and near-overflow slices reach
+    ``math.fsum`` raw; see ``_ExactSum``); other dtypes and shapes go to
+    ``math.fsum`` of their flattened values.
     """
     if values.dtype != np.float64 or values.ndim != 1:
         return math.fsum(np.ravel(values).tolist())

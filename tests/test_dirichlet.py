@@ -6,6 +6,7 @@ its reported tail_bound -- that is the whole contract of the error
 accounting, so these assertions are exact, not order-of-magnitude.
 """
 
+import bisect
 import cmath
 import math
 import os
@@ -22,6 +23,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multlab.dirichlet import (
     _EPS,
@@ -35,6 +38,7 @@ from multlab.dirichlet import (
     PoleError,
     SeriesEval,
     _divisor_tail,
+    _first_true,
     _power_tail,
     _prime_tail,
     _SeriesStore,
@@ -799,6 +803,89 @@ def test_euler_products_stop_where_the_tail_is_below_one_rounding_unit(
                 if n < primes.size:  # the stop costs at most |value| expm1(2^-53)
                     assert ev.tail_bound <= bound + abs(ev.value) * math.expm1(_UNIT)
     assert stopped > 0
+
+
+def _drawn_spec(family, b, c, a, exceptions):
+    if family == "liouville":
+        return liouville_spec(exceptions)
+    if family == "constant":
+        return constant_spec(b, exceptions)
+    if family == "clamped":  # c > 2^(1 + a) clamps f(2) at +1: no deflation
+        return power_decay_spec(2.0 ** (1.0 + a) + 1.0 + c, a, exceptions)
+    return power_decay_spec(c, a, exceptions)
+
+
+@settings(max_examples=80, deadline=None)
+# a tail held up by the exception at 99991: the guess lies far to the left
+@example("constant", 0.5, 1.0, 1.0, {99991: -1.0}, 2.0, 0.0, 10**6, euler_product_G)
+# a tail crossing 2^-53 between 997 and 1000: the guess lies past the last prime
+@example("constant", 0.5, 1.0, 1.0, {}, 1.9442824643977372, 0.0, 10**3, euler_product_G)
+# P = 2 with a guess below 2, and U's tail fed by one exception (coef 0)
+@example("power_decay", 0.0, 0.5, 0.5, {}, 20.0, 0.0, 2, euler_product_G)
+@example("liouville", 0.0, 1.0, 1.0, {2: 0.5}, 4.0, 0.0, 2, euler_product_U)
+# one shift of three divided out: the tail past P is _omitted_tail's
+@example("power_decay", 0.0, 0.3, 0.01, {}, 0.51, 5.0, 10**6, euler_product_U)
+@given(
+    st.sampled_from(("liouville", "constant", "power_decay", "clamped")),
+    st.floats(-0.95, 0.95),
+    st.floats(0.05, 2.0),
+    st.one_of(st.floats(0.001, 0.04), st.floats(0.05, 1.5)),
+    st.dictionaries(
+        st.sampled_from((2, 3, 7, 997, 1009, 99991)), st.floats(-1.0, 1.0), max_size=3
+    ),
+    # at complex s, 2 sigma + a < 1.045 leaves power decay's U a shorter
+    # shift prefix (``_omitted_tail``)
+    st.one_of(st.floats(0.501, 0.52), st.floats(0.51, 4.0)),
+    st.one_of(st.just(0.0), st.floats(1.0, 20.0)),
+    st.sampled_from((10**6, 10**3, 2)),
+    st.sampled_from((euler_product_G, euler_product_U)),
+)
+def test_stop_search_finds_the_prime_a_bisection_over_every_prime_finds(
+    sieve_1e6, family, b, c, a, exceptions, sigma, t, P, product
+):
+    spec = _drawn_spec(family, b, c, a, exceptions)
+    s = complex(sigma, t) if t else sigma
+    primes = primes_up_to(P, sieve_1e6)
+    n = primes.size
+    calls = []
+    counted = multlab.dirichlet._prime_tail
+
+    def counting(*args):
+        calls.append(args[0])
+        return counted(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(multlab.dirichlet, "_prime_tail", counting)
+        ev, log_tail = _with_tail_rule(product, spec, s, P, sieve_1e6, m)
+    # the oracle: the first prime whose tail is at most 2^-53, bisected over
+    # every prime <= P; no stop where the tail at P is larger
+    expected = n
+    if log_tail(P) <= _UNIT:
+        k = bisect.bisect_left(range(n), True, key=lambda k: log_tail(int(primes[k])) <= _UNIT)
+        expected = min(k + 1, n)
+    assert ev.truncation_N == expected, (spec.spec_id(), s, P)
+    # one tail at P, the search, and one at the stop
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 3, (spec.spec_id(), s, P, calls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 78498])
+def test_first_true_from_any_start_is_the_bisection(n):
+    # starts past both ends are clipped; each answer, from 0 to n (none holds)
+    rng = random.Random(n)
+    answers = {0, 1, n // 2, n - 1, n, *(rng.randrange(n + 1) for _ in range(8))}
+    for answer in answers:
+        for start in {-3, 0, answer - 1, answer, answer + 1, n - 1, n, n + 5}:
+            calls = []
+
+            def holds(k):
+                assert 0 <= k < n
+                calls.append(k)
+                return k >= answer
+
+            assert _first_true(n, start, holds) == answer, (answer, start)
+            assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1, (answer, start)
+            if abs(start - answer) <= 2 and 0 < answer < n:  # a close guess is cheap
+                assert len(calls) <= 4, (answer, start, calls)
 
 
 @pytest.mark.parametrize("exceptions", [{}, {3: 0.5, 7: 1.0}])

@@ -670,6 +670,49 @@ def test_f_at_primes_matches_f_at_prime_in_any_order(sieve_1e4):
                 assert v == pytest.approx(f_at_prime(spec, p), rel=1e-15), (spec.spec_id(), p)
 
 
+def _f_values_reference(spec, primes):
+    """f(p) as ``np.clip`` of the base rule, every prime scanned for a key."""
+    base = _base_value(spec)
+    p = primes.astype(np.float64)
+    if base is not None:
+        out = np.full(primes.shape, base)
+    else:
+        out = np.clip(-1.0 + spec.c * p ** (-spec.a), -1.0, 1.0)
+    for q, v in spec.exceptions:
+        out[primes == q] = v
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("liouville", "constant", "power_decay")),
+    st.floats(-3.0, 9.0),
+    st.floats(0.01, 4.0),
+    st.dictionaries(st.sampled_from((2, 3, 5, 97, 1009, 9973, 10007)), st.floats(-1.0, 1.0), max_size=3),
+    st.sampled_from(("ascending", "reversed", "shuffled")),
+    st.integers(0, 2**15),
+)
+def test_f_at_primes_is_the_clipped_base_rule_with_every_exception(
+    sieve_1e4, family, c, a, exceptions, order, cut
+):
+    # the clamp at -1 is left out and late chunks skip the exception scan:
+    # every chunk, in any order, keeps the bytes of np.clip and a full scan
+    if family == "liouville":
+        spec = liouville_spec(exceptions)
+    elif family == "constant":
+        spec = constant_spec(max(-1.0, min(c, 1.0)), exceptions)
+    else:
+        spec = power_decay_spec(c, a, exceptions)
+    primes = primes_up_to(10**4, sieve_1e4)
+    if order == "reversed":
+        primes = primes[::-1].copy()
+    elif order == "shuffled":
+        primes = np.random.default_rng(cut).permutation(primes)
+    cut %= primes.size + 1
+    for chunk in (primes, primes[:cut], primes[cut:], primes[:0]):
+        assert f_at_primes(spec, chunk).tobytes() == _f_values_reference(spec, chunk).tobytes()
+
+
 def test_exception_key_past_int64_is_kept_but_matches_no_prime(sieve_1e4):
     big = 9223372036854775837  # a prime above 2^63
     primes = primes_up_to(10**4, sieve_1e4)

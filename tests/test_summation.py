@@ -1,6 +1,7 @@
 """Exactly rounded sums: ``fsum_array`` and every prefix sum against ``math.fsum``.
 
-The error-free extraction must give the very float ``math.fsum`` gives, so
+The error-free extraction, and the raw pieces that short chunks keep
+instead, must give the very float ``math.fsum`` gives, so
 every comparison is on the bit pattern (``struct.pack('<d', ...)``), which
 also tells signed zeros apart.  Non-finite and overflowing input must give
 the same value or the same exception.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from multlab import summation
 from multlab.summation import (
+    _RAW_MAX,
     _ExactSum,
     _prefix_sums,
     checkpoint_schedule,
@@ -38,6 +40,13 @@ SPECIAL = [
 finite = st.floats(allow_nan=False, allow_infinity=False)
 terms = st.one_of(finite, st.sampled_from(SPECIAL))
 term_lists = st.lists(terms, max_size=60)
+#: long enough that chunks of more than ``_RAW_MAX`` terms take the extraction
+long_term_lists = st.lists(terms, max_size=6 * _RAW_MAX)
+#: cuts on both sides of the raw rule's edge, and anywhere
+raw_edge_cuts = st.lists(
+    st.one_of(st.sampled_from([_RAW_MAX - 1, _RAW_MAX, _RAW_MAX + 1]), st.integers(0, 6 * _RAW_MAX)),
+    max_size=8,
+)
 #: also non-finite and near-overflow terms, which ``math.fsum`` meets raw
 wild_terms = st.one_of(
     terms,
@@ -136,6 +145,37 @@ def chunked_sum(values, cuts):
 def test_exact_sum_of_any_chunking_is_math_fsum(xs, cuts):
     values = np.array(xs, dtype=np.float64)
     assert outcome(chunked_sum, values, cuts) == outcome(math.fsum, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_term_lists, raw_edge_cuts)
+def test_raw_and_extracted_chunks_of_any_length_are_math_fsum(xs, cuts):
+    values = np.array(xs, dtype=np.float64)
+    assert_same_as_fsum(values)
+    assert outcome(chunked_sum, values, cuts) == outcome(math.fsum, xs)
+    # chunks of _RAW_MAX - 1, _RAW_MAX and _RAW_MAX + 1 terms, one after another
+    edges = np.cumsum([_RAW_MAX - 1, _RAW_MAX, _RAW_MAX + 1]).tolist()
+    assert outcome(chunked_sum, values, edges) == outcome(math.fsum, xs)
+    boundaries = np.array(sorted(min(c, values.size) for c in cuts + edges + [values.size]))
+    assert outcome(prefix_sums_at, values, boundaries) == outcome(
+        prefix_sums_oracle, values, boundaries
+    )
+
+
+def test_short_chunks_are_kept_raw_and_longer_ones_extracted():
+    # a later change of _RAW_MAX must keep both paths in use (checked first,
+    # so a huge constant allocates nothing): m finite terms stay m raw
+    # floats up to _RAW_MAX, and past it become a few pieces
+    assert 0 < _RAW_MAX < BLOCK
+    for m in (1, _RAW_MAX, _RAW_MAX + 1, 4 * _RAW_MAX):
+        chunk = 0.1 * np.arange(1, m + 1)
+        total = _ExactSum()
+        total.add(chunk)
+        if m <= _RAW_MAX:
+            assert total.pieces == chunk.tolist()
+        else:
+            assert 0 < len(total.pieces) <= 4, m
+        assert struct.pack("<d", total.value()) == struct.pack("<d", math.fsum(chunk.tolist()))
 
 
 @pytest.mark.parametrize(
