@@ -194,12 +194,16 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, _: None)
 
 
 def cmd_series(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, which: str) -> int:
-    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, got.sieve, cfg.zeta_tol)
+    name = _SERIES[which]
+    # a stream's sums at every s-grid point come from one pass
+    streamed = isinstance(name, DerivedFunctionKind)
+    sums = [(name, ComplexArgument(*s)) for s in cfg.s_grid] if streamed else []
+    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, got.sieve, cfg.zeta_tol, sums)
     rows = []
     for sigma, t in cfg.s_grid:
         point = ComplexArgument(sigma, t)
         try:
-            ev = store.get(_SERIES[which], point)
+            ev = store.get(name, point)
         except _NO_VALUE as exc:
             print(f"s={point}: error: {exc}")
             rows.append(f"{_fmt_real(sigma)},{_fmt_real(t)},nan,nan,0,inf,1,error")

@@ -154,24 +154,27 @@ class SeriesEval:
     method: str
 
 
-def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
-    """(sum c(n) n^(-s), allowance sum) over n <= ``length`` for each c.
+class _DirichletSums:
+    """(sum c(n) n^(-s), allowance sum) at one point s for several c, fed
+    slice by slice.
 
-    Each array in ``coeffs`` holds c(1), c(2), ..., as float64 or as
-    integers: an int8 or int16 slice times the float64 weights is promoted
-    exactly, so an exact stream gives the sums of the float stream with the
-    same values.  One pass over slices of _BLOCK n forms n^(-sigma) and, at
-    complex s, cos and sin of -t log n once per slice for every array, and
-    feeds the real and imaginary terms to their own ``_ExactSum``: each
-    part of the value is its exact sum rounded once, bit for bit
-    ``math.fsum`` of the whole-length terms, with no whole-length array.
-    At real s the imaginary part is exactly 0.0.
+    ``feed(lo, blocks)`` takes c(lo + 1), ..., c(hi) of every c, as
+    float64 or as integers: an int8 or int16 slice times the float64
+    weights is promoted exactly, so an exact stream gives the sums of the
+    float stream with the same values.  Each slice forms n^(-sigma) and,
+    at complex s, cos and sin of -t log n once for every c, and feeds the
+    real and imaginary terms to their own ``_ExactSum``: each part of the
+    value is its exact sum rounded once, bit for bit ``math.fsum`` of the
+    whole-length terms, whatever the slicing.  At real s the imaginary
+    part is exactly 0.0.  ``results(length)`` rounds them, N = ``length``
+    being the number of terms fed.
 
     The allowance sum is an upper bound on S, the exact sum of the computed
     |c(n) n^(-sigma)|, so it is summed in float: each slice with numpy's
     ``sum`` (never BLAS, whose threads could change the bits), the slice
     sums in order into one float T, and then R = T (1 + N eps), with
-    N = ``length`` and eps = 2^-52 (exact as a float for N < 2^52).
+    eps = 2^-52 (exact as a float for N < 2^52).  Its bits depend on the
+    slicing, so every caller feeds slices of _BLOCK n from n = 1.
     Proof that S <= R, in the standard model of Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., 2.2 and 4.2: with
     u = 2^-53, a rounded + or * of nonnegative x gives fl(x) >= x / (1 + u)
@@ -184,42 +187,60 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
     R <= S (1 + N eps)^2.
 
     Raises DomainError when a term or a sum leaves float64 (n^(-sigma)
-    overflows from sigma of about -308 / log10 length): at the first slice
-    whose |c(n)| n^(-sigma) hold an inf or NaN, which no sum could survive,
-    or whose allowance sum so far overflows, and when R overflows.  No
-    value can overflow while R is finite, since S bounds its parts.
+    overflows from sigma of about -308 / log10 length): ``feed`` at the
+    first slice whose |c(n)| n^(-sigma) hold an inf or NaN, which no sum
+    could survive, or whose allowance sum so far overflows, and
+    ``results`` when R overflows.  No value can overflow while R is
+    finite, since S bounds its parts.
     """
-    message = f"Dirichlet sum leaves float64 at sigma={point.sigma}"
-    buf = np.empty((2, min(length, _BLOCK)))  # scratch of every sum: each is fed in turn
-    sums = [(_ExactSum(buf), _ExactSum(buf)) for _ in coeffs]  # re, im
-    sizes = [0.0] * len(coeffs)
 
-    def feed(lo: int, hi: int) -> None:  # its arrays die with each slice
-        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        weights = n ** (-point.sigma)
-        if point.t != 0.0:  # n turns into the phase -t log n, then its sine
-            np.log(n, out=n)
-            n *= -point.t
-            cos, sin = np.cos(n), np.sin(n, out=n)
-        for i, (c, (re, im)) in enumerate(zip(coeffs, sums)):
-            mod = c[lo:hi] * weights
-            sizes[i] += float(np.abs(mod).sum())
-            if not math.isfinite(sizes[i]):
-                raise DomainError(message)
-            if point.t == 0.0:
-                re.add(mod)
-            else:
-                re.add(mod * cos)
-                im.add(mod * sin)
+    def __init__(self, point: ComplexArgument, count: int, buf: np.ndarray) -> None:
+        self.point = point
+        # ``buf`` is the scratch of every sum: each is fed in turn
+        self.sums = [(_ExactSum(buf), _ExactSum(buf)) for _ in range(count)]  # re, im
+        self.sizes = [0.0] * count
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked
-        for lo in range(0, length, _BLOCK):
-            feed(lo, min(lo + _BLOCK, length))
-    factor = 1.0 + length * _EPS
-    bounds = [size * factor for size in sizes]
-    if not all(math.isfinite(bound) for bound in bounds):
-        raise DomainError(message)
-    return [(complex(re.value(), im.value()), bound) for (re, im), bound in zip(sums, bounds)]
+    def _error(self) -> DomainError:
+        return DomainError(f"Dirichlet sum leaves float64 at sigma={self.point.sigma}")
+
+    def feed(self, lo: int, blocks) -> None:
+        point = self.point
+        n = np.arange(lo + 1, lo + len(blocks[0]) + 1, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked
+            weights = n ** (-point.sigma)
+            if point.t != 0.0:  # n turns into the phase -t log n, then its sine
+                np.log(n, out=n)
+                n *= -point.t
+                cos, sin = np.cos(n), np.sin(n, out=n)
+            for i, (c, (re, im)) in enumerate(zip(blocks, self.sums)):
+                mod = c * weights
+                self.sizes[i] += float(np.abs(mod).sum())
+                if not math.isfinite(self.sizes[i]):
+                    raise self._error()
+                if point.t == 0.0:
+                    re.add(mod)
+                else:
+                    re.add(mod * cos)
+                    im.add(mod * sin)
+
+    def results(self, length: int) -> list[tuple[complex, float]]:
+        factor = 1.0 + length * _EPS
+        bounds = [size * factor for size in self.sizes]
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise self._error()
+        values = [complex(re.value(), im.value()) for re, im in self.sums]
+        return list(zip(values, bounds))
+
+
+def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
+    """(sum c(n) n^(-s), allowance sum) over n <= ``length`` for each array
+    c in ``coeffs`` (c(1), c(2), ...): one ``_DirichletSums`` fed in slices
+    of _BLOCK n, with no whole-length temporary."""
+    sums = _DirichletSums(point, len(coeffs), np.empty((2, min(length, _BLOCK))))
+    for lo in range(0, length, _BLOCK):
+        hi = min(lo + _BLOCK, length)
+        sums.feed(lo, [c[lo:hi] for c in coeffs])
+    return sums.results(length)
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +257,23 @@ def _accel_coefficients(n: int) -> np.ndarray:
     Chebyshev averaging scheme: the coefficient of (k + 1)^(-s) in the
     accelerated eta sum, up to its overall sign.
 
-    Computed exactly in integers and reduced with Fraction, so each float
-    is correctly rounded; every e_k lies in (-1, 0).  d_k is n times the
-    prefix sum of the integer terms up to k, each term formed once.  The
-    float64 array is cached, so it is read-only.
+    d_k is n times the prefix sum up to k of the integer terms
+    floor((n + i - 1)! 4^i / ((n - i)! (2i)!)).  n times the exact term,
+    u_i, is an integer: u_0 = 1 and u_(i+1) = u_i 2 (n + i) (n - i) /
+    ((2i + 1) (i + 1)), a division with no remainder, so each term is
+    u_i // n with no factorial formed.  Each coefficient is one int true
+    division, which CPython rounds correctly, as ``float(Fraction(...))``
+    does; every e_k lies in (-1, 0).  The float64 array is cached, so it
+    is read-only.
     """
-    terms = (
-        math.factorial(n + i - 1) * 4 ** i // (math.factorial(n - i) * math.factorial(2 * i))
-        for i in range(n + 1)
-    )
+    u, terms = 1, []
+    for i in range(n + 1):
+        terms.append(u // n)
+        u = u * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
     d = [n * total for total in itertools.accumulate(terms)]
     dn = d[n]
     coefficients = np.array(
-        [float(Fraction((-1) ** k * (dk - dn), dn)) for k, dk in enumerate(d[:n])]
+        [(dk - dn if k % 2 == 0 else dn - dk) / dn for k, dk in enumerate(d[:n])]
     )
     coefficients.flags.writeable = False
     return coefficients
@@ -477,6 +502,15 @@ def _shift_rows(power: int, spec: PrimeFunctionSpec) -> tuple[tuple[float, int, 
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=512)
+def _deflation_zeta(w: ComplexArgument) -> SeriesEval:
+    """``zeta(w, _ZETA_TOL)``, memoised per process: G and U at one s share
+    zeta(2s) for a flat base, and zeta(2s + a) and zeta(2s + 2a) for power
+    decay, and a run meets each s again and again.  A raised error is not
+    memoised."""
+    return zeta(w, _ZETA_TOL)
+
+
 def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> tuple[_Shift, ...]:
     """The powers of zeta divided out of G (power 1) or U (power 2) at s.
 
@@ -498,8 +532,9 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
     total log is used.  PoleError (w = 1: G of b = 0 or 1 at s = 1, a
     pole of the product) propagates.
 
-    Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` and delta its tail bound
-    over |zeta^|: |log zeta - log zeta^| <= -log(1 - delta) <=
+    Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` (memoised by
+    ``_deflation_zeta``) and delta its tail bound over |zeta^|:
+    |log zeta - log zeta^| <= -log(1 - delta) <=
     delta / (1 - delta).  log zeta^ is 0.5 log(re^2 + im^2) + i arctan2(im,
     re): the squares and their sum lose 2u, which the log turns into u
     after halving, and each numpy function adds kappa of its part.  e is
@@ -532,7 +567,7 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
         if not branch_free or (ma and not re_w - abs(slip) > 1.0):
             break
         try:
-            z = zeta(w, _ZETA_TOL)
+            z = _deflation_zeta(w)
         except (ConvergenceError, DomainError):
             break
         re, im = z.value.real, z.value.imag
@@ -1260,18 +1295,25 @@ class _SeriesStore:
 
     ``get(name, s)`` memoises by (name, point) the sum at N of the stream
     ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
-    "U" with P as its cap.  Each stream is built once, as ``multfunc._coefficients``
-    gives it (exact integers for a spec with every f(p) in {-1, 0, 1}, the
-    stream its partial-sum traces read); the sums at one point of
-    several streams share one slice pass (``_dirichlet_sums``), and
-    ``residual`` sums every stream not yet memoised at its point in one.
+    "U" with P as its cap.  The streams are those ``multfunc._coefficients``
+    gives (exact integers for a spec with every f(p) in {-1, 0, 1}, the
+    streams its partial-sum traces read), and no stream is held: a pass
+    builds the streams it needs block by block, in one fused step, and
+    feeds each block to the sums of every point it serves
+    (``_DirichletSums``).  ``sums`` lists the (kind, s) pairs a run will
+    ask for; the first ``get`` or ``residual`` of any of them makes all of
+    them in one pass.  Any other sum is made when asked for, in a pass of
+    its own: ``get`` builds its one stream, and ``residual`` every stream
+    not yet summed at its point.
     At sigma > 1 a sum's budget is its tail bound plus 4 eps times the
-    allowance sum of ``_dirichlet_sums``, a float upper bound on
+    allowance sum of ``_DirichletSums``, a float upper bound on
     sum |a(n)| n^(-sigma) within a factor (1 + N eps)^2 of it.
     A failure of ``_NO_VALUE`` (no value at this point) is memoised too,
     as the exception itself, and raised again by every ``get`` of that
-    (name, point), so a failing pass or product runs once.  Any other
-    error (a bad argument) propagates and is not memoised.
+    (name, point), so a failing pass or product runs once; a point whose
+    sum leaves float64 fails every stream of its pass, and the other
+    points of that pass go on.  Any other error (a bad argument) propagates
+    and is not memoised.
     """
 
     def __init__(
@@ -1281,18 +1323,20 @@ class _SeriesStore:
         P: int,
         sieve: FactorSieve,
         zeta_tol: float = 1e-14,
+        sums=(),
     ):
         self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
-        self._streams: dict[DerivedFunctionKind, np.ndarray] = {}
         #: a SeriesEval, or the _NO_VALUE failure at that point
         self._evals: dict[tuple, SeriesEval | Exception] = {}
+        #: the (kind, point) sums of ``sums`` that no pass has made yet
+        self._pending = dict.fromkeys((kind, ComplexArgument.of(s)) for kind, s in sums)
 
     def get(self, name, s) -> SeriesEval:
         point = ComplexArgument.of(s)
         key = (name, point)
         if key not in self._evals:
             if isinstance(name, DerivedFunctionKind):
-                self._sum_streams([name], point)
+                self._sum_streams([key])
             else:
                 try:
                     if name == "zeta":
@@ -1307,26 +1351,62 @@ class _SeriesStore:
             raise ev.with_traceback(None)
         return ev
 
-    def _sum_streams(self, kinds: list[DerivedFunctionKind], point: ComplexArgument) -> None:
-        """Memoise the sums at ``point`` of the streams ``kinds``, in one slice pass."""
-        if not kinds:
-            return
-        try:
-            for kind in kinds:
-                if kind not in self._streams:
-                    self._streams[kind] = _coefficients(self.spec, kind, self.N, self.sieve)
-            sums = _dirichlet_sums([self._streams[kind] for kind in kinds], self.N, point)
-        except _NO_VALUE as exc:
-            for kind in kinds:
-                self._evals[(kind, point)] = exc.with_traceback(None)
-            return
-        for kind, (value, abs_sum) in zip(kinds, sums):
-            ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)
-            if point.sigma > 1.0:
-                divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
-                tail = (_divisor_tail if divisor else _power_tail)(self.N, point.sigma)
-                ev = SeriesEval(value, self.N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
-            self._evals[(kind, point)] = ev
+    def _sum_streams(self, keys: list[tuple[DerivedFunctionKind, ComplexArgument]]) -> None:
+        """Memoise the stream sums ``keys``: the pending ones, all together,
+        if any of them is asked for, and the rest in one pass of their own."""
+        keys = [key for key in keys if key not in self._evals]
+        if any(key in self._pending for key in keys):
+            self._pass(list(self._pending))
+            self._pending.clear()
+            keys = [key for key in keys if key not in self._evals]
+        if keys:
+            self._pass(keys)
+
+    def _pass(self, keys: list[tuple[DerivedFunctionKind, ComplexArgument]]) -> None:
+        """Memoise the sums ``keys`` from one pass over n <= N.
+
+        The pass builds each kind the keys name once, and feeds every
+        slice of _BLOCK n to the sums of each point, in the order of
+        ``DerivedFunctionKind``; a point that leaves float64 stops being
+        fed, and its failure is memoised for all its kinds.  The pass ends
+        early once every point has failed.
+        """
+        wanted: dict[ComplexArgument, set[DerivedFunctionKind]] = {}
+        for kind, point in keys:
+            wanted.setdefault(point, set()).add(kind)
+        kinds = tuple(k for k in DerivedFunctionKind if any(k in ks for ks in wanted.values()))
+        # each point's kinds, as positions in ``kinds``
+        slots = {point: [i for i, k in enumerate(kinds) if k in ks] for point, ks in wanted.items()}
+        _, stream = _coefficients(self.spec, kinds, self.N, self.sieve)
+        buf = np.empty((2, min(self.N, _BLOCK)))
+        live = {point: _DirichletSums(point, len(ks), buf) for point, ks in slots.items()}
+        failed: dict[ComplexArgument, Exception] = {}
+        for lo, blocks in stream:
+            for point in list(live):
+                try:
+                    live[point].feed(lo, [blocks[i] for i in slots[point]])
+                except DomainError as exc:
+                    failed[point] = exc
+                    del live[point]
+            if not live:  # every point failed: no later block is built
+                break
+        for point, sums in live.items():
+            try:
+                results = sums.results(self.N)
+            except DomainError as exc:
+                failed[point] = exc
+                continue
+            for i, (value, abs_sum) in zip(slots[point], results):
+                kind = kinds[i]
+                ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)
+                if point.sigma > 1.0:
+                    divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
+                    tail = (_divisor_tail if divisor else _power_tail)(self.N, point.sigma)
+                    ev = SeriesEval(value, self.N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
+                self._evals[(kind, point)] = ev
+        for point, exc in failed.items():
+            for i in slots[point]:
+                self._evals[(kinds[i], point)] = exc.with_traceback(None)
 
     def residual(self, identity: IdentityKind, s) -> IdentityResidual:
         """|LHS - RHS| of one identity at s, read from the store (see identity_residual).
@@ -1335,7 +1415,7 @@ class _SeriesStore:
         four identities at one point need all four.
         """
         point = ComplexArgument.of(s)
-        self._sum_streams([k for k in DerivedFunctionKind if (k, point) not in self._evals], point)
+        self._sum_streams([(kind, point) for kind in DerivedFunctionKind])
         sides = [
             [self.get(name, point) for name in side] for side in _IDENTITY_SIDES[identity]
         ]

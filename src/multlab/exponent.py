@@ -35,12 +35,7 @@ from .primesums import (
     _decays,
 )
 from .sieve import FactorSieve
-from .summation import (
-    PartialSumSeries,
-    _schedule,
-    exact_prefix_sums_at,
-    prefix_sums_at,
-)
+from .summation import PartialSumSeries, _IntSum, _prefix_sums, _schedule, prefix_sums_at
 
 class InsufficientDataError(ValueError):
     """Too few usable checkpoints inside the fitting window."""
@@ -68,17 +63,25 @@ def checkpoint_partial_sums(
     ``schedule`` defaults to ``checkpoint_schedule(x_max)``; a given one
     must strictly ascend within [1, x_max] (ValueError otherwise).
 
-    The stream is the one ``multfunc._coefficients`` gives every consumer:
-    specs with all f(p) in {-1, 0, 1} get the exact integer stream (int8
-    or int16), summed in int64 by ``exact_prefix_sums_at``; other streams
-    take ``prefix_sums_at``, whose every checkpoint is its exact prefix sum
-    rounded once.  Both paths are deterministic and independent of any
-    upstream parallelism.
+    The stream is the one ``multfunc._coefficients`` gives every consumer,
+    read block by block and summed as it is built, so no whole-length
+    stream is held and blocks past the last checkpoint are never built.
+    Specs with all f(p) in {-1, 0, 1} get the exact integer stream (int8
+    or int16), summed in int64 (``summation._IntSum``, as
+    ``exact_prefix_sums_at`` sums); other streams take the exact sum of
+    ``prefix_sums_at``, each checkpoint its exact prefix sum rounded once.
+    Both give the bits of the whole-array path, deterministically and
+    independent of any upstream parallelism.
     """
-    coeffs = _coefficients(spec, kind, x_max, sieve)  # ValueError outside [1, sieve limit]
-    exact = np.issubdtype(coeffs.dtype, np.integer)
+    # ValueError outside [1, sieve limit], before the schedule is read
+    exact, stream = _coefficients(spec, (kind,), x_max, sieve)
     schedule = _schedule(x_max, schedule)
-    sums = (exact_prefix_sums_at if exact else prefix_sums_at)(coeffs, schedule)
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        _, (block,) = next(stream)  # the block of terms lo, ..., lo + _BLOCK - 1
+        return block[: hi - lo]
+
+    sums = _prefix_sums(terms, schedule, _IntSum() if exact else None)
     return PartialSumSeries(schedule, sums, exact)
 
 

@@ -22,15 +22,17 @@ from the finished entry a(m) --
 * F_mu2:   a(n) = 0 when p | m, else f(p) a(m);
 * H_conv:  a(n) = (1 + f(p)) a(m), minus f(p) a(m / p) when p | m.
 
-The steps run as vector passes over chunks of about 2^16 entries, each
-split by parity (even n have p = 2 and take their step by slices; odd n
-read p from the sieve's odd-only table), so the work is O(N) with no
-Python-level per-n loop.  Streams whose values are provably integers (all
-f(p) in {-1,0,1}) run the same steps in the narrowest integer dtype that
-holds them (int8 for F and F_mu2, int16 for H and G).  Which of the two a
-spec gets is decided in one place, ``_coefficients``: the partial-sum
-traces and the Dirichlet series of an integer-valued spec both read its
-exact stream.
+The steps run as vector passes over chunks of 2^16 entries, each split by
+parity (even n have p = 2 and take their step by slices; odd n read p from
+the sieve's odd-only table), so the work is O(N) with no Python-level
+per-n loop.  The chunks are handed on as blocks (``_stream_blocks``), one
+pass building every kind a consumer asks for, and only a(1..N/2), the
+entries later steps read, are kept.  Streams whose values are provably
+integers (all f(p) in {-1,0,1}) run the same steps in the narrowest
+integer dtype that holds them (int8 for F and F_mu2, int16 for H and G).
+Which of the two a spec gets is decided in one place, ``_coefficients``:
+the partial-sum traces and the Dirichlet series of an integer-valued spec
+both read its exact stream, block by block.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .sieve import FactorSieve, factorize, primes_up_to
+from .summation import _BLOCK
 
 BASE_LIOUVILLE = "liouville"
 BASE_CONSTANT = "constant"
@@ -420,13 +423,14 @@ def eval_f_mu2(spec: PrimeFunctionSpec, n: int, sieve: FactorSieve) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: entries per vector pass of :func:`_stream`; each pass's temporaries
-#: (a few arrays of this length) then stay in cache
-_CHUNK = 1 << 16
+#: n per chunk of :func:`_stream_blocks`: two ``_BLOCK`` slices of the sums
+#: that read it, and a pass's temporaries (a few arrays of half this length)
+#: stay in cache
+_CHUNK = 2 * _BLOCK
 
 
 #: result dtype of each exact stream: the narrowest integer type that holds
-#: every value and intermediate of its step below 2^32 (see :func:`_stream`)
+#: every value and intermediate of its step below 2^32 (see :func:`_stream_blocks`)
 _EXACT_DTYPES = {
     DerivedFunctionKind.F_PLAIN: np.int8,
     DerivedFunctionKind.F_MU2: np.int8,
@@ -438,40 +442,53 @@ _EXACT_DTYPES = {
 def _prime_values(
     spec: PrimeFunctionSpec, limit: int, sieve: FactorSieve, dtype
 ) -> tuple[np.generic, np.generic | np.ndarray]:
-    """(f(2), f of the odd primes) for :func:`_stream`, in ``dtype``.
+    """(f(2), f of the odd primes) for :func:`_stream_blocks`, in ``dtype``.
 
     The second is one scalar, f(3), when the spec is flat: every odd prime
     <= limit has the same f(p).  That holds when the spec has a base value
     (``_base_value``), unless an exception sits on an odd prime <= limit;
     below 3 no odd n > 1 takes a step, so f(3) is then never read.
-    Otherwise it is a dense table over the odd n <= limit, indexed like the
-    sieve's spf table by ``p >> 1``, filled by one :func:`f_at_primes` call.
-    Every value comes from ``_f_values``, elementwise, so a scalar is bit
-    for bit the table entry it stands for.
+    Otherwise it is a table over the odd n <= isqrt(limit) only, indexed
+    like the sieve's spf table by ``p >> 1``, filled by one
+    :func:`f_at_primes` call.  Every odd composite n <= limit has
+    spf(n) <= isqrt(limit), so the table misses only the odd primes n
+    above isqrt(limit), whose step has p = n and m = 1:
+    :func:`_stream_blocks` evaluates those per chunk.  Every value comes
+    from ``_f_values``, elementwise, so a scalar, a table entry and a
+    per-chunk value are bit for bit the f(p) of a table over every prime.
     """
     f2, f3 = _f_values(spec, np.array([2, 3])).astype(dtype)
     flat = _base_value(spec) is not None
     if flat and not any(2 < q <= limit for q, _ in spec.exceptions):
         return f2, f3
-    odd_primes = primes_up_to(limit, sieve)[1:]
-    table = np.zeros((limit + 1) // 2, dtype=dtype)
+    root = math.isqrt(limit)
+    odd_primes = primes_up_to(root, sieve)[1:]
+    table = np.zeros((root + 1) // 2, dtype=dtype)
     table[odd_primes >> 1] = f_at_primes(spec, odd_primes)
     return f2, table
 
 
-def _stream(
+def _stream_blocks(
     spec: PrimeFunctionSpec,
-    kind: DerivedFunctionKind,
+    kinds: tuple[DerivedFunctionKind, ...],
     limit: int,
     sieve: FactorSieve,
     exact: bool,
-) -> np.ndarray:
-    """a(1..limit) for one derived function, one step from a(n / spf(n)).
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """a(1..limit) of every derived function in ``kinds``, block by block, in one pass.
 
-    For n with p = spf(n), m = n // p is at most n / 2, and p | m exactly
-    when spf(m) == p.  A chunk [lo, hi) with hi <= 2 lo therefore reads only
-    finished entries below lo, and fills in a few vector passes.  The
-    steps, with f = f(p):
+    Yields (lo, blocks) for lo = 0, _BLOCK, 2 _BLOCK, ... below limit:
+    ``blocks[j]`` holds a(lo + 1), ..., a(hi) of ``kinds[j]``, with
+    hi = min(lo + _BLOCK, limit), so it is the slice [lo, hi) of the whole
+    stream that ``coefficient_stream`` returns.  A block is a view that
+    the next chunk may overwrite: read it before drawing the next one.
+    The arguments are checked when this is called, the steps run as the
+    blocks are drawn, and only the chunks drawn are built.
+
+    Each n takes one step from a(n / spf(n)).  For n with p = spf(n),
+    m = n // p is at most n / 2, and p | m exactly when spf(m) == p.  A
+    chunk [lo, hi) with hi <= 2 lo therefore reads only finished entries
+    below lo, and fills in a few vector passes.  The steps, with f = f(p):
 
     * F_plain: a(n) = f * a(m), complete multiplicativity;
     * G_conv: a(n) = a(m) when p | m, else (1 + f) * a(m), since
@@ -482,30 +499,40 @@ def _stream(
       - f h(p^(e-2)), the recurrence with characteristic roots 1 and f,
       times h(r); m / p = n / p^2 is finished too.
 
+    Chunks hold _CHUNK = 2 _BLOCK n each, the n in (j _CHUNK, (j+1) _CHUNK],
+    so each one hands on two blocks without a copy; the first is filled in
+    passes [lo, 2 lo) from lo = 2.  Later steps read only a(m), a(m / p)
+    and a(n / 4), all at n / 2 <= limit / 2 or below, so only
+    a(1..kept) is kept, with kept the first chunk end at or past
+    limit / 2 (or limit, if smaller): every chunk past kept is written to
+    one scratch chunk per kind, reused.  The kinds share one pass per
+    chunk: p, n // p, the mask of p | m and f are formed once for all.
+
     Each chunk is split by parity.  Even n have p = 2, m = n / 2, and
     p | m exactly when 4 | n, so their half takes no division and no
-    gather: a(n / 2) is the block ``vals[lo/2 : hi/2]``, a(n / 4) the block
-    ``vals[lo/4 : hi/4]``, f = f(2) is one scalar, and stride-4 views
-    split the even n by their class mod 4.  Odd n write a stride-2 view
-    of ``vals`` and read p from the contiguous block ``spf[lo/2 : hi/2]``
-    of the sieve's odd-only table: m = n // p is divided in uint32 and
-    formed once as ``np.intp``, the index type of every gather that reads
-    it.  m is odd, so p | m exactly when ``spf[m >> 1] == p`` (m = 1 reads
-    the sentinel 1), and the "when p | m" choices multiply by the 0/1 mask
-    ``again`` (np.where has no fast path for 1-byte items); F_mu2's float
-    step keeps np.where.  The odd half's f is one scalar too for a flat
-    spec, else a gather at ``p >> 1`` from the f(p) table (see
-    :func:`_prime_values`): int8 for exact streams (values in {-1, 0, 1}),
-    float64 otherwise.
+    gather: a(n / 2) is a block of the kept entries, a(n / 4) another,
+    f = f(2) is one scalar, and stride-2 views of the chunk's even n split
+    them by their class mod 4.  Odd n read p from the contiguous block
+    ``spf[lo/2 : hi/2]`` of the sieve's odd-only table: m = n // p is
+    divided in uint32 and formed once as ``np.intp``, the index type of
+    every gather that reads it.  m is odd, so p | m exactly when
+    ``spf[m >> 1] == p`` (m = 1 reads the sentinel 1), and the "when
+    p | m" choices multiply by the 0/1 mask (np.where has no fast path for
+    1-byte items); F_mu2's float step keeps np.where.  The odd half's f is
+    one scalar for a flat spec, else a gather at ``p >> 1`` from the f(p)
+    table of the odd primes up to isqrt(limit) (see :func:`_prime_values`),
+    with the chunk's primes above isqrt(limit) evaluated by ``_f_values``:
+    int8 for exact streams (values in {-1, 0, 1}), float64 otherwise.
 
-    No bit depends on the split.  Each entry is the same operation on the
-    same operands, in the same association, as the masked step; the even
-    half only leaves out products with a mask whose value is known.  In
-    float that is exact: times 1 is the identity, G's 1 + f * 0 is 1, and
-    H's subtracted term f a(m / p) * 0 is a signed zero, which changes no
-    H value because H values are never -0.0 (h(m) >= 0 and 1 + f >= 0).
-    F_mu2 where 4 | n keeps the 0.0 that ``vals`` starts with, the value
-    np.where gave.  A scalar f is bit for bit the table entry it replaces.
+    No bit depends on the chunking, on the kinds built together or on the
+    split.  Each entry is the same operation on the same operands, in the
+    same association, as the masked step; the even half only leaves out
+    products with a mask whose value is known.  In float that is exact:
+    times 1 is the identity, G's 1 + f * 0 is 1, and H's subtracted term
+    f a(m / p) * 0 is a signed zero, which changes no H value because H
+    values are never -0.0 (h(m) >= 0 and 1 + f >= 0).  F_mu2 where 4 | n
+    is written 0, the value np.where gave.  A scalar f is bit for bit the
+    table entry it replaces.
 
     Exact streams (``exact``, every f(p) in {-1, 0, 1}) are integer and
     stored in the narrowest dtype of ``_EXACT_DTYPES``.  F and F_mu2 take
@@ -525,55 +552,118 @@ def _stream(
     measured at most e (e + 4) / 4 units of 2^-53 relative (1.7e-14 for
     e <= 23, that is n <= 10^7).  Errors of the prime powers of n add.
 
-    Raises TypeError when ``kind`` is not a DerivedFunctionKind (its last
-    step would otherwise take any other value for H_conv).
+    Raises TypeError when a kind is not a DerivedFunctionKind (its last
+    step would otherwise take any other value for H_conv), and ValueError
+    when limit lies outside [1, sieve limit].
     """
-    if not isinstance(kind, DerivedFunctionKind):
-        raise TypeError(f"kind must be a DerivedFunctionKind, got {type(kind).__name__}")
+    _check_stream(kinds, limit, sieve)
+    return _fill(spec, tuple(kinds), limit, sieve, exact)
+
+
+def _check_stream(kinds, limit: int, sieve: FactorSieve) -> None:
+    for kind in kinds:
+        if not isinstance(kind, DerivedFunctionKind):
+            raise TypeError(f"kind must be a DerivedFunctionKind, got {type(kind).__name__}")
     if not 1 <= limit <= sieve.limit:
         raise ValueError(f"limit {limit} outside [1, sieve limit {sieve.limit}]")
-    spf = sieve.spf
+
+
+def _fill(spec, kinds, limit, sieve, exact, whole=None) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The generator behind :func:`_stream_blocks`, which checks its arguments.
+
+    ``whole``, one zeroed array of limit + 1 entries per kind, keeps every
+    entry (a(n) at index n) instead of a(1..kept) and a scratch chunk.
+    """
+    spf, root = sieve.spf, math.isqrt(limit)
     f2, f_odd = _prime_values(spec, limit, sieve, np.int8 if exact else np.float64)
-    vals = np.zeros(limit + 1, dtype=_EXACT_DTYPES[kind] if exact else np.float64)
-    vals[1] = 1
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + min(lo, _CHUNK), limit + 1)
-        # even n = 2k: ``half`` holds a(k) for the n of ``even``; n4 picks
-        # those with 4 | n (k even), n2 the others
-        k = (lo + 1) // 2
-        even, half = vals[2 * k : hi : 2], vals[k : (hi + 1) // 2]
-        n4, n2 = slice(k & 1, None, 2), slice(1 - (k & 1), None, 2)
-        if kind is DerivedFunctionKind.F_PLAIN:
-            np.multiply(f2, half, out=even)
-        elif kind is DerivedFunctionKind.G_CONV:
-            even[n4] = half[n4]
-            even[n2] = (1 + f2) * half[n2]
-        elif kind is DerivedFunctionKind.F_MU2:
-            even[n2] = f2 * half[n2]  # even[n4] keeps the 0 it starts with
-        else:  # H_CONV
-            even[n2] = (1 + f2) * half[n2]
-            even[n4] = (1 + f2) * half[n4] - f2 * vals[(lo + 3) // 4 : (hi + 3) // 4]
-        # odd n
+    dtypes = [_EXACT_DTYPES[kind] if exact else np.float64 for kind in kinds]
+    if whole is None:  # through the first chunk end at or past limit / 2
+        kept = min(limit, max(_CHUNK, -(-(limit // 2) // _CHUNK) * _CHUNK))
+        heads = [np.zeros(kept + 1, dtype=dtype) for dtype in dtypes]  # a(n) at index n
+    else:
+        kept, heads = limit, whole
+    for head in heads:
+        head[1] = 1
+    masked = any(kind is not DerivedFunctionKind.F_PLAIN for kind in kinds)
+
+    def step(lo: int, hi: int, outs: list[np.ndarray]) -> None:
+        """a(lo), ..., a(hi - 1) of every kind into ``outs``, out[i] = a(lo + i)."""
+        # odd n: p, m = n // p, f and the mask of p | m, shared by every kind
         p = spf[lo >> 1 : hi >> 1]
         q = np.arange(lo | 1, hi, 2, dtype=np.uint32) // p  # n // p, divided in uint32
         m = q.astype(np.intp)
-        f = np.take(f_odd, p >> 1) if f_odd.ndim else f_odd  # take converts uint32 fast
-        a = vals[m]
-        odd = vals[lo | 1 : hi : 2]
-        if kind is DerivedFunctionKind.F_PLAIN:
-            odd[...] = f * a
-        else:
+        f = f_odd
+        if f_odd.ndim:
+            # take converts uint32 fast; an odd prime n past the table
+            # (p = n > isqrt(limit)) reads its last entry, then its own f(p)
+            f = np.take(f_odd, p >> 1, mode="clip")
+            big = np.flatnonzero(p > root)
+            f[big] = _f_values(spec, p[big])
+        if masked:
             again = spf[m >> 1] == p
-            if kind is DerivedFunctionKind.G_CONV:
-                odd[...] = (1 + f * ~again) * a
+            apart = ~again
+        # even n = 2k: ``half`` holds a(k) for the n of ``even``; n4 picks
+        # those with 4 | n (k even), n2 the others
+        k = (lo + 1) // 2
+        n4, n2 = slice(k & 1, None, 2), slice(1 - (k & 1), None, 2)
+        for kind, vals, out in zip(kinds, heads, outs):
+            even, half = out[lo & 1 :: 2], vals[k : (hi + 1) // 2]
+            odd, a = out[1 - (lo & 1) :: 2], vals[m]
+            if kind is DerivedFunctionKind.F_PLAIN:
+                np.multiply(f2, half, out=even)
+                odd[...] = f * a
+            elif kind is DerivedFunctionKind.G_CONV:
+                even[n4] = half[n4]
+                even[n2] = (1 + f2) * half[n2]
+                odd[...] = (1 + f * apart) * a
             elif kind is DerivedFunctionKind.F_MU2:
+                even[n4] = 0
+                even[n2] = f2 * half[n2]
                 # a float f * a < 0 times False is -0.0, where np.where
                 # gives 0.0, so only the exact path multiplies
-                odd[...] = f * a * ~again if exact else np.where(again, 0, f * a)
+                odd[...] = f * a * apart if exact else np.where(again, 0, f * a)
             else:  # H_CONV
+                even[n2] = (1 + f2) * half[n2]
+                even[n4] = (1 + f2) * half[n4] - f2 * vals[(lo + 3) // 4 : (hi + 3) // 4]
                 odd[...] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
+
+    def blocks(start: int, outs: list[np.ndarray]):
+        for lo in range(0, outs[0].size, _BLOCK):
+            yield start + lo, [out[lo : lo + _BLOCK] for out in outs]
+
+    end = min(limit, _CHUNK)
+    lo = 2
+    while lo <= end:
+        hi = min(2 * lo, end + 1)
+        step(lo, hi, [head[lo:hi] for head in heads])
         lo = hi
+    yield from blocks(0, [head[1 : end + 1] for head in heads])
+    scratch = None
+    for start in range(_CHUNK, limit, _CHUNK):
+        lo, hi = start + 1, min(start + _CHUNK, limit) + 1
+        if hi - 1 <= kept:
+            outs = [head[lo:hi] for head in heads]
+        else:
+            if scratch is None:
+                scratch = [np.empty(_CHUNK, dtype=dtype) for dtype in dtypes]
+            outs = [buf[: hi - lo] for buf in scratch]
+        step(lo, hi, outs)
+        yield from blocks(start, outs)
+
+
+def _stream(
+    spec: PrimeFunctionSpec,
+    kind: DerivedFunctionKind,
+    limit: int,
+    sieve: FactorSieve,
+    exact: bool,
+) -> np.ndarray:
+    """a(1..limit) of one kind as one array: the blocks of :func:`_stream_blocks`,
+    every one of them kept."""
+    _check_stream((kind,), limit, sieve)
+    vals = np.zeros(limit + 1, dtype=_EXACT_DTYPES[kind] if exact else np.float64)
+    for _ in _fill(spec, (kind,), limit, sieve, exact, [vals]):
+        pass
     return vals[1:]
 
 
@@ -586,8 +676,10 @@ def coefficient_stream(
     """Array of the selected function at n = 1..limit (index i holds a(i+1)).
 
     Agrees with pointwise evaluation to rounding; computed in bulk by one
-    step per n from a(n / spf(n)), in chunks of at most 2^16 entries (about
-    limit / 2^16 + 16 vector passes, O(limit) work).
+    step per n from a(n / spf(n)), in chunks of 2^16 entries (about
+    limit / 2^16 + 16 vector passes, O(limit) work).  The library itself
+    never holds a whole stream: its sums read the same blocks one at a
+    time (``_coefficients``), with the same bits.
     """
     return _stream(spec, kind, limit, sieve, exact=False)
 
@@ -608,8 +700,8 @@ def integer_coefficient_stream(
     dtype.
 
     Raises ValueError when the spec is not integer-valued.  The library's
-    own callers never choose: :func:`_coefficients` hands them this stream
-    for every spec that has one.
+    own sums read the same blocks for every spec that has them
+    (:func:`_coefficients`).
     """
     if not spec_is_pm1(spec):
         raise ValueError("integer stream requires f(p) in {-1, 0, 1} everywhere")
@@ -618,18 +710,20 @@ def integer_coefficient_stream(
 
 def _coefficients(
     spec: PrimeFunctionSpec,
-    kind: DerivedFunctionKind,
+    kinds: tuple[DerivedFunctionKind, ...],
     limit: int,
     sieve: FactorSieve,
-) -> np.ndarray:
-    """The one stream of (spec, kind) that every consumer reads.
+) -> tuple[bool, Iterator[tuple[int, list[np.ndarray]]]]:
+    """The one stream of (spec, kind) that every consumer reads, for each of ``kinds``.
 
-    The exact integer stream when :func:`spec_is_pm1` holds, else the float
-    stream; the dtype says which (an integer dtype is exact).  Both come
-    through the public names, so a wrapper of either sees every build.
+    (exact, blocks): the exact integer streams when :func:`spec_is_pm1`
+    holds (exact is True), else the float streams, as the blocks of one
+    :func:`_stream_blocks` pass.  No consumer holds a whole stream, so the
+    public stream functions, which collect the same blocks, see only the
+    whole-array builds of their own callers.
     """
-    stream = integer_coefficient_stream if spec_is_pm1(spec) else coefficient_stream
-    return stream(spec, kind, limit, sieve)
+    exact = spec_is_pm1(spec)
+    return exact, _stream_blocks(spec, kinds, limit, sieve, exact)
 
 
 LIOUVILLE = liouville_spec()

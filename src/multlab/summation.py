@@ -187,6 +187,8 @@ class _ExactSum:
     special value or exception.
     """
 
+    dtype = np.float64
+
     def __init__(self, buf: np.ndarray | None = None) -> None:
         self.pieces: list[float] = []
         # r and q, reused while chunks fit; accumulators fed one chunk at a
@@ -224,20 +226,39 @@ class _ExactSum:
         return math.fsum(self.pieces)
 
 
-def _prefix_sums(terms, counts) -> np.ndarray:
+class _IntSum:
+    """Exact running sum of integer chunks: ``_ExactSum``'s counterpart for
+    the exact streams.  Each chunk is summed with an int64 accumulator
+    (exact while one chunk's sum stays below 2^63) and the chunks with a
+    Python int, so the sum is exact for any realistic length."""
+
+    dtype = np.int64
+
+    def __init__(self) -> None:
+        self.total = 0
+
+    def add(self, chunk: np.ndarray) -> None:
+        self.total += int(np.sum(chunk, dtype=np.int64))
+
+    def value(self) -> int:
+        return self.total
+
+
+def _prefix_sums(terms, counts, total=None) -> np.ndarray:
     """Exactly rounded prefix sums of terms handed over in slices.
 
     ``terms(lo, hi)`` returns the float64 terms lo, ..., hi - 1 as a 1-D
     array; it is called in order, for slices of _BLOCK terms that end at
-    ``counts[-1]``.  One ``_ExactSum`` takes every slice, cut at the
-    counts inside it, so entry i is the exact sum of the first
-    ``counts[i]`` terms rounded once: bit for bit ``math.fsum`` of that
-    prefix (or its exception), whatever the slicing.  ``counts`` must not
-    decrease.
+    ``counts[-1]``.  One accumulator, ``total`` (a fresh ``_ExactSum`` by
+    default), takes every slice, cut at the counts inside it, so entry i
+    is the exact sum of the first ``counts[i]`` terms rounded once: bit
+    for bit ``math.fsum`` of that prefix (or its exception), whatever the
+    slicing.  With an ``_IntSum`` the terms are integers and every entry
+    is the exact int64 sum.  ``counts`` must not decrease.
     """
     counts = np.asarray(counts, dtype=np.int64).tolist()
-    out = np.empty(len(counts), dtype=np.float64)
-    total = _ExactSum()
+    total = _ExactSum() if total is None else total
+    out = np.empty(len(counts), dtype=total.dtype)
     i = 0
     for lo in range(0, counts[-1] if counts else 0, _BLOCK):
         chunk = terms(lo, min(lo + _BLOCK, counts[-1]))
@@ -294,22 +315,12 @@ def exact_prefix_sums_at(values: np.ndarray, boundaries: np.ndarray) -> np.ndarr
     """Exact integer prefix sums (int64 values) at index boundaries.
 
     Intended for the exact coefficient streams, whatever their integer
-    dtype (int8 or int16): each segment is summed with an int64 accumulator
-    (exact while a segment's sum stays below 2^63), and segments are
-    combined with Python integers, so the result is exact for any
-    realistic length.
+    dtype (int8 or int16): ``_prefix_sums`` with an ``_IntSum``, so each
+    slice is summed with an int64 accumulator and the slices with Python
+    integers, and the result is exact for any realistic length.
     """
     data = np.asarray(values)
     if data.dtype.kind not in "iu":
         raise TypeError("exact_prefix_sums_at requires an integer array")
     bounds = _checked_bounds(boundaries, len(data))
-    if bounds.size == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.empty(bounds.size, dtype=np.int64)
-    total = 0
-    prev = 0
-    for i, b in enumerate(bounds):
-        total += int(np.sum(data[prev:b], dtype=np.int64))
-        prev = int(b)
-        out[i] = total
-    return out
+    return _prefix_sums(lambda lo, hi: data[lo:hi], bounds, _IntSum())

@@ -230,13 +230,16 @@ def run_verify(cfg: ExperimentConfig, sieve: FactorSieve | None = None) -> Verif
     """Run every registered check once, in fixed order.
 
     Without ``sieve``, one is built to ``cfg.sieve_limit``.  The identity
-    and F(1+h) checks share one series store, so each stream at
-    truncation_N is built once per run; they run first, and the store is
-    freed before the checks that work at x_max.
+    and F(1+h) checks share one series store, given every stream sum they
+    read up front, so one pass builds each stream at truncation_N block by
+    block and feeds every s-grid and h-grid point; they run first, and the
+    store is freed before the checks that work at x_max.
     """
     if sieve is None:
         sieve = build_sieve(cfg.sieve_limit)
-    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol)
+    sums = [(kind, ComplexArgument(*s)) for s in cfg.s_grid for kind in DerivedFunctionKind]
+    sums += [(DerivedFunctionKind.F_PLAIN, 1.0 + h) for h in cfg.f_one_h_grid]
+    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol, sums)
     identity_lines = _identity_lines(cfg, store)
     f_one_trend_line = _f_one_trend_line(cfg, store)
     del store

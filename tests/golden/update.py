@@ -57,6 +57,7 @@ CASES = {
     "traces-liouville": TRACES,
     "traces-liouville-exc": TRACES,
     "traces-power-decay": TRACES,
+    "traces-constant-exc-large": TRACES,
     "series-power-decay": SERIES,
 }
 

@@ -475,11 +475,10 @@ def test_verify_detects_injected_corruption(cfg_file, tmp_path, monkeypatch, cap
 
     original = dl._coefficients
 
-    def poisoned(spec, kind, limit, sieve):
-        coeffs = original(spec, kind, limit, sieve)
-        if kind is dl.DerivedFunctionKind.H_CONV:
-            return coeffs * 1.01
-        return coeffs
+    def poisoned(spec, kinds, limit, sieve):
+        exact, blocks = original(spec, kinds, limit, sieve)
+        scale = [1.01 if kind is dl.DerivedFunctionKind.H_CONV else 1 for kind in kinds]
+        return exact, ((lo, [b * k for b, k in zip(block, scale)]) for lo, block in blocks)
 
     monkeypatch.setattr(dl, "_coefficients", poisoned)
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ accounting, so these assertions are exact, not order-of-magnitude.
 
 import bisect
 import cmath
+import itertools
 import math
 import os
 import random
@@ -102,6 +103,40 @@ def test_zeta_vs_mpmath_grid(sigma, t):
     assert not got.heuristic
     assert diff <= got.tail_bound, (s, diff, got.tail_bound)
     assert got.tail_bound < 1e-10
+
+
+def test_accel_coefficients_are_the_correctly_rounded_quotients():
+    # the factorial form of the terms and one Fraction per coefficient, as
+    # the depths were first computed: every depth zeta can use, bit for bit
+    for n in range(8, 257):
+        terms = (
+            math.factorial(n + i - 1) * 4**i // (math.factorial(n - i) * math.factorial(2 * i))
+            for i in range(n + 1)
+        )
+        d = [n * total for total in itertools.accumulate(terms)]
+        want = [float(Fraction((-1) ** k * (dk - d[n]), d[n])) for k, dk in enumerate(d[:n])]
+        got = multlab.dirichlet._accel_coefficients(n)
+        assert got.tobytes() == np.array(want).tobytes(), n
+        assert not got.flags.writeable
+
+
+def test_deflation_reads_each_zeta_once_per_process(monkeypatch):
+    # G and U at one s share zeta(2s) for a flat base: the second product
+    # finds it memoised, with every bit
+    calls = []
+    original = multlab.dirichlet.zeta
+
+    def counting(s, tol=1e-12):
+        calls.append(ComplexArgument.of(s))
+        return original(s, tol)
+
+    monkeypatch.setattr(multlab.dirichlet, "zeta", counting)
+    multlab.dirichlet._deflation_zeta.cache_clear()
+    spec, point = constant_spec(0.3), ComplexArgument(1.7, 2.5)
+    first = [_deflation(power, spec, point) for power in (1, 2)]
+    assert calls.count(ComplexArgument(3.4, 5.0)) == 1
+    calls.clear()
+    assert [_deflation(power, spec, point) for power in (1, 2)] == first and calls == []
 
 
 def test_zeta_below_half_is_flagged_but_usable():
@@ -1296,21 +1331,25 @@ def test_identity_budgets_are_not_vacuous(sieve_1e6):
 # ------------------------------------------------------------ series store
 
 
-def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
+def _count_passes(monkeypatch, passes):
+    """Record the kinds of every stream pass the series store makes."""
     import multlab.dirichlet as dl
 
-    builds = []
     original = dl._coefficients
 
-    def counting(spec, kind, limit, sieve):
-        builds.append(kind)
-        return original(spec, kind, limit, sieve)
+    def counting(spec, kinds, limit, sieve):
+        passes.append(kinds)
+        return original(spec, kinds, limit, sieve)
 
     monkeypatch.setattr(dl, "_coefficients", counting)
+
+
+def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
+    # one pass builds all four streams for every s-grid and h-grid point
+    passes = []
+    _count_passes(monkeypatch, passes)
     run_verify(ExperimentConfig(), sieve=sieve_1e6)
-    assert sorted(builds, key=lambda k: k.value) == sorted(
-        DerivedFunctionKind, key=lambda k: k.value
-    )
+    assert passes == [tuple(DerivedFunctionKind)]
 
 
 @pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8])
@@ -1369,64 +1408,33 @@ def test_allowance_sum_is_bounded_by_its_factor(spec, s, N, sieve_1e6):
 
 
 def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypatch):
-    import multlab.dirichlet as dl
-
-    passes, builds = [], []
-    original_sums, original_stream = dl._dirichlet_sums, dl._coefficients
-
-    def counting_sums(coeffs, length, point):
-        if length == 10**4:  # zeta sums its few acceleration terms here too
-            passes.append((len(coeffs), point))
-        return original_sums(coeffs, length, point)
-
-    def counting_stream(spec, kind, limit, sieve):
-        builds.append(kind)
-        return original_stream(spec, kind, limit, sieve)
-
-    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
-    monkeypatch.setattr(dl, "_coefficients", counting_stream)
+    passes = []
+    _count_passes(monkeypatch, passes)
     store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
     point = ComplexArgument(2.0, 3.0)
     store.get(DerivedFunctionKind.F_PLAIN, point)
     store.residual(IdentityKind.G_PRODUCT_VS_SUM, point)  # sums the other three
-    assert passes == [(1, point), (3, point)]
+    F, H, G, Fmu2 = DerivedFunctionKind
+    assert passes == [(F,), (H, G, Fmu2)]
     for identity in IdentityKind:
         store.residual(identity, point)
     for kind in DerivedFunctionKind:
         store.get(kind, point)
-    assert len(passes) == 2 and len(builds) == 4
+    assert len(passes) == 2
 
 
 def test_four_identities_at_one_point_make_one_pass(sieve_1e4, monkeypatch):
-    import multlab.dirichlet as dl
-
-    lengths = []
-    original_sums = dl._dirichlet_sums
-
-    def counting_sums(coeffs, length, point):
-        if length == 10**4:  # every pass over n <= N, empty ones too; zeta's are shorter
-            lengths.append(len(coeffs))
-        return original_sums(coeffs, length, point)
-
-    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    passes = []
+    _count_passes(monkeypatch, passes)
     store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
     for identity in IdentityKind:
         store.residual(identity, ComplexArgument(2.0, 3.0))
-    assert lengths == [4]
+    assert passes == [tuple(DerivedFunctionKind)]
 
 
 def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatch):
-    import multlab.dirichlet as dl
-
     passes = []
-    original_sums = dl._dirichlet_sums
-
-    def counting_sums(coeffs, length, point):
-        if length == 10**4:
-            passes.append((len(coeffs), point))
-        return original_sums(coeffs, length, point)
-
-    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    _count_passes(monkeypatch, passes)
     store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
     point = ComplexArgument(-300.0)  # n^300 leaves float64 from n = 11
     for identity in IdentityKind:
@@ -1435,7 +1443,7 @@ def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatc
     for kind in DerivedFunctionKind:
         with pytest.raises(DomainError, match="leaves float64"):
             store.get(kind, point)
-    assert passes == [(4, point)]
+    assert passes == [tuple(DerivedFunctionKind)]
 
 
 def test_the_store_memoises_exactly_the_no_value_failures(sieve_1e4, monkeypatch):
@@ -1527,22 +1535,24 @@ def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monke
     with pytest.raises(DomainError) as info:
         dl._dirichlet_sums([stream], 25_000, point)
     assert str(info.value) == message
-    # the store memoises the failure: one pass, the same error every time
-    passes = []
-    original_sums = dl._dirichlet_sums
+    # the store memoises the failure: one pass, the same error every time,
+    # and a pass whose every point failed draws no block past the first
+    passes, drawn = [], []
+    original = dl._coefficients
 
-    def counting_sums(coeffs, length, at):
-        passes.append(len(coeffs))
-        return original_sums(coeffs, length, at)
+    def counting(spec, kinds, limit, sieve):
+        passes.append(len(kinds))
+        exact, blocks = original(spec, kinds, limit, sieve)
+        return exact, (drawn.append(lo) or (lo, block) for lo, block in blocks)
 
-    monkeypatch.setattr(dl, "_dirichlet_sums", counting_sums)
+    monkeypatch.setattr(dl, "_coefficients", counting)
     store = _SeriesStore(LIOUVILLE, N, 10**3, sieve_1e6)
     for _ in range(3):
         for kind in DerivedFunctionKind:
             with pytest.raises(DomainError) as info:
                 store.get(kind, point)
             assert str(info.value) == message
-    assert passes == [1, 1, 1, 1]
+    assert passes == [1, 1, 1, 1] and drawn == [0, 0, 0, 0]
 
 
 #: specs with every f(p) in {-1, 0, 1}: the store sums their exact streams
@@ -1564,18 +1574,37 @@ def _bits(ev):
 
 @pytest.mark.parametrize("N", [1, 2, 2**15 + 1])
 @pytest.mark.parametrize("spec", PM1_SPECS, ids=lambda spec: spec.spec_id())
-def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5):
-    # a +-1 spec's store holds the exact int8/int16 streams its partial-sum
-    # traces read, and every sum and budget is the one that _dirichlet_sums
-    # over the float streams gives
-    store = _SeriesStore(spec, N, N, sieve_1e5)
-    floats = _SeriesStore(spec, N, N, sieve_1e5)
-    for kind in DerivedFunctionKind:
-        floats._streams[kind] = coefficient_stream(spec, kind, N, sieve_1e5)
-    for s in (1.5, 2.0, complex(2.0, 3.0), 0.8):
-        for kind in DerivedFunctionKind:
-            assert _bits(store.get(kind, s)) == _bits(floats.get(kind, s)), (kind, s)
-    dtypes = {kind: store._streams[kind].dtype for kind in DerivedFunctionKind}
+def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5, monkeypatch):
+    # a +-1 spec's store sums the exact int8/int16 streams its partial-sum
+    # traces read, and every sum and budget is the one that the float
+    # streams give
+    import multlab.dirichlet as dl
+
+    original, dtypes = dl._coefficients, {}
+
+    def recording(spec, kinds, limit, sieve):
+        exact, blocks = original(spec, kinds, limit, sieve)
+
+        def seen():
+            for lo, block in blocks:
+                dtypes.update((kind, b.dtype) for kind, b in zip(kinds, block))
+                yield lo, block
+
+        return exact, seen()
+
+    def floats(spec, kinds, limit, sieve):
+        return False, multlab.multfunc._stream_blocks(spec, kinds, limit, sieve, False)
+
+    points = (1.5, 2.0, complex(2.0, 3.0), 0.8)
+    sums = [(kind, s) for s in points for kind in DerivedFunctionKind]
+    with monkeypatch.context() as m:
+        m.setattr(dl, "_coefficients", recording)
+        store = _SeriesStore(spec, N, N, sieve_1e5, sums=sums)
+        exact = {(kind, s): _bits(store.get(kind, s)) for kind, s in sums}
+    monkeypatch.setattr(dl, "_coefficients", floats)
+    float_store = _SeriesStore(spec, N, N, sieve_1e5, sums=sums)
+    for kind, s in sums:
+        assert exact[(kind, s)] == _bits(float_store.get(kind, s)), (kind, s)
     assert dtypes == {
         DerivedFunctionKind.F_PLAIN: np.int8,
         DerivedFunctionKind.F_MU2: np.int8,
@@ -1584,13 +1613,22 @@ def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5):
     }
 
 
-def test_identity_checks_build_no_whole_length_array(sieve_1e6):
-    # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB
+def test_identity_checks_build_no_whole_length_array(sieve_1e6, monkeypatch):
+    # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB.
+    # The streams are held outside the store and handed on in slices, so
+    # the peak is that of the sums, products and zeta alone
     N = 10**6
     spec = power_decay_spec(0.5, 0.5, {3: 0.25})
+    streams = {kind: coefficient_stream(spec, kind, N, sieve_1e6) for kind in DerivedFunctionKind}
+    block = multlab.summation._BLOCK
+
+    def held(spec, kinds, limit, sieve):
+        return False, (
+            (lo, [streams[k][lo : lo + block] for k in kinds]) for lo in range(0, limit, block)
+        )
+
+    monkeypatch.setattr(multlab.dirichlet, "_coefficients", held)
     store = _SeriesStore(spec, N, 10**3, sieve_1e6)
-    for kind in DerivedFunctionKind:
-        store._streams[kind] = coefficient_stream(spec, kind, N, sieve_1e6)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
