@@ -34,15 +34,24 @@ from .exponent import (
     fit_exponent,
 )
 from .primesums import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS, prime_sum_S
-from .sieve import FactorSieve, build_sieve, primes_up_to
+from .sieve import FactorSieve, _build_with_spf, primes_up_to
 from .verify import report_to_csv, run_verify
 
 _CACHE_MAGIC = b"MLSPF"
-_CACHE_VERSION = 3
-#: magic, version, limit, prime count, CRC-32 of the spf and prime payloads.
-#: The CRC detects accidental corruption (a flipped bit, a torn copy); it is
-#: no guard against a file crafted to match it.
-_CACHE_HEADER = struct.Struct("<5sBQQI")
+#: Format 4: the header, then the odd-only spf table ((limit + 1) // 2
+#: cells), then the ascending primes, both tables ``<u4``.  The header is
+#: magic, version, limit, prime count, and one CRC-32 per table, spf's
+#: first.  A command that reads spf loads and checks both tables; the
+#: others (see ``_COMMANDS``) load and check the header and the prime
+#: table alone, and their sieve sieves spf if it is ever read.  A table
+#: that fails its check is a miss for every command that reads it, and
+#: the miss rebuilds and rewrites the whole file, so a damaged table does
+#: not outlive the next command that reads it.  A file of another format
+#: (format 3 kept one CRC over both tables) is a miss, rewritten as this
+#: one.  The CRCs detect accidental corruption (a flipped bit, a torn
+#: copy); they are no guard against a file crafted to match them.
+_CACHE_VERSION = 4
+_CACHE_HEADER = struct.Struct("<5sBQQII")
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
@@ -71,9 +80,8 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     """Write the cache file atomically: a temp file beside it, then ``os.replace``.
 
     A reader or a concurrent writer never sees a partly written file.  The
-    file is the header, then the odd-only spf table ((limit + 1) // 2
-    cells), then the ascending primes, both tables as ``<u4`` written
-    straight from their array buffers.
+    layout is format 4 (see ``_CACHE_VERSION``); both tables are written
+    straight from their array buffers, so saving reads ``sieve.spf``.
     """
     path = _cache_path(out_dir, sieve.limit)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -82,12 +90,8 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
         with os.fdopen(fd, "wb") as fh:
             spf = np.ascontiguousarray(sieve.spf, dtype="<u4")
             primes = sieve.primes.astype("<u4")
-            crc = zlib.crc32(primes, zlib.crc32(spf))
-            fh.write(
-                _CACHE_HEADER.pack(
-                    _CACHE_MAGIC, _CACHE_VERSION, sieve.limit, primes.size, crc
-                )
-            )
+            header = (_CACHE_MAGIC, _CACHE_VERSION, sieve.limit, primes.size)
+            fh.write(_CACHE_HEADER.pack(*header, zlib.crc32(spf), zlib.crc32(primes)))
             fh.write(spf)
             fh.write(primes)
         os.replace(tmp, path)
@@ -97,37 +101,44 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     return path
 
 
-def load_sieve_cache(out_dir: Path, limit: int) -> FactorSieve | None:
-    """Load a cached sieve and its prime table; None on miss or on any mismatch.
+def load_sieve_cache(out_dir: Path, limit: int, with_spf: bool = True) -> FactorSieve | None:
+    """Load a cached sieve; None on miss or on any mismatch.
 
     The header must carry this format's magic and version, ``limit`` and a
-    prime count <= limit; the file must be exactly as long as they say; and
-    the CRC-32 of both tables must match.  Each table is read in place into
-    its own preallocated array.
+    prime count <= limit, and the file must be exactly as long as they
+    say.  The prime table, and with ``with_spf`` the spf table, is read in
+    place into its own preallocated array and must match its CRC-32.
+    Without ``with_spf`` the spf bytes are skipped, neither read nor
+    checked, and the sieve sieves spf on its first read.
     """
     path = _cache_path(out_dir, limit)
+    cells = (limit + 1) // 2
     try:
         with open(path, "rb") as fh:
             header = fh.read(_CACHE_HEADER.size)
             if len(header) != _CACHE_HEADER.size:
                 return None
-            magic, version, stored_limit, count, crc = _CACHE_HEADER.unpack(header)
+            magic, version, stored_limit, count, spf_crc, primes_crc = _CACHE_HEADER.unpack(header)
             if (
                 (magic, version, stored_limit) != (_CACHE_MAGIC, _CACHE_VERSION, limit)
                 or count > limit
-                or os.fstat(fh.fileno()).st_size
-                != _CACHE_HEADER.size + 4 * ((limit + 1) // 2 + count)
+                or os.fstat(fh.fileno()).st_size != _CACHE_HEADER.size + 4 * (cells + count)
             ):
                 return None
-            spf = np.empty((limit + 1) // 2, dtype="<u4")
+            spf = None
+            if with_spf:
+                spf = np.empty(cells, dtype="<u4")
+                if fh.readinto(spf) != spf.nbytes or zlib.crc32(spf) != spf_crc:
+                    return None
+                spf = spf.astype(np.uint32, copy=False)
+            else:
+                fh.seek(4 * cells, os.SEEK_CUR)
             primes = np.empty(count, dtype="<u4")
-            if fh.readinto(spf) != spf.nbytes or fh.readinto(primes) != primes.nbytes:
+            if fh.readinto(primes) != primes.nbytes or zlib.crc32(primes) != primes_crc:
                 return None
     except OSError:
         return None
-    if zlib.crc32(primes, zlib.crc32(spf)) != crc:
-        return None
-    return FactorSieve(limit=limit, spf=spf.astype(np.uint32, copy=False), primes=primes)
+    return FactorSieve._taking(limit, spf, primes.astype(np.int64), 0)
 
 
 class _Obtained(NamedTuple):
@@ -138,13 +149,17 @@ class _Obtained(NamedTuple):
     seconds: float
 
 
-def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path) -> _Obtained:
-    """Load the sieve from the cache when possible, else build and save it."""
+def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, with_spf: bool) -> _Obtained:
+    """Load the sieve from the cache when possible, else build and save it.
+
+    ``with_spf``: the command reads spf, so a hit loads and checks it too.
+    A miss sieves both tables in one pass, as the file holds both.
+    """
     t0 = time.perf_counter()
-    cached = load_sieve_cache(out_dir, cfg.sieve_limit)
+    cached = load_sieve_cache(out_dir, cfg.sieve_limit, with_spf)
     if cached is not None:
         return _Obtained(cached, "cache", time.perf_counter() - t0)
-    sieve = build_sieve(cfg.sieve_limit)
+    sieve = _build_with_spf(cfg.sieve_limit)
     save_sieve_cache(sieve, out_dir)
     return _Obtained(sieve, "built", time.perf_counter() - t0)
 
@@ -282,14 +297,19 @@ def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, kind_name
 _KIND_FLAG = ("--kind", sorted(_KIND_NAMES), "F_plain")
 _WHICH_FLAG = ("--which", tuple(_SERIES), "zeta")
 
-#: each command: its function, help line and own flag
+#: the ``series`` targets that read spf: those that sum a stream
+_SPF_TARGETS = frozenset(t for t, name in _SERIES.items() if isinstance(name, DerivedFunctionKind))
+
+#: each command: its function, help line, own flag, and whether it reads
+#: spf (``series``: the targets in _SPF_TARGETS do); a command that does
+#: not reads only the prime table, and so loads only that from the cache
 _COMMANDS = {
-    "sieve": (cmd_sieve, "build or load the factor sieve", None),
-    "partial-sums": (cmd_partial_sums, "checkpointed partial sums of a stream", _KIND_FLAG),
-    "prime-sum": (cmd_prime_sum, "S(x) trace", None),
-    "series": (cmd_series, "evaluate a series/product over the s-grid", _WHICH_FLAG),
-    "verify": (cmd_verify, "run the full verification suite", None),
-    "exponent": (cmd_exponent, "fit the growth exponent of partial sums", _KIND_FLAG),
+    "sieve": (cmd_sieve, "build or load the factor sieve", None, False),
+    "partial-sums": (cmd_partial_sums, "checkpointed partial sums of a stream", _KIND_FLAG, True),
+    "prime-sum": (cmd_prime_sum, "S(x) trace", None, False),
+    "series": (cmd_series, "evaluate a series/product over the s-grid", _WHICH_FLAG, _SPF_TARGETS),
+    "verify": (cmd_verify, "run the full verification suite", None, True),
+    "exponent": (cmd_exponent, "fit the growth exponent of partial sums", _KIND_FLAG, True),
 }
 
 
@@ -299,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multiplicative-function lab: sieves, series, prime sums, exponents.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, flag) in _COMMANDS.items():
+    for name, (_, help_line, flag, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -319,8 +339,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)  # as loaded: --out moves files, not the hash
         out_dir = Path(cfg.output_dir if args.out is None else args.out)
-        command = _COMMANDS[args.command][0]
-        return command(cfg, out_dir, _obtain_sieve(cfg, out_dir), args.option)
+        command, _, _, reads_spf = _COMMANDS[args.command]
+        if isinstance(reads_spf, frozenset):
+            reads_spf = args.option in reads_spf
+        return command(cfg, out_dir, _obtain_sieve(cfg, out_dir, reads_spf), args.option)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,20 @@
-"""Smallest-prime-factor sieve and the classical arithmetic functions.
+"""Prime table and smallest-prime-factor sieve, and the classical arithmetic functions.
 
-The central object is :class:`FactorSieve`: a table holding the smallest
-prime factor of every odd ``n`` up to a limit, at index ``n >> 1`` (the
-mod-2 wheel: every even n has spf 2, so it is not stored).  ``factorize``
-is then repeated division by spf in O(log n), and lambda(n), mu(n), mu^2(n)
-and Omega(n) are read from its result.
+The central object is :class:`FactorSieve`: the primes up to a limit, and
+a table holding the smallest prime factor of every odd ``n`` up to it, at
+index ``n >> 1`` (the mod-2 wheel: every even n has spf 2, so it is not
+stored).  ``build_sieve`` sieves the primes alone, on a one-byte scratch
+segment per worker; the spf table (4 bytes per odd n) is sieved the first
+time it is read, so work that reads only the primes (the prime sums, the
+Euler products) never holds it.  ``factorize`` is then repeated division
+by spf in O(log n), and lambda(n), mu(n), mu^2(n) and Omega(n) are read
+from its result.
 
-Construction is segmented (fixed-size blocks of odd n) and may be
-internally thread-parallel: segments are disjoint slices of the output
-array, and each returns the primes it found, joined in segment order after
-2, so the table and its primes are byte-identical regardless of thread
-count or scheduling.
+Both tables come from one segmented routine (fixed-size blocks of odd n),
+which may be internally thread-parallel: segments are disjoint slices of
+the output, and each returns the primes it found, joined in segment order
+after 2, so the table and its primes are byte-identical regardless of
+thread count or scheduling.
 """
 
 from __future__ import annotations
@@ -18,50 +22,81 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 #: segment length for the sieve construction loop (odd n, so 2^21 integers;
-#: ~4 MiB of u32)
+#: ~4 MiB of u32 in the spf table, 1 MiB of scratch for the primes alone)
 _SEGMENT = 1 << 20
 
 #: every sieve limit must lie below this: spf cells are uint32
 _LIMIT_BOUND = 2 ** 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FactorSieve:
-    """Smallest-prime-factor table for 1..limit, with its primes.
+    """The primes up to a limit, and their smallest-prime-factor table.
+
+    Sieves compare by identity, so no comparison or hash reads spf.
 
     Attributes
     ----------
     limit : int
         Inclusive upper bound N.
+    primes : np.ndarray
+        The primes <= limit, ascending: those the sieve recorded, or the
+        table stored beside ``spf`` in the sieve cache.  Given in any
+        integer dtype and copied into a read-only int64 array the sieve
+        owns: the caller's array stays writeable, and writes to it do not
+        reach the sieve.
     spf : np.ndarray
         uint32 array of length (N+1)//2 over the odd n <= N: ``spf[i]`` is
         the smallest prime factor of n = 2i + 1, so spf(n) is ``spf[n >> 1]``
         for odd n and 2 for even n.  ``spf[0] = 1`` (n = 1) is a sentinel so
-        factorization loops need no special case.
-    primes : np.ndarray
-        The primes <= limit, ascending: those ``build_sieve`` recorded while
-        sieving, or the table stored beside ``spf`` in the sieve cache.
-        Given in any integer dtype and copied into a read-only int64 array
-        the sieve owns: the caller's array stays writeable, and writes to
-        it do not reach the sieve.
+        factorization loops need no special case.  Given None, it is
+        sieved on first read (see the property).
     """
 
     limit: int
-    spf: np.ndarray
-    primes: np.ndarray = field(repr=False, compare=False)
+    primes: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.spf.shape != ((self.limit + 1) // 2,):
+    def __init__(self, limit: int, spf: np.ndarray | None, primes: np.ndarray) -> None:
+        self._own(limit, spf, np.array(primes, dtype=np.int64), 0)
+
+    @classmethod
+    def _taking(
+        cls, limit: int, spf: np.ndarray | None, primes: np.ndarray, threads: int
+    ) -> FactorSieve:
+        """A sieve that takes ``primes``, a fresh int64 array, without a copy.
+
+        ``threads`` is the pool size of its spf build (see ``_ordered_map``).
+        """
+        sieve = cls.__new__(cls)
+        sieve._own(limit, spf, primes, threads)
+        return sieve
+
+    def _own(self, limit: int, spf: np.ndarray | None, primes: np.ndarray, threads: int) -> None:
+        if spf is not None and spf.shape != ((limit + 1) // 2,):
             raise ValueError("spf length must equal (limit + 1) // 2, one cell per odd n")
-        primes = np.array(self.primes, dtype=np.int64)
         primes.flags.writeable = False
+        object.__setattr__(self, "limit", limit)
         object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "_threads", threads)
+        if spf is not None:  # the instance's own value hides the property below
+            object.__setattr__(self, "spf", spf)
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """The spf table, sieved on first read when the sieve was given none.
+
+        The same routine and pool as ``build_sieve`` (with its thread
+        count), so the table is byte-identical for every thread count; it
+        is kept for the sieve's life.
+        """
+        return _sieve(self.limit, self._threads, with_spf=True)[0]
 
     @functools.cached_property
     def log_primes(self) -> np.ndarray:
@@ -70,22 +105,24 @@ class FactorSieve:
         Computed by ``np.log`` on first use and kept for the sieve's life,
         so the Euler products and the prime sums share one table.
         """
-        log_primes = np.log(self.primes.astype(np.float64))
+        log_primes = np.log(self.primes, dtype=np.float64)
         log_primes.flags.writeable = False
         return log_primes
 
 
-def _sieve_segment(
-    spf: np.ndarray, odd_primes_desc: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Fill spf[lo:hi), the cells of n = 2i + 1, and return the n it left unmarked.
+def _sieve_segment(view: np.ndarray, odd_primes_desc: np.ndarray, lo: int) -> np.ndarray:
+    """Sieve one segment, ``view``, and return the n it left unmarked.
 
-    Those are the odd primes of the segment (plus 1 when lo = 0), ascending.
-    The odd multiples of p sit at every p-th index, and p^2 is the first
-    one whose smallest prime factor can be p.  Writes touch only this
-    slice, so segments are safe to run in parallel.
+    ``view`` holds the zeroed cells of n = 2i + 1 for i = lo, lo + 1, ...:
+    a slice of the spf table, where each cell ends as its smallest prime
+    factor (an unmarked one as n itself), or a bool scratch segment, where
+    every cell ends True.  The unmarked n are the odd primes of the
+    segment (plus 1 when lo = 0), ascending, as uint32 (every n < 2^32, at
+    half the bytes of int64).  The odd multiples of p sit at every p-th
+    index, and p^2 is the first one whose smallest prime factor can be p.
+    Writes touch only ``view``, so segments are safe to run in parallel.
     """
-    view = spf[lo:hi]
+    hi = lo + view.size
     for p in odd_primes_desc:
         p = int(p)
         first = (p * p) >> 1
@@ -95,7 +132,9 @@ def _sieve_segment(
         # descending prime order: the last (smallest) write wins
         view[start - lo :: p] = p
     idx = np.nonzero(view == 0)[0]
-    unmarked = 2 * (idx + lo) + 1
+    unmarked = idx.astype(np.uint32)
+    unmarked *= 2
+    unmarked += 2 * lo + 1
     view[idx] = unmarked
     return unmarked
 
@@ -128,36 +167,26 @@ def _ordered_map(fn, items, threads: int = 0) -> list:
         return list(pool.map(fn, items))
 
 
-def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
-    """Build the smallest-prime-factor table for 1..limit and record its primes.
+def _sieve(limit: int, threads: int, with_spf: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(the spf table, or None without ``with_spf``; the primes <= limit).
 
-    Parameters
-    ----------
-    limit : int
-        Inclusive bound, >= 2.  Practical maximum is set by memory
-        (4 bytes per odd integer: 2 GB at 10^9) and by the uint32 cell type
-        (limit < 2^32); the segmented loop itself scales past 10^9.
-    threads : int
-        0 = auto, 1 = sequential, k > 1 = worker threads (see
-        ``_ordered_map``).  Output is byte-identical for every setting:
-        workers own disjoint segments of the output array, and the primes
-        are joined in segment order.
-
-    Returns
-    -------
-    FactorSieve
+    The primes are a fresh ascending int64 array.  Without the table, each
+    worker marks one reused bool scratch segment instead of the table's
+    slice: 1 byte per odd n of a segment rather than 4 per odd n <= limit.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= _LIMIT_BOUND:
         raise ValueError(f"limit {limit} exceeds uint32 cell capacity")
     cells = (limit + 1) // 2
-    try:
-        spf = np.zeros(cells, dtype=np.uint32)
-    except MemoryError as exc:  # pragma: no cover - depends on host memory
-        raise MemoryError(
-            f"cannot allocate {cells * 4} bytes for spf table (limit={limit})"
-        ) from exc
+    spf = None
+    if with_spf:
+        try:
+            spf = np.zeros(cells, dtype=np.uint32)
+        except MemoryError as exc:  # pragma: no cover - depends on host memory
+            raise MemoryError(
+                f"cannot allocate {cells * 4} bytes for spf table (limit={limit})"
+            ) from exc
 
     root = math.isqrt(limit)
     # boolean sieve of the small primes used to mark composites
@@ -167,13 +196,52 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
         if small[p]:
             small[p * p :: p] = False
     odd_primes_desc = np.nonzero(small[3:])[0][::-1].astype(np.uint32) + 3
+    scratch = threading.local()  # each worker's bool segment
 
     def segment(lo: int) -> np.ndarray:
-        return _sieve_segment(spf, odd_primes_desc, lo, min(lo + _SEGMENT, cells))
+        hi = min(lo + _SEGMENT, cells)
+        if spf is not None:
+            return _sieve_segment(spf[lo:hi], odd_primes_desc, lo)
+        if not hasattr(scratch, "cells"):
+            scratch.cells = np.empty(min(_SEGMENT, cells), dtype=bool)
+        view = scratch.cells[: hi - lo]
+        view[:] = False
+        return _sieve_segment(view, odd_primes_desc, lo)
 
     parts = _ordered_map(segment, range(0, cells, _SEGMENT), threads)
+    del scratch  # the inline path's segment goes before the join
     parts[0] = parts[0][1:]  # 1 is unmarked but not prime; spf[0] = 1 is its sentinel
-    return FactorSieve(limit=limit, spf=spf, primes=np.concatenate([[2], *parts]))
+    return spf, np.concatenate([[2], *parts], dtype=np.int64)
+
+
+def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
+    """Sieve the primes <= limit; the spf table follows on its first read.
+
+    Parameters
+    ----------
+    limit : int
+        Inclusive bound, >= 2, below 2^32 (the uint32 cells of spf).  The
+        build holds the primes (8 bytes each: 0.4 GB at 10^9) and a 1 MiB
+        scratch segment per worker; reading ``spf`` adds 4 bytes per odd
+        integer (2 GB at 10^9).  The segmented loop itself scales past 10^9.
+    threads : int
+        0 = auto, 1 = sequential, k > 1 = worker threads (see
+        ``_ordered_map``), for this build and the later spf build.  Output
+        is byte-identical for every setting: workers own disjoint segments
+        of the output, and the primes are joined in segment order.
+
+    Returns
+    -------
+    FactorSieve
+    """
+    _, primes = _sieve(limit, threads, with_spf=False)
+    return FactorSieve._taking(limit, None, primes, threads)
+
+
+def _build_with_spf(limit: int) -> FactorSieve:
+    """``build_sieve(limit)`` with its spf table sieved in the same pass."""
+    spf, primes = _sieve(limit, 0, with_spf=True)
+    return FactorSieve._taking(limit, spf, primes, 0)
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:

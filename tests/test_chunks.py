@@ -167,7 +167,9 @@ def _traced_peak(fn) -> int:
 
 @pytest.fixture(scope="module")
 def sieve_2_23():
-    return build_sieve(2**23)
+    sieve = build_sieve(2**23)
+    sieve.spf  # sieved here, not inside the first traced stream
+    return sieve
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import multlab.cli
+import multlab.sieve
 from multlab.cli import _CACHE_HEADER, load_sieve_cache, main, save_sieve_cache
 from multlab.config import ExperimentConfig, config_hash, load_config
 from multlab.dirichlet import (
@@ -91,6 +93,11 @@ def test_cache_round_trip_and_rejection(tmp_path):
     assert np.array_equal(back.spf, sieve.spf)
     assert np.array_equal(back.primes, sieve.primes)
     assert back.primes.dtype == np.int64 and not back.primes.flags.writeable
+    # without spf, only the header and the prime table are read
+    primes_only = load_sieve_cache(tmp_path, 5000, with_spf=False)
+    assert "spf" not in vars(primes_only)
+    assert np.array_equal(primes_only.primes, sieve.primes)
+    assert load_sieve_cache(tmp_path, 6000, with_spf=False) is None
     # wrong limit is a miss, not an error
     assert load_sieve_cache(tmp_path, 6000) is None
     path = tmp_path / "cache" / "spf_5000.bin"
@@ -111,34 +118,51 @@ def test_cache_round_trip_and_rejection(tmp_path):
 
 @pytest.mark.parametrize("from_end", [12471, 2], ids=["spf", "primes"])
 def test_flipped_byte_at_same_size_is_rebuilt(cfg_file, tmp_path, capsys, from_end):
-    # 26-byte header, then 5000 spf cells (odd n) and 1229 primes of 4
+    # 30-byte header, then 5000 spf cells (odd n) and 1229 primes of 4
     # bytes each: the middle byte lies in spf, the second last in the
-    # prime table
-    out = tmp_path / "out"
-    main(["sieve", "--config", str(cfg_file), "--out", str(out)])
+    # prime table.  A damaged table is a miss for each command that reads
+    # it, and that miss rewrites the file
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    for d, command in ((clean, "partial-sums"), (out, "sieve")):
+        assert main([command, "--config", str(cfg_file), "--out", str(d)]) == 0
     capsys.readouterr()
     cache = out / "cache" / "spf_10000.bin"
-    data = bytearray(cache.read_bytes())
+    good = cache.read_bytes()
+    data = bytearray(good)
     data[-from_end] ^= 0x10
     cache.write_bytes(bytes(data))
+    in_spf = from_end > 4 * 1229
     assert load_sieve_cache(out, 10000) is None
+    assert (load_sieve_cache(out, 10000, with_spf=False) is None) is not in_spf
+    # ``sieve`` reads the prime table alone: damage to spf is no miss for it
     assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
-    assert "primes=1229 source=built" in capsys.readouterr().out
+    source = "cache" if in_spf else "built"
+    assert f"primes=1229 source={source}" in capsys.readouterr().out
+    assert (cache.read_bytes() == good) is not in_spf
+    # partial-sums reads both tables: the damage does not survive it
+    assert main(["partial-sums", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert cache.read_bytes() == good
+    csv = "partial_sums_F_plain.csv"
+    assert (out / csv).read_bytes() == (clean / csv).read_bytes()
 
 
 def _old_cache_file(version, limit, full_spf, primes):
-    """A well-formed cache file of format 1 or 2, both of which stored spf(n) for every n."""
-    spf = full_spf.astype("<u4").tobytes()
+    """A well-formed cache file of format 1, 2 or 3.
+
+    Formats 1 and 2 stored spf(n) for every n, format 3 for odd n only;
+    format 3 kept one CRC-32 over both tables.
+    """
+    spf = (full_spf if version < 3 else full_spf[1::2]).astype("<u4").tobytes()
     if version == 1:  # magic, version byte, <Q limit, spf
         return b"MLSPF\x01" + struct.pack("<Q", limit) + spf
-    # the version-2 header (magic, version, limit, prime count, CRC-32), spf, primes
+    # the header (magic, version, limit, prime count, CRC-32), spf, primes
     table = primes.astype("<u4").tobytes()
     crc = zlib.crc32(table, zlib.crc32(spf))
-    return struct.pack("<5sBQQI", b"MLSPF", 2, limit, primes.size, crc) + spf + table
+    return struct.pack("<5sBQQI", b"MLSPF", version, limit, primes.size, crc) + spf + table
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
-def test_old_cache_version_is_rebuilt_once_as_version_3(
+@pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+def test_old_cache_version_is_rebuilt_once_as_version_4(
     cfg_file, tmp_path, capsys, spf_oracle, version
 ):
     out = tmp_path / "out"
@@ -148,17 +172,18 @@ def test_old_cache_version_is_rebuilt_once_as_version_3(
     primes = np.flatnonzero(full_spf[2:] == np.arange(2, 10001)) + 2
     cache.write_bytes(_old_cache_file(version, 10000, full_spf, primes))
     assert load_sieve_cache(out, 10000) is None
+    assert load_sieve_cache(out, 10000, with_spf=False) is None
     for source in ("built", "cache"):
         assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert f"source={source}" in capsys.readouterr().out
-    assert cache.read_bytes()[:6] == b"MLSPF\x03"
+    assert cache.read_bytes()[:6] == b"MLSPF\x04"
 
 
 def test_cache_write_is_atomic(tmp_path):
     sieve = build_sieve(5000)
     path = tmp_path / "cache" / "spf_5000.bin"
     path.parent.mkdir()
-    path.write_bytes(b"MLSPF\x03")  # a torn earlier write
+    path.write_bytes(b"MLSPF\x04")  # a torn earlier write
     assert save_sieve_cache(sieve, tmp_path) == path
     back = load_sieve_cache(tmp_path, 5000)
     assert back is not None and np.array_equal(back.spf, sieve.spf)
@@ -175,6 +200,46 @@ def test_cache_write_is_atomic(tmp_path):
         save_sieve_cache(failing, tmp_path)
     assert np.array_equal(load_sieve_cache(tmp_path, 5000).spf, sieve.spf)
     assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
+
+
+def _refuse_to_sieve(*args, **kwargs):
+    raise AssertionError("the sieve was built")
+
+
+@pytest.mark.parametrize(
+    "argv, reads_spf",
+    [
+        (["sieve"], False),
+        (["prime-sum"], False),
+        (["series", "--which", "zeta"], False),
+        (["series", "--which", "U"], False),
+        (["series", "--which", "G_product"], False),
+        (["series", "--which", "F"], True),
+        (["series", "--which", "G_sum"], True),
+        (["partial-sums", "--kind", "H_conv"], True),
+        (["exponent"], True),
+        (["verify"], True),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+)
+def test_cache_hit_loads_spf_only_for_commands_that_read_it(
+    cfg_file, tmp_path, monkeypatch, argv, reads_spf
+):
+    out = tmp_path / "out"
+    assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
+    loaded = []
+
+    def load(*args):
+        loaded.append(load_sieve_cache(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(multlab.cli, "load_sieve_cache", load)
+    # a hit sieves nothing, and reading spf of a sieve loaded without it raises
+    monkeypatch.setattr(multlab.sieve, "_sieve", _refuse_to_sieve)
+    argv = [argv[0], "--config", str(cfg_file), "--out", str(out), *argv[1:]]
+    assert main(argv) in (0, 1)
+    assert len(loaded) == 1 and loaded[0] is not None
+    assert ("spf" in vars(loaded[0])) is reads_spf
 
 
 # ----------------------------------------------------------- partial sums

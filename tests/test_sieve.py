@@ -8,12 +8,19 @@ behind the same code path or layout that produced it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import multlab.sieve
+from multlab.config import ExperimentConfig
+from multlab.dirichlet import euler_product_G, euler_product_U
+from multlab.multfunc import constant_spec, liouville_spec, power_decay_spec
+from multlab.primesums import prime_sum_S, pretentious_distance_sq, weighted_tail_diagnostic
 from multlab.sieve import (
     FactorSieve,
+    _build_with_spf,
     big_omega,
     build_sieve,
     factorize,
@@ -22,6 +29,7 @@ from multlab.sieve import (
     moebius,
     primes_up_to,
 )
+from multlab.verify import _prime_power_minima
 
 
 def boolean_eratosthenes(limit):
@@ -249,7 +257,11 @@ _EDGE = 2 * (1 << 20)
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7, _EDGE - 1, _EDGE, _EDGE + 1])
 def test_odd_table_equals_the_oracle_for_every_thread_count(limit, spf_oracle):
+    # spf sieved on first read, with each build's thread count, and in
+    # one pass with the primes (the CLI's cache miss)
     builds = [build_sieve(limit, threads=threads) for threads in (1, 2, 8)]
+    assert not any("spf" in vars(sieve) for sieve in builds)
+    builds.append(_build_with_spf(limit))
     for sieve in builds:
         assert sieve.spf.dtype == np.uint32
         assert sieve.spf.nbytes == 4 * ((limit + 1) // 2)
@@ -306,3 +318,62 @@ def test_sentinels_and_range_checks(sieve_1e4, spf_oracle):
         FactorSieve(limit=10, spf=np.zeros(11, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
     with pytest.raises(ValueError):
         FactorSieve(limit=10, spf=np.zeros(6, dtype=np.uint32), primes=np.array([2, 3, 5, 7]))
+
+
+def test_sieves_compare_by_identity_without_reading_spf():
+    a, b = build_sieve(100), build_sieve(100)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert "spf" not in vars(a) and "spf" not in vars(b)
+    # a sieve given no table sieves it on first read
+    given = FactorSieve(limit=100, spf=None, primes=a.primes)
+    assert given.spf.tobytes() == a.spf.tobytes()
+
+
+def test_build_holds_the_primes_and_the_first_spf_read_the_table():
+    limit = 2**22
+    table_bytes = 4 * ((limit + 1) // 2)
+    build_sieve(limit, threads=1)  # first-call costs outside the trace
+    tracemalloc.start()
+    try:
+        # one worker: each further one holds a scratch segment and the
+        # transients of its own segment
+        sieve = build_sieve(limit, threads=1)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak < 0.5 * table_bytes
+        spf = sieve.spf
+        assert spf.nbytes == table_bytes
+        assert tracemalloc.get_traced_memory()[0] - held >= table_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def _refuse_to_sieve(*args, **kwargs):
+    raise AssertionError("spf was sieved")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5}),
+        constant_spec(-0.4, {3: 0.5}),
+        liouville_spec({2: 0.5, 999983: -0.5}),
+    ],
+    ids=["power_decay", "constant", "liouville"],
+)
+def test_prime_side_work_never_reads_spf(spec, monkeypatch):
+    limit = 10**6
+    sieve = build_sieve(limit)
+    monkeypatch.setattr(multlab.sieve, "_sieve", _refuse_to_sieve)
+    # three chunks of 2^15 primes: a complex-s product runs them on a pool
+    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: 3)
+    for s in (1.5, complex(1.2, 7.0)):
+        euler_product_G(spec, s, limit, sieve)
+        euler_product_U(spec, s, limit, sieve)
+    prime_sum_S(spec, limit, sieve)
+    weighted_tail_diagnostic(spec, 1.0, limit, sieve)
+    pretentious_distance_sq(spec, liouville_spec(), limit, sieve)
+    _prime_power_minima(ExperimentConfig(spec=spec, sieve_limit=limit), sieve)
+    assert "spf" not in vars(sieve)
+    with pytest.raises(AssertionError, match="spf was sieved"):
+        sieve.spf
