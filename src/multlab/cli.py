@@ -2,9 +2,10 @@
 
 All commands share two flags: ``--config PATH`` (the flat key=value
 experiment file) and ``--out DIR`` (overrides the config's output_dir).
-One table, ``_COMMANDS``, gives each command its function, help line and
-own flag; it drives both the parser and ``main``, which loads the config
-and obtains the sieve once before dispatching.  Outputs are CSV files in
+One table, ``_COMMANDS``, gives each command its function, help line,
+own flag and the sieve tables it reads; it drives both the parser and
+``main``, which loads the config and obtains the sieve once before
+dispatching, and closes it when the command ends.  Outputs are CSV files in
 the output directory plus a human-readable echo on stdout.
 
 Exit codes: 0 success (verify: all checks passed or inconclusive),
@@ -14,6 +15,7 @@ Exit codes: 0 success (verify: all checks passed or inconclusive),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import struct
 import sys
@@ -34,16 +36,19 @@ from .exponent import (
     fit_exponent,
 )
 from .primesums import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS, prime_sum_S
-from .sieve import FactorSieve, _build_with_spf, primes_up_to
+from .sieve import FactorSieve, primes_up_to
 from .verify import report_to_csv, run_verify
 
 _CACHE_MAGIC = b"MLSPF"
 #: Format 4: the header, then the odd-only spf table ((limit + 1) // 2
 #: cells), then the ascending primes, both tables ``<u4``.  The header is
 #: magic, version, limit, prime count, and one CRC-32 per table, spf's
-#: first.  A command that reads spf loads and checks both tables; the
-#: others (see ``_COMMANDS``) load and check the header and the prime
-#: table alone, and their sieve sieves spf if it is ever read.  A table
+#: first; it is written last, once both tables are.  Before a command runs,
+#: each table it reads (see ``_COMMANDS``) is checked against its CRC: the
+#: prime table read into memory, spf through a small reused buffer.  The
+#: command then reads spf from that same open file, by chunk, and never
+#: holds it whole; a table the command does not read is neither read nor
+#: checked, and its sieve sieves that table if it is ever read.  A table
 #: that fails its check is a miss for every command that reads it, and
 #: the miss rebuilds and rewrites the whole file, so a damaged table does
 #: not outlive the next command that reads it.  A file of another format
@@ -52,6 +57,12 @@ _CACHE_MAGIC = b"MLSPF"
 #: copy); they are no guard against a file crafted to match them.
 _CACHE_VERSION = 4
 _CACHE_HEADER = struct.Struct("<5sBQQII")
+
+#: the two tables of a cache file
+_TABLES = ("spf", "primes")
+
+#: bytes of the buffer spf is checked through
+_CHECK_BYTES = 1 << 20
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
@@ -80,20 +91,33 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     """Write the cache file atomically: a temp file beside it, then ``os.replace``.
 
     A reader or a concurrent writer never sees a partly written file.  The
-    layout is format 4 (see ``_CACHE_VERSION``); both tables are written
-    straight from their array buffers, so saving reads ``sieve.spf``.
+    layout is format 4 (see ``_CACHE_VERSION``).  spf is written as the
+    sieve hands it over (``FactorSieve._spf_segments``): a sieve that holds
+    no table sieves it in this one pass, each segment written as soon as
+    it is finished, so saving holds one segment per worker, never the
+    whole table; a sieve given no primes either keeps those of that pass.
+    The prime table follows, and the header with both CRCs comes last.
     """
     path = _cache_path(out_dir, sieve.limit)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            spf = np.ascontiguousarray(sieve.spf, dtype="<u4")
+            fh.seek(_CACHE_HEADER.size)
+            spf_crc = 0
+
+            def write(_: int, cells: np.ndarray) -> None:
+                nonlocal spf_crc
+                cells = cells.astype("<u4", copy=False)
+                spf_crc = zlib.crc32(cells, spf_crc)
+                fh.write(cells)
+
+            sieve._spf_segments(write)
             primes = sieve.primes.astype("<u4")
-            header = (_CACHE_MAGIC, _CACHE_VERSION, sieve.limit, primes.size)
-            fh.write(_CACHE_HEADER.pack(*header, zlib.crc32(spf), zlib.crc32(primes)))
-            fh.write(spf)
             fh.write(primes)
+            fh.seek(0)
+            header = (_CACHE_MAGIC, _CACHE_VERSION, sieve.limit, primes.size)
+            fh.write(_CACHE_HEADER.pack(*header, spf_crc, zlib.crc32(primes)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -101,20 +125,40 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     return path
 
 
-def load_sieve_cache(out_dir: Path, limit: int, with_spf: bool = True) -> FactorSieve | None:
+def _crc32_of_next(fh, size: int) -> int | None:
+    """CRC-32 of the next ``size`` bytes of ``fh``, read through one reused
+    buffer of at most _CHECK_BYTES; None when the file ends first."""
+    view = memoryview(bytearray(min(size, _CHECK_BYTES)))
+    crc = 0
+    while size:
+        n = fh.readinto(view[: min(size, len(view))])
+        if not n:
+            return None
+        crc = zlib.crc32(view[:n], crc)
+        size -= n
+    return crc
+
+
+def load_sieve_cache(
+    out_dir: Path, limit: int, tables: tuple[str, ...] = _TABLES
+) -> FactorSieve | None:
     """Load a cached sieve; None on miss or on any mismatch.
 
     The header must carry this format's magic and version, ``limit`` and a
     prime count <= limit, and the file must be exactly as long as they
-    say.  The prime table, and with ``with_spf`` the spf table, is read in
-    place into its own preallocated array and must match its CRC-32.
-    Without ``with_spf`` the spf bytes are skipped, neither read nor
-    checked, and the sieve sieves spf on its first read.
+    say.  Each table in ``tables`` ("spf", "primes") must match its
+    CRC-32.  The prime table is read in place into its own preallocated
+    array.  spf is checked through a small reused buffer and not kept: the
+    sieve holds the open file and reads spf from it, by chunk or whole
+    (see ``FactorSieve``), so its caller closes the sieve.  A table not in
+    ``tables`` is neither read nor checked, and the sieve sieves it on its
+    first read.
     """
     path = _cache_path(out_dir, limit)
     cells = (limit + 1) // 2
     try:
-        with open(path, "rb") as fh:
+        with contextlib.ExitStack() as stack:
+            fh = stack.enter_context(open(path, "rb"))
             header = fh.read(_CACHE_HEADER.size)
             if len(header) != _CACHE_HEADER.size:
                 return None
@@ -126,19 +170,24 @@ def load_sieve_cache(out_dir: Path, limit: int, with_spf: bool = True) -> Factor
             ):
                 return None
             spf = None
-            if with_spf:
-                spf = np.empty(cells, dtype="<u4")
-                if fh.readinto(spf) != spf.nbytes or zlib.crc32(spf) != spf_crc:
+            if "spf" in tables:
+                if _crc32_of_next(fh, 4 * cells) != spf_crc:
                     return None
-                spf = spf.astype(np.uint32, copy=False)
+                spf = (fh, _CACHE_HEADER.size)
             else:
                 fh.seek(4 * cells, os.SEEK_CUR)
-            primes = np.empty(count, dtype="<u4")
-            if fh.readinto(primes) != primes.nbytes or zlib.crc32(primes) != primes_crc:
-                return None
+            primes = None
+            if "primes" in tables:
+                primes = np.empty(count, dtype="<u4")
+                if fh.readinto(primes) != primes.nbytes or zlib.crc32(primes) != primes_crc:
+                    return None
+                primes = primes.astype(np.int64)
+            sieve = FactorSieve._taking(limit, spf, primes, 0)
+            if spf is not None:
+                stack.pop_all()  # the sieve holds the file from here on
+            return sieve
     except OSError:
         return None
-    return FactorSieve._taking(limit, spf, primes.astype(np.int64), 0)
 
 
 class _Obtained(NamedTuple):
@@ -149,18 +198,24 @@ class _Obtained(NamedTuple):
     seconds: float
 
 
-def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, with_spf: bool) -> _Obtained:
+def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, tables: tuple[str, ...]) -> _Obtained:
     """Load the sieve from the cache when possible, else build and save it.
 
-    ``with_spf``: the command reads spf, so a hit loads and checks it too.
-    A miss sieves both tables in one pass, as the file holds both.
+    ``tables``: those the command reads, which a hit checks.  A miss is
+    one sieving pass that writes the file as it goes (``save_sieve_cache``
+    of a sieve given neither table) and keeps the primes; a command that
+    reads spf then reads it back from that file, checked like a hit.
     """
     t0 = time.perf_counter()
-    cached = load_sieve_cache(out_dir, cfg.sieve_limit, with_spf)
+    cached = load_sieve_cache(out_dir, cfg.sieve_limit, tables)
     if cached is not None:
         return _Obtained(cached, "cache", time.perf_counter() - t0)
-    sieve = _build_with_spf(cfg.sieve_limit)
+    sieve = FactorSieve._taking(cfg.sieve_limit, None, None, 0)
     save_sieve_cache(sieve, out_dir)
+    if "spf" in tables:
+        # spf by chunk from the file just written; were it damaged since,
+        # the pass's own sieve would sieve spf again when it is read
+        sieve = load_sieve_cache(out_dir, cfg.sieve_limit, tables) or sieve
     return _Obtained(sieve, "built", time.perf_counter() - t0)
 
 
@@ -297,19 +352,28 @@ def cmd_exponent(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, kind_name
 _KIND_FLAG = ("--kind", sorted(_KIND_NAMES), "F_plain")
 _WHICH_FLAG = ("--which", tuple(_SERIES), "zeta")
 
-#: the ``series`` targets that read spf: those that sum a stream
-_SPF_TARGETS = frozenset(t for t, name in _SERIES.items() if isinstance(name, DerivedFunctionKind))
+#: the sieve tables each ``series`` target reads: a stream spf, a product
+#: the primes, zeta neither
+_SERIES_TABLES = {
+    target: ("spf",) if isinstance(name, DerivedFunctionKind) else ("primes",)
+    for target, name in _SERIES.items()
+}
+_SERIES_TABLES["zeta"] = ()
 
-#: each command: its function, help line, own flag, and whether it reads
-#: spf (``series``: the targets in _SPF_TARGETS do); a command that does
-#: not reads only the prime table, and so loads only that from the cache
+#: each command: its function, help line, own flag, and the sieve tables it
+#: reads (``series``: per target, from _SERIES_TABLES), the ones a cache
+#: hit checks
 _COMMANDS = {
-    "sieve": (cmd_sieve, "build or load the factor sieve", None, False),
-    "partial-sums": (cmd_partial_sums, "checkpointed partial sums of a stream", _KIND_FLAG, True),
-    "prime-sum": (cmd_prime_sum, "S(x) trace", None, False),
-    "series": (cmd_series, "evaluate a series/product over the s-grid", _WHICH_FLAG, _SPF_TARGETS),
-    "verify": (cmd_verify, "run the full verification suite", None, True),
-    "exponent": (cmd_exponent, "fit the growth exponent of partial sums", _KIND_FLAG, True),
+    "sieve": (cmd_sieve, "build or load the factor sieve", None, ("primes",)),
+    "partial-sums": (
+        cmd_partial_sums, "checkpointed partial sums of a stream", _KIND_FLAG, ("spf",)
+    ),
+    "prime-sum": (cmd_prime_sum, "S(x) trace", None, ("primes",)),
+    "series": (
+        cmd_series, "evaluate a series/product over the s-grid", _WHICH_FLAG, _SERIES_TABLES
+    ),
+    "verify": (cmd_verify, "run the full verification suite", None, _TABLES),
+    "exponent": (cmd_exponent, "fit the growth exponent of partial sums", _KIND_FLAG, ("spf",)),
 }
 
 
@@ -339,10 +403,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)  # as loaded: --out moves files, not the hash
         out_dir = Path(cfg.output_dir if args.out is None else args.out)
-        command, _, _, reads_spf = _COMMANDS[args.command]
-        if isinstance(reads_spf, frozenset):
-            reads_spf = args.option in reads_spf
-        return command(cfg, out_dir, _obtain_sieve(cfg, out_dir, reads_spf), args.option)
+        command, _, _, tables = _COMMANDS[args.command]
+        if isinstance(tables, dict):
+            tables = tables[args.option]
+        got = _obtain_sieve(cfg, out_dir, tables)
+        with got.sieve:  # closes the cache file a loaded sieve reads spf from
+            return command(cfg, out_dir, got, args.option)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

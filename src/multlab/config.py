@@ -10,7 +10,6 @@ so the hash changes exactly when some field changes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -313,4 +312,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable 16-hex-digit digest of the canonical serialization."""
+    import hashlib  # here, not at the top: it loads OpenSSL, and only verify hashes
+
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .sieve import FactorSieve, factorize, primes_up_to
+from .sieve import FactorSieve, factorize
 from .summation import _BLOCK
 
 BASE_LIOUVILLE = "liouville"
@@ -450,21 +450,24 @@ def _prime_values(
     below 3 no odd n > 1 takes a step, so f(3) is then never read.
     Otherwise it is a table over the odd n <= isqrt(limit) only, indexed
     like the sieve's spf table by ``p >> 1``, filled by one
-    :func:`f_at_primes` call.  Every odd composite n <= limit has
-    spf(n) <= isqrt(limit), so the table misses only the odd primes n
-    above isqrt(limit), whose step has p = n and m = 1:
-    :func:`_stream_blocks` evaluates those per chunk.  Every value comes
-    from ``_f_values``, elementwise, so a scalar, a table entry and a
-    per-chunk value are bit for bit the f(p) of a table over every prime.
+    :func:`f_at_primes` call.  Its primes are read from the same first
+    cells of spf (odd n > 1 with spf(n) = n), so a stream reads no prime
+    table.  Every odd composite n <= limit has spf(n) <= isqrt(limit), so
+    the table misses only the odd primes n above isqrt(limit), whose step
+    has p = n and m = 1: :func:`_stream_blocks` evaluates those per chunk.
+    Every value comes from ``_f_values``, elementwise, so a scalar, a table
+    entry and a per-chunk value are bit for bit the f(p) of a table over
+    every prime.
     """
     f2, f3 = _f_values(spec, np.array([2, 3])).astype(dtype)
     flat = _base_value(spec) is not None
     if flat and not any(2 < q <= limit for q, _ in spec.exceptions):
         return f2, f3
-    root = math.isqrt(limit)
-    odd_primes = primes_up_to(root, sieve)[1:]
-    table = np.zeros((root + 1) // 2, dtype=dtype)
-    table[odd_primes >> 1] = f_at_primes(spec, odd_primes)
+    cells = sieve._spf_cells(0, (math.isqrt(limit) + 1) // 2)
+    odd = np.arange(1, 2 * cells.size, 2)
+    at = np.flatnonzero(cells == odd)[1:]  # n = 1, the sentinel cell, is no prime
+    table = np.zeros(cells.size, dtype=dtype)
+    table[at] = f_at_primes(spec, odd[at])
     return f2, table
 
 
@@ -512,13 +515,18 @@ def _stream_blocks(
     p | m exactly when 4 | n, so their half takes no division and no
     gather: a(n / 2) is a block of the kept entries, a(n / 4) another,
     f = f(2) is one scalar, and stride-2 views of the chunk's even n split
-    them by their class mod 4.  Odd n read p from the contiguous block
-    ``spf[lo/2 : hi/2]`` of the sieve's odd-only table: m = n // p is
-    divided in uint32 and formed once as ``np.intp``, the index type of
-    every gather that reads it.  m is odd, so p | m exactly when
-    ``spf[m >> 1] == p`` (m = 1 reads the sentinel 1), and the "when
-    p | m" choices multiply by the 0/1 mask (np.where has no fast path for
-    1-byte items); F_mu2's float step keeps np.where.  The odd half's f is
+    them by their class mod 4.  Odd n read p from the chunk's own cells
+    ``spf[lo/2 : hi/2]`` of the sieve's odd-only table
+    (``FactorSieve._spf_cells``, which reads them from the cache file a
+    loaded sieve holds), and no other cell of spf: a stream holds one
+    chunk of the table at a time.  m = n // p is divided in uint32 and
+    formed once as ``np.intp``, the index type of every gather that reads
+    it.  The mask of p | m is ``m % p == 0``, from the one ``np.divmod``
+    that also gives H its m // p, exact because p = spf(n) and every
+    prime factor of m = n / p is at least p, so p | m exactly when
+    spf(m) = p.  The "when p | m" choices multiply by the 0/1 mask
+    (np.where has no fast path for 1-byte items); F_mu2's float step keeps
+    np.where.  The odd half's f is
     one scalar for a flat spec, else a gather at ``p >> 1`` from the f(p)
     table of the odd primes up to isqrt(limit) (see :func:`_prime_values`),
     with the chunk's primes above isqrt(limit) evaluated by ``_f_values``:
@@ -574,7 +582,7 @@ def _fill(spec, kinds, limit, sieve, exact, whole=None) -> Iterator[tuple[int, l
     ``whole``, one zeroed array of limit + 1 entries per kind, keeps every
     entry (a(n) at index n) instead of a(1..kept) and a scratch chunk.
     """
-    spf, root = sieve.spf, math.isqrt(limit)
+    root = math.isqrt(limit)
     f2, f_odd = _prime_values(spec, limit, sieve, np.int8 if exact else np.float64)
     dtypes = [_EXACT_DTYPES[kind] if exact else np.float64 for kind in kinds]
     if whole is None:  # through the first chunk end at or past limit / 2
@@ -589,7 +597,7 @@ def _fill(spec, kinds, limit, sieve, exact, whole=None) -> Iterator[tuple[int, l
     def step(lo: int, hi: int, outs: list[np.ndarray]) -> None:
         """a(lo), ..., a(hi - 1) of every kind into ``outs``, out[i] = a(lo + i)."""
         # odd n: p, m = n // p, f and the mask of p | m, shared by every kind
-        p = spf[lo >> 1 : hi >> 1]
+        p = sieve._spf_cells(lo >> 1, hi >> 1)
         q = np.arange(lo | 1, hi, 2, dtype=np.uint32) // p  # n // p, divided in uint32
         m = q.astype(np.intp)
         f = f_odd
@@ -599,8 +607,9 @@ def _fill(spec, kinds, limit, sieve, exact, whole=None) -> Iterator[tuple[int, l
             f = np.take(f_odd, p >> 1, mode="clip")
             big = np.flatnonzero(p > root)
             f[big] = _f_values(spec, p[big])
-        if masked:
-            again = spf[m >> 1] == p
+        if masked:  # one division gives H's m // p and the remainder's mask
+            m_p, rest = np.divmod(q, p)
+            again = rest == 0
             apart = ~again
         # even n = 2k: ``half`` holds a(k) for the n of ``even``; n4 picks
         # those with 4 | n (k even), n2 the others
@@ -625,7 +634,7 @@ def _fill(spec, kinds, limit, sieve, exact, whole=None) -> Iterator[tuple[int, l
             else:  # H_CONV
                 even[n2] = (1 + f2) * half[n2]
                 even[n4] = (1 + f2) * half[n4] - f2 * vals[(lo + 3) // 4 : (hi + 3) // 4]
-                odd[...] = (1 + f) * a - f * vals[(q // p).astype(np.intp)] * again
+                odd[...] = (1 + f) * a - f * vals[m_p.astype(np.intp)] * again
 
     def blocks(start: int, outs: list[np.ndarray]):
         for lo in range(0, outs[0].size, _BLOCK):

@@ -3,18 +3,26 @@
 The central object is :class:`FactorSieve`: the primes up to a limit, and
 a table holding the smallest prime factor of every odd ``n`` up to it, at
 index ``n >> 1`` (the mod-2 wheel: every even n has spf 2, so it is not
-stored).  ``build_sieve`` sieves the primes alone, on a one-byte scratch
-segment per worker; the spf table (4 bytes per odd n) is sieved the first
-time it is read, so work that reads only the primes (the prime sums, the
-Euler products) never holds it.  ``factorize`` is then repeated division
-by spf in O(log n), and lambda(n), mu(n), mu^2(n) and Omega(n) are read
-from its result.
+stored).  ``build_sieve`` sieves the primes alone; the spf table (4 bytes
+per odd n) is sieved the first time it is read, so work that reads only
+the primes (the prime sums, the Euler products) never holds it.  A sieve
+loaded from the CLI's cache instead holds the checked file and reads spf
+from it a run of cells at a time (``FactorSieve._spf_cells``), which is
+how the coefficient streams read spf, chunk by chunk: a command that
+streams holds neither table.  ``factorize`` is repeated division by spf
+in O(log n), and lambda(n), mu(n), mu^2(n) and Omega(n) are read from its
+result.
 
-Both tables come from one segmented routine (fixed-size blocks of odd n),
-which may be internally thread-parallel: segments are disjoint slices of
-the output, and each returns the primes it found, joined in segment order
-after 2, so the table and its primes are byte-identical regardless of
-thread count or scheduling.
+Both tables come from one segmented routine over fixed-size blocks of
+odd n, which may be internally thread-parallel.  Each worker marks one
+reused 1 MiB scratch segment and returns the primes it found, joined in
+segment order after 2; the spf segments are handed on in segment order,
+one at a time, to fill the table or to be written to a file as they are
+finished.  So the table and its primes are byte-identical regardless of
+thread count or scheduling, and the loop itself holds O(sqrt(limit))
+small primes plus one segment per worker: it scales past 10^9, where
+what a caller keeps is its own choice (the primes, 8 bytes each; the spf
+table, 4 bytes per odd n, 2 GB).
 """
 
 from __future__ import annotations
@@ -24,13 +32,15 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-#: segment length for the sieve construction loop (odd n, so 2^21 integers;
-#: ~4 MiB of u32 in the spf table, 1 MiB of scratch for the primes alone)
-_SEGMENT = 1 << 20
+#: scratch bytes of one segment, per worker of the sieve loop: 2^20 odd n
+#: for the primes alone (bool cells), 2^18 for spf (uint32 cells).  A
+#: segment this size stays in a core's cache: on a 2-vCPU x86 VM, 4 MiB
+#: segments of spf sieved 10^7 in 39 ms against 24 ms for these
+_SEGMENT_BYTES = 1 << 20
 
 #: every sieve limit must lie below this: spf cells are uint32
 _LIMIT_BOUND = 2 ** 32
@@ -40,7 +50,10 @@ _LIMIT_BOUND = 2 ** 32
 class FactorSieve:
     """The primes up to a limit, and their smallest-prime-factor table.
 
-    Sieves compare by identity, so no comparison or hash reads spf.
+    Sieves compare by identity, so no comparison or hash reads a table.
+    A sieve loaded from the CLI's cache holds that file open to read spf
+    from; ``close`` releases it (a no-op for every other sieve), and a
+    sieve used as a context manager closes on exit.
 
     Attributes
     ----------
@@ -51,52 +64,129 @@ class FactorSieve:
         table stored beside ``spf`` in the sieve cache.  Given in any
         integer dtype and copied into a read-only int64 array the sieve
         owns: the caller's array stays writeable, and writes to it do not
-        reach the sieve.
+        reach the sieve.  A sieve given none (loaded for spf alone)
+        sieves them on first read.
     spf : np.ndarray
         uint32 array of length (N+1)//2 over the odd n <= N: ``spf[i]`` is
         the smallest prime factor of n = 2i + 1, so spf(n) is ``spf[n >> 1]``
         for odd n and 2 for even n.  ``spf[0] = 1`` (n = 1) is a sentinel so
         factorization loops need no special case.  Given None, it is
-        sieved on first read (see the property).
+        sieved on first read, or read whole from the held file (see the
+        property).
     """
 
     limit: int
-    primes: np.ndarray = field(repr=False)
 
     def __init__(self, limit: int, spf: np.ndarray | None, primes: np.ndarray) -> None:
         self._own(limit, spf, np.array(primes, dtype=np.int64), 0)
 
     @classmethod
-    def _taking(
-        cls, limit: int, spf: np.ndarray | None, primes: np.ndarray, threads: int
-    ) -> FactorSieve:
+    def _taking(cls, limit: int, spf, primes: np.ndarray | None, threads: int) -> FactorSieve:
         """A sieve that takes ``primes``, a fresh int64 array, without a copy.
 
-        ``threads`` is the pool size of its spf build (see ``_ordered_map``).
+        ``spf`` is the table, None, or ``(file, offset)``: a binary file
+        open for reading whose bytes from ``offset`` on are the table's
+        cells as little-endian uint32, checked by the caller.  The sieve
+        then owns the file and reads spf from it.  A table given None is
+        sieved on first read, by a pass with ``threads`` workers (see
+        ``_ordered_map``).
         """
         sieve = cls.__new__(cls)
         sieve._own(limit, spf, primes, threads)
         return sieve
 
-    def _own(self, limit: int, spf: np.ndarray | None, primes: np.ndarray, threads: int) -> None:
-        if spf is not None and spf.shape != ((limit + 1) // 2,):
+    def _own(self, limit: int, spf, primes: np.ndarray | None, threads: int) -> None:
+        held = None
+        if isinstance(spf, tuple):
+            held, spf = (*spf, threading.Lock()), None
+        elif spf is not None and spf.shape != ((limit + 1) // 2,):
             raise ValueError("spf length must equal (limit + 1) // 2, one cell per odd n")
-        primes.flags.writeable = False
         object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "_threads", threads)
-        if spf is not None:  # the instance's own value hides the property below
+        object.__setattr__(self, "_held", held)  # (file, offset, lock of its position)
+        # an instance's own value hides the property of the same name below
+        if spf is not None:
             object.__setattr__(self, "spf", spf)
+        if primes is not None:
+            self._keep_primes(primes)
+
+    def _keep_primes(self, primes: np.ndarray) -> None:
+        primes.flags.writeable = False
+        object.__setattr__(self, "primes", primes)
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        """The prime table, sieved on first read when the sieve was given none."""
+        primes = _sieve(self.limit, self._threads)
+        primes.flags.writeable = False
+        return primes
 
     @functools.cached_property
     def spf(self) -> np.ndarray:
-        """The spf table, sieved on first read when the sieve was given none.
+        """The whole spf table, read from the held file or sieved on first read.
 
-        The same routine and pool as ``build_sieve`` (with its thread
-        count), so the table is byte-identical for every thread count; it
-        is kept for the sieve's life.
+        Sieved by the same routine and pool as ``build_sieve`` (with its
+        thread count), so the table is byte-identical for every thread
+        count; that pass also keeps its primes when the sieve has none.
+        The table is kept for the sieve's life.
         """
-        return _sieve(self.limit, self._threads, with_spf=True)[0]
+        if self._held is not None:
+            return self._read(0, (self.limit + 1) // 2)
+        table = np.empty((self.limit + 1) // 2, dtype=np.uint32)
+
+        def fill(start: int, cells: np.ndarray) -> None:
+            table[start : start + cells.size] = cells
+
+        self._sieve_spf(fill)
+        return table
+
+    def _spf_cells(self, start: int, stop: int) -> np.ndarray:
+        """spf[start:stop], without holding the table when the sieve holds a file.
+
+        Read from the held file when the sieve has not read the table
+        whole; otherwise a view of ``spf`` (sieved on first use).
+        """
+        if self._held is None or "spf" in vars(self):
+            return self.spf[start:stop]
+        return self._read(start, stop)
+
+    def _read(self, start: int, stop: int) -> np.ndarray:
+        """spf[start:stop] from the held file, into a fresh array."""
+        cells = np.empty(stop - start, dtype="<u4")
+        file, offset, lock = self._held
+        with lock:  # seek and read move one shared position
+            file.seek(offset + 4 * start)
+            if file.readinto(cells) != cells.nbytes:
+                raise OSError(f"the sieve cache file ends before spf cell {stop}")
+        return cells.astype(np.uint32, copy=False)
+
+    def _spf_segments(self, sink) -> None:
+        """Hand the spf table to ``sink(start, cells)`` in order, in contiguous runs.
+
+        A sieve that holds neither the table nor a file runs one sieving
+        pass and hands on each segment as it is finished (``_sieve``), so
+        the table is never held whole; any other hands on ``spf`` whole.
+        """
+        if self._held is None and "spf" not in vars(self):
+            self._sieve_spf(sink)
+        else:
+            sink(0, self.spf)
+
+    def _sieve_spf(self, sink) -> None:
+        primes = _sieve(self.limit, self._threads, sink)
+        if "primes" not in vars(self):
+            self._keep_primes(primes)
+
+    def close(self) -> None:
+        """Close the file a loaded sieve reads spf from; tables already read stay."""
+        if self._held is not None:
+            self._held[0].close()
+
+    def __enter__(self) -> FactorSieve:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @functools.cached_property
     def log_primes(self) -> np.ndarray:
@@ -114,9 +204,9 @@ def _sieve_segment(view: np.ndarray, odd_primes_desc: np.ndarray, lo: int) -> np
     """Sieve one segment, ``view``, and return the n it left unmarked.
 
     ``view`` holds the zeroed cells of n = 2i + 1 for i = lo, lo + 1, ...:
-    a slice of the spf table, where each cell ends as its smallest prime
-    factor (an unmarked one as n itself), or a bool scratch segment, where
-    every cell ends True.  The unmarked n are the odd primes of the
+    uint32 cells of the spf table, where each cell ends as its smallest
+    prime factor (an unmarked one as n itself), or bool cells, where every
+    cell ends True.  The unmarked n are the odd primes of the
     segment (plus 1 when lo = 0), ascending, as uint32 (every n < 2^32, at
     half the bytes of int64).  The odd multiples of p sit at every p-th
     index, and p^2 is the first one whose smallest prime factor can be p.
@@ -167,27 +257,23 @@ def _ordered_map(fn, items, threads: int = 0) -> list:
         return list(pool.map(fn, items))
 
 
-def _sieve(limit: int, threads: int, with_spf: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(the spf table, or None without ``with_spf``; the primes <= limit).
+def _sieve(limit: int, threads: int, sink=None) -> np.ndarray:
+    """The primes <= limit, a fresh ascending int64 array; with ``sink``, spf too.
 
-    The primes are a fresh ascending int64 array.  Without the table, each
-    worker marks one reused bool scratch segment instead of the table's
-    slice: 1 byte per odd n of a segment rather than 4 per odd n <= limit.
+    Each worker marks one reused scratch segment of _SEGMENT_BYTES: bool
+    cells for the primes alone, or with ``sink`` the uint32 cells of the
+    spf table.  Then each finished segment goes to ``sink(start, cells)``,
+    ``start`` being the index of its first cell, in segment order and one
+    call at a time, before its worker takes another segment; a worker
+    done early waits for its turn.  So the pass holds one segment per
+    worker and never the table, and a sink may write segments straight to
+    a file.  ``cells`` is overwritten after the call.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if limit >= _LIMIT_BOUND:
         raise ValueError(f"limit {limit} exceeds uint32 cell capacity")
     cells = (limit + 1) // 2
-    spf = None
-    if with_spf:
-        try:
-            spf = np.zeros(cells, dtype=np.uint32)
-        except MemoryError as exc:  # pragma: no cover - depends on host memory
-            raise MemoryError(
-                f"cannot allocate {cells * 4} bytes for spf table (limit={limit})"
-            ) from exc
-
     root = math.isqrt(limit)
     # boolean sieve of the small primes used to mark composites
     small = np.ones(root + 1, dtype=bool)
@@ -196,22 +282,40 @@ def _sieve(limit: int, threads: int, with_spf: bool) -> tuple[np.ndarray | None,
         if small[p]:
             small[p * p :: p] = False
     odd_primes_desc = np.nonzero(small[3:])[0][::-1].astype(np.uint32) + 3
-    scratch = threading.local()  # each worker's bool segment
+    dtype = bool if sink is None else np.uint32
+    length = _SEGMENT_BYTES // np.dtype(dtype).itemsize
+    scratch = threading.local()  # each worker's segment
+    turn = threading.Condition()
+    due = 0  # the start of the segment the sink takes next; None once one failed
 
     def segment(lo: int) -> np.ndarray:
-        hi = min(lo + _SEGMENT, cells)
-        if spf is not None:
-            return _sieve_segment(spf[lo:hi], odd_primes_desc, lo)
-        if not hasattr(scratch, "cells"):
-            scratch.cells = np.empty(min(_SEGMENT, cells), dtype=bool)
-        view = scratch.cells[: hi - lo]
-        view[:] = False
-        return _sieve_segment(view, odd_primes_desc, lo)
+        nonlocal due
+        hi = min(lo + length, cells)
+        try:
+            if not hasattr(scratch, "cells"):
+                scratch.cells = np.empty(min(length, cells), dtype=dtype)
+            view = scratch.cells[: hi - lo]
+            view[:] = 0
+            found = _sieve_segment(view, odd_primes_desc, lo)
+            if sink is not None:
+                with turn:
+                    turn.wait_for(lambda: due in (lo, None))
+                    if due is None:  # never seen: the earlier failure raises first
+                        raise RuntimeError("an earlier sieve segment failed")
+                    sink(lo, view)
+                    due = hi
+                    turn.notify_all()
+            return found
+        except BaseException:
+            with turn:  # no later segment waits forever for this one's turn
+                due = None
+                turn.notify_all()
+            raise
 
-    parts = _ordered_map(segment, range(0, cells, _SEGMENT), threads)
+    parts = _ordered_map(segment, range(0, cells, length), threads)
     del scratch  # the inline path's segment goes before the join
     parts[0] = parts[0][1:]  # 1 is unmarked but not prime; spf[0] = 1 is its sentinel
-    return spf, np.concatenate([[2], *parts], dtype=np.int64)
+    return np.concatenate([[2], *parts], dtype=np.int64)
 
 
 def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
@@ -223,7 +327,9 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
         Inclusive bound, >= 2, below 2^32 (the uint32 cells of spf).  The
         build holds the primes (8 bytes each: 0.4 GB at 10^9) and a 1 MiB
         scratch segment per worker; reading ``spf`` adds 4 bytes per odd
-        integer (2 GB at 10^9).  The segmented loop itself scales past 10^9.
+        integer (2 GB at 10^9).  The coefficient streams read spf a chunk
+        at a time, but from a built sieve they read that whole table; only
+        a sieve loaded from the CLI's cache reads its chunks from the file.
     threads : int
         0 = auto, 1 = sequential, k > 1 = worker threads (see
         ``_ordered_map``), for this build and the later spf build.  Output
@@ -234,14 +340,7 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     -------
     FactorSieve
     """
-    _, primes = _sieve(limit, threads, with_spf=False)
-    return FactorSieve._taking(limit, None, primes, threads)
-
-
-def _build_with_spf(limit: int) -> FactorSieve:
-    """``build_sieve(limit)`` with its spf table sieved in the same pass."""
-    spf, primes = _sieve(limit, 0, with_spf=True)
-    return FactorSieve._taking(limit, spf, primes, 0)
+    return FactorSieve._taking(limit, None, _sieve(limit, threads), threads)
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:

@@ -1,11 +1,14 @@
 """End-to-end command tests: run main() in-process, inspect files and codes."""
 
+import contextlib
+import io
 import os
 import re
 import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -88,16 +91,22 @@ def test_corrupt_cache_is_rebuilt(cfg_file, tmp_path, capsys):
 def test_cache_round_trip_and_rejection(tmp_path):
     sieve = build_sieve(5000)
     save_sieve_cache(sieve, tmp_path)
-    back = load_sieve_cache(tmp_path, 5000)
-    assert back is not None
-    assert np.array_equal(back.spf, sieve.spf)
-    assert np.array_equal(back.primes, sieve.primes)
-    assert back.primes.dtype == np.int64 and not back.primes.flags.writeable
+    with load_sieve_cache(tmp_path, 5000) as back:
+        # spf is read from the held file: by cells, then whole
+        assert back._spf_cells(100, 300).tobytes() == sieve.spf[100:300].tobytes()
+        assert "spf" not in vars(back)
+        assert np.array_equal(back.spf, sieve.spf)
+        assert np.array_equal(back.primes, sieve.primes)
+        assert back.primes.dtype == np.int64 and not back.primes.flags.writeable
     # without spf, only the header and the prime table are read
-    primes_only = load_sieve_cache(tmp_path, 5000, with_spf=False)
+    primes_only = load_sieve_cache(tmp_path, 5000, ("primes",))
     assert "spf" not in vars(primes_only)
     assert np.array_equal(primes_only.primes, sieve.primes)
-    assert load_sieve_cache(tmp_path, 6000, with_spf=False) is None
+    assert load_sieve_cache(tmp_path, 6000, ("primes",)) is None
+    # without the primes, the prime table is neither read nor kept
+    with load_sieve_cache(tmp_path, 5000, ("spf",)) as spf_only:
+        assert "primes" not in vars(spf_only)
+        assert spf_only._spf_cells(0, 2500).tobytes() == sieve.spf.tobytes()
     # wrong limit is a miss, not an error
     assert load_sieve_cache(tmp_path, 6000) is None
     path = tmp_path / "cache" / "spf_5000.bin"
@@ -113,7 +122,8 @@ def test_cache_round_trip_and_rejection(tmp_path):
         assert load_sieve_cache(tmp_path, 5000) is None
     # the prime table comes from the file, not from a scan of spf
     save_sieve_cache(FactorSieve(limit=5000, spf=sieve.spf, primes=sieve.primes[:10]), tmp_path)
-    assert load_sieve_cache(tmp_path, 5000).primes.tolist() == sieve.primes[:10].tolist()
+    with load_sieve_cache(tmp_path, 5000) as back:
+        assert back.primes.tolist() == sieve.primes[:10].tolist()
 
 
 @pytest.mark.parametrize("from_end", [12471, 2], ids=["spf", "primes"])
@@ -133,13 +143,18 @@ def test_flipped_byte_at_same_size_is_rebuilt(cfg_file, tmp_path, capsys, from_e
     cache.write_bytes(bytes(data))
     in_spf = from_end > 4 * 1229
     assert load_sieve_cache(out, 10000) is None
-    assert (load_sieve_cache(out, 10000, with_spf=False) is None) is not in_spf
+    assert (load_sieve_cache(out, 10000, ("primes",)) is None) is not in_spf
+    spf_only = load_sieve_cache(out, 10000, ("spf",))
+    assert (spf_only is None) is in_spf
+    if spf_only is not None:
+        spf_only.close()
     # ``sieve`` reads the prime table alone: damage to spf is no miss for it
     assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
     source = "cache" if in_spf else "built"
     assert f"primes=1229 source={source}" in capsys.readouterr().out
     assert (cache.read_bytes() == good) is not in_spf
-    # partial-sums reads both tables: the damage does not survive it
+    # partial-sums reads spf alone: damage to spf is a miss for it, which
+    # rewrites the file, and the stream reads the rewritten table
     assert main(["partial-sums", "--config", str(cfg_file), "--out", str(out)]) == 0
     assert cache.read_bytes() == good
     csv = "partial_sums_F_plain.csv"
@@ -171,8 +186,8 @@ def test_old_cache_version_is_rebuilt_once_as_version_4(
     full_spf = spf_oracle(10000)
     primes = np.flatnonzero(full_spf[2:] == np.arange(2, 10001)) + 2
     cache.write_bytes(_old_cache_file(version, 10000, full_spf, primes))
-    assert load_sieve_cache(out, 10000) is None
-    assert load_sieve_cache(out, 10000, with_spf=False) is None
+    for tables in (("spf", "primes"), ("spf",), ("primes",), ()):
+        assert load_sieve_cache(out, 10000, tables) is None
     for source in ("built", "cache"):
         assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert f"source={source}" in capsys.readouterr().out
@@ -185,20 +200,23 @@ def test_cache_write_is_atomic(tmp_path):
     path.parent.mkdir()
     path.write_bytes(b"MLSPF\x04")  # a torn earlier write
     assert save_sieve_cache(sieve, tmp_path) == path
-    back = load_sieve_cache(tmp_path, 5000)
-    assert back is not None and np.array_equal(back.spf, sieve.spf)
+    with load_sieve_cache(tmp_path, 5000) as back:
+        assert back is not None and np.array_equal(back.spf, sieve.spf)
     assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
 
     class FailingTable:
         def astype(self, *args, **kwargs):
             raise OSError("disk full")
 
-    # a write that fails part way, once spf is in hand and the temp file
+    # a write that fails part way, once spf is written and the temp file
     # exists, leaves the good file in place
-    failing = SimpleNamespace(limit=5000, spf=sieve.spf, primes=FailingTable())
+    failing = SimpleNamespace(
+        limit=5000, _spf_segments=lambda sink: sink(0, sieve.spf), primes=FailingTable()
+    )
     with pytest.raises(OSError, match="disk full"):
         save_sieve_cache(failing, tmp_path)
-    assert np.array_equal(load_sieve_cache(tmp_path, 5000).spf, sieve.spf)
+    with load_sieve_cache(tmp_path, 5000) as back:
+        assert np.array_equal(back.spf, sieve.spf)
     assert [p.name for p in path.parent.iterdir()] == ["spf_5000.bin"]
 
 
@@ -206,40 +224,153 @@ def _refuse_to_sieve(*args, **kwargs):
     raise AssertionError("the sieve was built")
 
 
+_STREAMS = ("spf",)
+
+
 @pytest.mark.parametrize(
-    "argv, reads_spf",
+    "argv, tables",
     [
-        (["sieve"], False),
-        (["prime-sum"], False),
-        (["series", "--which", "zeta"], False),
-        (["series", "--which", "U"], False),
-        (["series", "--which", "G_product"], False),
-        (["series", "--which", "F"], True),
-        (["series", "--which", "G_sum"], True),
-        (["partial-sums", "--kind", "H_conv"], True),
-        (["exponent"], True),
-        (["verify"], True),
+        (["sieve"], ("primes",)),
+        (["prime-sum"], ("primes",)),
+        (["series", "--which", "zeta"], ()),
+        (["series", "--which", "U"], ("primes",)),
+        (["series", "--which", "G_product"], ("primes",)),
+        (["series", "--which", "F"], _STREAMS),
+        (["series", "--which", "G_sum"], _STREAMS),
+        (["partial-sums", "--kind", "H_conv"], _STREAMS),
+        (["exponent"], _STREAMS),
+        (["verify"], ("spf", "primes")),
     ],
-    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+    ids=lambda v: "-".join(v) if isinstance(v, list) else "+".join(v) or "none",
 )
 def test_cache_hit_loads_spf_only_for_commands_that_read_it(
-    cfg_file, tmp_path, monkeypatch, argv, reads_spf
+    cfg_file, tmp_path, monkeypatch, argv, tables
 ):
     out = tmp_path / "out"
     assert main(["sieve", "--config", str(cfg_file), "--out", str(out)]) == 0
     loaded = []
 
     def load(*args):
-        loaded.append(load_sieve_cache(*args))
-        return loaded[-1]
+        loaded.append((args[2], load_sieve_cache(*args)))
+        return loaded[-1][1]
 
     monkeypatch.setattr(multlab.cli, "load_sieve_cache", load)
-    # a hit sieves nothing, and reading spf of a sieve loaded without it raises
+    # a hit sieves nothing, so a table the hit did not check is never read
     monkeypatch.setattr(multlab.sieve, "_sieve", _refuse_to_sieve)
     argv = [argv[0], "--config", str(cfg_file), "--out", str(out), *argv[1:]]
     assert main(argv) in (0, 1)
-    assert len(loaded) == 1 and loaded[0] is not None
-    assert ("spf" in vars(loaded[0])) is reads_spf
+    [(checked, sieve)] = loaded
+    assert sieve is not None and tuple(checked) == tables
+    # spf is read by chunk from the held file, never whole; the prime
+    # table is in memory only when the command reads it
+    assert "spf" not in vars(sieve)
+    assert ("primes" in vars(sieve)) is ("primes" in tables)
+    if "spf" in tables:  # closed when the command ended
+        with pytest.raises(ValueError, match="closed file"):
+            sieve._spf_cells(0, 1)
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize("source", ["miss", "hit"])
+def test_stream_command_never_holds_the_factor_table(tmp_path, source):
+    limit = 2**22
+    table_bytes = 4 * ((limit + 1) // 2)
+    # the H stream keeps a(0..limit/2) as int16, itself half the table's
+    # bytes (kept entries: see multfunc._stream_blocks); all else a command
+    # allocates, the miss's sieving pass and cache write included, must
+    # stay under half the table.  Loading the table would pass it alone
+    kept_bytes = 2 * (limit // 2 + 1)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sieve_limit = {limit}\n")
+    out = tmp_path / "out"
+    argv = ["partial-sums", "--config", str(cfg), "--out", str(out), "--kind", "H_conv"]
+    assert _quiet_main([*argv[:4], str(tmp_path / "warm"), *argv[5:]]) == 0  # first-call costs
+    if source == "hit":
+        assert _quiet_main(argv) == 0
+    (out / "partial_sums_H_conv.csv").unlink(missing_ok=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert _quiet_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < kept_bytes + 0.5 * table_bytes
+    csv = out / "partial_sums_H_conv.csv"
+    assert csv.read_bytes() == (tmp_path / "warm" / "partial_sums_H_conv.csv").read_bytes()
+
+
+def test_stream_reads_the_checked_file_after_the_path_is_replaced(cfg_file, tmp_path, monkeypatch):
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["partial-sums", "--config", str(cfg_file), "--kind", "H_conv", "--out"]
+    for d in (clean, out):
+        assert _quiet_main([*argv, str(d)]) == 0
+    cache = out / "cache" / "spf_10000.bin"
+    # a well-formed file whose spf cells all read 1: a stream that reopened
+    # the path would read it
+    damaged = bytearray(cache.read_bytes())
+    damaged[_CACHE_HEADER.size : _CACHE_HEADER.size + 4 * 5000] = struct.pack("<I", 1) * 5000
+    loaded = []
+
+    def load(*args):
+        loaded.append(load_sieve_cache(*args))
+        replacement = tmp_path / "replacement.bin"
+        replacement.write_bytes(bytes(damaged))
+        os.replace(replacement, cache)  # between the check and the stream
+        return loaded[-1]
+
+    monkeypatch.setattr(multlab.cli, "load_sieve_cache", load)
+    (out / "partial_sums_H_conv.csv").unlink()
+    assert _quiet_main([*argv, str(out)]) == 0
+    assert loaded[0] is not None
+    assert cache.read_bytes() == bytes(damaged)
+    csv = "partial_sums_H_conv.csv"
+    assert (out / csv).read_bytes() == (clean / csv).read_bytes()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count")
+@pytest.mark.parametrize("command", ["partial-sums", "verify", "sieve"])
+def test_no_descriptor_outlives_a_command(cfg_file, tmp_path, command):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_file), "--out", str(out)]
+    before = _open_fds()
+    assert _quiet_main(argv) == 0  # a miss
+    assert _open_fds() == before
+    assert _quiet_main(argv) == 0  # a hit
+    assert _open_fds() == before
+    cache = out / "cache" / "spf_10000.bin"
+    for at in (_CACHE_HEADER.size + 2, -2):  # damaged spf, then damaged primes
+        data = bytearray(cache.read_bytes())
+        data[at] ^= 0x10
+        cache.write_bytes(bytes(data))
+        assert _quiet_main(argv) == 0
+        assert _open_fds() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_miss_writes_the_file_an_in_memory_save_writes(tmp_path, monkeypatch, threads):
+    limit = 3 * 10**6  # six segments of spf
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sieve_limit = {limit}\n")
+    built = build_sieve(limit, threads=1)
+    in_memory = FactorSieve(limit=limit, spf=built.spf, primes=built.primes)
+    expected = save_sieve_cache(in_memory, tmp_path / "ref").read_bytes()
+    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: threads)  # the miss's pool size
+    out = tmp_path / "out"
+    assert _quiet_main(["sieve", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "cache" / f"spf_{limit}.bin"
+    assert path.read_bytes() == expected
+    path.unlink()
+    assert _quiet_main(["partial-sums", "--config", str(cfg), "--out", str(out)]) == 0
+    assert path.read_bytes() == expected
 
 
 # ----------------------------------------------------------- partial sums

@@ -34,8 +34,10 @@ from multlab.multfunc import (
     spec_is_pm1,
     _base_value,
     _is_prime_int,
+    _prime_values,
     _visited,
 )
+from multlab.cli import load_sieve_cache, save_sieve_cache
 from multlab.sieve import factorize, moebius, primes_up_to
 
 
@@ -396,6 +398,39 @@ def test_streams_equal_the_masked_step_bit_for_bit(spec, limit, sieve_1e6, spf_o
             want = reference_stream(spec, kind, limit, spf_oracle(_WIDE), exact)
             assert got.dtype == want.dtype, (kind, exact)
             assert got.tobytes() == want.tobytes(), (kind, exact)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LIOUVILLE,
+        liouville_spec({7: 0.0}),  # an exception below sqrt(limit)
+        liouville_spec({1009: 0.5}),  # above sqrt(limit): no table entry
+        constant_spec(0.3, {3: -1.0, 1009: 0.5, 999983: 1.0}),
+        power_decay_spec(0.5, 0.5),
+        power_decay_spec(0.5, 0.5, {2: 0.1, 997: 0.2, 1013: -0.3}),
+    ],
+    ids=lambda s: s.spec_id(),
+)
+def test_prime_values_from_spf_cells_equal_the_prime_table_version(spec, sieve_1e6, tmp_path):
+    # the table as built from the prime table before streams read spf's cells
+    limit, dtype = 10**6, np.float64
+    f2, f3 = f_at_primes(spec, np.array([2, 3])).astype(dtype)
+    flat = _base_value(spec) is not None and not any(2 < q <= limit for q, _ in spec.exceptions)
+    want = f3
+    if not flat:
+        root = math.isqrt(limit)
+        odd_primes = primes_up_to(root, sieve_1e6)[1:]
+        want = np.zeros((root + 1) // 2, dtype=dtype)
+        want[odd_primes >> 1] = f_at_primes(spec, odd_primes)
+    save_sieve_cache(sieve_1e6, tmp_path)
+    with load_sieve_cache(tmp_path, limit, ("spf",)) as loaded:
+        for sieve in (sieve_1e6, loaded):
+            got2, got = _prime_values(spec, limit, sieve, dtype)
+            assert got2.tobytes() == f2.tobytes()
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert "primes" not in vars(loaded) and "spf" not in vars(loaded)
 
 
 @pytest.mark.parametrize("length", [2**16 - 1, 2**16, 123_457])

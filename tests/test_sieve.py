@@ -8,6 +8,8 @@ behind the same code path or layout that produced it.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from multlab.multfunc import constant_spec, liouville_spec, power_decay_spec
 from multlab.primesums import prime_sum_S, pretentious_distance_sq, weighted_tail_diagnostic
 from multlab.sieve import (
     FactorSieve,
-    _build_with_spf,
     big_omega,
     build_sieve,
     factorize,
@@ -251,17 +252,24 @@ def test_parallel_build_is_byte_identical():
     assert seq.spf.tobytes() == par.spf.tobytes()
 
 
-# a segment holds 2^20 odd n, so its edge falls at 2^21 integers
+# a segment holds 2^20 odd n for the primes alone and 2^18 for spf, so
+# their edges fall at 2^21 and 2^19 integers
 _EDGE = 2 * (1 << 20)
+_SPF_EDGE = 2 * (1 << 18)
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7, _EDGE - 1, _EDGE, _EDGE + 1])
+@pytest.mark.parametrize(
+    "limit", [2, 3, 4, 5, 6, 7, _SPF_EDGE - 1, _SPF_EDGE + 1, _EDGE - 1, _EDGE, _EDGE + 1]
+)
 def test_odd_table_equals_the_oracle_for_every_thread_count(limit, spf_oracle):
     # spf sieved on first read, with each build's thread count, and in
-    # one pass with the primes (the CLI's cache miss)
+    # one pass with the primes for a sieve given neither (the CLI's miss)
     builds = [build_sieve(limit, threads=threads) for threads in (1, 2, 8)]
     assert not any("spf" in vars(sieve) for sieve in builds)
-    builds.append(_build_with_spf(limit))
+    pending = FactorSieve._taking(limit, None, None, 0)
+    builds.append(pending)
+    pending.spf
+    assert "primes" in vars(pending)
     for sieve in builds:
         assert sieve.spf.dtype == np.uint32
         assert sieve.spf.nbytes == 4 * ((limit + 1) // 2)
@@ -271,6 +279,61 @@ def test_odd_table_equals_the_oracle_for_every_thread_count(limit, spf_oracle):
     n = np.arange(1, limit + 1)
     assert np.array_equal(spf_of(sieve, n), spf_oracle(limit)[1:])
     assert np.array_equal(sieve.primes, boolean_eratosthenes(limit))
+
+
+def _in_thread(fn):
+    """fn() on a thread joined with a timeout: (finished, its result or exception)."""
+    box = []
+
+    def run():
+        try:
+            box.append(fn())
+        except BaseException as exc:  # handed back to the test
+            box.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    return not worker.is_alive(), box
+
+
+def test_spf_segments_reach_the_sink_in_order_one_at_a_time():
+    limit = 12 * (1 << 19) + 7  # 13 segments of spf for 8 workers
+    want = build_sieve(limit, threads=1).spf
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            starts, inside = [], []
+
+            def sink(start, cells):
+                inside.append(start)
+                assert len(inside) == 1, "two segments in the sink at once"
+                starts.append((start, cells.tobytes()))
+                inside.pop()
+
+            finished, box = _in_thread(lambda: multlab.sieve._sieve(limit, 8, sink))
+            assert finished and isinstance(box[0], np.ndarray)
+            assert [s for s, _ in starts] == list(range(0, (limit + 1) // 2, 1 << 18))
+            assert b"".join(cells for _, cells in starts) == want.tobytes()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_a_failing_segment_stops_the_pass_without_a_hang(threads):
+    limit = 12 * (1 << 19) + 7
+    seen = []
+
+    def sink(start, cells):
+        if start == 3 << 18:
+            raise OSError("disk full")
+        seen.append(start)
+
+    finished, box = _in_thread(lambda: multlab.sieve._sieve(limit, threads, sink))
+    assert finished
+    assert isinstance(box[0], OSError) and "disk full" in str(box[0])
+    assert seen == [0, 1 << 18, 2 << 18]
 
 
 @pytest.mark.parametrize("threads", [1, 8, 0], ids=["t1", "t8", "auto"])
