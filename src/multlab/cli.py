@@ -94,8 +94,8 @@ def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     layout is format 4 (see ``_CACHE_VERSION``).  spf is written as the
     sieve hands it over (``FactorSieve._spf_segments``): a sieve that holds
     no table sieves it in this one pass, each segment written as soon as
-    it is finished, so saving holds one segment per worker, never the
-    whole table; a sieve given no primes either keeps those of that pass.
+    it is finished, so saving holds one 1 MiB segment, never the whole
+    table; a sieve given no primes either keeps those of that pass.
     The prime table follows, and the header with both CRCs comes last.
     """
     path = _cache_path(out_dir, sieve.limit)
@@ -182,7 +182,7 @@ def load_sieve_cache(
                 if fh.readinto(primes) != primes.nbytes or zlib.crc32(primes) != primes_crc:
                     return None
                 primes = primes.astype(np.int64)
-            sieve = FactorSieve._taking(limit, spf, primes, 0)
+            sieve = FactorSieve._taking(limit, spf, primes)
             if spf is not None:
                 stack.pop_all()  # the sieve holds the file from here on
             return sieve
@@ -210,7 +210,7 @@ def _obtain_sieve(cfg: ExperimentConfig, out_dir: Path, tables: tuple[str, ...])
     cached = load_sieve_cache(out_dir, cfg.sieve_limit, tables)
     if cached is not None:
         return _Obtained(cached, "cache", time.perf_counter() - t0)
-    sieve = FactorSieve._taking(cfg.sieve_limit, None, None, 0)
+    sieve = FactorSieve._taking(cfg.sieve_limit, None, None)
     save_sieve_cache(sieve, out_dir)
     if "spf" in tables:
         # spf by chunk from the file just written; were it damaged since,

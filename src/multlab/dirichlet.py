@@ -15,8 +15,8 @@ a tolerance pulled out of the air.
 The Euler products G and U sum log(1 + x_p) in real arithmetic, in one
 pass per chunk of primes, with log p read from the sieve's table; their
 rounding allowance is derived term by term in ``_log1p_product``.  At
-complex s, products with several chunks run them on the sieve's thread
-pool (``_ordered_map``); each chunk hands back exact pieces of its log sums
+complex s, products with several chunks run them on a thread pool
+(``_ordered_map``); each chunk hands back exact pieces of its log sums
 and its share of the allowance, joined in chunk order, so G and U do not
 depend on the number of threads.  Both are one evaluator,
 ``_euler_product``, with one rule for the primes past a cutoff,
@@ -63,7 +63,9 @@ import bisect
 import functools
 import itertools
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -80,7 +82,7 @@ from .multfunc import (
     _one_plus_f_decay,
     _visited,
 )
-from .sieve import FactorSieve, _ordered_map, primes_up_to
+from .sieve import FactorSieve, primes_up_to
 from .summation import _BLOCK, _ExactSum
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -584,6 +586,34 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
             err += abs(e) * abs(slip) * (1.0 / (re_w - abs(slip) - 1.0) + 1.0 / math.e)
         shifts.append(_Shift(e, w, bool(ma), complex(e * log_re, e * log_im), err, sign))
     return tuple(shifts)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, so ``taskset`` or a cpuset limits pools."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
+
+
+def _ordered_map(fn, items, threads: int = 0) -> list:
+    """``[fn(x) for x in items]``, on a thread pool when that can help.
+
+    ``threads``: 0 = auto (``_cpus()``), 1 = inline, k > 1 = at most k
+    workers.  A single item, or a single thread, runs inline and starts no
+    pool.  Results come back in item order, and an exception raised by
+    ``fn`` propagates from the first item that raised, as it would inline,
+    so the outcome does not depend on the thread count.  ``fn`` must not
+    call multlab's public functions: they may be wrapped by callers that
+    expect to run on one thread.
+    """
+    items = list(items)
+    if threads == 0:
+        threads = _cpus()
+    threads = min(threads, len(items))
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _log1p_product(

@@ -13,33 +13,31 @@ streams holds neither table.  ``factorize`` is repeated division by spf
 in O(log n), and lambda(n), mu(n), mu^2(n) and Omega(n) are read from its
 result.
 
-Both tables come from one segmented routine over fixed-size blocks of
-odd n, which may be internally thread-parallel.  Each worker marks one
-reused 1 MiB scratch segment and returns the primes it found, joined in
-segment order after 2; the spf segments are handed on in segment order,
-one at a time, to fill the table or to be written to a file as they are
-finished.  So the table and its primes are byte-identical regardless of
-thread count or scheduling, and the loop itself holds O(sqrt(limit))
-small primes plus one segment per worker: it scales past 10^9, where
-what a caller keeps is its own choice (the primes, 8 bytes each; the spf
-table, 4 bytes per odd n, 2 GB).
+Both tables come from one segmented loop over fixed-size blocks of odd
+n, run on the calling thread.  The prime table is sieved in one reused
+1 MiB scratch segment of bool cells; the spf table is sieved in place,
+each segment in its own slice of the table; and a sieving pass that
+writes spf to a file sieves each segment in one reused 1 MiB scratch
+segment and hands it on, in segment order, as soon as it is finished.
+The loop itself holds O(sqrt(limit)) small primes plus at most one
+segment: it scales past 10^9, where what a caller keeps is its own
+choice (the primes, 8 bytes each; the spf table, 4 bytes per odd n,
+2 GB).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-#: scratch bytes of one segment, per worker of the sieve loop: 2^20 odd n
-#: for the primes alone (bool cells), 2^18 for spf (uint32 cells).  A
-#: segment this size stays in a core's cache: on a 2-vCPU x86 VM, 4 MiB
-#: segments of spf sieved 10^7 in 39 ms against 24 ms for these
+#: bytes of one segment of the sieve loop: 2^20 odd n for the primes alone
+#: (bool cells), 2^18 for spf (uint32 cells).  A segment this size stays
+#: in a core's cache: on a 2-vCPU x86 VM, 4 MiB segments of spf sieved
+#: 10^7 in 39 ms against 24 ms for these
 _SEGMENT_BYTES = 1 << 20
 
 #: every sieve limit must lie below this: spf cells are uint32
@@ -78,31 +76,29 @@ class FactorSieve:
     limit: int
 
     def __init__(self, limit: int, spf: np.ndarray | None, primes: np.ndarray) -> None:
-        self._own(limit, spf, np.array(primes, dtype=np.int64), 0)
+        self._own(limit, spf, np.array(primes, dtype=np.int64))
 
     @classmethod
-    def _taking(cls, limit: int, spf, primes: np.ndarray | None, threads: int) -> FactorSieve:
+    def _taking(cls, limit: int, spf, primes: np.ndarray | None) -> FactorSieve:
         """A sieve that takes ``primes``, a fresh int64 array, without a copy.
 
         ``spf`` is the table, None, or ``(file, offset)``: a binary file
         open for reading whose bytes from ``offset`` on are the table's
         cells as little-endian uint32, checked by the caller.  The sieve
         then owns the file and reads spf from it.  A table given None is
-        sieved on first read, by a pass with ``threads`` workers (see
-        ``_ordered_map``).
+        sieved on first read.
         """
         sieve = cls.__new__(cls)
-        sieve._own(limit, spf, primes, threads)
+        sieve._own(limit, spf, primes)
         return sieve
 
-    def _own(self, limit: int, spf, primes: np.ndarray | None, threads: int) -> None:
+    def _own(self, limit: int, spf, primes: np.ndarray | None) -> None:
         held = None
         if isinstance(spf, tuple):
             held, spf = (*spf, threading.Lock()), None
         elif spf is not None and spf.shape != ((limit + 1) // 2,):
             raise ValueError("spf length must equal (limit + 1) // 2, one cell per odd n")
         object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "_threads", threads)
         object.__setattr__(self, "_held", held)  # (file, offset, lock of its position)
         # an instance's own value hides the property of the same name below
         if spf is not None:
@@ -117,7 +113,7 @@ class FactorSieve:
     @functools.cached_property
     def primes(self) -> np.ndarray:
         """The prime table, sieved on first read when the sieve was given none."""
-        primes = _sieve(self.limit, self._threads)
+        primes = _sieve(self.limit)
         primes.flags.writeable = False
         return primes
 
@@ -125,19 +121,16 @@ class FactorSieve:
     def spf(self) -> np.ndarray:
         """The whole spf table, read from the held file or sieved on first read.
 
-        Sieved by the same routine and pool as ``build_sieve`` (with its
-        thread count), so the table is byte-identical for every thread
-        count; that pass also keeps its primes when the sieve has none.
-        The table is kept for the sieve's life.
+        Sieved in place, one segment at a time, by the loop that sieves
+        the primes, so the pass holds the table and one segment's
+        transients, never a second copy of a segment; it also keeps its
+        primes when the sieve has none.  The table is kept for the
+        sieve's life.
         """
         if self._held is not None:
             return self._read(0, (self.limit + 1) // 2)
         table = np.empty((self.limit + 1) // 2, dtype=np.uint32)
-
-        def fill(start: int, cells: np.ndarray) -> None:
-            table[start : start + cells.size] = cells
-
-        self._sieve_spf(fill)
+        self._sieve_spf(table=table)
         return table
 
     def _spf_cells(self, start: int, stop: int) -> np.ndarray:
@@ -168,13 +161,16 @@ class FactorSieve:
         the table is never held whole; any other hands on ``spf`` whole.
         """
         if self._held is None and "spf" not in vars(self):
-            self._sieve_spf(sink)
+            self._sieve_spf(sink=sink)
         else:
             sink(0, self.spf)
 
-    def _sieve_spf(self, sink) -> None:
-        primes = _sieve(self.limit, self._threads, sink)
-        if "primes" not in vars(self):
+    def _sieve_spf(self, table: np.ndarray | None = None, sink=None) -> None:
+        """Sieve spf into ``table`` or to ``sink`` (see ``_sieve``); the
+        pass's primes are kept when the sieve has none."""
+        keep = "primes" not in vars(self)
+        primes = _sieve(self.limit, table, sink, primes=keep)
+        if keep:
             self._keep_primes(primes)
 
     def close(self) -> None:
@@ -210,7 +206,6 @@ def _sieve_segment(view: np.ndarray, odd_primes_desc: np.ndarray, lo: int) -> np
     segment (plus 1 when lo = 0), ascending, as uint32 (every n < 2^32, at
     half the bytes of int64).  The odd multiples of p sit at every p-th
     index, and p^2 is the first one whose smallest prime factor can be p.
-    Writes touch only ``view``, so segments are safe to run in parallel.
     """
     hi = lo + view.size
     for p in odd_primes_desc:
@@ -229,45 +224,21 @@ def _sieve_segment(view: np.ndarray, odd_primes_desc: np.ndarray, lo: int) -> np
     return unmarked
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, so ``taskset`` or a cpuset limits pools."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
+def _sieve(
+    limit: int, table: np.ndarray | None = None, sink=None, primes: bool = True
+) -> np.ndarray | None:
+    """The primes <= limit, a fresh ascending int64 array; with ``table`` or ``sink``, spf too.
 
-
-def _ordered_map(fn, items, threads: int = 0) -> list:
-    """``[fn(x) for x in items]``, on a thread pool when that can help.
-
-    ``threads``: 0 = auto (``_cpus()``), 1 = inline, k > 1 = at most k
-    workers.  A single item, or a single thread, runs inline and starts no
-    pool.  Results come back in item order, and an exception raised by
-    ``fn`` propagates from the first item that raised, as it would inline,
-    so the outcome does not depend on the thread count.  ``fn`` must not
-    call multlab's public functions: they may be wrapped by callers that
-    expect to run on one thread.
-    """
-    items = list(items)
-    if threads == 0:
-        threads = _cpus()
-    threads = min(threads, len(items))
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _sieve(limit: int, threads: int, sink=None) -> np.ndarray:
-    """The primes <= limit, a fresh ascending int64 array; with ``sink``, spf too.
-
-    Each worker marks one reused scratch segment of _SEGMENT_BYTES: bool
-    cells for the primes alone, or with ``sink`` the uint32 cells of the
-    spf table.  Then each finished segment goes to ``sink(start, cells)``,
-    ``start`` being the index of its first cell, in segment order and one
-    call at a time, before its worker takes another segment; a worker
-    done early waits for its turn.  So the pass holds one segment per
-    worker and never the table, and a sink may write segments straight to
-    a file.  ``cells`` is overwritten after the call.
+    One loop over segments of _SEGMENT_BYTES, in order, on the calling
+    thread.  Alone it marks bool cells of one reused scratch segment.
+    With ``table``, an array of (limit + 1) // 2 uint32 cells, each
+    segment is the table's own slice, so spf is sieved in place.  With
+    ``sink``, each segment is one reused uint32 scratch segment, handed
+    to ``sink(start, cells)`` as soon as it is finished, ``start`` being
+    the index of its first cell; so the pass never holds the table, and
+    a sink may write segments straight to a file.  ``cells`` is
+    overwritten after the call.  ``primes=False`` keeps no primes and
+    returns None.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -282,38 +253,22 @@ def _sieve(limit: int, threads: int, sink=None) -> np.ndarray:
         if small[p]:
             small[p * p :: p] = False
     odd_primes_desc = np.nonzero(small[3:])[0][::-1].astype(np.uint32) + 3
-    dtype = bool if sink is None else np.uint32
+    dtype = bool if table is None and sink is None else np.uint32
     length = _SEGMENT_BYTES // np.dtype(dtype).itemsize
-    scratch = threading.local()  # each worker's segment
-    turn = threading.Condition()
-    due = 0  # the start of the segment the sink takes next; None once one failed
-
-    def segment(lo: int) -> np.ndarray:
-        nonlocal due
+    scratch = None if table is not None else np.empty(min(length, cells), dtype=dtype)
+    parts = []
+    for lo in range(0, cells, length):
         hi = min(lo + length, cells)
-        try:
-            if not hasattr(scratch, "cells"):
-                scratch.cells = np.empty(min(length, cells), dtype=dtype)
-            view = scratch.cells[: hi - lo]
-            view[:] = 0
-            found = _sieve_segment(view, odd_primes_desc, lo)
-            if sink is not None:
-                with turn:
-                    turn.wait_for(lambda: due in (lo, None))
-                    if due is None:  # never seen: the earlier failure raises first
-                        raise RuntimeError("an earlier sieve segment failed")
-                    sink(lo, view)
-                    due = hi
-                    turn.notify_all()
-            return found
-        except BaseException:
-            with turn:  # no later segment waits forever for this one's turn
-                due = None
-                turn.notify_all()
-            raise
-
-    parts = _ordered_map(segment, range(0, cells, length), threads)
-    del scratch  # the inline path's segment goes before the join
+        view = table[lo:hi] if scratch is None else scratch[: hi - lo]
+        view[:] = 0
+        found = _sieve_segment(view, odd_primes_desc, lo)
+        if sink is not None:
+            sink(lo, view)
+        if primes:
+            parts.append(found)
+    del scratch, view  # the segment goes before the join
+    if not primes:
+        return None
     parts[0] = parts[0][1:]  # 1 is unmarked but not prime; spf[0] = 1 is its sentinel
     return np.concatenate([[2], *parts], dtype=np.int64)
 
@@ -325,22 +280,23 @@ def build_sieve(limit: int, threads: int = 0) -> FactorSieve:
     ----------
     limit : int
         Inclusive bound, >= 2, below 2^32 (the uint32 cells of spf).  The
-        build holds the primes (8 bytes each: 0.4 GB at 10^9) and a 1 MiB
-        scratch segment per worker; reading ``spf`` adds 4 bytes per odd
-        integer (2 GB at 10^9).  The coefficient streams read spf a chunk
-        at a time, but from a built sieve they read that whole table; only
-        a sieve loaded from the CLI's cache reads its chunks from the file.
+        build holds the primes (8 bytes each: 0.4 GB at 10^9) and one
+        1 MiB scratch segment; reading ``spf`` adds 4 bytes per odd
+        integer (2 GB at 10^9), sieved in place.  The coefficient streams
+        read spf a chunk at a time, but from a built sieve they read that
+        whole table; only a sieve loaded from the CLI's cache reads its
+        chunks from the file.
     threads : int
-        0 = auto, 1 = sequential, k > 1 = worker threads (see
-        ``_ordered_map``), for this build and the later spf build.  Output
-        is byte-identical for every setting: workers own disjoint segments
-        of the output, and the primes are joined in segment order.
+        Ignored.  The sieve runs on the calling thread: on a 2-vCPU VM a
+        pool of two workers sieved the primes no faster than one thread
+        (and spf slower), while each worker held a scratch segment.  The
+        parameter stays so that existing calls still run.
 
     Returns
     -------
     FactorSieve
     """
-    return FactorSieve._taking(limit, None, _sieve(limit, threads), threads)
+    return FactorSieve._taking(limit, None, _sieve(limit))
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import multlab.dirichlet
 from multlab.cli import main, save_sieve_cache
 from multlab.dirichlet import (
     IdentityKind,
@@ -286,23 +287,40 @@ def test_criterion_11_exponent_recovery():
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_12_determinism_across_threads(tmp_path):
+def _verify_report(cfg, out) -> bytes:
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    return (out / "verify_report.csv").read_bytes()
+
+
+def test_criterion_12_determinism_across_threads(tmp_path, monkeypatch):
     cfg = tmp_path / "exp.cfg"
-    # Four sieve segments, so the thread counts genuinely differ in layout.
+    # At 0.75 + 7i, G and U walk all 283,146 primes <= 4*10^6: nine
+    # chunks of 2^15 primes, which the Euler pool splits by CPU count.
     cfg.write_text(
-        "sieve_limit = 4000000\ntruncation_N = 100000\neuler_P = 100000\n"
+        "sieve_limit = 4000000\ntruncation_N = 100000\neuler_P = 4000000\n"
+        "s_grid = 0.75:7, 1.5\n"
+        "spec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5\nspec.exception.2 = 0.3\n"
     )
-    for threads, sub in ((1, "run1"), (8, "run8")):
-        save_sieve_cache(build_sieve(4000000, threads=threads), tmp_path / sub)
-    reports = []
-    for sub in ("run1", "run8", "miss"):  # "miss" builds its own sieve
-        out = tmp_path / sub
-        rc = main(["verify", "--config", str(cfg), "--out", str(out)])
-        assert rc == 0
-        reports.append((out / "verify_report.csv").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    save_sieve_cache(build_sieve(4000000), tmp_path / "saved")
+    # a cache saved from a built sieve, a cache miss, and a hit on the
+    # file the miss wrote
+    reports = [_verify_report(cfg, tmp_path / sub) for sub in ("saved", "miss", "miss")]
+    saved, missed = (
+        (tmp_path / sub / "cache" / "spf_4000000.bin").read_bytes() for sub in ("saved", "miss")
+    )
+    assert saved == missed
+    # the Euler products' chunks inline on one CPU, then on a pool of three
+    pools = []
+
+    class CountedPool(multlab.dirichlet.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(multlab.dirichlet, "ThreadPoolExecutor", CountedPool)
+    for cpus in (1, 3):
+        monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: cpus)
+        reports.append(_verify_report(cfg, tmp_path / "miss"))
+    assert pools == [3, 3]  # G and U at 0.75 + 7i
+    assert len(set(reports)) == 1
     assert len(reports[0]) > 0
-    cache1, cache8 = (
-        (tmp_path / sub / "cache" / "spf_4000000.bin").read_bytes() for sub in ("run1", "run8")
-    )
-    assert cache1 == cache8

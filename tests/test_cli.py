@@ -355,15 +355,15 @@ def test_no_descriptor_outlives_a_command(cfg_file, tmp_path, command):
         assert _open_fds() == before
 
 
-@pytest.mark.parametrize("threads", [1, 2, 8])
-def test_miss_writes_the_file_an_in_memory_save_writes(tmp_path, monkeypatch, threads):
-    limit = 3 * 10**6  # six segments of spf
+# six segments of spf with a partial last one, exactly four full ones,
+# and one cell into a fifth: the reused scratch segment's last fill
+@pytest.mark.parametrize("limit", [3 * 10**6, 4 * (1 << 19) - 1, 4 * (1 << 19) + 1])
+def test_miss_writes_the_file_an_in_memory_save_writes(tmp_path, limit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"sieve_limit = {limit}\n")
-    built = build_sieve(limit, threads=1)
+    built = build_sieve(limit)
     in_memory = FactorSieve(limit=limit, spf=built.spf, primes=built.primes)
     expected = save_sieve_cache(in_memory, tmp_path / "ref").read_bytes()
-    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: threads)  # the miss's pool size
     out = tmp_path / "out"
     assert _quiet_main(["sieve", "--config", str(cfg), "--out", str(out)]) == 0
     path = out / "cache" / f"spf_{limit}.bin"
@@ -397,22 +397,6 @@ def test_partial_sums_writes_checkpointed_csv(cfg_file, tmp_path, capsys):
     assert float(rows[-1][1]) == 100.0
     xs = [int(r[0]) for r in rows]
     assert xs == sorted(xs)
-
-
-def test_threads_do_not_change_output(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sieve_limit = 3000000\ntruncation_N = 1000\neuler_P = 1000\n")
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    for out, threads in ((out1, 1), (out8, 8)):
-        save_sieve_cache(build_sieve(3000000, threads=threads), out)
-        rc = main(["partial-sums", "--config", str(cfg), "--out", str(out)])
-        assert rc == 0
-    body1 = (out1 / "partial_sums_F_plain.csv").read_bytes()
-    body8 = (out8 / "partial_sums_F_plain.csv").read_bytes()
-    assert body1 == body8
-    cache1 = (out1 / "cache" / "spf_3000000.bin").read_bytes()
-    cache8 = (out8 / "cache" / "spf_3000000.bin").read_bytes()
-    assert cache1 == cache8
 
 
 # -------------------------------------------------------------- prime-sum

@@ -56,7 +56,6 @@ from multlab.dirichlet import (
 import multlab.dirichlet
 import multlab.multfunc
 import multlab.primesums
-import multlab.sieve
 import multlab.summation
 from multlab.config import ExperimentConfig, load_config
 from multlab.multfunc import (
@@ -547,8 +546,24 @@ _POOLED_SPEC = power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5})
 def test_euler_products_do_not_depend_on_the_worker_count(product, spec, s, sieve_1e6, monkeypatch):
     auto = _bits(product(spec, s, 10**6, sieve_1e6))
     for workers in (1, 3):
-        monkeypatch.setattr(multlab.sieve, "_cpus", lambda: workers)
+        monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: workers)
         assert _bits(product(spec, s, 10**6, sieve_1e6)) == auto
+
+
+def test_auto_threads_follow_cpu_affinity(sieve_1e6, monkeypatch):
+    # a complex-s full walk at P = 10^6 is three chunks: on two usable
+    # CPUs it starts a pool, on one it runs them inline
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    s = complex(1.2, 7.0)
+    want = _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6))
+    monkeypatch.setattr(multlab.dirichlet, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(AssertionError, match="pool was started"):
+        euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
+    monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)) == want
 
 
 def test_euler_allowance_does_not_depend_on_blas_threads():
@@ -577,7 +592,7 @@ for spec in (power_decay_spec(0.5, 0.5, {2: 0.3}), power_decay_spec(5.0, 0.5), c
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_degenerate_factor_in_a_late_chunk_raises(workers, sieve_1e6, monkeypatch):
-    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: workers)
+    monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: workers)
     primes = primes_up_to(10**6, sieve_1e6)
     log_p = sieve_1e6.log_primes[: primes.size].copy()
     log_p[70000] = math.nan  # third chunk: its factor is NaN
@@ -602,7 +617,7 @@ def test_pool_workers_call_no_public_function(sieve_1e6, monkeypatch):
         for name in ("f_at_primes", "fsum_array"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, on_main_thread(getattr(module, name)))
-    monkeypatch.setattr(multlab.sieve, "_cpus", lambda: 3)
+    monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: 3)
     for s in (1.5, complex(1.2, 7.0)):
         euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
         euler_product_U(_POOLED_SPEC, s, 10**6, sieve_1e6)
