@@ -15,10 +15,10 @@ a tolerance pulled out of the air.
 The Euler products G and U sum log(1 + x_p) in real arithmetic, in one
 pass per chunk of primes, with log p read from the sieve's table; their
 rounding allowance is derived term by term in ``_log1p_product``.  At
-complex s, products with several chunks run them on a thread pool
-(``_ordered_map``); each chunk hands back exact pieces of its log sums
-and its share of the allowance, joined in chunk order, so G and U do not
-depend on the number of threads.  Both are one evaluator,
+complex s, a full walk with several chunks runs them on a thread pool
+where two or more CPUs are usable; each chunk hands back exact pieces of
+its log sums and its share of the allowance, joined in chunk order, so G
+and U do not depend on the number of threads.  Both are one evaluator,
 ``_euler_product``, with one rule for the primes past a cutoff,
 ``_prime_tail``.  P only caps the walk: it stops at the first prime Q <= P
 whose log tail bound is at most 2^-53, which adds at most
@@ -351,10 +351,12 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _zeta_real(sigma: float) -> float:
-    """Cached real zeta value used inside tail constants (sigma > 1)."""
-    return zeta(ComplexArgument(sigma), tol=1e-13).value.real + 1e-13
+@functools.lru_cache(maxsize=768)
+def _zeta_memo(point: ComplexArgument, tol: float) -> SeriesEval:
+    """``zeta(point, tol)``, memoised per process: the Dirichlet tails and
+    the Euler products' deflation meet each point again and again.  A
+    raised error is not memoised."""
+    return zeta(point, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +383,8 @@ def _divisor_tail(N: int, sigma: float) -> float:
     if sigma - 1.0 < 1024.0:  # 2.0 ** 1024 raises
         lead = 2.0 ** (sigma - 1.0) * (1.0 + math.log(N))
         if lead < math.inf:
-            return N ** (1.0 - sigma) * (lead + _zeta_real(sigma)) / (sigma - 1.0)
+            zeta_sigma = _zeta_memo(ComplexArgument(sigma), 1e-13).value.real + 1e-13
+            return N ** (1.0 - sigma) * (lead + zeta_sigma) / (sigma - 1.0)
     return (N + 1.0) ** (1000.0 - sigma) * _divisor_tail(N, 1000.0)
 
 
@@ -504,15 +507,6 @@ def _shift_rows(power: int, spec: PrimeFunctionSpec) -> tuple[tuple[float, int, 
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=512)
-def _deflation_zeta(w: ComplexArgument) -> SeriesEval:
-    """``zeta(w, _ZETA_TOL)``, memoised per process: G and U at one s share
-    zeta(2s) for a flat base, and zeta(2s + a) and zeta(2s + 2a) for power
-    decay, and a run meets each s again and again.  A raised error is not
-    memoised."""
-    return zeta(w, _ZETA_TOL)
-
-
 def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> tuple[_Shift, ...]:
     """The powers of zeta divided out of G (power 1) or U (power 2) at s.
 
@@ -534,8 +528,9 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
     total log is used.  PoleError (w = 1: G of b = 0 or 1 at s = 1, a
     pole of the product) propagates.
 
-    Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` (memoised by
-    ``_deflation_zeta``) and delta its tail bound over |zeta^|:
+    Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` (read through ``_zeta_memo``:
+    G and U at one s share zeta(2s) for a flat base, and zeta(2s + a) and
+    zeta(2s + 2a) for power decay) and delta its tail bound over |zeta^|:
     |log zeta - log zeta^| <= -log(1 - delta) <=
     delta / (1 - delta).  log zeta^ is 0.5 log(re^2 + im^2) + i arctan2(im,
     re): the squares and their sum lose 2u, which the log turns into u
@@ -569,7 +564,7 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
         if not branch_free or (ma and not re_w - abs(slip) > 1.0):
             break
         try:
-            z = _deflation_zeta(w)
+            z = _zeta_memo(w, _ZETA_TOL)
         except (ConvergenceError, DomainError):
             break
         re, im = z.value.real, z.value.imag
@@ -593,27 +588,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
-
-
-def _ordered_map(fn, items, threads: int = 0) -> list:
-    """``[fn(x) for x in items]``, on a thread pool when that can help.
-
-    ``threads``: 0 = auto (``_cpus()``), 1 = inline, k > 1 = at most k
-    workers.  A single item, or a single thread, runs inline and starts no
-    pool.  Results come back in item order, and an exception raised by
-    ``fn`` propagates from the first item that raised, as it would inline,
-    so the outcome does not depend on the thread count.  ``fn`` must not
-    call multlab's public functions: they may be wrapped by callers that
-    expect to run on one thread.
-    """
-    items = list(items)
-    if threads == 0:
-        threads = _cpus()
-    threads = min(threads, len(items))
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _log1p_product(
@@ -651,10 +625,10 @@ def _log1p_product(
     order and their sum is added to log(1 + x) term by term.  The chunk
     splits each part into exact pieces (``summation._ExactSum``) and sums
     its terms of the allowance (step 4); only those leave it, so no
-    whole-length array is built.  The chunks go through ``_ordered_map``,
-    which runs them on a thread pool when there are several chunks and
-    CPUs, s is complex and every prime is visited (other chunks run
-    inline), and are joined in chunk order.  Each part is its pieces' exact
+    whole-length array is built.  The chunks run on a thread pool of
+    min(``_cpus()``, chunks) workers where s is complex, every prime is
+    visited and that count is at least 2, and inline otherwise; either way
+    they are joined in chunk order.  Each part is its pieces' exact
     sum rounded once, and the value is exp of the complex total, so at real
     s its imaginary part is exactly 0.0.  Value and allowance are bit-identical for every worker
     count.
@@ -820,7 +794,9 @@ def _log1p_product(
         return re, e * np.arctan2(b, 1.0 + a), abs(e) * (np.abs(a) + np.abs(b))
 
     def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
-        # runs on a pool thread: private helpers only (see _ordered_map)
+        # may run on a pool thread, so it calls private helpers only:
+        # multlab's public functions may be wrapped by callers that expect
+        # to run on one thread
         lo, at = item
         lp = log_p[at]
         r = factor_r(lp)
@@ -879,8 +855,13 @@ def _log1p_product(
     # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
     # spend what they gain in handing the GIL back and forth; so are the
     # few primes of a visited chunk
-    threads = 0 if t != 0.0 and visited is None else 1
-    for re_pieces, im_pieces, err in _ordered_map(chunk, chunks, threads):
+    workers = min(_cpus(), len(chunks)) if t != 0.0 and visited is None else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, chunks))
+    else:
+        parts = map(chunk, chunks)
+    for re_pieces, im_pieces, err in parts:
         total_re.pieces += re_pieces
         total_im.pieces += im_pieces
         log_err += err

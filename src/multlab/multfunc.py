@@ -180,10 +180,6 @@ class PrimeFunctionSpec:
                 raise ValueError(f"exception value for p={p} outside [-1, 1]: {v}")
         object.__setattr__(self, "exceptions", tuple(pairs))
 
-    @property
-    def exception_map(self) -> dict[int, float]:
-        return dict(self.exceptions)
-
     def spec_id(self) -> str:
         """Stable short identifier (used in CSV reports and filenames)."""
         parts = [self.base]

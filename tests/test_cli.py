@@ -915,7 +915,7 @@ def test_import_loads_no_heavy_optional_modules():
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys, multlab, multlab.cli; "
-        "print(sorted(m for m in ('scipy', 'numpy.ma', 'mpmath') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'numpy.ma', 'mpmath', 'hashlib') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env

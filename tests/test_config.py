@@ -51,7 +51,7 @@ def test_parse_sample():
     cfg = parse_config(SAMPLE)
     assert cfg.sieve_limit == 100000
     assert cfg.spec.base == "liouville"
-    assert cfg.spec.exception_map == {2: 0.5, 3: -0.25}
+    assert dict(cfg.spec.exceptions) == {2: 0.5, 3: -0.25}
     assert cfg.s_grid == ((1.5, 0.0), (2.0, 0.0), (2.5, 1.0))
     assert cfg.truncation_N == 10000
     assert cfg.tolerance_map == {"H_eq_zetaF": 1e-6}
@@ -262,7 +262,7 @@ def test_readme_example_config_parses():
     (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     cfg = parse_config(example)
     assert cfg.s_grid == ((1.5, 0.0), (2.0, 0.0), (2.5, 1.0))
-    assert cfg.spec.exception_map == {2: 0.5}
+    assert dict(cfg.spec.exceptions) == {2: 0.5}
     assert cfg.tolerance_map == {"H_eq_zetaF": 1e-6}
 
 

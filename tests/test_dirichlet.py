@@ -130,7 +130,7 @@ def test_deflation_reads_each_zeta_once_per_process(monkeypatch):
         return original(s, tol)
 
     monkeypatch.setattr(multlab.dirichlet, "zeta", counting)
-    multlab.dirichlet._deflation_zeta.cache_clear()
+    multlab.dirichlet._zeta_memo.cache_clear()
     spec, point = constant_spec(0.3), ComplexArgument(1.7, 2.5)
     first = [_deflation(power, spec, point) for power in (1, 2)]
     assert calls.count(ComplexArgument(3.4, 5.0)) == 1
@@ -521,10 +521,6 @@ def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
         assert value.imag == 0.0
 
 
-def _bits(ev):
-    return struct.pack("<ddd", ev.value.real, ev.value.imag, ev.tail_bound)
-
-
 #: 78,498 primes up to 10^6: three chunks of 2^15.  c = 5 > 2^(1 + a)
 #: clamps f(p) at +1, so nothing is divided out and the walk is long
 _POOLED_SPEC = power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5})
@@ -552,16 +548,23 @@ def test_euler_products_do_not_depend_on_the_worker_count(product, spec, s, siev
 
 def test_auto_threads_follow_cpu_affinity(sieve_1e6, monkeypatch):
     # a complex-s full walk at P = 10^6 is three chunks: on two usable
-    # CPUs it starts a pool, on one it runs them inline
+    # CPUs it starts a pool, on one it runs them inline.  A walk that
+    # visits the exception primes alone runs inline on any number of CPUs,
+    # here with one exception prime in each of the three chunks (positions
+    # 100, 40000 and 70000 in the prime table)
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     s = complex(1.2, 7.0)
+    visited_spec = liouville_spec({547: 0.5, 479939: 1.0, 882389: -0.5})
     want = _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6))
+    visited = euler_product_G(visited_spec, s, 10**6, sieve_1e6)
+    assert visited.truncation_N == 70001
     monkeypatch.setattr(multlab.dirichlet, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(AssertionError, match="pool was started"):
         euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
+    assert _bits(euler_product_G(visited_spec, s, 10**6, sieve_1e6)) == _bits(visited)
     monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)) == want
 
@@ -1114,7 +1117,7 @@ def test_remainder_log_terms_are_within_their_tail_coefficients(which, spec, s, 
     sigma = complex(s).real
     base = multlab.multfunc._base_value(spec)
     c, a = multlab.multfunc._one_plus_f_decay(spec)
-    exceptions = spec.exception_map
+    exceptions = dict(spec.exceptions)
     with mp.workdps(80):
         shifts = _exact_shifts(which, spec, s, kept=3)
         for p in _CHECKED_PRIMES:
