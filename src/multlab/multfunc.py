@@ -284,6 +284,22 @@ def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _f_slice(spec: PrimeFunctionSpec, primes: np.ndarray) -> float | np.ndarray:
+    """f(p) over an ascending slice of primes: one float when that is one number.
+
+    ``_base_value(spec)`` when the spec is flat and the slice starts past
+    its largest exception, so that no prime of it is one; ``_f_values``
+    otherwise.  An elementwise operation on the float, such as (1 + b) log p
+    or (1 - b_f b_g) / p, gives the bits it gives on an array full of it.
+    """
+    base = _base_value(spec)
+    if base is not None and primes.size and (
+        not spec.exceptions or int(primes[0]) > spec.exceptions[-1][0]
+    ):
+        return base
+    return _f_values(spec, primes)
+
+
 def _base_value(spec: PrimeFunctionSpec) -> float | None:
     """f(p) at every prime that is no exception, when that is one number; else None.
 
@@ -291,10 +307,10 @@ def _base_value(spec: PrimeFunctionSpec) -> float | None:
     with c <= 0, where -1 + c p^-a is clamped to (or, at c = 0, is) -1.0 at
     every p: such a spec is Liouville's lambda spelt otherwise.  The one flatness
     rule, and the only reader of the base rule besides the spec itself:
-    f(p) (``_f_values``), exactness (``spec_is_pm1``), the streams' f(p)
-    table (``_prime_values``), the primes a prime-side sum visits
-    (``_visited``), G's prime tail (``_one_plus_f_decay``) and verify's
-    plateau check all read it.
+    f(p) (``_f_values``, and per slice ``_f_slice``), exactness
+    (``spec_is_pm1``), the streams' f(p) table (``_prime_values``), the
+    primes a prime-side sum visits (``_visited``), G's prime tail
+    (``_one_plus_f_decay``) and verify's plateau check all read it.
     """
     if spec.base == BASE_LIOUVILLE:
         return -1.0

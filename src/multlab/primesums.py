@@ -11,6 +11,9 @@ term can be nonzero (``multfunc._visited``), read one slice at a time by
 ``summation._prefix_sums``, so no whole-length f(p) or term array is
 built, and each checkpoint is the exact sum of its terms rounded once:
 bit for bit ``math.fsum`` of that prefix, whatever the checkpoint grid.
+Each slice forms f(p) once (``multfunc._f_slice``): one float for a flat
+spec once the slice is past its exceptions, which gives each term the
+bits an array of that float would.
 For a spec with f(p) = -1 at every prime but its exceptions, S(x) and the
 weighted tail walk the exception primes alone, and so does
 D(f, g; x)^2 when f(p) g(p) = 1 at every other prime.  The terms it skips
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multfunc import PrimeFunctionSpec, _f_values, _visited
+from .multfunc import PrimeFunctionSpec, _f_slice, _visited
 from .sieve import FactorSieve, primes_up_to
 from .summation import PartialSumSeries, _prefix_sums, _schedule
 
@@ -100,7 +103,7 @@ def prime_sum_S(
     primes, log_p = _walk(x_max, sieve, lambda f: 1.0 + f, spec)
 
     def terms(lo: int, hi: int) -> np.ndarray:
-        return (1.0 + _f_values(spec, primes[lo:hi])) * log_p[lo:hi]
+        return (1.0 + _f_slice(spec, primes[lo:hi])) * log_p[lo:hi]
 
     return _trace(primes, schedule, terms)
 
@@ -127,8 +130,8 @@ def pretentious_distance_sq(
 
     def terms(lo: int, hi: int) -> np.ndarray:
         chunk = primes[lo:hi]
-        fp = _f_values(spec_f, chunk)
-        fg = fp * (fp if spec_g == spec_f else _f_values(spec_g, chunk))
+        fp = _f_slice(spec_f, chunk)
+        fg = fp * (fp if spec_g == spec_f else _f_slice(spec_g, chunk))
         return (1.0 - fg) / chunk.astype(np.float64)
 
     return float(_prefix_sums(terms, [primes.size])[0])
@@ -180,7 +183,7 @@ def _weighted_tail(
 
     def terms(lo: int, hi: int) -> np.ndarray:
         chunk = primes[lo:hi]
-        numer = (1.0 + _f_values(spec, chunk)) * log_p[lo:hi]
+        numer = (1.0 + _f_slice(spec, chunk)) * log_p[lo:hi]
         with np.errstate(over="ignore"):  # p^sigma = inf gives the term 0.0
             return numer / chunk.astype(np.float64) ** sigma
 

@@ -9,14 +9,19 @@ vectorised extraction of Rump, Ogita & Oishi ("Accurate floating-point
 summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008),
 keeps them, and lets ``math.fsum`` round all pieces once at the end; short
 chunks, where the extraction's fixed cost outweighs its work, and other
-input reach ``math.fsum`` unchanged.  Because each sum is the exact sum
-rounded once, its value depends neither on traversal order nor on the
-slicing: callers may split chunks on a thread pool and join the pieces in
-chunk order (as the Euler products do) and get the same bits for any
-number of threads.  One loop, ``_prefix_sums``, feeds the accumulator from
-slices and reads it at checkpoint counts; ``fsum_array``,
-``prefix_sums_at`` and the prime-side sums all use it, so each prefix is
-exactly rounded, whatever other checkpoints are asked for.
+input reach ``math.fsum`` unchanged.  A one-signed slice of normal terms
+that span few enough binades (20 for a full 2^15-term slice) needs one
+extraction level, its residual summing exactly as it is (the certificate
+is in ``_ExactSum``); others take levels until the residual vanishes.
+Because each sum is the exact sum rounded once, its value depends
+neither on traversal order nor on the slicing: callers may split chunks
+on a thread pool and join the pieces in chunk order (as the Euler
+products do) and get the same bits for any number of threads.  One loop,
+``_prefix_sums``, hands the accumulator each slice with the checkpoint
+counts inside it, and one extraction per slice gives the value at all of
+them; ``fsum_array``, ``prefix_sums_at`` and the prime-side sums all use
+it, so each prefix is exactly rounded, whatever other checkpoints are
+asked for.
 
 Every checkpointed trace -- partial sums of a coefficient stream, S(x) and
 the weighted prime tails -- is one ``PartialSumSeries``, and every trace
@@ -45,11 +50,14 @@ _MAX_CHECKPOINT_STEPS = 10 ** 6
 _BLOCK = 1 << 15
 
 #: a chunk of at most this many terms is kept raw, as plain floats: one
-#: chunk and one ``value`` then cost 2-5 us against 13-27 us for the
-#: extraction at 8-64 terms, the two meeting near 400 terms (Python 3.11,
-#: numpy 2.4, 2-vCPU x86-64 VM); ``_prefix_sums`` rounds the pieces at
-#: every checkpoint and pays for raw ones each time, so the cut stays well
-#: below that crossover
+#: chunk and one ``value`` then cost 1.3-2.4 us at 8-64 terms, against
+#: 8-9 us for a one-level extraction and 13-14 us for a two-level one;
+#: raw costs 8 us at 256 terms and 16 us at 512, so it meets the one-level
+#: extraction near 256 terms and the two-level one near 450 (Python 3.11,
+#: numpy 2.4, 2-vCPU x86-64 VM).  Each raw term stays a piece that every
+#: later ``value`` re-reads -- at each later cut of its slice, and for the
+#: rest of the sum -- where an extraction leaves 2-4 pieces, so the cut
+#: stays below both crossovers
 _RAW_MAX = 64
 
 #: a chunk of m terms with max |x| >= 2^(_EXP_LIMIT - bit_length(m + 2)) is kept
@@ -60,6 +68,9 @@ _EXP_LIMIT = 1000
 #: an extraction constant below 2^_MIN_SIGMA_EXP would leave the normal
 #: range; a residual that small sums exactly in any order instead
 _MIN_SIGMA_EXP = -1021
+
+#: the smallest normal float64, 2^-1022
+_MIN_NORMAL = 2.0 ** -1022
 
 
 def checkpoint_schedule(
@@ -165,18 +176,39 @@ class _ExactSum:
     """Exact running sum of 1-D float64 chunks, rounded once by ``value``.
 
     ``add`` splits a chunk into a few error-free pieces by ExtractVector
-    (Rump, Ogita & Oishi 2008) and keeps them.  For a chunk r of m terms
-    pick sigma = 2^(M+e) with 2^M >= m + 2 and 2^e > max|r|; then
-    ``q = (r + sigma) - sigma`` and ``r - q`` are exact, every q is a
-    multiple of 2^-53 sigma and the q's add up to less than sigma, so
-    ``np.sum(q)`` is exact in any order.  Each pass shrinks max|r| by at
-    least 2^(52-M), so the passes end once r is zero, or once sigma would
-    leave the normal range, where the residual (all multiples of 2^-1074,
-    total below 2^-1021) also sums exactly.  The pieces add up exactly to
-    the sum of every term added, so ``value`` -- ``math.fsum`` of the
-    pieces -- is that sum rounded once, whatever the chunking.  Pieces are
-    plain floats: a chunk split on another thread may hand its ``pieces``
-    list over, to be joined in chunk order, with the same value.
+    (Rump, Ogita & Oishi 2008) and keeps them.  For a chunk x of m terms
+    pick sigma = 2^(M+e) with 2^M >= m + 2 and 2^(e-1) <= max|x| < 2^e;
+    then ``q = (x + sigma) - sigma`` and ``r = x - q`` are exact, every q
+    is a multiple of 2^-53 sigma, |r| <= 2^-53 sigma, and the |q|'s add up
+    to less than sigma, so every sub-sum of the q's is exact in any order.
+    Each level shrinks max|r| by at least 2^(52-M), so the levels go on,
+    r taking the chunk's place, until r is zero, or until sigma would leave
+    the normal range, where the residual (all multiples of 2^-1074, total
+    below 2^-1021) also sums exactly.  The pieces add up exactly to the sum
+    of every term added, so ``value`` -- ``math.fsum`` of the pieces -- is
+    that sum rounded once, whatever the chunking.  Pieces are plain
+    floats: a chunk split on another thread may hand its ``pieces`` list
+    over, to be joined in chunk order, with the same value.
+
+    A one-signed, zero-free chunk whose smallest magnitude amin is normal,
+    with 2^(e_min-1) <= amin < 2^e_min and a binade spread
+    e - e_min <= 52 - 2M, takes one level and keeps its residual's plain
+    sum.  Proof that every sub-sum of that residual is exact: each x_i is
+    a multiple of its ulp, so of u = 2^(e_min-53), and each q_i is a
+    multiple of 2^-53 sigma >= u, so every r_i is a multiple of u; and
+    sum |r_i| <= m 2^-53 sigma < 2^(2M+e-53) <= 2^(e_min-1) = 2^52 u.  So
+    every partial sum, in any order, is an integer multiple of u below
+    2^52 u in magnitude, with u >= 2^-1074 because amin is normal: a float,
+    reached without rounding.  Such a chunk costs 7 vector passes (max,
+    min, the level's three and two sums) where two levels of the general
+    loop cost 15.
+
+    ``add`` reads the running value at cuts inside a chunk from the same
+    levels: one ``np.add.reduceat`` gives each level's sums between
+    consecutive cuts, and these add up in order, exactly (every sub-sum of
+    a level is exact), to the level's prefix at each cut; the value at a
+    cut is ``math.fsum`` of the earlier pieces and those prefixes, the
+    exact sum up to the cut rounded once.
 
     A chunk of at most ``_RAW_MAX`` terms is kept as its raw values, which
     add up to the same exact sum, so ``value`` keeps every bit (signed
@@ -195,32 +227,69 @@ class _ExactSum:
         # time (as in one Dirichlet pass) may share one (2, m) array
         self._buf = np.empty((2, 0)) if buf is None else buf
 
-    def add(self, chunk: np.ndarray) -> None:
-        """Take one chunk."""
+    def add(self, chunk: np.ndarray, cuts=()) -> list[float]:
+        """Take one chunk; return the running ``value`` at each of ``cuts``.
+
+        ``cuts`` are offsets into the chunk, ascending and maybe repeated,
+        in [0, len(chunk)]: the value at cut c is the exact sum of every
+        term taken before the chunk and of its first c terms, rounded once.
+        """
         m = chunk.shape[0]
         if m <= _RAW_MAX:
-            self.pieces.extend(chunk.tolist())
-            return
+            return self._add_raw(chunk, cuts)
+        width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
+        hi, lo = float(chunk.max()), float(chunk.min())
+        limit = math.ldexp(1.0, _EXP_LIMIT - width)
+        if not (hi < limit and -lo < limit):  # also inf and NaN
+            return self._add_raw(chunk, cuts)
         if m > self._buf.shape[1]:
             self._buf = np.empty((2, m))
         r, q = self._buf[0, :m], self._buf[1, :m]
-        width = (m + 1).bit_length()  # smallest M with 2^M >= m + 2
-        amax = float(np.abs(chunk, out=q).max())
-        if not amax < math.ldexp(1.0, _EXP_LIMIT - width):  # also inf and NaN
-            self.pieces.extend(chunk.tolist())
-            return
-        np.copyto(r, chunk)
+        amax = hi if hi > -lo else -lo
+        amin = lo if lo > 0.0 else -hi  # positive for one-signed, zero-free chunks only
+        one_level = (
+            amin >= _MIN_NORMAL and math.frexp(amax)[1] - math.frexp(amin)[1] <= 52 - 2 * width
+        )
+        # uncut, each level's sum is a piece; cut, each level's segment sums
+        starts, ends = _segments(cuts, m) if len(cuts) else (None, None)
+        parts = self.pieces if starts is None else []
+        level = chunk
         while amax != 0.0:
             exp = width + math.frexp(amax)[1]
             if exp < _MIN_SIGMA_EXP:
-                self.pieces.append(float(r.sum()))
                 break
             sigma = math.ldexp(1.0, exp)
-            np.add(r, sigma, out=q)
+            np.add(level, sigma, out=q)
             np.subtract(q, sigma, out=q)
-            np.subtract(r, q, out=r)
-            self.pieces.append(float(q.sum()))
+            np.subtract(level, q, out=r)
+            level = r
+            parts.append(float(q.sum()) if starts is None else np.add.reduceat(q, starts))
+            if one_level:
+                break
             amax = float(np.abs(r, out=q).max())
+        else:
+            level = None  # the residual is zero
+        if level is not None:
+            parts.append(float(level.sum()) if starts is None else np.add.reduceat(level, starts))
+        if starts is None:
+            return []
+        # each level's exact prefix to the end of each segment, end by end
+        rows = np.cumsum(np.reshape(parts, (len(parts), len(starts))), axis=1).T.tolist()
+        prefixes = {0: [], **dict(zip(ends, rows))}
+        at = {c: math.fsum(self.pieces + prefixes[c]) for c in dict.fromkeys(cuts)}
+        self.pieces.extend(rows[-1])
+        return [at[c] for c in cuts]
+
+    def _add_raw(self, chunk: np.ndarray, cuts) -> list[float]:
+        """``add`` keeping the chunk's own terms as its pieces."""
+        terms = chunk.tolist()
+        values, done = [], 0
+        for c in cuts:
+            self.pieces += terms[done:c]
+            values.append(self.value())
+            done = c
+        self.pieces += terms[done:] if done else terms
+        return values
 
     def value(self) -> float:
         return math.fsum(self.pieces)
@@ -229,19 +298,40 @@ class _ExactSum:
 class _IntSum:
     """Exact running sum of integer chunks: ``_ExactSum``'s counterpart for
     the exact streams.  Each chunk is summed with an int64 accumulator
-    (exact while one chunk's sum stays below 2^63) and the chunks with a
-    Python int, so the sum is exact for any realistic length."""
+    (exact while the sum of one chunk's |terms| stays below 2^63) and the
+    chunks with a Python int, so the sum is exact for any realistic
+    length."""
 
     dtype = np.int64
 
     def __init__(self) -> None:
         self.total = 0
 
-    def add(self, chunk: np.ndarray) -> None:
-        self.total += int(np.sum(chunk, dtype=np.int64))
+    def add(self, chunk: np.ndarray, cuts=()) -> list[int]:
+        """Take one chunk; return the running ``value`` at each of ``cuts``
+        (as ``_ExactSum.add``)."""
+        if not len(cuts):
+            self.total += int(np.sum(chunk, dtype=np.int64))
+            return []
+        starts, ends = _segments(cuts, chunk.shape[0])
+        sums = np.add.reduceat(chunk, starts, dtype=np.int64).cumsum().tolist()
+        prefixes = {0: 0, **dict(zip(ends, sums))}
+        values = [self.total + prefixes[c] for c in cuts]
+        self.total += sums[-1]
+        return values
 
     def value(self) -> int:
         return self.total
+
+
+def _segments(cuts, m: int) -> tuple[list[int], list[int]]:
+    """(starts, ends) of the segments that the distinct ``cuts`` mark off a
+    chunk of m terms; ``np.add.reduceat`` over the starts sums each one.
+    The starts are 0 and the distinct cuts inside the chunk: reduceat
+    gives an element, not 0, for a start repeated or at m, so a cut at 0
+    (no term) or at m (every term) is read from the segments' ends."""
+    inner = sorted({c for c in cuts if 0 < c < m})
+    return [0, *inner], [*inner, m]
 
 
 def _prefix_sums(terms, counts, total=None) -> np.ndarray:
@@ -250,25 +340,22 @@ def _prefix_sums(terms, counts, total=None) -> np.ndarray:
     ``terms(lo, hi)`` returns the float64 terms lo, ..., hi - 1 as a 1-D
     array; it is called in order, for slices of _BLOCK terms that end at
     ``counts[-1]``.  One accumulator, ``total`` (a fresh ``_ExactSum`` by
-    default), takes every slice, cut at the counts inside it, so entry i
-    is the exact sum of the first ``counts[i]`` terms rounded once: bit
-    for bit ``math.fsum`` of that prefix (or its exception), whatever the
+    default), takes every slice with the counts inside it, so entry i is
+    the exact sum of the first ``counts[i]`` terms rounded once: bit for
+    bit ``math.fsum`` of that prefix (or its exception), whatever the
     slicing.  With an ``_IntSum`` the terms are integers and every entry
     is the exact int64 sum.  ``counts`` must not decrease.
     """
-    counts = np.asarray(counts, dtype=np.int64).tolist()
+    counts = np.asarray(counts, dtype=np.int64)
     total = _ExactSum() if total is None else total
-    out = np.empty(len(counts), dtype=total.dtype)
+    out = np.empty(counts.size, dtype=total.dtype)
+    end = int(counts[-1]) if counts.size else 0
     i = 0
-    for lo in range(0, counts[-1] if counts else 0, _BLOCK):
-        chunk = terms(lo, min(lo + _BLOCK, counts[-1]))
-        cut = lo
-        while i < len(counts) and counts[i] <= lo + _BLOCK:
-            total.add(chunk[cut - lo : counts[i] - lo])
-            cut = counts[i]
-            out[i] = total.value()
-            i += 1
-        total.add(chunk[cut - lo :])
+    for lo in range(0, end, _BLOCK):
+        hi = min(lo + _BLOCK, end)
+        j = int(np.searchsorted(counts, hi, side="right"))
+        out[i:j] = total.add(terms(lo, hi), (counts[i:j] - lo).tolist())
+        i = j
     out[i:] = total.value()  # no slice was taken: every count is 0
     return out
 

@@ -676,7 +676,9 @@ def test_a_skipping_euler_product_at_tiny_sigma_still_raises(sieve_1e6):
 
 def test_prime_side_sums_of_a_flat_spec_read_f_at_few_primes(sieve_1e6, monkeypatch):
     # Liouville with one exception: G, S, the weighted tail and D^2 are
-    # sums over that one prime, not over the 78,498 primes <= 10^6
+    # sums over that one prime, not over the 78,498 primes <= 10^6 (the
+    # prime-side sums read f(p) through multfunc._f_slice, which calls
+    # multfunc's own _f_values)
     original = multlab.multfunc._f_values
     seen = []
 
@@ -684,7 +686,7 @@ def test_prime_side_sums_of_a_flat_spec_read_f_at_few_primes(sieve_1e6, monkeypa
         seen.append(np.size(primes))
         return original(spec, primes)
 
-    for module in (multlab.dirichlet, multlab.primesums):
+    for module in (multlab.dirichlet, multlab.multfunc):
         monkeypatch.setattr(module, "_f_values", counting)
     spec = liouville_spec({3: 0.5})
     calls = {

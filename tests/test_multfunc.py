@@ -33,6 +33,7 @@ from multlab.multfunc import (
     power_decay_spec,
     spec_is_pm1,
     _base_value,
+    _f_slice,
     _is_prime_int,
     _prime_values,
     _visited,
@@ -662,6 +663,31 @@ def test_base_value_is_f_at_every_prime_but_the_exceptions(spec, literal, sieve_
         expected = literal(plain.astype(np.float64)).tobytes()
         assert values.tobytes() == expected
         assert np.full(values.size, base).tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        constant_spec(0.3, {7: 1.0, 11: -0.5}),
+        liouville_spec({2: 0.5}),
+        power_decay_spec(-0.3, 0.7, {13: 0.0}),
+        constant_spec(-0.0),
+        power_decay_spec(0.5, 0.5, {3: 0.25}),
+    ],
+    ids=lambda spec: spec.spec_id(),
+)
+def test_f_slice_is_one_float_only_past_the_last_exception(spec, sieve_1e4):
+    # a flat spec's slice that starts past its largest key holds no
+    # exception: f(p) is the base value, whose bits broadcast to f_at_primes'
+    primes = primes_up_to(100, sieve_1e4)
+    last = max((q for q, _ in spec.exceptions), default=0)
+    for lo in range(primes.size):
+        chunk = primes[lo:]
+        got = _f_slice(spec, chunk)
+        flat = _base_value(spec) is not None and int(chunk[0]) > last
+        assert isinstance(got, float) == flat
+        assert np.broadcast_to(got, chunk.shape).tobytes() == f_at_primes(spec, chunk).tobytes()
+    assert _f_slice(spec, primes[:0]).size == 0
 
 
 def test_visited_positions_are_the_exceptions_where_the_base_term_vanishes(sieve_1e4):

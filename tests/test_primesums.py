@@ -184,21 +184,22 @@ def test_distance_positive_self_distance_off_unit_circle(sieve_1e4):
 
 
 def test_self_distance_forms_f_once_per_slice_with_the_two_call_bits(sieve_1e6, monkeypatch):
-    # D(f, f)^2 squares one f(p) array per slice; f * f has the bits that
-    # two calls of f_at_primes multiplied give, summed exactly and rounded once
+    # D(f, f)^2 squares one f(p) per slice; f * f has the bits that two
+    # calls of f_at_primes multiplied give, summed exactly and rounded once.
+    # The flat spec's later slices take f(p) as one float (_f_slice)
     import multlab.primesums
 
     x = 10**6
     primes = primes_up_to(x, sieve_1e6)
     slices = -(-primes.size // multlab.summation._BLOCK)
-    original = multlab.primesums._f_values
+    original = multlab.primesums._f_slice
     calls = []
 
     def counting(spec, chunk):
         calls.append(spec)
         return original(spec, chunk)
 
-    monkeypatch.setattr(multlab.primesums, "_f_values", counting)
+    monkeypatch.setattr(multlab.primesums, "_f_slice", counting)
     for spec in (power_decay_spec(0.5, 0.5, {3: 0.25}), constant_spec(0.3, {2: 1.0})):
         calls.clear()
         d = pretentious_distance_sq(spec, spec, x, sieve_1e6)

@@ -20,8 +20,10 @@ from multlab import summation
 from multlab.summation import (
     _RAW_MAX,
     _ExactSum,
+    _IntSum,
     _prefix_sums,
     checkpoint_schedule,
+    exact_prefix_sums_at,
     fsum_array,
     prefix_sums_at,
 )
@@ -243,6 +245,105 @@ def test_prefix_sums_of_any_slicing_are_fsum_of_each_prefix(xs, cuts, block):
     assert done <= max(counts, default=0)
     if isinstance(got, bytes):
         assert done == max(counts, default=0)
+
+
+def edge_slice(m, e_min, spread, sign, seed):
+    """m terms of one sign, full 53-bit mantissas, spanning the binades
+    e_min, ..., e_min + spread exactly (frexp exponents), in random order."""
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(e_min, e_min + spread + 1, size=m)
+    exps[:2] = e_min, e_min + spread
+    values = np.ldexp(0.5 + rng.random(m) / 2, exps)
+    return sign * values[rng.permutation(m)]
+
+
+def extraction_path(values, cuts):
+    """(bits of each cut's value, whether the general loop ran): the loop
+    reads max|r| by np.abs after each level, the one certified level never."""
+    with mock.patch.object(summation.np, "abs", wraps=np.abs) as spy:
+        got = _ExactSum().add(values, cuts)
+    return [struct.pack("<d", v) for v in got], spy.call_count > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(_RAW_MAX + 1, 4 * _RAW_MAX),
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(0, 1),
+    st.sampled_from(["none", "zero", "subnormal"]),
+    st.lists(st.integers(0, 4 * _RAW_MAX), max_size=6),
+)
+def test_one_certified_level_at_its_edge_is_math_fsum(m, seed, sign, past, odd, extra):
+    # a one-signed, zero-free slice with normal terms and a binade spread
+    # of at most 52 - 2M takes one level; one binade more, a zero or a
+    # subnormal sends it to the general loop.  Both give fsum's bits at
+    # every cut, cuts at 0, at the end and repeated among them
+    width = (m + 1).bit_length()
+    spread = 52 - 2 * width + past
+    rng = np.random.default_rng(seed)
+    e_min = int(rng.integers(-1021, 1000 - width - spread + 1))
+    values = edge_slice(m, e_min, spread, sign, seed)
+    if odd != "none":
+        values[rng.integers(2, m)] = 0.0 if odd == "zero" else sign * 5e-324
+    cuts = sorted([0, 0, m, m, m // 2, m // 2, *(min(c, m) for c in extra)])
+    bits, loop = extraction_path(values, cuts)
+    assert bits == [struct.pack("<d", math.fsum(values[:c].tolist())) for c in cuts]
+    assert loop == (past or odd != "none")
+    assert outcome(prefix_sums_at, values, cuts) == outcome(prefix_sums_oracle, values, cuts)
+
+
+def test_one_certified_level_takes_the_smallest_normal():
+    # amin in [2^-1022, 2^-1021) still certifies; a subnormal amin does
+    # not, though the spread stays well inside the limit
+    m = 3 * _RAW_MAX
+    values = edge_slice(m, -1021, 4, 1.0, 3)
+    for tiny, loop in ((2.0 ** -1022, False), (2.0 ** -1023, True)):
+        values[0] = tiny
+        bits, took_loop = extraction_path(values, [m])
+        assert bits == [struct.pack("<d", math.fsum(values.tolist()))]
+        assert took_loop == loop
+
+
+def test_prefix_sums_take_each_slice_in_one_call():
+    # the default grid to 10^6 has 68 counts, 47 of them in the first
+    # slice: one accumulator call per slice reads them all
+    counts = checkpoint_schedule(10 ** 6)
+    assert counts.size == 68 and np.count_nonzero(counts <= BLOCK) == 47
+    slices = -(-10 ** 6 // BLOCK)
+    rng = np.random.default_rng(46)
+    floats = rng.random(10 ** 6) - 0.25
+    ints = rng.integers(-1, 2, size=10 ** 6).astype(np.int8)
+    for total, values in ((_ExactSum(), floats), (_IntSum(), ints)):
+        calls = []
+        original = total.add
+
+        def counting(chunk, cuts=(), original=original):
+            calls.append(len(cuts))
+            return original(chunk, cuts)
+
+        total.add = counting
+        got = _prefix_sums(lambda lo, hi: values[lo:hi], counts, total)
+        assert calls[0] == 47 and len(calls) == slices
+        if values is ints:
+            assert got.tolist() == np.cumsum(ints, dtype=np.int64)[counts - 1].tolist()
+        else:
+            assert outcome(lambda: got) == outcome(prefix_sums_oracle, floats, counts)
+
+
+def test_a_cut_at_zero_reads_no_term_of_its_slice():
+    # one term and 64 padding terms take the extraction: a cut at 0 is the
+    # running value before the slice, not the slice's own pieces
+    values = np.resize(np.array([0.1]), 1 + _RAW_MAX)
+    total = _ExactSum()
+    assert total.add(values, [0]) == [0.0]
+    assert total.value() == math.fsum(values.tolist())
+    assert prefix_sums_at(values, [0, 0, values.size]).tolist() == [
+        0.0, 0.0, math.fsum(values.tolist())
+    ]
+    ints = np.resize(np.array([3], dtype=np.int8), 1 + _RAW_MAX)
+    assert _IntSum().add(ints, [0]) == [0]
+    assert exact_prefix_sums_at(ints, [0, 0, ints.size]).tolist() == [0, 0, 3 * ints.size]
 
 
 def test_checkpoint_schedule_bounds_its_steps():
