@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, _fmt_real, load_config
-from .dirichlet import _NO_VALUE, ComplexArgument, _SeriesStore
+from .dirichlet import _NO_VALUE, ComplexArgument, _read, _series_table
 from .exponent import (
     DerivedFunctionKind,
     InsufficientDataError,
@@ -66,7 +66,7 @@ _CHECK_BYTES = 1 << 20
 
 _KIND_NAMES = {kind.value: kind for kind in DerivedFunctionKind}
 
-#: each ``series`` target and the series-store name it reads
+#: each ``series`` target and the series-table name it reads
 _SERIES = {
     "zeta": "zeta",
     "F": DerivedFunctionKind.F_PLAIN,
@@ -265,15 +265,14 @@ def cmd_prime_sum(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, _: None)
 
 def cmd_series(cfg: ExperimentConfig, out_dir: Path, got: _Obtained, which: str) -> int:
     name = _SERIES[which]
-    # a stream's sums at every s-grid point come from one pass
-    streamed = isinstance(name, DerivedFunctionKind)
-    sums = [(name, ComplexArgument(*s)) for s in cfg.s_grid] if streamed else []
-    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, got.sieve, cfg.zeta_tol, sums)
+    # every value is made up front, a stream's sums at all s-grid points in one pass
+    keys = [(name, ComplexArgument(*s)) for s in cfg.s_grid]
+    table = _series_table(cfg.spec, cfg.truncation_N, cfg.euler_P, got.sieve, keys, cfg.zeta_tol)
     rows = []
     for sigma, t in cfg.s_grid:
         point = ComplexArgument(sigma, t)
         try:
-            ev = store.get(name, point)
+            ev = _read(table, name, point)
         except _NO_VALUE as exc:
             print(f"s={point}: error: {exc}")
             rows.append(f"{_fmt_real(sigma)},{_fmt_real(t)},nan,nan,0,inf,1,error")

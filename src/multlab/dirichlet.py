@@ -109,8 +109,8 @@ class ConvergenceError(RuntimeError):
         self.achieved_bound = achieved_bound
 
 
-#: the failures that mean "no value at this point": the series store
-#: memoises exactly these, and verify and the ``series`` command catch them
+#: the failures that mean "no value at this point": a series table stores
+#: exactly these, and verify and the ``series`` command catch them
 _NO_VALUE = (PoleError, DomainError, ConvergenceError)
 
 
@@ -410,8 +410,7 @@ def dirichlet_sum(
             "dirichlet_sum takes (kind, spec, s, N, sieve), kind first; got "
             f"({type(kind).__name__}, {type(spec).__name__}, ...)"
         )
-    # P is never read: only the sum at N is evaluated
-    return _SeriesStore(spec, N, N, sieve).get(kind, s)
+    return _read(_series_table(spec, N, None, sieve, [(kind, s)]), kind, s)
 
 
 # ---------------------------------------------------------------------------
@@ -1301,95 +1300,41 @@ def _side(evals: list[SeriesEval]) -> tuple[complex, float]:
     return a.value * b.value, budget
 
 
-class _SeriesStore:
-    """Every series of one run at fixed (spec, N, P, sieve, zeta_tol), computed once.
+def _series_table(
+    spec: PrimeFunctionSpec,
+    N: int,
+    P: int | None,
+    sieve: FactorSieve,
+    keys,
+    zeta_tol: float = 1e-14,
+) -> dict:
+    """Every series that ``keys`` names at fixed (spec, N, P, sieve, zeta_tol), each made once.
 
-    ``get(name, s)`` memoises by (name, point) the sum at N of the stream
-    ``name`` (a DerivedFunctionKind), or "zeta", or the Euler product "G" or
-    "U" with P as its cap.  The streams are those ``multfunc._coefficients``
-    gives (exact integers for a spec with every f(p) in {-1, 0, 1}, the
-    streams its partial-sum traces read), and no stream is held: a pass
-    builds the streams it needs block by block, in one fused step, and
-    feeds each block to the sums of every point it serves
-    (``_DirichletSums``).  ``sums`` lists the (kind, s) pairs a run will
-    ask for; the first ``get`` or ``residual`` of any of them makes all of
-    them in one pass.  Any other sum is made when asked for, in a pass of
-    its own: ``get`` builds its one stream, and ``residual`` every stream
-    not yet summed at its point.
-    At sigma > 1 a sum's budget is its tail bound plus 4 eps times the
-    allowance sum of ``_DirichletSums``, a float upper bound on
-    sum |a(n)| n^(-sigma) within a factor (1 + N eps)^2 of it.
-    A failure of ``_NO_VALUE`` (no value at this point) is memoised too,
-    as the exception itself, and raised again by every ``get`` of that
-    (name, point), so a failing pass or product runs once; a point whose
-    sum leaves float64 fails every stream of its pass, and the other
-    points of that pass go on.  Any other error (a bad argument) propagates
-    and is not memoised.
+    A key (name, s) names the sum at N of the stream ``name`` (a
+    DerivedFunctionKind), or "zeta", or the Euler product "G" or "U" with
+    cap P.  The table maps each key, s as a ComplexArgument, to its
+    SeriesEval or to its ``_NO_VALUE`` failure, which ``_read`` raises
+    again; any other error (a bad argument) propagates.  One pass builds
+    each kind the keys name, block by block, as ``multfunc._coefficients``
+    gives it (exact integers for a spec with every f(p) in {-1, 0, 1}),
+    and feeds every slice of _BLOCK n to the sums of each point
+    (``_DirichletSums``); a point that leaves float64 fails for all its
+    kinds, and the pass ends once every point has failed.  At sigma > 1 a
+    sum's budget is its tail bound plus 4 eps times its allowance sum, a
+    float upper bound on sum |a(n)| n^(-sigma) within (1 + N eps)^2 of it.
     """
-
-    def __init__(
-        self,
-        spec: PrimeFunctionSpec,
-        N: int,
-        P: int,
-        sieve: FactorSieve,
-        zeta_tol: float = 1e-14,
-        sums=(),
-    ):
-        self.spec, self.N, self.P, self.sieve, self.zeta_tol = spec, N, P, sieve, zeta_tol
-        #: a SeriesEval, or the _NO_VALUE failure at that point
-        self._evals: dict[tuple, SeriesEval | Exception] = {}
-        #: the (kind, point) sums of ``sums`` that no pass has made yet
-        self._pending = dict.fromkeys((kind, ComplexArgument.of(s)) for kind, s in sums)
-
-    def get(self, name, s) -> SeriesEval:
-        point = ComplexArgument.of(s)
-        key = (name, point)
-        if key not in self._evals:
-            if isinstance(name, DerivedFunctionKind):
-                self._sum_streams([key])
-            else:
-                try:
-                    if name == "zeta":
-                        self._evals[key] = zeta(point, self.zeta_tol)
-                    else:
-                        product = euler_product_G if name == "G" else euler_product_U
-                        self._evals[key] = product(self.spec, point, self.P, self.sieve)
-                except _NO_VALUE as exc:
-                    self._evals[key] = exc.with_traceback(None)
-        ev = self._evals[key]
-        if isinstance(ev, Exception):
-            raise ev.with_traceback(None)
-        return ev
-
-    def _sum_streams(self, keys: list[tuple[DerivedFunctionKind, ComplexArgument]]) -> None:
-        """Memoise the stream sums ``keys``: the pending ones, all together,
-        if any of them is asked for, and the rest in one pass of their own."""
-        keys = [key for key in keys if key not in self._evals]
-        if any(key in self._pending for key in keys):
-            self._pass(list(self._pending))
-            self._pending.clear()
-            keys = [key for key in keys if key not in self._evals]
-        if keys:
-            self._pass(keys)
-
-    def _pass(self, keys: list[tuple[DerivedFunctionKind, ComplexArgument]]) -> None:
-        """Memoise the sums ``keys`` from one pass over n <= N.
-
-        The pass builds each kind the keys name once, and feeds every
-        slice of _BLOCK n to the sums of each point, in the order of
-        ``DerivedFunctionKind``; a point that leaves float64 stops being
-        fed, and its failure is memoised for all its kinds.  The pass ends
-        early once every point has failed.
-        """
-        wanted: dict[ComplexArgument, set[DerivedFunctionKind]] = {}
-        for kind, point in keys:
-            wanted.setdefault(point, set()).add(kind)
+    keys = dict.fromkeys((name, ComplexArgument.of(s)) for name, s in keys)
+    table: dict[tuple, SeriesEval | Exception] = {}
+    wanted: dict[ComplexArgument, set[DerivedFunctionKind]] = {}
+    for name, point in keys:
+        if isinstance(name, DerivedFunctionKind):
+            wanted.setdefault(point, set()).add(name)
+    if wanted:
         kinds = tuple(k for k in DerivedFunctionKind if any(k in ks for ks in wanted.values()))
         # each point's kinds, as positions in ``kinds``
         slots = {point: [i for i, k in enumerate(kinds) if k in ks] for point, ks in wanted.items()}
-        _, stream = _coefficients(self.spec, kinds, self.N, self.sieve)
-        buf = np.empty((2, min(self.N, _BLOCK)))
+        _, stream = _coefficients(spec, kinds, N, sieve)
+        buf = np.empty((2, min(N, _BLOCK)))
         live = {point: _DirichletSums(point, len(ks), buf) for point, ks in slots.items()}
         failed: dict[ComplexArgument, Exception] = {}
         for lo, blocks in stream:
@@ -1403,41 +1348,61 @@ class _SeriesStore:
                 break
         for point, sums in live.items():
             try:
-                results = sums.results(self.N)
+                results = sums.results(N)
             except DomainError as exc:
                 failed[point] = exc
                 continue
             for i, (value, abs_sum) in zip(slots[point], results):
                 kind = kinds[i]
-                ev = SeriesEval(value, self.N, math.inf, True, METHOD_DIRECT_SUM)
+                ev = SeriesEval(value, N, math.inf, True, METHOD_DIRECT_SUM)
                 if point.sigma > 1.0:
                     divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
-                    tail = (_divisor_tail if divisor else _power_tail)(self.N, point.sigma)
-                    ev = SeriesEval(value, self.N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
-                self._evals[(kind, point)] = ev
+                    tail = (_divisor_tail if divisor else _power_tail)(N, point.sigma)
+                    ev = SeriesEval(value, N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
+                table[(kind, point)] = ev
         for point, exc in failed.items():
             for i in slots[point]:
-                self._evals[(kinds[i], point)] = exc.with_traceback(None)
+                table[(kinds[i], point)] = exc.with_traceback(None)
+    for name, point in keys:
+        if isinstance(name, str):
+            product = euler_product_G if name == "G" else euler_product_U
+            try:
+                table[(name, point)] = (
+                    zeta(point, zeta_tol) if name == "zeta" else product(spec, point, P, sieve)
+                )
+            except _NO_VALUE as exc:
+                table[(name, point)] = exc.with_traceback(None)
+    return table
 
-    def residual(self, identity: IdentityKind, s) -> IdentityResidual:
-        """|LHS - RHS| of one identity at s, read from the store (see identity_residual).
 
-        Every stream not yet summed at s is summed first, in one pass: the
-        four identities at one point need all four.
-        """
-        point = ComplexArgument.of(s)
-        self._sum_streams([(kind, point) for kind in DerivedFunctionKind])
-        sides = [
-            [self.get(name, point) for name in side] for side in _IDENTITY_SIDES[identity]
-        ]
-        (left, left_budget), (right, right_budget) = map(_side, sides)
-        return IdentityResidual(
-            identity=identity,
-            point=point,
-            residual=float(abs(left - right)),
-            budget=float(left_budget + right_budget),
-            heuristic=any(ev.heuristic for evals in sides for ev in evals),
-        )
+def _read(table: dict, name, s) -> SeriesEval:
+    """(name, s)'s value in a ``_series_table``, or its failure raised again (KeyError if absent)."""
+    ev = table[(name, ComplexArgument.of(s))]
+    if isinstance(ev, Exception):
+        raise ev.with_traceback(None)
+    return ev
+
+
+def _identity_keys(s, identities=IdentityKind) -> list:
+    """The table keys the residuals of ``identities`` at s read: all four stream
+    sums (one pass makes them together), then each zeta, G or U in side order."""
+    names = dict.fromkeys(DerivedFunctionKind)
+    names.update((name, None) for i in identities for side in _IDENTITY_SIDES[i] for name in side)
+    return [(name, ComplexArgument.of(s)) for name in names]
+
+
+def _residual(table: dict, identity: IdentityKind, s) -> IdentityResidual:
+    """|LHS - RHS| of one identity at s, read from a ``_series_table`` (see identity_residual)."""
+    point = ComplexArgument.of(s)
+    sides = [[_read(table, name, point) for name in side] for side in _IDENTITY_SIDES[identity]]
+    (left, left_budget), (right, right_budget) = map(_side, sides)
+    return IdentityResidual(
+        identity=identity,
+        point=point,
+        residual=float(abs(left - right)),
+        budget=float(left_budget + right_budget),
+        heuristic=any(ev.heuristic for evals in sides for ev in evals),
+    )
 
 
 def identity_residual(
@@ -1455,6 +1420,8 @@ def identity_residual(
     with rigorous constituents, residual <= budget is mathematically
     guaranteed for a correct implementation, so a violation localizes a
     genuine bug (or a heuristic evaluation, which is flagged).  Like
-    ``_SeriesStore.residual`` it builds and sums all four streams at s.
+    ``run_verify`` it sums all four streams at s in one pass; it evaluates
+    only the zeta, G or U that this identity reads.
     """
-    return _SeriesStore(spec, N, P, sieve, zeta_tol).residual(identity, s)
+    table = _series_table(spec, N, P, sieve, _identity_keys(s, [identity]), zeta_tol)
+    return _residual(table, identity, s)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, _fmt_real, config_hash
-from .dirichlet import _NO_VALUE, ComplexArgument, IdentityKind, _SeriesStore, zeta
+from .dirichlet import _NO_VALUE, ComplexArgument, IdentityKind, _identity_keys, _read, _residual
+from .dirichlet import _series_table, zeta
 from .exponent import InsufficientDataError, checkpoint_partial_sums, fit_exponent
 from .multfunc import DerivedFunctionKind, _base_value, _weight, f_at_primes
 from .primesums import VERDICT_FAIL, _STATUS, _dyadic_decays, _weighted_tail, prime_sum_S
@@ -102,7 +103,7 @@ def _zeta_closed_form_lines() -> list[CheckLine]:
     return lines
 
 
-def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLine]:
+def _identity_lines(cfg: ExperimentConfig, table: dict) -> list[CheckLine]:
     lines = []
     tolerance_map = cfg.tolerance_map
     for sigma, t in cfg.s_grid:
@@ -110,7 +111,7 @@ def _identity_lines(cfg: ExperimentConfig, store: _SeriesStore) -> list[CheckLin
         for identity in IdentityKind:
             name = f"{identity.value}:s={point}"
             try:
-                result = store.residual(identity, point)
+                result = _residual(table, identity, point)
             except _NO_VALUE:
                 # no evaluation exists at this point (sigma <= 0, the pole
                 # s = 1, an unreachable zeta tolerance, a degenerate Euler
@@ -203,7 +204,7 @@ def _exponent_line(cfg: ExperimentConfig, sieve: FactorSieve) -> CheckLine:
     return _line("exponent_fit:F_plain", alpha, threshold, alpha <= threshold)
 
 
-def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
+def _f_one_trend_line(cfg: ExperimentConfig, table: dict) -> CheckLine:
     """|F(1+h)| along the configured h-grid, largest h first.
 
     pass when the magnitudes strictly decrease and the final one has at
@@ -213,7 +214,7 @@ def _f_one_trend_line(cfg: ExperimentConfig, store: _SeriesStore) -> CheckLine:
     h_grid = sorted(cfg.f_one_h_grid, reverse=True)
     magnitudes = []
     for h in h_grid:
-        ev = store.get(DerivedFunctionKind.F_PLAIN, ComplexArgument(1.0 + h))
+        ev = _read(table, DerivedFunctionKind.F_PLAIN, 1.0 + h)
         magnitudes.append(abs(ev.value))
     decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
     first = magnitudes[0]
@@ -230,25 +231,23 @@ def run_verify(cfg: ExperimentConfig, sieve: FactorSieve | None = None) -> Verif
     """Run every registered check once, in fixed order.
 
     Without ``sieve``, one is built to ``cfg.sieve_limit``.  The identity
-    and F(1+h) checks share one series store, given every stream sum they
-    read up front, so one pass builds each stream at truncation_N block by
-    block and feeds every s-grid and h-grid point; they run first, and the
-    store is freed before the checks that work at x_max.
+    and F(1+h) checks read one series table, made up front from every key
+    they read: one pass builds each stream at truncation_N block by block
+    and sums it at every s-grid and h-grid point, and zeta, G and U are
+    evaluated once at each s-grid point.
     """
     if sieve is None:
         sieve = build_sieve(cfg.sieve_limit)
-    sums = [(kind, ComplexArgument(*s)) for s in cfg.s_grid for kind in DerivedFunctionKind]
-    sums += [(DerivedFunctionKind.F_PLAIN, 1.0 + h) for h in cfg.f_one_h_grid]
-    store = _SeriesStore(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, cfg.zeta_tol, sums)
-    identity_lines = _identity_lines(cfg, store)
-    f_one_trend_line = _f_one_trend_line(cfg, store)
-    del store
-    lines: list[CheckLine] = []
-    lines.extend(_zeta_closed_form_lines())
-    lines.extend(identity_lines)
-    lines.extend(_nonneg_lines(cfg, sieve))
-    lines.extend(_prime_sum_lines(cfg, sieve))
-    lines.append(_weighted_tail_line(cfg, sieve))
-    lines.append(_exponent_line(cfg, sieve))
-    lines.append(f_one_trend_line)
+    keys = [key for s in cfg.s_grid for key in _identity_keys(ComplexArgument(*s))]
+    keys += [(DerivedFunctionKind.F_PLAIN, 1.0 + h) for h in cfg.f_one_h_grid]
+    table = _series_table(cfg.spec, cfg.truncation_N, cfg.euler_P, sieve, keys, cfg.zeta_tol)
+    lines = [
+        *_zeta_closed_form_lines(),
+        *_identity_lines(cfg, table),
+        *_nonneg_lines(cfg, sieve),
+        *_prime_sum_lines(cfg, sieve),
+        _weighted_tail_line(cfg, sieve),
+        _exponent_line(cfg, sieve),
+        _f_one_trend_line(cfg, table),
+    ]
     return VerificationReport(lines=tuple(lines), config_hash=config_hash(cfg))

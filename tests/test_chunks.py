@@ -2,7 +2,7 @@
 
 Every consumer reads a spec's streams block by block (``multfunc._stream_blocks``,
 through ``multfunc._coefficients``): the checkpointed partial sums and the
-series store's Dirichlet sums.  Here each is compared with the whole-array
+series table's Dirichlet sums.  Here each is compared with the whole-array
 path it replaced -- ``coefficient_stream`` or ``integer_coefficient_stream``
 summed by ``prefix_sums_at``, ``exact_prefix_sums_at`` and
 ``dirichlet._dirichlet_sums`` -- for every kind, exact and float, at limits
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import multlab.dirichlet as dl
-from multlab.dirichlet import ComplexArgument, DomainError, _SeriesStore, _divisor_tail, _power_tail
+from multlab.dirichlet import ComplexArgument, _divisor_tail, _power_tail, _read, _series_table
 from multlab.exponent import checkpoint_partial_sums
 from multlab.multfunc import (
     DerivedFunctionKind,
@@ -99,19 +99,17 @@ def test_checkpointed_sums_equal_the_whole_array_path(limit, sieve_1e6):
 
 
 @pytest.mark.parametrize("limit", LIMITS)
-def test_store_sums_equal_the_whole_array_path(limit, sieve_1e6):
+def test_table_sums_equal_the_whole_array_path(limit, sieve_1e6):
     # values, and the allowance inside each rigorous budget, from one pass
     # over every kind and point, against one _dirichlet_sums per point
     points = [ComplexArgument(2.0), ComplexArgument(1.5, 4.0), ComplexArgument(0.8)]
     for spec in _specs(limit, sieve_1e6):
         exact = spec_is_pm1(spec)
-        store = _SeriesStore(
-            spec, limit, limit, sieve_1e6, sums=[(k, s) for s in points for k in KINDS]
-        )
+        table = _series_table(spec, limit, None, sieve_1e6, [(k, s) for s in points for k in KINDS])
         wholes = [_whole(spec, kind, limit, sieve_1e6, exact) for kind in KINDS]
         for point in points:
             for kind, (value, allowance) in zip(KINDS, dl._dirichlet_sums(wholes, limit, point)):
-                ev = store.get(kind, point)
+                ev = _read(table, kind, point)
                 assert (ev.value.real.hex(), ev.value.imag.hex()) == (
                     value.real.hex(), value.imag.hex()
                 ), (spec, kind, point)
@@ -121,38 +119,6 @@ def test_store_sums_equal_the_whole_array_path(limit, sieve_1e6):
                     assert ev.tail_bound.hex() == (tail + 4.0 * dl._EPS * allowance).hex()
                 else:
                     assert ev.heuristic and ev.tail_bound == math.inf
-
-
-def test_a_store_asked_at_a_point_it_was_not_given(sieve_1e5, monkeypatch):
-    # a sum not declared up front gets its own pass, with the bits, the
-    # memoisation and the failure semantics of a store with no declared sums
-    passes = []
-    original = dl._coefficients
-
-    def counting(spec, kinds, limit, sieve):
-        passes.append(kinds)
-        return original(spec, kinds, limit, sieve)
-
-    monkeypatch.setattr(dl, "_coefficients", counting)
-    spec = power_decay_spec(0.5, 0.5, {3: 0.25})
-    F, H, G, Fmu2 = KINDS
-    N, given, other = 10**5, ComplexArgument(2.0), ComplexArgument(2.5, 1.0)
-    failing = ComplexArgument(-300.0)
-    store = _SeriesStore(spec, N, N, sieve_1e5, sums=[(F, given), (H, given)])
-    fresh = _SeriesStore(spec, N, N, sieve_1e5)
-    ev = store.get(G, other)
-    assert passes == [(G,)]
-    assert ev == fresh.get(G, other) and store.get(G, other) is ev
-    store.get(H, given)  # the declared pair: one pass for both
-    assert passes[2:] == [(F, H)]
-    store.residual(dl.IdentityKind.H_EQ_ZETA_F, other)  # the three kinds not summed at other
-    assert passes[3:] == [(F, H, Fmu2)]
-    for _ in range(2):
-        for kind in KINDS:
-            with pytest.raises(DomainError, match="leaves float64") as info:
-                store.get(kind, failing)
-            assert len(info.traceback) < 10
-    assert passes[4:] == [(kind,) for kind in KINDS]
 
 
 def _traced_peak(fn) -> int:
@@ -191,14 +157,13 @@ def test_checkpointed_sums_hold_about_half_of_the_stream(spec, kind, itemsize, s
     assert peak < 0.6 * limit * itemsize, peak / (limit * itemsize)
 
 
-def test_store_pass_holds_about_half_of_each_stream(sieve_2_23):
+def test_table_pass_holds_about_half_of_each_stream(sieve_2_23):
     # a pass keeps a(1..N/2) of each kind, plus one scratch chunk per kind,
     # a chunk's temporaries and each point's slice of weights: at N = 2^21
-    # below 0.6 of four whole float64 streams (a store that held the four
-    # whole streams peaked at 1.3 of them at N = 2^18)
+    # below 0.6 of four whole float64 streams (a series store that held the
+    # four whole streams peaked at 1.3 of them at N = 2^18)
     N = 2**21
     spec = power_decay_spec(0.5, 0.5, {3: 0.25})
     sums = [(kind, s) for s in (2.0, 3.0, complex(2.5, 3.0)) for kind in KINDS]
-    store = _SeriesStore(spec, N, 10**3, sieve_2_23, sums=sums)
-    peak = _traced_peak(lambda: [store.get(kind, s) for kind, s in sums])
+    peak = _traced_peak(lambda: _series_table(spec, N, 10**3, sieve_2_23, sums))
     assert peak < 0.6 * 4 * N * 8, peak / (4 * N * 8)

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -42,8 +43,11 @@ from multlab.dirichlet import (
     _first_true,
     _power_tail,
     _prime_tail,
-    _SeriesStore,
     _deflation,
+    _identity_keys,
+    _read,
+    _residual,
+    _series_table,
     _omitted_tail,
     _shift_rows,
     dirichlet_sum,
@@ -1348,11 +1352,11 @@ def test_identity_budgets_are_not_vacuous(sieve_1e6):
     assert math.isfinite(res.budget)
 
 
-# ------------------------------------------------------------ series store
+# ------------------------------------------------------------ series table
 
 
 def _count_passes(monkeypatch, passes):
-    """Record the kinds of every stream pass the series store makes."""
+    """Record the kinds of every stream pass a series table makes."""
     import multlab.dirichlet as dl
 
     original = dl._coefficients
@@ -1372,8 +1376,86 @@ def test_verify_builds_each_stream_once(sieve_1e6, monkeypatch):
     assert passes == [tuple(DerivedFunctionKind)]
 
 
+def test_run_verify_makes_two_stream_passes_and_evaluates_each_product_once(
+    sieve_1e4, monkeypatch
+):
+    # a duplicated point (2+0i beside 2-0i), a complex point, sigma <= 0
+    # and the pole
+    import multlab.exponent
+
+    grid = ((2.0, 0.0), (2.0, -0.0), (2.0, 3.0), (-0.5, 0.0), (1.0, 0.0))
+    cfg = ExperimentConfig(sieve_limit=10**4, s_grid=grid, truncation_N=10**3, euler_P=500)
+    passes, calls = [], []
+    for module in (multlab.dirichlet, multlab.exponent):
+
+        def counting(spec, kinds, limit, sieve, original=module._coefficients):
+            passes.append((limit, kinds))
+            return original(spec, kinds, limit, sieve)
+
+        monkeypatch.setattr(module, "_coefficients", counting)
+    for name in ("zeta", "euler_product_G", "euler_product_U"):
+
+        def counting(*args, name=name, original=getattr(multlab.dirichlet, name)):
+            if name != "zeta":  # (spec, s, P, sieve)
+                calls.append((name, ComplexArgument.of(args[1])))
+            elif args[1:] == (cfg.zeta_tol,):  # the tails and products read other tols
+                calls.append((name, ComplexArgument.of(args[0])))
+            return original(*args)
+
+        monkeypatch.setattr(multlab.dirichlet, name, counting)
+    run_verify(cfg, sieve=sieve_1e4)
+    # the table's one pass, then the exponent line's F at x_max: that second
+    # pass is the duplicate build of F that CHANGES.md's FOUND line on
+    # run_verify names
+    assert passes == [
+        (cfg.truncation_N, tuple(DerivedFunctionKind)),
+        (cfg.effective_x_max, (DerivedFunctionKind.F_PLAIN,)),
+    ]
+    points = list(dict.fromkeys(ComplexArgument(*s) for s in grid))
+    expected = [(n, p) for p in points for n in ("zeta", "euler_product_U", "euler_product_G")]
+    assert calls == expected
+
+
+def test_a_table_has_no_hidden_pass(sieve_1e4, monkeypatch):
+    # a key the table was not given is a KeyError, and no pass makes it
+    passes = []
+    _count_passes(monkeypatch, passes)
+    F, H = DerivedFunctionKind.F_PLAIN, DerivedFunctionKind.H_CONV
+    table = _series_table(LIOUVILLE, 10**3, 10**3, sieve_1e4, [(F, 2.0), ("zeta", 2.0)])
+    for name, s in ((H, 2.0), (F, 3.0), ("G", 2.0), ("zeta", 3.0)):
+        with pytest.raises(KeyError):
+            _read(table, name, s)
+    assert passes == [(F,)]
+
+
+@pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8, -0.5])
+def test_the_public_evaluators_read_a_table(s, sieve_1e4):
+    # dirichlet_sum and identity_residual give the bits of one table that
+    # holds every key of every identity at s and at two other points
+    spec = power_decay_spec(0.5, 0.5, {3: 0.25})
+    N, P = 10**3, 500
+    keys = [key for p in (s, 3.0, complex(2.0, 1.0)) for key in _identity_keys(p)]
+    table = _series_table(spec, N, P, sieve_1e4, keys)
+    for kind in DerivedFunctionKind:
+        assert _bits(dirichlet_sum(kind, spec, s, N, sieve_1e4)) == _bits(_read(table, kind, s))
+    for identity in IdentityKind:
+        try:
+            expected = _residual(table, identity, s)
+        except (PoleError, DomainError, ConvergenceError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                identity_residual(identity, spec, s, N, P, sieve_1e4)
+            continue
+        got = identity_residual(identity, spec, s, N, P, sieve_1e4)
+        assert (got.identity, got.point, got.heuristic) == (
+            expected.identity, expected.point, expected.heuristic
+        )
+        assert (got.residual.hex(), got.budget.hex()) == (
+            expected.residual.hex(), expected.budget.hex()
+        )
+
+
 @pytest.mark.parametrize("s", [2.0, complex(1.5, 4.0), 0.8])
-def test_store_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
+def test_table_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
     # N = 3 * 2^15 + 5: three full slices and a short one
     N = 3 * 2**15 + 5
     spec = power_decay_spec(0.5, 0.5, {3: 0.25})
@@ -1381,10 +1463,10 @@ def test_store_sums_are_fsum_of_whole_length_terms(s, sieve_1e6):
     n = np.arange(1, N + 1, dtype=np.float64)
     weights = n ** (-point.sigma)
     phase = -point.t * np.log(n)
-    store = _SeriesStore(spec, N, N, sieve_1e6)
+    table = _series_table(spec, N, None, sieve_1e6, [(kind, point) for kind in DerivedFunctionKind])
     for kind in DerivedFunctionKind:
         mod = coefficient_stream(spec, kind, N, sieve_1e6) * weights
-        ev = store.get(kind, point)
+        ev = _read(table, kind, point)
         expected = complex(
             math.fsum((mod * np.cos(phase)).tolist()) if point.t else math.fsum(mod.tolist()),
             math.fsum((mod * np.sin(phase)).tolist()) if point.t else 0.0,
@@ -1427,46 +1509,39 @@ def test_allowance_sum_is_bounded_by_its_factor(spec, s, N, sieve_1e6):
         assert exact <= allowance <= exact * factor**2, kind
 
 
-def test_residual_sums_every_stream_at_its_point_in_one_pass(sieve_1e4, monkeypatch):
-    passes = []
-    _count_passes(monkeypatch, passes)
-    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
-    point = ComplexArgument(2.0, 3.0)
-    store.get(DerivedFunctionKind.F_PLAIN, point)
-    store.residual(IdentityKind.G_PRODUCT_VS_SUM, point)  # sums the other three
-    F, H, G, Fmu2 = DerivedFunctionKind
-    assert passes == [(F,), (H, G, Fmu2)]
-    for identity in IdentityKind:
-        store.residual(identity, point)
-    for kind in DerivedFunctionKind:
-        store.get(kind, point)
-    assert len(passes) == 2
-
-
 def test_four_identities_at_one_point_make_one_pass(sieve_1e4, monkeypatch):
     passes = []
     _count_passes(monkeypatch, passes)
-    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
+    point = ComplexArgument(2.0, 3.0)
+    table = _series_table(LIOUVILLE, 10**4, 10**3, sieve_1e4, _identity_keys(point))
     for identity in IdentityKind:
-        store.residual(identity, ComplexArgument(2.0, 3.0))
+        _residual(table, identity, point)
     assert passes == [tuple(DerivedFunctionKind)]
+    # each identity on its own sums all four streams at s, in one pass
+    for identity in IdentityKind:
+        identity_residual(identity, LIOUVILLE, point, 10**4, 10**3, sieve_1e4)
+    assert passes == [tuple(DerivedFunctionKind)] * 5
 
 
 def test_a_failing_point_is_summed_once_for_every_identity(sieve_1e4, monkeypatch):
     passes = []
     _count_passes(monkeypatch, passes)
-    store = _SeriesStore(LIOUVILLE, 10**4, 10**3, sieve_1e4)
     point = ComplexArgument(-300.0)  # n^300 leaves float64 from n = 11
+    table = _series_table(LIOUVILLE, 10**4, 10**3, sieve_1e4, _identity_keys(point))
     for identity in IdentityKind:
         with pytest.raises(DomainError):
-            store.residual(identity, point)
+            _residual(table, identity, point)
     for kind in DerivedFunctionKind:
         with pytest.raises(DomainError, match="leaves float64"):
-            store.get(kind, point)
+            _read(table, kind, point)
+    # zeta, G and U refuse sigma <= 0 before any work
+    for name in ("zeta", "G", "U"):
+        with pytest.raises(DomainError, match="Re\\(s\\) > 0"):
+            _read(table, name, point)
     assert passes == [tuple(DerivedFunctionKind)]
 
 
-def test_the_store_memoises_exactly_the_no_value_failures(sieve_1e4, monkeypatch):
+def test_the_table_stores_exactly_the_no_value_failures(sieve_1e4, monkeypatch):
     import multlab.dirichlet as dl
 
     calls = []
@@ -1482,40 +1557,42 @@ def test_the_store_memoises_exactly_the_no_value_failures(sieve_1e4, monkeypatch
 
     monkeypatch.setattr(dl, "zeta", counting_zeta)
     monkeypatch.setattr(dl, "euler_product_U", counting_U)
-    store = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4)
     # zeta's ConvergenceError keeps its achieved bound; U's factor at p = 2
     # cancels to log1p(-1) at 1e-9 + 1e-9i, a degenerate factor
-    first = {}
-    for name, s, error in (
+    failures = (
         ("zeta", complex(2.0, 400.0), ConvergenceError),
         ("zeta", 1.0, PoleError),
         ("U", complex(1e-9, 1e-9), DomainError),
-    ):
+    )
+    table = _series_table(
+        LIOUVILLE, 10**3, 10**3, sieve_1e4, [(name, s) for name, s, _ in failures] * 2
+    )
+    first = {}
+    for name, s, error in failures:
         for _ in range(3):
             with pytest.raises(error) as info:
-                store.get(name, s)
+                _read(table, name, s)
             assert first.setdefault(error, info.value) is info.value
             assert len(info.traceback) < 10  # re-raising grows no traceback
     assert [name for name, _ in calls] == ["zeta", "zeta", "U"]
     assert first[ConvergenceError].achieved_bound > 0
     assert first[DomainError].args == ("degenerate Euler factor encountered",)
-    # any other error is a bad argument, raised afresh on every get
+    # any other error is a bad argument: it leaves the table unmade
     calls.clear()
-    bad = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4, zeta_tol=0.0)
     for _ in range(2):
         with pytest.raises(ValueError, match="tol must be positive"):
-            bad.get("zeta", 2.0)
+            _series_table(LIOUVILLE, 10**3, 10**3, sieve_1e4, [("zeta", 2.0)], zeta_tol=0.0)
     assert calls == [("zeta", 0.0), ("zeta", 0.0)]
 
 
 @pytest.mark.parametrize(
     "sigma, t", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 0.0), (2.0, math.inf)]
 )
-def test_zeta_at_a_non_finite_point_is_a_domain_error_the_store_memoises(
+def test_zeta_at_a_non_finite_point_is_a_domain_error_the_table_stores(
     sigma, t, sieve_1e4, monkeypatch
 ):
-    # a NaN part would reach math.ceil's ValueError, which the store does
-    # not memoise
+    # a NaN part would reach math.ceil's ValueError, which a table does
+    # not store
     point = ComplexArgument(sigma, t)
     with pytest.raises(DomainError, match="needs a finite s"):
         zeta(point)
@@ -1527,10 +1604,10 @@ def test_zeta_at_a_non_finite_point_is_a_domain_error_the_store_memoises(
         return original(s, tol)
 
     monkeypatch.setattr(multlab.dirichlet, "zeta", counting_zeta)
-    store = _SeriesStore(LIOUVILLE, 10**3, 10**3, sieve_1e4)
+    table = _series_table(LIOUVILLE, 10**3, 10**3, sieve_1e4, [("zeta", point)])
     for _ in range(2):
         with pytest.raises(DomainError):
-            store.get("zeta", point)
+            _read(table, "zeta", point)
     assert len(calls) == 1
 
 
@@ -1555,8 +1632,9 @@ def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monke
     with pytest.raises(DomainError) as info:
         dl._dirichlet_sums([stream], 25_000, point)
     assert str(info.value) == message
-    # the store memoises the failure: one pass, the same error every time,
-    # and a pass whose every point failed draws no block past the first
+    # a table stores the failure for every kind: one pass, the same short
+    # error every time, and a pass whose every point failed draws no block
+    # past the first
     passes, drawn = [], []
     original = dl._coefficients
 
@@ -1566,16 +1644,17 @@ def test_a_pass_with_a_non_finite_term_stops_at_its_first_slice(sieve_1e6, monke
         return exact, (drawn.append(lo) or (lo, block) for lo, block in blocks)
 
     monkeypatch.setattr(dl, "_coefficients", counting)
-    store = _SeriesStore(LIOUVILLE, N, 10**3, sieve_1e6)
+    table = _series_table(LIOUVILLE, N, None, sieve_1e6, [(k, point) for k in DerivedFunctionKind])
     for _ in range(3):
         for kind in DerivedFunctionKind:
             with pytest.raises(DomainError) as info:
-                store.get(kind, point)
+                _read(table, kind, point)
             assert str(info.value) == message
-    assert passes == [1, 1, 1, 1] and drawn == [0, 0, 0, 0]
+            assert len(info.traceback) < 10  # re-raising grows no traceback
+    assert passes == [4] and drawn == [0]
 
 
-#: specs with every f(p) in {-1, 0, 1}: the store sums their exact streams
+#: specs with every f(p) in {-1, 0, 1}: a table sums their exact streams
 PM1_SPECS = [
     LIOUVILLE,
     liouville_spec({2: 0.0}),
@@ -1594,8 +1673,8 @@ def _bits(ev):
 
 @pytest.mark.parametrize("N", [1, 2, 2**15 + 1])
 @pytest.mark.parametrize("spec", PM1_SPECS, ids=lambda spec: spec.spec_id())
-def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5, monkeypatch):
-    # a +-1 spec's store sums the exact int8/int16 streams its partial-sum
+def test_pm1_table_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5, monkeypatch):
+    # a +-1 spec's table sums the exact int8/int16 streams its partial-sum
     # traces read, and every sum and budget is the one that the float
     # streams give
     import multlab.dirichlet as dl
@@ -1619,12 +1698,12 @@ def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5, monkeypatc
     sums = [(kind, s) for s in points for kind in DerivedFunctionKind]
     with monkeypatch.context() as m:
         m.setattr(dl, "_coefficients", recording)
-        store = _SeriesStore(spec, N, N, sieve_1e5, sums=sums)
-        exact = {(kind, s): _bits(store.get(kind, s)) for kind, s in sums}
+        table = _series_table(spec, N, None, sieve_1e5, sums)
+        exact = {(kind, s): _bits(_read(table, kind, s)) for kind, s in sums}
     monkeypatch.setattr(dl, "_coefficients", floats)
-    float_store = _SeriesStore(spec, N, N, sieve_1e5, sums=sums)
+    float_table = _series_table(spec, N, None, sieve_1e5, sums)
     for kind, s in sums:
-        assert exact[(kind, s)] == _bits(float_store.get(kind, s)), (kind, s)
+        assert exact[(kind, s)] == _bits(_read(float_table, kind, s)), (kind, s)
     assert dtypes == {
         DerivedFunctionKind.F_PLAIN: np.int8,
         DerivedFunctionKind.F_MU2: np.int8,
@@ -1635,7 +1714,7 @@ def test_pm1_store_sums_exact_streams_bit_for_bit(spec, N, sieve_1e5, monkeypatc
 
 def test_identity_checks_build_no_whole_length_array(sieve_1e6, monkeypatch):
     # one float64 array of N = 10^6 terms is 7.6 MiB; a slice of 2^15 is 256 KiB.
-    # The streams are held outside the store and handed on in slices, so
+    # The streams are held outside the table and handed on in slices, so
     # the peak is that of the sums, products and zeta alone
     N = 10**6
     spec = power_decay_spec(0.5, 0.5, {3: 0.25})
@@ -1648,13 +1727,15 @@ def test_identity_checks_build_no_whole_length_array(sieve_1e6, monkeypatch):
         )
 
     monkeypatch.setattr(multlab.dirichlet, "_coefficients", held)
-    store = _SeriesStore(spec, N, 10**3, sieve_1e6)
+    points = (2.0, 3.0, complex(2.5, 3.0))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for s in (2.0, 3.0, complex(2.5, 3.0)):
+        keys = [key for s in points for key in _identity_keys(s)]
+        table = _series_table(spec, N, 10**3, sieve_1e6, keys)
+        for s in points:
             for identity in IdentityKind:
-                store.residual(identity, s)
+                _residual(table, identity, s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
