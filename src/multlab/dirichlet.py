@@ -40,28 +40,27 @@ of power decay:
 
 R's log terms are then O(p^(-3 sigma)), O(p^(-4 sigma)),
 O(p^(-(3 sigma + a))) and O(p^(-(4 sigma + a))), so R's tail has that
-exponent and the walk stops much earlier.  A shift whose log zeta is not
-proven ends the list there (a prefix is kept), and R's tail then has the
-exponent of the first shift left out; an empty list, the plain walk bit
-for bit, is left for sigma <= 1/2 and for power decay that clamps some
-f(p) at +1.
+exponent and the walk stops much earlier.  Every shift of the row is
+divided out, or none: the plain walk, bit for bit, is left for
+sigma <= 1/2, for power decay that clamps some f(p) at +1, and where the
+log zeta of some shift is not proven (``_deflation``).
 Where every factor but the exception primes' is exactly 1 (G for a base
 value of -1, U for a base value of 0, and with deflation R for G at
 b = 0 or 1 and U at b^2 = 1; ``multfunc._visited``), the product visits
 the exception primes alone, with the bits of the full walk where no
 shift is divided out.
 
-zeta itself is evaluated through the alternating (eta) series accelerated
-with Chebyshev-polynomial averaging coefficients: valid for Re(s) > 0,
-geometric convergence at rate 1/(3+sqrt(8)) per term, with an explicit
-truncation constant for Re(s) >= 1/2 (heuristic flag below that line).
+zeta itself is evaluated by Euler-Maclaurin summation with Backlund's
+remainder bound, proven for every Re(s) > 0: a head of N - 1 terms, N
+growing with |t|, summed like every direct sum (``_DirichletSums``, whose
+rounding allowance has a phase term at complex s), plus the correction
+terms up to the first order whose remainder bound is at most tol / 2.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import os
 import sys
@@ -90,7 +89,7 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of more overflows
 
 METHOD_DIRECT_SUM = "direct_sum"
 METHOD_EULER_PRODUCT = "euler_product"
-METHOD_ALTERNATING = "alternating_accelerated"
+METHOD_EULER_MACLAURIN = "euler_maclaurin"
 
 
 class PoleError(ValueError):
@@ -102,7 +101,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Requested tolerance unreachable at the configured maximum depth."""
+    """An evaluation whose error bound is not finite (``achieved_bound`` inf)."""
 
     def __init__(self, message: str, achieved_bound: float):
         super().__init__(message)
@@ -141,12 +140,12 @@ class SeriesEval:
     """Truncated series/product value plus truncation-error accounting.
 
     ``truncation_N`` is the number of terms summed: for a Dirichlet sum N,
-    for zeta the depth, and for an Euler product the number of primes
-    walked, pi(Q) <= pi(P) (see ``_euler_product``).
+    for zeta N + 1 + m (see ``zeta``), and for an Euler product the number
+    of primes walked, pi(Q) <= pi(P) (see ``_euler_product``).
     ``tail_bound`` is a rigorous bound on |true - value| when ``heuristic``
-    is False.  A heuristic value claims no bound: ``tail_bound`` is math.inf,
-    or for zeta at 0 < sigma < 1/2 an estimate proven only for sigma >= 1/2,
-    and decisions need an explicit tolerance.
+    is False, as it is for every zeta value.  A heuristic value claims no
+    bound: ``tail_bound`` is math.inf, and decisions need an explicit
+    tolerance.
     """
 
     value: complex
@@ -156,9 +155,24 @@ class SeriesEval:
     method: str
 
 
+#: accuracy assumed of numpy's exp, log, log1p, cos, sin and arctan2 on
+#: float64 arrays, of math's log, cos, sin and hypot, and of numpy's
+#: complex exp on one value: at most this many ulps of the exact result;
+#: numpy's power and float ** are assumed within one ulp
+#: (``test_libm_ulp_assumption`` checks both)
+_LIBM_ULPS = 4.0
+
+_KAPPA = _LIBM_ULPS * _EPS  # relative error of one elementary function
+_UNIT = _EPS / 2.0  # unit roundoff of + - * /
+_FIRST_ORDER_MAX = 2.0 ** -12  # largest relative error the slack covers
+_SLACK = 1.0 + 2.0 ** -6  # second-order terms and a bound's own rounding
+#: ``_DirichletSums``' allowance per unit of |t| log n |c(n)| n^(-sigma)
+_PHASE = 2.0 * (_KAPPA + _UNIT)
+
+
 class _DirichletSums:
-    """(sum c(n) n^(-s), allowance sum) at one point s for several c, fed
-    slice by slice.
+    """(sum c(n) n^(-s), rounding allowance) at one point s for several c,
+    fed slice by slice.
 
     ``feed(lo, blocks)`` takes c(lo + 1), ..., c(hi) of every c, as
     float64 or as integers: an int8 or int16 slice times the float64
@@ -171,29 +185,41 @@ class _DirichletSums:
     part is exactly 0.0.  ``results(length)`` rounds them, N = ``length``
     being the number of terms fed.
 
-    The allowance sum is an upper bound on S, the exact sum of the computed
-    |c(n) n^(-sigma)|, so it is summed in float: each slice with numpy's
-    ``sum`` (never BLAS, whose threads could change the bits), the slice
-    sums in order into one float T, and then R = T (1 + N eps), with
-    eps = 2^-52 (exact as a float for N < 2^52).  Its bits depend on the
-    slicing, so every caller feeds slices of _BLOCK n from n = 1.
-    Proof that S <= R, in the standard model of Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 2.2 and 4.2: with
-    u = 2^-53, a rounded + or * of nonnegative x gives fl(x) >= x / (1 + u)
-    (a sum in the subnormal range is exact, and a subnormal T is S).
-    Whatever order numpy adds in, T comes from N terms by additions alone,
-    so each term meets at most N - 1 roundings there and one more in the
-    product: R >= S (1 + N eps) / (1 + u)^N.  For N u <= 1,
-    (1 + u)^N <= exp(N u) <= 1 + 2 N u = 1 + N eps, so R >= S.  For a
-    normal T the same count with fl(x) <= x (1 + u) gives
-    R <= S (1 + N eps)^2.
+    The allowance, one rule at every s (u = 2^-53, kappa = _KAPPA), is
+
+        4 eps R + [t != 0] _SLACK (2 kappa R + 2 (kappa + u) |t| L),
+
+    R an upper bound on S = sum |c(n) n^(-sigma)| and L one on
+    sum log n |c(n) n^(-sigma)|.  To first order, n^(-sigma) is within one
+    ulp (2u) and the product with c(n) rounds once, so each term errs by
+    3u of itself, and rounding each part's exact sum once adds u |part|:
+    4u S at real s.  At complex s the phase errs by (kappa + u) |t| log n
+    (log n and the product with -t), cos and sin by kappa more (absolute)
+    and their products with the term by u, so the real and imaginary
+    terms err together by |term| (4u (|cos| + |sin|) + 2 kappa +
+    2 (kappa + u) |t| log n), and the roundings of the parts by
+    sqrt(2) u S; 5 sqrt(2) u < 4 eps, and _SLACK covers the second order
+    and the rounding of L.  R and L are summed in float, so the bits
+    depend on the slicing: every caller feeds slices of _BLOCK n from
+    n = 1.  Each slice's |c(n) n^(-sigma)| are summed with numpy's ``sum``
+    (never BLAS, whose threads could change the bits), the slice sums in
+    order into one float T, and R = T (1 + N eps), eps = 2^-52 (exact for
+    N < 2^52); L is the like sum of each slice's sum times log of its last
+    n, times 1 + N eps.  Proof that S <= R (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 2.2 and 4.2): a rounded
+    + or * of nonnegative x gives fl(x) >= x / (1 + u) (a subnormal sum is
+    exact, and a subnormal T is S); T comes from N terms by additions
+    alone, so each term meets at most N - 1 roundings there and one in
+    the product: R >= S (1 + N eps) / (1 + u)^N >= S, as (1 + u)^N <=
+    exp(N u) <= 1 + N eps for N u <= 1.  For a normal T the same count
+    with fl(x) <= x (1 + u) gives R <= S (1 + N eps)^2.
 
     Raises DomainError when a term or a sum leaves float64 (n^(-sigma)
     overflows from sigma of about -308 / log10 length): ``feed`` at the
-    first slice whose |c(n)| n^(-sigma) hold an inf or NaN, which no sum
-    could survive, or whose allowance sum so far overflows, and
-    ``results`` when R overflows.  No value can overflow while R is
-    finite, since S bounds its parts.
+    first slice whose |c(n)| n^(-sigma) hold an inf or NaN, or whose R so
+    far overflows, and ``results`` when R overflows.  No value can
+    overflow while R is finite, since S bounds its parts; the allowance
+    may still be inf at an enormous |t|.
     """
 
     def __init__(self, point: ComplexArgument, count: int, buf: np.ndarray) -> None:
@@ -201,13 +227,15 @@ class _DirichletSums:
         # ``buf`` is the scratch of every sum: each is fed in turn
         self.sums = [(_ExactSum(buf), _ExactSum(buf)) for _ in range(count)]  # re, im
         self.sizes = [0.0] * count
+        self.phases = [0.0] * count  # L before its factor
 
     def _error(self) -> DomainError:
         return DomainError(f"Dirichlet sum leaves float64 at sigma={self.point.sigma}")
 
     def feed(self, lo: int, blocks) -> None:
         point = self.point
-        n = np.arange(lo + 1, lo + len(blocks[0]) + 1, dtype=np.float64)
+        hi = lo + len(blocks[0])
+        n = np.arange(lo + 1, hi + 1, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # the sums are checked
             weights = n ** (-point.sigma)
             if point.t != 0.0:  # n turns into the phase -t log n, then its sine
@@ -216,26 +244,32 @@ class _DirichletSums:
                 cos, sin = np.cos(n), np.sin(n, out=n)
             for i, (c, (re, im)) in enumerate(zip(blocks, self.sums)):
                 mod = c * weights
-                self.sizes[i] += float(np.abs(mod).sum())
+                size = float(np.abs(mod).sum())
+                self.sizes[i] += size
                 if not math.isfinite(self.sizes[i]):
                     raise self._error()
                 if point.t == 0.0:
                     re.add(mod)
                 else:
+                    self.phases[i] += math.log(hi) * size
                     re.add(mod * cos)
                     im.add(mod * sin)
 
     def results(self, length: int) -> list[tuple[complex, float]]:
-        factor = 1.0 + length * _EPS
-        bounds = [size * factor for size in self.sizes]
+        factor, t = 1.0 + length * _EPS, abs(self.point.t)
+        bounds = [size * factor for size in self.sizes]  # R of each c
         if not all(math.isfinite(bound) for bound in bounds):
             raise self._error()
+        allowances = [  # + 0.0 at real s
+            4.0 * _EPS * bound + (t and _SLACK * (2.0 * _KAPPA * bound + _PHASE * t * (phase * factor)))
+            for bound, phase in zip(bounds, self.phases)
+        ]
         values = [complex(re.value(), im.value()) for re, im in self.sums]
-        return list(zip(values, bounds))
+        return list(zip(values, allowances))
 
 
 def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
-    """(sum c(n) n^(-s), allowance sum) over n <= ``length`` for each array
+    """(sum c(n) n^(-s), rounding allowance) over n <= ``length`` for each array
     c in ``coeffs`` (c(1), c(2), ...): one ``_DirichletSums`` fed in slices
     of _BLOCK n, with no whole-length temporary."""
     sums = _DirichletSums(point, len(coeffs), np.empty((2, min(length, _BLOCK))))
@@ -246,60 +280,69 @@ def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[c
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta via the accelerated alternating series
+# Riemann zeta by Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
 
-_ZETA_MAX_DEPTH = 256
-_ACCEL_RATE = 3.0 + math.sqrt(8.0)
+_EM_ORDERS = 60  # most correction terms zeta takes
+_EM_MAX_N = 2**16  # largest cut N: past |t| of about 2e5 zeta's bound grows with |t|
 
 
-@functools.lru_cache(maxsize=64)
-def _accel_coefficients(n: int) -> np.ndarray:
-    """(-1)^k e_k, k < n, with e_k = (d_k - d_n) / d_n for the depth-n
-    Chebyshev averaging scheme: the coefficient of (k + 1)^(-s) in the
-    accelerated eta sum, up to its overall sign.
-
-    d_k is n times the prefix sum up to k of the integer terms
-    floor((n + i - 1)! 4^i / ((n - i)! (2i)!)).  n times the exact term,
-    u_i, is an integer: u_0 = 1 and u_(i+1) = u_i 2 (n + i) (n - i) /
-    ((2i + 1) (i + 1)), a division with no remainder, so each term is
-    u_i // n with no factorial formed.  Each coefficient is one int true
-    division, which CPython rounds correctly, as ``float(Fraction(...))``
-    does; every e_k lies in (-1, 0).  The float64 array is cached, so it
-    is read-only.
-    """
-    u, terms = 1, []
-    for i in range(n + 1):
-        terms.append(u // n)
-        u = u * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
-    d = [n * total for total in itertools.accumulate(terms)]
-    dn = d[n]
-    coefficients = np.array(
-        [(dk - dn if k % 2 == 0 else dn - dk) / dn for k, dk in enumerate(d[:n])]
+@functools.lru_cache(maxsize=1)
+def _em_coefficients() -> tuple[float, ...]:
+    """B_2k / (2k)! = (-1)^(k-1) T_k / ((2k - 1)! 4^k (4^k - 1)), k = 1 ..
+    _EM_ORDERS, with T_k the tangent numbers 1, 2, 16, 272, ... (R. P. Brent
+    and D. Harvey, *Fast computation of Bernoulli, tangent and secant
+    numbers*, 2013): each an exact rational rounded once by one int true
+    division, which CPython rounds correctly, as ``float(Fraction(...))``."""
+    orders = range(1, _EM_ORDERS + 1)
+    tangent = [0, *(math.factorial(k - 1) for k in orders)]
+    for k in orders[1:]:
+        for j in range(k, _EM_ORDERS + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tuple(
+        (-1) ** (k - 1) * tangent[k] / (math.factorial(2 * k - 1) * 4**k * (4**k - 1)) for k in orders
     )
-    coefficients.flags.writeable = False
-    return coefficients
 
 
 def zeta(s, tol: float = 1e-12) -> SeriesEval:
-    """Riemann zeta at s (Re s > 0, s != 1) to within tol.
+    """Riemann zeta at s (Re s > 0, s != 1), with a proven bound.
 
-    The evaluation path is eta(s) / (1 - 2^(1-s)) with eta summed by the
-    accelerated alternating scheme; depth is chosen from tol via the
-    geometric truncation constant (valid for sigma >= 1/2; points with
-    0 < sigma < 1/2 are evaluated the same way but flagged heuristic).
-    The rounding allowance is 4 eps of the accelerated terms' absolute sum
-    over |1 - 2^(1-s)|, plus 4 eps |value|; that sum comes from
-    ``_dirichlet_sums``, summed in float and raised by its factor
-    1 + n eps (n <= 256 terms), so it is at least the exact one.
+    Euler-Maclaurin summation (H. M. Edwards, *Riemann's Zeta Function*,
+    1974, 6.4, after Backlund, 1918): for a cut N and an order m,
 
-    Raises
-    ------
-    PoleError       at s = 1.
-    DomainError     for sigma <= 0 and for a point with a NaN or infinite part.
-    ConvergenceError when tol is unreachable at the depth cap (carries the
-                    achieved bound, inf once the truncation constant
-                    overflows float64, from about |t| = 451).
+        zeta(s) = sum_{n<N} n^(-s) + N^(1-s) / (s - 1) + N^(-s) / 2
+                  + sum_{k=1}^{m} T_k + R_m,
+        T_k = B_2k / (2k)! s (s + 1) ... (s + 2k - 2) N^(-s-2k+1),
+        |R_m| <= |s + 2m + 1| / (sigma + 2m + 1) |T_(m+1)|
+
+    for sigma > -(2m + 1), so the bound is proven for every sigma > 0.
+    N = max(10, ceil(-log(tol) / 4)) + floor(|t| / pi), at most _EM_MAX_N,
+    so |T_(k+1) / T_k|, about |s + 2k|^2 / (2 pi N)^2, starts at most 1/4;
+    m is the first order whose bound is at most tol / 2, or else the one
+    with the smallest bound (the terms grow after it, or m = _EM_ORDERS).
+    The head is ``_dirichlet_sums`` of ones, with its allowance (the phase
+    term included); ``truncation_N`` counts the terms, N + 1 + m.
+
+    Rounding, first order (u = 2^-53, kappa = _KAPPA), relative to each
+    computed term.  v = N^(-s) = r (cos phi + i sin phi), r = N^(-sigma)
+    (float **, one ulp), phi = -t log N: delta_v = 3 kappa + 2u +
+    (kappa + u) |t| log N (2u at real s).  N^(1-s) / (s - 1) = (N v) q,
+    q = ((sigma - 1) / h / h, -t / h / h), h = hypot(sigma - 1, t): sigma - 1
+    is one rounded subtraction of exact operands, within u of itself
+    (exact for sigma in [1/2, 2], Sterbenz's lemma), so nothing cancels
+    near s = 1; q errs by 3u + 2 kappa, N v by u and the complex product
+    by 3u (sqrt(5) u: Brent, Percival and Zimmermann), the term by
+    delta_v + 7u + 2 kappa.  N^(-s) / 2 = v / 2.  y_1 = s v / N errs by
+    delta_v + 4u, each y_(k+1) = y_k ((s + 2k - 1) (s + 2k)) / N^2 adds 9u
+    (two rounded real parts, two complex products, a division by the
+    exact N^2), T_k = c_k y_k 2u (c_k rounded once): T_k errs by
+    delta_v + (9k - 3) u <= rel = delta_v + 9 (m + 1) u for k <= m + 1,
+    which also raises |T_(m+1)| in R_m's bound.  ``math.fsum`` rounds each
+    part once: u (|Re| + |Im|).  The bound is _SLACK times the sum; it is
+    inf, and ConvergenceError raised, where a relative error above passes
+    _FIRST_ORDER_MAX (|t| past about 2 10^10).  Also raises PoleError at
+    s = 1, DomainError for sigma <= 0 or a NaN or infinite part, and
+    ValueError for tol <= 0.
     """
     point = ComplexArgument.of(s)
     if not (math.isfinite(point.sigma) and math.isfinite(point.t)):
@@ -310,45 +353,41 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
         raise PoleError("zeta has a pole at s = 1")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    z = point.as_complex
-    prefactor_den = 1.0 - 2.0 ** (1.0 - z)
-    if abs(prefactor_den) < 1e-12:
-        raise ConvergenceError(
-            f"alternating-series prefactor degenerates at s={point} "
-            "(1 - 2^(1-s) ~ 0); no reliable evaluation at this point",
-            math.inf,
-        )
-    # clamping at the largest finite exp leaves kappa = inf wherever the
-    # exact constant overflows, since (1 + 2|t|) / |prefactor_den| > 1 there
-    kappa = (
-        (1.0 + 2.0 * abs(point.t))
-        * math.exp(min(math.pi * abs(point.t) / 2.0, _LOG_FLOAT_MAX))
-        / abs(prefactor_den)
-    )
-    # smallest depth with 3 * kappa / rate^n <= tol/2; past the cap (need
-    # may be inf) the exact depth does not matter
-    need = 3.0 * kappa / (tol / 2.0)
-    depth = min(math.log(max(need, 1.0)) / math.log(_ACCEL_RATE), _ZETA_MAX_DEPTH)
-    n = max(8, int(math.ceil(depth)) + 1)
-    if n > _ZETA_MAX_DEPTH:
-        achieved = 3.0 * kappa / _ACCEL_RATE ** _ZETA_MAX_DEPTH
-        raise ConvergenceError(
-            f"tolerance {tol} unreachable at depth cap {_ZETA_MAX_DEPTH} "
-            f"for s={point}; achieved bound {achieved:.3e}",
-            achieved,
-        )
-
-    [(eta_sum, abs_sum)] = _dirichlet_sums([_accel_coefficients(n)], n, point)
-    value = -eta_sum / prefactor_den
-    truncation = 3.0 * kappa / _ACCEL_RATE ** n
-    rounding = _EPS * (4.0 * abs_sum / abs(prefactor_den) + 4.0 * abs(value))
-    return SeriesEval(
-        value=value,
-        truncation_N=n,
-        tail_bound=truncation + rounding,
-        heuristic=point.sigma < 0.5,
-        method=METHOD_ALTERNATING,
-    )
+    z, sigma, t = point.as_complex, point.sigma, point.t
+    N = min(math.ceil(max(10.0, -math.log(tol) / 4.0)) + int(abs(t) / math.pi), _EM_MAX_N)
+    [(head, rounding)] = _dirichlet_sums([np.ones(N - 1)], N - 1, point)
+    r, phi = float(N) ** -sigma, -t * math.log(N)
+    v, delta_v = complex(r), 2.0 * _UNIT
+    if t != 0.0:
+        v = complex(r * math.cos(phi), r * math.sin(phi))
+        delta_v = 3.0 * _KAPPA + 2.0 * _UNIT + (_KAPPA + _UNIT) * abs(phi)
+    h = math.hypot(sigma - 1.0, t)
+    pole = (N * v) * complex((sigma - 1.0) / h / h, -t / h / h)
+    terms = [head, pole, 0.5 * v]
+    rounding += abs(pole) * (delta_v + 7.0 * _UNIT + 2.0 * _KAPPA) + 0.5 * abs(v) * delta_v
+    # T_k bounds R_(k-1); T_(k-1) joins once that bound is known to fall
+    best, size, pending, j = math.inf, 0.0, None, 1.0  # j = 2k - 1
+    y, n2 = z * v / N, float(N * N)
+    for c in _em_coefficients():
+        term = c * y
+        bound = abs(z + j) / (sigma + j) * abs(term)
+        if not bound < best:  # the terms grow from here on (or overflow)
+            break
+        best = bound
+        if pending is not None:
+            terms.append(pending)
+            size += abs(pending)
+        if bound <= tol / 2.0:
+            break
+        pending, y, j = term, y * ((z + j) * (z + (j + 1.0))) / n2, j + 2.0
+    rel = delta_v + 9 * (len(terms) - 2) * _UNIT
+    re = math.fsum([term.real for term in terms])
+    im = math.fsum([term.imag for term in terms]) if t != 0.0 else 0.0
+    rounding += size * rel + _UNIT * (abs(re) + abs(im))
+    tail_bound = _SLACK * (best * (1.0 + rel) + rounding)
+    if not (tail_bound < math.inf and rel + 2.0 * _KAPPA <= _FIRST_ORDER_MAX):
+        raise ConvergenceError(f"zeta at s={point} has no finite error bound", math.inf)
+    return SeriesEval(complex(re, im), N + len(terms) - 2, tail_bound, False, METHOD_EULER_MACLAURIN)
 
 
 @functools.lru_cache(maxsize=768)
@@ -374,8 +413,9 @@ def _divisor_tail(N: int, sigma: float) -> float:
 
     Splitting d(n) = sum_{ab=n} 1 over a <= N and a > N gives
 
-        N^(1-sigma)/(sigma-1) * ( 2^(sigma-1) (1 + ln N) + zeta(sigma) ).
+        N^(1-sigma)/(sigma-1) * ( 2^(sigma-1) (1 + ln N) + zeta(sigma) ),
 
+    with zeta(sigma) read as ``zeta``'s value plus its bound.
     Where 2^(sigma-1) (1 + ln N) overflows float64 (sigma above about
     1019), the bound at sigma = 1000 is scaled by (N+1)^(1000-sigma): every
     n > N has n^(-sigma) <= (N+1)^(1000-sigma) n^(-1000).
@@ -383,7 +423,8 @@ def _divisor_tail(N: int, sigma: float) -> float:
     if sigma - 1.0 < 1024.0:  # 2.0 ** 1024 raises
         lead = 2.0 ** (sigma - 1.0) * (1.0 + math.log(N))
         if lead < math.inf:
-            zeta_sigma = _zeta_memo(ComplexArgument(sigma), 1e-13).value.real + 1e-13
+            z = _zeta_memo(ComplexArgument(sigma), 1e-13)
+            zeta_sigma = z.value.real + z.tail_bound
             return N ** (1.0 - sigma) * (lead + zeta_sigma) / (sigma - 1.0)
     return (N + 1.0) ** (1000.0 - sigma) * _divisor_tail(N, 1000.0)
 
@@ -418,17 +459,8 @@ def dirichlet_sum(
 # ---------------------------------------------------------------------------
 
 
-#: accuracy assumed of numpy's exp, log, log1p, cos, sin and arctan2 on
-#: float64 arrays, and of its complex exp on one value: at most this many
-#: ulps of the exact result (``test_libm_ulp_assumption`` checks it)
-_LIBM_ULPS = 4.0
-
-_KAPPA = _LIBM_ULPS * _EPS  # relative error of one elementary function
-_UNIT = _EPS / 2.0  # unit roundoff of + - * /
 _TERM_CONST = 17.0 * _KAPPA + 32.0 * _UNIT  # c0 of the per-term bound
 _EXP_REL = 4.0 * _KAPPA + 2.0 * _UNIT  # relative error of the final exp
-_FIRST_ORDER_MAX = 2.0 ** -12  # largest per-term bound the slack covers
-_SLACK = 1.0 + 2.0 ** -6  # second-order terms and the bound's own rounding
 _UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal range
 _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
 
@@ -512,20 +544,18 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
     The product is prod_j zeta(w_j)^(e_j) R, with R = prod_p (1 + x_p)
     prod_j (1 - p^(-w_j))^(e_j), for the shifts (e_j, w_j) of
     ``_shift_rows``: then R's log at every prime that is no exception has
-    none of the terms they cancel.  Returns the longest prefix of those
-    shifts whose log zeta is proven, as ``_Shift`` values, so () (the
-    plain walk) where the first is not.  Nothing is divided out for
-    sigma <= 1/2 (G's remainder needs 2 sigma > 1 there, and U's own
-    product does not converge; the walk is kept, heuristic as before);
-    past that every w_j has Re w_j >= sigma > 1/2, where zeta's bound is
-    proven.  The list ends at the first shift with a non-integer e unless
-    w is real and above 1 or Re w >= _BRANCH_SIGMA (elsewhere the
-    principal log is not proven to be the branch of log zeta continued from
-    +inf), with m a != 0 unless Re w > 1 (see below), where ``zeta``
-    raises ConvergenceError or DomainError, or where zeta's bound is not
-    below |zeta|.  An integer e needs no branch, since only exp of the
-    total log is used.  PoleError (w = 1: G of b = 0 or 1 at s = 1, a
-    pole of the product) propagates.
+    none of the terms they cancel.  Returns every shift of the row, as
+    ``_Shift`` values, or () (the plain walk): for sigma <= 1/2 (G's
+    remainder needs 2 sigma > 1, and U's own product does not converge),
+    and where some shift has a non-integer e with neither real w > 1 nor
+    Re w >= _BRANCH_SIGMA (elsewhere the principal log is not proven to be
+    the branch of log zeta continued from +inf), m a != 0 with Re w <= 1
+    (see below), a zeta that raises or a zeta bound not below |zeta|.  As
+    zeta's bound is proven at every w, only the first two arise at
+    sigma > 1/2: U of power decay with a non-integer 2c or c^2 at complex
+    s and 2 sigma + a < 1.045, where the walk reaches P either way.  An
+    integer e needs no branch, since only exp of the total log is used.
+    PoleError (w = 1: G of b = 0 or 1 at s = 1, a pole) propagates.
 
     Error, with zeta^ = ``zeta(w, _ZETA_TOL)`` (read through ``_zeta_memo``:
     G and U at one s share zeta(2s) for a flat base, and zeta(2s + a) and
@@ -553,31 +583,33 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
     """
     if not point.sigma > 0.5:
         return ()
-    shifts = []
-    for e, k, ma, integer in _shift_rows(power, spec):
+    rows, shifts = [], []
+    for e, k, ma, integer in _shift_rows(power, spec):  # every branch before any zeta
         x = k * point.sigma
         re_w = x + ma
         slip = (x - (re_w - (re_w - x))) + (ma - (re_w - x))  # re_w + slip = x + ma exactly
         w = ComplexArgument(re_w, k * point.t)
         branch_free = integer or re_w >= _BRANCH_SIGMA or (w.t == 0.0 and re_w > 1.0)
         if not branch_free or (ma and not re_w - abs(slip) > 1.0):
-            break
+            return ()
+        rows.append((e, w, ma, slip))
+    for e, w, ma, slip in rows:
         try:
             z = _zeta_memo(w, _ZETA_TOL)
         except (ConvergenceError, DomainError):
-            break
+            return ()
         re, im = z.value.real, z.value.imag
         size = re * re + im * im
         delta = z.tail_bound / abs(z.value) if size > 0.0 else math.inf
         if not delta < 1.0:
-            break
+            return ()
         log_re = 0.5 * float(np.log(size))
         log_im = float(np.arctan2(im, re)) if w.t != 0.0 else 0.0
         sign = -1.0 if w.t == 0.0 and re < 0.0 and e % 2.0 == 1.0 else 1.0
         size_log = abs(log_re) + abs(log_im)
         err = abs(e) * (delta / (1.0 - delta) + 2.0 * _UNIT + (_KAPPA + 2.0 * _UNIT) * size_log)
         if slip:
-            err += abs(e) * abs(slip) * (1.0 / (re_w - abs(slip) - 1.0) + 1.0 / math.e)
+            err += abs(e) * abs(slip) * (1.0 / (w.sigma - abs(slip) - 1.0) + 1.0 / math.e)
         shifts.append(_Shift(e, w, bool(ma), complex(e * log_re, e * log_im), err, sign))
     return tuple(shifts)
 
@@ -913,36 +945,6 @@ def _prime_tail(P: int, coef: float, exponent: float, kappa: float, terms) -> fl
     return total / (1.0 - zmax) if zmax < 0.5 else math.inf
 
 
-def _omitted_tail(bound, Q: int, sigma: float, omitted) -> tuple:
-    """``_prime_tail``'s (coef, exponent, kappa, terms) past Q for a
-    remainder whose shifts ``omitted`` (rows of ``_shift_rows``) were not
-    divided out, from ``bound``, those of the remainder with every shift.
-
-    Each omitted shift (e, w) puts e log(1 - p^-w) back into every prime's
-    log, at most |e| p^(-x) / (1 - p^(-x)), x = Re w, at exception primes
-    too.  With low the smallest such x (the first one's, as the rows
-    ascend), p^(-y) <= p^(-low) (Q + 1)^(low - y) for p > Q and y >= low, so
-    every prime past Q has a log term of at most coef' p^(-low), coef' =
-    coef kappa (Q + 1)^(low - exponent) + sum |e| (Q + 1)^(low - x) /
-    (1 - (Q + 1)^(-x)); the exception terms keep their own bounds, and
-    ``_prime_tail`` sums coef' over every integer past Q, exceptions
-    included.  coef' falls as Q grows.  No omitted shift: ``bound`` itself.
-    """
-    if not omitted:
-        return bound
-    coef, exponent, kappa, terms = bound
-    q1 = max(Q, 1) + 1.0
-    exps = [k * sigma + ma for _, k, ma, _ in omitted]
-    low = min(exps)
-    def drop(y: float) -> float:  # (Q + 1)^(low - y), 1 at y = low (inf included)
-        return q1 ** (low - y) if y > low else 1.0
-
-    lead = coef * kappa * drop(exponent) if coef != 0.0 else 0.0
-    for (e, *_), x in zip(omitted, exps):
-        lead += abs(e) * drop(x) / -math.expm1(-x * math.log(q1))
-    return lead, low, 1.0, terms
-
-
 def _first_true(n: int, start: int, holds) -> int:
     """The first k < n with ``holds(k)``, or n where none holds, for a
     predicate that never turns from True back to False as k grows.
@@ -972,16 +974,14 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     """prod_j zeta(w_j)^(e_j) prod_{p<=Q} (1 + x_p) prod_j (1 - p^(-w_j))^(e_j)
     of G (power 1) or U (power 2; see ``_log1p_product``).
 
-    The shifts (e_j, w_j) come from ``_deflation``: the longest prefix of
-    G's or U's row of ``_shift_rows`` whose log zeta is proven at s.  With
-    none, this is the plain walk prod_{p<=Q} (1 + x_p), bit for bit.  With
-    every shift of the row the remainder R's log terms at every prime that
-    is no exception are O(p^(-3 sigma)) (G, flat base), O(p^(-4 sigma))
-    (U, flat), O(p^(-(3 sigma + a))) (G, power decay) or
-    O(p^(-(4 sigma + a))) (U, power decay), so its tail converges at a
-    much larger exponent and the walk stops much earlier; with a shorter
-    prefix the tail has the exponent of the first shift left out
-    (``_omitted_tail``).
+    The shifts (e_j, w_j) come from ``_deflation``: every shift of G's or
+    U's row of ``_shift_rows``, or none.  With none, this is the plain walk
+    prod_{p<=Q} (1 + x_p), bit for bit.  With every shift of the row the
+    remainder R's log terms at every prime that is no exception are
+    O(p^(-3 sigma)) (G, flat base), O(p^(-4 sigma)) (U, flat),
+    O(p^(-(3 sigma + a))) (G, power decay) or O(p^(-(4 sigma + a))) (U,
+    power decay), so its tail converges at a much larger exponent and the
+    walk stops much earlier.
     ``tail(Q, sigma, deflated)`` gives (coef, exponent, kappa, terms) of
     ``_prime_tail`` for the primes past Q, of the plain product or of R
     with every shift; the omitted factors then move the product by at most
@@ -1019,23 +1019,19 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     if point.sigma <= 0:
         raise DomainError(f"Euler product needs Re(s) > 0, got sigma={point.sigma}")
     shifts = _deflation(power, spec, point)
-    omitted = _shift_rows(power, spec)[len(shifts):] if shifts else ()
-
-    def tail_at(Q: int) -> tuple:
-        return _omitted_tail(tail(Q, point.sigma, bool(shifts)), Q, point.sigma, omitted)
 
     def tail_past(Q: int) -> float:
-        return _prime_tail(Q, *tail_at(Q))
+        return _prime_tail(Q, *tail(Q, point.sigma, bool(shifts)))
 
     def term(f):  # zero exactly where the walk's term at f(p) = f is
         if not shifts:
             return _numerator(power, f)
         if power == 2:
             return f * f * (1.0 - f * f)
-        return f * (1.0 + f) * (1.0 if omitted else 1.0 - f)
+        return f * (1.0 + f) * (1.0 - f)
 
     primes = primes_up_to(P, sieve)
-    at_P = tail_at(P)
+    at_P = tail(P, point.sigma, bool(shifts))
     log_tail = _prime_tail(P, *at_P)
     if log_tail <= _UNIT and primes.size:  # the first prime whose tail is as small ends the walk
         coef, exponent, kappa, _ = at_P
@@ -1088,8 +1084,8 @@ def euler_product_G(
     with 1 + f(p) = c p^(-a), 0 < c <= 2^(1 + a), it is
     zeta(s + a)^c zeta(2s + a)^c zeta(2s + 2a)^(-c (1 + c) / 2) R_G; a
     non-integer power is taken only at real w > 1 or Re w >= 1.045, and a
-    power at s + a only for Re(s + a) > 1.  R_G's tail has exponent
-    3 sigma or 3 sigma + a (or that of the first power left out); for
+    power at s + a only for Re(s + a) > 1, or no power at all.  R_G's tail
+    has exponent 3 sigma or 3 sigma + a; for
     sigma <= 1 (an integer 1 + b) the value is zeta's continuation times
     R_G, and s = 1 raises PoleError.
     Otherwise the tail is controlled by how fast 1 + f(p) dies:
@@ -1183,9 +1179,9 @@ def euler_product_U(
     sigma < 0.5225), and for power decay with 1 + f(p) = c p^(-a),
     0 < c <= 2^(1 + a), it is zeta(2s)^(-1) zeta(2s + a)^(2c)
     zeta(2s + 2a)^(-c^2) R_U (the last two only where 2 sigma + a > 1 and,
-    for a non-integer 2c or c^2, at real s or 2 sigma + a >= 1.045).  R_U's
-    tail has exponent 4 sigma or 4 sigma + a (or that of the first power
-    left out); for the Liouville family its coefficient is 0 and U is
+    for a non-integer 2c or c^2, at real s or 2 sigma + a >= 1.045; else
+    no power at all).  R_U's tail has exponent 4 sigma or 4 sigma + a; for
+    the Liouville family its coefficient is 0 and U is
     1/zeta(2s) times the exception factors.  Otherwise the tail has
     exponent 2 sigma.
 
@@ -1320,8 +1316,10 @@ def _series_table(
     and feeds every slice of _BLOCK n to the sums of each point
     (``_DirichletSums``); a point that leaves float64 fails for all its
     kinds, and the pass ends once every point has failed.  At sigma > 1 a
-    sum's budget is its tail bound plus 4 eps times its allowance sum, a
-    float upper bound on sum |a(n)| n^(-sigma) within (1 + N eps)^2 of it.
+    sum's budget is its tail bound plus its rounding allowance
+    (``_DirichletSums``: 4 eps sum |a(n)| n^(-sigma) at real s, with a
+    phase term at complex s); where that budget is not finite (an
+    enormous |t|) the sum is heuristic.
     """
     keys = dict.fromkeys((name, ComplexArgument.of(s)) for name, s in keys)
     table: dict[tuple, SeriesEval | Exception] = {}
@@ -1352,14 +1350,14 @@ def _series_table(
             except DomainError as exc:
                 failed[point] = exc
                 continue
-            for i, (value, abs_sum) in zip(slots[point], results):
+            for i, (value, allowance) in zip(slots[point], results):
                 kind = kinds[i]
-                ev = SeriesEval(value, N, math.inf, True, METHOD_DIRECT_SUM)
+                bound = math.inf
                 if point.sigma > 1.0:
                     divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
-                    tail = (_divisor_tail if divisor else _power_tail)(N, point.sigma)
-                    ev = SeriesEval(value, N, tail + 4.0 * _EPS * abs_sum, False, ev.method)
-                table[(kind, point)] = ev
+                    bound = (_divisor_tail if divisor else _power_tail)(N, point.sigma) + allowance
+                heuristic = not bound < math.inf
+                table[(kind, point)] = SeriesEval(value, N, bound, heuristic, METHOD_DIRECT_SUM)
         for point, exc in failed.items():
             for i in slots[point]:
                 table[(kinds[i], point)] = exc.with_traceback(None)

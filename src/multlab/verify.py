@@ -114,7 +114,7 @@ def _identity_lines(cfg: ExperimentConfig, table: dict) -> list[CheckLine]:
                 result = _residual(table, identity, point)
             except _NO_VALUE:
                 # no evaluation exists at this point (sigma <= 0, the pole
-                # s = 1, an unreachable zeta tolerance, a degenerate Euler
+                # s = 1, a zeta with no finite bound, a degenerate Euler
                 # factor): nothing to judge
                 lines.append(_line(name, math.nan))
                 continue

@@ -116,7 +116,7 @@ def test_table_sums_equal_the_whole_array_path(limit, sieve_1e6):
                 if point.sigma > 1.0:
                     divisor = kind in (DerivedFunctionKind.H_CONV, DerivedFunctionKind.G_CONV)
                     tail = (_divisor_tail if divisor else _power_tail)(limit, point.sigma)
-                    assert ev.tail_bound.hex() == (tail + 4.0 * dl._EPS * allowance).hex()
+                    assert ev.tail_bound.hex() == (tail + allowance).hex()
                 else:
                     assert ev.heuristic and ev.tail_bound == math.inf
 

@@ -484,8 +484,8 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, which, flag, point, verify_status",
     [
-        # zeta's truncation constant overflows float64: an error row
-        ("s_grid = 2:460\n", "zeta", "error", "2+460i", {"H_eq_zetaF": "inconclusive"}),
+        # zeta's bound is not finite (the phase of N^(-s) is lost): an error row
+        ("s_grid = 2:1e200\n", "zeta", "error", "2+1e+200i", {"H_eq_zetaF": "inconclusive"}),
         # 2^(sigma-1) overflows in the divisor tail: a finite rigorous bound
         ("s_grid = 1100\n", "H", "0", "1100+0i", {"H_eq_zetaF": "pass"}),
         ("s_grid = 1100\n", "G_sum", "0", "1100+0i", {"G_product_vs_sum": "pass"}),
