@@ -44,11 +44,10 @@ exponent and the walk stops much earlier.  Every shift of the row is
 divided out, or none: the plain walk, bit for bit, is left for
 sigma <= 1/2, for power decay that clamps some f(p) at +1, and where the
 log zeta of some shift is not proven (``_deflation``).
-Where every factor but the exception primes' is exactly 1 (G for a base
-value of -1, U for a base value of 0, and with deflation R for G at
-b = 0 or 1 and U at b^2 = 1; ``multfunc._visited``), the product visits
-the exception primes alone, with the bits of the full walk where no
-shift is divided out.
+Where the coefficient of a product's tail is 0, every factor but the
+exception primes' is exactly 1, and the product visits the exception
+primes alone, with the bits of the full walk where no shift is divided
+out.
 
 zeta itself is evaluated by Euler-Maclaurin summation with Backlund's
 remainder bound, proven for every Re(s) > 0: a head of N - 1 terms, N
@@ -79,7 +78,6 @@ from .multfunc import (
     _coefficients,
     _f_values,
     _one_plus_f_decay,
-    _visited,
 )
 from .sieve import FactorSieve, primes_up_to
 from .summation import _BLOCK, _ExactSum
@@ -465,12 +463,6 @@ _UNDERFLOW = 2.0 ** -990  # absolute error of a term that leaves the normal rang
 _LOG_DEGENERATE = math.log(1e-300)  # log |1 + x_p| below this: |1 + x_p| < 1e-300
 
 
-def _numerator(power: int, fp):
-    """g_p of the Euler factor 1 + x_p, from fp = f(p) (an array or one number):
-    1 + f(p) for G (power 1), -f(p)^2 for U (power 2)."""
-    return 1.0 + fp if power == 1 else -(fp * fp)
-
-
 #: zeta's absolute tolerance where it deflates an Euler product (its
 #: relative bound is then about 2-5e-15 at the points the products use)
 _ZETA_TOL = 1e-15
@@ -634,15 +626,15 @@ def _log1p_product(
     rounding allowance), summed as logs.
 
     With v_p = p^(-power s), x_p = g_p v_p / (1 - v_p) for G (power 1,
-    g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2; see
-    ``_numerator``), where f(p) are the float values of ``spec`` at
+    g = 1 + f(p)) and x_p = g_p v_p for U (power 2, g = -f(p)^2), where
+    f(p) are the float values of ``spec`` at
     ``primes`` and ``log_p`` holds log p.  ``shifts`` are ``_deflation``'s
     (e_j, w_j, e_j log zeta(w_j), its error, sign); with none (the
     default) the product is prod_p (1 + x_p), and no step below that names
     a shift is taken.  ``visited`` None takes every prime; otherwise it
-    holds the positions of the only primes whose term can be nonzero
-    (``multfunc._visited``), and the product skips the others, whose
-    factors are exactly 1 (see "Skipped primes" below).
+    holds the positions of the exception primes, and the product skips the
+    others, whose factors are exactly 1 (``_euler_product``; see "Skipped
+    primes" below).
     Each chunk of _BLOCK primes is one pass: it forms f(p),
     r = exp(-power sigma log p) and phase = -power t log p, so
     v = r (cos phase + i sin phase) and x = a + i b with no complex array.
@@ -670,9 +662,10 @@ def _log1p_product(
     or when the product overflows float64.  An error raised in a chunk
     comes from the first chunk that raises, as in a serial loop.
 
-    Skipped primes.  Where g_p = 0, x_p, its log terms and its step-4 bound
-    below are exact zeros, so leaving the prime out keeps every bit, as
-    long as the rest of the computation is the full walk's.  Each visited
+    Skipped primes.  Where a factor is exactly 1 with no shift, g_p = 0, and
+    x_p, its log terms and its step-4 bound below are exact zeros, so
+    leaving the prime out keeps every bit, as long as the rest of the
+    computation is the full walk's.  Each visited
     prime stays in its own chunk of _BLOCK primes, formed from the visited
     entries alone, and a chunk with none is not formed (the full walk adds
     +0.0 for it).  The log parts are exact sums rounded once, so fewer
@@ -683,12 +676,11 @@ def _log1p_product(
     visited bounds summed alone can differ in the last bit once a chunk
     holds three of them).  The n of step 4 stays the number of primes, and
     step 6 reads log p of the largest prime, as in the full walk.  With
-    shifts a prime is skipped where the remainder's factor
-    (1 + x_p) prod_j (1 - v_j)^(e_j) is exactly 1 at the base value (G at
-    b = 0 or 1 with every shift of its row, U at b^2 = 1), though g_p is
-    not 0: leaving it out changes the exact product not at all and skips
-    rounding that the full walk would make and allow for, so value and
-    allowance are rigorous but are the full walk's bits only with no shift.
+    shifts the skipped factor is the remainder's,
+    (1 + x_p) prod_j (1 - v_j)^(e_j), though g_p is not 0: leaving it out
+    changes the exact product not at all and skips rounding that the full
+    walk would make and allow for, so value and allowance are rigorous but
+    are the full walk's bits only with no shift.
 
     Rounding allowance (first order, in the standard model of Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
@@ -798,7 +790,7 @@ def _log1p_product(
     def own_log(fp: np.ndarray, r: np.ndarray, amp: np.ndarray, cos, sin) -> tuple:
         """(Re, Im or None at real s, |a| + |b|) of each log(1 + x_p); its
         temporaries die on return, so a chunk holds few arrays at once."""
-        g = _numerator(power, fp)
+        g = 1.0 + fp if power == 1 else -(fp * fp)
         if t == 0.0:
             a = g * r
             if power == 1:
@@ -998,18 +990,11 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     bisection over every prime would.  The stop costs at
     most |value| expm1(2^-53) of bound, under 1/30 of the smallest
     rounding allowance |value| _EXP_REL = 34u |value|, and the enclosure
-    is rigorous for any Q.  A prime <= Q whose term is zero by the spec's
-    base value b is skipped (``multfunc._visited``): the plain walk's term
-    at f = b is g_p (``_numerator``), and R's vanishes exactly where its
-    every coefficient does: for G with every shift at b in {-1, 0, 1}
-    (its coefficients are (b^k - b) / k for odd k and (b^2 - b^k) / k for
-    even k, from k = 3 on), for G with (1 + b, s) alone where
-    -b (1 + b) / 2, that of p^(-2s), is 0, and for U at b^2 in {0, 1}
-    (coefficients (b^2 - b^(2k)) / k).  So for Liouville with finite
-    exceptions G is the finite product over its exception primes and U is
-    1/zeta(2s) times theirs, while the constant 0 base has U the exception
-    factors and G zeta(s) times theirs, and the constant 1 base has G
-    zeta(s)^2 / zeta(2s) times theirs.  The bound is
+    is rigorous for any Q.  The tail's coefficient decides which primes
+    <= Q are walked: it does not depend on Q, and where it is 0 every
+    factor but the exception primes' is exactly 1 (each tail's docstring
+    proves it), so the walk visits the exception primes alone, whose
+    positions serve the stop search too.  The bound is
     rigorous while it and the rounding allowance are finite; otherwise (no
     tail bound, or an overflowing expm1 near the edge of convergence) the
     value is flagged heuristic.  Raises DomainError for sigma <= 0, and
@@ -1023,22 +1008,18 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
     def tail_past(Q: int) -> float:
         return _prime_tail(Q, *tail(Q, point.sigma, bool(shifts)))
 
-    def term(f):  # zero exactly where the walk's term at f(p) = f is
-        if not shifts:
-            return _numerator(power, f)
-        if power == 2:
-            return f * f * (1.0 - f * f)
-        return f * (1.0 + f) * (1.0 - f)
-
     primes = primes_up_to(P, sieve)
     at_P = tail(P, point.sigma, bool(shifts))
+    coef, exponent, kappa, _ = at_P
+    visited = None
+    if coef == 0.0:  # every factor but the exception primes' is exactly 1
+        last = int(primes[-1]) if primes.size else 0
+        exceptions = [q for q, _ in spec.exceptions if q <= last]
+        visited = np.searchsorted(primes, np.array(exceptions, dtype=np.int64))
     log_tail = _prime_tail(P, *at_P)
     if log_tail <= _UNIT and primes.size:  # the first prime whose tail is as small ends the walk
-        coef, exponent, kappa, _ = at_P
-        if coef == 0.0:
-            last = int(primes[-1])
-            exceptions = [q for q, _ in spec.exceptions if q <= last]
-            keys = [0, *np.searchsorted(primes, exceptions).tolist()]
+        if visited is not None:
+            keys = [0, *visited.tolist()]
             stop = next((k for k in keys if tail_past(int(primes[k])) <= _UNIT), primes.size)
         else:
             # Q*, where the leading term kappa coef Q^(1 - exponent) /
@@ -1055,10 +1036,11 @@ def _euler_product(spec, s, P: int, sieve: FactorSieve, power: int, tail) -> Ser
         if stop < primes.size:
             primes = primes[: stop + 1]
             log_tail = tail_past(int(primes[-1]))
+            if visited is not None:
+                visited = visited[visited <= stop]
     value, rounding = 1.0 + 0.0j, 0.0
     if primes.size or shifts:
         log_p = sieve.log_primes[: primes.size]
-        visited = _visited(primes, term, spec)
         value, rounding = _log1p_product(spec, primes, log_p, point, power, visited, shifts)
     bound = math.inf
     if log_tail <= _LOG_FLOAT_MAX:
@@ -1183,7 +1165,12 @@ def euler_product_U(
     no power at all).  R_U's tail has exponent 4 sigma or 4 sigma + a; for
     the Liouville family its coefficient is 0 and U is
     1/zeta(2s) times the exception factors.  Otherwise the tail has
-    exponent 2 sigma.
+    exponent 2 sigma: |x_p| = f(p)^2 p^(-2 sigma), so coefficient 1 for
+    power decay, and for a flat base b coefficient |b| >= b^2 (|b| <= 1;
+    b^2 itself underflows for |b| < 1.5e-154, and |b| is 0 only where
+    every factor but the exceptions' is exactly 1) plus v^2 p^(-2 sigma)
+    for each exception prime past Q.  At b = 0, U is the exception factors
+    alone, with a finite tail at every sigma > 0.
 
     R_U's tail (log terms past Q, V = p^(-2s), rho = p^(-2 sigma),
     Q1 = Q + 1).  Flat b: R_U's log at f = b is
@@ -1206,18 +1193,18 @@ def euler_product_U(
     c, a = _one_plus_f_decay(spec)
 
     def tail(Q: int, sigma: float, deflated: bool):
-        if not deflated:  # |x_p| <= p^(-2 sigma) for every prime, exceptions included
+        if not deflated and b is None:  # |x_p| <= p^(-2 sigma) at every prime
             return 1.0, 2.0 * sigma, 1.0, ()
         # 1 - b^2 and |b^2 - v^2| are formed without cancellation
-        q1 = max(Q, 1) + 1.0
-        kappa = 1.0 / (1.0 - q1 ** (-2.0 * sigma))
         terms = []
         for p, v in spec.exceptions:
             if p > Q:
                 x = -2.0 * sigma * math.log(p)  # rho = p^(-2 sigma) and 1 - rho
                 rho, den = math.exp(x), -math.expm1(x)
                 mv = abs(v)
-                if b is not None:
+                if not deflated:  # |x_p| = v^2 rho
+                    terms.append(v * v * rho)
+                elif b is not None:
                     mb = abs(b)
                     first = abs(mb - mv) * (mb + mv)
                     terms.append(first * rho + 0.5 * (mv ** 4 + b * b) * rho * rho / den)
@@ -1225,6 +1212,10 @@ def euler_product_U(
                     mf = abs(1.0 - c * p ** -a)
                     first = abs(mf - mv) * (mf + mv)
                     terms.append(first * rho + 0.5 * rho * rho / den)
+        if not deflated:  # |x_p| = b^2 rho <= |b| rho, as |b| <= 1
+            return abs(b), 2.0 * sigma, 1.0, terms
+        q1 = max(Q, 1) + 1.0
+        kappa = 1.0 / (1.0 - q1 ** (-2.0 * sigma))
         if b is not None:
             mb = abs(b)
             return b * b * min((1.0 - mb) * (1.0 + mb), 0.5), 4.0 * sigma, kappa, terms

@@ -335,6 +335,8 @@ def _one_plus_f_decay(spec: PrimeFunctionSpec) -> tuple[float, float]:
 def _visited(primes: np.ndarray, factor, *specs: PrimeFunctionSpec) -> np.ndarray | None:
     """Positions in ``primes`` of the primes whose term can be nonzero, or None for all.
 
+    Read by the prime sums alone (``primesums._walk``); an Euler product's
+    skips follow from its tail coefficient (``dirichlet._euler_product``).
     A prime-side term is ``factor(f(p), ...)``, with one f(p) per spec,
     times numbers that are finite at every prime.  When each spec has a
     base value b (``_base_value``) and ``factor(b, ...)`` is zero, the term

@@ -133,15 +133,21 @@ def _prime_power_minima(cfg: ExperimentConfig, sieve: FactorSieve) -> dict[str, 
 
     Values come from ``multfunc._weight``, the rule pointwise evaluation
     uses.  The primes with p^m <= limit are a prefix of the ascending
-    primes; g(p^m) = g(p), so g needs only m = 1.
+    primes, those up to the integer m-th root of limit, found by exact
+    integer steps from the float root (which can round one below an exact
+    root); g(p^m) = g(p), so g needs only m = 1.
     """
     limit = min(sieve.limit, _NONNEG_SCAN_LIMIT)
     primes = primes_up_to(limit, sieve)
     fp = f_at_primes(cfg.spec, primes)
     min_h = math.inf
-    ln_limit = math.log(limit)
     for m in range(1, limit.bit_length()):
-        count = int(np.searchsorted(primes, math.floor(math.exp(ln_limit / m)), side="right"))
+        root = round(limit ** (1.0 / m))
+        while root ** m > limit:
+            root -= 1
+        while (root + 1) ** m <= limit:
+            root += 1
+        count = int(np.searchsorted(primes, root, side="right"))
         if count == 0:
             break
         h = _weight(DerivedFunctionKind.H_CONV, fp[:count], m)

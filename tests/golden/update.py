@@ -59,6 +59,7 @@ CASES = {
     "traces-power-decay": TRACES,
     "traces-constant-exc-large": TRACES,
     "series-power-decay": SERIES,
+    "series-constant-zero": SERIES,
 }
 
 FLOAT_COLUMNS = frozenset(

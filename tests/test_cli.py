@@ -490,15 +490,25 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
         ("s_grid = 1100\n", "H", "0", "1100+0i", {"H_eq_zetaF": "pass"}),
         ("s_grid = 1100\n", "G_sum", "0", "1100+0i", {"G_product_vs_sum": "pass"}),
         # the Euler tail factor expm1(log_tail) overflows: a heuristic row,
-        # from products with no power of zeta to divide out (U of the constant
-        # 0 base; G at sigma = 1/2, with tail exponent sigma + a = 1 + 1e-7).
-        # A Liouville U or any power decay U there is deflated, with zeta's bound
+        # from products with no power of zeta to divide out (U of power decay
+        # that clamps f(2) at +1; G at sigma = 1/2, with tail exponent
+        # sigma + a = 1 + 1e-7).  A Liouville U or a power decay U that
+        # clamps no f(p) is deflated there, with zeta's bound
         (
-            "s_grid = 0.5000001\nspec.base = constant\nspec.c = 0.0\n",
+            "s_grid = 0.5000001\nspec.base = power_decay\nspec.c = 5.0\nspec.a = 1.0\n",
             "U",
             "1",
             "0.5+0i",
             {"Fmu2_eq_FU": "inconclusive"},
+        ),
+        # U of the constant 0 base has tail coefficient 0: the exception
+        # factors alone (none here), with a finite bound at any sigma
+        (
+            "s_grid = 0.5000001\nspec.base = constant\nspec.c = 0.0\n",
+            "U",
+            "0",
+            "0.5+0i",
+            {},
         ),
         (
             "s_grid = 0.5\nspec.base = power_decay\nspec.c = 0.5\nspec.a = 0.5000001\n",
@@ -508,7 +518,7 @@ def test_series_U_outside_domain_is_an_error_row(tmp_path, capsys):
             {"G_product_vs_sum": "inconclusive", "recip_zeta_eq_Fmu2_over_G": "inconclusive"},
         ),
     ],
-    ids=["zeta", "H", "G_sum", "U", "G_product"],
+    ids=["zeta", "H", "G_sum", "U", "U_constant_zero", "G_product"],
 )
 def test_overflowing_bounds_give_rows_not_tracebacks(
     extra, which, flag, point, verify_status, tmp_path, capsys

@@ -65,6 +65,7 @@ from multlab.config import ExperimentConfig, load_config
 from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
+    _base_value,
     coefficient_stream,
     constant_spec,
     f_at_primes,
@@ -721,6 +722,20 @@ _SKIPPING_SPECS = [
 ]
 
 
+def _walk_every_prime(m) -> None:
+    """Patch ``_log1p_product`` (through the monkeypatch context ``m``) to
+    take every prime <= Q: the full walk, with the skipping product's tail
+    and its Q."""
+    log1p_product = multlab.dirichlet._log1p_product
+    m.setattr(
+        multlab.dirichlet,
+        "_log1p_product",
+        lambda spec, primes, log_p, point, power, visited, shifts: log1p_product(
+            spec, primes, log_p, point, power, None, shifts
+        ),
+    )
+
+
 @pytest.mark.parametrize("spec", _SKIPPING_SPECS, ids=lambda spec: spec.spec_id())
 @pytest.mark.parametrize("s", [1.5, complex(0.75, 5.0)])
 def test_euler_products_that_skip_primes_keep_the_bits_of_the_full_walk(
@@ -730,8 +745,7 @@ def test_euler_products_that_skip_primes_keep_the_bits_of_the_full_walk(
         for product, power in ((euler_product_G, 1), (euler_product_U, 2)):
             skipping = product(spec, s, P, sieve_1e6)
             with monkeypatch.context() as m:
-                # every prime <= P through _log1p_product, the same tail
-                m.setattr(multlab.dirichlet, "_visited", lambda *args: None)
+                _walk_every_prime(m)
                 full = product(spec, s, P, sieve_1e6)
             if not _deflation(power, spec, ComplexArgument.of(s)):
                 assert _bits(skipping) == _bits(full), (product.__name__, P)
@@ -751,6 +765,116 @@ def test_a_skipping_euler_product_at_tiny_sigma_still_raises(sieve_1e6):
         for product in (euler_product_G, euler_product_U):
             with pytest.raises(DomainError, match="2\\^"):
                 product(liouville_spec({3: 0.5}), s, 10**6, sieve_1e6)
+
+
+def _former_zero_test(power: int, shifts, f: float) -> float:
+    """The walk's term at f(p) = f under the hand-written rule that decided
+    which primes an Euler product skipped before its tail coefficient did:
+    a prime with that f(p) was skipped where this is 0."""
+    if not shifts:
+        return 1.0 + f if power == 1 else -(f * f)
+    if power == 2:
+        return f * f * (1.0 - f * f)
+    return f * (1.0 + f) * (1.0 - f)
+
+
+def _spy_walk(m, seen: list) -> None:
+    """Patch ``_log1p_product`` (through the monkeypatch context ``m``) to
+    append the primes it visits to ``seen``: a list, or None for every prime."""
+    log1p_product = multlab.dirichlet._log1p_product
+
+    def spy(spec, primes, log_p, point, power, visited, shifts):
+        seen.append(None if visited is None else primes[visited].tolist())
+        return log1p_product(spec, primes, log_p, point, power, visited, shifts)
+
+    m.setattr(multlab.dirichlet, "_log1p_product", spy)
+
+
+#: every spelling of a flat base: f(p) = -1 (Liouville, constant -1, power
+#: decay with c = 0 and c = -2) and the constants 0, 1, +-0.5 and 0.7, bare
+#: and with the exceptions {3: 0.5, 7: -1}
+_FLAT_SPECS = [
+    spell(exceptions)
+    for exceptions in ({}, {3: 0.5, 7: -1.0})
+    for spell in (
+        liouville_spec,
+        lambda exc: constant_spec(-1.0, exc),
+        lambda exc: power_decay_spec(0.0, 0.5, exc),
+        lambda exc: power_decay_spec(-2.0, 0.5, exc),
+        *(lambda exc, b=b: constant_spec(b, exc) for b in (0.0, 1.0, 0.5, -0.5, 0.7)),
+    )
+]
+_RULE_POINTS = [0.4, 0.5000001, 1.5, complex(0.75, 5.0)]
+
+
+@pytest.mark.parametrize("spec", _FLAT_SPECS, ids=lambda spec: spec.spec_id())
+@pytest.mark.parametrize("s", _RULE_POINTS)
+def test_euler_products_skip_primes_only_where_the_former_zero_test_did(
+    spec, s, sieve_1e5, monkeypatch
+):
+    # the tail coefficient decides the skip: where it is 0 every factor but
+    # the exception primes' is exactly 1, which the former rule also said
+    b = _base_value(spec)
+    for product, power in ((euler_product_G, 1), (euler_product_U, 2)):
+        seen = []
+        with monkeypatch.context() as m:
+            _spy_walk(m, seen)
+            skipping = product(spec, s, 10**5, sieve_1e5)
+        (walked,) = seen
+        if b == 0.0 and power == 2:  # U of the constant 0 base, at every s
+            assert walked is not None
+        if walked is None:
+            continue
+        shifts = _deflation(power, spec, ComplexArgument.of(s))
+        assert _former_zero_test(power, shifts, b) == 0.0, (product.__name__, shifts)
+        assert set(walked) <= {p for p, _ in spec.exceptions}
+        with monkeypatch.context() as m:
+            _walk_every_prime(m)
+            full = product(spec, s, 10**5, sieve_1e5)
+        if not shifts:
+            assert _bits(skipping) == _bits(full), product.__name__
+        else:  # a skipped remainder factor is 1: only the rounding is dropped
+            assert abs(skipping.value - full.value) <= skipping.tail_bound + full.tail_bound
+            assert skipping.tail_bound <= full.tail_bound
+        assert skipping.truncation_N == full.truncation_N
+
+
+@pytest.mark.parametrize("b", [5e-324, 1e-200])
+@pytest.mark.parametrize("s", _RULE_POINTS)
+def test_U_of_a_tiny_flat_base_walks_every_prime_and_keeps_its_value(b, s, sieve_1e5, monkeypatch):
+    # -b^2 rounds to -0.0, so the former zero test skipped every prime but
+    # 3 and 7 with tail coefficient 1; the coefficient is now |b| != 0, so
+    # no prime is skipped, each other term is an exact zero, and the tail
+    # past Q is far smaller
+    spec = constant_spec(b, {3: 0.5, 7: -1.0})
+    assert not _deflation(2, spec, ComplexArgument.of(s))
+    seen = []
+    with monkeypatch.context() as m:
+        _spy_walk(m, seen)
+        now = euler_product_U(spec, s, 10**5, sieve_1e5)
+    assert seen == [None]
+    log1p_product = multlab.dirichlet._log1p_product
+
+    def exceptions_only(spec, primes, log_p, point, power, visited, shifts):
+        at = np.searchsorted(primes, np.array([3, 7], dtype=np.int64))
+        return log1p_product(spec, primes, log_p, point, power, at, shifts)
+
+    with monkeypatch.context() as m:
+        m.setattr(multlab.dirichlet, "_log1p_product", exceptions_only)
+        former = multlab.dirichlet._euler_product(
+            spec, s, 10**5, sieve_1e5, 2, lambda Q, sigma, deflated: (1.0, 2.0 * sigma, 1.0, ())
+        )
+    assert _bits(now)[:2] == _bits(former)[:2]
+    assert now.tail_bound <= former.tail_bound
+
+
+@pytest.mark.parametrize("s", _RULE_POINTS)
+def test_U_of_the_constant_zero_base_is_its_two_exception_factors(s, sieve_1e5):
+    got = euler_product_U(constant_spec(0.0, {3: 0.5, 7: -1.0}), s, 10**5, sieve_1e5)
+    w = -2 * mp.mpc(s)
+    exact = complex((1 - 0.25 * mp.power(3, w)) * (1 - mp.power(7, w)))
+    assert not got.heuristic and got.truncation_N == 4
+    assert abs(got.value - exact) <= got.tail_bound
 
 
 def test_prime_side_sums_of_a_flat_spec_read_f_at_few_primes(sieve_1e6, monkeypatch):

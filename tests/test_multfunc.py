@@ -863,6 +863,48 @@ def test_prime_power_minima_are_the_pointwise_minima(sieve_1e4):
         assert minima["g"] == pytest.approx(min_g, rel=1e-15, abs=1e-15), spec.spec_id()
 
 
+@pytest.mark.parametrize(
+    "limit, p",
+    [(971981, 971981), (823543, 7), (994009, 997)],
+    ids=["p", "7^7", "997^2"],
+)
+def test_prime_power_minima_scan_every_prime_power_up_to_an_exact_root(limit, p, monkeypatch):
+    # floor(exp(log(limit) / m)) rounds one below each exact root here: at
+    # m = 1 for the prime 971981, at m = 7 for 7^7 and at m = 2 for 997^2
+    import multlab.verify
+    from multlab.config import ExperimentConfig
+    from multlab.sieve import build_sieve
+    from multlab.verify import _prime_power_minima
+
+    spec = constant_spec(0.5, {p: -0.9})
+    sieve = build_sieve(limit)
+    primes = primes_up_to(limit, sieve)
+    # brute force: each prime power q^m <= limit by exact integer products,
+    # and h(q^m) = 1 + f + ... + f^m summed term by term
+    fq = dict(zip(primes.tolist(), f_at_primes(spec, primes).tolist()))
+    counts, min_h = {1: primes.size}, float(np.min(1.0 + f_at_primes(spec, primes)))
+    for q in primes[primes <= math.isqrt(limit)].tolist():
+        m, n = 2, q * q
+        while n <= limit:
+            counts[m] = counts.get(m, 0) + 1
+            min_h = min(min_h, math.fsum(fq[q] ** k for k in range(m + 1)))
+            m, n = m + 1, n * q
+    scanned = {}
+    weight = multlab.verify._weight
+
+    def spy(kind, fp, m):
+        if kind is DerivedFunctionKind.H_CONV:
+            scanned[m] = np.size(fp)
+        return weight(kind, fp, m)
+
+    monkeypatch.setattr(multlab.verify, "_weight", spy)
+    minima = _prime_power_minima(ExperimentConfig(spec=spec, sieve_limit=limit), sieve)
+    assert scanned == counts
+    assert minima["h"] == pytest.approx(min_h, rel=1e-15, abs=1e-15)
+    if p == limit:  # h(971981) = 1 + f(971981), not the base's 1.5
+        assert minima["h"] == 1.0 + -0.9
+
+
 def test_spec_exceptions_are_normalised_in_the_spec():
     from multlab.config import ExperimentConfig, config_hash, parse_config, serialize_config
 
