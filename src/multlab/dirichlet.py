@@ -67,7 +67,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -255,21 +254,29 @@ class _DirichletSums:
 
     def results(self, length: int) -> list[tuple[complex, float]]:
         factor, t = 1.0 + length * _EPS, abs(self.point.t)
-        bounds = [size * factor for size in self.sizes]  # R of each c
-        if not all(math.isfinite(bound) for bound in bounds):
+        if not all(math.isfinite(size * factor) for size in self.sizes):  # R of each c
             raise self._error()
-        allowances = [  # + 0.0 at real s
-            4.0 * _EPS * bound + (t and _SLACK * (2.0 * _KAPPA * bound + _PHASE * t * (phase * factor)))
-            for bound, phase in zip(bounds, self.phases)
+        allowances = [
+            _allowance(size, phase, length, t) for size, phase in zip(self.sizes, self.phases)
         ]
         values = [complex(re.value(), im.value()) for re, im in self.sums]
         return list(zip(values, allowances))
 
 
+def _allowance(size: float, phase: float, length: int, t: float) -> float:
+    """``_DirichletSums``' rounding allowance for ``length`` terms at |t| = ``t``,
+    from T (``size``) and L before its factor (``phase``): + 0.0 at real s."""
+    factor = 1.0 + length * _EPS
+    bound = size * factor  # R
+    return 4.0 * _EPS * bound + (t and _SLACK * (2.0 * _KAPPA * bound + _PHASE * t * (phase * factor)))
+
+
 def _dirichlet_sums(coeffs, length: int, point: ComplexArgument) -> list[tuple[complex, float]]:
     """(sum c(n) n^(-s), rounding allowance) over n <= ``length`` for each array
     c in ``coeffs`` (c(1), c(2), ...): one ``_DirichletSums`` fed in slices
-    of _BLOCK n, with no whole-length temporary."""
+    of _BLOCK n, with no whole-length temporary.  The series table and
+    ``_zeta_head`` sum the same way in one pass; this is their per-point
+    reference."""
     sums = _DirichletSums(point, len(coeffs), np.empty((2, min(length, _BLOCK))))
     for lo in range(0, length, _BLOCK):
         hi = min(lo + _BLOCK, length)
@@ -285,13 +292,39 @@ _EM_ORDERS = 60  # most correction terms zeta takes
 _EM_MAX_N = 2**16  # largest cut N: past |t| of about 2e5 zeta's bound grows with |t|
 
 
+def _zeta_head(N: int, point: ComplexArgument) -> tuple[float | complex, float]:
+    """(sum_{n<N} n^(-s), rounding allowance): ``_dirichlet_sums`` of ones,
+    bit for bit, the value a float at real s.  The terms are formed in one
+    vector pass, the value is their exact sum rounded once, and T and L
+    are summed slice by slice, _BLOCK n each, for ``_allowance``."""
+    sigma, t = point.sigma, point.t
+    n = np.arange(1.0, N)
+    weights = n ** -sigma
+    size = phase = 0.0
+    for lo in range(0, N - 1, _BLOCK):
+        part = float(weights[lo : lo + _BLOCK].sum())
+        size += part
+        phase += math.log(min(lo + _BLOCK, N - 1)) * part
+    rounding = _allowance(size, phase, N - 1, abs(t))
+    re = _ExactSum()
+    if t == 0.0:
+        re.add(weights)
+        return re.value(), rounding
+    np.log(n, out=n)  # n turns into the phase -t log n
+    n *= -t
+    im = _ExactSum()
+    re.add(weights * np.cos(n))
+    im.add(weights * np.sin(n))
+    return complex(re.value(), im.value()), rounding
+
+
 @functools.lru_cache(maxsize=1)
 def _em_coefficients() -> tuple[float, ...]:
     """B_2k / (2k)! = (-1)^(k-1) T_k / ((2k - 1)! 4^k (4^k - 1)), k = 1 ..
     _EM_ORDERS, with T_k the tangent numbers 1, 2, 16, 272, ... (R. P. Brent
     and D. Harvey, *Fast computation of Bernoulli, tangent and secant
     numbers*, 2013): each an exact rational rounded once by one int true
-    division, which CPython rounds correctly, as ``float(Fraction(...))``."""
+    division, which CPython rounds correctly."""
     orders = range(1, _EM_ORDERS + 1)
     tangent = [0, *(math.factorial(k - 1) for k in orders)]
     for k in orders[1:]:
@@ -318,8 +351,11 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     so |T_(k+1) / T_k|, about |s + 2k|^2 / (2 pi N)^2, starts at most 1/4;
     m is the first order whose bound is at most tol / 2, or else the one
     with the smallest bound (the terms grow after it, or m = _EM_ORDERS).
-    The head is ``_dirichlet_sums`` of ones, with its allowance (the phase
-    term included); ``truncation_N`` counts the terms, N + 1 + m.
+    The head (``_zeta_head``) is the sum ``_DirichletSums`` gives for
+    c = 1, bit for bit, with its allowance (the phase term included).  At
+    real s the whole computation runs on floats, which round as complex
+    operands with zero imaginary parts would.  ``truncation_N`` counts the
+    terms, N + 1 + m.
 
     Rounding, first order (u = 2^-53, kappa = _KAPPA), relative to each
     computed term.  v = N^(-s) = r (cos phi + i sin phi), r = N^(-sigma)
@@ -351,16 +387,18 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
         raise PoleError("zeta has a pole at s = 1")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    z, sigma, t = point.as_complex, point.sigma, point.t
+    sigma, t = point.sigma, point.t
     N = min(math.ceil(max(10.0, -math.log(tol) / 4.0)) + int(abs(t) / math.pi), _EM_MAX_N)
-    [(head, rounding)] = _dirichlet_sums([np.ones(N - 1)], N - 1, point)
+    head, rounding = _zeta_head(N, point)
     r, phi = float(N) ** -sigma, -t * math.log(N)
-    v, delta_v = complex(r), 2.0 * _UNIT
-    if t != 0.0:
-        v = complex(r * math.cos(phi), r * math.sin(phi))
+    if t == 0.0:  # float operands round as complex ones with zero imaginary parts
+        z, v, delta_v = sigma, r, 2.0 * _UNIT
+    else:
+        z, v = point.as_complex, complex(r * math.cos(phi), r * math.sin(phi))
         delta_v = 3.0 * _KAPPA + 2.0 * _UNIT + (_KAPPA + _UNIT) * abs(phi)
     h = math.hypot(sigma - 1.0, t)
-    pole = (N * v) * complex((sigma - 1.0) / h / h, -t / h / h)
+    q = (sigma - 1.0) / h / h
+    pole = (N * v) * (q if t == 0.0 else complex(q, -t / h / h))
     terms = [head, pole, 0.5 * v]
     rounding += abs(pole) * (delta_v + 7.0 * _UNIT + 2.0 * _KAPPA) + 0.5 * abs(v) * delta_v
     # T_k bounds R_(k-1); T_(k-1) joins once that bound is known to fall
@@ -503,28 +541,34 @@ def _shift_rows(power: int, spec: PrimeFunctionSpec) -> tuple[tuple[float, int, 
     by term at order v^2.  Power decay needs c <= 2^(1 + a), so that no
     f(p) is clamped at +1 (c > 0 there, since c <= 0 is a base value), and
     c <= 2^511, so that c^2 is finite; otherwise there is no row.  Each e
-    is formed exactly (``Fraction``) and rounded once, so it is within
-    u |e| of the exact one and is an integer, or zero, exactly when the
-    exact one is.  Shifts with e = 0
+    is an exact ratio of integers, from b or c = p / q
+    (``float.as_integer_ratio``), rounded once by one int true division,
+    which CPython rounds correctly: it is within u |e| of the exact one,
+    and is an integer exactly where the denominator divides the
+    numerator, or zero where the numerator is.  Shifts with e = 0
     (G at b = -1 or 0, U at b = 0) divide nothing and are left out; a
     nonzero e below the normal range (b within 2^-1021 of 0) leaves no
     row at all, since its rounding is not relative.  Cached per
     (power, spec): a product calls it twice, and a run many times.
     """
     base = _base_value(spec)
+    # each e as (numerator, denominator), from b = p / q or c = p / q
     if base is not None:
-        b = Fraction(base)
-        rows = ((1 + b, 1, 0.0), (-b * (1 + b) / 2, 2, 0.0)) if power == 1 else ((-b * b, 2, 0.0),)
+        p, q = base.as_integer_ratio()
+        if power == 1:
+            rows = ((q + p, q, 1, 0.0), (-p * (q + p), 2 * q * q, 2, 0.0))
+        else:
+            rows = ((-p * p, q * q, 2, 0.0),)
     else:
         c, a = _one_plus_f_decay(spec)
         if not c <= 2.0 ** min(1.0 + a, 511.0):  # clamps no f(p), and c^2 is finite
             return ()
-        c = Fraction(c)
+        p, q = c.as_integer_ratio()
         if power == 1:
-            rows = ((c, 1, a), (c, 2, a), (-c * (1 + c) / 2, 2, 2.0 * a))
+            rows = ((p, q, 1, a), (p, q, 2, a), (-p * (q + p), 2 * q * q, 2, 2.0 * a))
         else:
-            rows = ((Fraction(-1), 2, 0.0), (2 * c, 2, a), (-c * c, 2, 2.0 * a))
-    rows = [(float(e), k, ma, e.denominator == 1) for e, k, ma in rows if e != 0]
+            rows = ((-1, 1, 2, 0.0), (2 * p, q, 2, a), (-p * p, q * q, 2, 2.0 * a))
+    rows = [(num / den, k, ma, num % den == 0) for num, den, k, ma in rows if num]
     if any(abs(e) < sys.float_info.min for e, *_ in rows):
         return ()
     return tuple(rows)
@@ -751,7 +795,8 @@ def _log1p_product(
        The final exp of L (numpy's complex exp) has relative error
        e = 4 kappa + 2u, so with E the total log error,
        |prod - value| <= |value| (expm1(E) + e) / (1 - e).  Negating the
-       value (the product of the shifts' signs) is exact.
+       real part (the product of the shifts' signs, -1 only at real s) is
+       exact and leaves the imaginary part +0.0.
     6. Second-order terms and the rounding of this bound's own evaluation
        stay below 2^-6 of it while every per-term bound is below 2^-12 of
        |x_p|; that holds unless A(2)^3 (c0 + c1' log P) > 2^-12, with c1'
@@ -773,12 +818,12 @@ def _log1p_product(
     amp_max = 1.0 / -math.expm1(-power * sigma * math.log(2.0))
 
     def factor_r(lp: np.ndarray, exponent: float = power * sigma) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a product past -float max: r = exp(-inf) = 0
-            return np.exp(-exponent * lp)
+        return np.exp(-exponent * lp)
 
     # r falls with p, so only p = 2 can round to 1 (a deflated product may
-    # have no prime: it is the powers of zeta alone)
-    if n and not factor_r(log_p[:1])[0] < 1.0:
+    # have no prime: it is the powers of zeta alone); r <= 1 for sigma > 0,
+    # so this exp cannot overflow
+    if n and not (sigma > 0.0 and factor_r(log_p[:1])[0] < 1.0):
         raise DomainError(
             f"Euler product needs 2^(-{power}*sigma) < 1 in float64, got sigma={sigma}"
         )
@@ -803,8 +848,7 @@ def _log1p_product(
         else:
             w = g * r
             a, b = w * cos, w * sin
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf is caught in the chunk
-            re = np.log1p(a * (2.0 + a) + b * b)
+        re = np.log1p(a * (2.0 + a) + b * b)
         re *= 0.5
         return re, np.arctan2(b, 1.0 + a), np.abs(a) + np.abs(b)
 
@@ -817,10 +861,16 @@ def _log1p_product(
         return re, e * np.arctan2(b, 1.0 + a), abs(e) * (np.abs(a) + np.abs(b))
 
     def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
+        # one errstate per chunk, since a pool thread does not inherit the
+        # caller's: a product past -float max gives r = exp(-inf) = 0, and
+        # log1p(-1) = -inf is caught as a degenerate factor
+        with np.errstate(over="ignore", divide="ignore"):
+            return chunk_sums(*item)
+
+    def chunk_sums(lo: int, at: slice | np.ndarray) -> tuple[list[float], list[float], float]:
         # may run on a pool thread, so it calls private helpers only:
         # multlab's public functions may be wrapped by callers that expect
         # to run on one thread
-        lo, at = item
         lp = log_p[at]
         r = factor_r(lp)
         amp = 1.0 / (1.0 - r)
@@ -901,8 +951,8 @@ def _log1p_product(
             f"(log |value| = {log_re:.6g})"
         )
     value = complex(np.exp(complex(log_re, log_im)))
-    if sign < 0.0:
-        value = -value
+    if sign < 0.0:  # only at real s, whose imaginary part stays +0.0
+        value = complex(-value.real, value.imag)
     c1_max = c1 if c1_a is None else max(c1, c1_a)
     if n and amp_max ** 3 * (_TERM_CONST + c1_max * float(log_p[-1])) > _FIRST_ORDER_MAX:
         return value, math.inf

@@ -920,12 +920,13 @@ def test_python_dash_m_runs_the_cli(cfg_file, tmp_path):
 
 def test_import_loads_no_heavy_optional_modules():
     # each CLI call and bench worker pays its imports in start-up time:
-    # scipy.stats alone once cost about 1 s per process
+    # scipy.stats alone once cost about 1 s per process, and fractions
+    # brings decimal, which numpy does not load
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys, multlab, multlab.cli; "
-        "print(sorted(m for m in ('scipy', 'numpy.ma', 'mpmath', 'hashlib') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'numpy.ma', 'mpmath', 'hashlib', 'fractions') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env

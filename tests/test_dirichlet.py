@@ -8,6 +8,7 @@ accounting, so these assertions are exact, not order-of-magnitude.
 
 import bisect
 import cmath
+import hashlib
 import math
 import os
 import random
@@ -66,6 +67,7 @@ from multlab.multfunc import (
     LIOUVILLE,
     DerivedFunctionKind,
     _base_value,
+    _one_plus_f_decay,
     coefficient_stream,
     constant_spec,
     f_at_primes,
@@ -141,6 +143,58 @@ def test_deflation_reads_each_zeta_once_per_process(monkeypatch):
     assert [_deflation(power, spec, point) for power in (1, 2)] == first and calls == []
 
 
+def _fraction_shift_rows(power, spec):
+    """``_shift_rows`` as it was written with exact ``Fraction`` arithmetic."""
+    base = _base_value(spec)
+    if base is not None:
+        b = Fraction(base)
+        rows = ((1 + b, 1, 0.0), (-b * (1 + b) / 2, 2, 0.0)) if power == 1 else ((-b * b, 2, 0.0),)
+    else:
+        c, a = _one_plus_f_decay(spec)
+        if not c <= 2.0 ** min(1.0 + a, 511.0):
+            return ()
+        c = Fraction(c)
+        if power == 1:
+            rows = ((c, 1, a), (c, 2, a), (-c * (1 + c) / 2, 2, 2.0 * a))
+        else:
+            rows = ((Fraction(-1), 2, 0.0), (2 * c, 2, a), (-c * c, 2, 2.0 * a))
+    rows = [(float(e), k, ma, e.denominator == 1) for e, k, ma in rows if e != 0]
+    if any(abs(e) < sys.float_info.min for e, *_ in rows):
+        return ()
+    return tuple(rows)
+
+
+def _shift_row_specs():
+    rng = random.Random(5101)
+    flat = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324, 1e-200, -1e-200, 1.0 - 2.0**-53]
+    flat += [rng.uniform(-1.0, 1.0) for _ in range(4000)]
+    flat += [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1030.0, 0.0) for _ in range(1000)]
+    specs = [constant_spec(b) for b in flat]
+    for a in (1e-9, 0.5, 1.0, 600.0):
+        for top in (2.0 ** (1.0 + a), 2.0**511):
+            near = [top * (1.0 + k * 2.0**-52) for k in range(-4, 5)]
+            near += [math.nextafter(top, math.inf), math.nextafter(top, 0.0)]
+            near += [top * rng.uniform(0.0, 1.01) for _ in range(600)]
+            near += [rng.uniform(0.0, 4.0) for _ in range(200)]
+            specs += [power_decay_spec(c, a) for c in near if c > 0.0]
+    return specs
+
+
+def test_shift_rows_equal_the_exact_rational_rows():
+    # every e, integer flag and m a as exact Fraction arithmetic gives them,
+    # on flat bases from 0 and subnormal to 1 and on power decay at and
+    # around its limits c = 2^(1 + a) and 2^511
+    rows = multlab.dirichlet._shift_rows.__wrapped__  # no cache between cases
+    cases = 0
+    for spec in _shift_row_specs():
+        for power in (1, 2):
+            got = [(e.hex(), k, ma.hex(), integer) for e, k, ma, integer in rows(power, spec)]
+            want = [(e.hex(), k, ma.hex(), integer) for e, k, ma, integer in _fraction_shift_rows(power, spec)]
+            assert got == want, (power, spec)
+            cases += 1
+    assert cases > 20000
+
+
 def test_zeta_below_half_is_proven():
     # Backlund's remainder bound holds for every sigma > 0
     for s in (complex(0.3, 2.0), 0.3, complex(0.05, -30.0)):
@@ -202,6 +256,73 @@ def test_zeta_depth_responds_to_tol():
     assert loose.truncation_N < tight.truncation_N
     assert loose.tail_bound <= 1e-4
     assert tight.tail_bound <= 1e-13  # rounding adds a hair over the target
+
+
+#: zeta's (value, tail_bound, truncation_N, heuristic) bits, recorded when
+#: its head was ``_dirichlet_sums`` of ones: the head's one-pass form must
+#: keep them.  1.2 10^5 i gives N - 1 > 2^15, a head of two slices.
+_ZETA_BITS = [
+    (1.0001, 1e-15, ('0x1.38849e2710917p+13', '0x0.0p+0', '0x1.01d70ba63cbddp-35', 18, False)),
+    (1.0001, 1e-13, ('0x1.38849e2710917p+13', '0x0.0p+0', '0x1.02072ec2e3b6ap-35', 16, False)),
+    (1.0001, 0.0001, ('0x1.38849e277fe24p+13', '0x0.0p+0', '0x1.c66099bfb5fdcp-21', 12, False)),
+    (2.3, 1e-15, ('0x1.6eb2eed24481ep+0', '0x0.0p+0', '0x1.ccbca595440a1p-50', 18, False)),
+    (2.3, 1e-13, ('0x1.6eb2eed244882p+0', '0x0.0p+0', '0x1.c573632b644ccp-46', 16, False)),
+    (2.3, 0.0001, ('0x1.6eb2f29a5f7d0p+0', '0x0.0p+0', '0x1.ef7f3828febffp-23', 12, False)),
+    (0.5, 1e-15, ('-0x1.75d9cb07e7403p+0', '0x0.0p+0', '0x1.98e0573926ceap-46', 17, False)),
+    (0.5, 1e-13, ('-0x1.75d9cb07e73d0p+0', '0x0.0p+0', '0x1.2f509a36932adp-45', 16, False)),
+    (0.5, 0.0001, ('-0x1.75d9bd441a3dbp+0', '0x0.0p+0', '0x1.c106cd91776e2p-21', 12, False)),
+    ((1.9+7.3j), 1e-15, ('0x1.0df1a6863485ap+0', '0x1.6edd6150bbf81p-3', '0x1.1f7aeb3bc8cd6p-44', 21, False)),
+    ((1.9+7.3j), 1e-13, ('0x1.0df1a68634847p+0', '0x1.6edd6150bc376p-3', '0x1.b4aef0708bab5p-44', 19, False)),
+    ((1.9+7.3j), 0.0001, ('0x1.0df18e0f5c3c8p+0', '0x1.6edbb2e2715fcp-3', '0x1.ad2bc4d7a5bb2p-18', 14, False)),
+    ((0.6-55j), 1e-15, ('0x1.32793b95d3764p+1', '0x1.9d94ff2727eafp-1', '0x1.83d84d3a0d652p-39', 43, False)),
+    ((0.6-55j), 1e-13, ('0x1.32793b95d3770p+1', '0x1.9d94ff2727ee8p-1', '0x1.8638c25fb7c4bp-39', 41, False)),
+    ((0.6-55j), 0.0001, ('0x1.32793e16d63f2p+1', '0x1.9d9542352358ap-1', '0x1.686112ae6a0c9p-17', 32, False)),
+    ((0.5+1000j), 1e-15, ('0x1.6ce2ea962b769p-2', '0x1.dd2ed1da2e1cbp-1', '0x1.c84f4e63a76a3p-32', 353, False)),
+    ((0.5+1000j), 1e-13, ('0x1.6ce2ea962b75fp-2', '0x1.dd2ed1da2e1c6p-1', '0x1.c852eae7c95d4p-32', 350, False)),
+    ((0.5+1000j), 0.0001, ('0x1.6ce2e966a50c3p-2', '0x1.dd2ec2d864f16p-1', '0x1.784e11ea3b696p-16', 336, False)),
+    ((2+120000j), 1e-15, ('0x1.555c30091f2cdp+0', '-0x1.1502069b778e5p-2', '0x1.22b761887e2a9p-28', 38223, False)),
+    ((2+120000j), 1e-13, ('0x1.555c30091f2cdp+0', '-0x1.1502069b778e5p-2', '0x1.22b7e31e68f28p-28', 38220, False)),
+    ((2+120000j), 0.0001, ('0x1.555c30097661ep+0', '-0x1.1502069ef47d2p-2', '0x1.e9194bf6c95fbp-18', 38208, False)),
+]
+#: sha256 of the numpy kernels' outputs those bits were recorded with
+#: (n^(-sigma), and cos and sin of -t log n, at each point's N)
+_ZETA_KERNELS = "67c42806bcaff8244f521d7565afdd99c078462966416cbcae8d85158eca369f"
+
+
+def _zeta_kernel_digest() -> str:
+    digest = hashlib.sha256()
+    for s in dict.fromkeys(complex(s) for s, _, _ in _ZETA_BITS):
+        n = np.arange(1.0, 10 + int(abs(s.imag) / math.pi))
+        digest.update((n ** -s.real).tobytes())
+        if s.imag:
+            phase = np.log(n)
+            phase *= -s.imag
+            digest.update(np.cos(phase).tobytes())
+            digest.update(np.sin(phase).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("s, tol, want", _ZETA_BITS)
+def test_zeta_bits_are_pinned(s, tol, want):
+    if _zeta_kernel_digest() != _ZETA_KERNELS:
+        pytest.skip("numpy's float64 power, log, cos or sin round otherwise on this CPU or build")
+    ev = zeta(s, tol)
+    assert (ev.value.real.hex(), ev.value.imag.hex(), ev.tail_bound.hex(), ev.truncation_N, ev.heuristic) == want
+
+
+@pytest.mark.parametrize("N", [2, 10, 41, 2**15, 2**15 + 1, 2**15 + 2, 2**16])
+@pytest.mark.parametrize("s", [2.3, 0.01, complex(0.5, -0.0), complex(0.6, -55.0), complex(20.0, 1.2e5)])
+def test_zeta_head_is_the_direct_sum_of_ones(N, s):
+    # the one-pass head against the slice-fed reference, on whatever
+    # kernels numpy has here: value, allowance and the float type at real s
+    point = ComplexArgument.of(s)
+    head, rounding = multlab.dirichlet._zeta_head(N, point)
+    [(value, allowance)] = multlab.dirichlet._dirichlet_sums([np.ones(N - 1)], N - 1, point)
+    assert isinstance(head, float) == (point.t == 0.0)
+    head = complex(head)
+    assert (head.real.hex(), head.imag.hex(), rounding.hex()) == (
+        value.real.hex(), value.imag.hex(), allowance.hex()
+    )
 
 
 def _zeta_points():
@@ -1479,6 +1600,14 @@ def test_deflated_g_left_of_one_is_zetas_continuation(s, sieve_1e4):
         assert abs(mp.mpc(ev.value) - oracle) <= ev.tail_bound
         if complex(s).imag == 0.0:
             assert ev.value.imag == 0.0 and (ev.value.real < 0.0) == (b == 0.0)
+
+
+@pytest.mark.parametrize("s", [0.5000001, 0.75])
+def test_a_negative_real_product_keeps_a_positive_zero_imaginary_part(s, sieve_1e4):
+    # base 0 divides out zeta(s) < 0 at 1/2 < s < 1: negating the value
+    # must not turn its +0.0 imaginary part into -0.0
+    ev = euler_product_G(constant_spec(0.0, {3: 0.5, 7: -1.0}), s, 10**4, sieve_1e4)
+    assert ev.value.real < 0.0 and math.copysign(1.0, ev.value.imag) == 1.0
 
 
 def _ulps(got, exact) -> float:
