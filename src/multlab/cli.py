@@ -90,7 +90,7 @@ def _cache_path(out_dir: Path, limit: int) -> Path:
 def save_sieve_cache(sieve: FactorSieve, out_dir: Path) -> Path:
     """Write the cache file atomically: a temp file beside it, then ``os.replace``.
 
-    A reader or a concurrent writer never sees a partly written file.  The
+    A reader or another writer never sees a partly written file.  The
     layout is format 4 (see ``_CACHE_VERSION``).  spf is written as the
     sieve hands it over (``FactorSieve._spf_segments``): a sieve that holds
     no table sieves it in this one pass, each segment written as soon as

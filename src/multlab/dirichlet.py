@@ -13,12 +13,9 @@ so a reported residual <= budget is a genuine end-to-end verification, not
 a tolerance pulled out of the air.
 
 The Euler products G and U sum log(1 + x_p) in real arithmetic, in one
-pass per chunk of primes, with log p read from the sieve's table; their
-rounding allowance is derived term by term in ``_log1p_product``.  At
-complex s, a full walk with several chunks runs them on a thread pool
-where two or more CPUs are usable; each chunk hands back exact pieces of
-its log sums and its share of the allowance, joined in chunk order, so G
-and U do not depend on the number of threads.  Both are one evaluator,
+pass per chunk of primes, in chunk order on the calling thread, with
+log p read from the sieve's table; their rounding allowance is derived
+term by term in ``_log1p_product``.  Both are one evaluator,
 ``_euler_product``, with one rule for the primes past a cutoff,
 ``_prime_tail``.  P only caps the walk: it stops at the first prime Q <= P
 whose log tail bound is at most 2^-53, which adds at most
@@ -61,9 +58,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -374,7 +369,8 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
     which also raises |T_(m+1)| in R_m's bound.  ``math.fsum`` rounds each
     part once: u (|Re| + |Im|).  The bound is _SLACK times the sum; it is
     inf, and ConvergenceError raised, where a relative error above passes
-    _FIRST_ORDER_MAX (|t| past about 2 10^10).  Also raises PoleError at
+    _FIRST_ORDER_MAX (|t| past about 2 10^10), and before any sum where
+    phi overflows (|t| from about 1.6 10^307).  Also raises PoleError at
     s = 1, DomainError for sigma <= 0 or a NaN or infinite part, and
     ValueError for tol <= 0.
     """
@@ -389,8 +385,11 @@ def zeta(s, tol: float = 1e-12) -> SeriesEval:
         raise ValueError(f"tol must be positive, got {tol}")
     sigma, t = point.sigma, point.t
     N = min(math.ceil(max(10.0, -math.log(tol) / 4.0)) + int(abs(t) / math.pi), _EM_MAX_N)
+    phi = -t * math.log(N)
+    if not math.isfinite(phi):  # |t| near float max: no phase -t log n is a float
+        raise ConvergenceError(f"zeta at s={point} has no finite error bound", math.inf)
     head, rounding = _zeta_head(N, point)
-    r, phi = float(N) ** -sigma, -t * math.log(N)
+    r = float(N) ** -sigma
     if t == 0.0:  # float operands round as complex ones with zero imaginary parts
         z, v, delta_v = sigma, r, 2.0 * _UNIT
     else:
@@ -650,13 +649,6 @@ def _deflation(power: int, spec: PrimeFunctionSpec, point: ComplexArgument) -> t
     return tuple(shifts)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, so ``taskset`` or a cpuset limits pools."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - platforms without CPU affinity
-
-
 def _log1p_product(
     spec: PrimeFunctionSpec,
     primes: np.ndarray,
@@ -690,21 +682,16 @@ def _log1p_product(
     Re w_j and Im w_j (and read from r and the phase where those are
     power sigma and power t); the terms e_j log(1 - v_j) are summed in shift
     order and their sum is added to log(1 + x) term by term.  The chunk
-    splits each part into exact pieces (``summation._ExactSum``) and sums
-    its terms of the allowance (step 4); only those leave it, so no
-    whole-length array is built.  The chunks run on a thread pool of
-    min(``_cpus()``, chunks) workers where s is complex, every prime is
-    visited and that count is at least 2, and inline otherwise; either way
-    they are joined in chunk order.  Each part is its pieces' exact
-    sum rounded once, and the value is exp of the complex total, so at real
-    s its imaginary part is exactly 0.0.  Value and allowance are bit-identical for every worker
-    count.
+    adds each part to one of two total ``summation._ExactSum``s, which
+    share one scratch buffer, and sums its terms of the allowance (step 4);
+    the chunks run in order, so no whole-length array is built.  Each part
+    is its exact sum rounded once, and the value is exp of the complex
+    total, so at real s its imaginary part is exactly 0.0.
 
     Raises DomainError when some |1 + x_p| < 1e-300 (or is NaN), when
     2^(-power sigma) rounds to 1 (tiny sigma: the factor at p = 2 is a
     float64 pole; checked before any chunk, whether 2 is visited or not)
-    or when the product overflows float64.  An error raised in a chunk
-    comes from the first chunk that raises, as in a serial loop.
+    or when the product overflows float64.
 
     Skipped primes.  Where a factor is exactly 1 with no shift, g_p = 0, and
     x_p, its log terms and its step-4 bound below are exact zeros, so
@@ -860,17 +847,8 @@ def _log1p_product(
         re = (0.5 * e) * np.log1p(a * (2.0 + a) + b * b)
         return re, e * np.arctan2(b, 1.0 + a), abs(e) * (np.abs(a) + np.abs(b))
 
-    def chunk(item: tuple[int, slice | np.ndarray]) -> tuple[list[float], list[float], float]:
-        # one errstate per chunk, since a pool thread does not inherit the
-        # caller's: a product past -float max gives r = exp(-inf) = 0, and
-        # log1p(-1) = -inf is caught as a degenerate factor
-        with np.errstate(over="ignore", divide="ignore"):
-            return chunk_sums(*item)
-
-    def chunk_sums(lo: int, at: slice | np.ndarray) -> tuple[list[float], list[float], float]:
-        # may run on a pool thread, so it calls private helpers only:
-        # multlab's public functions may be wrapped by callers that expect
-        # to run on one thread
+    def chunk(lo: int, at: slice | np.ndarray) -> float:
+        """Add the chunk's log parts to the totals; return its allowance sum."""
         lp = log_p[at]
         r = factor_r(lp)
         amp = 1.0 / (1.0 - r)
@@ -901,10 +879,9 @@ def _log1p_product(
             re += sum_re
             if t != 0.0:
                 im += sum_im
-        log_re, log_im = _ExactSum(), _ExactSum()
-        log_re.add(re)
+        total_re.add(re)
         if t != 0.0:
-            log_im.add(im)
+            total_im.add(im)
         cube = amp * amp * amp
         bound = mag * cube
         bound *= _TERM_CONST + c1 * lp
@@ -914,7 +891,7 @@ def _log1p_product(
             full = np.zeros(min(_BLOCK, n - lo))
             full[at - lo] = bound
             bound = full
-        return log_re.pieces, log_im.pieces, float(bound.sum())
+        return float(bound.sum())
 
     if visited is None:
         chunks = [(lo, slice(lo, lo + _BLOCK)) for lo in range(0, n, _BLOCK)]
@@ -923,21 +900,14 @@ def _log1p_product(
         for pos in visited.tolist():
             groups.setdefault(pos - pos % _BLOCK, []).append(pos)
         chunks = [(lo, np.array(at, dtype=np.intp)) for lo, at in groups.items()]
-    total_re, total_im = _ExactSum(), _ExactSum()
+    buf = np.empty((2, min(n, _BLOCK)))  # the totals' scratch, one chunk at a time
+    total_re, total_im = _ExactSum(buf), _ExactSum(buf)
     log_err = (1 + len(shifts)) * n * _UNDERFLOW
-    # a real-s chunk (about 0.7 ms) is too cheap for the pool: two workers
-    # spend what they gain in handing the GIL back and forth; so are the
-    # few primes of a visited chunk
-    workers = min(_cpus(), len(chunks)) if t != 0.0 and visited is None else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, chunks))
-    else:
-        parts = map(chunk, chunks)
-    for re_pieces, im_pieces, err in parts:
-        total_re.pieces += re_pieces
-        total_im.pieces += im_pieces
-        log_err += err
+    # a product past -float max gives r = exp(-inf) = 0, and log1p(-1) =
+    # -inf is caught as a degenerate factor
+    with np.errstate(over="ignore", divide="ignore"):
+        for lo, at in chunks:
+            log_err += chunk(lo, at)
     sign = 1.0
     for sh in shifts:
         total_re.pieces.append(sh.log.real)

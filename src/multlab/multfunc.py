@@ -251,7 +251,7 @@ def f_at_primes(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
 
 
 def _f_values(spec: PrimeFunctionSpec, primes: np.ndarray) -> np.ndarray:
-    """``f_at_primes`` for internal use, one chunk at a time and on any thread.
+    """``f_at_primes`` for internal use, one chunk at a time.
 
     Elementwise, so a chunk's values are bit-identical to the same entries
     of a whole-array call.  A flat spec (``_base_value``) fills its base

@@ -14,9 +14,7 @@ that span few enough binades (20 for a full 2^15-term slice) needs one
 extraction level, its residual summing exactly as it is (the certificate
 is in ``_ExactSum``); others take levels until the residual vanishes.
 Because each sum is the exact sum rounded once, its value depends
-neither on traversal order nor on the slicing: callers may split chunks
-on a thread pool and join the pieces in chunk order (as the Euler
-products do) and get the same bits for any number of threads.  One loop,
+neither on traversal order nor on the slicing.  One loop,
 ``_prefix_sums``, hands the accumulator each slice with the checkpoint
 counts inside it, and one extraction per slice gives the value at all of
 them; ``fsum_array``, ``prefix_sums_at`` and the prime-side sums all use
@@ -186,9 +184,7 @@ class _ExactSum:
     the normal range, where the residual (all multiples of 2^-1074, total
     below 2^-1021) also sums exactly.  The pieces add up exactly to the sum
     of every term added, so ``value`` -- ``math.fsum`` of the pieces -- is
-    that sum rounded once, whatever the chunking.  Pieces are plain
-    floats: a chunk split on another thread may hand its ``pieces`` list
-    over, to be joined in chunk order, with the same value.
+    that sum rounded once, whatever the chunking.
 
     A one-signed, zero-free chunk whose smallest magnitude amin is normal,
     with 2^(e_min-1) <= amin < 2^e_min and a binade spread

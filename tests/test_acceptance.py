@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-import multlab.dirichlet
 from multlab.cli import main, save_sieve_cache
 from multlab.dirichlet import (
     IdentityKind,
@@ -292,10 +291,10 @@ def _verify_report(cfg, out) -> bytes:
     return (out / "verify_report.csv").read_bytes()
 
 
-def test_criterion_12_determinism_across_threads(tmp_path, monkeypatch):
+def test_criterion_12_determinism_across_sieve_caches(tmp_path):
     cfg = tmp_path / "exp.cfg"
     # At 0.75 + 7i, G and U walk all 283,146 primes <= 4*10^6: nine
-    # chunks of 2^15 primes, which the Euler pool splits by CPU count.
+    # chunks of 2^15 primes.
     cfg.write_text(
         "sieve_limit = 4000000\ntruncation_N = 100000\neuler_P = 4000000\n"
         "s_grid = 0.75:7, 1.5\n"
@@ -309,18 +308,5 @@ def test_criterion_12_determinism_across_threads(tmp_path, monkeypatch):
         (tmp_path / sub / "cache" / "spf_4000000.bin").read_bytes() for sub in ("saved", "miss")
     )
     assert saved == missed
-    # the Euler products' chunks inline on one CPU, then on a pool of three
-    pools = []
-
-    class CountedPool(multlab.dirichlet.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(multlab.dirichlet, "ThreadPoolExecutor", CountedPool)
-    for cpus in (1, 3):
-        monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: cpus)
-        reports.append(_verify_report(cfg, tmp_path / "miss"))
-    assert pools == [3, 3]  # G and U at 0.75 + 7i
     assert len(set(reports)) == 1
     assert len(reports[0]) > 0

@@ -426,7 +426,8 @@ def test_prime_sum_plateau_for_perturbed_spec(tmp_path):
 
 def test_series_zeta_with_pole_in_grid(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_CFG + "s_grid = 1:0, 2:0\n")
+    # the pole, and a t whose phase -t log N overflows
+    cfg.write_text(SMALL_CFG + "s_grid = 1:0, 2:0, 2:-1.7e308\n")
     out = tmp_path / "out"
     rc = main(["series", "--config", str(cfg), "--out", str(out), "--which", "zeta"])
     assert rc == 0  # per-point errors are reported, not fatal
@@ -435,6 +436,7 @@ def test_series_zeta_with_pole_in_grid(tmp_path, capsys):
     header, rows = read_csv(out / "series_zeta.csv")
     assert header == "sigma,t,value_re,value_im,truncation_N,tail_bound,heuristic,method"
     assert rows[0][7] == "error"
+    assert rows[2][2:] == ["nan", "nan", "0", "inf", "1", "error"]
     import math
 
     assert float(rows[1][2]) == pytest.approx(math.pi**2 / 6, abs=1e-10)

@@ -60,7 +60,6 @@ from multlab.dirichlet import (
 )
 import multlab.dirichlet
 import multlab.multfunc
-import multlab.primesums
 import multlab.summation
 from multlab.config import ExperimentConfig, load_config
 from multlab.multfunc import (
@@ -217,11 +216,14 @@ def test_zeta_errors():
 def test_zeta_raises_convergence_error_only_for_a_non_finite_bound():
     # N stops growing at _EM_MAX_N (|t| past about 2e5): the bound grows
     # with |t| but stays proven, until the phase of N^(-s) is off by more
-    # than the first-order slack covers (|t| past about 2e10)
+    # than the first-order slack covers (|t| past about 2e10); at
+    # |t| = 1.7e308 the phase -t log N itself overflows, and no warning
+    # may come from the trig calls it would feed
     loose = zeta(complex(2.0, 1e7), tol=1e-12)
     assert not loose.heuristic and 1e-12 < loose.tail_bound < math.inf
-    for t in (1e11, 1e200, -1e300):
-        with pytest.raises(ConvergenceError) as exc:
+    for t in (1e11, 1e200, -1e300, 1.7e308, -1.7e308):
+        with warnings.catch_warnings(), pytest.raises(ConvergenceError) as exc:
+            warnings.simplefilter("error")
             zeta(complex(2.0, t), tol=1e-12)
         assert exc.value.achieved_bound == math.inf
 
@@ -724,50 +726,7 @@ def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
 
 #: 78,498 primes up to 10^6: three chunks of 2^15.  c = 5 > 2^(1 + a)
 #: clamps f(p) at +1, so nothing is divided out and the walk is long
-_POOLED_SPEC = power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5})
-
-
-@pytest.mark.parametrize("product", [euler_product_G, euler_product_U])
-@pytest.mark.parametrize(
-    "spec,s",
-    [
-        (_POOLED_SPEC, 1.5),
-        (_POOLED_SPEC, complex(1.2, 7.0)),
-        # U stops after 71,134 primes, still three chunks
-        (_POOLED_SPEC, complex(1.805, 7.0)),
-        # deflated by three powers of zeta, with a remainder whose tail
-        # stays above 2^-53: every prime
-        (power_decay_spec(0.5, 0.5, {2: 0.3, 7: -0.5}), complex(0.75, 7.0)),
-    ],
-)
-def test_euler_products_do_not_depend_on_the_worker_count(product, spec, s, sieve_1e6, monkeypatch):
-    auto = _bits(product(spec, s, 10**6, sieve_1e6))
-    for workers in (1, 3):
-        monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: workers)
-        assert _bits(product(spec, s, 10**6, sieve_1e6)) == auto
-
-
-def test_auto_threads_follow_cpu_affinity(sieve_1e6, monkeypatch):
-    # a complex-s full walk at P = 10^6 is three chunks: on two usable
-    # CPUs it starts a pool, on one it runs them inline.  A walk that
-    # visits the exception primes alone runs inline on any number of CPUs,
-    # here with one exception prime in each of the three chunks (positions
-    # 100, 40000 and 70000 in the prime table)
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    s = complex(1.2, 7.0)
-    visited_spec = liouville_spec({547: 0.5, 479939: 1.0, 882389: -0.5})
-    want = _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6))
-    visited = euler_product_G(visited_spec, s, 10**6, sieve_1e6)
-    assert visited.truncation_N == 70001
-    monkeypatch.setattr(multlab.dirichlet, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with pytest.raises(AssertionError, match="pool was started"):
-        euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
-    assert _bits(euler_product_G(visited_spec, s, 10**6, sieve_1e6)) == _bits(visited)
-    monkeypatch.setattr(multlab.dirichlet.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _bits(euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)) == want
+_THREE_CHUNK_SPEC = power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5})
 
 
 def test_euler_allowance_does_not_depend_on_blas_threads():
@@ -794,40 +753,29 @@ for spec in (power_decay_spec(0.5, 0.5, {2: 0.3}), power_decay_spec(5.0, 0.5), c
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_degenerate_factor_in_a_late_chunk_raises(workers, sieve_1e6, monkeypatch):
-    monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: workers)
+def test_degenerate_factor_in_a_late_chunk_raises(sieve_1e6):
     primes = primes_up_to(10**6, sieve_1e6)
     log_p = sieve_1e6.log_primes[: primes.size].copy()
     log_p[70000] = math.nan  # third chunk: its factor is NaN
     for power in (1, 2):
         with pytest.raises(DomainError, match="degenerate"):
-            _log1p_product(_POOLED_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power)
+            _log1p_product(_THREE_CHUNK_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power)
 
 
-def test_pool_workers_call_no_public_function(sieve_1e6, monkeypatch):
-    # a wrapper around a public name (as a tracer installs) may assume one
-    # thread, so pool workers must keep to private helpers
-    main = threading.main_thread()
+def test_the_library_starts_no_thread(sieve_1e6, monkeypatch):
+    # complex-s full walks of three chunks each, and a verify run that
+    # evaluates G and U at a complex point
+    def refuse(self):
+        raise AssertionError("a thread was started")
 
-    def on_main_thread(fn):
-        def wrapped(*args, **kwargs):
-            assert threading.current_thread() is main, f"{fn.__name__} called on a pool thread"
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for module in (multlab.dirichlet, multlab.multfunc, multlab.primesums, multlab.summation):
-        for name in ("f_at_primes", "fsum_array"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, on_main_thread(getattr(module, name)))
-    monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: 3)
-    for s in (1.5, complex(1.2, 7.0)):
-        euler_product_G(_POOLED_SPEC, s, 10**6, sieve_1e6)
-        euler_product_U(_POOLED_SPEC, s, 10**6, sieve_1e6)
-    pretentious_distance_sq(_POOLED_SPEC, LIOUVILLE, 10**6, sieve_1e6)
-    prime_sum_S(_POOLED_SPEC, 10**6, sieve_1e6)
-    weighted_tail_diagnostic(_POOLED_SPEC, 1.0, 10**6, sieve_1e6)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for s in (complex(1.2, 7.0), complex(0.75, 7.0)):
+        euler_product_G(_THREE_CHUNK_SPEC, s, 10**6, sieve_1e6)
+        euler_product_U(_THREE_CHUNK_SPEC, s, 10**6, sieve_1e6)
+    cfg = ExperimentConfig(
+        spec=_THREE_CHUNK_SPEC, s_grid=((1.2, 7.0),), truncation_N=10**4, euler_P=10**6, x_max=10**5
+    )
+    assert run_verify(cfg, sieve=sieve_1e6).lines
 
 
 #: specs whose G or U factor is 1 at every prime but the exceptions: bare,

@@ -16,7 +16,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import multlab.dirichlet
 import multlab.sieve
 from multlab.cli import main
 from multlab.config import ExperimentConfig
@@ -422,8 +421,6 @@ def test_prime_side_work_never_reads_spf(spec, monkeypatch):
     limit = 10**6
     sieve = build_sieve(limit)
     monkeypatch.setattr(multlab.sieve, "_sieve", _refuse_to_sieve)
-    # three chunks of 2^15 primes: a complex-s product runs them on a pool
-    monkeypatch.setattr(multlab.dirichlet, "_cpus", lambda: 3)
     for s in (1.5, complex(1.2, 7.0)):
         euler_product_G(spec, s, limit, sieve)
         euler_product_U(spec, s, limit, sieve)
