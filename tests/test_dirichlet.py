@@ -729,6 +729,34 @@ def test_euler_rounding_allowance_covers_mpmath(which, spec, s, P, sieve_1e5):
 _THREE_CHUNK_SPEC = power_decay_spec(5.0, 0.5, {2: 0.3, 7: -0.5})
 
 
+@pytest.mark.parametrize("product", [euler_product_G, euler_product_U])
+@pytest.mark.parametrize(
+    "spec,s",
+    [
+        (_THREE_CHUNK_SPEC, 1.5),
+        (_THREE_CHUNK_SPEC, complex(1.2, 7.0)),
+        # U stops after 71,134 primes, still three chunks
+        (_THREE_CHUNK_SPEC, complex(1.805, 7.0)),
+        # deflated by three powers of zeta, with a remainder whose tail
+        # stays above 2^-53: every prime
+        (power_decay_spec(0.5, 0.5, {2: 0.3, 7: -0.5}), complex(0.75, 7.0)),
+        # G visits one exception prime in each of three chunks
+        (liouville_spec({547: 0.5, 479939: 1.0, 882389: -0.5}), complex(1.2, 7.0)),
+    ],
+)
+def test_euler_product_values_do_not_depend_on_the_chunk_split(product, spec, s, sieve_1e6, monkeypatch):
+    # each chunk adds its log parts straight into the two exact totals, so
+    # the value is their exact sums rounded once, whatever the chunks; only
+    # the allowance, summed chunk by chunk, may move in its last bits
+    want = product(spec, s, 10**6, sieve_1e6)
+    for block in (1000, 1 << 17):  # 79 chunks, the last one short; one chunk
+        monkeypatch.setattr(multlab.dirichlet, "_BLOCK", block)
+        got = product(spec, s, 10**6, sieve_1e6)
+        assert _bits(got)[:2] == _bits(want)[:2], block
+        assert (got.truncation_N, got.heuristic) == (want.truncation_N, want.heuristic)
+        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-12)
+
+
 def test_euler_allowance_does_not_depend_on_blas_threads():
     # numpy's dot would run through the BLAS library, whose own threads
     # split a reduction in a count-dependent way
@@ -753,13 +781,16 @@ for spec in (power_decay_spec(0.5, 0.5, {2: 0.3}), power_decay_spec(5.0, 0.5), c
     assert outputs[0] == outputs[1]
 
 
-def test_degenerate_factor_in_a_late_chunk_raises(sieve_1e6):
+@pytest.mark.parametrize("visited", [None, [100, 40000, 70000]], ids=["full", "visited"])
+def test_degenerate_factor_in_a_late_chunk_raises(visited, sieve_1e6):
+    # the full walk, and a walk that visits one prime in each of three chunks
     primes = primes_up_to(10**6, sieve_1e6)
     log_p = sieve_1e6.log_primes[: primes.size].copy()
     log_p[70000] = math.nan  # third chunk: its factor is NaN
+    at = None if visited is None else np.array(visited, dtype=np.intp)
     for power in (1, 2):
         with pytest.raises(DomainError, match="degenerate"):
-            _log1p_product(_THREE_CHUNK_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power)
+            _log1p_product(_THREE_CHUNK_SPEC, primes, log_p, ComplexArgument(1.5, 2.0), power, at)
 
 
 def test_the_library_starts_no_thread(sieve_1e6, monkeypatch):
